@@ -24,12 +24,21 @@ void GraphDelta::Merge(const GraphDelta& other) {
   if (!other.removed_groups.empty() || !other.modified_groups.empty()) {
     new_set.insert(new_groups.begin(), new_groups.end());
   }
+  size_t cancelled = 0;
   for (GroupId removed : other.removed_groups) {
     if (new_set.erase(removed) > 0) {
-      new_groups.erase(std::find(new_groups.begin(), new_groups.end(), removed));
+      ++cancelled;
     } else {
       removed_groups.push_back(removed);
     }
+  }
+  // Cancelled ids are exactly those no longer in new_set; drop them in one
+  // stable pass (erasing each in turn would make retracting k groups
+  // against n accumulated ones cost O(n k)).
+  if (cancelled > 0) {
+    new_groups.erase(std::remove_if(new_groups.begin(), new_groups.end(),
+                                    [&](GroupId g) { return new_set.count(g) == 0; }),
+                     new_groups.end());
   }
   // Coalesce clause-set modifications so each group appears at most once.
   // Two separate GroupMods for one group would make DeltaLogDensityRatio

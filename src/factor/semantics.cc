@@ -1,9 +1,5 @@
 #include "factor/semantics.h"
 
-#include <cmath>
-
-#include "util/logging.h"
-
 namespace deepdive::factor {
 
 const char* SemanticsName(Semantics semantics) {
@@ -18,17 +14,20 @@ const char* SemanticsName(Semantics semantics) {
   return "?";
 }
 
-double GCount(Semantics semantics, int64_t n) {
-  DD_CHECK_GE(n, 0);
-  switch (semantics) {
-    case Semantics::kLinear:
-      return static_cast<double>(n);
-    case Semantics::kRatio:
-      return std::log1p(static_cast<double>(n));
-    case Semantics::kLogical:
-      return n > 0 ? 1.0 : 0.0;
+namespace internal {
+
+std::array<double, kRatioTableSize> MakeRatioTable() {
+  std::array<double, kRatioTableSize> table{};
+  for (int64_t n = 0; n < kRatioTableSize; ++n) {
+    // volatile keeps every call at run time. A compile-time fold is
+    // correctly rounded and differs from glibc's log1p in the last bit for
+    // some n (2, 13, 47, ...), which would shift every ratio-semantics result.
+    volatile double x = static_cast<double>(n);
+    table[static_cast<size_t>(n)] = std::log1p(x);
   }
-  return 0.0;
+  return table;
 }
+
+}  // namespace internal
 
 }  // namespace deepdive::factor

@@ -630,8 +630,12 @@ UpdateOutcome IncrementalEngine::RunVariational(const EngineOptions& options,
                                                 const std::vector<VarId>& affected) {
   UpdateOutcome outcome;
   DD_CHECK(snapshot_->variational.has_value());
-  factor::FactorGraph inference_graph = BuildVariationalInferenceGraph(
-      *graph_, snapshot_->variational->approx_graph(), cumulative_);
+  // The sweeps run on the CSR image of the approximation-plus-delta graph;
+  // the compiled kernel keeps iteration, FP and RNG order, so the marginals
+  // are those the mutable graph would give.
+  const factor::CompiledGraph inference_graph =
+      factor::CompiledGraph::Compile(BuildVariationalInferenceGraph(
+          *graph_, snapshot_->variational->approx_graph(), cumulative_));
 
   std::vector<VarId> sweep_vars;
   for (VarId v : affected) {
@@ -650,8 +654,8 @@ UpdateOutcome IncrementalEngine::RunVariational(const EngineOptions& options,
   if (num_threads > 1) {
     // Hogwild over the (sparse) inference graph, confined to the affected
     // variables: the component decomposition shards across workers.
-    inference::ParallelGibbsSampler sampler(&inference_graph, num_threads);
-    inference::AtomicWorld world(&inference_graph);
+    inference::CompiledParallelGibbsSampler sampler(&inference_graph, num_threads);
+    inference::CompiledAtomicWorld world(&inference_graph);
     for (VarId v = 0; v < inference_graph.NumVariables(); ++v) {
       world.Flip(v, warm_value(v));
     }
@@ -665,8 +669,8 @@ UpdateOutcome IncrementalEngine::RunVariational(const EngineOptions& options,
       for (VarId v : sweep_vars) sums[v] += world.value(v) ? 1.0 : 0.0;
     }
   } else {
-    inference::GibbsSampler sampler(&inference_graph);
-    inference::World world(&inference_graph);
+    inference::CompiledGibbsSampler sampler(&inference_graph);
+    inference::CompiledWorld world(&inference_graph);
     Rng rng(Rng::MixSeed(options.gibbs.seed, update_seq_, /*substream=*/2));
     for (VarId v = 0; v < inference_graph.NumVariables(); ++v) {
       world.Flip(v, warm_value(v));

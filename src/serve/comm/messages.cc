@@ -290,6 +290,7 @@ std::string EncodeResponse(const Response& response) {
           w.PutString(body.strategy);
           w.PutU64(body.grounding_work);
           w.PutDouble(body.grounding_seconds);
+          w.PutDouble(body.learning_seconds);
           w.PutDouble(body.inference_seconds);
           w.PutU64(body.program_version);
           w.PutU64(body.rule_count);
@@ -418,6 +419,7 @@ StatusOr<Response> DecodeResponse(std::string_view payload) {
       body.strategy = r.GetString();
       body.grounding_work = r.GetU64();
       body.grounding_seconds = r.GetDouble();
+      body.learning_seconds = r.GetDouble();
       body.inference_seconds = r.GetDouble();
       body.program_version = r.GetU64();
       body.rule_count = r.GetU64();

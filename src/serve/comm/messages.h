@@ -214,6 +214,7 @@ struct AddRuleResult {
   /// witness (equals the rule's match count, never the whole program's).
   uint64_t grounding_work = 0;
   double grounding_seconds = 0.0;
+  double learning_seconds = 0.0;
   double inference_seconds = 0.0;
   uint64_t program_version = 0;
   uint64_t rule_count = 0;

@@ -417,6 +417,7 @@ StatusOr<comm::AddRuleResult> TenantInstance::ExecuteAddRule(
   result.strategy = incremental::StrategyName(report.strategy);
   result.grounding_work = report.grounding_work;
   result.grounding_seconds = report.grounding_seconds;
+  result.learning_seconds = report.learning_seconds;
   result.inference_seconds = report.inference_seconds;
   result.program_version = dd->program_version();
   result.rule_count = dd->NumRules();

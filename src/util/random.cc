@@ -14,30 +14,11 @@ uint64_t SplitMix64(uint64_t* x) {
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return z ^ (z >> 31);
 }
-
-inline uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
   uint64_t sm = seed;
   for (auto& s : s_) s = SplitMix64(&sm);
-}
-
-uint64_t Rng::Next() {
-  const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
-  const uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::Uniform() {
-  // 53 high-quality bits -> [0,1).
-  return static_cast<double>(Next() >> 11) * 0x1.0p-53;
 }
 
 double Rng::Uniform(double lo, double hi) { return lo + (hi - lo) * Uniform(); }
@@ -70,8 +51,6 @@ double Rng::Gaussian() {
 }
 
 double Rng::Gaussian(double mean, double stddev) { return mean + stddev * Gaussian(); }
-
-bool Rng::Bernoulli(double p) { return Uniform() < p; }
 
 size_t Rng::Categorical(const std::vector<double>& weights) {
   double total = 0.0;

@@ -14,7 +14,8 @@ class Rng {
  public:
   explicit Rng(uint64_t seed = 0x9e3779b97f4a7c15ULL);
 
-  /// Uniform 64-bit value.
+  /// Uniform 64-bit value. Next/Uniform()/Bernoulli are defined below,
+  /// inline, because every Gibbs conditional draws through them.
   uint64_t Next();
 
   /// Uniform double in [0, 1).
@@ -57,10 +58,31 @@ class Rng {
   }
 
  private:
+  static uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
+
   uint64_t s_[4];
   bool has_spare_gaussian_ = false;
   double spare_gaussian_ = 0.0;
 };
+
+inline uint64_t Rng::Next() {
+  const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
+  const uint64_t t = s_[1] << 17;
+  s_[2] ^= s_[0];
+  s_[3] ^= s_[1];
+  s_[1] ^= s_[2];
+  s_[0] ^= s_[3];
+  s_[2] ^= t;
+  s_[3] = Rotl(s_[3], 45);
+  return result;
+}
+
+inline double Rng::Uniform() {
+  // 53 high-quality bits -> [0,1).
+  return static_cast<double>(Next() >> 11) * 0x1.0p-53;
+}
+
+inline bool Rng::Bernoulli(double p) { return Uniform() < p; }
 
 }  // namespace deepdive
 

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <vector>
 
 #include "factor/compiled_graph.h"
 #include "factor/factor_graph.h"
@@ -20,6 +23,18 @@ TEST(SemanticsTest, GCountValues) {
   EXPECT_DOUBLE_EQ(GCount(Semantics::kLogical, 0), 0.0);
   EXPECT_DOUBLE_EQ(GCount(Semantics::kLogical, 1), 1.0);
   EXPECT_DOUBLE_EQ(GCount(Semantics::kLogical, 100), 1.0);
+}
+
+// GCount serves small kRatio counts from a table; every entry, on both sides
+// of the table bound, must be bitwise the libm value the sampler used before.
+TEST(SemanticsTest, RatioCountIsBitwiseLog1p) {
+  for (int64_t n = 0; n < 1024; ++n) {
+    volatile double x = static_cast<double>(n);  // a run-time libm call
+    const double expected = std::log1p(x);
+    EXPECT_EQ(std::bit_cast<uint64_t>(GCount(Semantics::kRatio, n)),
+              std::bit_cast<uint64_t>(expected))
+        << "n = " << n;
+  }
 }
 
 TEST(SemanticsTest, Names) {
@@ -199,6 +214,33 @@ TEST(GraphDeltaTest, EmptyAndClassification) {
   other.evidence_changes.push_back({1, std::nullopt, true});
   delta.Merge(other);
   EXPECT_TRUE(delta.evidence_changed());
+}
+
+// Retracting many groups against a long cumulative delta: every cancelled
+// addition leaves new_groups, the survivors keep their order, and removals
+// of groups the window never added are recorded in order.
+TEST(GraphDeltaTest, MergeCancelsLargeRemovalSetPreservingOrder) {
+  constexpr GroupId kN = 10000;
+  GraphDelta delta;
+  for (GroupId i = 0; i < kN; ++i) delta.new_groups.push_back((i * 7919) % kN);
+  GraphDelta retract;
+  std::vector<GroupId> cancelled(kN, 0);
+  for (GroupId i = 0; i < kN; i += 5) {
+    const GroupId g = (i * 104729) % kN;
+    retract.removed_groups.push_back(g);
+    cancelled[g] = 1;
+    retract.removed_groups.push_back(kN + i);  // never added in the window
+  }
+  std::vector<GroupId> expected_new;
+  for (GroupId g : delta.new_groups) {
+    if (cancelled[g] == 0) expected_new.push_back(g);
+  }
+  std::vector<GroupId> expected_removed;
+  for (GroupId i = 0; i < kN; i += 5) expected_removed.push_back(kN + i);
+
+  delta.Merge(retract);
+  EXPECT_EQ(delta.new_groups, expected_new);
+  EXPECT_EQ(delta.removed_groups, expected_removed);
 }
 
 TEST(GraphDeltaTest, DeltaLogDensityRatioNewGroup) {

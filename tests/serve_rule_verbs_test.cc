@@ -124,6 +124,7 @@ TEST(RuleVerbCodecTest, ResultsRoundTrip) {
     body.strategy = "sampling";
     body.grounding_work = 17;
     body.grounding_seconds = 0.25;
+    body.learning_seconds = 0.125;
     body.inference_seconds = 0.5;
     body.program_version = 3;
     body.rule_count = 5;
@@ -137,6 +138,7 @@ TEST(RuleVerbCodecTest, ResultsRoundTrip) {
     EXPECT_EQ(out.strategy, "sampling");
     EXPECT_EQ(out.grounding_work, 17u);
     EXPECT_DOUBLE_EQ(out.grounding_seconds, 0.25);
+    EXPECT_DOUBLE_EQ(out.learning_seconds, 0.125);
     EXPECT_DOUBLE_EQ(out.inference_seconds, 0.5);
     EXPECT_EQ(out.program_version, 3u);
     EXPECT_EQ(out.rule_count, 5u);

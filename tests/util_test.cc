@@ -70,6 +70,20 @@ TEST(RngTest, DeterministicForSeed) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.Next(), b.Next());
 }
 
+// Every seeded result in the repository depends on this exact stream.
+TEST(RngTest, StreamIsPinnedForSeed) {
+  Rng a(42);
+  EXPECT_EQ(a.Next(), 1546998764402558742ull);
+  EXPECT_EQ(a.Next(), 6990951692964543102ull);
+  EXPECT_EQ(a.Next(), 12544586762248559009ull);
+  EXPECT_EQ(a.Next(), 17057574109182124193ull);
+  Rng b(42);
+  EXPECT_EQ(b.Uniform(), 0x1.5780b2e0c2ecp-4);
+  EXPECT_EQ(b.Uniform(), 0x1.84136619b444ep-2);
+  EXPECT_EQ(b.Uniform(), 0x1.5c2ea66473c93p-1);
+  EXPECT_EQ(b.Uniform(), 0x1.d9715a8e0766cp-1);
+}
+
 TEST(RngTest, DifferentSeedsDiffer) {
   Rng a(1), b(2);
   bool any_diff = false;

@@ -922,10 +922,12 @@ StatusOr<int> RunClient(const ClientArgs& args) {
       const auto& result = std::get<serve::comm::AddRuleResult>(response.body);
       std::printf(
           "added rule %s: epoch=%llu groundings=%llu strategy=%s "
+          "grounding=%.3fs learning=%.3fs inference=%.3fs "
           "program=v%llu rules=%llu fingerprint=%016llx\n",
           result.label.c_str(), static_cast<unsigned long long>(result.epoch),
           static_cast<unsigned long long>(result.grounding_work),
-          result.strategy.c_str(),
+          result.strategy.c_str(), result.grounding_seconds,
+          result.learning_seconds, result.inference_seconds,
           static_cast<unsigned long long>(result.program_version),
           static_cast<unsigned long long>(result.rule_count),
           static_cast<unsigned long long>(result.rules_fingerprint));
