@@ -1,15 +1,20 @@
 // Compiled-kernel benchmark: the flat CSR CompiledGraph sweep vs. the mutable
-// pointer-rich FactorGraph sweep (ns/var), plus the cold-start story — how
-// fast a fresh process gets to a sampleable graph from an mmap'd binary
+// pointer-rich FactorGraph sweep (ns/var), the conditional-caching
+// CompiledGibbsChain over the same compiled graph, plus the cold-start story —
+// how fast a fresh process gets to a sampleable graph from an mmap'd binary
 // snapshot vs. re-grounding the graph from scratch. Emits
 // BENCH_compiled_kernel.json for the CI artifact.
 //
-// Both paths run the identical sweep schedule from identical seeds, so the
-// flip counts printed per path double as a parity check (they must match —
-// the compiled kernel is bit-identical by contract).
+// All three sweeps run the identical schedule from identical seeds, so their
+// flip counts and per-variable indicator sums double as a parity check (they
+// must match: both compiled sweeps are bit-identical by contract). The random
+// pairwise graph flips far more often than a serving update's graph, so the
+// cached chain is measured here where its cache rarely hits.
 #include <cstdio>
 #include <cstring>
+#include <numeric>
 #include <string>
+#include <vector>
 
 #include "bench_common.h"
 #include "factor/compiled_graph.h"
@@ -44,19 +49,62 @@ Args ParseArgs(int argc, char** argv) {
   return args;
 }
 
+struct SweepRun {
+  size_t flips = 0;
+  double seconds = 0.0;      // sweeps only
+  std::vector<double> sums;  // per variable: sweeps that ended at 1
+};
+
+// Runs `sweeps` calls of `sweep` (returning #flips), timing only those calls;
+// `world` gives the state to sum indicators from after each.
+template <typename SweepFn, typename WorldFn>
+SweepRun RunSweeps(size_t num_vars, size_t sweeps, SweepFn sweep, WorldFn world) {
+  SweepRun run;
+  run.sums.assign(num_vars, 0.0);
+  for (size_t s = 0; s < sweeps; ++s) {
+    Timer timer;
+    run.flips += sweep();
+    run.seconds += timer.Seconds();
+    for (factor::VarId v = 0; v < num_vars; ++v) {
+      run.sums[v] += world().value(v) ? 1.0 : 0.0;
+    }
+  }
+  return run;
+}
+
 template <typename GraphT>
-size_t TimedSweeps(const GraphT& graph, size_t sweeps, uint64_t seed,
-                   double* seconds) {
+SweepRun TimedSweeps(const GraphT& graph, size_t sweeps, uint64_t seed) {
   inference::BasicGibbsSampler<GraphT> sampler(&graph);
   typename inference::BasicGibbsSampler<GraphT>::WorldType world(&graph);
   Rng init_rng(seed);
   world.InitValues(&init_rng, /*random_init=*/true);
   Rng rng(Rng::MixSeed(seed, 1));
-  size_t flips = 0;
-  Timer timer;
-  for (size_t s = 0; s < sweeps; ++s) flips += sampler.Sweep(&world, &rng);
-  *seconds = timer.Seconds();
-  return flips;
+  return RunSweeps(
+      graph.NumVariables(), sweeps, [&] { return sampler.Sweep(&world, &rng); },
+      [&]() -> const auto& { return world; });
+}
+
+// The same schedule through CompiledGibbsChain over every variable.
+SweepRun TimedChainSweeps(const factor::CompiledGraph& graph, size_t sweeps,
+                          uint64_t seed, double* setup_seconds,
+                          double* evaluated_fraction) {
+  inference::CompiledWorld world(&graph);
+  Rng init_rng(seed);
+  world.InitValues(&init_rng, /*random_init=*/true);
+  std::vector<factor::VarId> vars(graph.NumVariables());
+  std::iota(vars.begin(), vars.end(), factor::VarId{0});
+  Timer setup_timer;
+  inference::CompiledGibbsChain chain(std::move(world));
+  *setup_seconds = setup_timer.Seconds();
+  Rng rng(Rng::MixSeed(seed, 1));
+  SweepRun run = RunSweeps(
+      graph.NumVariables(), sweeps, [&] { return chain.SweepVars(&rng, vars); },
+      [&]() -> const auto& { return chain.world(); });
+  *evaluated_fraction = chain.visits() > 0
+                            ? static_cast<double>(chain.conditionals_evaluated()) /
+                                  static_cast<double>(chain.visits())
+                            : 0.0;
+  return run;
 }
 
 int Run(int argc, char** argv) {
@@ -99,23 +147,35 @@ int Run(int argc, char** argv) {
   std::printf("mmap load         %8.1f ms  (%.1fx faster than re-ground+compile)\n",
               load_s * 1e3, cold_start_speedup);
 
-  // Sweep kernel: identical schedule, identical seeds, flip-count parity.
-  PrintHeader("sweep kernel: mutable vs. compiled CSR");
-  double mutable_s = 0.0, compiled_s = 0.0;
-  const size_t mutable_flips = TimedSweeps(g, args.sweeps, kChainSeed, &mutable_s);
-  const size_t compiled_flips =
-      TimedSweeps(*loaded, args.sweeps, kChainSeed, &compiled_s);
+  // Sweep kernel: identical schedule, identical seeds, flip and sum parity.
+  PrintHeader("sweep kernel: mutable vs. compiled CSR vs. cached chain");
+  const SweepRun mutable_run = TimedSweeps(g, args.sweeps, kChainSeed);
+  const SweepRun compiled_run = TimedSweeps(*loaded, args.sweeps, kChainSeed);
+  double chain_setup_s = 0.0, evaluated_fraction = 0.0;
+  const SweepRun cached_run = TimedChainSweeps(*loaded, args.sweeps, kChainSeed,
+                                               &chain_setup_s, &evaluated_fraction);
   const double denom = static_cast<double>(args.sweeps * args.vars);
-  const double mutable_ns = mutable_s * 1e9 / denom;
-  const double compiled_ns = compiled_s * 1e9 / denom;
+  const double mutable_ns = mutable_run.seconds * 1e9 / denom;
+  const double compiled_ns = compiled_run.seconds * 1e9 / denom;
+  const double cached_ns = cached_run.seconds * 1e9 / denom;
   std::printf("mutable sweep     %8.1f ns/var  (%zu flips)\n", mutable_ns,
-              mutable_flips);
+              mutable_run.flips);
   std::printf("compiled sweep    %8.1f ns/var  (%zu flips)\n", compiled_ns,
-              compiled_flips);
+              compiled_run.flips);
+  std::printf("cached sweep      %8.1f ns/var  (%zu flips, %.1f%% of conditionals "
+              "evaluated, %.1f ms set-up)\n",
+              cached_ns, cached_run.flips, evaluated_fraction * 100.0,
+              chain_setup_s * 1e3);
   std::printf("sweep speedup     %8.2fx\n", mutable_ns / compiled_ns);
-  if (mutable_flips != compiled_flips) {
-    std::fprintf(stderr, "PARITY VIOLATION: flip counts differ (%zu vs %zu)\n",
-                 mutable_flips, compiled_flips);
+  std::printf("cached speedup    %8.2fx over compiled\n", compiled_ns / cached_ns);
+  if (mutable_run.flips != compiled_run.flips || mutable_run.sums != compiled_run.sums) {
+    std::fprintf(stderr, "PARITY VIOLATION: mutable vs compiled (%zu vs %zu flips)\n",
+                 mutable_run.flips, compiled_run.flips);
+    return 1;
+  }
+  if (cached_run.flips != compiled_run.flips || cached_run.sums != compiled_run.sums) {
+    std::fprintf(stderr, "PARITY VIOLATION: cached vs compiled (%zu vs %zu flips)\n",
+                 cached_run.flips, compiled_run.flips);
     return 1;
   }
 
@@ -133,6 +193,10 @@ int Run(int argc, char** argv) {
                "  \"mutable_sweep_ns_per_var\": %.2f,\n"
                "  \"compiled_sweep_ns_per_var\": %.2f,\n"
                "  \"sweep_speedup\": %.3f,\n"
+               "  \"cached_sweep_ns_per_var\": %.2f,\n"
+               "  \"cached_sweep_speedup\": %.3f,\n"
+               "  \"cached_conditionals_evaluated_fraction\": %.4f,\n"
+               "  \"cached_chain_setup_ms\": %.3f,\n"
                "  \"flip_parity\": true,\n"
                "  \"reground_ms\": %.3f,\n"
                "  \"compile_ms\": %.3f,\n"
@@ -142,7 +206,8 @@ int Run(int argc, char** argv) {
                "  \"cold_start_speedup\": %.2f\n"
                "}\n",
                args.vars, g.NumClauses(), args.sweeps, mutable_ns, compiled_ns,
-               mutable_ns / compiled_ns, reground_s * 1e3, compile_s * 1e3,
+               mutable_ns / compiled_ns, cached_ns, compiled_ns / cached_ns,
+               evaluated_fraction, chain_setup_s * 1e3, reground_s * 1e3, compile_s * 1e3,
                save_s * 1e3, compiled.image_bytes(), load_s * 1e3,
                cold_start_speedup);
   std::fclose(out);

@@ -90,22 +90,42 @@ std::vector<DecompositionGroup> DecomposeWithInactive(const FactorGraph& graph,
 }
 
 std::vector<std::vector<VarId>> ConnectedComponents(const FactorGraph& graph) {
+  // The walk of FactorGraph::Neighbors without its per-variable vectors: a
+  // variable reaches every member of each active group it heads or has a
+  // body ref into (an inactive clause's ref included). Once a group has been
+  // expanded every member has a component, so each is expanded at most once.
   const size_t n = graph.NumVariables();
   std::vector<int> component(n, -1);
+  std::vector<bool> expanded(graph.NumGroups(), false);
   int num_components = 0;
+  int current = -1;
   std::vector<VarId> stack;
+  auto reach = [&](VarId u) {
+    if (component[u] >= 0) return;
+    component[u] = current;
+    stack.push_back(u);
+  };
+  auto expand = [&](factor::GroupId gid) {
+    const factor::FactorGroup& group = graph.group(gid);
+    if (!group.active || expanded[gid]) return;
+    expanded[gid] = true;
+    reach(group.head);
+    for (factor::ClauseId cid : group.clauses) {
+      const factor::Clause& clause = graph.clause(cid);
+      if (!clause.active) continue;
+      for (const factor::Literal& lit : clause.literals) reach(lit.var);
+    }
+  };
   for (VarId start = 0; start < n; ++start) {
     if (component[start] >= 0) continue;
-    const int c = num_components++;
-    component[start] = c;
-    stack.push_back(start);
+    current = num_components++;
+    reach(start);
     while (!stack.empty()) {
       const VarId v = stack.back();
       stack.pop_back();
-      for (VarId u : graph.Neighbors(v)) {
-        if (component[u] >= 0) continue;
-        component[u] = c;
-        stack.push_back(u);
+      for (factor::GroupId gid : graph.HeadGroups(v)) expand(gid);
+      for (const factor::BodyRef& ref : graph.BodyRefs(v)) {
+        expand(graph.clause(ref.clause).group);
       }
     }
   }

@@ -291,7 +291,12 @@ std::vector<bool> IncrementalEngine::TouchedVars(const GraphDelta& delta) const 
   for (GroupId g : delta.new_groups) touch_group(g);
   for (GroupId g : delta.removed_groups) touch_group(g);
   for (const GraphDelta::GroupMod& mod : delta.modified_groups) touch_group(mod.group);
+  // A cumulative delta repeats a weight once per update that moved it; its
+  // groups need walking once.
+  std::vector<bool> weight_seen(graph_->NumWeights(), false);
   for (const GraphDelta::WeightChange& wc : delta.weight_changes) {
+    if (weight_seen[wc.weight]) continue;
+    weight_seen[wc.weight] = true;
     for (GroupId g : graph_->GroupsForWeight(wc.weight)) touch_group(g);
   }
   for (const GraphDelta::EvidenceChange& ec : delta.evidence_changes) {
@@ -653,7 +658,8 @@ UpdateOutcome IncrementalEngine::RunVariational(const EngineOptions& options,
                                  : options.gibbs.num_threads;
   if (num_threads > 1) {
     // Hogwild over the (sparse) inference graph, confined to the affected
-    // variables: the component decomposition shards across workers.
+    // variables: the component decomposition shards across workers. It keeps
+    // the plain kernel because a cached conditional could miss a racing flip.
     inference::CompiledParallelGibbsSampler sampler(&inference_graph, num_threads);
     inference::CompiledAtomicWorld world(&inference_graph);
     for (VarId v = 0; v < inference_graph.NumVariables(); ++v) {
@@ -669,19 +675,21 @@ UpdateOutcome IncrementalEngine::RunVariational(const EngineOptions& options,
       for (VarId v : sweep_vars) sums[v] += world.value(v) ? 1.0 : 0.0;
     }
   } else {
-    inference::CompiledGibbsSampler sampler(&inference_graph);
+    // Sequential sweeps reuse each conditional until a variable it reads
+    // flips; the chain is bit-identical to CompiledGibbsSampler::SweepVars.
     inference::CompiledWorld world(&inference_graph);
     Rng rng(Rng::MixSeed(options.gibbs.seed, update_seq_, /*substream=*/2));
     for (VarId v = 0; v < inference_graph.NumVariables(); ++v) {
       world.Flip(v, warm_value(v));
     }
     world.RecomputeStats();
+    inference::CompiledGibbsChain chain(std::move(world));
     for (size_t i = 0; i < options.gibbs.burn_in_sweeps; ++i) {
-      sampler.SweepVars(&world, &rng, sweep_vars);
+      chain.SweepVars(&rng, sweep_vars);
     }
     for (size_t i = 0; i < sample_sweeps; ++i) {
-      sampler.SweepVars(&world, &rng, sweep_vars);
-      for (VarId v : sweep_vars) sums[v] += world.value(v) ? 1.0 : 0.0;
+      chain.SweepVars(&rng, sweep_vars);
+      for (VarId v : sweep_vars) sums[v] += chain.world().value(v) ? 1.0 : 0.0;
     }
   }
 

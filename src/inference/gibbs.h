@@ -221,6 +221,68 @@ using CompiledGibbsSampler = BasicGibbsSampler<factor::CompiledGraph>;
 extern template class BasicGibbsSampler<factor::FactorGraph>;
 extern template class BasicGibbsSampler<factor::CompiledGraph>;
 
+/// A sequential Gibbs chain over a CompiledGraph that reuses a variable's
+/// conditional until a variable it reads has flipped.
+///
+/// Given the graph's structure, weights and evidence, a conditional is a pure
+/// function of the values of the other members (head and clause literals) of
+/// the groups its variable is in. The chain keeps each variable's last
+/// p1 = 1/(1+exp(-log_odds)) and a dirty flag, all dirty at start; a dirty
+/// visit runs detail::ConditionalLogOddsImpl, a clean one reuses p1, and a
+/// flip marks every variable sharing a group with the flipped one dirty.
+/// Every visit still draws exactly one Bernoulli, so RNG consumption, flips
+/// and the world are bit-identical to CompiledGibbsSampler::SweepVars run from
+/// the same world and Rng.
+///
+/// Two cases keep that exact. A variable occurring more than once in one of
+/// its groups may read its own value (a clause can hold x and !x), so its
+/// own flip marks it dirty. Members of a group with more than
+/// kMaxCachedGroupSize members are recomputed on every visit and their flips
+/// mark nothing through that group, which bounds construction and marking by
+/// O(literals x kMaxCachedGroupSize) instead of O(sum of group size^2).
+///
+/// Contract: the graph's structure, weights and evidence stay frozen for the
+/// chain's lifetime, and the world it owns changes only through SweepVars.
+/// That is why the other sweeps keep the plain kernel: Hogwild workers flip
+/// shared variables concurrently (a cached conditional could miss a racing
+/// flip), the learner moves weights every epoch, and the FactorGraph path is
+/// the reference the compiled kernel is tested against.
+class CompiledGibbsChain {
+ public:
+  static constexpr size_t kMaxCachedGroupSize = 64;
+
+  /// Takes over `world`, whose graph() the chain sweeps; O(graph) set-up.
+  explicit CompiledGibbsChain(CompiledWorld world);
+
+  /// The chain's world; single-owner, read on the thread that sweeps.
+  const CompiledWorld& world() const { return world_; }
+
+  /// One sweep over `vars`, skipping evidence variables: the sweep of
+  /// CompiledGibbsSampler::SweepVars. Returns #flips.
+  size_t SweepVars(Rng* rng, const std::vector<factor::VarId>& vars);
+
+  /// Sampled visits so far, and how many of them evaluated the conditional.
+  size_t visits() const { return visits_; }
+  size_t conditionals_evaluated() const { return conditionals_evaluated_; }
+
+ private:
+  // Per-variable cache state bits.
+  static constexpr uint8_t kDirty = 1;     // recompute on the next visit
+  static constexpr uint8_t kUncached = 2;  // in a group above the size cap
+
+  const factor::CompiledGraph* graph_;
+  CompiledWorld world_;
+  GibbsScratch scratch_;
+  /// CSR: variable -> variables whose conditional reads it (itself included
+  /// when it occurs twice in one group), over groups within the size cap.
+  std::vector<size_t> dependent_offsets_;
+  std::vector<factor::VarId> dependents_;
+  std::vector<double> p1_;
+  std::vector<uint8_t> state_;
+  size_t visits_ = 0;
+  size_t conditionals_evaluated_ = 0;
+};
+
 }  // namespace deepdive::inference
 
 #endif  // DEEPDIVE_INFERENCE_GIBBS_H_

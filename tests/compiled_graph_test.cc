@@ -354,59 +354,68 @@ std::vector<double> VariationalSweepSums(const GraphT& graph,
 // The graph shape the variational update path sweeps: the pairwise
 // approximation of a materialized graph plus a delta with new groups (every
 // semantics, multi-clause ratio groups, one added then deactivated), clauses
-// added to an existing group, and an evidence flip.
+// added to an existing group, and an evidence flip. `vars` is the sweep list.
+void MakeVariationalUpdateGraph(uint64_t seed, FactorGraph* inference_graph,
+                                std::vector<VarId>* vars) {
+  FactorGraph g = MixedGraph(seed);
+  incremental::VariationalOptions vopts;
+  vopts.num_samples = 60;
+  vopts.gibbs_burn_in = 10;
+  vopts.fit_epochs = 30;
+  vopts.lambda = 0.02;
+  vopts.seed = seed;
+  auto m = incremental::VariationalMaterialization::Materialize(g, vopts);
+  ASSERT_TRUE(m.ok()) << m.status().ToString();
+
+  factor::GraphDelta delta;
+  Rng rng(seed + 100);
+  const size_t n = g.NumVariables();
+  auto pick_other = [&](VarId head) {
+    return static_cast<VarId>((head + 1 + rng.UniformInt(n - 1)) % n);
+  };
+  for (size_t i = 0; i < 6; ++i) {
+    const VarId head = static_cast<VarId>(rng.UniformInt(n));
+    const auto sem = static_cast<Semantics>(i % 3);
+    const GroupId grp =
+        g.AddGroup(static_cast<uint32_t>(100 + i), head,
+                   g.AddWeight(rng.Uniform(-1.5, 1.5), true, "new" + std::to_string(i)),
+                   sem);
+    for (size_t c = 0; c < 1 + i % 3; ++c) {
+      g.AddClause(grp, {{pick_other(head), rng.Bernoulli(0.4)}});
+    }
+    if (i == 4) g.DeactivateGroup(grp);
+    delta.new_groups.push_back(grp);
+  }
+  for (GroupId grp = 0; grp < g.NumGroups(); ++grp) {
+    if (!g.group(grp).active) continue;
+    const VarId head = g.group(grp).head;
+    delta.modified_groups.push_back(
+        {grp, {g.AddClause(grp, {{pick_other(head), false}})}, {}});
+    break;
+  }
+  const VarId flipped = static_cast<VarId>(rng.UniformInt(n));
+  const auto old_value = g.EvidenceValue(flipped);
+  const std::optional<bool> new_value = !old_value.value_or(false);
+  g.SetEvidence(flipped, new_value);
+  delta.evidence_changes.push_back({flipped, old_value, new_value});
+
+  *inference_graph =
+      incremental::BuildVariationalInferenceGraph(g, m->approx_graph(), delta);
+  vars->clear();
+  for (VarId v = 0; v < inference_graph->NumVariables(); ++v) {
+    if (!inference_graph->IsEvidence(v) && v % 4 != 1) vars->push_back(v);
+  }
+  ASSERT_FALSE(vars->empty()) << "seed " << seed;
+}
+
+constexpr uint64_t kVariationalUpdateSeeds[] = {3, 11, 29};
+
 TEST(CompiledGraphTest, VariationalUpdateSweepParity) {
-  for (uint64_t seed : {3u, 11u, 29u}) {
-    FactorGraph g = MixedGraph(seed);
-    incremental::VariationalOptions vopts;
-    vopts.num_samples = 60;
-    vopts.gibbs_burn_in = 10;
-    vopts.fit_epochs = 30;
-    vopts.lambda = 0.02;
-    vopts.seed = seed;
-    auto m = incremental::VariationalMaterialization::Materialize(g, vopts);
-    ASSERT_TRUE(m.ok()) << m.status().ToString();
-
-    factor::GraphDelta delta;
-    Rng rng(seed + 100);
-    const size_t n = g.NumVariables();
-    auto pick_other = [&](VarId head) {
-      return static_cast<VarId>((head + 1 + rng.UniformInt(n - 1)) % n);
-    };
-    for (size_t i = 0; i < 6; ++i) {
-      const VarId head = static_cast<VarId>(rng.UniformInt(n));
-      const auto sem = static_cast<Semantics>(i % 3);
-      const GroupId grp =
-          g.AddGroup(static_cast<uint32_t>(100 + i), head,
-                     g.AddWeight(rng.Uniform(-1.5, 1.5), true, "new" + std::to_string(i)),
-                     sem);
-      for (size_t c = 0; c < 1 + i % 3; ++c) {
-        g.AddClause(grp, {{pick_other(head), rng.Bernoulli(0.4)}});
-      }
-      if (i == 4) g.DeactivateGroup(grp);
-      delta.new_groups.push_back(grp);
-    }
-    for (GroupId grp = 0; grp < g.NumGroups(); ++grp) {
-      if (!g.group(grp).active) continue;
-      const VarId head = g.group(grp).head;
-      delta.modified_groups.push_back(
-          {grp, {g.AddClause(grp, {{pick_other(head), false}})}, {}});
-      break;
-    }
-    const VarId flipped = static_cast<VarId>(rng.UniformInt(n));
-    const auto old_value = g.EvidenceValue(flipped);
-    const std::optional<bool> new_value = !old_value.value_or(false);
-    g.SetEvidence(flipped, new_value);
-    delta.evidence_changes.push_back({flipped, old_value, new_value});
-
-    const FactorGraph inference_graph =
-        incremental::BuildVariationalInferenceGraph(g, m->approx_graph(), delta);
-    const CompiledGraph compiled = CompiledGraph::Compile(inference_graph);
+  for (uint64_t seed : kVariationalUpdateSeeds) {
+    FactorGraph inference_graph;
     std::vector<VarId> vars;
-    for (VarId v = 0; v < inference_graph.NumVariables(); ++v) {
-      if (!inference_graph.IsEvidence(v) && v % 4 != 1) vars.push_back(v);
-    }
-    ASSERT_FALSE(vars.empty()) << "seed " << seed;
+    ASSERT_NO_FATAL_FAILURE(MakeVariationalUpdateGraph(seed, &inference_graph, &vars));
+    const CompiledGraph compiled = CompiledGraph::Compile(inference_graph);
     for (bool hogwild : {false, true}) {
       const auto expected = VariationalSweepSums(inference_graph, vars, hogwild);
       const auto actual = VariationalSweepSums(compiled, vars, hogwild);
@@ -419,6 +428,116 @@ TEST(CompiledGraphTest, VariationalUpdateSweepParity) {
       EXPECT_TRUE(mixed) << "seed " << seed;
     }
   }
+}
+
+struct ChainStats {
+  size_t visits = 0;
+  size_t evaluated = 0;
+};
+
+// The engine's sequential variational sweep run twice from the same warm
+// world and seed: through CompiledGibbsSampler::SweepVars and through
+// CompiledGibbsChain. Requires equal worlds after every sweep, equal flip
+// counts and bitwise-equal indicator sums; returns the chain's counts.
+ChainStats ExpectChainMatchesSweepVars(const CompiledGraph& graph,
+                                       const std::vector<VarId>& vars,
+                                       const std::string& label) {
+  inference::CompiledWorld world(&graph);
+  for (VarId v = 0; v < graph.NumVariables(); ++v) world.Flip(v, WarmValue(graph, v));
+  world.RecomputeStats();
+  inference::CompiledGibbsChain chain(world);
+  inference::CompiledGibbsSampler sampler(&graph);
+  Rng plain_rng(kVariationalSeed);
+  Rng chain_rng(kVariationalSeed);
+  std::vector<double> plain_sums(graph.NumVariables(), 0.0);
+  std::vector<double> chain_sums(graph.NumVariables(), 0.0);
+  size_t plain_flips = 0;
+  size_t chain_flips = 0;
+  for (size_t i = 0; i < kVariationalBurnIn + kVariationalSamples; ++i) {
+    plain_flips += sampler.SweepVars(&world, &plain_rng, vars);
+    chain_flips += chain.SweepVars(&chain_rng, vars);
+    EXPECT_EQ(chain.world().ToBits(), world.ToBits()) << label << " sweep " << i;
+    if (i < kVariationalBurnIn) continue;
+    for (VarId v : vars) {
+      plain_sums[v] += world.value(v) ? 1.0 : 0.0;
+      chain_sums[v] += chain.world().value(v) ? 1.0 : 0.0;
+    }
+  }
+  EXPECT_EQ(chain_flips, plain_flips) << label;
+  EXPECT_EQ(chain_sums, plain_sums) << label;
+  EXPECT_GT(chain_flips, 0u) << label;  // parity of a frozen chain proves nothing
+  return {chain.visits(), chain.conditionals_evaluated()};
+}
+
+TEST(CompiledGraphTest, CachedChainMatchesSweepVarsOnVariationalUpdates) {
+  for (uint64_t seed : kVariationalUpdateSeeds) {
+    FactorGraph inference_graph;
+    std::vector<VarId> vars;
+    ASSERT_NO_FATAL_FAILURE(MakeVariationalUpdateGraph(seed, &inference_graph, &vars));
+    ExpectChainMatchesSweepVars(CompiledGraph::Compile(inference_graph), vars,
+                                "seed " + std::to_string(seed));
+  }
+}
+
+// MixedGraph plus the cases the cache must treat specially: evidence
+// variables in the sweep list (skipped without drawing); a variable x
+// repeated across the clauses of one group and, as x and !x, within one
+// clause, so that its conditional reads its own value; and a group above the
+// chain's size cap whose members meet in no other group, so only that group
+// tells them about each other's flips.
+TEST(CompiledGraphTest, CachedChainMatchesSweepVarsOnEdgeCases) {
+  constexpr size_t kBig = inference::CompiledGibbsChain::kMaxCachedGroupSize;
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    FactorGraph g = MixedGraph(seed);
+    const VarId evidence = static_cast<VarId>(g.NumVariables());
+    const VarId x = evidence + 1;
+    const VarId y = evidence + 2;
+    const VarId head = evidence + 3;
+    const VarId big_head = evidence + 4;
+    const VarId big_first = evidence + 5;
+    g.AddVariables(5 + kBig);
+    g.SetEvidence(evidence, true);
+    g.AddSimpleFactor(head, {}, g.AddWeight(2.0, false));
+    const GroupId repeated =
+        g.AddGroup(900, head, g.AddWeight(1.3, false, "repeated"), Semantics::kLogical);
+    g.AddClause(repeated, {{x, false}, {y, false}});
+    g.AddClause(repeated, {{x, true}, {evidence, false}, {0, false}});
+    const GroupId self_ratio =
+        g.AddGroup(901, y, g.AddWeight(2.0, false, "self"), Semantics::kRatio);
+    g.AddClause(self_ratio, {{x, false}, {x, true}, {head, false}});
+    Rng rng(seed + 500);
+    const GroupId big =
+        g.AddGroup(902, big_head, g.AddWeight(0.4, false, "big"), Semantics::kLinear);
+    for (size_t c = 0; c < kBig; ++c) {
+      g.AddClause(big, {{static_cast<VarId>(big_first + c), rng.Bernoulli(0.5)},
+                        {static_cast<VarId>(big_first + (c + 1) % kBig), rng.Bernoulli(0.5)}});
+    }
+    std::vector<VarId> vars(g.NumVariables());
+    for (VarId v = 0; v < g.NumVariables(); ++v) vars[v] = v;
+    ExpectChainMatchesSweepVars(CompiledGraph::Compile(g), vars,
+                                "seed " + std::to_string(seed));
+  }
+}
+
+// Strong couplings and priors make flips rare, so most visits must reuse a
+// cached conditional; a chain that left every variable dirty would not.
+TEST(CompiledGraphTest, CachedChainSkipsCleanConditionals) {
+  FactorGraph g;
+  constexpr size_t kVars = 200;
+  g.AddVariables(kVars);
+  Rng rng(77);
+  for (VarId v = 0; v < kVars; ++v) {
+    g.AddSimpleFactor(v, {}, g.AddWeight(rng.Bernoulli(0.5) ? 3.0 : -3.0, false));
+    if (v + 1 < kVars) {
+      g.AddSimpleFactor(v, {{static_cast<VarId>(v + 1), false}}, g.AddWeight(1.5, false));
+    }
+  }
+  std::vector<VarId> vars(kVars);
+  for (VarId v = 0; v < kVars; ++v) vars[v] = v;
+  const ChainStats stats =
+      ExpectChainMatchesSweepVars(CompiledGraph::Compile(g), vars, "strong weights");
+  EXPECT_EQ(stats.visits, kVars * (kVariationalBurnIn + kVariationalSamples));
+  EXPECT_LT(stats.evaluated, stats.visits / 2);
 }
 
 TEST(CompiledGraphIoTest, SaveLoadSaveIsByteStable) {

@@ -42,6 +42,78 @@ TEST(ConnectedComponentsTest, DisconnectedPieces) {
   EXPECT_EQ(comps.size(), 4u);
 }
 
+// The component walk over FactorGraph::Neighbors: ConnectedComponents must
+// reproduce its partition, component numbering and member order exactly.
+std::vector<std::vector<VarId>> NeighborsComponents(const FactorGraph& g) {
+  std::vector<int> component(g.NumVariables(), -1);
+  int num_components = 0;
+  for (VarId start = 0; start < g.NumVariables(); ++start) {
+    if (component[start] >= 0) continue;
+    const int c = num_components++;
+    component[start] = c;
+    std::vector<VarId> stack = {start};
+    while (!stack.empty()) {
+      const VarId v = stack.back();
+      stack.pop_back();
+      for (VarId u : g.Neighbors(v)) {
+        if (component[u] >= 0) continue;
+        component[u] = c;
+        stack.push_back(u);
+      }
+    }
+  }
+  std::vector<std::vector<VarId>> out(num_components);
+  for (VarId v = 0; v < g.NumVariables(); ++v) out[component[v]].push_back(v);
+  return out;
+}
+
+// Random sparse graphs with deactivated groups and clauses. A body ref into an
+// inactive clause of an active group joins its variable to the group in one
+// direction only, so the partition depends on the walk's rules, not just on
+// the active edges.
+TEST(ConnectedComponentsTest, MatchesNeighborsWalkWithRetractions) {
+  size_t multi_component_graphs = 0;
+  size_t asymmetric_graphs = 0;
+  for (uint64_t seed = 1; seed <= 60; ++seed) {
+    Rng rng(seed);
+    FactorGraph g;
+    const size_t n = 8 + rng.UniformInt(40);
+    g.AddVariables(n);
+    const WeightId w = g.AddWeight(1.0, false);
+    const size_t groups = rng.UniformInt(n);
+    for (size_t i = 0; i < groups; ++i) {
+      const VarId head = static_cast<VarId>(rng.UniformInt(n));
+      const factor::GroupId grp =
+          g.AddGroup(static_cast<uint32_t>(i), head, w, factor::Semantics::kLinear);
+      const size_t clauses = rng.UniformInt(3);
+      for (size_t c = 0; c < clauses; ++c) {
+        std::vector<factor::Literal> lits;
+        const size_t n_lits = 1 + rng.UniformInt(2);
+        for (size_t l = 0; l < n_lits; ++l) {
+          const VarId v = static_cast<VarId>(rng.UniformInt(n));
+          if (v != head) lits.push_back({v, rng.Bernoulli(0.3)});
+        }
+        const factor::ClauseId cid = g.AddClause(grp, lits);
+        if (rng.Bernoulli(0.3)) g.DeactivateClause(cid);
+      }
+      if (rng.Bernoulli(0.2)) g.DeactivateGroup(grp);
+    }
+    const auto expected = NeighborsComponents(g);
+    EXPECT_EQ(ConnectedComponents(g), expected) << "seed " << seed;
+    multi_component_graphs += expected.size() > 1 ? 1 : 0;
+    bool asymmetric = false;
+    for (VarId v = 0; v < n && !asymmetric; ++v) {
+      for (VarId u : g.Neighbors(v)) {
+        const std::vector<VarId> back = g.Neighbors(u);
+        asymmetric |= !std::binary_search(back.begin(), back.end(), v);
+      }
+    }
+    asymmetric_graphs += asymmetric ? 1 : 0;
+  }
+  EXPECT_GT(multi_component_graphs, 30u);
+  EXPECT_GT(asymmetric_graphs, 10u);
+}
+
 TEST(DecompositionTest, ActiveVariableCutsChain) {
   // Chain 0-1-2-3-4 with 2 active: components {0,1} and {3,4}, both with
   // boundary {2}; the merge rule (|A_j ∪ A_k| == max) combines them.

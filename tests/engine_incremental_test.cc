@@ -199,6 +199,31 @@ TEST(IncrementalEngineTest, DecompositionDisabledTouchesEverything) {
   EXPECT_EQ(outcome->affected_vars, 8u);
 }
 
+// Incremental learning appends one change per moved weight per update, so the
+// cumulative delta repeats a weight once per update. The affected set must
+// stay the weight's component, as it is for a single change.
+TEST(IncrementalEngineTest, RepeatedWeightChangesKeepAffectedSet) {
+  deepdive::serving_thread.AssertHeld();
+  FactorGraph g = TwoComponentGraph(9);
+  IncrementalEngine engine(&g);
+  ASSERT_TRUE(engine.Materialize(TestMaterialization()).ok());
+  const std::vector<double> materialized = engine.marginals();
+  const WeightId w = g.group(0).weight;  // the 0-1 factor of the first chain
+  for (size_t k = 1; k <= 30; ++k) {
+    GraphDelta delta;
+    const double old_value = g.WeightValue(w);
+    g.SetWeightValue(w, old_value + 0.01);
+    delta.weight_changes.push_back({w, old_value, g.WeightValue(w)});
+    auto outcome = engine.ApplyDelta(delta, TestEngine());
+    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+    ASSERT_EQ(engine.cumulative_delta().weight_changes.size(), k);
+    EXPECT_EQ(outcome->affected_vars, 4u) << "update " << k;
+    for (VarId v = 4; v < 8; ++v) {
+      EXPECT_EQ(outcome->marginals[v], materialized[v]) << "update " << k << " var " << v;
+    }
+  }
+}
+
 TEST(IncrementalEngineTest, PerGroupStrategySplitsComponents) {
   deepdive::serving_thread.AssertHeld();
   // Component 1 gets new evidence (variational bucket); component 2 gets a
