@@ -96,7 +96,7 @@ Status DeepDive::Initialize() {
   initialized_ = true;
   // Publish the initial results: from here on Query() serves the grounded,
   // learned, inferred state to any thread.
-  UpdateReport init_report;
+  incremental::UpdateReport init_report;
   init_report.label = "initialize";
   init_report.graph_variables = ground_.graph.NumVariables();
   init_report.graph_factors = ground_.graph.NumActiveClauses();
@@ -104,7 +104,7 @@ Status DeepDive::Initialize() {
   return Status::OK();
 }
 
-void DeepDive::PublishView(UpdateReport* report) {
+void DeepDive::PublishView(incremental::UpdateReport* report) {
   auto view = std::make_shared<incremental::ResultView>();
   view->marginals = marginals_;
   view->relations.reserve(ground_.relation_vars.size());
@@ -167,9 +167,10 @@ const incremental::MaterializationStats& DeepDive::materialization_stats() const
   return inc_engine_ ? inc_engine_->materialization_stats() : kEmpty;
 }
 
-StatusOr<UpdateReport> DeepDive::ApplyUpdate(const UpdateSpec& update) {
+StatusOr<incremental::UpdateReport> DeepDive::ApplyUpdate(
+    const UpdateSpec& update) {
   DD_CHECK(initialized_) << "call Initialize first";
-  UpdateReport report;
+  incremental::UpdateReport report;
   report.label = update.label;
 
   // ---- shared prologue: program fragment + relational changes ----
@@ -283,8 +284,8 @@ StatusOr<UpdateReport> DeepDive::ApplyUpdate(const UpdateSpec& update) {
   return report;
 }
 
-StatusOr<UpdateReport> DeepDive::AddRule(const std::string& rule_source,
-                                         bool learn) {
+StatusOr<incremental::UpdateReport> DeepDive::AddRule(
+    const std::string& rule_source, bool learn) {
   DD_CHECK(initialized_) << "call Initialize first";
   if (config_.mode == ExecutionMode::kRerun) {
     // Rerun mode has no incremental machinery; the rule rides the full
@@ -336,7 +337,7 @@ StatusOr<UpdateReport> DeepDive::AddRule(const std::string& rule_source,
     ticket.weights_before[w] = ground_.graph.WeightValue(w);
   }
 
-  UpdateReport report;
+  incremental::UpdateReport report;
   report.label = "add_rule:" + rule.label;
   Timer ground_timer;
   DD_RETURN_IF_ERROR(program_.Merge(fragment));
@@ -375,7 +376,8 @@ StatusOr<UpdateReport> DeepDive::AddRule(const std::string& rule_source,
   return report;
 }
 
-StatusOr<UpdateReport> DeepDive::RetractRule(const std::string& label) {
+StatusOr<incremental::UpdateReport> DeepDive::RetractRule(
+    const std::string& label) {
   DD_CHECK(initialized_) << "call Initialize first";
   if (config_.mode == ExecutionMode::kRerun) {
     UpdateSpec spec;
@@ -383,7 +385,7 @@ StatusOr<UpdateReport> DeepDive::RetractRule(const std::string& label) {
     spec.remove_rule_labels.push_back(label);
     return ApplyUpdate(spec);
   }
-  UpdateReport report;
+  incremental::UpdateReport report;
   report.label = "retract_rule:" + label;
   Timer ground_timer;
   // First-class retraction covers factor rules (the AddRule counterpart);
@@ -406,9 +408,16 @@ StatusOr<UpdateReport> DeepDive::RetractRule(const std::string& label) {
   if (ticket != rule_journal_.end() &&
       inc_engine_->update_seq() == ticket->engine_seq_after) {
     // Weights the rule appended stay in the (append-only) graph but their
-    // groups are deactivated; every pre-existing weight reverts exactly.
+    // groups are deactivated; every pre-existing weight reverts exactly. The
+    // delta records the reverts for an engine that cannot simply rewind.
     for (WeightId w = 0; w < ticket->num_weights_before; ++w) {
-      ground_.graph.SetWeightValue(w, ticket->weights_before[w]);
+      const double learned = ground_.graph.WeightValue(w);
+      const double before = ticket->weights_before[w];
+      if (learned != before) {
+        delta.weight_changes.push_back(
+            GraphDelta::WeightChange{w, learned, before});
+      }
+      ground_.graph.SetWeightValue(w, before);
     }
     restore = &ticket->marginals_before;
   }
@@ -434,7 +443,8 @@ StatusOr<UpdateReport> DeepDive::RetractRule(const std::string& label) {
   return report;
 }
 
-Status DeepDive::RunFullPipeline(UpdateReport* report, bool cold_learning) {
+Status DeepDive::RunFullPipeline(incremental::UpdateReport* report,
+                                 bool cold_learning) {
   // Re-ground from scratch: fresh graph, fresh grounder (Rerun baseline).
   Timer ground_timer;
   ground_ = grounding::GroundGraph{};

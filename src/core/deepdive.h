@@ -39,7 +39,7 @@ struct UpdateSpec {
   bool skip_learning = false;
 };
 
-// UpdateReport (timing/diagnostics for one update) lives in
+// incremental::UpdateReport (timing/diagnostics for one update) lives in
 // incremental/update_report.h so ResultViews can embed it.
 
 /// End-to-end DeepDive engine: declarative program + relational store +
@@ -94,7 +94,7 @@ class DeepDive {
   /// Applies one update and refreshes marginals. In Rerun mode this
   /// re-grounds / re-learns / re-infers from scratch. The returned report
   /// carries the epoch of the ResultView the update published.
-  StatusOr<UpdateReport> ApplyUpdate(const UpdateSpec& update)
+  StatusOr<incremental::UpdateReport> ApplyUpdate(const UpdateSpec& update)
       REQUIRES(serving_thread);
 
   /// First-class rule addition (online program evolution): `rule_source` is
@@ -108,15 +108,16 @@ class DeepDive {
   /// ApplyUpdate. `learn = false` (the miner's trial mode) leaves every
   /// existing weight untouched so a retraction restores exactly.
   /// In Rerun mode this delegates to ApplyUpdate (full re-ground baseline).
-  StatusOr<UpdateReport> AddRule(const std::string& rule_source,
-                                 bool learn = true) REQUIRES(serving_thread);
+  StatusOr<incremental::UpdateReport> AddRule(const std::string& rule_source,
+                                              bool learn = true)
+      REQUIRES(serving_thread);
 
   /// First-class rule retraction: deactivates the labeled factor rule's
   /// groups as a GraphDelta. When no update intervened since the matching
   /// AddRule (rule journal), pre-add weights and marginals are restored
   /// bit-for-bit; otherwise the engine re-infers incrementally from the
   /// retraction delta.
-  StatusOr<UpdateReport> RetractRule(const std::string& label)
+  StatusOr<incremental::UpdateReport> RetractRule(const std::string& label)
       REQUIRES(serving_thread);
 
   /// Program-evolution observability (also published into every ResultView
@@ -185,7 +186,8 @@ class DeepDive {
     return view_->marginals;
   }
 
-  const std::vector<UpdateReport>& history() const REQUIRES(serving_thread) {
+  const std::vector<incremental::UpdateReport>& history() const
+      REQUIRES(serving_thread) {
     return history_;
   }
   const incremental::MaterializationStats& materialization_stats() const
@@ -213,7 +215,7 @@ class DeepDive {
     size_t num_weights_before = 0;
   };
 
-  Status RunFullPipeline(UpdateReport* report, bool cold_learning)
+  Status RunFullPipeline(incremental::UpdateReport* report, bool cold_learning)
       REQUIRES(serving_thread);
 
   /// Builds a ResultView of the current serving state (marginals_, the
@@ -221,7 +223,7 @@ class DeepDive {
   /// incremental mode — the engine's materialization stats and pinned Pr(0)
   /// marginals), publishes it, and stamps report->epoch. Serving thread
   /// only.
-  void PublishView(UpdateReport* report) REQUIRES(serving_thread);
+  void PublishView(incremental::UpdateReport* report) REQUIRES(serving_thread);
 
   /// Incremental learning with warmstart; records weight changes in `delta`.
   void LearnIncremental(factor::GraphDelta* delta) REQUIRES(serving_thread);
@@ -244,7 +246,7 @@ class DeepDive {
   /// Working marginal buffer of the serving thread; every publication
   /// freezes a copy into an immutable ResultView.
   std::vector<double> marginals_ GUARDED_BY(serving_thread);
-  std::vector<UpdateReport> history_ GUARDED_BY(serving_thread);
+  std::vector<incremental::UpdateReport> history_ GUARDED_BY(serving_thread);
   bool initialized_ GUARDED_BY(serving_thread) = false;
 
   /// Bumped on every rule change (AddRule / RetractRule / ApplyUpdate

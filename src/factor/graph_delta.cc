@@ -6,6 +6,7 @@
 #include <unordered_set>
 
 #include "factor/semantics.h"
+#include "util/logging.h"
 
 namespace deepdive::factor {
 
@@ -84,6 +85,19 @@ void GraphDelta::Merge(const GraphDelta& other) {
                         other.weight_changes.end());
   evidence_changes.insert(evidence_changes.end(), other.evidence_changes.begin(),
                           other.evidence_changes.end());
+}
+
+void GraphDelta::Truncate(const Extent& extent) {
+  const auto cut = [](auto& list, size_t size) {
+    DD_CHECK_LE(size, list.size());
+    list.resize(size);
+  };
+  cut(new_variables, extent.new_variables);
+  cut(new_groups, extent.new_groups);
+  cut(removed_groups, extent.removed_groups);
+  cut(modified_groups, extent.modified_groups);
+  cut(weight_changes, extent.weight_changes);
+  cut(evidence_changes, extent.evidence_changes);
 }
 
 double DeltaLogDensityRatio(const FactorGraph& graph, const GraphDelta& delta,

@@ -26,20 +26,25 @@ struct GraphDelta {
     GroupId group = 0;
     std::vector<ClauseId> added;
     std::vector<ClauseId> removed;
+    bool operator==(const GroupMod&) const = default;
   };
   std::vector<GroupMod> modified_groups;
   struct WeightChange {
     WeightId weight = 0;
     double old_value = 0.0;
     double new_value = 0.0;
+    bool operator==(const WeightChange&) const = default;
   };
   std::vector<WeightChange> weight_changes;
   struct EvidenceChange {
     VarId var = 0;
     std::optional<bool> old_value;
     std::optional<bool> new_value;
+    bool operator==(const EvidenceChange&) const = default;
   };
   std::vector<EvidenceChange> evidence_changes;
+
+  bool operator==(const GraphDelta&) const = default;
 
   bool empty() const {
     return new_variables.empty() && new_groups.empty() && removed_groups.empty() &&
@@ -57,6 +62,24 @@ struct GraphDelta {
   bool evidence_changed() const { return !evidence_changes.empty(); }
 
   void Merge(const GraphDelta& other);
+
+  /// Entry counts of every list. Merging a delta that neither removes nor
+  /// modifies a group only appends, so Truncate(extent()) taken before such
+  /// merges undoes them, entry for entry.
+  struct Extent {
+    size_t new_variables = 0;
+    size_t new_groups = 0;
+    size_t removed_groups = 0;
+    size_t modified_groups = 0;
+    size_t weight_changes = 0;
+    size_t evidence_changes = 0;
+  };
+  Extent extent() const {
+    return {new_variables.size(),  new_groups.size(),
+            removed_groups.size(), modified_groups.size(),
+            weight_changes.size(), evidence_changes.size()};
+  }
+  void Truncate(const Extent& extent);
 };
 
 /// log Pr(Δ)[I] - log Pr(0)[I] up to the (constant) partition functions:

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "incremental/decomposition.h"
-#include "inference/compiled_inference.h"
 #include "inference/parallel_gibbs.h"
 #include "inference/replicated_gibbs.h"
 #include "inference/world.h"
@@ -383,7 +382,16 @@ StatusOr<UpdateOutcome> IncrementalEngine::AddRule(const GraphDelta& delta,
   // see the new program so a pre-rule build is discarded, not installed.
   ++rule_set_version_;
   compiled_kernel_.reset();
-  return ApplyDelta(delta, options);
+  // A rule's groups are all new, so merging its delta only appends to the
+  // cumulative delta: an exact-restore retraction can rewind to here.
+  DD_CHECK(delta.removed_groups.empty() && delta.modified_groups.empty());
+  const uint64_t generation = generation_;
+  const GraphDelta::Extent extent = cumulative_.extent();
+  StatusOr<UpdateOutcome> outcome = ApplyDelta(delta, options);
+  if (outcome.ok()) {
+    rule_add_mark_ = RuleAddMark{update_seq_, generation, extent};
+  }
+  return outcome;
 }
 
 StatusOr<UpdateOutcome> IncrementalEngine::RetractRule(
@@ -398,7 +406,17 @@ StatusOr<UpdateOutcome> IncrementalEngine::RetractRule(
   // graph, so inference is skipped and they are adopted verbatim.
   Timer timer;
   const bool mid_build = MaybeInstallPending();
-  cumulative_.Merge(delta);
+  // The restored state is the one before the matching AddRule. While no
+  // update or snapshot install has followed that add, the cumulative delta
+  // goes back to where it stood then, dropping the add's entries (the weight
+  // changes its learning merged included) rather than logging their undoing.
+  if (rule_add_mark_.has_value() &&
+      rule_add_mark_->update_seq == update_seq_ &&
+      rule_add_mark_->generation == generation_) {
+    cumulative_.Truncate(rule_add_mark_->extent);
+  } else {
+    cumulative_.Merge(delta);
+  }
   if (mid_build) {
     since_build_.Merge(delta);
     ++since_build_updates_;
@@ -711,10 +729,9 @@ UpdateOutcome IncrementalEngine::RunRerun(const EngineOptions& options) {
   gopts.seed = Rng::MixSeed(gopts.seed, update_seq_);
   // Reuse (or lazily rebuild) the cached CSR kernel instead of recompiling
   // per rerun; rule/structural deltas invalidate it.
-  const factor::CompiledGraph* kernel =
-      gopts.use_compiled_graph ? CompiledKernel() : nullptr;
-  outcome.marginals =
-      inference::EstimateMarginalsAuto(*graph_, kernel, gopts).marginals;
+  inference::CompiledReplicatedGibbsSampler sampler(
+      CompiledKernel(), gopts.num_replicas, gopts.num_threads);
+  outcome.marginals = sampler.EstimateMarginals(gopts).marginals;
   for (VarId v = 0; v < graph_->NumVariables(); ++v) {
     const auto ev = graph_->EvidenceValue(v);
     if (ev.has_value()) outcome.marginals[v] = *ev ? 1.0 : 0.0;

@@ -176,7 +176,8 @@ class IncrementalEngine {
   /// epoch — never a re-ground, and never a blocking wait on a background
   /// materialization: a build in flight keeps running, and its result is
   /// discarded at install time because its rule_set_version no longer
-  /// matches (see MaterializationSnapshot::rule_set_version).
+  /// matches (see MaterializationSnapshot::rule_set_version). An add's delta
+  /// only adds: it removes and modifies no group.
   StatusOr<UpdateOutcome> AddRule(const factor::GraphDelta& delta,
                                   const EngineOptions& options)
       REQUIRES(serving_thread);
@@ -185,7 +186,10 @@ class IncrementalEngine {
   /// caller proved (via its rule journal) that no update intervened since
   /// the matching AddRule, so the pre-add marginals are the exact posterior
   /// of the restored graph and are adopted verbatim — the bit-identical
-  /// round-trip guarantee.
+  /// round-trip guarantee. The cumulative delta then returns, entry for
+  /// entry, to its contents before that AddRule, unless a snapshot install
+  /// came between the two; then `delta` is merged, so it must also undo the
+  /// weights the caller restored.
   StatusOr<UpdateOutcome> RetractRule(
       const factor::GraphDelta& delta, const EngineOptions& options,
       const std::vector<double>* restore_marginals = nullptr)
@@ -311,6 +315,15 @@ class IncrementalEngine {
   /// Null = invalidated; reset by any delta that mutates the graph.
   std::unique_ptr<const factor::CompiledGraph> compiled_kernel_
       GUARDED_BY(serving_thread);
+  /// The cumulative delta's extent before the last AddRule, with the update
+  /// sequence that add ended at and the snapshot generation it started from.
+  /// An exact-restore RetractRule rewinds to it while both still hold.
+  struct RuleAddMark {
+    uint64_t update_seq = 0;
+    uint64_t generation = 0;
+    factor::GraphDelta::Extent extent;
+  };
+  std::optional<RuleAddMark> rule_add_mark_ GUARDED_BY(serving_thread);
   /// Updates served from the current snapshot (remat trigger input).
   uint64_t updates_since_snapshot_ GUARDED_BY(serving_thread) = 0;
   /// Deltas merged while the current background build runs; becomes the new

@@ -50,7 +50,6 @@ StatusOr<std::shared_ptr<MaterializationSnapshot>> BuildMaterializationSnapshot(
     gopts.num_threads = options.num_threads;
     gopts.num_replicas = options.num_replicas;
     gopts.sync_every_sweeps = options.sync_every_sweeps;
-    gopts.use_compiled_graph = options.use_compiled_kernel;
     gopts.interrupt = [&] {
       return cancelled() || (options.time_budget_seconds > 0 &&
                              timer.Seconds() > options.time_budget_seconds);

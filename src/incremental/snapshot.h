@@ -48,10 +48,6 @@ struct MaterializationOptions {
   /// Replica synchronization cadence (consensus model averaging) in sweeps;
   /// 0 disables periodic synchronization. See GibbsOptions.
   size_t sync_every_sweeps = 50;
-  /// Run the materialization chain on the flat CSR CompiledGraph kernel (the
-  /// graph is frozen for the duration of a snapshot build anyway). Samples
-  /// are bit-identical either way; see GibbsOptions::use_compiled_graph.
-  bool use_compiled_kernel = true;
 
   // ---- async materialization / rematerialization policy (Section 3.3's
   // "materialize during idle time"): the build runs on a background worker

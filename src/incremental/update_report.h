@@ -36,10 +36,4 @@ struct UpdateReport {
 
 }  // namespace deepdive::incremental
 
-namespace deepdive::core {
-/// Back-compat alias: the report type moved down to the incremental module
-/// so the view layer no longer depends on core.
-using UpdateReport = incremental::UpdateReport;
-}  // namespace deepdive::core
-
 #endif  // DEEPDIVE_INCREMENTAL_UPDATE_REPORT_H_

@@ -4,38 +4,18 @@ namespace deepdive::inference {
 
 MarginalResult EstimateMarginalsAuto(const factor::FactorGraph& graph,
                                      const GibbsOptions& options) {
-  return EstimateMarginalsAuto(graph, nullptr, options);
-}
-
-MarginalResult EstimateMarginalsAuto(const factor::FactorGraph& graph,
-                                     const factor::CompiledGraph* compiled,
-                                     const GibbsOptions& options) {
-  if (options.use_compiled_graph) {
-    if (compiled != nullptr) {
-      CompiledReplicatedGibbsSampler sampler(compiled, options.num_replicas,
-                                             options.num_threads);
-      return sampler.EstimateMarginals(options);
-    }
-    const factor::CompiledGraph fresh = factor::CompiledGraph::Compile(graph);
-    CompiledReplicatedGibbsSampler sampler(&fresh, options.num_replicas,
-                                           options.num_threads);
-    return sampler.EstimateMarginals(options);
-  }
-  ReplicatedGibbsSampler sampler(&graph, options.num_replicas, options.num_threads);
+  const factor::CompiledGraph compiled = factor::CompiledGraph::Compile(graph);
+  CompiledReplicatedGibbsSampler sampler(&compiled, options.num_replicas,
+                                         options.num_threads);
   return sampler.EstimateMarginals(options);
 }
 
 void SampleChainAuto(const factor::FactorGraph& graph, const GibbsOptions& options,
                      size_t count, size_t thin,
                      const std::function<bool(const BitVector&)>& on_sample) {
-  if (options.use_compiled_graph) {
-    const factor::CompiledGraph compiled = factor::CompiledGraph::Compile(graph);
-    CompiledReplicatedGibbsSampler sampler(&compiled, options.num_replicas,
-                                           options.num_threads);
-    sampler.SampleChain(options, count, thin, on_sample);
-    return;
-  }
-  ReplicatedGibbsSampler sampler(&graph, options.num_replicas, options.num_threads);
+  const factor::CompiledGraph compiled = factor::CompiledGraph::Compile(graph);
+  CompiledReplicatedGibbsSampler sampler(&compiled, options.num_replicas,
+                                         options.num_threads);
   sampler.SampleChain(options, count, thin, on_sample);
 }
 

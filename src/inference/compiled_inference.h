@@ -12,26 +12,15 @@
 
 namespace deepdive::inference {
 
-/// Whole-graph marginal estimation routed by GibbsOptions::use_compiled_graph:
-/// compiles `graph` into the flat CSR image and runs the compiled
-/// replicated/parallel/sequential sampler stack, or walks the mutable graph
-/// directly. Results are bit-identical either way for a fixed seed — the
-/// compiled path preserves iteration and RNG order exactly — so callers can
-/// treat the flag as a pure performance switch.
+/// Whole-graph marginal estimation: compiles `graph` into the flat CSR image
+/// and runs the compiled replicated/parallel/sequential sampler stack. The
+/// compiled kernel preserves iteration and RNG order exactly, so for a fixed
+/// seed the result is bit-identical to ReplicatedGibbsSampler on `graph`.
 MarginalResult EstimateMarginalsAuto(const factor::FactorGraph& graph,
                                      const GibbsOptions& options);
 
-/// Same routing, but reuses `compiled` (when non-null and the compiled path
-/// is selected) instead of recompiling the graph on every call. `compiled`
-/// must be an up-to-date Compile() of `graph` — the engine caches one across
-/// updates and invalidates it on any structural or rule delta, which turns
-/// the per-update O(graph) compile into a one-time cost per graph version.
-MarginalResult EstimateMarginalsAuto(const factor::FactorGraph& graph,
-                                     const factor::CompiledGraph* compiled,
-                                     const GibbsOptions& options);
-
-/// Materialization chain with the same routing; semantics of the emitted
-/// sample stream as ReplicatedGibbsSampler::SampleChain.
+/// Materialization chain on the compiled kernel; the emitted sample stream is
+/// bit-identical to ReplicatedGibbsSampler::SampleChain on `graph`.
 void SampleChainAuto(const factor::FactorGraph& graph, const GibbsOptions& options,
                      size_t count, size_t thin,
                      const std::function<bool(const BitVector&)>& on_sample);

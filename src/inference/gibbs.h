@@ -41,12 +41,6 @@ struct GibbsOptions {
   /// cadence rounds up to the next emission boundary so a synchronization
   /// never lands between advancing a chain and emitting its sample.
   size_t sync_every_sweeps = 50;
-  /// Routes whole-graph inference (EstimateMarginalsAuto / SampleChainAuto)
-  /// through the flat CSR CompiledGraph kernel instead of walking the
-  /// mutable pointer-rich graph. Bit-identical results either way (the
-  /// compiled path preserves iteration and RNG order exactly); this is a
-  /// pure memory-layout/performance switch.
-  bool use_compiled_graph = true;
   /// Cooperative cancellation / budget hook, polled between sweeps of
   /// ParallelGibbsSampler::SampleChain — including burn-in, so a time budget
   /// can stop a chain that would otherwise blow it before the first sample.

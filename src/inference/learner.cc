@@ -171,9 +171,6 @@ double Learner::EvidenceLoss() const {
 }
 
 LearnStats Learner::Learn(const LearnerOptions& options) {
-  if (!options.use_compiled_graph) {
-    return BasicLearner<FactorGraph>(graph_).Learn(options);
-  }
   // Compile once, learn on the flat image, write the weights back. The
   // compiled kernel preserves iteration and RNG order exactly, so the learned
   // weights are bit-identical to the mutable path.

@@ -37,11 +37,6 @@ struct LearnerOptions {
   /// worker (num_threads <= 2 * num_replicas). 1 keeps the historical
   /// two-chain path bit-identical.
   size_t num_replicas = 1;
-  /// Learn against the flat CSR CompiledGraph kernel: the graph is compiled
-  /// once, all chains sweep the compiled image, and the learned weights are
-  /// copied back. Bit-identical weights either way (the compiled path
-  /// preserves iteration and RNG order exactly); pure layout/perf switch.
-  bool use_compiled_graph = true;
 };
 
 struct LearnStats {
@@ -96,8 +91,8 @@ extern template class BasicLearner<factor::CompiledGraph>;
 
 /// Weight learning over a mutable FactorGraph. Warmstart (keep previous
 /// weights) is the incremental-learning technique evaluated in Figure 16.
-/// With `options.use_compiled_graph` the chains run on a one-shot compiled
-/// snapshot of the graph (same results, flat-array sweep speed) and the
+/// The chains run on a one-shot compiled snapshot of the graph (the same
+/// weights as BasicLearner<FactorGraph>, at flat-array sweep speed) and the
 /// learned weights are written back into the mutable graph.
 class Learner {
  public:

@@ -50,7 +50,8 @@ StatusOr<MineReport> RuleMiner::Mine(size_t max_promotions) {
     // RetractRule restores the pre-trial state exactly from the journal.
     inference::Learner learner(dd_->mutable_graph());
     const double loss_before = learner.EvidenceLoss();
-    StatusOr<core::UpdateReport> added = dd_->AddRule(source, /*learn=*/false);
+    StatusOr<incremental::UpdateReport> added =
+        dd_->AddRule(source, /*learn=*/false);
     if (!added.ok()) {
       rejected_[candidate.pattern] = candidate.support;
       continue;
@@ -71,7 +72,7 @@ StatusOr<MineReport> RuleMiner::Mine(size_t max_promotions) {
       promoted_[candidate.pattern] = label;
       report.promoted.push_back(label);
     } else {
-      StatusOr<core::UpdateReport> retracted = dd_->RetractRule(label);
+      StatusOr<incremental::UpdateReport> retracted = dd_->RetractRule(label);
       if (!retracted.ok()) return retracted.status();
       rejected_[candidate.pattern] = candidate.support;
     }

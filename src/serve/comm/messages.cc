@@ -1,102 +1,190 @@
 #include "serve/comm/messages.h"
 
+#include <iterator>
+#include <tuple>
+#include <utility>
+
 #include "serve/comm/wire.h"
 
 namespace deepdive::serve::comm {
 namespace {
 
-void PutDataPayloads(WireWriter* w, const std::vector<DataPayload>& data) {
-  w->PutU32(static_cast<uint32_t>(data.size()));
-  for (const DataPayload& d : data) {
-    w->PutString(d.relation);
-    w->PutString(d.tsv);
-  }
+// ---------------------------------------------------------------------------
+// Schema: each message's fields in wire order, written down once. Put and Get
+// below walk the same list, so the encoder and the decoder cannot disagree.
+// The payload carries no version: a new field changes the format for both
+// ends, and a decoder rejects the bytes it does not expect.
+
+constexpr auto Fields(const DataPayload*) {
+  return std::tuple(&DataPayload::relation, &DataPayload::tsv);
+}
+constexpr auto Fields(const TenantConfig*) {
+  using C = TenantConfig;
+  return std::tuple(&C::rerun_mode, &C::seed, &C::epochs, &C::threads,
+                    &C::replicas, &C::sync_every, &C::async_materialize,
+                    &C::save_materialization, &C::load_materialization,
+                    &C::queue_capacity, &C::shed_watermark, &C::retry_after_ms);
 }
 
-std::vector<DataPayload> GetDataPayloads(WireReader* r) {
+constexpr auto Fields(const QueryRequest*) {
+  return std::tuple(&QueryRequest::relation, &QueryRequest::tuple_tsv,
+                    &QueryRequest::threshold);
+}
+constexpr auto Fields(const UpdateRequest*) {
+  return std::tuple(&UpdateRequest::label, &UpdateRequest::rules,
+                    &UpdateRequest::inserts);
+}
+constexpr auto Fields(const ExportRequest*) {
+  return std::tuple(&ExportRequest::relations, &ExportRequest::threshold);
+}
+constexpr std::tuple<> Fields(const StatusRequest*) { return {}; }
+constexpr auto Fields(const CreateTenantRequest*) {
+  using C = CreateTenantRequest;
+  return std::tuple(&C::name, &C::program, &C::config, &C::data);
+}
+constexpr std::tuple<> Fields(const ListTenantsRequest*) { return {}; }
+constexpr auto Fields(const SaveGraphRequest*) {
+  return std::tuple(&SaveGraphRequest::path);
+}
+constexpr std::tuple<> Fields(const ShutdownRequest*) { return {}; }
+constexpr auto Fields(const AddRuleRequest*) {
+  return std::tuple(&AddRuleRequest::rule);
+}
+constexpr auto Fields(const RetractRuleRequest*) {
+  return std::tuple(&RetractRuleRequest::label);
+}
+constexpr auto Fields(const MineRequest*) {
+  return std::tuple(&MineRequest::max_promotions, &MineRequest::min_support,
+                    &MineRequest::min_confidence, &MineRequest::max_body_atoms);
+}
+
+constexpr std::tuple<> Fields(const EmptyResult*) { return {}; }
+constexpr auto Fields(const QueryResult*) {
+  return std::tuple(&QueryResult::epoch, &QueryResult::found,
+                    &QueryResult::marginal, &QueryResult::entries);
+}
+constexpr auto Fields(const UpdateResult*) {
+  using U = UpdateResult;
+  return std::tuple(&U::epoch, &U::label, &U::strategy, &U::grounding_seconds,
+                    &U::learning_seconds, &U::inference_seconds,
+                    &U::affected_vars);
+}
+constexpr auto Fields(const ExportChunk*) {
+  return std::tuple(&ExportChunk::relation, &ExportChunk::tsv);
+}
+constexpr auto Fields(const ExportResult*) {
+  return std::tuple(&ExportResult::epoch, &ExportResult::chunks);
+}
+constexpr auto Fields(const TenantStatus*) {
+  using T = TenantStatus;
+  return std::tuple(&T::name, &T::ready, &T::failed, &T::epoch,
+                    &T::num_variables, &T::updates_applied, &T::updates_shed,
+                    &T::queue_depth, &T::queue_capacity, &T::shed_watermark,
+                    &T::program_version, &T::rule_count, &T::rules_fingerprint);
+}
+constexpr auto Fields(const StatusResult*) {
+  return std::tuple(&StatusResult::tenants);
+}
+constexpr auto Fields(const CreateTenantResult*) {
+  using C = CreateTenantResult;
+  return std::tuple(&C::epoch, &C::num_variables, &C::num_factors);
+}
+constexpr auto Fields(const ListTenantsResult*) {
+  return std::tuple(&ListTenantsResult::names);
+}
+constexpr auto Fields(const SaveGraphResult*) {
+  return std::tuple(&SaveGraphResult::checksum, &SaveGraphResult::image_bytes,
+                    &SaveGraphResult::fingerprint);
+}
+constexpr auto Fields(const AddRuleResult*) {
+  using A = AddRuleResult;
+  return std::tuple(&A::epoch, &A::label, &A::strategy, &A::grounding_work,
+                    &A::grounding_seconds, &A::learning_seconds,
+                    &A::inference_seconds, &A::program_version, &A::rule_count,
+                    &A::rules_fingerprint);
+}
+constexpr auto Fields(const RetractRuleResult*) {
+  using R = RetractRuleResult;
+  return std::tuple(&R::epoch, &R::strategy, &R::acceptance,
+                    &R::program_version, &R::rule_count, &R::rules_fingerprint);
+}
+constexpr auto Fields(const MineResult*) {
+  using M = MineResult;
+  return std::tuple(&M::epoch, &M::candidates_considered,
+                    &M::candidates_trialed, &M::promoted, &M::program_version,
+                    &M::rule_count, &M::rules_fingerprint);
+}
+
+// ---------------------------------------------------------------------------
+// Wire types: one Put/Get pair each. int64_t travels as its u64 bit pattern;
+// a vector is a u32 count, then its elements; a message is its fields.
+
+void Put(WireWriter* w, bool v) { w->PutBool(v); }
+void Put(WireWriter* w, uint32_t v) { w->PutU32(v); }
+void Put(WireWriter* w, uint64_t v) { w->PutU64(v); }
+void Put(WireWriter* w, int64_t v) { w->PutU64(static_cast<uint64_t>(v)); }
+void Put(WireWriter* w, double v) { w->PutDouble(v); }
+void Put(WireWriter* w, const std::string& v) { w->PutString(v); }
+
+void Get(WireReader* r, bool* v) { *v = r->GetBool(); }
+void Get(WireReader* r, uint32_t* v) { *v = r->GetU32(); }
+void Get(WireReader* r, uint64_t* v) { *v = r->GetU64(); }
+void Get(WireReader* r, int64_t* v) { *v = static_cast<int64_t>(r->GetU64()); }
+void Get(WireReader* r, double* v) { *v = r->GetDouble(); }
+void Get(WireReader* r, std::string* v) { *v = r->GetString(); }
+
+template <typename T> void Put(WireWriter* w, const T& message);
+template <typename T> void Get(WireReader* r, T* message);
+
+template <typename T>
+void Put(WireWriter* w, const std::vector<T>& items) {
+  w->PutU32(static_cast<uint32_t>(items.size()));
+  for (const T& item : items) Put(w, item);
+}
+
+template <typename T>
+void Get(WireReader* r, std::vector<T>* items) {
+  // The count is untrusted: no reserve, and the sticky reader ends the loop
+  // at the first failed read, so a lying count cannot run past the frame.
   const uint32_t n = r->GetU32();
-  std::vector<DataPayload> data;
-  for (uint32_t i = 0; i < n && r->ok(); ++i) {
-    DataPayload d;
-    d.relation = r->GetString();
-    d.tsv = r->GetString();
-    data.push_back(std::move(d));
-  }
-  return data;
+  for (uint32_t i = 0; i < n && r->ok(); ++i) Get(r, &items->emplace_back());
 }
 
-void PutStrings(WireWriter* w, const std::vector<std::string>& strings) {
-  w->PutU32(static_cast<uint32_t>(strings.size()));
-  for (const std::string& s : strings) w->PutString(s);
+template <typename T>
+void Put(WireWriter* w, const T& message) {
+  std::apply([&](auto... field) { (Put(w, message.*field), ...); },
+             Fields(&message));
 }
 
-std::vector<std::string> GetStrings(WireReader* r) {
-  const uint32_t n = r->GetU32();
-  std::vector<std::string> strings;
-  for (uint32_t i = 0; i < n && r->ok(); ++i) strings.push_back(r->GetString());
-  return strings;
+template <typename T>
+void Get(WireReader* r, T* message) {
+  std::apply([&](auto... field) { (Get(r, &(message->*field)), ...); },
+             Fields(message));
 }
 
-void PutTenantConfig(WireWriter* w, const TenantConfig& c) {
-  w->PutBool(c.rerun_mode);
-  w->PutU64(c.seed);
-  w->PutU32(c.epochs);
-  w->PutU32(c.threads);
-  w->PutU32(c.replicas);
-  w->PutU32(c.sync_every);
-  w->PutBool(c.async_materialize);
-  w->PutString(c.save_materialization);
-  w->PutString(c.load_materialization);
-  w->PutU32(c.queue_capacity);
-  w->PutU32(c.shed_watermark);
-  w->PutU32(c.retry_after_ms);
+// Decodes alternative `index` of a body variant; the caller range-checks it.
+template <typename... Ts>
+void GetBody(WireReader* r, size_t index, std::variant<Ts...>* body) {
+  [&]<size_t... I>(std::index_sequence<I...>) {
+    ((index == I ? Get(r, &body->template emplace<I>()) : void()), ...);
+  }(std::index_sequence_for<Ts...>());
 }
 
-TenantConfig GetTenantConfig(WireReader* r) {
-  TenantConfig c;
-  c.rerun_mode = r->GetBool();
-  c.seed = r->GetU64();
-  c.epochs = r->GetU32();
-  c.threads = r->GetU32();
-  c.replicas = r->GetU32();
-  c.sync_every = r->GetU32();
-  c.async_materialize = r->GetBool();
-  c.save_materialization = r->GetString();
-  c.load_materialization = r->GetString();
-  c.queue_capacity = r->GetU32();
-  c.shed_watermark = r->GetU32();
-  c.retry_after_ms = r->GetU32();
-  return c;
-}
+constexpr size_t kNumVerbs = std::variant_size_v<decltype(Request::body)>;
+constexpr size_t kNumBodyTags = std::variant_size_v<decltype(Response::body)>;
+
+constexpr const char* kVerbNames[] = {
+    "query",         "apply_update", "export",     "status",
+    "create_tenant", "list_tenants", "save_graph", "shutdown",
+    "add_rule",      "retract_rule", "mine",
+};
+static_assert(std::size(kVerbNames) == kNumVerbs);
 
 }  // namespace
 
 const char* VerbName(Verb verb) {
-  switch (verb) {
-    case Verb::kQuery:
-      return "query";
-    case Verb::kApplyUpdate:
-      return "apply_update";
-    case Verb::kExport:
-      return "export";
-    case Verb::kStatus:
-      return "status";
-    case Verb::kCreateTenant:
-      return "create_tenant";
-    case Verb::kListTenants:
-      return "list_tenants";
-    case Verb::kSaveGraph:
-      return "save_graph";
-    case Verb::kShutdown:
-      return "shutdown";
-    case Verb::kAddRule:
-      return "add_rule";
-    case Verb::kRetractRule:
-      return "retract_rule";
-    case Verb::kMine:
-      return "mine";
-  }
-  return "unknown";
+  const size_t index = static_cast<size_t>(verb) - 1;  // Verb 0 wraps around
+  return index < kNumVerbs ? kVerbNames[index] : "unknown";
 }
 
 Verb Request::verb() const {
@@ -108,40 +196,7 @@ std::string EncodeRequest(const Request& request) {
   WireWriter w;
   w.PutU8(static_cast<uint8_t>(request.verb()));
   w.PutString(request.tenant);
-  std::visit(
-      [&w](const auto& body) {
-        using T = std::decay_t<decltype(body)>;
-        if constexpr (std::is_same_v<T, QueryRequest>) {
-          w.PutString(body.relation);
-          w.PutString(body.tuple_tsv);
-          w.PutDouble(body.threshold);
-        } else if constexpr (std::is_same_v<T, UpdateRequest>) {
-          w.PutString(body.label);
-          w.PutString(body.rules);
-          PutDataPayloads(&w, body.inserts);
-        } else if constexpr (std::is_same_v<T, ExportRequest>) {
-          PutStrings(&w, body.relations);
-          w.PutDouble(body.threshold);
-        } else if constexpr (std::is_same_v<T, CreateTenantRequest>) {
-          w.PutString(body.name);
-          w.PutString(body.program);
-          PutTenantConfig(&w, body.config);
-          PutDataPayloads(&w, body.data);
-        } else if constexpr (std::is_same_v<T, SaveGraphRequest>) {
-          w.PutString(body.path);
-        } else if constexpr (std::is_same_v<T, AddRuleRequest>) {
-          w.PutString(body.rule);
-        } else if constexpr (std::is_same_v<T, RetractRuleRequest>) {
-          w.PutString(body.label);
-        } else if constexpr (std::is_same_v<T, MineRequest>) {
-          w.PutU64(body.max_promotions);
-          w.PutU64(static_cast<uint64_t>(body.min_support));
-          w.PutDouble(body.min_confidence);
-          w.PutU32(body.max_body_atoms);
-        }
-        // StatusRequest / ListTenantsRequest / ShutdownRequest: no body.
-      },
-      request.body);
+  std::visit([&w](const auto& body) { Put(&w, body); }, request.body);
   return w.Take();
 }
 
@@ -150,79 +205,11 @@ StatusOr<Request> DecodeRequest(std::string_view payload) {
   const uint8_t verb = r.GetU8();
   Request request;
   request.tenant = r.GetString();
-  switch (static_cast<Verb>(verb)) {
-    case Verb::kQuery: {
-      QueryRequest body;
-      body.relation = r.GetString();
-      body.tuple_tsv = r.GetString();
-      body.threshold = r.GetDouble();
-      request.body = std::move(body);
-      break;
-    }
-    case Verb::kApplyUpdate: {
-      UpdateRequest body;
-      body.label = r.GetString();
-      body.rules = r.GetString();
-      body.inserts = GetDataPayloads(&r);
-      request.body = std::move(body);
-      break;
-    }
-    case Verb::kExport: {
-      ExportRequest body;
-      body.relations = GetStrings(&r);
-      body.threshold = r.GetDouble();
-      request.body = std::move(body);
-      break;
-    }
-    case Verb::kStatus:
-      request.body = StatusRequest{};
-      break;
-    case Verb::kCreateTenant: {
-      CreateTenantRequest body;
-      body.name = r.GetString();
-      body.program = r.GetString();
-      body.config = GetTenantConfig(&r);
-      body.data = GetDataPayloads(&r);
-      request.body = std::move(body);
-      break;
-    }
-    case Verb::kListTenants:
-      request.body = ListTenantsRequest{};
-      break;
-    case Verb::kSaveGraph: {
-      SaveGraphRequest body;
-      body.path = r.GetString();
-      request.body = std::move(body);
-      break;
-    }
-    case Verb::kShutdown:
-      request.body = ShutdownRequest{};
-      break;
-    case Verb::kAddRule: {
-      AddRuleRequest body;
-      body.rule = r.GetString();
-      request.body = std::move(body);
-      break;
-    }
-    case Verb::kRetractRule: {
-      RetractRuleRequest body;
-      body.label = r.GetString();
-      request.body = std::move(body);
-      break;
-    }
-    case Verb::kMine: {
-      MineRequest body;
-      body.max_promotions = r.GetU64();
-      body.min_support = static_cast<int64_t>(r.GetU64());
-      body.min_confidence = r.GetDouble();
-      body.max_body_atoms = r.GetU32();
-      request.body = std::move(body);
-      break;
-    }
-    default:
-      return Status::InvalidArgument("unknown request verb " +
-                                     std::to_string(verb));
+  if (verb == 0 || verb > kNumVerbs) {
+    return Status::InvalidArgument("unknown request verb " +
+                                   std::to_string(verb));
   }
+  GetBody(&r, verb - 1, &request.body);
   DD_RETURN_IF_ERROR(r.ExpectDone());
   return request;
 }
@@ -233,87 +220,7 @@ std::string EncodeResponse(const Response& response) {
   w.PutString(response.message);
   w.PutU32(response.retry_after_ms);
   w.PutU8(static_cast<uint8_t>(response.body.index()));
-  std::visit(
-      [&w](const auto& body) {
-        using T = std::decay_t<decltype(body)>;
-        if constexpr (std::is_same_v<T, QueryResult>) {
-          w.PutU64(body.epoch);
-          w.PutBool(body.found);
-          w.PutDouble(body.marginal);
-          w.PutU64(body.entries);
-        } else if constexpr (std::is_same_v<T, UpdateResult>) {
-          w.PutU64(body.epoch);
-          w.PutString(body.label);
-          w.PutString(body.strategy);
-          w.PutDouble(body.grounding_seconds);
-          w.PutDouble(body.learning_seconds);
-          w.PutDouble(body.inference_seconds);
-          w.PutU64(body.affected_vars);
-        } else if constexpr (std::is_same_v<T, ExportResult>) {
-          w.PutU64(body.epoch);
-          w.PutU32(static_cast<uint32_t>(body.chunks.size()));
-          for (const ExportChunk& chunk : body.chunks) {
-            w.PutString(chunk.relation);
-            w.PutString(chunk.tsv);
-          }
-        } else if constexpr (std::is_same_v<T, StatusResult>) {
-          w.PutU32(static_cast<uint32_t>(body.tenants.size()));
-          for (const TenantStatus& t : body.tenants) {
-            w.PutString(t.name);
-            w.PutBool(t.ready);
-            w.PutBool(t.failed);
-            w.PutU64(t.epoch);
-            w.PutU64(t.num_variables);
-            w.PutU64(t.updates_applied);
-            w.PutU64(t.updates_shed);
-            w.PutU32(t.queue_depth);
-            w.PutU32(t.queue_capacity);
-            w.PutU32(t.shed_watermark);
-            w.PutU64(t.program_version);
-            w.PutU64(t.rule_count);
-            w.PutU64(t.rules_fingerprint);
-          }
-        } else if constexpr (std::is_same_v<T, CreateTenantResult>) {
-          w.PutU64(body.epoch);
-          w.PutU64(body.num_variables);
-          w.PutU64(body.num_factors);
-        } else if constexpr (std::is_same_v<T, ListTenantsResult>) {
-          w.PutU32(static_cast<uint32_t>(body.names.size()));
-          for (const std::string& name : body.names) w.PutString(name);
-        } else if constexpr (std::is_same_v<T, SaveGraphResult>) {
-          w.PutU64(body.checksum);
-          w.PutU64(body.image_bytes);
-          w.PutU64(body.fingerprint);
-        } else if constexpr (std::is_same_v<T, AddRuleResult>) {
-          w.PutU64(body.epoch);
-          w.PutString(body.label);
-          w.PutString(body.strategy);
-          w.PutU64(body.grounding_work);
-          w.PutDouble(body.grounding_seconds);
-          w.PutDouble(body.learning_seconds);
-          w.PutDouble(body.inference_seconds);
-          w.PutU64(body.program_version);
-          w.PutU64(body.rule_count);
-          w.PutU64(body.rules_fingerprint);
-        } else if constexpr (std::is_same_v<T, RetractRuleResult>) {
-          w.PutU64(body.epoch);
-          w.PutString(body.strategy);
-          w.PutDouble(body.acceptance);
-          w.PutU64(body.program_version);
-          w.PutU64(body.rule_count);
-          w.PutU64(body.rules_fingerprint);
-        } else if constexpr (std::is_same_v<T, MineResult>) {
-          w.PutU64(body.epoch);
-          w.PutU64(body.candidates_considered);
-          w.PutU64(body.candidates_trialed);
-          PutStrings(&w, body.promoted);
-          w.PutU64(body.program_version);
-          w.PutU64(body.rule_count);
-          w.PutU64(body.rules_fingerprint);
-        }
-        // EmptyResult: nothing.
-      },
-      response.body);
+  std::visit([&w](const auto& body) { Put(&w, body); }, response.body);
   return w.Take();
 }
 
@@ -329,131 +236,11 @@ StatusOr<Response> DecodeResponse(std::string_view payload) {
   response.message = r.GetString();
   response.retry_after_ms = r.GetU32();
   const uint8_t tag = r.GetU8();
-  switch (tag) {
-    case 0:
-      response.body = EmptyResult{};
-      break;
-    case 1: {
-      QueryResult body;
-      body.epoch = r.GetU64();
-      body.found = r.GetBool();
-      body.marginal = r.GetDouble();
-      body.entries = r.GetU64();
-      response.body = body;
-      break;
-    }
-    case 2: {
-      UpdateResult body;
-      body.epoch = r.GetU64();
-      body.label = r.GetString();
-      body.strategy = r.GetString();
-      body.grounding_seconds = r.GetDouble();
-      body.learning_seconds = r.GetDouble();
-      body.inference_seconds = r.GetDouble();
-      body.affected_vars = r.GetU64();
-      response.body = std::move(body);
-      break;
-    }
-    case 3: {
-      ExportResult body;
-      body.epoch = r.GetU64();
-      const uint32_t n = r.GetU32();
-      for (uint32_t i = 0; i < n && r.ok(); ++i) {
-        ExportChunk chunk;
-        chunk.relation = r.GetString();
-        chunk.tsv = r.GetString();
-        body.chunks.push_back(std::move(chunk));
-      }
-      response.body = std::move(body);
-      break;
-    }
-    case 4: {
-      StatusResult body;
-      const uint32_t n = r.GetU32();
-      for (uint32_t i = 0; i < n && r.ok(); ++i) {
-        TenantStatus t;
-        t.name = r.GetString();
-        t.ready = r.GetBool();
-        t.failed = r.GetBool();
-        t.epoch = r.GetU64();
-        t.num_variables = r.GetU64();
-        t.updates_applied = r.GetU64();
-        t.updates_shed = r.GetU64();
-        t.queue_depth = r.GetU32();
-        t.queue_capacity = r.GetU32();
-        t.shed_watermark = r.GetU32();
-        t.program_version = r.GetU64();
-        t.rule_count = r.GetU64();
-        t.rules_fingerprint = r.GetU64();
-        body.tenants.push_back(std::move(t));
-      }
-      response.body = std::move(body);
-      break;
-    }
-    case 5: {
-      CreateTenantResult body;
-      body.epoch = r.GetU64();
-      body.num_variables = r.GetU64();
-      body.num_factors = r.GetU64();
-      response.body = body;
-      break;
-    }
-    case 6: {
-      ListTenantsResult body;
-      body.names = GetStrings(&r);
-      response.body = std::move(body);
-      break;
-    }
-    case 7: {
-      SaveGraphResult body;
-      body.checksum = r.GetU64();
-      body.image_bytes = r.GetU64();
-      body.fingerprint = r.GetU64();
-      response.body = body;
-      break;
-    }
-    case 8: {
-      AddRuleResult body;
-      body.epoch = r.GetU64();
-      body.label = r.GetString();
-      body.strategy = r.GetString();
-      body.grounding_work = r.GetU64();
-      body.grounding_seconds = r.GetDouble();
-      body.learning_seconds = r.GetDouble();
-      body.inference_seconds = r.GetDouble();
-      body.program_version = r.GetU64();
-      body.rule_count = r.GetU64();
-      body.rules_fingerprint = r.GetU64();
-      response.body = std::move(body);
-      break;
-    }
-    case 9: {
-      RetractRuleResult body;
-      body.epoch = r.GetU64();
-      body.strategy = r.GetString();
-      body.acceptance = r.GetDouble();
-      body.program_version = r.GetU64();
-      body.rule_count = r.GetU64();
-      body.rules_fingerprint = r.GetU64();
-      response.body = std::move(body);
-      break;
-    }
-    case 10: {
-      MineResult body;
-      body.epoch = r.GetU64();
-      body.candidates_considered = r.GetU64();
-      body.candidates_trialed = r.GetU64();
-      body.promoted = GetStrings(&r);
-      body.program_version = r.GetU64();
-      body.rule_count = r.GetU64();
-      body.rules_fingerprint = r.GetU64();
-      response.body = std::move(body);
-      break;
-    }
-    default:
-      return Status::InvalidArgument("unknown response body tag " +
-                                     std::to_string(tag));
+  if (tag >= kNumBodyTags) {
+    return Status::InvalidArgument("unknown response body tag " +
+                                   std::to_string(tag));
   }
+  GetBody(&r, tag, &response.body);
   DD_RETURN_IF_ERROR(r.ExpectDone());
   return response;
 }

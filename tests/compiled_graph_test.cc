@@ -22,6 +22,7 @@
 #include "inference/learner.h"
 #include "inference/parallel_gibbs.h"
 #include "inference/replicated_gibbs.h"
+#include "util/bitvector.h"
 #include "util/random.h"
 
 namespace deepdive {
@@ -254,15 +255,18 @@ TEST(CompiledGraphTest, ReplicatedSamplerParity) {
   }
 }
 
+// The production whole-graph path (compile, then the compiled replicated
+// sampler) against the mutable-graph sampler it replaced.
 TEST(CompiledGraphTest, EstimateMarginalsAutoRoutesBitIdentically) {
   const FactorGraph g = MixedGraph(21);
   inference::GibbsOptions options;
   options.burn_in_sweeps = 6;
   options.sample_sweeps = 20;
   options.seed = 3;
-  options.use_compiled_graph = false;
-  const auto mutable_result = inference::EstimateMarginalsAuto(g, options);
-  options.use_compiled_graph = true;
+  const auto mutable_result =
+      inference::ReplicatedGibbsSampler(&g, options.num_replicas,
+                                        options.num_threads)
+          .EstimateMarginals(options);
   const auto compiled_result = inference::EstimateMarginalsAuto(g, options);
   ASSERT_EQ(mutable_result.marginals.size(), compiled_result.marginals.size());
   for (size_t v = 0; v < mutable_result.marginals.size(); ++v) {
@@ -276,9 +280,7 @@ TEST(CompiledGraphTest, LearnerParityCompiledVsMutable) {
   inference::LearnerOptions options;
   options.epochs = 8;
   options.seed = 19;
-  options.use_compiled_graph = false;
-  inference::Learner(&g1).Learn(options);
-  options.use_compiled_graph = true;
+  inference::BasicLearner<FactorGraph>(&g1).Learn(options);
   inference::Learner(&g2).Learn(options);
   ASSERT_EQ(g1.NumWeights(), g2.NumWeights());
   for (WeightId w = 0; w < g1.NumWeights(); ++w) {
@@ -286,25 +288,34 @@ TEST(CompiledGraphTest, LearnerParityCompiledVsMutable) {
   }
 }
 
+// The snapshot's sample store against the same chain run on the mutable
+// graph.
 TEST(CompiledGraphTest, MaterializationKernelParity) {
   const FactorGraph g = MixedGraph(8);
   incremental::MaterializationOptions options;
   options.num_samples = 40;
   options.gibbs_burn_in = 10;
   options.seed = 4;
-  options.use_compiled_kernel = false;
-  auto s1 = incremental::BuildMaterializationSnapshot(g, options);
-  options.use_compiled_kernel = true;
-  auto s2 = incremental::BuildMaterializationSnapshot(g, options);
-  ASSERT_TRUE(s1.ok() && s2.ok());
-  ASSERT_EQ((*s1)->store.size(), (*s2)->store.size());
-  for (size_t i = 0; i < (*s1)->store.size(); ++i) {
-    EXPECT_EQ((*s1)->store.sample(i), (*s2)->store.sample(i)) << "sample " << i;
-  }
-  ASSERT_EQ((*s1)->materialized_marginals.size(),
-            (*s2)->materialized_marginals.size());
-  for (size_t v = 0; v < (*s1)->materialized_marginals.size(); ++v) {
-    EXPECT_EQ((*s1)->materialized_marginals[v], (*s2)->materialized_marginals[v]);
+  auto snapshot = incremental::BuildMaterializationSnapshot(g, options);
+  ASSERT_TRUE(snapshot.ok());
+
+  inference::GibbsOptions gopts;
+  gopts.burn_in_sweeps = options.gibbs_burn_in;
+  gopts.seed = options.seed;
+  gopts.num_threads = options.num_threads;
+  gopts.num_replicas = options.num_replicas;
+  gopts.sync_every_sweeps = options.sync_every_sweeps;
+  std::vector<BitVector> expected;
+  inference::ReplicatedGibbsSampler(&g, gopts.num_replicas, gopts.num_threads)
+      .SampleChain(gopts, options.num_samples, options.gibbs_thin,
+                   [&](const BitVector& bits) {
+                     expected.push_back(bits);
+                     return true;
+                   });
+  const incremental::SampleStore& store = (*snapshot)->store;
+  ASSERT_EQ(store.size(), expected.size());
+  for (size_t i = 0; i < store.size(); ++i) {
+    EXPECT_EQ(store.sample(i), expected[i]) << "sample " << i;
   }
 }
 

@@ -25,7 +25,6 @@ namespace {
 
 using core::DeepDive;
 using core::DeepDiveConfig;
-using incremental::UpdateReport;
 using core::UpdateSpec;
 using factor::FactorGraph;
 using factor::GraphDelta;
@@ -210,7 +209,7 @@ TEST(DeepDiveQueryTest, HistoryEpochsAreStrictlyIncreasing) {
   }
   ASSERT_EQ(dd->history().size(), 3u);
   uint64_t last = 1;  // epoch 1 was Initialize
-  for (const UpdateReport& report : dd->history()) {
+  for (const incremental::UpdateReport& report : dd->history()) {
     EXPECT_EQ(report.epoch, last + 1);
     last = report.epoch;
   }

@@ -1,9 +1,9 @@
 // First-class rule deltas (online program evolution): AddRule grounds only
 // the new rule (proportional-work witness), RetractRule restores the pre-add
-// state bit-for-bit from the rule journal at any thread count with compiled
-// and uncompiled kernels, program identity (version/count/fingerprint) is
-// published into result views, and a materialization build scheduled before
-// a rule delta is discarded instead of resurrecting retracted factors.
+// state bit-for-bit from the rule journal at any thread count, program
+// identity (version/count/fingerprint) is published into result views, and a
+// materialization build scheduled before a rule delta is discarded instead of
+// resurrecting retracted factors.
 #include <gtest/gtest.h>
 
 #include <future>
@@ -39,10 +39,13 @@ std::vector<Tuple> PersonRows() {
           {Value(2), Value(20)}, {Value(2), Value(21)}};
 }
 
-std::unique_ptr<DeepDive> Make(DeepDiveConfig config) REQUIRES(serving_thread) {
+std::unique_ptr<DeepDive> Make(DeepDiveConfig config,
+                               const std::vector<Tuple>& labels = {})
+    REQUIRES(serving_thread) {
   auto dd = DeepDive::Create(kProgram, config);
   EXPECT_TRUE(dd.ok()) << dd.status().ToString();
   EXPECT_TRUE(dd.value()->LoadRows("Person", PersonRows()).ok());
+  EXPECT_TRUE(dd.value()->LoadRows("HasSpouseEv", labels).ok());
   EXPECT_TRUE(dd.value()
                   ->LoadRows("Feature", {{Value(10), Value(11), Value("wife")},
                                          {Value(20), Value(21), Value("met")}})
@@ -124,53 +127,114 @@ TEST(RuleDeltaTest, ProgramIdentityIsPublishedIntoViews) {
 }
 
 /// Property: AddRule -> RetractRule restores marginals, weights and active
-/// structure bit-for-bit to the never-added state, for every combination of
-/// inference thread count and compiled/uncompiled kernel. The pre-add state
-/// IS the never-added state (AddRule is the only intervening operation), so
-/// the comparison holds even where multi-threaded sampling is not
-/// run-to-run deterministic.
+/// structure bit-for-bit to the never-added state, at every inference thread
+/// count. The pre-add state IS the never-added state (AddRule is the only
+/// intervening operation), so the comparison holds even where multi-threaded
+/// sampling is not run-to-run deterministic.
 TEST(RuleDeltaTest, AddRetractRoundTripsBitIdentical) {
   deepdive::serving_thread.AssertHeld();
   for (const size_t threads : {size_t{1}, size_t{4}}) {
-    for (const bool compiled : {false, true}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " compiled=" + std::to_string(compiled));
-      DeepDiveConfig config = FastTestConfig();
-      config.gibbs.num_threads = threads;
-      config.gibbs.use_compiled_graph = compiled;
-      config.learner.use_compiled_graph = compiled;
-      config.materialization.num_threads = threads;
-      config.materialization.use_compiled_kernel = compiled;
-      auto dd = Make(config);
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    DeepDiveConfig config = FastTestConfig();
+    config.gibbs.num_threads = threads;
+    config.materialization.num_threads = threads;
+    auto dd = Make(config);
 
-      const std::vector<double> marginals_before = dd->marginal_vector();
-      const size_t clauses_before = dd->ground().graph.NumActiveClauses();
-      const size_t weights_before = dd->ground().graph.NumWeights();
-      std::vector<double> weight_values_before(weights_before);
-      for (size_t w = 0; w < weights_before; ++w) {
-        weight_values_before[w] = dd->ground().graph.WeightValue(w);
-      }
-      const uint64_t fingerprint_before = dd->RulesFingerprint();
-
-      ASSERT_TRUE(dd->AddRule(kFeatureRule).ok());
-      auto retract = dd->RetractRule("FE1");
-      ASSERT_TRUE(retract.ok()) << retract.status().ToString();
-      // Journal restore: full acceptance, no re-inference.
-      EXPECT_DOUBLE_EQ(retract->acceptance_rate, 1.0);
-
-      EXPECT_EQ(dd->ground().graph.NumActiveClauses(), clauses_before);
-      EXPECT_EQ(dd->RulesFingerprint(), fingerprint_before);
-      const std::vector<double>& after = dd->marginal_vector();
-      ASSERT_GE(after.size(), marginals_before.size());
-      for (size_t v = 0; v < marginals_before.size(); ++v) {
-        EXPECT_EQ(marginals_before[v], after[v]) << "var " << v;
-      }
-      // Pre-existing weights revert exactly.
-      for (size_t w = 0; w < weights_before; ++w) {
-        EXPECT_EQ(dd->ground().graph.WeightValue(w), weight_values_before[w])
-            << "weight " << w;
-      }
+    const std::vector<double> marginals_before = dd->marginal_vector();
+    const size_t clauses_before = dd->ground().graph.NumActiveClauses();
+    const size_t weights_before = dd->ground().graph.NumWeights();
+    std::vector<double> weight_values_before(weights_before);
+    for (size_t w = 0; w < weights_before; ++w) {
+      weight_values_before[w] = dd->ground().graph.WeightValue(w);
     }
+    const uint64_t fingerprint_before = dd->RulesFingerprint();
+
+    ASSERT_TRUE(dd->AddRule(kFeatureRule).ok());
+    auto retract = dd->RetractRule("FE1");
+    ASSERT_TRUE(retract.ok()) << retract.status().ToString();
+    // Journal restore: full acceptance, no re-inference.
+    EXPECT_DOUBLE_EQ(retract->acceptance_rate, 1.0);
+
+    EXPECT_EQ(dd->ground().graph.NumActiveClauses(), clauses_before);
+    EXPECT_EQ(dd->RulesFingerprint(), fingerprint_before);
+    const std::vector<double>& after = dd->marginal_vector();
+    ASSERT_GE(after.size(), marginals_before.size());
+    for (size_t v = 0; v < marginals_before.size(); ++v) {
+      EXPECT_EQ(marginals_before[v], after[v]) << "var " << v;
+    }
+    // Pre-existing weights revert exactly.
+    for (size_t w = 0; w < weights_before; ++w) {
+      EXPECT_EQ(dd->ground().graph.WeightValue(w), weight_values_before[w])
+          << "weight " << w;
+    }
+  }
+}
+
+// Labels make AddRule learn. The rules tie their weights by feature, so they
+// are learnable: once FW is in, adding FR moves FW's weights too.
+std::vector<Tuple> LabelRows() {
+  return {{Value(10), Value(11), Value(true)},
+          {Value(20), Value(21), Value(false)}};
+}
+constexpr char kLearnedRule[] = R"(
+  factor FW: HasSpouse(m1, m2) :- Feature(m1, m2, f) weight = w(f).
+)";
+constexpr char kReversedRule[] = R"(
+  factor FR: HasSpouse(m1, m2) :- Feature(m2, m1, f) weight = w(f).
+)";
+
+/// Regression: an exact restore rewinds the engine's cumulative delta to its
+/// contents before the matching AddRule. It used to keep the weight changes
+/// the add's learning merged, so the next MH-served update weighed changes
+/// that no longer existed.
+TEST(RuleDeltaTest, ExactRestoreRewindsCumulativeDelta) {
+  deepdive::serving_thread.AssertHeld();
+  auto dd = Make(FastTestConfig(), LabelRows());
+  ASSERT_TRUE(dd->AddRule(kLearnedRule).ok());
+  const incremental::IncrementalEngine& engine = *dd->incremental_engine();
+  const factor::GraphDelta before = engine.cumulative_delta();
+  ASSERT_FALSE(before.weight_changes.empty());
+
+  ASSERT_TRUE(dd->AddRule(kReversedRule).ok());
+  ASSERT_GT(engine.cumulative_delta().weight_changes.size(),
+            before.weight_changes.size());
+  auto retract = dd->RetractRule("FR");
+  ASSERT_TRUE(retract.ok()) << retract.status().ToString();
+  ASSERT_DOUBLE_EQ(retract->acceptance_rate, 1.0);  // the journal restore
+
+  const factor::GraphDelta& after = engine.cumulative_delta();
+  EXPECT_EQ(after.weight_changes.size(), before.weight_changes.size());
+  EXPECT_TRUE(after == before);
+}
+
+/// A snapshot installed between the add and the retraction leaves nothing to
+/// rewind to, so the retraction's delta is merged; it must then carry the
+/// reverts of the weights the add learned, from learned value to original.
+TEST(RuleDeltaTest, ExactRestoreAfterInstallLogsWeightReverts) {
+  deepdive::serving_thread.AssertHeld();
+  auto dd = Make(FastTestConfig(), LabelRows());
+  ASSERT_TRUE(dd->AddRule(kLearnedRule).ok());
+  const factor::FactorGraph& graph = dd->ground().graph;
+  std::vector<double> weights_before(graph.NumWeights());
+  for (size_t w = 0; w < weights_before.size(); ++w) {
+    weights_before[w] = graph.WeightValue(w);
+  }
+  ASSERT_TRUE(dd->AddRule(kReversedRule).ok());
+  incremental::IncrementalEngine* engine = dd->incremental_engine();
+  ASSERT_TRUE(engine->Materialize(FastTestConfig().materialization).ok());
+  ASSERT_TRUE(engine->cumulative_delta().empty());
+
+  auto retract = dd->RetractRule("FR");
+  ASSERT_TRUE(retract.ok()) << retract.status().ToString();
+  ASSERT_DOUBLE_EQ(retract->acceptance_rate, 1.0);
+  const factor::GraphDelta& delta = engine->cumulative_delta();
+  EXPECT_FALSE(delta.removed_groups.empty());
+  ASSERT_FALSE(delta.weight_changes.empty());
+  for (const factor::GraphDelta::WeightChange& change : delta.weight_changes) {
+    ASSERT_LT(change.weight, weights_before.size());
+    EXPECT_EQ(change.new_value, weights_before[change.weight]);
+    EXPECT_NE(change.old_value, change.new_value);
+    EXPECT_EQ(graph.WeightValue(change.weight), weights_before[change.weight]);
   }
 }
 

@@ -1,6 +1,7 @@
 // The communication tier: wire codec round-trips for every verb and result,
-// hostile-input rejection (unknown verbs/tags, truncation, trailing bytes,
-// oversized length prefixes), and frame I/O over a real socketpair.
+// the golden bytes of every request and response alternative, hostile-input
+// rejection (unknown verbs/tags, truncation, trailing bytes, oversized length
+// prefixes), and frame I/O over a real socketpair.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -268,6 +269,162 @@ TEST(MessagesTest, RejectsUnknownResponseTagAndCode) {
     WireWriter w;
     w.PutU8(250);  // no such status code
     EXPECT_FALSE(DecodeResponse(w.str()).ok());
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Golden frames: the exact bytes of one instance of every request and response
+// alternative, with distinct non-default values in every field. Client and
+// daemon must agree on each byte, so any layout change (even one made the same
+// way in encoder and decoder) shows up here.
+
+std::string Hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const char c : bytes) {
+    const auto b = static_cast<unsigned char>(c);
+    out += kDigits[b >> 4];
+    out += kDigits[b & 0xf];
+  }
+  return out;
+}
+
+std::vector<Request> GoldenRequests() {
+  std::vector<Request> requests(11);
+  for (Request& r : requests) r.tenant = "kb";
+  requests[0].body = QueryRequest{"Rel", "1\t2", 0.5};
+  requests[1].body =
+      UpdateRequest{"u1", "factor F", {{"Rel", "1\n"}, {"Two", "2\n"}}};
+  requests[2].body = ExportRequest{{"A", "Bc"}, 0.25};
+  requests[3].body = StatusRequest{};
+  CreateTenantRequest create;
+  create.name = "vt";
+  create.program = "relation R(a: int).";
+  create.config = TenantConfig{true, 7,  10,  2,    3,   25,
+                               true, "s", "l", 32, 16, 250};
+  create.data = {{"R", "1\n"}};
+  requests[4].body = std::move(create);
+  requests[5].body = ListTenantsRequest{};
+  requests[6].body = SaveGraphRequest{"/g"};
+  requests[7].body = ShutdownRequest{};
+  requests[8].body = AddRuleRequest{"factor F: H(a) :- R(a)."};
+  requests[9].body = RetractRuleRequest{"F"};
+  requests[10].body = MineRequest{3, -2, 0.75, 2};
+  return requests;
+}
+
+std::vector<Response> GoldenResponses() {
+  std::vector<Response> responses(11);
+  responses[0] = Response::Error(Status::Unavailable("shed"));
+  responses[0].retry_after_ms = 150;
+  responses[1].body = QueryResult{3, true, 0.875, 12};
+  responses[2].body = UpdateResult{4, "u1", "sampling", 0.5, 0.25, 0.125, 7};
+  responses[3].body = ExportResult{5, {{"A", "1\n"}, {"B", ""}}};
+  responses[4].body = StatusResult{
+      {{"kb", true, false, 9, 10, 4, 2, 1, 64, 48, 3, 5, 0xABCDull},
+       {"vt", false, true, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10}}};
+  responses[5].body = CreateTenantResult{6, 7, 8};
+  responses[6].body = ListTenantsResult{{"a", "bc"}};
+  responses[7].body = SaveGraphResult{0xAA, 1536, 0xBB};
+  responses[8].body = AddRuleResult{
+      11, "F", "variational", 2, 0.5, 0.25, 0.125, 4, 3, 0xF00Dull};
+  responses[9].body = RetractRuleResult{12, "sampling", 1.0, 5, 2, 0xBEEFull};
+  responses[10].body =
+      MineResult{13, 20, 6, {"M1", "M2"}, 7, 4, 0xCAFEull};
+  return responses;
+}
+
+// Each frame's bytes, captured from the encoder and frozen. Fields appear in
+// struct order: u32/u64 big-endian, doubles as their IEEE-754 bit pattern,
+// strings and vectors prefixed by a u32 length.
+constexpr const char* kGoldenRequestHex[] = {
+    "01000000026b620000000352656c000000033109323fe0000000000000",
+    "02000000026b6200000002753100000008666163746f72204600000002000000"
+    "0352656c00000002310a0000000354776f00000002320a",
+    "03000000026b620000000200000001410000000242633fd0000000000000",
+    "04000000026b62",
+    "05000000026b620000000276740000001372656c6174696f6e205228613a2069"
+    "6e74292e0100000000000000070000000a000000020000000300000019010000"
+    "000173000000016c0000002000000010000000fa000000010000000152000000"
+    "02310a",
+    "06000000026b62",
+    "07000000026b62000000022f67",
+    "08000000026b62",
+    "09000000026b6200000017666163746f7220463a2048286129203a2d20522861"
+    "292e",
+    "0a000000026b620000000146",
+    "0b000000026b620000000000000003fffffffffffffffe3fe800000000000000"
+    "000002",
+};
+
+constexpr const char* kGoldenResponseHex[] = {
+    "0800000004736865640000009600",
+    "000000000000000000010000000000000003013fec0000000000000000000000"
+    "00000c",
+    "0000000000000000000200000000000000040000000275310000000873616d70"
+    "6c696e673fe00000000000003fd00000000000003fc000000000000000000000"
+    "00000007",
+    "0000000000000000000300000000000000050000000200000001410000000231"
+    "0a000000014200000000",
+    "0000000000000000000400000002000000026b62010000000000000000090000"
+    "00000000000a0000000000000004000000000000000200000001000000400000"
+    "003000000000000000030000000000000005000000000000abcd000000027674"
+    "0001000000000000000100000000000000020000000000000003000000000000"
+    "0004000000050000000600000007000000000000000800000000000000090000"
+    "00000000000a",
+    "0000000000000000000500000000000000060000000000000007000000000000"
+    "0008",
+    "00000000000000000006000000020000000161000000026263",
+    "0000000000000000000700000000000000aa0000000000000600000000000000"
+    "00bb",
+    "00000000000000000008000000000000000b00000001460000000b7661726961"
+    "74696f6e616c00000000000000023fe00000000000003fd00000000000003fc0"
+    "00000000000000000000000000040000000000000003000000000000f00d",
+    "00000000000000000009000000000000000c0000000873616d706c696e673ff0"
+    "00000000000000000000000000050000000000000002000000000000beef",
+    "0000000000000000000a000000000000000d0000000000000014000000000000"
+    "000600000002000000024d31000000024d320000000000000007000000000000"
+    "0004000000000000cafe",
+};
+
+// A frame cut short anywhere, or followed by one stray byte, is an error.
+template <typename Decode>
+void ExpectOnlyWholeFrameDecodes(const std::string& frame, Decode decode) {
+  for (size_t n = 0; n < frame.size(); ++n) {
+    const auto decoded = decode(std::string_view(frame).substr(0, n));
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument)
+        << "prefix of " << n << " bytes";
+  }
+  EXPECT_EQ(decode(frame + '\0').status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(MessagesTest, GoldenRequestFrames) {
+  const std::vector<Request> requests = GoldenRequests();
+  ASSERT_EQ(requests.size(), std::size(kGoldenRequestHex));
+  for (size_t i = 0; i < requests.size(); ++i) {
+    SCOPED_TRACE(VerbName(requests[i].verb()));
+    EXPECT_EQ(requests[i].body.index(), i);
+    const std::string frame = EncodeRequest(requests[i]);
+    EXPECT_EQ(Hex(frame), kGoldenRequestHex[i]);
+    ExpectOnlyWholeFrameDecodes(frame, DecodeRequest);
+    auto decoded = DecodeRequest(frame);
+    ASSERT_TRUE(decoded.ok());
+    EXPECT_EQ(EncodeRequest(*decoded), frame);
+  }
+}
+
+TEST(MessagesTest, GoldenResponseFrames) {
+  const std::vector<Response> responses = GoldenResponses();
+  ASSERT_EQ(responses.size(), std::size(kGoldenResponseHex));
+  for (size_t i = 0; i < responses.size(); ++i) {
+    SCOPED_TRACE("body tag " + std::to_string(i));
+    EXPECT_EQ(responses[i].body.index(), i);
+    const std::string frame = EncodeResponse(responses[i]);
+    EXPECT_EQ(Hex(frame), kGoldenResponseHex[i]);
+    ExpectOnlyWholeFrameDecodes(frame, DecodeResponse);
+    auto decoded = DecodeResponse(frame);
+    ASSERT_TRUE(decoded.ok());
+    EXPECT_EQ(EncodeResponse(*decoded), frame);
   }
 }
 
