@@ -2,7 +2,13 @@
 // vs re-evaluating the candidate-generation and feature queries from
 // scratch. The paper reports up to 360x for rule FE1 on News; the shape to
 // reproduce is speedup growing with corpus size for a fixed-size update.
+// Emits BENCH_grounding.json (or --out PATH) for the CI artifact, and exits
+// non-zero when the update's rows visited at the largest corpus exceed twice
+// those at the smallest: delta grounding must cost work in proportion to the
+// update, not to the corpus.
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "bench_common.h"
 #include "dsl/program.h"
@@ -98,15 +104,22 @@ void RunThreadSweep() {
   }
 }
 
-void Run() {
+struct SizeResult {
+  size_t sentences = 0;
+  double full_seconds = 0.0;
+  double delta_seconds = 0.0;
+  uint64_t rows_visited = 0;  // by the delta update's joins
+};
+
+bool Run(std::vector<SizeResult>* results) {
   PrintHeader("Incremental grounding: DRed delta rules vs full regrounding");
-  std::printf("%10s | %14s %14s | %8s\n", "#sentences", "full (s)", "delta (s)",
-              "speedup");
+  std::printf("%10s | %14s %14s | %8s | %12s\n", "#sentences", "full (s)",
+              "delta (s)", "speedup", "rows visited");
   for (size_t sentences : {500u, 2000u, 8000u, 20000u}) {
     auto inc = Build(sentences, 3);
     if (inc == nullptr) {
       std::printf("build failed\n");
-      return;
+      return false;
     }
 
     // The update: 10 new sentences worth of data.
@@ -119,29 +132,84 @@ void Run() {
       external["Feature"].Add({Value(m1), Value(m2), Value("fnew")}, 1);
     }
 
+    const uint64_t rows_before = inc->vm->rows_visited() + inc->grounder->rows_visited();
     Timer delta_timer;
     auto set_deltas = inc->vm->ApplyUpdate(external);
-    if (!set_deltas.ok()) return;
+    if (!set_deltas.ok()) return false;
     auto gdelta = inc->grounder->ApplyRelationDeltas(*set_deltas);
-    if (!gdelta.ok()) return;
-    const double delta_seconds = delta_timer.Seconds();
+    if (!gdelta.ok()) return false;
+    SizeResult r;
+    r.sentences = sentences;
+    r.delta_seconds = delta_timer.Seconds();
+    r.rows_visited = inc->vm->rows_visited() + inc->grounder->rows_visited() - rows_before;
 
     // Full regrounding of the updated state: fresh views + fresh grounding.
     Timer full_timer;
     auto full = Build(sentences + 10, 3);
-    if (full == nullptr) return;
-    const double full_seconds = full_timer.Seconds();
+    if (full == nullptr) return false;
+    r.full_seconds = full_timer.Seconds();
 
-    std::printf("%10zu | %14.5f %14.5f | %7.1fx\n", sentences, full_seconds,
-                delta_seconds, delta_seconds > 0 ? full_seconds / delta_seconds : 0.0);
+    std::printf("%10zu | %14.5f %14.5f | %7.1fx | %12llu\n", sentences, r.full_seconds,
+                r.delta_seconds,
+                r.delta_seconds > 0 ? r.full_seconds / r.delta_seconds : 0.0,
+                static_cast<unsigned long long>(r.rows_visited));
+    results->push_back(r);
   }
+  return true;
+}
+
+int Main(int argc, char** argv) {
+  std::string out_path = "BENCH_grounding.json";
+  for (int i = 1; i < argc; ++i) {
+    const std::string a = argv[i];
+    if (a == "--out" && i + 1 < argc) {
+      out_path = argv[++i];
+    } else {
+      std::fprintf(stderr, "unknown flag: %s\n", a.c_str());
+      return 2;
+    }
+  }
+
+  std::vector<SizeResult> results;
+  if (!Run(&results)) return 1;
+  RunThreadSweep();
+
+  std::FILE* out = std::fopen(out_path.c_str(), "w");
+  if (out == nullptr) {
+    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
+    return 1;
+  }
+  std::fprintf(out, "{\n  \"bench\": \"grounding\",\n  \"update_sentences\": 10,\n"
+                    "  \"sizes\": [\n");
+  for (size_t i = 0; i < results.size(); ++i) {
+    const SizeResult& r = results[i];
+    std::fprintf(out,
+                 "    {\"sentences\": %zu, \"full_s\": %.6f, \"delta_s\": %.6f, "
+                 "\"speedup\": %.2f, \"delta_rows_visited\": %llu}%s\n",
+                 r.sentences, r.full_seconds, r.delta_seconds,
+                 r.delta_seconds > 0 ? r.full_seconds / r.delta_seconds : 0.0,
+                 static_cast<unsigned long long>(r.rows_visited),
+                 i + 1 < results.size() ? "," : "");
+  }
+  std::fprintf(out, "  ]\n}\n");
+  std::fclose(out);
+  std::printf("\nwrote %s\n", out_path.c_str());
+
+  const SizeResult& smallest = results.front();
+  const SizeResult& largest = results.back();
+  if (largest.rows_visited > 2 * smallest.rows_visited) {
+    std::fprintf(stderr,
+                 "PROPORTIONALITY VIOLATION: the update visited %llu rows at %zu "
+                 "sentences vs %llu at %zu\n",
+                 static_cast<unsigned long long>(largest.rows_visited), largest.sentences,
+                 static_cast<unsigned long long>(smallest.rows_visited),
+                 smallest.sentences);
+    return 1;
+  }
+  return 0;
 }
 
 }  // namespace
 }  // namespace deepdive::bench
 
-int main() {
-  deepdive::bench::Run();
-  deepdive::bench::RunThreadSweep();
-  return 0;
-}
+int main(int argc, char** argv) { return deepdive::bench::Main(argc, argv); }

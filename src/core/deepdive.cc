@@ -209,6 +209,7 @@ StatusOr<incremental::UpdateReport> DeepDive::ApplyUpdate(
 
   GraphDelta delta;
   const uint64_t groundings_before = grounder_->groundings_emitted();
+  const uint64_t rows_before = views_->rows_visited() + grounder_->rows_visited();
   if (!external.empty()) {
     DD_ASSIGN_OR_RETURN(engine::RelationDeltas set_deltas, views_->ApplyUpdate(external));
     if (delta_listener_) delta_listener_(set_deltas);
@@ -249,6 +250,8 @@ StatusOr<incremental::UpdateReport> DeepDive::ApplyUpdate(
   }
   report.grounding_seconds = ground_timer.Seconds();
   report.grounding_work = grounder_->groundings_emitted() - groundings_before;
+  report.grounding_rows_visited =
+      views_->rows_visited() + grounder_->rows_visited() - rows_before;
 
   if (config_.mode == ExecutionMode::kRerun) {
     DD_RETURN_IF_ERROR(RunFullPipeline(&report, /*cold_learning=*/true));
@@ -341,11 +344,13 @@ StatusOr<incremental::UpdateReport> DeepDive::AddRule(
   report.label = "add_rule:" + rule.label;
   Timer ground_timer;
   DD_RETURN_IF_ERROR(program_.Merge(fragment));
+  const uint64_t rows_before = grounder_->rows_visited();
   DD_ASSIGN_OR_RETURN(GraphDelta delta, grounder_->AddFactorRule(rule));
   report.grounding_seconds = ground_timer.Seconds();
   // Work done = the new rule's bindings, nothing else: the proportionality
   // witness that this was not a re-ground.
   report.grounding_work = grounder_->last_rule_groundings();
+  report.grounding_rows_visited = grounder_->rows_visited() - rows_before;
 
   Timer learn_timer;
   if (learn && HasEvidence() && !delta.empty()) LearnIncremental(&delta);

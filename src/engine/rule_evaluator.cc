@@ -80,8 +80,10 @@ StatusOr<CompiledRuleBody> CompiledRuleBody::Compile(
     compiled.atoms_.push_back(std::move(plan));
   }
   // Move negated atoms after all positive ones so their variables are bound.
-  std::stable_partition(compiled.atoms_.begin(), compiled.atoms_.end(),
-                        [](const AtomPlan& a) { return !a.negated; });
+  auto first_negated =
+      std::stable_partition(compiled.atoms_.begin(), compiled.atoms_.end(),
+                            [](const AtomPlan& a) { return !a.negated; });
+  compiled.num_positive_ = static_cast<size_t>(first_negated - compiled.atoms_.begin());
 
   for (const dsl::Condition& c : conditions) {
     CondPlan plan;
@@ -93,20 +95,17 @@ StatusOr<CompiledRuleBody> CompiledRuleBody::Compile(
   return compiled;
 }
 
-bool CompiledRuleBody::MatchTuple(const AtomPlan& atom, const Tuple& tuple,
-                                  std::vector<Value>* values, std::vector<bool>* bound,
-                                  std::vector<int>* newly_bound) const {
+bool CompiledRuleBody::MatchTuple(const AtomPlan& atom, const JoinStep& step,
+                                  const Tuple& tuple, std::vector<Value>* values) const {
   if (tuple.size() != atom.terms.size()) return false;
   for (size_t i = 0; i < atom.terms.size(); ++i) {
     const TermPlan& t = atom.terms[i];
     if (!t.is_var) {
       if (!(tuple[i] == t.constant)) return false;
-    } else if ((*bound)[t.slot]) {
-      if (!((*values)[t.slot] == tuple[i])) return false;
-    } else {
+    } else if (step.binds[i]) {
       (*values)[t.slot] = tuple[i];
-      (*bound)[t.slot] = true;
-      newly_bound->push_back(t.slot);
+    } else if (!((*values)[t.slot] == tuple[i])) {
+      return false;
     }
   }
   return true;
@@ -121,27 +120,64 @@ bool CompiledRuleBody::ConditionsHold(const std::vector<Value>& values) const {
   return true;
 }
 
-bool CompiledRuleBody::TupleInOld(const AtomPlan& atom, const DeltaTable* delta,
-                                  const Tuple& tuple) const {
-  // OLD = NEW ⊖ delta: present now and not just-inserted, or just-deleted.
-  const int64_t c = delta == nullptr ? 0 : delta->Count(tuple);
-  if (c > 0) return false;                    // inserted: in NEW only
-  if (c < 0) return true;                     // deleted: was in OLD
-  return atom.table->Contains(tuple);         // unchanged
+std::vector<CompiledRuleBody::JoinStep> CompiledRuleBody::PlanJoin(
+    std::optional<size_t> start) const {
+  std::vector<bool> bound(var_slots_.size(), false);
+  std::vector<bool> placed(atoms_.size(), false);
+  auto probe_col = [&](const AtomPlan& atom) {
+    for (size_t i = 0; i < atom.terms.size(); ++i) {
+      if (!atom.terms[i].is_var || bound[atom.terms[i].slot]) return static_cast<int>(i);
+    }
+    return -1;
+  };
+
+  std::vector<JoinStep> steps;
+  steps.reserve(atoms_.size());
+  auto place = [&](size_t a) {
+    const AtomPlan& atom = atoms_[a];
+    JoinStep step;
+    step.atom = a;
+    step.probe_col = probe_col(atom);
+    step.binds.assign(atom.terms.size(), false);
+    if (!atom.negated) {
+      for (size_t i = 0; i < atom.terms.size(); ++i) {
+        const TermPlan& t = atom.terms[i];
+        if (t.is_var && !bound[t.slot]) {
+          step.binds[i] = true;
+          bound[t.slot] = true;
+        }
+      }
+    }
+    placed[a] = true;
+    steps.push_back(std::move(step));
+  };
+
+  if (start.has_value()) place(*start);
+  while (steps.size() < atoms_.size()) {
+    size_t next = 0;
+    while (placed[next]) ++next;
+    if (start.has_value()) {
+      for (size_t a = next; a < num_positive_; ++a) {
+        if (!placed[a] && probe_col(atoms_[a]) >= 0) {
+          next = a;
+          break;
+        }
+      }
+    }
+    place(next);
+  }
+  return steps;
 }
 
-void CompiledRuleBody::Recurse(size_t atom_idx, std::vector<Value>* values,
-                               std::vector<bool>* bound, int64_t sign,
-                               const std::vector<AtomMode>& modes,
-                               const std::vector<const DeltaTable*>& atom_deltas,
-                               const BindingCallback& fn) const {
-  if (atom_idx == atoms_.size()) {
-    if (ConditionsHold(*values)) fn(*values, sign);
+void CompiledRuleBody::Join(const std::vector<JoinStep>& steps, size_t depth,
+                            int64_t sign, JoinState* state,
+                            const BindingCallback& fn) const {
+  if (depth == steps.size()) {
+    if (ConditionsHold(state->values)) fn(state->values, sign);
     return;
   }
-  const AtomPlan& atom = atoms_[atom_idx];
-  const AtomMode mode = modes[atom_idx];
-  const DeltaTable* delta = atom_deltas[atom_idx];
+  const JoinStep& step = steps[depth];
+  const AtomPlan& atom = atoms_[step.atom];
 
   if (atom.negated) {
     // All variables are bound (analyzer guarantees safety); negated atoms are
@@ -149,84 +185,70 @@ void CompiledRuleBody::Recurse(size_t atom_idx, std::vector<Value>* values,
     Tuple probe;
     probe.reserve(atom.terms.size());
     for (const TermPlan& t : atom.terms) {
-      probe.push_back(t.is_var ? (*values)[t.slot] : t.constant);
+      probe.push_back(t.is_var ? state->values[t.slot] : t.constant);
     }
-    if (!atom.table->Contains(probe)) {
-      Recurse(atom_idx + 1, values, bound, sign, modes, atom_deltas, fn);
-    }
+    if (!atom.table->Contains(probe)) Join(steps, depth + 1, sign, state, fn);
     return;
   }
 
-  auto try_tuple = [&](const Tuple& tuple, int64_t tuple_sign) {
-    std::vector<int> newly_bound;
-    if (MatchTuple(atom, tuple, values, bound, &newly_bound)) {
-      Recurse(atom_idx + 1, values, bound, sign * tuple_sign, modes, atom_deltas, fn);
-    }
-    for (int slot : newly_bound) (*bound)[slot] = false;
+  auto try_tuple = [&](const Tuple& tuple, uint64_t key, int64_t tuple_sign) {
+    if (!MatchTuple(atom, step, tuple, &state->values)) return;
+    state->keys[step.atom] = key;
+    Join(steps, depth + 1, sign * tuple_sign, state, fn);
   };
 
-  if (mode == AtomMode::kDelta) {
-    DD_CHECK(delta != nullptr);
-    delta->ForEach([&](const Tuple& tuple, int64_t count) {
-      try_tuple(tuple, count > 0 ? 1 : -1);
+  if (step.mode == AtomMode::kDelta) {
+    DD_CHECK(step.delta != nullptr);
+    uint64_t index = 0;
+    step.delta->ForEach([&](const Tuple& tuple, int64_t count) {
+      ++state->rows_visited;
+      try_tuple(tuple, index++, count > 0 ? 1 : -1);
     });
     return;
   }
 
-  // Pick an index column: first term that is a constant or a bound variable.
-  int probe_col = -1;
+  // NEW or OLD rows, keyed by RowId. Table only appends row slots, so index
+  // probes and scans both yield ascending ids.
+  const bool old = step.mode == AtomMode::kOld;
+  DD_CHECK(!old || step.delta != nullptr);
   Value probe_value;
-  for (size_t i = 0; i < atom.terms.size(); ++i) {
-    const TermPlan& t = atom.terms[i];
-    if (!t.is_var) {
-      probe_col = static_cast<int>(i);
-      probe_value = t.constant;
-      break;
-    }
-    if ((*bound)[t.slot]) {
-      probe_col = static_cast<int>(i);
-      probe_value = (*values)[t.slot];
-      break;
-    }
+  if (step.probe_col >= 0) {
+    const TermPlan& t = atom.terms[step.probe_col];
+    probe_value = t.is_var ? state->values[t.slot] : t.constant;
   }
-
-  auto visit_current_or_old = [&](const Tuple& tuple) {
-    if (mode == AtomMode::kOld) {
-      // Skip tuples that are NEW-only (just inserted).
-      if (delta != nullptr && delta->Count(tuple) > 0) return;
-    }
-    try_tuple(tuple, 1);
+  auto visit_row = [&](RowId id, const Tuple& tuple) {
+    ++state->rows_visited;
+    // OLD skips tuples that are NEW-only (just inserted).
+    if (old && step.delta->Count(tuple) > 0) return;
+    try_tuple(tuple, id, 1);
   };
-
-  if (probe_col >= 0) {
-    for (RowId id : atom.table->Lookup(probe_col, probe_value)) {
-      visit_current_or_old(atom.table->row(id));
+  if (step.probe_col >= 0) {
+    for (RowId id : atom.table->Lookup(step.probe_col, probe_value)) {
+      if (id >= step.row_begin && id < step.row_end) visit_row(id, atom.table->row(id));
     }
   } else {
-    atom.table->Scan([&](RowId, const Tuple& tuple) { visit_current_or_old(tuple); });
+    atom.table->ScanRange(step.row_begin, step.row_end, visit_row);
   }
 
-  if (mode == AtomMode::kOld && delta != nullptr) {
-    // Add back just-deleted tuples (they were in OLD but are tombstoned now).
-    delta->ForEach([&](const Tuple& tuple, int64_t count) {
+  if (old && step.delta->DeletionEntries() > 0) {
+    // Add back just-deleted tuples (they were in OLD but are tombstoned now),
+    // keyed after every row slot in ForEach order.
+    uint64_t key = atom.table->RowSlots();
+    step.delta->ForEach([&](const Tuple& tuple, int64_t count) {
+      ++state->rows_visited;
+      const uint64_t tuple_key = key++;
       if (count >= 0) return;
-      if (probe_col >= 0 && !(tuple[probe_col] == probe_value)) return;
-      try_tuple(tuple, 1);
+      if (step.probe_col >= 0 && !(tuple[step.probe_col] == probe_value)) return;
+      try_tuple(tuple, tuple_key, 1);
     });
   }
 }
 
-void CompiledRuleBody::EvaluateFull(const BindingCallback& fn) const {
-  // Sequential entry point: keep the Recurse path, which probes the driver
-  // atom's column index when it has a constant term (the range path always
-  // scans, which only pays off once the scan is split across shards). The
-  // index yields rows in ascending RowId order, so enumeration order is
-  // identical to EvaluateFullRange(0, FullDriverDomain()).
-  std::vector<Value> values(var_slots_.size());
-  std::vector<bool> bound(var_slots_.size(), false);
-  std::vector<AtomMode> modes(atoms_.size(), AtomMode::kCurrent);
-  std::vector<const DeltaTable*> deltas(atoms_.size(), nullptr);
-  Recurse(0, &values, &bound, 1, modes, deltas, fn);
+void CompiledRuleBody::EvaluateFull(const BindingCallback& fn,
+                                    uint64_t* rows_visited) const {
+  JoinState state(var_slots_.size(), atoms_.size());
+  Join(PlanJoin(std::nullopt), 0, 1, &state, fn);
+  if (rows_visited != nullptr) *rows_visited += state.rows_visited;
 }
 
 bool CompiledRuleBody::DriverHasConstantTerm() const {
@@ -242,184 +264,102 @@ size_t CompiledRuleBody::FullDriverDomain() const {
 }
 
 void CompiledRuleBody::EvaluateFullRange(size_t begin, size_t end,
-                                         const BindingCallback& fn) const {
+                                         const BindingCallback& fn,
+                                         uint64_t* rows_visited) const {
   DD_CHECK(DriverShardable());
-  std::vector<AtomMode> modes(atoms_.size(), AtomMode::kCurrent);
-  std::vector<const DeltaTable*> deltas(atoms_.size(), nullptr);
-  RecurseDriverRange(begin, end, AtomMode::kCurrent, nullptr, nullptr, modes, deltas,
-                     fn);
+  std::vector<JoinStep> steps = PlanJoin(std::nullopt);
+  steps[0].row_begin = static_cast<RowId>(std::min(begin, FullDriverDomain()));
+  steps[0].row_end = static_cast<RowId>(std::min(end, FullDriverDomain()));
+  JoinState state(var_slots_.size(), atoms_.size());
+  Join(steps, 0, 1, &state, fn);
+  if (rows_visited != nullptr) *rows_visited += state.rows_visited;
 }
 
-StatusOr<CompiledRuleBody::DeltaEvalPlan> CompiledRuleBody::PlanDeltaEvaluation(
-    const std::map<std::string, const DeltaTable*>& deltas) const {
-  // Positions (atom indexes) on changed relations, in a fixed global order:
-  // (relation name, atom index). Each term of the telescoping sum puts one
-  // position in DELTA mode, earlier positions in NEW (current) mode, later
-  // ones in OLD mode.
-  DeltaEvalPlan plan;
-  plan.atom_deltas.assign(atoms_.size(), nullptr);
-  for (const auto& [relation, delta] : deltas) {
-    if (delta == nullptr || delta->empty()) continue;
-    for (size_t i = 0; i < atoms_.size(); ++i) {
-      if (atoms_[i].relation != relation) continue;
-      if (atoms_[i].negated) {
-        return Status::Unimplemented(
-            "delta evaluation with a changed negated relation '" + relation + "'");
-      }
-      plan.atom_deltas[i] = delta;
-      plan.delta_positions.push_back(i);
+Status CompiledRuleBody::CheckNegatedUnchanged(
+    const std::function<bool(const std::string&)>& changed) const {
+  for (size_t i = num_positive_; i < atoms_.size(); ++i) {
+    if (changed(atoms_[i].relation)) {
+      return Status::Unimplemented("delta evaluation with a changed negated relation '" +
+                                   atoms_[i].relation + "'");
     }
-  }
-  // Order by (relation, position): map iteration is already name-sorted and
-  // inner loop is position-sorted, so delta_positions is in global order.
-  return plan;
-}
-
-void CompiledRuleBody::MaterializeDriverDelta(DeltaEvalPlan* plan) const {
-  if (plan->driver_materialized) return;
-  plan->driver_materialized = true;
-  // ForEach order is reused for every term, which keeps enumeration
-  // identical across shard layouts.
-  if (!atoms_.empty() && plan->atom_deltas[0] != nullptr) {
-    plan->atom_deltas[0]->ForEach([&](const Tuple& tuple, int64_t count) {
-      plan->driver_entries.emplace_back(tuple, count);
-      if (count < 0) plan->driver_deletions.push_back(tuple);
-    });
-  }
-}
-
-size_t CompiledRuleBody::DeltaTermDomain(const DeltaEvalPlan& plan, size_t term) const {
-  if (!DriverShardable()) return 0;
-  // The driver's mode in term `term` follows EvaluateDeltaTermRange's mode
-  // assignment: positions at telescoping index < term are NEW, == term is
-  // DELTA, > term is OLD. So the driver is NEW for terms *after* its own
-  // index and OLD for terms *before* it.
-  const size_t driver_term =
-      std::find(plan.delta_positions.begin(), plan.delta_positions.end(), size_t{0}) -
-      plan.delta_positions.begin();
-  if (plan.atom_deltas[0] == nullptr || term > driver_term) {
-    // Driver in NEW (current) mode.
-    return atoms_[0].table->RowSlots();
-  }
-  // Entry counts come from the delta table itself, so domains are exact
-  // whether or not MaterializeDriverDelta has run (routing needs them before
-  // the sharded path commits to materializing).
-  if (term == driver_term) return plan.atom_deltas[0]->size();
-  // Driver in OLD mode: current rows plus just-deleted tuples added back.
-  return atoms_[0].table->RowSlots() + plan.atom_deltas[0]->DeletionEntries();
-}
-
-std::vector<CompiledRuleBody::AtomMode> CompiledRuleBody::TermModes(
-    const DeltaEvalPlan& plan, size_t term) const {
-  std::vector<AtomMode> modes(atoms_.size(), AtomMode::kCurrent);
-  for (size_t mm = 0; mm < plan.delta_positions.size(); ++mm) {
-    if (mm < term) {
-      modes[plan.delta_positions[mm]] = AtomMode::kCurrent;  // NEW
-    } else if (mm == term) {
-      modes[plan.delta_positions[mm]] = AtomMode::kDelta;
-    } else {
-      modes[plan.delta_positions[mm]] = AtomMode::kOld;
-    }
-  }
-  return modes;
-}
-
-void CompiledRuleBody::EvaluateDeltaTermRange(const DeltaEvalPlan& plan, size_t term,
-                                              size_t begin, size_t end,
-                                              const BindingCallback& fn) const {
-  DD_CHECK(DriverShardable());
-  DD_CHECK(plan.atom_deltas[0] == nullptr || plan.driver_materialized)
-      << "call MaterializeDriverDelta before range evaluation";
-  const std::vector<AtomMode> modes = TermModes(plan, term);
-  RecurseDriverRange(begin, end, modes[0], &plan.driver_entries,
-                     &plan.driver_deletions, modes, plan.atom_deltas, fn);
-}
-
-void CompiledRuleBody::EvaluateDeltaTerm(const DeltaEvalPlan& plan, size_t term,
-                                         const BindingCallback& fn) const {
-  std::vector<Value> values(var_slots_.size());
-  std::vector<bool> bound(var_slots_.size(), false);
-  Recurse(0, &values, &bound, 1, TermModes(plan, term), plan.atom_deltas, fn);
-}
-
-Status CompiledRuleBody::EvaluateDelta(
-    const std::map<std::string, const DeltaTable*>& deltas,
-    const BindingCallback& fn) const {
-  DD_ASSIGN_OR_RETURN(DeltaEvalPlan plan, PlanDeltaEvaluation(deltas));
-  for (size_t m = 0; m < plan.num_terms(); ++m) {
-    EvaluateDeltaTerm(plan, m, fn);
   }
   return Status::OK();
 }
 
-void CompiledRuleBody::RecurseDriverRange(
-    size_t begin, size_t end, AtomMode driver_mode,
-    const std::vector<std::pair<Tuple, int64_t>>* driver_entries,
-    const std::vector<Tuple>* driver_deletions, const std::vector<AtomMode>& modes,
-    const std::vector<const DeltaTable*>& atom_deltas, const BindingCallback& fn) const {
-  const AtomPlan& atom = atoms_[0];
-  const DeltaTable* delta = atom_deltas[0];
-  std::vector<Value> values(var_slots_.size());
-  std::vector<bool> bound(var_slots_.size(), false);
-
-  auto try_tuple = [&](const Tuple& tuple, int64_t tuple_sign) {
-    std::vector<int> newly_bound;
-    if (MatchTuple(atom, tuple, &values, &bound, &newly_bound)) {
-      Recurse(1, &values, &bound, tuple_sign, modes, atom_deltas, fn);
-    }
-    for (int slot : newly_bound) bound[slot] = false;
+Status CompiledRuleBody::EvaluateDelta(
+    const std::map<std::string, const DeltaTable*>& deltas, const BindingCallback& fn,
+    uint64_t* rows_visited) const {
+  auto changed = [&](const std::string& relation) {
+    auto it = deltas.find(relation);
+    return it != deltas.end() && it->second != nullptr && !it->second->empty();
   };
-
-  if (driver_mode == AtomMode::kDelta) {
-    DD_CHECK(driver_entries != nullptr);
-    const size_t limit = std::min(end, driver_entries->size());
-    for (size_t i = begin; i < limit; ++i) {
-      const auto& [tuple, count] = (*driver_entries)[i];
-      try_tuple(tuple, count > 0 ? 1 : -1);
+  DD_RETURN_IF_ERROR(CheckNegatedUnchanged(changed));
+  // Positions (atom indexes) on changed relations, in a fixed global order:
+  // (relation name, atom index). Each term of the telescoping sum puts one
+  // position in DELTA mode, earlier positions in NEW (current) mode, later
+  // ones in OLD mode.
+  std::vector<size_t> positions;
+  for (const auto& [relation, delta] : deltas) {
+    if (!changed(relation)) continue;
+    for (size_t i = 0; i < num_positive_; ++i) {
+      if (atoms_[i].relation == relation) positions.push_back(i);
     }
-    return;
   }
-
-  const size_t slots = atom.table->RowSlots();
-  if (begin < slots) {
-    atom.table->ScanRange(static_cast<RowId>(begin),
-                          static_cast<RowId>(std::min(end, slots)),
-                          [&](RowId, const Tuple& tuple) {
-                            if (driver_mode == AtomMode::kOld && delta != nullptr &&
-                                delta->Count(tuple) > 0) {
-                              return;  // NEW-only tuple: not in OLD
-                            }
-                            try_tuple(tuple, 1);
-                          });
-  }
-  if (driver_mode == AtomMode::kOld && driver_deletions != nullptr && end > slots) {
-    // Add back just-deleted tuples; their domain indexes follow the rows.
-    const size_t del_begin = begin > slots ? begin - slots : 0;
-    const size_t del_end = std::min(end - slots, driver_deletions->size());
-    for (size_t i = del_begin; i < del_end; ++i) {
-      try_tuple((*driver_deletions)[i], 1);
+  for (size_t term = 0; term < positions.size(); ++term) {
+    std::vector<JoinStep> steps = PlanJoin(positions[term]);
+    for (JoinStep& step : steps) {
+      const size_t m =
+          std::find(positions.begin(), positions.end(), step.atom) - positions.begin();
+      if (m == term) {
+        step.mode = AtomMode::kDelta;
+      } else if (m > term && m < positions.size()) {
+        step.mode = AtomMode::kOld;
+      }
+      if (step.mode != AtomMode::kCurrent) step.delta = deltas.at(atoms_[step.atom].relation);
     }
+    EvaluateDeltaTerm(steps, fn, rows_visited);
+  }
+  return Status::OK();
+}
+
+void CompiledRuleBody::EvaluateDeltaTerm(const std::vector<JoinStep>& steps,
+                                         const BindingCallback& fn,
+                                         uint64_t* rows_visited) const {
+  // Buffer each binding with its keys, flat: num_positive_ keys and
+  // num_slots() values per binding.
+  const size_t width = var_slots_.size();
+  std::vector<uint64_t> keys;
+  std::vector<Value> values;
+  std::vector<int64_t> signs;
+  JoinState state(width, atoms_.size());
+  Join(steps, 0, 1, &state, [&](const std::vector<Value>& binding, int64_t sign) {
+    keys.insert(keys.end(), state.keys.begin(), state.keys.begin() + num_positive_);
+    values.insert(values.end(), binding.begin(), binding.end());
+    signs.push_back(sign);
+  });
+  if (rows_visited != nullptr) *rows_visited += state.rows_visited;
+
+  // Lexicographic key order is the declared-order nested loop's order: that
+  // loop enumerates each atom's matches in ascending key order.
+  std::vector<size_t> order(signs.size());
+  for (size_t b = 0; b < order.size(); ++b) order[b] = b;
+  auto key_of = [&](size_t b) { return keys.begin() + b * num_positive_; };
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return std::lexicographical_compare(key_of(a), key_of(a) + num_positive_, key_of(b),
+                                        key_of(b) + num_positive_);
+  });
+  std::vector<Value> binding(width);
+  for (size_t b : order) {
+    std::move(values.begin() + b * width, values.begin() + (b + 1) * width,
+              binding.begin());
+    fn(binding, signs[b]);
   }
 }
 
 void CompiledRuleBody::PrewarmIndexes() const {
-  // The probe column of every atom is static: the first term that is a
-  // constant or a variable bound by an earlier atom. (MatchTuple binds every
-  // variable of an atom, so the bound set at atom k does not depend on data.)
-  std::vector<bool> bound(var_slots_.size(), false);
-  for (size_t k = 0; k < atoms_.size(); ++k) {
-    const AtomPlan& atom = atoms_[k];
-    if (!atom.negated && k > 0) {
-      for (size_t i = 0; i < atom.terms.size(); ++i) {
-        const TermPlan& t = atom.terms[i];
-        if (!t.is_var || bound[t.slot]) {
-          atom.table->WarmColumnIndex(i);
-          break;
-        }
-      }
-    }
-    for (const TermPlan& t : atom.terms) {
-      if (t.is_var) bound[t.slot] = true;
+  for (const JoinStep& step : PlanJoin(std::nullopt)) {
+    if (!atoms_[step.atom].negated && step.probe_col >= 0) {
+      atoms_[step.atom].table->WarmColumnIndex(step.probe_col);
     }
   }
 }

@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -43,29 +44,49 @@ class CompiledRuleBody {
   const std::map<std::string, int>& var_slots() const { return var_slots_; }
   size_t num_slots() const { return var_slots_.size(); }
 
-  /// Enumerates all derivations in the current database state.
-  void EvaluateFull(const BindingCallback& fn) const;
+  /// Enumerates all derivations in the current database state: a nested loop
+  /// over the body's atoms in declared order (positive atoms first), each
+  /// probing the index of its first constant or bound column. When
+  /// `rows_visited` is given, adds the table rows and delta entries the join
+  /// enumerated to it.
+  void EvaluateFull(const BindingCallback& fn, uint64_t* rows_visited = nullptr) const;
 
   /// Enumerates derivations gained/lost given set-level deltas (count sign
   /// +1 = tuple appeared, -1 = disappeared) for some body relations. Tables
   /// must already be in the NEW state (deltas applied). Relations absent
   /// from `deltas` are treated as unchanged. Errors if a negated atom's
-  /// relation changed (unsupported).
+  /// relation changed (unsupported; see CheckNegatedUnchanged).
+  ///
+  /// Each telescoping term starts its join at its DELTA atom and reaches the
+  /// other atoms through column indexes, so it costs O(|delta| x fan-out),
+  /// not O(table). Each term's bindings are emitted in the order of the
+  /// declared-order nested loop over that term (NEW and OLD rows by RowId,
+  /// OLD add-backs of deleted tuples after them, DELTA entries in
+  /// DeltaTable::ForEach order), so derivation counts, row ids and ground
+  /// ids downstream do not depend on the join order.
   Status EvaluateDelta(const std::map<std::string, const DeltaTable*>& deltas,
-                       const BindingCallback& fn) const;
+                       const BindingCallback& fn,
+                       uint64_t* rows_visited = nullptr) const;
 
-  // ---- sharded evaluation ----
+  /// Delta evaluation's one precondition: no negated atom reads a relation
+  /// for which `changed` returns true. Returns Unimplemented naming the first
+  /// such relation. EvaluateDelta checks it itself; a caller that must
+  /// reject an update before changing any table checks it up front.
+  Status CheckNegatedUnchanged(
+      const std::function<bool(const std::string&)>& changed) const;
+
+  // ---- sharded full evaluation ----
   //
   // The driver atom (first body atom) defines a scan domain that can be
   // partitioned into contiguous ranges; evaluating each range independently
-  // and concatenating the results in range order reproduces the sequential
-  // enumeration exactly. This is what lets the grounder run shards on a
-  // thread pool and still build a bit-identical graph.
+  // and concatenating the results in range order reproduces EvaluateFull
+  // exactly. This is what lets the grounder run shards on a thread pool and
+  // still build a bit-identical graph.
 
-  /// True when the driver atom has a constant term: the sequential
-  /// recursion then probes the driver's column index (O(matching rows)),
-  /// which usually beats a sharded full scan — callers should prefer the
-  /// sequential path for such bodies.
+  /// True when the driver atom has a constant term: EvaluateFull then probes
+  /// the driver's column index (O(matching rows)), which usually beats a
+  /// sharded full scan — callers should prefer the sequential path for such
+  /// bodies.
   bool DriverHasConstantTerm() const;
 
   /// Size of the full-evaluation driver domain (the driver table's row-slot
@@ -75,49 +96,10 @@ class CompiledRuleBody {
   /// Enumerates exactly the derivations whose driver row-slot falls in
   /// [begin, end). EvaluateFull == EvaluateFullRange(0, FullDriverDomain()).
   /// Thread-safe against concurrent ranges once PrewarmIndexes() has run.
-  void EvaluateFullRange(size_t begin, size_t end, const BindingCallback& fn) const;
+  void EvaluateFullRange(size_t begin, size_t end, const BindingCallback& fn,
+                         uint64_t* rows_visited = nullptr) const;
 
-  /// Precomputed state for one EvaluateDelta call: the telescoping terms plus
-  /// (for the sharded path) the driver atom's materialized delta entries.
-  struct DeltaEvalPlan {
-    std::vector<size_t> delta_positions;
-    std::vector<const DeltaTable*> atom_deltas;
-    /// Driver-atom delta entries / deletions in ForEach order, filled by
-    /// MaterializeDriverDelta. Only the indexed range evaluation needs them
-    /// (sequential term evaluation iterates the delta table directly).
-    std::vector<std::pair<Tuple, int64_t>> driver_entries;
-    std::vector<Tuple> driver_deletions;
-    bool driver_materialized = false;
-    size_t num_terms() const { return delta_positions.size(); }
-  };
-
-  /// Builds the telescoping-evaluation plan (same validation as
-  /// EvaluateDelta: errors on a changed negated relation).
-  StatusOr<DeltaEvalPlan> PlanDeltaEvaluation(
-      const std::map<std::string, const DeltaTable*>& deltas) const;
-
-  /// Copies the driver atom's delta entries into the plan so range
-  /// evaluation can index them. Required before EvaluateDeltaTermRange /
-  /// DeltaTermDomain when the driver is on a changed relation; idempotent.
-  void MaterializeDriverDelta(DeltaEvalPlan* plan) const;
-
-  /// Driver-domain size of one telescoping term, or 0 if not shardable.
-  size_t DeltaTermDomain(const DeltaEvalPlan& plan, size_t term) const;
-
-  /// Sequential evaluation of one telescoping term (the whole driver
-  /// domain), via the recursion that probes the driver's column index when
-  /// it has a constant term. Enumeration order equals
-  /// EvaluateDeltaTermRange(plan, term, 0, DeltaTermDomain(plan, term)).
-  void EvaluateDeltaTerm(const DeltaEvalPlan& plan, size_t term,
-                         const BindingCallback& fn) const;
-
-  /// Enumerates term `term`'s derivations with driver index in [begin, end).
-  /// Covering [0, DeltaTermDomain()) for every term in order reproduces
-  /// EvaluateDelta exactly.
-  void EvaluateDeltaTermRange(const DeltaEvalPlan& plan, size_t term, size_t begin,
-                              size_t end, const BindingCallback& fn) const;
-
-  /// Builds every column index the evaluation will probe. Call before
+  /// Builds every column index full evaluation will probe. Call before
   /// evaluating ranges concurrently: index construction is lazy and not
   /// thread-safe, but probing built indexes is.
   void PrewarmIndexes() const;
@@ -140,42 +122,61 @@ class CompiledRuleBody {
     TermPlan rhs;
   };
 
+  /// Which state of an atom's relation a telescoping term reads: NEW (the
+  /// tables as they are), OLD (NEW minus insertions plus deletions), or the
+  /// delta entries themselves.
   enum class AtomMode { kCurrent, kOld, kDelta };
 
-  void Recurse(size_t atom_idx, std::vector<Value>* values, std::vector<bool>* bound,
-               int64_t sign, const std::vector<AtomMode>& modes,
-               const std::vector<const DeltaTable*>& atom_deltas,
-               const BindingCallback& fn) const;
+  /// One atom of a join order. Which variables are bound before an atom
+  /// depends only on the order (matching binds every variable of an atom),
+  /// so the probe column and the binding terms are fixed when it is planned.
+  struct JoinStep {
+    size_t atom = 0;
+    AtomMode mode = AtomMode::kCurrent;
+    const DeltaTable* delta = nullptr;  // for kOld and kDelta
+    int probe_col = -1;                 // first constant or bound column; -1 = scan
+    std::vector<bool> binds;            // per term: first binding of its variable
+    RowId row_begin = 0;                // row-id range enumerated (sharded full
+    RowId row_end = kInvalidRowId;      // evaluation restricts the driver's)
+  };
 
-  /// True when the driver atom can be enumerated by domain index (non-empty
-  /// body whose first atom is positive).
-  bool DriverShardable() const { return !atoms_.empty() && !atoms_[0].negated; }
+  /// Mutable state of one join: slot values, and per positive atom the
+  /// position of its current tuple in the declared-order nested loop.
+  struct JoinState {
+    JoinState(size_t slots, size_t atoms) : values(slots), keys(atoms) {}
+    std::vector<Value> values;
+    std::vector<uint64_t> keys;
+    uint64_t rows_visited = 0;
+  };
 
-  /// Per-atom modes of telescoping term `term`: positions at telescoping
-  /// index < term evaluate NEW, == term DELTA, > term OLD. The single source
-  /// of truth for the mode convention (DeltaTermDomain must agree with it).
-  std::vector<AtomMode> TermModes(const DeltaEvalPlan& plan, size_t term) const;
+  /// Plans a join over every atom. Without `start`, atoms go in declared
+  /// order. With it, `start` goes first; then, repeatedly, the lowest-index
+  /// positive atom with a constant or bound column (a scan only when no
+  /// remaining atom has one); negated atoms last.
+  std::vector<JoinStep> PlanJoin(std::optional<size_t> start) const;
 
-  /// Enumerates driver-atom matches with domain index in [begin, end) under
-  /// `mode`, recursing into the remaining atoms for each.
-  void RecurseDriverRange(size_t begin, size_t end, AtomMode driver_mode,
-                          const std::vector<std::pair<Tuple, int64_t>>* driver_entries,
-                          const std::vector<Tuple>* driver_deletions,
-                          const std::vector<AtomMode>& modes,
-                          const std::vector<const DeltaTable*>& atom_deltas,
-                          const BindingCallback& fn) const;
+  /// Runs `steps` from `depth` on, calling `fn` for every binding that
+  /// satisfies the conditions.
+  void Join(const std::vector<JoinStep>& steps, size_t depth, int64_t sign,
+            JoinState* state, const BindingCallback& fn) const;
 
-  /// Tries to bind the atom's terms against `tuple`; returns false on
-  /// mismatch. Appends newly bound slots to `newly_bound`.
-  bool MatchTuple(const AtomPlan& atom, const Tuple& tuple, std::vector<Value>* values,
-                  std::vector<bool>* bound, std::vector<int>* newly_bound) const;
+  /// Runs one telescoping term's join and emits its bindings stable-sorted by
+  /// their positive atoms' keys, taken in declared order.
+  void EvaluateDeltaTerm(const std::vector<JoinStep>& steps, const BindingCallback& fn,
+                         uint64_t* rows_visited) const;
+
+  /// Matches the atom's terms against `tuple` under `step`'s binding plan,
+  /// writing the slots it binds; returns false on mismatch.
+  bool MatchTuple(const AtomPlan& atom, const JoinStep& step, const Tuple& tuple,
+                  std::vector<Value>* values) const;
 
   bool ConditionsHold(const std::vector<Value>& values) const;
 
-  bool TupleInOld(const AtomPlan& atom, const DeltaTable* delta,
-                  const Tuple& tuple) const;
+  /// True when the body is non-empty and its driver atom is positive.
+  bool DriverShardable() const { return !atoms_.empty() && !atoms_[0].negated; }
 
-  std::vector<AtomPlan> atoms_;
+  std::vector<AtomPlan> atoms_;  // positive atoms first, then negated ones
+  size_t num_positive_ = 0;
   std::vector<CondPlan> conditions_;
   std::map<std::string, int> var_slots_;
 };

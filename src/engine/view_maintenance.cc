@@ -104,7 +104,12 @@ StatusOr<RelationDeltas> ViewMaintainer::AddRule(const dsl::DeductiveRule& rule)
     return topo;
   }
   RelationDeltas no_external;
-  return Propagate(no_external, {rules_.size() - 1}, +1);
+  auto result = Propagate(no_external, {rules_.size() - 1}, +1);
+  if (!result.ok()) {
+    rules_.pop_back();
+    (void)RecomputeTopoOrder();
+  }
+  return result;
 }
 
 StatusOr<RelationDeltas> ViewMaintainer::RemoveRule(const std::string& label) {
@@ -164,9 +169,44 @@ Status ViewMaintainer::FoldCounts(const std::string& relation,
   return status;
 }
 
+Status ViewMaintainer::CheckDeltaRulesEvaluable(
+    const RelationDeltas& external_deltas, const std::vector<size_t>& full_rules) const {
+  std::set<std::string> changing;
+  auto is_changing = [&](const std::string& relation) {
+    return changing.count(relation) > 0;
+  };
+  for (const std::string& relation : topo_order_) {
+    bool changes = false;
+    auto ext = external_deltas.find(relation);
+    if (ext != external_deltas.end()) {
+      ext->second.ForEach([&](const Tuple& t, int64_t dc) {
+        const int64_t before = DerivationCount(relation, t);
+        if ((before > 0) != (before + dc > 0)) changes = true;
+      });
+    }
+    for (size_t i = 0; i < rules_.size(); ++i) {
+      const MaintainedRule& mr = rules_[i];
+      if (mr.rule.head.predicate != relation) continue;
+      if (std::find(full_rules.begin(), full_rules.end(), i) != full_rules.end()) {
+        changes = true;
+        continue;
+      }
+      if (std::none_of(mr.rule.body.begin(), mr.rule.body.end(),
+                       [&](const dsl::Atom& atom) { return is_changing(atom.predicate); })) {
+        continue;
+      }
+      DD_RETURN_IF_ERROR(mr.body.CheckNegatedUnchanged(is_changing));
+      changes = true;
+    }
+    if (changes) changing.insert(relation);
+  }
+  return Status::OK();
+}
+
 StatusOr<RelationDeltas> ViewMaintainer::Propagate(
     const RelationDeltas& external_deltas, const std::vector<size_t>& full_rules,
     int64_t full_sign) {
+  DD_RETURN_IF_ERROR(CheckDeltaRulesEvaluable(external_deltas, full_rules));
   RelationDeltas set_deltas;  // finalized set-level changes, by relation
 
   for (const std::string& relation : topo_order_) {
@@ -193,20 +233,25 @@ StatusOr<RelationDeltas> ViewMaintainer::Propagate(
       }
       if (body_deltas.empty()) continue;
       DD_RETURN_IF_ERROR(mr.body.EvaluateDelta(
-          body_deltas, [&](const std::vector<Value>& values, int64_t sign) {
+          body_deltas,
+          [&](const std::vector<Value>& values, int64_t sign) {
             count_delta.Add(
                 ProjectHead(mr.rule.head.terms, mr.body.var_slots(), values), sign);
-          }));
+          },
+          &rows_visited_));
     }
 
     // (c) full evaluation of newly added (or retracted) rules.
     for (size_t i : full_rules) {
       const MaintainedRule& mr = rules_[i];
       if (mr.rule.head.predicate != relation) continue;
-      mr.body.EvaluateFull([&](const std::vector<Value>& values, int64_t sign) {
-        count_delta.Add(ProjectHead(mr.rule.head.terms, mr.body.var_slots(), values),
-                        sign * full_sign);
-      });
+      mr.body.EvaluateFull(
+          [&](const std::vector<Value>& values, int64_t sign) {
+            count_delta.Add(
+                ProjectHead(mr.rule.head.terms, mr.body.var_slots(), values),
+                sign * full_sign);
+          },
+          &rows_visited_);
     }
 
     DD_RETURN_IF_ERROR(FoldCounts(relation, count_delta, &set_deltas));

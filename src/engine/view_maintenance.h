@@ -37,6 +37,8 @@ class ViewMaintainer {
   /// Applies external data changes (count-level; tables not yet modified by
   /// the caller) and propagates through all rules. Returns the set-level
   /// delta of every relation that changed. Tables are updated in place.
+  /// An update the delta rules cannot evaluate (a rule negates a relation
+  /// that may change) is rejected before any table or count changes.
   StatusOr<RelationDeltas> ApplyUpdate(const RelationDeltas& external_deltas);
 
   /// Adds a deductive rule to the running system: evaluates it fully over
@@ -56,6 +58,10 @@ class ViewMaintainer {
 
   size_t NumRules() const { return rules_.size(); }
 
+  /// Cumulative count of table rows and delta entries the rule-body joins
+  /// enumerated, across all rules and updates.
+  uint64_t rows_visited() const { return rows_visited_; }
+
  private:
   struct MaintainedRule {
     dsl::DeductiveRule rule;
@@ -69,6 +75,14 @@ class ViewMaintainer {
   StatusOr<RelationDeltas> Propagate(const RelationDeltas& external_deltas,
                                      const std::vector<size_t>& full_rules,
                                      int64_t full_sign);
+
+  /// Rejects, before Propagate changes anything, a pass whose delta rules
+  /// would read a changed relation through a negated atom. A relation counts
+  /// as changing when an external change flips a tuple's presence, or when
+  /// it heads a fully evaluated rule or a rule that reads a changing
+  /// relation; this over-approximates the set-level changes Propagate finds.
+  Status CheckDeltaRulesEvaluable(const RelationDeltas& external_deltas,
+                                  const std::vector<size_t>& full_rules) const;
 
   Status CompileRule(const dsl::DeductiveRule& rule);
   Status RecomputeTopoOrder();
@@ -84,6 +98,7 @@ class ViewMaintainer {
   std::map<std::string, DeltaTable> counts_;   // relation -> tuple -> #derivations
   std::vector<std::string> topo_order_;        // relations, upstream first
   bool initialized_ = false;
+  uint64_t rows_visited_ = 0;
 };
 
 }  // namespace deepdive::engine

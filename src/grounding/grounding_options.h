@@ -6,19 +6,18 @@
 namespace deepdive::grounding {
 
 /// Execution knobs for the sharded grounding pipeline. The grounder
-/// partitions each rule evaluation's driver-atom scan into contiguous row
-/// ranges, evaluates and emits per-shard on the thread pool, and merges the
-/// shard deltas deterministically — output is bit-identical to the
-/// sequential grounder at any thread count.
+/// partitions each full rule evaluation's driver-atom scan into contiguous
+/// row ranges, evaluates and emits per-shard on the thread pool, and merges
+/// the shard deltas deterministically — output is bit-identical to the
+/// sequential grounder at any thread count. Delta evaluation is sequential.
 struct GroundingOptions {
   /// Worker threads for rule evaluation + factor emission.
   /// 1 = sequential (default); 0 = hardware concurrency.
   size_t num_threads = 1;
 
-  /// Evaluations whose driver domain (table row slots, or delta entries)
-  /// is smaller than this stay sequential: the typical incremental update
-  /// touches a handful of tuples, where shard bookkeeping costs more than
-  /// the evaluation itself.
+  /// Full evaluations whose driver domain (the driver table's row slots) is
+  /// smaller than this stay sequential: on small tables, shard bookkeeping
+  /// costs more than the evaluation itself.
   size_t min_shard_rows = 2048;
 };
 

@@ -69,6 +69,8 @@ struct IncrementalGrounder::ShardBuffer {
   std::unordered_map<std::string, std::unordered_map<Tuple, uint32_t, TupleHash>>
       var_lookup;
   std::unordered_map<std::string, uint32_t> weight_lookup;
+
+  uint64_t rows_visited = 0;  // by this shard's evaluation
 };
 
 IncrementalGrounder::IncrementalGrounder(const dsl::Program* program, Database* db,
@@ -402,10 +404,12 @@ void IncrementalGrounder::GroundRuleFull(const CompiledFactorRule& cr,
     // Groundings are buffered first because ProcessGrounding mutates graph
     // state while tables are being scanned.
     std::vector<std::vector<Value>> bindings;
-    cr.body.EvaluateFull([&](const std::vector<Value>& values, int64_t sign) {
-      DD_CHECK_EQ(sign, 1);
-      bindings.push_back(values);
-    });
+    cr.body.EvaluateFull(
+        [&](const std::vector<Value>& values, int64_t sign) {
+          DD_CHECK_EQ(sign, 1);
+          bindings.push_back(values);
+        },
+        &rows_visited_);
     for (const auto& values : bindings) {
       ProcessGrounding(cr, values, +1, delta);
     }
@@ -417,12 +421,15 @@ void IncrementalGrounder::GroundRuleFull(const CompiledFactorRule& cr,
   std::vector<ShardBuffer> buffers(pool_->shards());
   pool_->ParallelFor(domain, [&](size_t shard, size_t begin, size_t end) {
     ShardBuffer* buf = &buffers[shard];
-    cr.body.EvaluateFullRange(begin, end,
-                              [&](const std::vector<Value>& values, int64_t sign) {
-                                DD_CHECK_EQ(sign, 1);
-                                EmitShardGrounding(cr, values, sign, buf);
-                              });
+    cr.body.EvaluateFullRange(
+        begin, end,
+        [&](const std::vector<Value>& values, int64_t sign) {
+          DD_CHECK_EQ(sign, 1);
+          EmitShardGrounding(cr, values, sign, buf);
+        },
+        &buf->rows_visited);
   });
+  for (const ShardBuffer& buf : buffers) rows_visited_ += buf.rows_visited;
   MergeShardBuffers(cr, &buffers, delta);
 }
 
@@ -517,8 +524,8 @@ StatusOr<GraphDelta> IncrementalGrounder::ApplyRelationDeltas(
   }
 
   // 3. Delta-ground every factor rule whose body touches a changed relation.
-  //    Each telescoping term's driver scan shards independently; small
-  //    deltas (the common incremental case) stay sequential.
+  //    Each telescoping term starts at its changed atom, so the work follows
+  //    the update, not the tables: it runs sequentially.
   for (const CompiledFactorRule& cr : rules_) {
     std::map<std::string, const DeltaTable*> body_deltas;
     for (const dsl::Atom& atom : cr.rule.body) {
@@ -526,49 +533,12 @@ StatusOr<GraphDelta> IncrementalGrounder::ApplyRelationDeltas(
       if (it != deltas.end()) body_deltas[atom.predicate] = &it->second;
     }
     if (body_deltas.empty()) continue;
-
-    DD_ASSIGN_OR_RETURN(engine::CompiledRuleBody::DeltaEvalPlan plan,
-                        cr.body.PlanDeltaEvaluation(body_deltas));
-    size_t max_domain = 0;
-    for (size_t m = 0; m < plan.num_terms(); ++m) {
-      max_domain = std::max(max_domain, cr.body.DeltaTermDomain(plan, m));
-    }
-    const size_t shards =
-        cr.body.DriverHasConstantTerm() ? 1 : ShardsFor(max_domain);
-    if (shards <= 1) {
-      // Sequential: reuse the plan already built for routing, via the
-      // index-probing recursion (the range path always scans the driver).
-      std::vector<std::pair<std::vector<Value>, int64_t>> bindings;
-      for (size_t m = 0; m < plan.num_terms(); ++m) {
-        cr.body.EvaluateDeltaTerm(plan, m,
-                                  [&](const std::vector<Value>& values, int64_t sign) {
-                                    bindings.emplace_back(values, sign);
-                                  });
-      }
-      for (const auto& [values, sign] : bindings) {
-        ProcessGrounding(cr, values, sign, &delta);
-      }
-      continue;
-    }
-
-    EnsurePool();
-    cr.body.PrewarmIndexes();
-    cr.body.MaterializeDriverDelta(&plan);
-    const size_t per_term = pool_->shards();
-    std::vector<ShardBuffer> buffers(plan.num_terms() * per_term);
-    for (size_t m = 0; m < plan.num_terms(); ++m) {
-      pool_->ParallelFor(
-          cr.body.DeltaTermDomain(plan, m),
-          [&](size_t shard, size_t begin, size_t end) {
-            ShardBuffer* buf = &buffers[m * per_term + shard];
-            cr.body.EvaluateDeltaTermRange(
-                plan, m, begin, end,
-                [&](const std::vector<Value>& values, int64_t sign) {
-                  EmitShardGrounding(cr, values, sign, buf);
-                });
-          });
-    }
-    MergeShardBuffers(cr, &buffers, &delta);
+    DD_RETURN_IF_ERROR(cr.body.EvaluateDelta(
+        body_deltas,
+        [&](const std::vector<Value>& values, int64_t sign) {
+          ProcessGrounding(cr, values, sign, &delta);
+        },
+        &rows_visited_));
   }
   return delta;
 }

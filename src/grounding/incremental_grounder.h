@@ -29,15 +29,17 @@ namespace deepdive::grounding {
 ///     used for views)
 ///   * rule addition/removal   -> full evaluation / group deactivation
 ///
-/// With `options.num_threads > 1`, large evaluations run as a sharded
-/// pipeline (compile -> shard -> evaluate -> merge): the driver atom's scan
-/// is partitioned into contiguous row ranges, each shard evaluates its range
-/// and emits groundings into a private buffer (resolving variables/weights
-/// against the frozen graph, minting shard-local provisional ids for
-/// misses), and a deterministic merge replays the buffers in shard order.
-/// The merged graph and delta are bit-identical to the sequential result at
-/// any thread count, because ids are assigned in the same global
-/// first-encounter order the sequential grounder would use.
+/// With `options.num_threads > 1`, large full evaluations (GroundAll,
+/// AddFactorRule) run as a sharded pipeline (compile -> shard -> evaluate ->
+/// merge): the driver atom's scan is partitioned into contiguous row ranges,
+/// each shard evaluates its range and emits groundings into a private buffer
+/// (resolving variables/weights against the frozen graph, minting
+/// shard-local provisional ids for misses), and a deterministic merge
+/// replays the buffers in shard order. The merged graph and delta are
+/// bit-identical to the sequential result at any thread count, because ids
+/// are assigned in the same global first-encounter order the sequential
+/// grounder would use. Delta evaluation starts each term at its changed
+/// atom, so its work follows the update; it always runs sequentially.
 class IncrementalGrounder {
  public:
   /// `ground` may be empty (fresh grounding) or a previously built graph.
@@ -73,6 +75,10 @@ class IncrementalGrounder {
   /// rule evaluates only that rule, so the count equals the new rule's
   /// bindings — a full re-ground would be NumFactorRules() times larger.
   uint64_t last_rule_groundings() const { return last_rule_groundings_; }
+  /// Cumulative count of table rows and delta entries the rule-body joins
+  /// enumerated, across all rules and updates (shards summed). The witness
+  /// that delta grounding costs work in proportion to the update.
+  uint64_t rows_visited() const { return rows_visited_; }
   /// Immutable after construction; the reference is safe on any thread that
   /// may see the grounder at all (serving thread, in practice).
   const GroundingOptions& options() const { return options_; }
@@ -163,6 +169,7 @@ class IncrementalGrounder {
   bool initialized_ = false;
   uint64_t groundings_emitted_ = 0;
   uint64_t last_rule_groundings_ = 0;
+  uint64_t rows_visited_ = 0;
 };
 
 }  // namespace deepdive::grounding

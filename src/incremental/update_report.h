@@ -27,6 +27,10 @@ struct UpdateReport {
   /// addition this equals the new rule's match count — the witness that the
   /// add evaluated only that rule, not the whole program.
   uint64_t grounding_work = 0;
+  /// Table rows and delta entries the rule-body joins of view maintenance
+  /// and grounding enumerated for this update: the witness that the update's
+  /// grounding cost follows the change, not the database size.
+  uint64_t grounding_rows_visited = 0;
   size_t graph_variables = 0;
   size_t graph_factors = 0;  // active clauses
   /// Epoch of the ResultView this update published (DeepDive::Query()).

@@ -35,8 +35,8 @@ class DeltaTable {
   /// Distinct tuples with non-zero count.
   size_t size() const;
 
-  /// Distinct tuples with negative count (O(1); maintained by Add). The
-  /// sharded grounder sizes OLD-mode driver domains with this.
+  /// Distinct tuples with negative count (O(1); maintained by Add). Delta
+  /// evaluation skips its walk for deleted tuples when this is zero.
   size_t DeletionEntries() const { return negative_entries_; }
 
   /// Visits every (tuple, count) pair with count != 0, in hash-table order.

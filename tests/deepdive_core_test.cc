@@ -86,6 +86,63 @@ TEST(DeepDiveTest, DataDeletionRetractsCandidates) {
   EXPECT_EQ(dd->Marginals("HasSpouse").size(), 4u);  // index keeps ghosts
 }
 
+// The serving benchmark's join shapes: the sentence self-join and the
+// entity-link join, each as a view and as a factor rule.
+constexpr char kLinkedProgram[] = R"(
+  relation PersonCandidate(sent: int, mention: int).
+  relation EL(mention: int, entity: int).
+  query relation HasSpouse(m1: int, m2: int).
+  query relation SpouseKB(e1: int, e2: int).
+  rule CAND: HasSpouse(m1, m2) :-
+    PersonCandidate(s, m1), PersonCandidate(s, m2), m1 != m2.
+  factor PRIOR: HasSpouse(m1, m2) :-
+    PersonCandidate(s, m1), PersonCandidate(s, m2), m1 != m2
+    weight = -0.8 semantics = logical.
+  rule KBCAND: SpouseKB(e1, e2) :-
+    PersonCandidate(s, m1), PersonCandidate(s, m2),
+    EL(m1, e1), EL(m2, e2), m1 != m2.
+  factor AGG: SpouseKB(e1, e2) :-
+    HasSpouse(m1, m2), EL(m1, e1), EL(m2, e2) weight = 1.2 semantics = ratio.
+)";
+
+/// Document d: one sentence with two mentions, each linked to an entity.
+void AddDocument(int64_t d, std::vector<Tuple>* mentions, std::vector<Tuple>* links) {
+  for (int64_t i = 0; i < 2; ++i) {
+    mentions->push_back({Value(d), Value(2 * d + i)});
+    links->push_back({Value(2 * d + i), Value(1000 + 2 * d + i)});
+  }
+}
+
+/// Rows visited by a one-document update to a KB of `documents` documents.
+uint64_t OneDocumentRowsVisited(int64_t documents) REQUIRES(serving_thread) {
+  auto dd = DeepDive::Create(kLinkedProgram, FastTestConfig());
+  EXPECT_TRUE(dd.ok()) << dd.status().ToString();
+  std::vector<Tuple> mentions, links;
+  for (int64_t d = 0; d < documents; ++d) AddDocument(d, &mentions, &links);
+  EXPECT_TRUE((*dd)->LoadRows("PersonCandidate", mentions).ok());
+  EXPECT_TRUE((*dd)->LoadRows("EL", links).ok());
+  EXPECT_TRUE((*dd)->Initialize().ok());
+
+  UpdateSpec spec;
+  spec.label = "document";
+  AddDocument(documents, &spec.inserts["PersonCandidate"], &spec.inserts["EL"]);
+  auto report = (*dd)->ApplyUpdate(spec);
+  EXPECT_TRUE(report.ok()) << report.status().ToString();
+  if (!report.ok()) return 0;
+  // PRIOR and AGG over both ordered pairs of the new document.
+  EXPECT_EQ(report->grounding_work, 4u);
+  return report->grounding_rows_visited;
+}
+
+TEST(DeepDiveTest, DataUpdateRowsVisitedFollowTheUpdate) {
+  deepdive::serving_thread.AssertHeld();
+  const uint64_t small = OneDocumentRowsVisited(40);
+  const uint64_t large = OneDocumentRowsVisited(400);
+  EXPECT_GT(small, 0u);
+  EXPECT_LE(2 * large, 3 * small) << "rows visited grow with the tables: " << small
+                                  << " at 40 documents, " << large << " at 400";
+}
+
 TEST(DeepDiveTest, RuleUpdateAddsFactorsAndLearns) {
   deepdive::serving_thread.AssertHeld();
   auto dd = Make(ExecutionMode::kIncremental);

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <map>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "dsl/program.h"
 #include "engine/rule_evaluator.h"
@@ -238,6 +243,241 @@ TEST_P(DeltaEvaluationProperty, MatchesRecomputation) {
 
 INSTANTIATE_TEST_SUITE_P(RandomSeeds, DeltaEvaluationProperty,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12));
+
+// ---- emission order ----
+//
+// Reference for EvaluateDelta's emission order: each telescoping term as a
+// nested loop over the atoms in declared order, each atom probing the index of
+// its first constant or bound column (a scan when it has none), OLD atoms
+// adding just-deleted tuples back after the rows, DELTA atoms visiting their
+// entries in ForEach order. Row ids, group ids and derivation counts
+// downstream follow this order.
+struct RefTerm {
+  int slot = -1;  // -1 = constant
+  Value constant;
+};
+struct RefAtom {
+  const Table* table = nullptr;
+  std::string relation;
+  bool negated = false;
+  std::vector<RefTerm> terms;
+};
+enum class RefMode { kNew, kOld, kDelta };
+using Emitted = std::vector<std::pair<std::vector<Value>, int64_t>>;
+
+void RefJoin(const std::vector<RefAtom>& atoms, const std::vector<RefMode>& modes,
+             const std::vector<const DeltaTable*>& deltas,
+             const std::vector<std::pair<int, int>>& distinct, size_t k,
+             std::vector<Value> values, std::vector<bool> bound, int64_t sign,
+             Emitted* out) {
+  if (k == atoms.size()) {
+    for (const auto& [l, r] : distinct) {
+      if (values[l] == values[r]) return;
+    }
+    out->emplace_back(values, sign);
+    return;
+  }
+  const RefAtom& atom = atoms[k];
+  auto value_of = [&](const RefTerm& t) { return t.slot < 0 ? t.constant : values[t.slot]; };
+  if (atom.negated) {
+    Tuple probe;
+    for (const RefTerm& t : atom.terms) probe.push_back(value_of(t));
+    if (!atom.table->Contains(probe)) {
+      RefJoin(atoms, modes, deltas, distinct, k + 1, values, bound, sign, out);
+    }
+    return;
+  }
+  auto try_tuple = [&](const Tuple& tuple, int64_t tuple_sign) {
+    std::vector<Value> v = values;
+    std::vector<bool> b = bound;
+    for (size_t i = 0; i < atom.terms.size(); ++i) {
+      const RefTerm& t = atom.terms[i];
+      if (t.slot >= 0 && !b[t.slot]) {
+        v[t.slot] = tuple[i];
+        b[t.slot] = true;
+      } else if (!((t.slot < 0 ? t.constant : v[t.slot]) == tuple[i])) {
+        return;
+      }
+    }
+    RefJoin(atoms, modes, deltas, distinct, k + 1, v, b, sign * tuple_sign, out);
+  };
+  if (modes[k] == RefMode::kDelta) {
+    deltas[k]->ForEach([&](const Tuple& t, int64_t c) { try_tuple(t, c > 0 ? 1 : -1); });
+    return;
+  }
+  int col = -1;
+  for (size_t i = 0; i < atom.terms.size() && col < 0; ++i) {
+    if (atom.terms[i].slot < 0 || bound[atom.terms[i].slot]) col = static_cast<int>(i);
+  }
+  std::vector<RowId> ids;
+  if (col >= 0) {
+    ids = atom.table->Lookup(col, value_of(atom.terms[col]));
+  } else {
+    atom.table->Scan([&](RowId id, const Tuple&) { ids.push_back(id); });
+  }
+  for (RowId id : ids) {
+    const Tuple& t = atom.table->row(id);
+    if (modes[k] == RefMode::kOld && deltas[k]->Count(t) > 0) continue;
+    try_tuple(t, 1);
+  }
+  if (modes[k] == RefMode::kOld) {
+    deltas[k]->ForEach([&](const Tuple& t, int64_t c) {
+      if (c < 0 && (col < 0 || t[col] == value_of(atom.terms[col]))) try_tuple(t, 1);
+    });
+  }
+}
+
+Emitted RefDelta(const std::vector<RefAtom>& atoms,
+                 const std::map<std::string, const DeltaTable*>& deltas,
+                 const std::vector<std::pair<int, int>>& distinct, size_t num_slots) {
+  std::vector<size_t> positions;  // (relation name, atom index) order
+  for (const auto& [relation, delta] : deltas) {
+    for (size_t k = 0; k < atoms.size(); ++k) {
+      if (!atoms[k].negated && atoms[k].relation == relation) positions.push_back(k);
+    }
+  }
+  Emitted out;
+  for (size_t term = 0; term < positions.size(); ++term) {
+    std::vector<RefMode> modes(atoms.size(), RefMode::kNew);
+    std::vector<const DeltaTable*> atom_deltas(atoms.size(), nullptr);
+    for (size_t m = 0; m < positions.size(); ++m) {
+      const size_t k = positions[m];
+      modes[k] = m < term ? RefMode::kNew : m == term ? RefMode::kDelta : RefMode::kOld;
+      atom_deltas[k] = deltas.at(atoms[k].relation);
+    }
+    RefJoin(atoms, modes, atom_deltas, distinct, 0, std::vector<Value>(num_slots),
+            std::vector<bool>(num_slots, false), 1, &out);
+  }
+  return out;
+}
+
+// Property: for random bodies (self-joins, constants, repeated variables, a
+// negated atom on an unchanged relation, != conditions) and mixed
+// insert/delete deltas, EvaluateDelta emits exactly the reference's sequence.
+class DeltaEmissionOrderProperty : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(DeltaEmissionOrderProperty, MatchesDeclaredOrderNestedLoop) {
+  Rng rng(GetParam());
+  const char* kVars[] = {"a", "b", "c", "d"};
+  const char* kRelations[] = {"P", "Q"};
+  auto small = [&]() { return static_cast<int64_t>(rng.UniformInt(4)); };
+
+  // Random body: 1-4 atoms over P and Q, the first term of the first atom a
+  // variable so the head has one.
+  std::vector<std::pair<std::string, std::vector<std::string>>> atoms;
+  std::vector<std::string> body_vars;
+  const size_t num_atoms = 1 + rng.UniformInt(4);
+  for (size_t k = 0; k < num_atoms; ++k) {
+    std::vector<std::string> terms;
+    for (size_t i = 0; i < 2; ++i) {
+      if ((k > 0 || i > 0) && rng.Bernoulli(0.2)) {
+        terms.push_back(std::to_string(small()));
+      } else {
+        terms.push_back(kVars[rng.UniformInt(4)]);
+        body_vars.push_back(terms.back());
+      }
+    }
+    atoms.emplace_back(kRelations[rng.UniformInt(2)], terms);
+  }
+  std::string source = "relation P(x: int, y: int). relation Q(x: int, y: int).\n"
+                       "relation N(x: int). relation H(x: int).\n"
+                       "rule H(" + body_vars[0] + ") :- ";
+  for (size_t k = 0; k < atoms.size(); ++k) {
+    source += (k > 0 ? ", " : "") + atoms[k].first + "(" + atoms[k].second[0] + ", " +
+              atoms[k].second[1] + ")";
+  }
+  const bool negated = num_atoms < 4 && rng.Bernoulli(0.5);
+  const std::string negated_var = body_vars[rng.UniformInt(body_vars.size())];
+  if (negated) source += ", !N(" + negated_var + ")";
+  std::vector<std::pair<std::string, std::string>> conditions;
+  if (rng.Bernoulli(0.5)) {
+    conditions.emplace_back(body_vars[rng.UniformInt(body_vars.size())],
+                            body_vars[rng.UniformInt(body_vars.size())]);
+    source += ", " + conditions[0].first + " != " + conditions[0].second;
+  }
+  source += ".";
+  Fixture f(source);
+  ASSERT_FALSE(HasFailure()) << source;
+
+  // Random state with tombstones, re-inserted rows and indexes built before
+  // the update, so row ids and index buckets are not in tuple order.
+  for (const char* name : {"P", "Q"}) {
+    Table* t = f.table(name);
+    for (int i = 0; i < 10; ++i) ASSERT_TRUE(t->Insert({Value(small()), Value(small())}).ok());
+    for (int i = 0; i < 3; ++i) {
+      Tuple row = {Value(small()), Value(small())};
+      if (t->Erase(row) && rng.Bernoulli(0.5)) {
+        ASSERT_TRUE(t->Insert(row).ok());
+      }
+    }
+  }
+  for (int i = 0; i < 2; ++i) ASSERT_TRUE(f.table("N")->Insert({Value(small())}).ok());
+  auto body = f.Compile();
+  body.EvaluateFull([](const std::vector<Value>&, int64_t) {});
+
+  // Mixed insert/delete deltas on P, Q or both; N never changes.
+  std::map<std::string, DeltaTable> changes;
+  const size_t which = rng.UniformInt(3);
+  for (size_t r = 0; r < 2; ++r) {
+    if (which != 2 && which != r) continue;
+    Table* t = f.table(kRelations[r]);
+    DeltaTable& delta = changes[kRelations[r]];
+    for (int i = 0; i < 5; ++i) {
+      Tuple row = {Value(small()), Value(small())};
+      if (delta.Count(row) != 0) continue;
+      if (t->Contains(row)) {
+        if (rng.Bernoulli(0.6)) {
+          t->Erase(row);
+          delta.Add(row, -1);
+        }
+      } else {
+        ASSERT_TRUE(t->Insert(row).ok());
+        delta.Add(row, 1);
+      }
+    }
+  }
+  std::map<std::string, const DeltaTable*> deltas;
+  for (const auto& [name, delta] : changes) {
+    if (!delta.empty()) deltas[name] = &delta;
+  }
+
+  // The reference over the same slot numbering.
+  const auto& slots = body.var_slots();
+  auto ref_term = [&](const std::string& term) {
+    RefTerm t;
+    if (std::isalpha(static_cast<unsigned char>(term[0]))) {
+      t.slot = slots.at(term);
+    } else {
+      t.constant = Value(static_cast<int64_t>(std::stoll(term)));
+    }
+    return t;
+  };
+  std::vector<RefAtom> ref;
+  for (const auto& [relation, terms] : atoms) {
+    ref.push_back(RefAtom{f.table(relation), relation, false,
+                          {ref_term(terms[0]), ref_term(terms[1])}});
+  }
+  if (negated) ref.push_back(RefAtom{f.table("N"), "N", true, {ref_term(negated_var)}});
+  std::vector<std::pair<int, int>> distinct;
+  for (const auto& [l, r] : conditions) distinct.emplace_back(slots.at(l), slots.at(r));
+  const Emitted expected = RefDelta(ref, deltas, distinct, body.num_slots());
+
+  Emitted actual;
+  ASSERT_TRUE(body.EvaluateDelta(deltas,
+                                 [&](const std::vector<Value>& values, int64_t sign) {
+                                   actual.emplace_back(values, sign);
+                                 })
+                  .ok());
+  ASSERT_EQ(actual.size(), expected.size()) << source;
+  for (size_t i = 0; i < actual.size(); ++i) {
+    EXPECT_EQ(TupleToString(actual[i].first), TupleToString(expected[i].first))
+        << source << " binding " << i;
+    EXPECT_EQ(actual[i].second, expected[i].second) << source << " binding " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomBodies, DeltaEmissionOrderProperty,
+                         ::testing::Range<uint64_t>(1, 61));
 
 }  // namespace
 }  // namespace deepdive::engine

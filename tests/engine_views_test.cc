@@ -163,6 +163,58 @@ TEST(ViewMaintainerTest, ExternalInsertOnDerivedRelationCounts) {
   EXPECT_TRUE(f.Rows("B").count("(1)"));  // external derivation survives
 }
 
+TEST(ViewMaintainerTest, RejectedUpdateChangesNothing) {
+  // Delta rules cannot read a changed relation through a negated atom. Such
+  // an update is rejected before any table or derivation count changes,
+  // including those of relations the rejected rule does not read.
+  Fixture f(R"(
+    relation A(x: int).
+    relation B(x: int).
+    relation C(x: int).
+    relation G(x: int).
+    relation H(x: int).
+    rule RH: H(x) :- A(x), !B(x).
+    rule RG: G(x) :- C(x).
+  )");
+  ASSERT_TRUE(f.db.GetTable("A")->Insert({Value(3)}).ok());
+  ASSERT_TRUE(f.vm->Initialize().ok());
+  ASSERT_EQ(f.Rows("H"), (std::set<std::string>{"(3)"}));
+  auto expect_untouched = [&]() {
+    for (const char* table : {"B", "C", "G"}) {
+      EXPECT_EQ(f.db.GetTable(table)->RowSlots(), 0u) << table;
+    }
+    EXPECT_EQ(f.Rows("H"), (std::set<std::string>{"(3)"}));
+    EXPECT_EQ(f.vm->DerivationCount("B", {Value(3)}), 0);
+    EXPECT_EQ(f.vm->DerivationCount("C", {Value(5)}), 0);
+    EXPECT_EQ(f.vm->DerivationCount("H", {Value(3)}), 1);
+  };
+
+  RelationDeltas external;
+  external["B"].Add({Value(3)}, 1);
+  external["C"].Add({Value(5)}, 1);
+  auto result = f.vm->ApplyUpdate(external);
+  EXPECT_EQ(result.status().code(), StatusCode::kUnimplemented);
+  expect_untouched();
+
+  // A new rule deriving into the negated relation is rejected the same way,
+  // and is not left behind in the rule set.
+  auto parsed = dsl::CompileProgram(R"(
+    relation A(x: int).
+    relation B(x: int).
+    rule NB: B(x) :- A(x).
+  )");
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(f.vm->AddRule(parsed->deductive_rules()[0]).status().code(),
+            StatusCode::kUnimplemented);
+  EXPECT_EQ(f.vm->NumRules(), 2u);
+  expect_untouched();
+
+  RelationDeltas valid;
+  valid["C"].Add({Value(5)}, 1);
+  ASSERT_TRUE(f.vm->ApplyUpdate(valid).ok());
+  EXPECT_EQ(f.Rows("G"), (std::set<std::string>{"(5)"}));
+}
+
 // Property: after an arbitrary random update sequence, every view equals
 // what from-scratch evaluation would produce.
 class ViewMaintenanceProperty : public ::testing::TestWithParam<uint64_t> {};
