@@ -81,11 +81,11 @@ RunResult RunStream(bool async) REQUIRES(serving_thread) {
   DD_CHECK_OK(engine.Materialize(mopts));
 
   RunResult result;
-  const uint64_t start_generation = engine.snapshot_generation();
+  const uint64_t start_generation = engine.snapshot()->generation;
   for (size_t u = 0; u < kUpdates; ++u) {
     const GraphDelta delta = DriftUpdate(&g, u);
     Timer timer;
-    if (!async && engine.SamplesRemaining() == 0) {
+    if (!async && engine.snapshot()->store.remaining() == 0) {
       // Blocking remat: the caller eats the whole rebuild latency.
       DD_CHECK_OK(engine.Materialize(mopts));
       ++result.remats;
@@ -96,7 +96,7 @@ RunResult RunStream(bool async) REQUIRES(serving_thread) {
   }
   DD_CHECK_OK(engine.WaitForMaterialization());
   if (async) {
-    result.remats = engine.snapshot_generation() - start_generation;
+    result.remats = engine.snapshot()->generation - start_generation;
   }
   return result;
 }

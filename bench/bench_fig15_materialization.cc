@@ -45,7 +45,7 @@ void Run() REQUIRES(serving_thread) {
     if (!engine.Materialize(mopts).ok()) continue;
     std::printf("%-14s | %10zu %10zu | %12zu\n", profile.name.c_str(),
                 dd.ground().graph.NumVariables(), dd.ground().graph.NumActiveClauses(),
-                engine.materialization_stats().samples_collected);
+                engine.snapshot()->stats.samples_collected);
   }
 }
 

@@ -42,7 +42,7 @@ void Run() REQUIRES(serving_thread) {
       continue;
     }
     std::printf("%10g | %12zu | %10.3f %10.3f\n", lambda,
-                (*pipeline)->deepdive().materialization_stats().variational_edges,
+                (*pipeline)->deepdive().Query()->materialization.variational_edges,
                 (*pipeline)->EvaluateMentions(0.5).f1,
                 (*pipeline)->EvaluateFacts(0.5).f1);
   }

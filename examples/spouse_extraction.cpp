@@ -64,7 +64,8 @@ int main() {
   std::vector<double> probs;
   std::vector<bool> truth;
   const auto& corpus = (*pipeline)->corpus();
-  for (const auto& [tuple, p] : (*pipeline)->deepdive().Marginals("HasSpouse")) {
+  const auto view = (*pipeline)->deepdive().Query();
+  for (const auto& [tuple, p] : *view->Relation("HasSpouse")) {
     const int64_t sent = tuple[0].AsInt() / kbc::kMentionStride;
     if (sent < 0 || static_cast<size_t>(sent) >= corpus.sentences.size()) continue;
     probs.push_back(p);

@@ -26,8 +26,7 @@ constexpr size_t kMaxRuleJournal = 8;
 }  // namespace
 
 DeepDive::DeepDive(dsl::Program program, DeepDiveConfig config)
-    : program_(std::move(program)), config_(config),
-      view_(publisher_.Current()) {}
+    : program_(std::move(program)), config_(config) {}
 
 StatusOr<std::unique_ptr<DeepDive>> DeepDive::Create(const std::string& program_source,
                                                      DeepDiveConfig config) {
@@ -135,16 +134,38 @@ void DeepDive::PublishView(incremental::UpdateReport* report) {
   report->epoch = publisher_.next_epoch();
   view->report = *report;
   if (inc_engine_ != nullptr) {
-    // Copy the engine's serving-state facts and pin its snapshot so readers
-    // of this view survive later materialization swaps.
-    const auto engine_view = inc_engine_->Query();
-    view->materialization = engine_view->materialization;
-    view->snapshot_generation = engine_view->snapshot_generation;
-    view->samples_remaining = engine_view->samples_remaining;
-    view->materialized_marginals = engine_view->materialized_marginals;
+    // Copy the serving snapshot's facts and pin (don't copy) its Pr(0)
+    // marginals: the aliasing pointer keeps the whole snapshot alive for
+    // readers of this view across later materialization swaps.
+    const std::shared_ptr<const incremental::MaterializationSnapshot> snapshot =
+        inc_engine_->snapshot();
+    view->materialization = snapshot->stats;
+    view->snapshot_generation = snapshot->generation;
+    view->samples_remaining = snapshot->store.remaining();
+    view->materialized_marginals = std::shared_ptr<const std::vector<double>>(
+        snapshot, &snapshot->materialized_marginals);
   }
   publisher_.Publish(std::move(view));
-  view_ = publisher_.Current();
+}
+
+incremental::UpdateReport DeepDive::FinishUpdate(
+    incremental::UpdateReport report, const incremental::UpdateOutcome* outcome) {
+  if (outcome != nullptr) {
+    marginals_ = outcome->marginals;
+    report.strategy = outcome->fell_back_to_variational
+                          ? incremental::Strategy::kVariational
+                          : outcome->strategy;
+    report.acceptance_rate = outcome->acceptance_rate;
+    report.affected_vars = outcome->affected_vars;
+  }
+  report.graph_variables = ground_.graph.NumVariables();
+  report.graph_factors = ground_.graph.NumActiveClauses();
+  // Publish this update's results as a fresh immutable view (stamping
+  // report.epoch); views pinned before this line keep serving the previous
+  // epoch's marginals untouched.
+  PublishView(&report);
+  ++updates_applied_;
+  return report;
 }
 
 uint64_t DeepDive::RulesFingerprint() const {
@@ -160,11 +181,6 @@ uint64_t DeepDive::RulesFingerprint() const {
     text += '\n';
   }
   return factor::Fnv1aHash(text.data(), text.size());
-}
-
-const incremental::MaterializationStats& DeepDive::materialization_stats() const {
-  static const incremental::MaterializationStats kEmpty;
-  return inc_engine_ ? inc_engine_->materialization_stats() : kEmpty;
 }
 
 StatusOr<incremental::UpdateReport> DeepDive::ApplyUpdate(
@@ -255,36 +271,22 @@ StatusOr<incremental::UpdateReport> DeepDive::ApplyUpdate(
 
   if (config_.mode == ExecutionMode::kRerun) {
     DD_RETURN_IF_ERROR(RunFullPipeline(&report, /*cold_learning=*/true));
-  } else {
-    // ---- incremental learning ----
-    Timer learn_timer;
-    if (!update.analysis_only && !update.skip_learning && HasEvidence() &&
-        !delta.empty()) {
-      LearnIncremental(&delta);
-    }
-    report.learning_seconds = learn_timer.Seconds();
-
-    // ---- incremental inference ----
-    Timer infer_timer;
-    DD_ASSIGN_OR_RETURN(incremental::UpdateOutcome outcome,
-                        inc_engine_->ApplyDelta(delta, config_.engine));
-    report.inference_seconds = infer_timer.Seconds();
-    marginals_ = outcome.marginals;
-    report.strategy = outcome.fell_back_to_variational
-                          ? incremental::Strategy::kVariational
-                          : outcome.strategy;
-    report.acceptance_rate = outcome.acceptance_rate;
-    report.affected_vars = outcome.affected_vars;
+    return FinishUpdate(std::move(report), nullptr);
   }
+  // ---- incremental learning ----
+  Timer learn_timer;
+  if (!update.analysis_only && !update.skip_learning && HasEvidence() &&
+      !delta.empty()) {
+    LearnIncremental(&delta);
+  }
+  report.learning_seconds = learn_timer.Seconds();
 
-  report.graph_variables = ground_.graph.NumVariables();
-  report.graph_factors = ground_.graph.NumActiveClauses();
-  // Publish this update's results as a fresh immutable view (stamping
-  // report.epoch); views pinned before this line keep serving the previous
-  // epoch's marginals untouched.
-  PublishView(&report);
-  history_.push_back(report);
-  return report;
+  // ---- incremental inference ----
+  Timer infer_timer;
+  DD_ASSIGN_OR_RETURN(incremental::UpdateOutcome outcome,
+                      inc_engine_->ApplyDelta(delta, config_.engine));
+  report.inference_seconds = infer_timer.Seconds();
+  return FinishUpdate(std::move(report), &outcome);
 }
 
 StatusOr<incremental::UpdateReport> DeepDive::AddRule(
@@ -360,12 +362,6 @@ StatusOr<incremental::UpdateReport> DeepDive::AddRule(
   DD_ASSIGN_OR_RETURN(incremental::UpdateOutcome outcome,
                       inc_engine_->AddRule(delta, config_.engine));
   report.inference_seconds = infer_timer.Seconds();
-  marginals_ = outcome.marginals;
-  report.strategy = outcome.fell_back_to_variational
-                        ? incremental::Strategy::kVariational
-                        : outcome.strategy;
-  report.acceptance_rate = outcome.acceptance_rate;
-  report.affected_vars = outcome.affected_vars;
   ++program_version_;
 
   ticket.engine_seq_after = inc_engine_->update_seq();
@@ -373,12 +369,7 @@ StatusOr<incremental::UpdateReport> DeepDive::AddRule(
   if (rule_journal_.size() > kMaxRuleJournal) {
     rule_journal_.erase(rule_journal_.begin());
   }
-
-  report.graph_variables = ground_.graph.NumVariables();
-  report.graph_factors = ground_.graph.NumActiveClauses();
-  PublishView(&report);
-  history_.push_back(report);
-  return report;
+  return FinishUpdate(std::move(report), &outcome);
 }
 
 StatusOr<incremental::UpdateReport> DeepDive::RetractRule(
@@ -432,20 +423,9 @@ StatusOr<incremental::UpdateReport> DeepDive::RetractRule(
       incremental::UpdateOutcome outcome,
       inc_engine_->RetractRule(delta, config_.engine, restore));
   report.inference_seconds = infer_timer.Seconds();
-  marginals_ = outcome.marginals;
-  report.strategy = outcome.fell_back_to_variational
-                        ? incremental::Strategy::kVariational
-                        : outcome.strategy;
-  report.acceptance_rate = outcome.acceptance_rate;
-  report.affected_vars = outcome.affected_vars;
   ++program_version_;
   if (ticket != rule_journal_.end()) rule_journal_.erase(ticket);
-
-  report.graph_variables = ground_.graph.NumVariables();
-  report.graph_factors = ground_.graph.NumActiveClauses();
-  PublishView(&report);
-  history_.push_back(report);
-  return report;
+  return FinishUpdate(std::move(report), &outcome);
 }
 
 Status DeepDive::RunFullPipeline(incremental::UpdateReport* report,
@@ -464,14 +444,14 @@ Status DeepDive::RunFullPipeline(incremental::UpdateReport* report,
     inference::Learner learner(&ground_.graph);
     inference::LearnerOptions lopts = config_.learner;
     lopts.warmstart = !cold_learning;
-    lopts.seed = Rng::MixSeed(config_.seed, /*stream=*/3, history_.size());
+    lopts.seed = Rng::MixSeed(config_.seed, /*stream=*/3, updates_applied_);
     learner.Learn(lopts);
   }
   report->learning_seconds = learn_timer.Seconds();
 
   Timer infer_timer;
   inference::GibbsOptions gopts = config_.gibbs;
-  gopts.seed = Rng::MixSeed(config_.seed, /*stream=*/4, history_.size() + 1);
+  gopts.seed = Rng::MixSeed(config_.seed, /*stream=*/4, updates_applied_ + 1);
   marginals_ = inference::EstimateMarginalsAuto(ground_.graph, gopts).marginals;
   for (VarId v = 0; v < ground_.graph.NumVariables(); ++v) {
     const auto ev = ground_.graph.EvidenceValue(v);
@@ -491,7 +471,7 @@ void DeepDive::LearnIncremental(GraphDelta* delta) {
   inference::LearnerOptions lopts = config_.learner;
   lopts.warmstart = true;
   lopts.epochs = config_.incremental_learning_epochs;
-  lopts.seed = Rng::MixSeed(config_.seed, /*stream=*/5, history_.size() + 1);
+  lopts.seed = Rng::MixSeed(config_.seed, /*stream=*/5, updates_applied_ + 1);
   learner.Learn(lopts);
   for (WeightId w = 0; w < ground_.graph.NumWeights(); ++w) {
     const double after = ground_.graph.WeightValue(w);
@@ -500,17 +480,6 @@ void DeepDive::LearnIncremental(GraphDelta* delta) {
           GraphDelta::WeightChange{w, before[w], after});
     }
   }
-}
-
-double DeepDive::MarginalOf(const std::string& relation, const Tuple& tuple) const {
-  return view_->MarginalOf(relation, tuple);
-}
-
-std::vector<std::pair<Tuple, double>> DeepDive::Marginals(
-    const std::string& relation) const {
-  const auto* entries = view_->Relation(relation);
-  if (entries == nullptr) return {};
-  return *entries;
 }
 
 }  // namespace deepdive::core

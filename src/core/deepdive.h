@@ -53,10 +53,10 @@ struct UpdateSpec {
 ///   dd->Query()->MarginalOf("HasSpouse", tuple);
 ///
 /// Threading contract: one writer, any number of readers. LoadRows /
-/// Initialize / ApplyUpdate and the reference-returning accessors belong to
-/// one serving thread — under Clang they are REQUIRES(serving_thread), the
-/// fake-lock role capability of util/thread_role.h, so calling them without
-/// having claimed the role is a -Wthread-safety compile error. Query() is
+/// Initialize / ApplyUpdate and the accessors belong to one serving thread
+/// — under Clang they are REQUIRES(serving_thread), the fake-lock role
+/// capability of util/thread_role.h, so calling them without having claimed
+/// the role is a -Wthread-safety compile error. Query() is
 /// the concurrent read surface: every Initialize/ApplyUpdate publishes a
 /// fresh immutable ResultView, and any number of reader threads can pin and
 /// read views (no capability needed) while the next update is being applied.
@@ -148,13 +148,16 @@ class DeepDive {
     return grounder_.get();
   }
 
-  /// Pins the current immutable result view. Callable from any thread,
+  /// Pins the current immutable result view — the one way to read results,
+  /// on the serving thread and off it. Callable from any thread,
   /// concurrently with ApplyUpdate and background materialization swaps on
   /// the serving thread; the read is a single atomic acquire load and never
   /// blocks the writer. The view answers MarginalOf/Relation lookups for
   /// the epoch it was published at, forever (snapshot isolation) — call
   /// again to observe newer epochs. Never null; before Initialize it is the
-  /// empty epoch-0 view.
+  /// empty epoch-0 view. Views are published by Initialize, ApplyUpdate,
+  /// AddRule and RetractRule only: a snapshot the engine installs in
+  /// between (WaitForMaterialization) shows in the next view.
   std::shared_ptr<const incremental::ResultView> Query() const {
     return publisher_.Current();
   }
@@ -167,35 +170,9 @@ class DeepDive {
     publisher_.WaitForEpoch(min_epoch);
   }
 
-  /// Serving-thread-only accessors, reimplemented over the serving thread's
-  /// current ResultView (exactly what the latest Initialize/ApplyUpdate
-  /// published). References stay valid until this thread's next update
-  /// publishes a successor view; concurrent readers must pin their own view
-  /// with Query() instead.
-
-  /// Marginal probability of a query tuple (0.5 if unknown variable).
-  double MarginalOf(const std::string& relation, const Tuple& tuple) const
-      REQUIRES(serving_thread);
-
-  /// All (tuple, marginal) pairs of a query relation, sorted by tuple.
-  std::vector<std::pair<Tuple, double>> Marginals(const std::string& relation) const
-      REQUIRES(serving_thread);
-
-  /// Raw marginal vector indexed by VarId.
-  const std::vector<double>& marginal_vector() const REQUIRES(serving_thread) {
-    return view_->marginals;
-  }
-
-  const std::vector<incremental::UpdateReport>& history() const
-      REQUIRES(serving_thread) {
-    return history_;
-  }
-  const incremental::MaterializationStats& materialization_stats() const
-      REQUIRES(serving_thread);
-
   /// The incremental engine (nullptr in Rerun mode or before Initialize).
   /// Exposes the async-materialization surface: MaterializationInFlight,
-  /// WaitForMaterialization, snapshot_generation.
+  /// WaitForMaterialization, and snapshot() for the serving snapshot.
   incremental::IncrementalEngine* incremental_engine() REQUIRES(serving_thread) {
     return inc_engine_.get();
   }
@@ -220,10 +197,18 @@ class DeepDive {
 
   /// Builds a ResultView of the current serving state (marginals_, the
   /// per-relation tuple index derived from ground_, `report`, and — in
-  /// incremental mode — the engine's materialization stats and pinned Pr(0)
+  /// incremental mode — the serving snapshot's stats and pinned Pr(0)
   /// marginals), publishes it, and stamps report->epoch. Serving thread
   /// only.
   void PublishView(incremental::UpdateReport* report) REQUIRES(serving_thread);
+
+  /// The end every successful ApplyUpdate/AddRule/RetractRule shares: adopts
+  /// the engine's `outcome` (null in Rerun mode, where RunFullPipeline set
+  /// the marginals and strategy) into marginals_ and `report`, stamps the
+  /// graph sizes, publishes the view and counts the update.
+  incremental::UpdateReport FinishUpdate(
+      incremental::UpdateReport report,
+      const incremental::UpdateOutcome* outcome) REQUIRES(serving_thread);
 
   /// Incremental learning with warmstart; records weight changes in `delta`.
   void LearnIncremental(factor::GraphDelta* delta) REQUIRES(serving_thread);
@@ -246,7 +231,9 @@ class DeepDive {
   /// Working marginal buffer of the serving thread; every publication
   /// freezes a copy into an immutable ResultView.
   std::vector<double> marginals_ GUARDED_BY(serving_thread);
-  std::vector<incremental::UpdateReport> history_ GUARDED_BY(serving_thread);
+  /// Successful updates (ApplyUpdate/AddRule/RetractRule) so far; keys the
+  /// per-update learning and rerun seeds.
+  uint64_t updates_applied_ GUARDED_BY(serving_thread) = 0;
   bool initialized_ GUARDED_BY(serving_thread) = false;
 
   /// Bumped on every rule change (AddRule / RetractRule / ApplyUpdate
@@ -256,10 +243,8 @@ class DeepDive {
   std::vector<RuleTicket> rule_journal_ GUARDED_BY(serving_thread);
   RelationDeltaListener delta_listener_ GUARDED_BY(serving_thread);
 
-  /// RCU publication slot for Query(), plus the serving thread's own pin of
-  /// the latest published view (what the legacy accessors read).
+  /// RCU publication slot for Query().
   incremental::ResultPublisher publisher_;
-  std::shared_ptr<const incremental::ResultView> view_ GUARDED_BY(serving_thread);
 };
 
 }  // namespace deepdive::core

@@ -179,10 +179,16 @@ Status ViewMaintainer::CheckDeltaRulesEvaluable(
     bool changes = false;
     auto ext = external_deltas.find(relation);
     if (ext != external_deltas.end()) {
+      Status absent = Status::OK();
       ext->second.ForEach([&](const Tuple& t, int64_t dc) {
         const int64_t before = DerivationCount(relation, t);
+        if (before + dc < 0 && absent.ok()) {
+          absent = Status::InvalidArgument("delete of absent tuple " +
+                                           TupleToString(t) + " from " + relation);
+        }
         if ((before > 0) != (before + dc > 0)) changes = true;
       });
+      DD_RETURN_IF_ERROR(absent);
     }
     for (size_t i = 0; i < rules_.size(); ++i) {
       const MaintainedRule& mr = rules_[i];

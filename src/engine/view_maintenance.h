@@ -37,8 +37,9 @@ class ViewMaintainer {
   /// Applies external data changes (count-level; tables not yet modified by
   /// the caller) and propagates through all rules. Returns the set-level
   /// delta of every relation that changed. Tables are updated in place.
-  /// An update the delta rules cannot evaluate (a rule negates a relation
-  /// that may change) is rejected before any table or count changes.
+  /// An update that deletes more derivations of a tuple than it has, or that
+  /// the delta rules cannot evaluate (a rule negates a relation that may
+  /// change), is rejected before any table or count changes.
   StatusOr<RelationDeltas> ApplyUpdate(const RelationDeltas& external_deltas);
 
   /// Adds a deductive rule to the running system: evaluates it fully over
@@ -76,11 +77,13 @@ class ViewMaintainer {
                                      const std::vector<size_t>& full_rules,
                                      int64_t full_sign);
 
-  /// Rejects, before Propagate changes anything, a pass whose delta rules
-  /// would read a changed relation through a negated atom. A relation counts
-  /// as changing when an external change flips a tuple's presence, or when
-  /// it heads a fully evaluated rule or a rule that reads a changing
-  /// relation; this over-approximates the set-level changes Propagate finds.
+  /// Rejects, before Propagate changes anything, a pass that deletes a tuple
+  /// externally more times than it is derived (InvalidArgument, naming the
+  /// relation and tuple), or whose delta rules would read a changed relation
+  /// through a negated atom. A relation counts as changing when an external
+  /// change flips a tuple's presence, or when it heads a fully evaluated
+  /// rule or a rule that reads a changing relation; this over-approximates
+  /// the set-level changes Propagate finds.
   Status CheckDeltaRulesEvaluable(const RelationDeltas& external_deltas,
                                   const std::vector<size_t>& full_rules) const;
 

@@ -26,9 +26,6 @@ IncrementalEngine::IncrementalEngine(factor::FactorGraph* graph)
   // stays bound to it for the engine's lifetime (trusted root; see
   // util/thread_role.h).
   serving_thread.AssertHeld();
-  // Publish the empty pre-materialization state so Query() is answerable
-  // (epoch 1, generation 0) from any thread as soon as the engine exists.
-  PublishView(nullptr);
 }
 
 IncrementalEngine::~IncrementalEngine() {
@@ -182,39 +179,6 @@ void IncrementalEngine::InstallSnapshot(
     marginals_ = snapshot_->materialized_marginals;
     marginals_.resize(graph_->NumVariables(), 0.5);
   }
-  // The install changed what the engine serves (new stats/generation, and
-  // possibly new marginals): make it visible to concurrent Query() readers.
-  PublishView(nullptr);
-}
-
-uint64_t IncrementalEngine::PublishView(const UpdateOutcome* outcome) {
-  auto view = std::make_shared<incremental::ResultView>();
-  view->marginals = marginals_;
-  view->materialization = snapshot_->stats;
-  view->snapshot_generation = snapshot_->generation;
-  view->samples_remaining = snapshot_->store.remaining();
-  // Pin (don't copy) the snapshot's Pr(0) marginals: the aliasing pointer
-  // keeps the whole snapshot alive for readers across later swaps.
-  view->materialized_marginals = std::shared_ptr<const std::vector<double>>(
-      snapshot_, &snapshot_->materialized_marginals);
-  if (outcome != nullptr) {
-    // Engine views have no label/timings; surface the execution facts.
-    view->report.strategy = outcome->fell_back_to_variational
-                                ? Strategy::kVariational
-                                : outcome->strategy;
-    view->report.acceptance_rate = outcome->acceptance_rate;
-    view->report.affected_vars = outcome->affected_vars;
-    view->report.epoch = publisher_.next_epoch();
-  }
-  const uint64_t epoch = publisher_.Publish(std::move(view));
-  serving_view_ = publisher_.Current();
-  return epoch;
-}
-
-const std::vector<double>& IncrementalEngine::materialized_marginals() const {
-  static const std::vector<double> kEmpty;
-  const auto& pinned = serving_view_->materialized_marginals;
-  return pinned ? *pinned : kEmpty;
 }
 
 bool IncrementalEngine::MaybeInstallPending() {
@@ -363,11 +327,7 @@ StatusOr<UpdateOutcome> IncrementalEngine::ApplyDelta(const GraphDelta& delta,
   if (!result.ok()) return result;
   result->snapshot_generation = snapshot_->generation;
   result->served_during_remat = mid_build;
-
-  // Fold into the engine's marginal state and publish it for concurrent
-  // Query() readers; the outcome records the epoch it published at.
   marginals_ = result->marginals;
-  result->epoch = PublishView(&*result);
   // Scheduling a remat copies the graph on this thread; stamp the latency
   // after it so the update's reported cost includes that stall.
   MaybeScheduleRemat(*result);
@@ -434,7 +394,6 @@ StatusOr<UpdateOutcome> IncrementalEngine::RetractRule(
   outcome.snapshot_generation = snapshot_->generation;
   outcome.served_during_remat = mid_build;
   marginals_ = outcome.marginals;
-  outcome.epoch = PublishView(&outcome);
   MaybeScheduleRemat(outcome);
   outcome.seconds = timer.Seconds();
   return outcome;

@@ -17,7 +17,6 @@
 #include "incremental/strawman.h"
 #include "incremental/variational.h"
 #include "inference/gibbs.h"
-#include "incremental/result_view.h"
 #include "util/mutex.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
@@ -63,9 +62,6 @@ struct UpdateOutcome {
   /// True when a background rematerialization was running while this update
   /// was served (it ran against the previous snapshot).
   bool served_during_remat = false;
-  /// Epoch of the engine ResultView this update published (Query()).
-  /// Strictly increasing across successful ApplyDelta calls.
-  uint64_t epoch = 0;
 };
 
 /// Orchestrates incremental inference (Section 3.3): materializes *both* the
@@ -88,18 +84,15 @@ struct UpdateOutcome {
 /// configured (store exhausted, acceptance floor, update count), the engine
 /// schedules its own background rebuilds after serving an update.
 ///
-/// Threading contract: one writer, any number of readers. Materialize /
-/// MaterializeAsync / ApplyDelta / WaitForMaterialization and the
-/// reference-returning accessors must be called from one serving thread —
-/// enforced at compile time under Clang: they are REQUIRES(serving_thread)
-/// (the fake-lock role capability of util/thread_role.h), so calling them
-/// from code that has not claimed the role is a -Wthread-safety error, not
-/// a comment violation. The internal background build runs concurrently
-/// with them and touches only `mu_`-guarded handoff state. Query() is the
-/// read surface for every other thread: it pins the engine's current
-/// immutable ResultView (published RCU-style after every ApplyDelta and
-/// every snapshot install) without blocking the serving thread, and needs
-/// no capability.
+/// Threading contract: Materialize / MaterializeAsync / ApplyDelta /
+/// WaitForMaterialization and the accessors must be called from one serving
+/// thread — enforced at compile time under Clang: they are
+/// REQUIRES(serving_thread) (the fake-lock role capability of
+/// util/thread_role.h), so calling them from code that has not claimed the
+/// role is a -Wthread-safety error, not a comment violation. The internal
+/// background build runs concurrently with them and touches only
+/// `mu_`-guarded handoff state. The engine publishes nothing itself: other
+/// threads read its results through the ResultViews DeepDive publishes.
 class IncrementalEngine {
  public:
   explicit IncrementalEngine(factor::FactorGraph* graph);
@@ -130,34 +123,15 @@ class IncrementalEngine {
   /// automatic remat triggers, which stay disarmed after a failed build.
   Status WaitForMaterialization() REQUIRES(serving_thread);
 
-  /// Pins the engine's current immutable result view. Callable from any
-  /// thread, concurrently with ApplyDelta / Materialize(Async) / snapshot
-  /// swaps on the serving thread; the read is a single atomic acquire load
-  /// and never blocks the writer. The returned view keeps answering with
-  /// the epoch it was published at (snapshot isolation) — call again to
-  /// observe newer epochs. Never null.
-  std::shared_ptr<const incremental::ResultView> Query() const {
-    return publisher_.Current();
-  }
-
-  /// Serving-thread-only convenience accessors, routed through the serving
-  /// thread's current ResultView: the view pins the snapshot it was
-  /// published from, so a background build finishing (or any later install)
-  /// can no longer invalidate these references mid-read — they stay valid
-  /// until this thread's next ApplyDelta / Materialize / Wait publishes a
-  /// successor view. Readers on other threads must pin their own view via
-  /// Query() instead.
-  const MaterializationStats& materialization_stats() const
+  /// The serving snapshot: its Pr(0) marginals, build statistics, install
+  /// generation (0 = never materialized) and sample store. Never null —
+  /// an empty generation-0 snapshot stands in before the first install.
+  /// The pin keeps it alive across later swaps, but its `store` cursor
+  /// advances with every MH update, so only this thread may read it; other
+  /// threads read the copies DeepDive publishes into each ResultView.
+  std::shared_ptr<const MaterializationSnapshot> snapshot() const
       REQUIRES(serving_thread) {
-    return serving_view_->materialization;
-  }
-  /// Marginals under the serving snapshot's Pr(0) (empty before the first
-  /// materialization).
-  const std::vector<double>& materialized_marginals() const
-      REQUIRES(serving_thread);
-  /// Install counter of the serving snapshot (0 = never materialized).
-  uint64_t snapshot_generation() const REQUIRES(serving_thread) {
-    return snapshot_->generation;
+    return snapshot_;
   }
 
   /// Applies one update's delta (already applied to the graph structure) and
@@ -172,12 +146,12 @@ class IncrementalEngine {
   /// retraction hands the delta of the rule's deactivated factor groups.
   /// Both entry points bump the rule-set version, drop the cached compiled
   /// kernel (lazily recompiled at next use) and the components cache, then
-  /// run the normal incremental update path and publish a new ResultView
-  /// epoch — never a re-ground, and never a blocking wait on a background
-  /// materialization: a build in flight keeps running, and its result is
-  /// discarded at install time because its rule_set_version no longer
-  /// matches (see MaterializationSnapshot::rule_set_version). An add's delta
-  /// only adds: it removes and modifies no group.
+  /// run the normal incremental update path — never a re-ground, and never
+  /// a blocking wait on a background materialization: a build in flight
+  /// keeps running, and its result is discarded at install time because its
+  /// rule_set_version no longer matches (see
+  /// MaterializationSnapshot::rule_set_version). An add's delta only adds:
+  /// it removes and modifies no group.
   StatusOr<UpdateOutcome> AddRule(const factor::GraphDelta& delta,
                                   const EngineOptions& options)
       REQUIRES(serving_thread);
@@ -214,17 +188,11 @@ class IncrementalEngine {
   const factor::CompiledGraph* CompiledKernel() REQUIRES(serving_thread);
 
   /// Current marginal estimates (materialized values for untouched vars).
-  /// Serving thread only — concurrent readers use Query().
+  /// Serving thread only — concurrent readers use DeepDive::Query().
   const std::vector<double>& marginals() const REQUIRES(serving_thread) {
     return marginals_;
   }
 
-  size_t SamplesRemaining() const REQUIRES(serving_thread) {
-    return snapshot_->store.remaining();
-  }
-  bool HasVariational() const REQUIRES(serving_thread) {
-    return snapshot_->variational.has_value();
-  }
   const factor::GraphDelta& cumulative_delta() const REQUIRES(serving_thread) {
     return cumulative_;
   }
@@ -271,14 +239,9 @@ class IncrementalEngine {
 
   /// Installs a finished snapshot as the serving one and rebases the
   /// cumulative delta onto it (cumulative := deltas since the build's graph
-  /// copy). Publishes a fresh ResultView. Serving thread only.
+  /// copy). Serving thread only.
   void InstallSnapshot(std::shared_ptr<MaterializationSnapshot> snapshot)
       REQUIRES(serving_thread);
-
-  /// Builds a view of the current serving state (marginals_, snapshot stats,
-  /// pinned Pr(0) marginals, `outcome`'s strategy fields when present) and
-  /// publishes it. Serving thread only. Returns the published epoch.
-  uint64_t PublishView(const UpdateOutcome* outcome) REQUIRES(serving_thread);
 
   /// Swaps in the pending background result if one is ready. Returns true
   /// while a build is still running (the caller is serving mid-build).
@@ -340,14 +303,6 @@ class IncrementalEngine {
       GUARDED_BY(serving_thread);
   size_t components_width_ GUARDED_BY(serving_thread) = 0;
   bool components_valid_ GUARDED_BY(serving_thread) = false;
-
-  /// RCU publication slot for Query(), plus the serving thread's own pin of
-  /// the latest published view (what the reference-returning accessors read).
-  /// The publisher itself carries the single-writer annotations (Publish is
-  /// REQUIRES(serving_thread); Current() is any-thread).
-  incremental::ResultPublisher publisher_;
-  std::shared_ptr<const incremental::ResultView> serving_view_
-      GUARDED_BY(serving_thread);
 
   /// Background build plumbing. `mu_` guards the handoff slot; the builder
   /// only touches its private graph copy plus this slot.

@@ -21,60 +21,56 @@
 namespace deepdive::incremental {
 
 /// An immutable, versioned snapshot of the serving state, published
-/// RCU-style. The writer (the one serving thread) builds a fresh view after
-/// every update and materialization swap and publishes it with a release
-/// store; any number of reader threads pin the current view via
-/// ResultPublisher::Current() (surfaced as DeepDive::Query() /
-/// IncrementalEngine::Query()) without taking a lock and without ever
-/// blocking the writer. A pinned view keeps answering with its epoch's
-/// marginals for as long as the shared_ptr is held, no matter how many
-/// updates or snapshot swaps happen meanwhile — snapshot isolation for
-/// queries while updates stream.
+/// RCU-style. DeepDive, on its one serving thread, builds a fresh view at
+/// the end of Initialize and of every update and publishes it with a
+/// release store; any number of reader threads pin the current view via
+/// ResultPublisher::Current() (surfaced as DeepDive::Query()) without taking
+/// a lock and without ever blocking the writer. A pinned view keeps
+/// answering with its epoch's marginals for as long as the shared_ptr is
+/// held, no matter how many updates or snapshot swaps happen meanwhile —
+/// snapshot isolation for queries while updates stream.
 struct ResultView {
-  /// Monotonically increasing publication counter of the publishing object
-  /// (a DeepDive instance and its IncrementalEngine each count their own).
-  /// 0 = the empty pre-initialization view.
+  /// Monotonically increasing publication counter of the publishing
+  /// DeepDive. 0 = the empty pre-initialization view.
   uint64_t epoch = 0;
 
   /// Full marginal vector indexed by VarId, frozen at publication.
   std::vector<double> marginals;
 
-  /// Per-relation tuple -> marginal index, entries sorted by tuple. Filled
-  /// on views published by DeepDive; engine-level views (which have no
-  /// relation knowledge) leave it empty.
+  /// Per-relation tuple -> marginal index, entries sorted by tuple.
   std::unordered_map<std::string, std::vector<std::pair<Tuple, double>>>
       relations;
 
   /// Names of the program's query relations in declaration order, frozen at
   /// publication. Lets a view-only consumer (the serving stack's export
   /// handler) enumerate relations deterministically without touching the
-  /// serving-thread-only program() accessor. Empty on engine-level views.
+  /// serving-thread-only program() accessor.
   std::vector<std::string> query_relations;
 
-  /// Copy of the report of the update that published this view. DeepDive
-  /// views carry the full report (label "initialize" for the view published
-  /// at the end of Initialize); engine views fill only the
-  /// strategy/acceptance/affected_vars/epoch fields of their UpdateOutcome.
+  /// Copy of the report of the update that published this view (label
+  /// "initialize" for the view published at the end of Initialize).
   UpdateReport report;
 
-  /// Copy of the serving materialization's build statistics.
+  /// The engine's serving materialization snapshot as of publication: its
+  /// build statistics, install counter (0 = none installed yet) and the
+  /// proposals left in its sample store. A snapshot installed between two
+  /// publications (WaitForMaterialization) shows from the next view on.
+  /// Zero on every view of a Rerun-mode DeepDive.
   MaterializationStats materialization;
-  /// Install counter of the serving materialization snapshot (0 = none).
   uint64_t snapshot_generation = 0;
-  /// Proposals left in the serving snapshot's sample store at publication.
   size_t samples_remaining = 0;
 
   /// The serving snapshot's Pr(0) marginals, pinned rather than copied: the
   /// aliasing shared_ptr keeps the whole MaterializationSnapshot alive, so a
   /// swap on the serving thread can no longer invalidate a reader mid-read.
-  /// Null on views published before the first materialization (and on all
-  /// views of a Rerun-mode DeepDive).
+  /// Empty while no snapshot is installed; null on the epoch-0 view and on
+  /// every view of a Rerun-mode DeepDive.
   std::shared_ptr<const std::vector<double>> materialized_marginals;
 
   /// Program version of the publishing DeepDive: bumped on every rule
   /// addition/retraction (first-class rule deltas and fragment updates
   /// alike), so clients can observe program evolution, not just data
-  /// evolution. 0 on engine-level views (no program knowledge).
+  /// evolution.
   uint64_t program_version = 0;
   /// Number of rules (deductive + factor) in the program at publication.
   uint64_t rule_count = 0;

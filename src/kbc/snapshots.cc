@@ -20,7 +20,8 @@ StatusOr<SnapshotComparison> RunSnapshotComparison(const SystemProfile& profile,
                       KbcPipeline::Build(profile, inc_options));
   DD_RETURN_IF_ERROR(rerun->Initialize());
   DD_RETURN_IF_ERROR(inc->Initialize());
-  result.materialization_seconds = inc->deepdive().materialization_stats().seconds;
+  result.materialization_seconds =
+      inc->deepdive().Query()->materialization.seconds;
 
   double rerun_cum = 0.0, inc_cum = 0.0;
   for (const std::string& rule : KbcPipeline::UpdateSequence()) {

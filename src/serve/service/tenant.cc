@@ -402,8 +402,11 @@ StatusOr<TenantInstance::DrainReport> TenantInstance::ExecuteDrain(
   DrainReport report;
   if (auto* engine = dd->incremental_engine(); engine != nullptr) {
     DD_RETURN_IF_ERROR(engine->WaitForMaterialization());
-    report.snapshot_generation = engine->snapshot_generation();
-    report.samples_collected = dd->materialization_stats().samples_collected;
+    // Read the engine, not Query(): a snapshot installed by this wait shows
+    // in a view only after the next update.
+    const auto snapshot = engine->snapshot();
+    report.snapshot_generation = snapshot->generation;
+    report.samples_collected = snapshot->stats.samples_collected;
   }
   return report;
 }

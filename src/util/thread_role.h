@@ -53,9 +53,9 @@ class SCOPED_CAPABILITY ScopedThreadRole {
 
 /// The process-wide *serving thread* role: the single writer of the
 /// one-writer/many-reader discipline that DeepDive, IncrementalEngine, and
-/// ResultPublisher share. All mutating entry points and reference-returning
-/// accessors on those classes are REQUIRES(serving_thread); concurrent
-/// readers use Query() (no capability needed) instead.
+/// ResultPublisher share. All mutating entry points and accessors on those
+/// classes are REQUIRES(serving_thread); concurrent readers use
+/// DeepDive::Query() (no capability needed) instead.
 ///
 /// One global role (rather than one per engine) follows the Clang
 /// documentation's thread-role idiom: the analysis is function-local, so a

@@ -82,7 +82,7 @@ TEST(AsyncMaterializationTest, MaterializeAsyncReturnsBeforePublish) {
   // Returns while the build thread is still gated — i.e. without blocking.
   ASSERT_TRUE(engine.MaterializeAsync(mopts).ok());
   EXPECT_TRUE(engine.MaterializationInFlight());
-  EXPECT_EQ(engine.snapshot_generation(), 0u);
+  EXPECT_EQ(engine.snapshot()->generation, 0u);
 
   // A second build cannot be scheduled while one is in flight.
   EXPECT_EQ(engine.MaterializeAsync(mopts).code(),
@@ -91,8 +91,8 @@ TEST(AsyncMaterializationTest, MaterializeAsyncReturnsBeforePublish) {
   release.set_value();
   ASSERT_TRUE(engine.WaitForMaterialization().ok());
   EXPECT_FALSE(engine.MaterializationInFlight());
-  EXPECT_EQ(engine.snapshot_generation(), 1u);
-  EXPECT_EQ(engine.materialization_stats().samples_collected, 4000u);
+  EXPECT_EQ(engine.snapshot()->generation, 1u);
+  EXPECT_EQ(engine.snapshot()->stats.samples_collected, 4000u);
 }
 
 TEST(AsyncMaterializationTest, AsyncSnapshotBitIdenticalToSync) {
@@ -111,15 +111,18 @@ TEST(AsyncMaterializationTest, AsyncSnapshotBitIdenticalToSync) {
   ASSERT_TRUE(async_engine.MaterializeAsync(mopts).ok());
   ASSERT_TRUE(async_engine.WaitForMaterialization().ok());
 
-  ASSERT_EQ(async_engine.materialized_marginals().size(),
-            sync_engine.materialized_marginals().size());
-  for (size_t v = 0; v < sync_engine.materialized_marginals().size(); ++v) {
-    EXPECT_EQ(async_engine.materialized_marginals()[v],
-              sync_engine.materialized_marginals()[v])
+  const auto async_snapshot = async_engine.snapshot();
+  const auto sync_snapshot = sync_engine.snapshot();
+  ASSERT_EQ(async_snapshot->materialized_marginals.size(),
+            sync_snapshot->materialized_marginals.size());
+  for (size_t v = 0; v < sync_snapshot->materialized_marginals.size(); ++v) {
+    EXPECT_EQ(async_snapshot->materialized_marginals[v],
+              sync_snapshot->materialized_marginals[v])
         << "var " << v;
   }
-  EXPECT_EQ(async_engine.SamplesRemaining(), sync_engine.SamplesRemaining());
-  EXPECT_EQ(async_engine.HasVariational(), sync_engine.HasVariational());
+  EXPECT_EQ(async_snapshot->store.remaining(), sync_snapshot->store.remaining());
+  EXPECT_EQ(async_snapshot->variational.has_value(),
+            sync_snapshot->variational.has_value());
 }
 
 /// The drift scenario: updates arrive while the background remat is in
@@ -178,13 +181,15 @@ void RunMidBuildDriftSwapScenario(const MaterializationOptions& base_mopts)
   // Swap. The mid-build delta is rebased onto the new snapshot, not lost.
   release.set_value();
   ASSERT_TRUE(engine.WaitForMaterialization().ok());
-  EXPECT_EQ(engine.snapshot_generation(), 2u);
+  EXPECT_EQ(engine.snapshot()->generation, 2u);
   ASSERT_EQ(engine.cumulative_delta().new_groups.size(), 1u);
-  ASSERT_EQ(engine.materialized_marginals().size(),
-            reference.materialized_marginals().size());
-  for (size_t v = 0; v < reference.materialized_marginals().size(); ++v) {
-    EXPECT_EQ(engine.materialized_marginals()[v],
-              reference.materialized_marginals()[v])
+  const auto swapped = engine.snapshot();
+  const auto expected = reference.snapshot();
+  ASSERT_EQ(swapped->materialized_marginals.size(),
+            expected->materialized_marginals.size());
+  for (size_t v = 0; v < expected->materialized_marginals.size(); ++v) {
+    EXPECT_EQ(swapped->materialized_marginals[v],
+              expected->materialized_marginals[v])
         << "post-swap snapshot diverged from synchronous build, var " << v;
   }
 
@@ -235,15 +240,17 @@ TEST(AsyncMaterializationTest, ReplicatedSnapshotBitIdenticalAcrossSyncAndAsync)
   ASSERT_TRUE(async_engine.MaterializeAsync(mopts).ok());
   ASSERT_TRUE(async_engine.WaitForMaterialization().ok());
 
-  EXPECT_EQ(async_engine.materialization_stats().samples_collected, 4000u);
-  ASSERT_EQ(async_engine.materialized_marginals().size(),
-            sync_engine.materialized_marginals().size());
-  for (size_t v = 0; v < sync_engine.materialized_marginals().size(); ++v) {
-    EXPECT_EQ(async_engine.materialized_marginals()[v],
-              sync_engine.materialized_marginals()[v])
+  const auto async_snapshot = async_engine.snapshot();
+  const auto sync_snapshot = sync_engine.snapshot();
+  EXPECT_EQ(async_snapshot->stats.samples_collected, 4000u);
+  ASSERT_EQ(async_snapshot->materialized_marginals.size(),
+            sync_snapshot->materialized_marginals.size());
+  for (size_t v = 0; v < sync_snapshot->materialized_marginals.size(); ++v) {
+    EXPECT_EQ(async_snapshot->materialized_marginals[v],
+              sync_snapshot->materialized_marginals[v])
         << "var " << v;
   }
-  EXPECT_EQ(async_engine.SamplesRemaining(), sync_engine.SamplesRemaining());
+  EXPECT_EQ(async_snapshot->store.remaining(), sync_snapshot->store.remaining());
 }
 
 TEST(AsyncMaterializationTest, StoreExhaustionSchedulesBackgroundRemat) {
@@ -268,10 +275,10 @@ TEST(AsyncMaterializationTest, StoreExhaustionSchedulesBackgroundRemat) {
   EXPECT_TRUE(engine.MaterializationInFlight());
 
   ASSERT_TRUE(engine.WaitForMaterialization().ok());
-  EXPECT_EQ(engine.snapshot_generation(), 2u);
+  EXPECT_EQ(engine.snapshot()->generation, 2u);
   // The rebuilt snapshot covers the drifted graph: a fresh store and an
   // empty (fully rebased) cumulative delta.
-  EXPECT_EQ(engine.SamplesRemaining(), 20u);
+  EXPECT_EQ(engine.snapshot()->store.remaining(), 20u);
   EXPECT_TRUE(engine.cumulative_delta().empty());
 
   // Post-remat analysis is the cheap 100%-acceptance path again, and its
@@ -301,7 +308,7 @@ TEST(AsyncMaterializationTest, AcceptanceFloorSchedulesBackgroundRemat) {
   ASSERT_GE(outcome->acceptance_rate, 0.0);
   EXPECT_TRUE(engine.MaterializationInFlight());
   ASSERT_TRUE(engine.WaitForMaterialization().ok());
-  EXPECT_EQ(engine.snapshot_generation(), 2u);
+  EXPECT_EQ(engine.snapshot()->generation, 2u);
 }
 
 TEST(AsyncMaterializationTest, UpdateCountSchedulesBackgroundRemat) {
@@ -319,7 +326,7 @@ TEST(AsyncMaterializationTest, UpdateCountSchedulesBackgroundRemat) {
   EXPECT_TRUE(engine.MaterializationInFlight());  // 2nd update fires the trigger
 
   ASSERT_TRUE(engine.WaitForMaterialization().ok());
-  EXPECT_EQ(engine.snapshot_generation(), 2u);
+  EXPECT_EQ(engine.snapshot()->generation, 2u);
   // Counter rebased: the next update is the first against the new snapshot.
   ASSERT_TRUE(engine.ApplyDelta(AddFeatureFactor(&g, 2, 3, 0.2), TestEngine()).ok());
   EXPECT_FALSE(engine.MaterializationInFlight());
@@ -338,7 +345,7 @@ TEST(AsyncMaterializationTest, FailedBackgroundBuildSurfacesInWaitAndKeepsServin
   EXPECT_EQ(engine.WaitForMaterialization().code(), StatusCode::kNotFound);
 
   // The old snapshot keeps serving.
-  EXPECT_EQ(engine.snapshot_generation(), 1u);
+  EXPECT_EQ(engine.snapshot()->generation, 1u);
   auto outcome = engine.ApplyDelta(AddFeatureFactor(&g, 1, 2, 0.4), TestEngine());
   ASSERT_TRUE(outcome.ok());
   auto exact = inference::ExactInference(g);
@@ -374,8 +381,8 @@ TEST(AsyncMaterializationTest, FailedBuildDisarmsTriggersUntilErrorObserved) {
   ASSERT_TRUE(engine.ApplyDelta(AddFeatureFactor(&g, 5, 6, 0.3), TestEngine()).ok());
   EXPECT_TRUE(engine.MaterializationInFlight());
   ASSERT_TRUE(engine.WaitForMaterialization().ok());
-  EXPECT_EQ(engine.snapshot_generation(), 2u);
-  EXPECT_FALSE(engine.materialization_stats().store_loaded);
+  EXPECT_EQ(engine.snapshot()->generation, 2u);
+  EXPECT_FALSE(engine.snapshot()->stats.store_loaded);
 }
 
 TEST(AsyncMaterializationTest, BudgetStarvedBuildDoesNotClobberSavedStore) {
@@ -398,7 +405,7 @@ TEST(AsyncMaterializationTest, BudgetStarvedBuildDoesNotClobberSavedStore) {
     starved.time_budget_seconds = 0.05;
     starved.save_sample_store = path;
     ASSERT_TRUE(engine.Materialize(starved).ok());
-    EXPECT_EQ(engine.materialization_stats().samples_collected, 0u);
+    EXPECT_EQ(engine.snapshot()->stats.samples_collected, 0u);
   }
   auto loaded = SampleStore::Load(path, g.NumVariables());
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -436,7 +443,7 @@ TEST(AsyncMaterializationTest, SwapUnderConcurrentApplyDeltaSequence) {
   }
 
   ASSERT_TRUE(engine.WaitForMaterialization().ok());
-  EXPECT_EQ(engine.snapshot_generation(), 2u);
+  EXPECT_EQ(engine.snapshot()->generation, 2u);
   auto post = engine.ApplyDelta(GraphDelta{}, TestEngine());
   ASSERT_TRUE(post.ok());
 }
@@ -473,8 +480,8 @@ TEST(AsyncMaterializationTest, SwapUnderConcurrentUpdatesWithReplicatedBuild) {
   }
 
   ASSERT_TRUE(engine.WaitForMaterialization().ok());
-  EXPECT_EQ(engine.snapshot_generation(), 2u);
-  EXPECT_EQ(engine.SamplesRemaining(), 4000u);
+  EXPECT_EQ(engine.snapshot()->generation, 2u);
+  EXPECT_EQ(engine.snapshot()->store.remaining(), 4000u);
 }
 
 TEST(AsyncMaterializationTest, DestructorCancelsInFlightBuild) {
@@ -520,7 +527,7 @@ TEST(AsyncMaterializationTest, ColdAsyncStartServesRerunBeforeFirstSwap) {
 
   release.set_value();
   ASSERT_TRUE(engine.WaitForMaterialization().ok());
-  EXPECT_EQ(engine.snapshot_generation(), 1u);
+  EXPECT_EQ(engine.snapshot()->generation, 1u);
 }
 
 TEST(AsyncMaterializationTest, TriggeredRematResamplesInsteadOfReloadingStore) {
@@ -544,7 +551,7 @@ TEST(AsyncMaterializationTest, TriggeredRematResamplesInsteadOfReloadingStore) {
   mopts.remat_on_exhaustion = true;
   mopts.load_sample_store = path;
   ASSERT_TRUE(engine.Materialize(mopts).ok());
-  EXPECT_TRUE(engine.materialization_stats().store_loaded);
+  EXPECT_TRUE(engine.snapshot()->stats.store_loaded);
 
   // Drain the tiny store with a drifted update; the remat it triggers must
   // build a sampled (not loaded) snapshot.
@@ -556,8 +563,8 @@ TEST(AsyncMaterializationTest, TriggeredRematResamplesInsteadOfReloadingStore) {
   ASSERT_TRUE(engine.ApplyDelta(delta, TestEngine()).ok());
   EXPECT_TRUE(engine.MaterializationInFlight());
   ASSERT_TRUE(engine.WaitForMaterialization().ok());
-  EXPECT_EQ(engine.snapshot_generation(), 2u);
-  EXPECT_FALSE(engine.materialization_stats().store_loaded);
+  EXPECT_EQ(engine.snapshot()->generation, 2u);
+  EXPECT_FALSE(engine.snapshot()->stats.store_loaded);
   std::remove(path.c_str());
 }
 
@@ -570,7 +577,7 @@ TEST(AsyncMaterializationTest, SaveThenLoadSkipsSamplingChain) {
   save_opts.num_samples = 500;
   save_opts.save_sample_store = path;
   ASSERT_TRUE(saver.Materialize(save_opts).ok());
-  EXPECT_FALSE(saver.materialization_stats().store_loaded);
+  EXPECT_FALSE(saver.snapshot()->stats.store_loaded);
 
   FactorGraph g_load = TwoComponentGraph(30);
   IncrementalEngine loader(&g_load);
@@ -578,13 +585,14 @@ TEST(AsyncMaterializationTest, SaveThenLoadSkipsSamplingChain) {
   load_opts.num_samples = 7;  // ignored: the loaded store defines the samples
   load_opts.load_sample_store = path;
   ASSERT_TRUE(loader.Materialize(load_opts).ok());
-  EXPECT_TRUE(loader.materialization_stats().store_loaded);
-  EXPECT_EQ(loader.materialization_stats().samples_collected, 500u);
-  ASSERT_EQ(loader.materialized_marginals().size(),
-            saver.materialized_marginals().size());
-  for (size_t v = 0; v < saver.materialized_marginals().size(); ++v) {
-    EXPECT_EQ(loader.materialized_marginals()[v],
-              saver.materialized_marginals()[v])
+  const auto loaded = loader.snapshot();
+  const auto saved = saver.snapshot();
+  EXPECT_TRUE(loaded->stats.store_loaded);
+  EXPECT_EQ(loaded->stats.samples_collected, 500u);
+  ASSERT_EQ(loaded->materialized_marginals.size(),
+            saved->materialized_marginals.size());
+  for (size_t v = 0; v < saved->materialized_marginals.size(); ++v) {
+    EXPECT_EQ(loaded->materialized_marginals[v], saved->materialized_marginals[v])
         << "var " << v;
   }
 

@@ -1,10 +1,9 @@
 // The versioned snapshot query API: ResultView/ResultPublisher semantics,
-// Query() on DeepDive and IncrementalEngine, epoch plumbing through
-// UpdateReport/UpdateOutcome, snapshot isolation of pinned views, and the
-// concurrent reader/writer drill (N reader threads hammering Query() while
-// the serving thread applies a stream of deltas and async remats swap
-// snapshots). The concurrency-heavy cases also run under the
-// ThreadSanitizer CI job.
+// DeepDive::Query(), epoch plumbing through UpdateReport, snapshot isolation
+// of pinned views (materialized marginals included), and the concurrent
+// reader/writer drill (N reader threads hammering Query() while the serving
+// thread applies a stream of deltas and async remats swap snapshots). The
+// concurrency-heavy cases also run under the ThreadSanitizer CI job.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,10 +13,8 @@
 #include <vector>
 
 #include "core/deepdive.h"
-#include "factor/factor_graph.h"
 #include "incremental/engine.h"
 #include "incremental/result_view.h"
-#include "util/random.h"
 #include "util/thread_role.h"
 
 namespace deepdive {
@@ -26,11 +23,6 @@ namespace {
 using core::DeepDive;
 using core::DeepDiveConfig;
 using core::UpdateSpec;
-using factor::FactorGraph;
-using factor::GraphDelta;
-using factor::VarId;
-using incremental::EngineOptions;
-using incremental::IncrementalEngine;
 using incremental::MaterializationOptions;
 using incremental::ResultPublisher;
 using incremental::ResultView;
@@ -134,10 +126,11 @@ TEST(DeepDiveQueryTest, QueryIsEmptyEpochZeroBeforeInitialize) {
   const auto view = dd->Query();
   ASSERT_NE(view, nullptr);
   EXPECT_EQ(view->epoch, 0u);
-  EXPECT_DOUBLE_EQ(dd->MarginalOf("HasSpouse", {Value(10), Value(11)}), 0.5);
+  EXPECT_DOUBLE_EQ(view->MarginalOf("HasSpouse", {Value(10), Value(11)}), 0.5);
+  EXPECT_EQ(view->materialized_marginals, nullptr);
 }
 
-TEST(DeepDiveQueryTest, InitializePublishesAndLegacyAccessorsMatchView) {
+TEST(DeepDiveQueryTest, InitializePublishesViewOfServingSnapshot) {
   deepdive::serving_thread.AssertHeld();
   auto dd = MakeDeepDive(core::FastTestConfig());
   ASSERT_TRUE(dd->Initialize().ok());
@@ -147,22 +140,25 @@ TEST(DeepDiveQueryTest, InitializePublishesAndLegacyAccessorsMatchView) {
   EXPECT_EQ(view->report.label, "initialize");
   EXPECT_EQ(view->report.epoch, 1u);
   EXPECT_EQ(view->Fingerprint(), view->content_hash);
-  EXPECT_GT(view->snapshot_generation, 0u);  // incremental mode materialized
-  EXPECT_GT(view->materialization.samples_collected, 0u);
-  ASSERT_NE(view->materialized_marginals, nullptr);
 
-  // The legacy accessors are the view, by construction.
-  EXPECT_EQ(&dd->marginal_vector(), &view->marginals);
-  const auto pairs = dd->Marginals("HasSpouse");
+  // The materialization fields copy the engine's serving snapshot, and the
+  // Pr(0) marginals are that snapshot's own vector, pinned, not copied.
+  const auto snapshot = dd->incremental_engine()->snapshot();
+  EXPECT_EQ(snapshot->generation, 1u);  // incremental mode materialized
+  EXPECT_EQ(view->snapshot_generation, snapshot->generation);
+  EXPECT_GT(view->materialization.samples_collected, 0u);
+  EXPECT_EQ(view->materialization.samples_collected,
+            snapshot->stats.samples_collected);
+  EXPECT_EQ(view->samples_remaining, snapshot->store.remaining());
+  EXPECT_EQ(view->materialized_marginals.get(),
+            &snapshot->materialized_marginals);
+
+  // The relation index answers for the marginal vector it was built from.
   const auto* entries = view->Relation("HasSpouse");
   ASSERT_NE(entries, nullptr);
-  ASSERT_EQ(pairs.size(), entries->size());
-  EXPECT_FALSE(pairs.empty());
-  for (size_t i = 0; i < pairs.size(); ++i) {
-    EXPECT_EQ(pairs[i].first, (*entries)[i].first);
-    EXPECT_DOUBLE_EQ(pairs[i].second, (*entries)[i].second);
-    EXPECT_DOUBLE_EQ(dd->MarginalOf("HasSpouse", pairs[i].first),
-                     view->MarginalOf("HasSpouse", pairs[i].first));
+  EXPECT_FALSE(entries->empty());
+  for (const auto& [tuple, marginal] : *entries) {
+    EXPECT_DOUBLE_EQ(view->MarginalOf("HasSpouse", tuple), marginal);
   }
 }
 
@@ -201,17 +197,15 @@ TEST(DeepDiveQueryTest, HistoryEpochsAreStrictlyIncreasing) {
   deepdive::serving_thread.AssertHeld();
   auto dd = MakeDeepDive(core::FastTestConfig());
   ASSERT_TRUE(dd->Initialize().ok());
+  uint64_t last = 1;  // epoch 1 was Initialize
   for (int u = 0; u < 3; ++u) {
     UpdateSpec update;
     update.label = "A" + std::to_string(u);
     update.analysis_only = true;
-    ASSERT_TRUE(dd->ApplyUpdate(update).ok());
-  }
-  ASSERT_EQ(dd->history().size(), 3u);
-  uint64_t last = 1;  // epoch 1 was Initialize
-  for (const incremental::UpdateReport& report : dd->history()) {
-    EXPECT_EQ(report.epoch, last + 1);
-    last = report.epoch;
+    auto report = dd->ApplyUpdate(update);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(report->epoch, last + 1);
+    last = report->epoch;
   }
   EXPECT_EQ(dd->Query()->epoch, last);
   EXPECT_EQ(dd->Query()->report.label, "A2");
@@ -237,111 +231,93 @@ TEST(DeepDiveQueryTest, RerunModePublishesViewsToo) {
 }
 
 // ---------------------------------------------------------------------------
-// IncrementalEngine::Query semantics.
+// The serving snapshot behind the views.
 // ---------------------------------------------------------------------------
 
-FactorGraph TwoComponentGraph(uint64_t seed) {
-  FactorGraph g;
-  Rng rng(seed);
-  g.AddVariables(8);
-  for (VarId base : {VarId{0}, VarId{4}}) {
-    for (VarId i = 0; i < 3; ++i) {
-      g.AddSimpleFactor(base + i, {{static_cast<VarId>(base + i + 1), false}},
-                        g.AddWeight(rng.Uniform(-0.8, 0.8), false));
-    }
-  }
-  for (VarId v = 0; v < 8; ++v) {
-    g.AddSimpleFactor(v, {}, g.AddWeight(rng.Uniform(-0.3, 0.3), false));
-  }
-  return g;
-}
-
-MaterializationOptions TestMaterialization() {
-  MaterializationOptions options;
-  options.num_samples = 1000;
-  options.gibbs_burn_in = 50;
-  options.variational.num_samples = 200;
-  options.variational.fit_epochs = 100;
-  options.remat_on_exhaustion = false;
-  return options;
-}
-
-EngineOptions TestEngine() {
-  EngineOptions options;
-  options.mh_target_steps = 500;
-  options.gibbs.burn_in_sweeps = 50;
-  options.gibbs.sample_sweeps = 500;
-  return options;
-}
-
-GraphDelta AddFeatureFactor(FactorGraph* g, VarId head, VarId body, double w) {
-  GraphDelta delta;
-  delta.new_groups.push_back(
-      g->AddSimpleFactor(head, {{body, false}}, g->AddWeight(w, /*learnable=*/true)));
-  return delta;
-}
-
-TEST(EngineQueryTest, OutcomesCarryEpochsAndViewsTrackInstalls) {
+TEST(DeepDiveQueryTest, PinnedViewKeepsRetiredSnapshotAlive) {
   deepdive::serving_thread.AssertHeld();
-  FactorGraph g = TwoComponentGraph(41);
-  IncrementalEngine engine(&g);
-  // Construction publishes the empty pre-materialization state.
-  const auto initial = engine.Query();
-  ASSERT_NE(initial, nullptr);
-  EXPECT_EQ(initial->epoch, 1u);
-  EXPECT_EQ(initial->snapshot_generation, 0u);
+  auto dd = MakeDeepDive(core::FastTestConfig());
+  ASSERT_TRUE(dd->Initialize().ok());
 
-  ASSERT_TRUE(engine.Materialize(TestMaterialization()).ok());
-  const auto materialized = engine.Query();
-  EXPECT_GT(materialized->epoch, initial->epoch);
-  EXPECT_EQ(materialized->snapshot_generation, 1u);
-  EXPECT_EQ(materialized->materialization.samples_collected, 1000u);
-  ASSERT_NE(materialized->materialized_marginals, nullptr);
-
-  auto outcome = engine.ApplyDelta(AddFeatureFactor(&g, 1, 2, 0.5), TestEngine());
-  ASSERT_TRUE(outcome.ok());
-  EXPECT_GT(outcome->epoch, materialized->epoch);
-  const auto after = engine.Query();
-  EXPECT_EQ(after->epoch, outcome->epoch);
-  EXPECT_EQ(after->marginals, outcome->marginals);
-  EXPECT_EQ(after->report.strategy, outcome->strategy);
-  EXPECT_EQ(after->report.epoch, outcome->epoch);
-}
-
-TEST(EngineQueryTest, PinnedViewKeepsRetiredSnapshotAlive) {
-  deepdive::serving_thread.AssertHeld();
-  FactorGraph g = TwoComponentGraph(42);
-  IncrementalEngine engine(&g);
-  ASSERT_TRUE(engine.Materialize(TestMaterialization()).ok());
-
-  const auto pinned = engine.Query();
+  const auto pinned = dd->Query();
   ASSERT_NE(pinned->materialized_marginals, nullptr);
   const std::vector<double> pr0 = *pinned->materialized_marginals;
   const auto stats = pinned->materialization;
+  ASSERT_EQ(pinned->snapshot_generation, 1u);
 
-  // Rematerialize with a different seed: the engine swaps snapshots and the
-  // old one is retired — but the pinned view still reads the old Pr(0)
-  // marginals and stats (this used to be the dangling-reference hazard on
-  // materialization_stats()/materialized_marginals()).
-  MaterializationOptions remat = TestMaterialization();
+  // Rematerialize with a different seed and sample count: the engine swaps
+  // snapshots and retires the old one, which now lives only through the
+  // pinned view. The view still reads the old Pr(0) marginals and stats.
+  MaterializationOptions remat = dd->config().materialization;
   remat.seed = 777;
   remat.num_samples = 500;
-  ASSERT_TRUE(engine.Materialize(remat).ok());
-  EXPECT_EQ(engine.snapshot_generation(), 2u);
-  EXPECT_EQ(engine.materialization_stats().samples_collected, 500u);
+  ASSERT_TRUE(dd->incremental_engine()->Materialize(remat).ok());
+  EXPECT_EQ(dd->incremental_engine()->snapshot()->generation, 2u);
+  EXPECT_EQ(pinned->materialized_marginals.use_count(), 1);
 
   EXPECT_EQ(*pinned->materialized_marginals, pr0);
   EXPECT_EQ(pinned->materialization.samples_collected, stats.samples_collected);
+  EXPECT_EQ(pinned->materialization.sample_bytes, stats.sample_bytes);
   EXPECT_EQ(pinned->snapshot_generation, 1u);
-  // And the serving accessors moved on to the new snapshot.
-  EXPECT_EQ(engine.Query()->snapshot_generation, 2u);
+  EXPECT_EQ(pinned->Fingerprint(), pinned->content_hash);
+
+  // The swap shows in the next publication.
+  UpdateSpec analysis;
+  analysis.label = "A1";
+  analysis.analysis_only = true;
+  ASSERT_TRUE(dd->ApplyUpdate(analysis).ok());
+  const auto after = dd->Query();
+  EXPECT_EQ(after->snapshot_generation, 2u);
+  EXPECT_EQ(after->materialization.samples_collected, 500u);
+  ASSERT_NE(after->materialized_marginals, nullptr);
+  EXPECT_NE(after->materialized_marginals, pinned->materialized_marginals);
+}
+
+TEST(DeepDiveQueryTest, InstallOutsideUpdateShowsAtNextPublication) {
+  deepdive::serving_thread.AssertHeld();
+  DeepDiveConfig config = core::FastTestConfig();
+  config.materialization.async = true;
+  auto dd = MakeDeepDive(config);
+  ASSERT_TRUE(dd->Initialize().ok());
+
+  // Initialize returned before the background build installed anything.
+  const auto initial = dd->Query();
+  EXPECT_EQ(initial->snapshot_generation, 0u);
+  EXPECT_EQ(initial->materialization.samples_collected, 0u);
+  ASSERT_NE(initial->materialized_marginals, nullptr);
+  EXPECT_TRUE(initial->materialized_marginals->empty());
+
+  // The wait installs the snapshot in the engine; DeepDive publishes no view
+  // for it.
+  ASSERT_TRUE(dd->incremental_engine()->WaitForMaterialization().ok());
+  const auto snapshot = dd->incremental_engine()->snapshot();
+  EXPECT_EQ(snapshot->generation, 1u);
+  EXPECT_GT(snapshot->stats.samples_collected, 0u);
+  EXPECT_EQ(dd->Query(), initial);
+
+  // The next update's view carries it.
+  UpdateSpec analysis;
+  analysis.label = "A1";
+  analysis.analysis_only = true;
+  auto report = dd->ApplyUpdate(analysis);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  const auto after = dd->Query();
+  EXPECT_EQ(after->epoch, report->epoch);
+  EXPECT_EQ(after->snapshot_generation, 1u);
+  EXPECT_EQ(after->materialization.samples_collected,
+            snapshot->stats.samples_collected);
+  EXPECT_EQ(after->materialized_marginals.get(),
+            &snapshot->materialized_marginals);
+  // Nothing drifted since the install, so the update is served from the
+  // materialized marginals themselves.
+  EXPECT_EQ(report->strategy, incremental::Strategy::kSampling);
+  EXPECT_DOUBLE_EQ(report->acceptance_rate, 1.0);
 }
 
 // ---------------------------------------------------------------------------
 // The concurrent reader/writer drill (also a TSan target): N reader threads
-// hammer Query() on both the DeepDive and its engine while the serving
-// thread applies a stream of updates and self-scheduled background remats
-// swap snapshots underneath.
+// hammer Query() while the serving thread applies a stream of updates and
+// self-scheduled background remats swap snapshots underneath.
 // ---------------------------------------------------------------------------
 
 TEST(ConcurrentQueryTest, ReadersSeeConsistentViewsWhileUpdatesStream) {
@@ -365,39 +341,30 @@ TEST(ConcurrentQueryTest, ReadersSeeConsistentViewsWhileUpdatesStream) {
   std::atomic<bool> stop{false};
   std::atomic<bool> violation{false};
   std::atomic<uint64_t> total_queries{0};
-  // The engine pointer is pinned here, on the serving thread, because
-  // incremental_engine() is a REQUIRES(serving_thread) accessor — readers
-  // get the stable pointer and use only the capability-free Query() surface.
-  incremental::IncrementalEngine* engine = dd->incremental_engine();
   // lint:allow(raw-thread) reader threads are the subject under test — they
   // must be plain threads hammering Query(), not ThreadPool tasks.
   std::vector<std::thread> readers;
   readers.reserve(kReaders);
   for (size_t t = 0; t < kReaders; ++t) {
     readers.emplace_back([&] {
-      uint64_t last_dd_epoch = 0;
-      uint64_t last_engine_epoch = 0;
+      uint64_t last_epoch = 0;
       uint64_t queries = 0;
       // ordering: relaxed — quit hint polled between queries; the join below
       // is the synchronization point for the tallies.
       while (!stop.load(std::memory_order_relaxed)) {
         const auto view = dd->Query();
-        const auto engine_view = engine->Query();
         // Internal consistency: the epoch matches the marginal vector it
         // was published with (checksum), values are probabilities, and the
         // relation index answers its own entries.
-        if (view->Fingerprint() != view->content_hash ||
-            engine_view->Fingerprint() != engine_view->content_hash) {
+        if (view->Fingerprint() != view->content_hash) {
           violation.store(true);
           break;
         }
-        if (view->epoch < last_dd_epoch ||
-            engine_view->epoch < last_engine_epoch) {
+        if (view->epoch < last_epoch) {
           violation.store(true);  // epochs must be monotone per reader
           break;
         }
-        last_dd_epoch = view->epoch;
-        last_engine_epoch = engine_view->epoch;
+        last_epoch = view->epoch;
         bool ok = true;
         for (const double m : view->marginals) {
           ok &= m >= 0.0 && m <= 1.0;
@@ -407,10 +374,10 @@ TEST(ConcurrentQueryTest, ReadersSeeConsistentViewsWhileUpdatesStream) {
           const auto& probe = (*entries)[queries % entries->size()];
           ok &= view->MarginalOf("HasSpouse", probe.first) == probe.second;
         }
-        if (engine_view->materialized_marginals != nullptr) {
+        if (view->materialized_marginals != nullptr) {
           // Reading the pinned snapshot's Pr(0) marginals must stay safe
           // across swaps (it keeps the retired snapshot alive).
-          for (const double m : *engine_view->materialized_marginals) {
+          for (const double m : *view->materialized_marginals) {
             ok &= m >= 0.0 && m <= 1.0;
           }
         }
@@ -442,6 +409,12 @@ TEST(ConcurrentQueryTest, ReadersSeeConsistentViewsWhileUpdatesStream) {
     auto report = dd->ApplyUpdate(update);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     EXPECT_EQ(report->epoch, ++expected_epoch);
+    if (u == 1 || u == 5) {
+      // Install whatever build is in flight, so at least two snapshots
+      // (the initial build and a remat the count trigger then schedules)
+      // swap in while readers hold views pinning their predecessors.
+      ASSERT_TRUE(dd->incremental_engine()->WaitForMaterialization().ok());
+    }
   }
   ASSERT_TRUE(dd->incremental_engine()->WaitForMaterialization().ok());
 
@@ -452,6 +425,7 @@ TEST(ConcurrentQueryTest, ReadersSeeConsistentViewsWhileUpdatesStream) {
   // The final view reflects the whole stream.
   EXPECT_EQ(dd->Query()->epoch, expected_epoch);
   EXPECT_EQ(dd->Query()->report.label, "U7");
+  EXPECT_GE(dd->Query()->snapshot_generation, 2u);
 }
 
 }  // namespace

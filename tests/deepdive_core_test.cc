@@ -42,9 +42,11 @@ TEST(DeepDiveTest, InitializeGroundsCandidates) {
   auto dd = Make(ExecutionMode::kIncremental);
   // 2 sentences x 2 ordered pairs each.
   EXPECT_EQ(dd->ground().graph.NumVariables(), 4u);
-  EXPECT_EQ(dd->Marginals("HasSpouse").size(), 4u);
+  const auto view = dd->Query();
+  ASSERT_NE(view->Relation("HasSpouse"), nullptr);
+  EXPECT_EQ(view->Relation("HasSpouse")->size(), 4u);
   // The negative prior pushes marginals below 0.5.
-  for (const auto& [tuple, p] : dd->Marginals("HasSpouse")) {
+  for (const auto& [tuple, p] : *view->Relation("HasSpouse")) {
     EXPECT_LT(p, 0.5) << TupleToString(tuple);
   }
 }
@@ -70,7 +72,7 @@ TEST(DeepDiveTest, DataUpdateCreatesVariables) {
   auto report = dd->ApplyUpdate(spec);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(dd->ground().graph.NumVariables(), 6u);
-  EXPECT_NE(dd->MarginalOf("HasSpouse", {Value(30), Value(31)}), 0.5);
+  EXPECT_NE(dd->Query()->MarginalOf("HasSpouse", {Value(30), Value(31)}), 0.5);
 }
 
 TEST(DeepDiveTest, DataDeletionRetractsCandidates) {
@@ -83,7 +85,9 @@ TEST(DeepDiveTest, DataDeletionRetractsCandidates) {
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_FALSE(dd->db()->GetTable("HasSpouse")->Contains({Value(20), Value(21)}));
   // Marginals are still reported for the surviving pairs.
-  EXPECT_EQ(dd->Marginals("HasSpouse").size(), 4u);  // index keeps ghosts
+  const auto view = dd->Query();
+  ASSERT_NE(view->Relation("HasSpouse"), nullptr);
+  EXPECT_EQ(view->Relation("HasSpouse")->size(), 4u);  // index keeps ghosts
 }
 
 // The serving benchmark's join shapes: the sentence self-join and the
@@ -160,7 +164,8 @@ TEST(DeepDiveTest, RuleUpdateAddsFactorsAndLearns) {
   auto report = dd->ApplyUpdate(sup);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   // Evidence variable reports its label.
-  EXPECT_DOUBLE_EQ(dd->MarginalOf("HasSpouse", {Value(10), Value(11)}), 1.0);
+  EXPECT_DOUBLE_EQ(dd->Query()->MarginalOf("HasSpouse", {Value(10), Value(11)}),
+                   1.0);
   EXPECT_GT(report->learning_seconds, 0.0);
 }
 
@@ -180,7 +185,8 @@ TEST(DeepDiveTest, RemoveRuleRetractsGroups) {
   auto report = dd->ApplyUpdate(remove);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   // After retraction the strong positive factor is gone: marginals low again.
-  for (const auto& [tuple, p] : dd->Marginals("HasSpouse")) {
+  const auto view = dd->Query();
+  for (const auto& [tuple, p] : *view->Relation("HasSpouse")) {
     EXPECT_LT(p, 0.6) << TupleToString(tuple);
   }
 }
@@ -237,9 +243,11 @@ TEST(DeepDiveTest, RerunModeProducesSimilarMarginals) {
   ASSERT_TRUE(rerun->ApplyUpdate(spec).ok());
 
   std::vector<double> pi, pr;
-  for (const auto& [tuple, p] : inc->Marginals("HasSpouse")) {
+  const auto inc_view = inc->Query();
+  const auto rerun_view = rerun->Query();
+  for (const auto& [tuple, p] : *inc_view->Relation("HasSpouse")) {
     pi.push_back(p);
-    pr.push_back(rerun->MarginalOf("HasSpouse", tuple));
+    pr.push_back(rerun_view->MarginalOf("HasSpouse", tuple));
   }
   // Same facts at similar probabilities (Section 4.2's parity check).
   EXPECT_LT(kbc::MeanSymmetricKL(pi, pr), 0.25);
@@ -251,19 +259,23 @@ TEST(DeepDiveTest, HistoryAccumulates) {
   UpdateSpec spec;
   spec.label = "A1";
   spec.analysis_only = true;
-  ASSERT_TRUE(dd->ApplyUpdate(spec).ok());
-  ASSERT_TRUE(dd->ApplyUpdate(spec).ok());
-  ASSERT_EQ(dd->history().size(), 2u);
-  EXPECT_EQ(dd->history()[0].label, "A1");
-  EXPECT_GT(dd->history()[0].graph_variables, 0u);
+  auto first = dd->ApplyUpdate(spec);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  auto second = dd->ApplyUpdate(spec);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(first->label, "A1");
+  EXPECT_GT(first->graph_variables, 0u);
+  EXPECT_EQ(second->epoch, first->epoch + 1);
+  EXPECT_EQ(dd->Query()->report.label, "A1");
+  EXPECT_EQ(dd->Query()->report.epoch, second->epoch);
 }
 
 TEST(DeepDiveTest, MaterializationStatsPopulated) {
   deepdive::serving_thread.AssertHeld();
   auto dd = Make(ExecutionMode::kIncremental);
-  EXPECT_GT(dd->materialization_stats().samples_collected, 0u);
+  EXPECT_GT(dd->Query()->materialization.samples_collected, 0u);
   auto rerun = Make(ExecutionMode::kRerun);
-  EXPECT_EQ(rerun->materialization_stats().samples_collected, 0u);
+  EXPECT_EQ(rerun->Query()->materialization.samples_collected, 0u);
 }
 
 }  // namespace

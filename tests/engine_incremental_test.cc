@@ -55,11 +55,11 @@ TEST(IncrementalEngineTest, MaterializeProducesStatsAndMarginals) {
   FactorGraph g = TwoComponentGraph(1);
   IncrementalEngine engine(&g);
   ASSERT_TRUE(engine.Materialize(TestMaterialization()).ok());
-  const auto& stats = engine.materialization_stats();
-  EXPECT_EQ(stats.samples_collected, 8000u);
-  EXPECT_GT(stats.sample_bytes, 0u);
-  EXPECT_GT(stats.seconds, 0.0);
-  EXPECT_TRUE(engine.HasVariational());
+  const auto snapshot = engine.snapshot();
+  EXPECT_EQ(snapshot->stats.samples_collected, 8000u);
+  EXPECT_GT(snapshot->stats.sample_bytes, 0u);
+  EXPECT_GT(snapshot->stats.seconds, 0.0);
+  EXPECT_TRUE(snapshot->variational.has_value());
 
   auto exact = inference::ExactInference(g);
   ASSERT_TRUE(exact.ok());
@@ -285,8 +285,8 @@ TEST(IncrementalEngineTest, TimeBudgetLimitsSampleCollection) {
   mopts.num_samples = 100000000;  // absurd target
   mopts.time_budget_seconds = 0.05;
   ASSERT_TRUE(engine.Materialize(mopts).ok());
-  EXPECT_LT(engine.materialization_stats().samples_collected, 100000000u);
-  EXPECT_GT(engine.materialization_stats().samples_collected, 0u);
+  EXPECT_LT(engine.snapshot()->stats.samples_collected, 100000000u);
+  EXPECT_GT(engine.snapshot()->stats.samples_collected, 0u);
 }
 
 TEST(IncrementalEngineTest, TimeBudgetEnforcedDuringBurnIn) {
@@ -301,8 +301,8 @@ TEST(IncrementalEngineTest, TimeBudgetEnforcedDuringBurnIn) {
   mopts.num_samples = 10;
   mopts.time_budget_seconds = 0.05;
   ASSERT_TRUE(engine.Materialize(mopts).ok());
-  EXPECT_EQ(engine.materialization_stats().samples_collected, 0u);
-  EXPECT_LT(engine.materialization_stats().seconds, 5.0);
+  EXPECT_EQ(engine.snapshot()->stats.samples_collected, 0u);
+  EXPECT_LT(engine.snapshot()->stats.seconds, 5.0);
 }
 
 TEST(IncrementalEngineTest, ComponentCacheTracksNewVariables) {

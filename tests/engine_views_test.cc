@@ -209,6 +209,18 @@ TEST(ViewMaintainerTest, RejectedUpdateChangesNothing) {
   EXPECT_EQ(f.vm->NumRules(), 2u);
   expect_untouched();
 
+  // Deleting an absent tuple is rejected up front too, although C (and G
+  // downstream of it) fold before A in topological order.
+  RelationDeltas absent_delete;
+  absent_delete["C"].Add({Value(5)}, 1);
+  absent_delete["A"].Add({Value(9)}, -1);
+  auto rejected = f.vm->ApplyUpdate(absent_delete);
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(rejected.status().message().find("(9) from A"), std::string::npos)
+      << rejected.status().ToString();
+  expect_untouched();
+  EXPECT_EQ(f.Rows("A"), (std::set<std::string>{"(3)"}));
+
   RelationDeltas valid;
   valid["C"].Add({Value(5)}, 1);
   ASSERT_TRUE(f.vm->ApplyUpdate(valid).ok());

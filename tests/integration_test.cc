@@ -77,7 +77,8 @@ TEST(EndToEndTest, MarginalsTrackExactEnumeration) {
 
   auto exact = inference::ExactInference((*dd)->ground().graph);
   ASSERT_TRUE(exact.ok()) << exact.status().ToString();
-  for (const auto& [tuple, p] : (*dd)->Marginals("HasSpouse")) {
+  const auto view = (*dd)->Query();
+  for (const auto& [tuple, p] : *view->Relation("HasSpouse")) {
     const factor::VarId v = (*dd)->ground().FindVariable("HasSpouse", tuple);
     EXPECT_NEAR(p, exact->marginals[v], 0.05) << TupleToString(tuple);
   }

@@ -249,7 +249,7 @@ TEST(MiningTest, MinerPromotesPlantedRule) {
 TEST(MiningTest, RejectedTrialRestoresStateExactly) {
   deepdive::serving_thread.AssertHeld();
   auto dd = MakePlanted();
-  const std::vector<double> marginals_before = dd->marginal_vector();
+  const std::vector<double> marginals_before = dd->Query()->marginals;
   const uint64_t fingerprint_before = dd->RulesFingerprint();
   const size_t rules_before = dd->NumRules();
 
@@ -263,7 +263,7 @@ TEST(MiningTest, RejectedTrialRestoresStateExactly) {
 
   EXPECT_EQ(dd->NumRules(), rules_before);
   EXPECT_EQ(dd->RulesFingerprint(), fingerprint_before);
-  const std::vector<double>& after = dd->marginal_vector();
+  const std::vector<double> after = dd->Query()->marginals;
   ASSERT_EQ(after.size(), marginals_before.size());
   for (size_t v = 0; v < after.size(); ++v) {
     EXPECT_EQ(marginals_before[v], after[v]) << "var " << v;

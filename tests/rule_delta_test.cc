@@ -140,7 +140,7 @@ TEST(RuleDeltaTest, AddRetractRoundTripsBitIdentical) {
     config.materialization.num_threads = threads;
     auto dd = Make(config);
 
-    const std::vector<double> marginals_before = dd->marginal_vector();
+    const std::vector<double> marginals_before = dd->Query()->marginals;
     const size_t clauses_before = dd->ground().graph.NumActiveClauses();
     const size_t weights_before = dd->ground().graph.NumWeights();
     std::vector<double> weight_values_before(weights_before);
@@ -157,7 +157,7 @@ TEST(RuleDeltaTest, AddRetractRoundTripsBitIdentical) {
 
     EXPECT_EQ(dd->ground().graph.NumActiveClauses(), clauses_before);
     EXPECT_EQ(dd->RulesFingerprint(), fingerprint_before);
-    const std::vector<double>& after = dd->marginal_vector();
+    const std::vector<double> after = dd->Query()->marginals;
     ASSERT_GE(after.size(), marginals_before.size());
     for (size_t v = 0; v < marginals_before.size(); ++v) {
       EXPECT_EQ(marginals_before[v], after[v]) << "var " << v;
@@ -286,7 +286,7 @@ TEST(RuleDeltaTest, RematInFlightAcrossRetractionIsDiscarded) {
   factor::FactorGraph g = ChainGraph(7);
   incremental::IncrementalEngine engine(&g);
   ASSERT_TRUE(engine.Materialize(TestMaterialization()).ok());
-  ASSERT_EQ(engine.snapshot_generation(), 1u);
+  ASSERT_EQ(engine.snapshot()->generation, 1u);
 
   // Add a rule's worth of structure, then schedule an async rebuild that
   // stalls before publishing — a snapshot of the graph WITH the rule.
@@ -318,7 +318,7 @@ TEST(RuleDeltaTest, RematInFlightAcrossRetractionIsDiscarded) {
   // The stale build must be discarded, not installed: generation unchanged,
   // and the serving snapshot still reflects the retracted graph (an install
   // would also trip the engine's rule_set_version consistency check).
-  EXPECT_EQ(engine.snapshot_generation(), 1u);
+  EXPECT_EQ(engine.snapshot()->generation, 1u);
   EXPECT_FALSE(engine.MaterializationInFlight());
 }
 

@@ -273,6 +273,14 @@ TEST(TenantInstanceTest, DrainReportsMaterializationState) {
   config.async_materialize = true;
   auto spouse = MakeSpouseTenant(config);
   ASSERT_TRUE(spouse->WaitReady().ok());
+  // No update has run, so the initial background build is installed inside
+  // this drain, after the last published view: the report must come from
+  // the engine's snapshot, not from Query().
+  auto first = spouse->Drain();
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(first->snapshot_generation, 1u);
+  EXPECT_GT(first->samples_collected, 0u);
+
   comm::UpdateRequest grow;
   grow.inserts.push_back({"Person", "3\t30\n3\t31\n"});
   ASSERT_TRUE(spouse->SubmitUpdate(std::move(grow)).ok());

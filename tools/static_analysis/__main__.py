@@ -83,7 +83,10 @@ def main(argv=None):
         if name == "layering":
             findings += mod.run(root, sources,
                                 assume_module=args.assume_module)
-        elif name in ("determinism", "untrusted-input"):
+        elif name == "determinism":
+            findings += mod.run(root, sources, scope_all=args.scope_all,
+                                whole_tree=args.files is None)
+        elif name == "untrusted-input":
             findings += mod.run(root, sources, scope_all=args.scope_all)
         else:
             findings += mod.run(root, sources)

@@ -17,6 +17,14 @@ Three hazard classes can silently break it:
                           produces correlated streams — the exact hazard
                           PR 4 fixed by hand; this rule keeps it fixed.
 
+A fourth rule guards the checker's own scope:
+
+  determinism-seed        a SCOPE_SEEDS entry that matches no function
+                          (renamed or deleted) silently scopes nothing.
+                          Reported on whole-tree scans only, since a
+                          --files scan sees part of the tree; not waivable
+                          — fix the seed list.
+
 Scope: the first two rules apply to functions *reachable* from the seed set
 below (name-level call-graph BFS over the whole library — an
 overapproximation, which is the right direction for a determinism gate).
@@ -24,6 +32,7 @@ The RNG rule applies to all of src/. Waive with
 `// analysis:allow(<rule>): <rationale>`.
 """
 
+import os
 import re
 
 from sa_common import Finding, allow_waiver
@@ -39,7 +48,6 @@ SCOPE_SEEDS = [
     "GraphDelta::Merge",
     # marginal and checksum computation
     "DeepDive::PublishView",
-    "IncrementalEngine::PublishView",
     "ResultPublisher::Publish",
     "ResultView::Fingerprint",
     "CompiledGraph::Checksum",
@@ -72,7 +80,8 @@ BLESSED_REDUCERS = ("OrderedShardReduce",)
 # sort, then visit). Matched by unqualified name.
 BLESSED_ORDERED_HELPERS = ("ForEachOrdered", "OrderedShardReduce")
 
-RULES = ("determinism-unordered", "determinism-fp", "determinism-rng")
+RULES = ("determinism-unordered", "determinism-fp", "determinism-rng",
+         "determinism-seed")
 
 _UNORDERED_DECL = re.compile(r"\bunordered_(?:map|set)\s*<")
 _RANGE_FOR = re.compile(r"\bfor\s*\(\s*[^;:()]*?:\s*([^)]+)\)")
@@ -141,18 +150,23 @@ _CALL = re.compile(r"\b([A-Za-z_]\w*)\s*\(")
 
 
 def reachable_functions(sources, seeds=SCOPE_SEEDS):
-    """Name-level BFS: all Function records reachable from the seed set."""
+    """Name-level BFS: all Function records reachable from the seed set, and
+    the seeds that matched no function."""
     index = build_function_index(sources)
     work = []
     seen = set()
+    unmatched = []
     for seed in seeds:
         last = seed.split("::")[-1]
-        for fn in index.get(last, []):
-            if fn.qual.endswith(seed) or fn.name == seed:
-                key = (fn.path, fn.start_line)
-                if key not in seen:
-                    seen.add(key)
-                    work.append(fn)
+        matches = [fn for fn in index.get(last, [])
+                   if fn.qual.endswith(seed) or fn.name == seed]
+        if not matches:
+            unmatched.append(seed)
+        for fn in matches:
+            key = (fn.path, fn.start_line)
+            if key not in seen:
+                seen.add(key)
+                work.append(fn)
     reach = []
     while work:
         fn = work.pop()
@@ -164,7 +178,24 @@ def reachable_functions(sources, seeds=SCOPE_SEEDS):
                 if key not in seen:
                     seen.add(key)
                     work.append(cand)
-    return reach
+    return reach, unmatched
+
+
+def unmatched_seed_findings(root, unmatched):
+    """One finding per seed that matched no function, at its line in the
+    SCOPE_SEEDS list."""
+    path = os.path.relpath(os.path.abspath(__file__), os.path.abspath(root))
+    with open(__file__) as f:
+        lines = f.read().split("\n")
+    findings = []
+    for seed in unmatched:
+        line = next((i + 1 for i, text in enumerate(lines)
+                     if text.strip() == f'"{seed}",'), 1)
+        findings.append(Finding(
+            path, line, "determinism-seed",
+            f"scope seed '{seed}' matches no function — it checks nothing; "
+            "update or remove it"))
+    return findings
 
 
 def _base_identifier(expr):
@@ -338,14 +369,17 @@ def check_rng_in_file(sf):
     return findings
 
 
-def run(root, sources, scope_all=False):
+def run(root, sources, scope_all=False, whole_tree=False, seeds=SCOPE_SEEDS):
+    """`whole_tree` marks a scan of the full library, the only one on which
+    a seed matching no function proves the seed stale."""
     unordered, fp_names = build_symbol_tables(sources)
     by_path = {sf.path: sf for sf in sources}
+    scoped, unmatched = reachable_functions(sources, seeds)
     if scope_all:
         scoped = [fn for sf in sources for fn in sf.functions]
-    else:
-        scoped = reachable_functions(sources)
     findings = []
+    if whole_tree:
+        findings += unmatched_seed_findings(root, unmatched)
     for fn in scoped:
         sf = by_path.get(fn.path)
         if sf is None:
@@ -542,16 +576,45 @@ struct IncrementalGrounder {
 ]
 
 
-def self_test():
+_SEED_SOURCE = """
+namespace deepdive {
+struct IncrementalGrounder { void GroundAll() {} };
+}
+"""
+
+# Seed-list cases over _SEED_SOURCE: (name, seeds, whole_tree, expected).
+SEED_SELF_TEST_CASES = [
+    ("seed_unmatched.cc",
+     ("IncrementalGrounder::GroundAll", "RetiredEngine::PublishView"), True,
+     ["determinism-seed"]),
+    ("seed_all_matched.cc", ("IncrementalGrounder::GroundAll",), True, []),
+    # A --files scan sees part of the tree: an unmatched seed proves nothing.
+    ("seed_unmatched_partial_scan.cc",
+     ("IncrementalGrounder::GroundAll", "RetiredEngine::PublishView"), False,
+     []),
+]
+
+
+def _self_test_source(name, content):
     import sa_common
+    rel = "src/selftest/" + name
+    stripped = sa_common.strip_comments(content)
+    sf = sa_common.SourceFile(path=rel, lines=content.split("\n"),
+                              stripped=stripped)
+    sf.functions = sa_common.scan_functions(rel, stripped)
+    return sf
+
+
+def self_test():
     failures = []
     for name, content, expected in SELF_TEST_CASES:
-        rel = "src/selftest/" + name
-        stripped = sa_common.strip_comments(content)
-        sf = sa_common.SourceFile(path=rel, lines=content.split("\n"),
-                                  stripped=stripped)
-        sf.functions = sa_common.scan_functions(rel, stripped)
-        found = sorted({f.rule for f in run(".", [sf])})
+        found = sorted({f.rule for f in run(".", [_self_test_source(name, content)])})
+        if sorted(expected) != found:
+            failures.append(f"{name}: expected {expected}, got {found}")
+    for name, seeds, whole_tree, expected in SEED_SELF_TEST_CASES:
+        found = sorted(f.rule for f in run(
+            ".", [_self_test_source(name, _SEED_SOURCE)],
+            whole_tree=whole_tree, seeds=seeds))
         if sorted(expected) != found:
             failures.append(f"{name}: expected {expected}, got {found}")
     return failures
