@@ -75,9 +75,9 @@ double VariationalInference(const FactorGraph& original,
                             const VariationalMaterialization& vmat,
                             const GraphDelta& delta) {
   Timer timer;
-  FactorGraph inf = incremental::BuildVariationalInferenceGraph(
-      original, vmat.approx_graph(), delta);
-  inference::GibbsSampler sampler(&inf);
+  const factor::CompiledGraph inf =
+      incremental::BuildVariationalInferenceImage(original, vmat, delta);
+  inference::CompiledGibbsSampler sampler(&inf);
   inference::GibbsOptions options;
   options.burn_in_sweeps = 5;
   options.sample_sweeps = kInferenceSamples;

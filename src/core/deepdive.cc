@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <set>
+#include <string>
 
 #include "factor/compiled_graph.h"
 #include "inference/compiled_inference.h"
@@ -227,6 +229,12 @@ StatusOr<incremental::UpdateReport> DeepDive::ApplyUpdate(
   const uint64_t groundings_before = grounder_->groundings_emitted();
   const uint64_t rows_before = views_->rows_visited() + grounder_->rows_visited();
   if (!external.empty()) {
+    // Neither layer's delta rules may read a changing relation through a
+    // negated atom; reject such an update before any table, derivation
+    // count, variable or group changes.
+    DD_ASSIGN_OR_RETURN(const std::set<std::string> changing,
+                        views_->ChangingRelations(external));
+    DD_RETURN_IF_ERROR(grounder_->CheckDeltaEvaluable(changing));
     DD_ASSIGN_OR_RETURN(engine::RelationDeltas set_deltas, views_->ApplyUpdate(external));
     if (delta_listener_) delta_listener_(set_deltas);
     DD_ASSIGN_OR_RETURN(GraphDelta d, grounder_->ApplyRelationDeltas(set_deltas));

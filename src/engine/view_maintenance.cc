@@ -94,6 +94,12 @@ StatusOr<RelationDeltas> ViewMaintainer::ApplyUpdate(
   return Propagate(external_deltas, {}, +1);
 }
 
+StatusOr<std::set<std::string>> ViewMaintainer::ChangingRelations(
+    const RelationDeltas& external_deltas) const {
+  DD_CHECK(initialized_);
+  return CheckDeltaRulesEvaluable(external_deltas, {});
+}
+
 StatusOr<RelationDeltas> ViewMaintainer::AddRule(const dsl::DeductiveRule& rule) {
   DD_CHECK(initialized_);
   DD_RETURN_IF_ERROR(CompileRule(rule));
@@ -169,7 +175,7 @@ Status ViewMaintainer::FoldCounts(const std::string& relation,
   return status;
 }
 
-Status ViewMaintainer::CheckDeltaRulesEvaluable(
+StatusOr<std::set<std::string>> ViewMaintainer::CheckDeltaRulesEvaluable(
     const RelationDeltas& external_deltas, const std::vector<size_t>& full_rules) const {
   std::set<std::string> changing;
   auto is_changing = [&](const std::string& relation) {
@@ -206,13 +212,13 @@ Status ViewMaintainer::CheckDeltaRulesEvaluable(
     }
     if (changes) changing.insert(relation);
   }
-  return Status::OK();
+  return changing;
 }
 
 StatusOr<RelationDeltas> ViewMaintainer::Propagate(
     const RelationDeltas& external_deltas, const std::vector<size_t>& full_rules,
     int64_t full_sign) {
-  DD_RETURN_IF_ERROR(CheckDeltaRulesEvaluable(external_deltas, full_rules));
+  DD_RETURN_IF_ERROR(CheckDeltaRulesEvaluable(external_deltas, full_rules).status());
   RelationDeltas set_deltas;  // finalized set-level changes, by relation
 
   for (const std::string& relation : topo_order_) {

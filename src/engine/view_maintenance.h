@@ -3,6 +3,7 @@
 
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -42,6 +43,14 @@ class ViewMaintainer {
   /// change), is rejected before any table or count changes.
   StatusOr<RelationDeltas> ApplyUpdate(const RelationDeltas& external_deltas);
 
+  /// The relations ApplyUpdate(external_deltas) may change, with the same
+  /// over-approximation as its up-front check (see CheckDeltaRulesEvaluable),
+  /// so that consumers of the set-level deltas can reject the update before
+  /// any table changes. Fails exactly when ApplyUpdate would reject the
+  /// update up front. Changes nothing.
+  StatusOr<std::set<std::string>> ChangingRelations(
+      const RelationDeltas& external_deltas) const;
+
   /// Adds a deductive rule to the running system: evaluates it fully over
   /// the current state and propagates the new derivations downstream.
   /// Returns the set-level deltas.
@@ -80,12 +89,14 @@ class ViewMaintainer {
   /// Rejects, before Propagate changes anything, a pass that deletes a tuple
   /// externally more times than it is derived (InvalidArgument, naming the
   /// relation and tuple), or whose delta rules would read a changed relation
-  /// through a negated atom. A relation counts as changing when an external
-  /// change flips a tuple's presence, or when it heads a fully evaluated
-  /// rule or a rule that reads a changing relation; this over-approximates
-  /// the set-level changes Propagate finds.
-  Status CheckDeltaRulesEvaluable(const RelationDeltas& external_deltas,
-                                  const std::vector<size_t>& full_rules) const;
+  /// through a negated atom. Otherwise returns the relations the pass may
+  /// change. A relation counts as changing when an external change flips a
+  /// tuple's presence, or when it heads a fully evaluated rule or a rule
+  /// that reads a changing relation; this over-approximates the set-level
+  /// changes Propagate finds.
+  StatusOr<std::set<std::string>> CheckDeltaRulesEvaluable(
+      const RelationDeltas& external_deltas,
+      const std::vector<size_t>& full_rules) const;
 
   Status CompileRule(const dsl::DeductiveRule& rule);
   Status RecomputeTopoOrder();

@@ -115,6 +115,86 @@ Status CheckOffsets(const uint64_t* offsets, uint64_t n, uint64_t expected_total
   return Status::OK();
 }
 
+/// The evidence section's tag: -1 = negative, 0 = query, +1 = positive.
+int8_t EvidenceTag(std::optional<bool> value) {
+  return !value.has_value() ? 0 : (*value ? 1 : -1);
+}
+
+/// Places every section after the header, 64-byte aligned and in section
+/// order, from `h`'s counts; returns a zeroed image of h->total_bytes.
+std::vector<uint8_t> LayOutImage(CompiledGraphHeader* h) {
+  SectionSpec specs[kNumCompiledSections];
+  SectionSpecs(*h, specs);
+  size_t cursor = sizeof(CompiledGraphHeader);
+  for (size_t s = 0; s < kNumCompiledSections; ++s) {
+    cursor = AlignUp(cursor, kSectionAlign);
+    h->sections[s].offset = cursor;
+    h->sections[s].bytes = specs[s].bytes();
+    cursor += static_cast<size_t>(specs[s].bytes());
+  }
+  h->total_bytes = AlignUp(cursor, kSectionAlign);
+  return std::vector<uint8_t>(static_cast<size_t>(h->total_bytes), 0);
+}
+
+/// Typed access to the sections of an image being written (header `h`),
+/// and copies into them from a base image (header `b`).
+struct SectionWriter {
+  std::vector<uint8_t>* image;
+  const CompiledGraphHeader& h;
+  const uint8_t* base;
+  const CompiledGraphHeader& b;
+
+  template <typename T>
+  T* At(CompiledSection s) const {
+    return reinterpret_cast<T*>(image->data() + h.sections[s].offset);
+  }
+  /// Copies the base's section `s` to the front of this image's; returns
+  /// where the elements appended after it go.
+  template <typename T>
+  T* CopyBase(CompiledSection s) const {
+    std::memcpy(At<T>(s), base + b.sections[s].offset, b.sections[s].bytes);
+    return At<T>(s) + b.sections[s].bytes / sizeof(T);
+  }
+};
+
+/// Writes `h` and the payload checksum into a filled image and adopts it.
+CompiledGraph SealImage(const CompiledGraphHeader& h, std::vector<uint8_t> image) {
+  std::memcpy(image.data(), &h, sizeof(h));
+  auto* header = reinterpret_cast<CompiledGraphHeader*>(image.data());
+  header->checksum = Fnv1aHash(image.data() + sizeof(CompiledGraphHeader),
+                               image.size() - sizeof(CompiledGraphHeader));
+  // The image was just built from well-formed parts; the always-on shallow
+  // pass is internal-consistency insurance, the deep pass belongs to loads.
+  auto compiled = CompiledGraph::FromImage(std::move(image), /*validate=*/false);
+  DD_CHECK(compiled.ok()) << compiled.status().ToString();
+  return std::move(compiled).value();
+}
+
+/// Fills the CSR `off`/`items` with `rows` rows: row r is the base's row r
+/// (none past `base_rows`) followed by the appended entries for r, in the
+/// order `for_each_appended(emit)` calls emit(r, item).
+template <typename T, typename ForEachAppended>
+void SpliceRows(const uint64_t* base_off, const T* base_items, size_t base_rows,
+                size_t rows, const ForEachAppended& for_each_appended,
+                uint64_t* off, T* items) {
+  std::vector<uint64_t> fill(rows, 0);  // appended count, then write cursor
+  for_each_appended([&](size_t row, const T&) { ++fill[row]; });
+  uint64_t cursor = 0;
+  for (size_t r = 0; r < rows; ++r) {
+    off[r] = cursor;
+    if (r < base_rows) {
+      const uint64_t len = base_off[r + 1] - base_off[r];
+      std::memcpy(items + cursor, base_items + base_off[r], len * sizeof(T));
+      cursor += len;
+    }
+    const uint64_t appended = fill[r];
+    fill[r] = cursor;
+    cursor += appended;
+  }
+  off[rows] = cursor;
+  for_each_appended([&](size_t row, const T& item) { items[fill[row]++] = item; });
+}
+
 }  // namespace
 
 uint64_t Fnv1aHash(const void* data, size_t bytes, uint64_t seed) {
@@ -314,24 +394,12 @@ CompiledGraph CompiledGraph::Compile(const FactorGraph& graph) {
     }
   }
 
-  SectionSpec specs[kNumCompiledSections];
-  SectionSpecs(h, specs);
-  size_t cursor = sizeof(CompiledGraphHeader);
-  for (size_t s = 0; s < kNumCompiledSections; ++s) {
-    cursor = AlignUp(cursor, kSectionAlign);
-    h.sections[s].offset = cursor;
-    h.sections[s].bytes = specs[s].bytes();
-    cursor += static_cast<size_t>(specs[s].bytes());
-  }
-  h.total_bytes = AlignUp(cursor, kSectionAlign);
-
-  std::vector<uint8_t> image(static_cast<size_t>(h.total_bytes), 0);
+  std::vector<uint8_t> image = LayOutImage(&h);
   auto sec = [&](CompiledSection s) { return image.data() + h.sections[s].offset; };
 
   auto* evidence = reinterpret_cast<int8_t*>(sec(kSecEvidence));
   for (VarId v = 0; v < num_vars; ++v) {
-    const auto ev = graph.EvidenceValue(v);
-    evidence[v] = !ev.has_value() ? 0 : (*ev ? 1 : -1);
+    evidence[v] = EvidenceTag(graph.EvidenceValue(v));
   }
 
   auto* wvalues = reinterpret_cast<double*>(sec(kSecWeightValues));
@@ -409,17 +477,141 @@ CompiledGraph CompiledGraph::Compile(const FactorGraph& graph) {
   }
   head_off[num_vars] = head_cursor;
   body_off[num_vars] = body_cursor;
+  return SealImage(h, std::move(image));
+}
 
-  std::memcpy(image.data(), &h, sizeof(h));
-  auto* header = reinterpret_cast<CompiledGraphHeader*>(image.data());
-  header->checksum = Fnv1aHash(image.data() + sizeof(CompiledGraphHeader),
-                               image.size() - sizeof(CompiledGraphHeader));
+CompiledGraph CompiledGraph::Splice(const CompiledGraph& base,
+                                    const CompiledAppendix& appendix) {
+  const CompiledGraphHeader& b = *base.header_;
+  const size_t num_vars = appendix.num_variables;
+  const size_t base_groups = base.num_groups_;
+  const size_t base_clauses = base.num_clauses_;
+  const size_t new_groups = appendix.groups.size();
+  const size_t new_clauses = appendix.clause_literal_offsets.size() - 1;
+  const size_t new_literals = appendix.literals.size();
+  DD_CHECK_GE(num_vars, base.num_variables_);
+  DD_CHECK_EQ(appendix.group_clause_offsets.size(), new_groups + 1);
+  DD_CHECK_EQ(appendix.group_clause_offsets.front(), 0u);
+  DD_CHECK_EQ(appendix.group_clause_offsets.back(), new_clauses);
+  DD_CHECK_EQ(appendix.clause_literal_offsets.back(), new_literals);
 
-  // The image was just built from a well-formed graph; the always-on shallow
-  // pass is internal-consistency insurance, the deep pass belongs to loads.
-  auto compiled = FromImage(std::move(image), /*validate=*/false);
-  DD_CHECK(compiled.ok()) << compiled.status().ToString();
-  return std::move(compiled).value();
+  CompiledGraphHeader h;
+  h.num_variables = num_vars;
+  h.num_weights = b.num_weights + appendix.weights.size();
+  h.num_groups = base_groups + new_groups;
+  h.num_clauses = base_clauses + new_clauses;
+  h.num_literals = b.num_literals + new_literals;
+  h.num_head_refs = b.num_head_refs + new_groups;
+  h.num_body_refs = b.num_body_refs + new_literals;
+  h.num_weight_group_refs = b.num_weight_group_refs + new_groups;
+  h.desc_blob_bytes = b.desc_blob_bytes;
+  for (const CompiledAppendix::AppendedWeight& w : appendix.weights) {
+    h.desc_blob_bytes += w.description.size();
+  }
+  for (const CompiledGroup& group : appendix.groups) {
+    DD_CHECK_LT(group.head, num_vars);
+    DD_CHECK_LT(group.weight, h.num_weights);
+  }
+  for (const CompiledLiteral& lit : appendix.literals) DD_CHECK_LT(lit.var, num_vars);
+
+  std::vector<uint8_t> image = LayOutImage(&h);
+  const SectionWriter out{&image, h, base.base_, b};
+
+  out.CopyBase<int8_t>(kSecEvidence);
+  auto* evidence = out.At<int8_t>(kSecEvidence);
+  for (const auto& [var, value] : appendix.evidence) {
+    DD_CHECK_LT(var, num_vars);
+    evidence[var] = EvidenceTag(value);
+  }
+
+  // Weights: the base's current values (what Decompile reads), then the
+  // appended ones.
+  auto* wvalues = out.At<double>(kSecWeightValues);
+  if (!base.weight_values_.empty()) {
+    std::memcpy(wvalues, base.weight_values_.data(),
+                base.weight_values_.size() * sizeof(double));
+  }
+  uint8_t* wlearn = out.CopyBase<uint8_t>(kSecWeightLearnable);
+  uint64_t* wdesc_off = out.CopyBase<uint64_t>(kSecWeightDescOffsets);
+  char* wdesc_blob = out.CopyBase<char>(kSecWeightDescBlob);
+  uint64_t desc_cursor = b.desc_blob_bytes;
+  for (size_t i = 0; i < appendix.weights.size(); ++i) {
+    const CompiledAppendix::AppendedWeight& w = appendix.weights[i];
+    wvalues[b.num_weights + i] = w.value;
+    wlearn[i] = w.learnable ? 1 : 0;
+    if (!w.description.empty()) {
+      std::memcpy(wdesc_blob, w.description.data(), w.description.size());
+    }
+    wdesc_blob += w.description.size();
+    desc_cursor += w.description.size();
+    wdesc_off[i] = desc_cursor;
+  }
+  SpliceRows(base.weight_group_offsets_, base.weight_groups_, base.num_weights_,
+             static_cast<size_t>(h.num_weights),
+             [&](const auto& emit) {
+               for (size_t i = 0; i < new_groups; ++i) {
+                 emit(appendix.groups[i].weight, static_cast<GroupId>(base_groups + i));
+               }
+             },
+             out.At<uint64_t>(kSecWeightGroupOffsets),
+             out.At<GroupId>(kSecWeightGroups));
+
+  // Groups and clauses: appended after the base's, clauses group by group.
+  CompiledGroup* groups = out.CopyBase<CompiledGroup>(kSecGroups);
+  if (new_groups > 0) {
+    std::memcpy(groups, appendix.groups.data(), new_groups * sizeof(CompiledGroup));
+  }
+  uint64_t* gclause_off =
+      out.CopyBase<uint64_t>(kSecGroupClauseOffsets);
+  ClauseId* gclauses = out.CopyBase<ClauseId>(kSecGroupClauses);
+  GroupId* clause_groups = out.CopyBase<GroupId>(kSecClauseGroups);
+  for (size_t i = 0; i < new_groups; ++i) {
+    gclause_off[i] = base_clauses + appendix.group_clause_offsets[i + 1];
+    for (uint64_t c = appendix.group_clause_offsets[i];
+         c < appendix.group_clause_offsets[i + 1]; ++c) {
+      gclauses[c] = static_cast<ClauseId>(base_clauses + c);
+      clause_groups[c] = static_cast<GroupId>(base_groups + i);
+    }
+  }
+  // Every element keeps its compiled id, as after a Decompile.
+  auto* group_orig = out.At<uint32_t>(kSecGroupOrigIds);
+  for (size_t g = 0; g < h.num_groups; ++g) group_orig[g] = static_cast<uint32_t>(g);
+  auto* clause_orig = out.At<uint32_t>(kSecClauseOrigIds);
+  for (size_t c = 0; c < h.num_clauses; ++c) clause_orig[c] = static_cast<uint32_t>(c);
+  uint64_t* clit_off = out.CopyBase<uint64_t>(kSecClauseLitOffsets);
+  for (size_t c = 0; c < new_clauses; ++c) {
+    clit_off[c] = b.num_literals + appendix.clause_literal_offsets[c + 1];
+  }
+  CompiledLiteral* literals =
+      out.CopyBase<CompiledLiteral>(kSecLiterals);
+  if (new_literals > 0) {
+    std::memcpy(literals, appendix.literals.data(),
+                new_literals * sizeof(CompiledLiteral));
+  }
+
+  // Per-variable rows: the base row, then the appended groups and clauses.
+  SpliceRows(base.head_offsets_, base.head_groups_, base.num_variables_, num_vars,
+             [&](const auto& emit) {
+               for (size_t i = 0; i < new_groups; ++i) {
+                 emit(appendix.groups[i].head, static_cast<GroupId>(base_groups + i));
+               }
+             },
+             out.At<uint64_t>(kSecHeadOffsets),
+             out.At<GroupId>(kSecHeadGroups));
+  SpliceRows(base.body_offsets_, base.body_refs_, base.num_variables_, num_vars,
+             [&](const auto& emit) {
+               for (size_t c = 0; c < new_clauses; ++c) {
+                 const auto clause = static_cast<ClauseId>(base_clauses + c);
+                 for (uint64_t l = appendix.clause_literal_offsets[c];
+                      l < appendix.clause_literal_offsets[c + 1]; ++l) {
+                   const CompiledLiteral& lit = appendix.literals[l];
+                   emit(lit.var, CompiledBodyRef{clause, lit.negated});
+                 }
+               }
+             },
+             out.At<uint64_t>(kSecBodyOffsets),
+             out.At<CompiledBodyRef>(kSecBodyRefs));
+  return SealImage(h, std::move(image));
 }
 
 uint64_t CompiledGraph::Checksum() const {

@@ -7,6 +7,7 @@
 #include <span>
 #include <string_view>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "factor/factor_graph.h"
@@ -144,6 +145,47 @@ struct CompiledBodyRef {
 };
 static_assert(sizeof(CompiledBodyRef) == 8 && std::is_trivially_copyable_v<CompiledBodyRef>);
 
+/// What CompiledGraph::Splice appends after a compiled base graph. Appended
+/// ids continue the base's: weight i is base.NumWeights() + i, group i is
+/// base.NumGroups() + i, and clause j is base.NumClauses() + j, where
+/// clauses are numbered group by group.
+struct CompiledAppendix {
+  struct AppendedWeight {
+    double value = 0.0;
+    bool learnable = false;
+    /// Must stay valid until Splice returns.
+    std::string_view description;
+  };
+
+  /// Width of the spliced graph, at least the base's. Variables past the
+  /// base start as query variables.
+  size_t num_variables = 0;
+  /// Evidence assignments applied in order over the base's; nullopt clears.
+  std::vector<std::pair<VarId, std::optional<bool>>> evidence;
+  std::vector<AppendedWeight> weights;
+  /// `weight` ids are in the spliced numbering (base or appended weights).
+  std::vector<CompiledGroup> groups;
+  /// CSR: appended group i owns appended clauses [offsets[i], offsets[i+1]).
+  std::vector<uint64_t> group_clause_offsets{0};
+  /// CSR: appended clause j owns literals [offsets[j], offsets[j+1]).
+  std::vector<uint64_t> clause_literal_offsets{0};
+  std::vector<CompiledLiteral> literals;
+
+  /// Appends a group; the clauses added next belong to it.
+  void AddGroup(const CompiledGroup& group) {
+    groups.push_back(group);
+    group_clause_offsets.push_back(group_clause_offsets.back());
+  }
+  /// Appends a clause to the last group added.
+  void AddClause(const std::vector<Literal>& clause_literals) {
+    for (const Literal& lit : clause_literals) {
+      literals.push_back(CompiledLiteral{lit.var, lit.negated ? 1u : 0u});
+    }
+    clause_literal_offsets.push_back(literals.size());
+    ++group_clause_offsets.back();
+  }
+};
+
 /// Lightweight clause view returned by CompiledGraph::clause(). Every
 /// compiled clause is active by construction (inactive ones are compacted
 /// out), mirroring factor::Clause's interface for the templated kernels.
@@ -175,6 +217,19 @@ class CompiledGraph {
   /// of active groups) only, original relative order preserved; variables
   /// and weights keep their ids. O(graph).
   static CompiledGraph Compile(const FactorGraph& graph);
+
+  /// The image of `base` with `appendix` appended, without building a
+  /// FactorGraph: the base sections are copied, the appended weights,
+  /// groups, clauses and literals follow them, and each variable's head and
+  /// body rows (and each weight's group row) hold the base row followed by
+  /// the appended entries in order. Byte-identical to Compile of
+  /// Decompile(base) extended through the FactorGraph API (variables up to
+  /// num_variables, then each weight, then each group followed by its
+  /// clauses, then the evidence in order), so the kernels iterate, sum and
+  /// draw in the order a full compile gives. Original ids are the compiled
+  /// ids, as after a Decompile. O(image).
+  static CompiledGraph Splice(const CompiledGraph& base,
+                              const CompiledAppendix& appendix);
 
   /// Adopts a complete image from owned bytes (buffered file read or a
   /// just-built image). `validate` runs the deep integrity pass — checksum,

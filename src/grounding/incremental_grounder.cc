@@ -543,6 +543,17 @@ StatusOr<GraphDelta> IncrementalGrounder::ApplyRelationDeltas(
   return delta;
 }
 
+Status IncrementalGrounder::CheckDeltaEvaluable(
+    const std::set<std::string>& changing) const {
+  const auto is_changing = [&](const std::string& relation) {
+    return changing.count(relation) > 0;
+  };
+  for (const CompiledFactorRule& cr : rules_) {
+    DD_RETURN_IF_ERROR(cr.body.CheckNegatedUnchanged(is_changing));
+  }
+  return Status::OK();
+}
+
 StatusOr<GraphDelta> IncrementalGrounder::AddFactorRule(const dsl::FactorRule& rule) {
   DD_CHECK(initialized_);
   DD_RETURN_IF_ERROR(CompileFactorRule(rule));

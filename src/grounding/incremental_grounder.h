@@ -57,6 +57,12 @@ class IncrementalGrounder {
   /// Applies relation set-deltas produced by ViewMaintainer::ApplyUpdate.
   StatusOr<factor::GraphDelta> ApplyRelationDeltas(const engine::RelationDeltas& deltas);
 
+  /// ApplyRelationDeltas' one precondition, checkable before view
+  /// maintenance writes anything: no factor rule negates a relation in
+  /// `changing` (ViewMaintainer::ChangingRelations). Returns Unimplemented
+  /// naming the first such relation.
+  Status CheckDeltaEvaluable(const std::set<std::string>& changing) const;
+
   /// Adds one factor rule to the running system (grounds it fully).
   StatusOr<factor::GraphDelta> AddFactorRule(const dsl::FactorRule& rule);
 

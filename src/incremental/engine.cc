@@ -612,12 +612,11 @@ UpdateOutcome IncrementalEngine::RunVariational(const EngineOptions& options,
                                                 const std::vector<VarId>& affected) {
   UpdateOutcome outcome;
   DD_CHECK(snapshot_->variational.has_value());
-  // The sweeps run on the CSR image of the approximation-plus-delta graph;
-  // the compiled kernel keeps iteration, FP and RNG order, so the marginals
-  // are those the mutable graph would give.
-  const factor::CompiledGraph inference_graph =
-      factor::CompiledGraph::Compile(BuildVariationalInferenceGraph(
-          *graph_, snapshot_->variational->approx_graph(), cumulative_));
+  // The sweeps run on the approximation's compiled image with the cumulative
+  // delta spliced on; its rows keep the order a compile of the whole
+  // approximation-plus-delta graph gives, and so its FP and RNG order.
+  const factor::CompiledGraph inference_graph = BuildVariationalInferenceImage(
+      *graph_, *snapshot_->variational, cumulative_);
 
   std::vector<VarId> sweep_vars;
   for (VarId v : affected) {

@@ -115,83 +115,53 @@ StatusOr<VariationalMaterialization> VariationalMaterialization::Materialize(
       lr *= options.fit_decay;
     }
   }
+  // One clause per group, in group order: the image updates splice onto.
+  m.compiled_approx_ = factor::CompiledGraph::Compile(ag);
   return m;
 }
 
-FactorGraph BuildVariationalInferenceGraph(const FactorGraph& original,
-                                           const FactorGraph& approx,
-                                           const GraphDelta& delta) {
-  FactorGraph out;
-  // Clone the approximation (variables, evidence, weights, groups, clauses),
-  // pre-sizing once so the clone loop never rehashes or reallocates.
-  out.ReserveVariables(original.NumVariables());
-  out.ReserveWeights(approx.NumWeights());
-  out.ReserveGroups(approx.NumGroups() + delta.new_groups.size() +
-                    delta.modified_groups.size());
-  out.ReserveClauses(approx.NumClauses());
-  if (original.NumVariables() > 0) out.AddVariables(original.NumVariables());
-  for (VarId v = 0; v < approx.NumVariables(); ++v) {
-    out.SetEvidence(v, approx.EvidenceValue(v));
-  }
-  std::vector<WeightId> approx_wmap(approx.NumWeights());
-  for (WeightId w = 0; w < approx.NumWeights(); ++w) {
-    approx_wmap[w] = out.AddWeight(approx.weight(w).value, approx.weight(w).learnable,
-                                   approx.weight(w).description);
-  }
-  for (GroupId g = 0; g < approx.NumGroups(); ++g) {
-    const factor::FactorGroup& group = approx.group(g);
-    if (!group.active) continue;
-    const GroupId ng =
-        out.AddGroup(group.rule_id, group.head, approx_wmap[group.weight],
-                     group.semantics);
-    for (factor::ClauseId cid : group.clauses) {
-      const factor::Clause& clause = approx.clause(cid);
-      if (clause.active) out.AddClause(ng, clause.literals);
+factor::CompiledGraph BuildVariationalInferenceImage(
+    const FactorGraph& original, const VariationalMaterialization& materialization,
+    const GraphDelta& delta) {
+  const factor::CompiledGraph& base = materialization.compiled_approx();
+  factor::CompiledAppendix appendix;
+  appendix.num_variables = original.NumVariables();
+  // Delta weights are copied once each, numbered in first-use order.
+  constexpr WeightId kUnmapped = static_cast<WeightId>(-1);
+  std::vector<WeightId> weight_map(original.NumWeights(), kUnmapped);
+  auto add_group = [&](const factor::FactorGroup& group) {
+    WeightId& mapped = weight_map[group.weight];
+    if (mapped == kUnmapped) {
+      mapped = static_cast<WeightId>(base.NumWeights() + appendix.weights.size());
+      const factor::Weight& weight = original.weight(group.weight);
+      appendix.weights.push_back({weight.value, weight.learnable, weight.description});
     }
-  }
-
-  // Append delta factors from the original graph (copying their weights).
-  std::map<WeightId, WeightId> orig_wmap;
-  auto map_weight = [&](WeightId w) {
-    auto it = orig_wmap.find(w);
-    if (it != orig_wmap.end()) return it->second;
-    const WeightId nw = out.AddWeight(original.weight(w).value,
-                                      original.weight(w).learnable,
-                                      original.weight(w).description);
-    orig_wmap.emplace(w, nw);
-    return nw;
+    appendix.AddGroup({group.head, mapped, group.rule_id, group.semantics});
   };
-  auto copy_group = [&](GroupId g, const std::vector<factor::ClauseId>* only_clauses) {
+  for (GroupId g : delta.new_groups) {
     const factor::FactorGroup& group = original.group(g);
-    if (!group.active) return;  // added then retracted within the window
-    const GroupId ng =
-        out.AddGroup(group.rule_id, group.head, map_weight(group.weight),
-                     group.semantics);
-    std::vector<std::vector<factor::Literal>> literal_lists;
-    if (only_clauses != nullptr) {
-      literal_lists.reserve(only_clauses->size());
-      for (factor::ClauseId cid : *only_clauses) {
-        literal_lists.push_back(original.clause(cid).literals);
-      }
-    } else {
-      literal_lists.reserve(group.clauses.size());
-      for (factor::ClauseId cid : group.clauses) {
-        const factor::Clause& clause = original.clause(cid);
-        if (clause.active) literal_lists.push_back(clause.literals);
-      }
+    if (!group.active) continue;  // added then retracted within the window
+    add_group(group);
+    for (factor::ClauseId cid : group.clauses) {
+      const factor::Clause& clause = original.clause(cid);
+      if (clause.active) appendix.AddClause(clause.literals);
     }
-    out.AddClauses(ng, std::move(literal_lists));
-  };
-  for (GroupId g : delta.new_groups) copy_group(g, nullptr);
+  }
   for (const GraphDelta::GroupMod& mod : delta.modified_groups) {
-    if (!mod.added.empty()) copy_group(mod.group, &mod.added);
     // Removed clauses were part of the approximated distribution; they
     // cannot be subtracted from the learned pairwise weights.
+    const factor::FactorGroup& group = original.group(mod.group);
+    if (mod.added.empty() || !group.active) continue;
+    add_group(group);
+    for (factor::ClauseId cid : mod.added) {
+      appendix.AddClause(original.clause(cid).literals);
+    }
   }
+  appendix.evidence.reserve(delta.evidence_changes.size());
   for (const GraphDelta::EvidenceChange& ec : delta.evidence_changes) {
-    out.SetEvidence(ec.var, ec.new_value);
+    appendix.evidence.emplace_back(ec.var, ec.new_value);
   }
-  return out;
+  return factor::CompiledGraph::Splice(base, appendix);
 }
 
 StatusOr<double> SearchLambda(const FactorGraph& graph,

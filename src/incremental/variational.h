@@ -2,10 +2,10 @@
 #define DEEPDIVE_INCREMENTAL_VARIATIONAL_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <vector>
 
+#include "factor/compiled_graph.h"
 #include "factor/factor_graph.h"
 #include "factor/graph_delta.h"
 #include "util/status.h"
@@ -44,7 +44,9 @@ struct VariationalOptions {
 /// sparsity -> speed/quality tradeoff it exposes is preserved.
 ///
 /// Inference: append the update's delta factors to the approximate graph and
-/// run Gibbs on the (much sparser) result.
+/// run Gibbs on the (much sparser) result. The approximation is compiled once
+/// here; each update splices its delta onto that image
+/// (BuildVariationalInferenceImage).
 class VariationalMaterialization {
  public:
   struct EdgeStat {
@@ -57,10 +59,11 @@ class VariationalMaterialization {
       const factor::FactorGraph& graph, const VariationalOptions& options);
 
   /// The sparse pairwise approximation (same variable ids as the original).
-  /// Structurally immutable after Materialize; the serving thread tweaks
-  /// only weight values (delta application), per FactorGraph's contract.
+  /// Immutable after Materialize: compiled_approx() is frozen from it.
   const factor::FactorGraph& approx_graph() const { return *approx_graph_; }
-  factor::FactorGraph* mutable_approx_graph() { return approx_graph_.get(); }
+  /// The approximation's CSR image, compiled at the end of Materialize
+  /// (on the background worker when a remat is async). Immutable.
+  const factor::CompiledGraph& compiled_approx() const { return compiled_approx_; }
 
   size_t NumEdges() const { return num_edges_; }
   size_t NumNzPairs() const { return num_nz_pairs_; }
@@ -71,20 +74,24 @@ class VariationalMaterialization {
 
  private:
   std::unique_ptr<factor::FactorGraph> approx_graph_;
+  factor::CompiledGraph compiled_approx_;
   std::vector<EdgeStat> edge_stats_;
   size_t num_edges_ = 0;
   size_t num_nz_pairs_ = 0;
 };
 
-/// Builds an inference graph for the variational path: clones `approx`, then
-/// copies the delta's new groups / added clauses / evidence / weight values
-/// from `original` (weights are duplicated into the clone; variable ids are
-/// shared). Removed original factors are already absorbed into the
-/// approximation and cannot be subtracted — the inherent approximation of
-/// this approach.
-factor::FactorGraph BuildVariationalInferenceGraph(const factor::FactorGraph& original,
-                                                   const factor::FactorGraph& approx,
-                                                   const factor::GraphDelta& delta);
+/// The CSR image the variational path samples for `delta`: the compiled
+/// approximation with, spliced after it (CompiledGraph::Splice), the delta's
+/// active new groups in order with their active clauses, then each active
+/// modified group's added clauses as one group, their weights copied from
+/// `original` in first-use order at its current values, and the evidence
+/// changes applied in order. Variable ids are shared with `original`.
+/// Removed original factors are already absorbed into the approximation and
+/// cannot be subtracted — the inherent approximation of this approach.
+factor::CompiledGraph BuildVariationalInferenceImage(
+    const factor::FactorGraph& original,
+    const VariationalMaterialization& materialization,
+    const factor::GraphDelta& delta);
 
 /// The λ search protocol of Section 3.2.3: starting from λ = lambda_min,
 /// multiply by 10 until the symmetric KL divergence between original and

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -29,6 +30,7 @@ namespace deepdive {
 namespace {
 
 using factor::ClauseId;
+using factor::CompiledAppendix;
 using factor::CompiledGraph;
 using factor::FactorGraph;
 using factor::GroupId;
@@ -362,12 +364,86 @@ std::vector<double> VariationalSweepSums(const GraphT& graph,
   return sums;
 }
 
+// The variational update's inference graph as a FactorGraph: the builder the
+// engine ran on every variational write before it spliced the delta onto the
+// compiled approximation. Compiling its result is the splice's reference.
+FactorGraph ReferenceVariationalGraph(const FactorGraph& original,
+                                      const FactorGraph& approx,
+                                      const factor::GraphDelta& delta) {
+  FactorGraph out;
+  // Clone the approximation (variables, evidence, weights, groups, clauses).
+  if (original.NumVariables() > 0) out.AddVariables(original.NumVariables());
+  for (VarId v = 0; v < approx.NumVariables(); ++v) {
+    out.SetEvidence(v, approx.EvidenceValue(v));
+  }
+  std::vector<WeightId> approx_wmap(approx.NumWeights());
+  for (WeightId w = 0; w < approx.NumWeights(); ++w) {
+    approx_wmap[w] = out.AddWeight(approx.weight(w).value, approx.weight(w).learnable,
+                                   approx.weight(w).description);
+  }
+  for (GroupId g = 0; g < approx.NumGroups(); ++g) {
+    const factor::FactorGroup& group = approx.group(g);
+    if (!group.active) continue;
+    const GroupId ng = out.AddGroup(group.rule_id, group.head,
+                                    approx_wmap[group.weight], group.semantics);
+    for (ClauseId cid : group.clauses) {
+      const factor::Clause& clause = approx.clause(cid);
+      if (clause.active) out.AddClause(ng, clause.literals);
+    }
+  }
+
+  // Append delta factors from the original graph (copying their weights).
+  std::map<WeightId, WeightId> orig_wmap;
+  auto map_weight = [&](WeightId w) {
+    auto it = orig_wmap.find(w);
+    if (it != orig_wmap.end()) return it->second;
+    const WeightId nw = out.AddWeight(original.weight(w).value,
+                                      original.weight(w).learnable,
+                                      original.weight(w).description);
+    orig_wmap.emplace(w, nw);
+    return nw;
+  };
+  auto copy_group = [&](GroupId g, const std::vector<ClauseId>* only_clauses) {
+    const factor::FactorGroup& group = original.group(g);
+    if (!group.active) return;  // added then retracted within the window
+    const GroupId ng = out.AddGroup(group.rule_id, group.head,
+                                    map_weight(group.weight), group.semantics);
+    if (only_clauses != nullptr) {
+      for (ClauseId cid : *only_clauses) out.AddClause(ng, original.clause(cid).literals);
+      return;
+    }
+    for (ClauseId cid : group.clauses) {
+      const factor::Clause& clause = original.clause(cid);
+      if (clause.active) out.AddClause(ng, clause.literals);
+    }
+  };
+  for (GroupId g : delta.new_groups) copy_group(g, nullptr);
+  for (const factor::GraphDelta::GroupMod& mod : delta.modified_groups) {
+    if (!mod.added.empty()) copy_group(mod.group, &mod.added);
+  }
+  for (const factor::GraphDelta::EvidenceChange& ec : delta.evidence_changes) {
+    out.SetEvidence(ec.var, ec.new_value);
+  }
+  return out;
+}
+
+void ExpectSameImage(const CompiledGraph& actual, const CompiledGraph& expected,
+                     const std::string& label) {
+  ASSERT_EQ(actual.image_bytes(), expected.image_bytes()) << label;
+  EXPECT_EQ(std::memcmp(actual.image_data(), expected.image_data(),
+                        expected.image_bytes()),
+            0)
+      << label;
+}
+
 // The graph shape the variational update path sweeps: the pairwise
 // approximation of a materialized graph plus a delta with new groups (every
 // semantics, multi-clause ratio groups, one added then deactivated), clauses
-// added to an existing group, and an evidence flip. `vars` is the sweep list.
-void MakeVariationalUpdateGraph(uint64_t seed, FactorGraph* inference_graph,
-                                std::vector<VarId>* vars) {
+// added to an existing group, and an evidence flip. `reference` is the
+// reference builder's graph, `image` the engine's spliced image of the same
+// update, and `vars` the sweep list.
+void MakeVariationalUpdateGraph(uint64_t seed, FactorGraph* reference,
+                                CompiledGraph* image, std::vector<VarId>* vars) {
   FactorGraph g = MixedGraph(seed);
   incremental::VariationalOptions vopts;
   vopts.num_samples = 60;
@@ -410,26 +486,30 @@ void MakeVariationalUpdateGraph(uint64_t seed, FactorGraph* inference_graph,
   g.SetEvidence(flipped, new_value);
   delta.evidence_changes.push_back({flipped, old_value, new_value});
 
-  *inference_graph =
-      incremental::BuildVariationalInferenceGraph(g, m->approx_graph(), delta);
+  *reference = ReferenceVariationalGraph(g, m->approx_graph(), delta);
+  *image = incremental::BuildVariationalInferenceImage(g, *m, delta);
   vars->clear();
-  for (VarId v = 0; v < inference_graph->NumVariables(); ++v) {
-    if (!inference_graph->IsEvidence(v) && v % 4 != 1) vars->push_back(v);
+  for (VarId v = 0; v < reference->NumVariables(); ++v) {
+    if (!reference->IsEvidence(v) && v % 4 != 1) vars->push_back(v);
   }
   ASSERT_FALSE(vars->empty()) << "seed " << seed;
 }
 
 constexpr uint64_t kVariationalUpdateSeeds[] = {3, 11, 29};
 
+// The engine's sweeps on the spliced image against the mutable sweeps on the
+// reference builder's graph.
 TEST(CompiledGraphTest, VariationalUpdateSweepParity) {
   for (uint64_t seed : kVariationalUpdateSeeds) {
-    FactorGraph inference_graph;
+    FactorGraph reference;
+    CompiledGraph image;
     std::vector<VarId> vars;
-    ASSERT_NO_FATAL_FAILURE(MakeVariationalUpdateGraph(seed, &inference_graph, &vars));
-    const CompiledGraph compiled = CompiledGraph::Compile(inference_graph);
+    ASSERT_NO_FATAL_FAILURE(MakeVariationalUpdateGraph(seed, &reference, &image, &vars));
+    ExpectSameImage(image, CompiledGraph::Compile(reference),
+                    "seed " + std::to_string(seed));
     for (bool hogwild : {false, true}) {
-      const auto expected = VariationalSweepSums(inference_graph, vars, hogwild);
-      const auto actual = VariationalSweepSums(compiled, vars, hogwild);
+      const auto expected = VariationalSweepSums(reference, vars, hogwild);
+      const auto actual = VariationalSweepSums(image, vars, hogwild);
       bool mixed = false;  // parity of frozen chains would prove nothing
       for (VarId v : vars) {
         EXPECT_EQ(expected[v], actual[v])
@@ -438,6 +518,187 @@ TEST(CompiledGraphTest, VariationalUpdateSweepParity) {
       }
       EXPECT_TRUE(mixed) << "seed " << seed;
     }
+  }
+}
+
+// Splice's contract on any compiled base, compacted ones included: the image
+// equals Compile of Decompile(base) extended through the FactorGraph API,
+// with appended groups on base and appended weights, clause-less groups,
+// repeated literals, evidence set and cleared, and variables past the base.
+TEST(CompiledGraphTest, SpliceEqualsCompileOfExtendedDecompile) {
+  for (uint64_t seed = 1; seed <= 16; ++seed) {
+    const CompiledGraph base = CompiledGraph::Compile(MixedGraph(seed));
+    FactorGraph extended = base.Decompile();
+    Rng rng(seed + 300);
+    CompiledAppendix appendix;
+    appendix.num_variables = base.NumVariables() + rng.UniformInt(3);
+    const size_t n = appendix.num_variables;
+    if (n > extended.NumVariables()) extended.AddVariables(n - extended.NumVariables());
+    const std::vector<std::string> descriptions = {"appended/0", "", "appended/2"};
+    for (const std::string& description : descriptions) {
+      const double value = rng.Uniform(-1, 1);
+      const bool learnable = rng.Bernoulli(0.5);
+      appendix.weights.push_back({value, learnable, description});
+      extended.AddWeight(value, learnable, description);
+    }
+    for (size_t i = rng.UniformInt(7); i > 0; --i) {
+      const auto head = static_cast<VarId>(rng.UniformInt(n));
+      const auto weight = static_cast<WeightId>(rng.UniformInt(extended.NumWeights()));
+      const auto sem = static_cast<Semantics>(rng.UniformInt(3));
+      const auto rule = static_cast<uint32_t>(50 + i);
+      appendix.AddGroup({head, weight, rule, sem});
+      const GroupId grp = extended.AddGroup(rule, head, weight, sem);
+      for (size_t c = rng.UniformInt(3); c > 0; --c) {
+        std::vector<factor::Literal> lits;
+        for (size_t l = rng.UniformInt(4); l > 0; --l) {
+          const auto v = static_cast<VarId>(rng.UniformInt(n));
+          if (v != head) lits.push_back({v, rng.Bernoulli(0.3)});
+        }
+        appendix.AddClause(lits);
+        extended.AddClause(grp, lits);
+      }
+    }
+    for (size_t i = rng.UniformInt(5); i > 0; --i) {
+      const auto v = static_cast<VarId>(rng.UniformInt(n));
+      const std::optional<bool> value =
+          rng.Bernoulli(0.3) ? std::nullopt : std::optional<bool>(rng.Bernoulli(0.5));
+      appendix.evidence.emplace_back(v, value);
+      extended.SetEvidence(v, value);
+    }
+    ExpectSameImage(CompiledGraph::Splice(base, appendix),
+                    CompiledGraph::Compile(extended), "seed " + std::to_string(seed));
+  }
+}
+
+// The engine's variational image equals the compile of the reference
+// builder's graph, byte for byte, while a cumulative delta grows by Merge:
+// new groups on a shared, an original and fresh weights; a new group and a
+// new group's clause retracted later; a new group deactivated with no
+// removal record; clauses added to existing groups, coalesced across
+// updates, cancelled, and on a group removed later; evidence set, flipped
+// and cleared on one variable; variables past the approximation's width.
+TEST(CompiledGraphTest, VariationalImageMatchesReferenceBuild) {
+  using factor::GraphDelta;
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    FactorGraph g = MixedGraph(seed);
+    incremental::VariationalOptions vopts;
+    vopts.num_samples = 40;
+    vopts.gibbs_burn_in = 5;
+    vopts.fit_epochs = 10;
+    vopts.lambda = 0.02;
+    vopts.seed = seed;
+    auto m = incremental::VariationalMaterialization::Materialize(g, vopts);
+    ASSERT_TRUE(m.ok()) << m.status().ToString();
+    GraphDelta cumulative;
+    auto expect_matches = [&](const std::string& step) {
+      const FactorGraph reference =
+          ReferenceVariationalGraph(g, m->approx_graph(), cumulative);
+      ExpectSameImage(incremental::BuildVariationalInferenceImage(g, *m, cumulative),
+                      CompiledGraph::Compile(reference),
+                      "seed " + std::to_string(seed) + ", " + step);
+    };
+    expect_matches("empty delta");
+
+    Rng rng(seed + 700);
+    std::vector<GroupId> originals;  // active groups of the materialized graph
+    for (GroupId grp = 0; grp < g.NumGroups(); ++grp) {
+      if (g.group(grp).active) originals.push_back(grp);
+    }
+    auto add_clause = [&](GroupId grp) {
+      std::vector<factor::Literal> lits;
+      for (size_t l = 1 + rng.UniformInt(2); l > 0; --l) {
+        const auto v = static_cast<VarId>(rng.UniformInt(g.NumVariables()));
+        if (v != g.group(grp).head) lits.push_back({v, rng.Bernoulli(0.3)});
+      }
+      return g.AddClause(grp, lits);
+    };
+    auto add_group = [&](WeightId w, size_t clauses, GraphDelta* d) {
+      const GroupId grp = g.AddGroup(
+          static_cast<uint32_t>(200 + g.NumGroups()),
+          static_cast<VarId>(rng.UniformInt(g.NumVariables())), w,
+          static_cast<Semantics>(rng.UniformInt(3)));
+      for (size_t c = 0; c < clauses; ++c) add_clause(grp);
+      d->new_groups.push_back(grp);
+      return grp;
+    };
+    auto set_evidence = [&](VarId v, std::optional<bool> value, GraphDelta* d) {
+      d->evidence_changes.push_back({v, g.EvidenceValue(v), value});
+      g.SetEvidence(v, value);
+    };
+
+    // Update 1: three variables past the approximation; two new groups on a
+    // shared new weight, one on an original weight, one prior on a fresh
+    // weight; a clause added to up to two original groups; evidence set.
+    GraphDelta d1;
+    const VarId first_new = g.AddVariables(3);
+    for (VarId v = first_new; v < g.NumVariables(); ++v) d1.new_variables.push_back(v);
+    const WeightId shared = g.AddWeight(rng.Uniform(-1, 1), true, "shared");
+    const GroupId a = add_group(shared, 2, &d1);
+    const GroupId b = add_group(shared, 1, &d1);
+    add_group(g.group(0).weight, 2, &d1);
+    const WeightId fresh = g.AddWeight(rng.Uniform(-1, 1), false, "fresh");
+    const GroupId prior = add_group(fresh, 0, &d1);
+    std::vector<ClauseId> added_first;
+    for (size_t i = 0; i < originals.size() && i < 2; ++i) {
+      added_first.push_back(add_clause(originals[i]));
+      d1.modified_groups.push_back({originals[i], {added_first.back()}, {}});
+    }
+    set_evidence(0, true, &d1);
+    set_evidence(first_new + 1, false, &d1);
+    cumulative.Merge(d1);
+    expect_matches("update 1");
+
+    // Update 2: b retracted and a clause of a retracted; a clause appended to
+    // a (interleaved with later clauses); the prior deactivated with no
+    // removal record; a second clause on the first original, and the second
+    // original removed; a new group on the shared weight, whose value moves;
+    // a fourth new variable; evidence flipped.
+    GraphDelta d2;
+    g.DeactivateGroup(b);
+    d2.removed_groups.push_back(b);
+    const ClauseId a_first = g.group(a).clauses[0];
+    g.DeactivateClause(a_first);
+    d2.modified_groups.push_back({a, {add_clause(a)}, {a_first}});
+    g.DeactivateGroup(prior);
+    if (!originals.empty()) {
+      d2.modified_groups.push_back({originals[0], {add_clause(originals[0])}, {}});
+    }
+    if (originals.size() > 1) {
+      g.DeactivateGroup(originals[1]);
+      d2.removed_groups.push_back(originals[1]);
+    }
+    d2.new_variables.push_back(g.AddVariable());
+    add_group(shared, 3, &d2);
+    const double old_shared = g.WeightValue(shared);
+    g.SetWeightValue(shared, old_shared + 0.5);
+    d2.weight_changes.push_back({shared, old_shared, old_shared + 0.5});
+    set_evidence(0, false, &d2);
+    cumulative.Merge(d2);
+    expect_matches("update 2");
+
+    // Update 3: the first original's update-1 clause retracted (cancelling
+    // its addition), an original clause retracted, evidence cleared.
+    GraphDelta d3;
+    if (!originals.empty()) {
+      g.DeactivateClause(added_first[0]);
+      d3.modified_groups.push_back({originals[0], {}, {added_first[0]}});
+    }
+    for (GroupId grp : originals) {
+      if (grp == originals[0] || !g.group(grp).active) continue;
+      for (ClauseId c : g.group(grp).clauses) {
+        if (!g.clause(c).active) continue;
+        g.DeactivateClause(c);
+        d3.modified_groups.push_back({grp, {}, {c}});
+        break;
+      }
+      break;
+    }
+    set_evidence(0, std::nullopt, &d3);
+    cumulative.Merge(d3);
+    expect_matches("update 3");
+
+    cumulative.Merge(GraphDelta{});
+    expect_matches("empty update");
   }
 }
 
@@ -482,11 +743,11 @@ ChainStats ExpectChainMatchesSweepVars(const CompiledGraph& graph,
 
 TEST(CompiledGraphTest, CachedChainMatchesSweepVarsOnVariationalUpdates) {
   for (uint64_t seed : kVariationalUpdateSeeds) {
-    FactorGraph inference_graph;
+    FactorGraph reference;
+    CompiledGraph image;
     std::vector<VarId> vars;
-    ASSERT_NO_FATAL_FAILURE(MakeVariationalUpdateGraph(seed, &inference_graph, &vars));
-    ExpectChainMatchesSweepVars(CompiledGraph::Compile(inference_graph), vars,
-                                "seed " + std::to_string(seed));
+    ASSERT_NO_FATAL_FAILURE(MakeVariationalUpdateGraph(seed, &reference, &image, &vars));
+    ExpectChainMatchesSweepVars(image, vars, "seed " + std::to_string(seed));
   }
 }
 

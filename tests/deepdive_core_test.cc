@@ -220,6 +220,49 @@ TEST(DeepDiveTest, UnknownRelationInUpdateIsError) {
   EXPECT_FALSE(dd->ApplyUpdate(spec).ok());
 }
 
+// Incremental grounding cannot read a changed relation through a factor
+// rule's negated atom. Such an update is rejected before view maintenance
+// writes a table or the grounder adds a variable, and the tenant keeps
+// serving.
+TEST(DeepDiveTest, UpdateNegatedFactorRuleCannotAbsorbChangesNothing) {
+  deepdive::serving_thread.AssertHeld();
+  auto dd = DeepDive::Create(R"(
+    relation A(x: int).
+    relation B(x: int).
+    query relation Q(x: int).
+    rule CAND: Q(x) :- A(x).
+    factor F: Q(x) :- A(x), !B(x) weight = 1.0.
+  )", FastTestConfig());
+  ASSERT_TRUE(dd.ok()) << dd.status().ToString();
+  ASSERT_TRUE((*dd)->LoadRows("A", {{Value(1)}, {Value(2)}}).ok());
+  ASSERT_TRUE((*dd)->Initialize().ok());
+  const factor::FactorGraph& graph = (*dd)->ground().graph;
+  ASSERT_EQ(graph.NumVariables(), 2u);
+  const size_t groups = graph.NumGroups();
+  const uint64_t epoch = (*dd)->Query()->epoch;
+
+  UpdateSpec spec;
+  spec.inserts["A"] = {{Value(3)}};
+  spec.inserts["B"] = {{Value(1)}};
+  auto rejected = (*dd)->ApplyUpdate(spec);
+  EXPECT_EQ(rejected.status().code(), StatusCode::kUnimplemented);
+  EXPECT_NE(rejected.status().message().find("'B'"), std::string::npos)
+      << rejected.status().ToString();
+  for (const auto& [table, rows] :
+       {std::pair<const char*, size_t>{"A", 2}, {"B", 0}, {"Q", 2}}) {
+    EXPECT_EQ((*dd)->db()->GetTable(table)->RowSlots(), rows) << table;
+  }
+  EXPECT_EQ(graph.NumVariables(), 2u);
+  EXPECT_EQ(graph.NumGroups(), groups);
+  EXPECT_EQ((*dd)->Query()->epoch, epoch);
+
+  spec.inserts.erase("B");
+  auto report = (*dd)->ApplyUpdate(spec);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(graph.NumVariables(), 3u);
+  EXPECT_EQ((*dd)->db()->GetTable("Q")->size(), 3u);
+}
+
 TEST(DeepDiveTest, UnknownRemoveLabelIsError) {
   deepdive::serving_thread.AssertHeld();
   auto dd = Make(ExecutionMode::kIncremental);

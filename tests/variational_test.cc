@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "factor/compiled_graph.h"
 #include "factor/factor_graph.h"
 #include "incremental/variational.h"
 #include "inference/exact.h"
@@ -107,6 +108,9 @@ TEST(VariationalTest, EvidencePreservedInApproxGraph) {
   ASSERT_TRUE(m.ok());
   EXPECT_EQ(m->approx_graph().EvidenceValue(0), std::optional<bool>(true));
   EXPECT_EQ(m->approx_graph().NumVariables(), g.NumVariables());
+  EXPECT_EQ(m->compiled_approx().EvidenceValue(0), std::optional<bool>(true));
+  EXPECT_EQ(m->compiled_approx().Checksum(),
+            factor::CompiledGraph::Compile(m->approx_graph()).Checksum());
 }
 
 TEST(VariationalTest, BuildInferenceGraphAppendsDelta) {
@@ -120,13 +124,24 @@ TEST(VariationalTest, BuildInferenceGraphAppendsDelta) {
   g.SetEvidence(4, true);
   delta.evidence_changes.push_back({4, std::nullopt, true});
 
-  FactorGraph inf = BuildVariationalInferenceGraph(g, m->approx_graph(), delta);
+  const factor::CompiledGraph inf = BuildVariationalInferenceImage(g, *m, delta);
   EXPECT_EQ(inf.NumVariables(), g.NumVariables());
   EXPECT_EQ(inf.NumGroups(), m->approx_graph().NumGroups() + 1);
+  EXPECT_EQ(inf.NumWeights(), m->approx_graph().NumWeights() + 1);
   EXPECT_EQ(inf.EvidenceValue(4), std::optional<bool>(true));
-  // The copied group carries the original weight value.
-  const factor::FactorGroup& copied = inf.group(inf.NumGroups() - 1);
+  // The copied group carries the original weight and the delta's clause.
+  const factor::GroupId copied_id = static_cast<factor::GroupId>(inf.NumGroups() - 1);
+  const factor::CompiledGroup& copied = inf.group(copied_id);
+  EXPECT_EQ(copied.head, 2u);
   EXPECT_DOUBLE_EQ(inf.WeightValue(copied.weight), 1.0);
+  EXPECT_EQ(inf.WeightDescription(copied.weight), "new-feature");
+  ASSERT_EQ(inf.GroupClauses(copied_id).size(), 1u);
+  const auto literals = inf.ClauseLiterals(inf.GroupClauses(copied_id)[0]);
+  ASSERT_EQ(literals.size(), 1u);
+  EXPECT_EQ(literals[0].var, 3u);
+  // Variable 2's head row is its approximation groups, then the copy.
+  EXPECT_EQ(inf.HeadGroups(2).back(), copied_id);
+  EXPECT_EQ(inf.HeadGroups(2).size(), m->compiled_approx().HeadGroups(2).size() + 1);
 }
 
 TEST(VariationalTest, SearchLambdaStopsBeforeQualityCollapse) {

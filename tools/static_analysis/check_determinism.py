@@ -54,6 +54,9 @@ SCOPE_SEEDS = [
     "Fnv1aHash",
     "EstimateMarginals",
     "EstimateMarginalsAuto",
+    # incremental inference: strategy execution, including the variational
+    # image splice, where row order decides floating-point order
+    "IncrementalEngine::ApplyDelta",
     # rule mining: candidate generation and trial order must be
     # bit-reproducible (the miner's promote/reject decisions — and thus the
     # evolved program itself — depend on it)
