@@ -6,6 +6,7 @@
 #include <cstdio>
 
 #include "bench_common.h"
+#include "factor/compiled_graph.h"
 #include "inference/gibbs.h"
 #include "inference/world.h"
 
@@ -37,9 +38,9 @@ FactorGraph VariableVotingGraph(size_t up, size_t down, Semantics semantics) {
 /// Sweeps until q's running marginal is within 3% of 0.5 (the symmetric
 /// exact answer), from an adversarial all-false start. Returns sweeps (cap
 /// = not converged).
-size_t SweepsToConverge(FactorGraph* g, size_t cap, uint64_t seed) {
-  inference::GibbsSampler sampler(g);
-  inference::World world(g);
+size_t SweepsToConverge(const factor::CompiledGraph& g, size_t cap, uint64_t seed) {
+  inference::GibbsSampler sampler(&g);
+  inference::World world(&g);
   Rng rng(seed);
   world.InitValues(&rng, /*random_init=*/false);
   size_t q_true = 0;
@@ -65,8 +66,9 @@ void Run() {
     for (int s = 0; s < 3; ++s) {
       size_t sum = 0;
       for (uint64_t seed : {1001u, 1002u, 1003u}) {
-        FactorGraph g = VariableVotingGraph(half, half, order[s]);
-        sum += SweepsToConverge(&g, kCap, seed);
+        const factor::CompiledGraph g = factor::CompiledGraph::Compile(
+            VariableVotingGraph(half, half, order[s]));
+        sum += SweepsToConverge(g, kCap, seed);
       }
       results[s] = sum / 3;
     }

@@ -9,6 +9,7 @@
 #include <cstdio>
 
 #include "bench_common.h"
+#include "factor/compiled_graph.h"
 #include "util/string_util.h"
 #include "incremental/mh_sampler.h"
 #include "incremental/sample_store.h"
@@ -33,7 +34,7 @@ using incremental::VariationalOptions;
 constexpr size_t kMaterializationSamples = 100;  // SM
 constexpr size_t kInferenceSamples = 100;        // SI
 
-SampleStore DrawStore(const FactorGraph& g, size_t count, uint64_t seed) {
+SampleStore DrawStore(const factor::CompiledGraph& g, size_t count, uint64_t seed) {
   inference::GibbsSampler sampler(&g);
   inference::GibbsOptions options;
   options.burn_in_sweeps = 20;
@@ -77,7 +78,7 @@ double VariationalInference(const FactorGraph& original,
   Timer timer;
   const factor::CompiledGraph inf =
       incremental::BuildVariationalInferenceImage(original, vmat, delta);
-  inference::CompiledGibbsSampler sampler(&inf);
+  inference::GibbsSampler sampler(&inf);
   inference::GibbsOptions options;
   options.burn_in_sweeps = 5;
   options.sample_sweeps = kInferenceSamples;
@@ -101,8 +102,9 @@ void PartA() {
       mat_straw = t.Seconds();
     }
 
+    const factor::CompiledGraph image = factor::CompiledGraph::Compile(g);
     Timer t_samp;
-    SampleStore store = DrawStore(g, kMaterializationSamples, 11);
+    SampleStore store = DrawStore(image, kMaterializationSamples, 11);
     const double mat_samp = t_samp.Seconds();
 
     Timer t_var;
@@ -111,7 +113,7 @@ void PartA() {
     vopts.gibbs_burn_in = 20;
     vopts.fit_epochs = 30;
     vopts.lambda = 0.1;
-    auto vmat = VariationalMaterialization::Materialize(g, vopts);
+    auto vmat = VariationalMaterialization::Materialize(g, image, vopts);
     const double mat_var = t_var.Seconds();
 
     GraphDelta delta = SmallDelta(&g, 0.3);
@@ -149,7 +151,7 @@ void PartB() {
 
   for (const auto& point : kPoints) {
     FactorGraph g = PairwiseGraph(n, 1.0, 31);
-    SampleStore store = DrawStore(g, 40000, 13);
+    SampleStore store = DrawStore(factor::CompiledGraph::Compile(g), 40000, 13);
 
     GraphDelta delta;
     Rng rng(17);
@@ -174,7 +176,8 @@ void PartB() {
     vopts.gibbs_burn_in = 20;
     vopts.fit_epochs = 30;
     vopts.lambda = 0.1;
-    auto vmat = VariationalMaterialization::Materialize(g, vopts);
+    const factor::CompiledGraph updated = factor::CompiledGraph::Compile(g);
+    auto vmat = VariationalMaterialization::Materialize(g, updated, vopts);
     const double inf_var = vmat.ok() ? VariationalInference(g, *vmat, delta) : -1;
 
     std::printf("%12g | %14.5f %14.5f | %.3f\n", point.target, inf_samp, inf_var,
@@ -192,7 +195,7 @@ void PartC() {
     // unary sweep floor, dominates inference cost — the paper's setting.
     FactorGraph g = PairwiseGraph(n, sparsity, 53, /*weight_scale=*/1.2,
                                   /*chords_per_var=*/3.0);
-    SampleStore store = DrawStore(g, 40000, 19);
+    SampleStore store = DrawStore(factor::CompiledGraph::Compile(g), 40000, 19);
 
     // A real development-iteration update (many new factors): acceptance is
     // low, so the sampling approach pays SI/rho proposals while the
@@ -214,7 +217,8 @@ void PartC() {
     vopts.gibbs_burn_in = 20;
     vopts.fit_epochs = 30;
     vopts.lambda = 0.25;
-    auto vmat = VariationalMaterialization::Materialize(g, vopts);
+    const factor::CompiledGraph updated = factor::CompiledGraph::Compile(g);
+    auto vmat = VariationalMaterialization::Materialize(g, updated, vopts);
     const double inf_var = vmat.ok() ? VariationalInference(g, *vmat, delta) : -1;
 
     std::printf("%8.1f | %14.5f %14.5f | %zu\n", sparsity, inf_samp, inf_var,

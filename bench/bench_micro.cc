@@ -6,6 +6,7 @@
 #include "bench_common.h"
 #include "dsl/program.h"
 #include "engine/rule_evaluator.h"
+#include "factor/compiled_graph.h"
 #include "factor/graph_delta.h"
 #include "incremental/sample_store.h"
 #include "inference/gibbs.h"
@@ -19,7 +20,8 @@ namespace {
 
 void BM_GibbsSweep(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
-  factor::FactorGraph g = PairwiseGraph(n, 1.0, 7);
+  const factor::CompiledGraph g =
+      factor::CompiledGraph::Compile(PairwiseGraph(n, 1.0, 7));
   inference::GibbsSampler sampler(&g);
   inference::World world(&g);
   Rng rng(3);
@@ -38,7 +40,8 @@ BENCHMARK(BM_GibbsSweep)->Arg(100)->Arg(1000)->Arg(10000);
 void BM_ParallelGibbsSweep(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const size_t threads = static_cast<size_t>(state.range(1));
-  factor::FactorGraph g = PairwiseGraph(n, 1.0, 7);
+  const factor::CompiledGraph g =
+      factor::CompiledGraph::Compile(PairwiseGraph(n, 1.0, 7));
   inference::ParallelGibbsSampler sampler(&g, threads);
   inference::AtomicWorld world(&g);
   Rng init_rng(3);
@@ -56,7 +59,8 @@ BENCHMARK(BM_ParallelGibbsSweep)
     ->UseRealTime();
 
 void BM_ConditionalLogOdds(benchmark::State& state) {
-  factor::FactorGraph g = PairwiseGraph(1000, 1.0, 11);
+  const factor::CompiledGraph g =
+      factor::CompiledGraph::Compile(PairwiseGraph(1000, 1.0, 11));
   inference::GibbsSampler sampler(&g);
   inference::World world(&g);
   inference::GibbsScratch scratch;  // reused, as in the samplers' hot loops

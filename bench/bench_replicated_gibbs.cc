@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "factor/compiled_graph.h"
 #include "inference/gibbs.h"
 #include "inference/replicated_gibbs.h"
 #include "util/timer.h"
@@ -34,7 +35,8 @@ void Run() {
   const size_t kVars = 20000;
   const size_t kBurn = 20;
   const size_t kSamples = 60;
-  factor::FactorGraph g = PairwiseGraph(kVars, 1.0, /*seed=*/7);
+  const factor::CompiledGraph g =
+      factor::CompiledGraph::Compile(PairwiseGraph(kVars, 1.0, /*seed=*/7));
 
   GibbsOptions options;
   options.burn_in_sweeps = kBurn;

@@ -195,10 +195,30 @@ StatusOr<incremental::UpdateReport> DeepDive::ApplyUpdate(
   Timer ground_timer;
 
   dsl::Program fragment;
-  bool has_fragment = false;
-  if (!update.add_rules.empty()) {
+  const bool has_fragment = !update.add_rules.empty();
+  if (has_fragment) {
     DD_ASSIGN_OR_RETURN(fragment, dsl::AnalyzeFragment(program_, update.add_rules));
-    has_fragment = true;
+  }
+  // Every changed relation must exist or be declared by the fragment; check
+  // before any table is created or the program merged.
+  auto known = [&](const std::string& relation) {
+    if (db_.HasTable(relation)) return true;
+    for (const dsl::RelationDecl& rel : fragment.relations()) {
+      if (rel.name == relation) return true;
+    }
+    return false;
+  };
+  for (const auto& [relation, rows] : update.inserts) {
+    if (!known(relation)) {
+      return Status::NotFound("insert into unknown relation '" + relation + "'");
+    }
+  }
+  for (const auto& [relation, rows] : update.deletes) {
+    if (!known(relation)) {
+      return Status::NotFound("delete from unknown relation '" + relation + "'");
+    }
+  }
+  if (has_fragment) {
     // New relations need tables before any data lands in them.
     for (const dsl::RelationDecl& rel : fragment.relations()) {
       if (!db_.HasTable(rel.name)) {
@@ -213,15 +233,9 @@ StatusOr<incremental::UpdateReport> DeepDive::ApplyUpdate(
 
   engine::RelationDeltas external;
   for (const auto& [relation, rows] : update.inserts) {
-    if (db_.GetTable(relation) == nullptr) {
-      return Status::NotFound("insert into unknown relation '" + relation + "'");
-    }
     for (const Tuple& row : rows) external[relation].Add(row, +1);
   }
   for (const auto& [relation, rows] : update.deletes) {
-    if (db_.GetTable(relation) == nullptr) {
-      return Status::NotFound("delete from unknown relation '" + relation + "'");
-    }
     for (const Tuple& row : rows) external[relation].Add(row, -1);
   }
 

@@ -353,8 +353,8 @@ CompiledGraph CompiledGraph::Compile(const FactorGraph& graph) {
   const size_t num_weights = graph.NumWeights();
 
   // Compaction maps: active groups, and active clauses of active groups,
-  // keep their original relative order (what preserves the mutable kernel's
-  // iteration — and therefore floating-point and RNG — order exactly).
+  // keep their original relative order (what keeps the kernels' iteration —
+  // and therefore floating-point and RNG — order that of the source graph).
   std::vector<uint32_t> group_map(graph.NumGroups(), kDroppedId);
   std::vector<uint32_t> clause_map(graph.NumClauses(), kDroppedId);
   std::vector<GroupId> kept_groups;

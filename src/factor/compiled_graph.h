@@ -51,9 +51,9 @@ namespace deepdive::factor {
 // dropped at compile time; every surviving element keeps its original
 // RELATIVE order. Variables and weights are never compacted, so marginal and
 // weight vectors map 1:1 onto the source graph's ids. Order preservation is
-// what makes the compiled kernel bit-identical to the mutable path: both
-// iterate the same active elements in the same order, so floating-point
-// accumulation order (and RNG consumption) is unchanged.
+// what keeps the kernels' iteration over the active elements in the source
+// graph's order, and with it their floating-point accumulation order and RNG
+// consumption.
 //
 // Versioning/compat rules: `version` bumps on any layout change; readers
 // reject unknown versions and foreign endianness (the marker below reads as
@@ -116,9 +116,8 @@ static_assert(sizeof(CompiledGraphHeader) ==
                   8 * 13 + 16 + sizeof(CompiledSectionEntry) * kNumCompiledSections,
               "header layout must stay packed (no implicit padding)");
 
-/// Flat factor-group record (16 bytes). `active` is a compile-time constant:
-/// inactive groups are compacted out of the image, so the templated kernels'
-/// `if (!group.active)` guards fold away entirely for the compiled path.
+/// Flat factor-group record (16 bytes). Every compiled group is active:
+/// inactive groups are compacted out of the image.
 struct CompiledGroup {
   VarId head = kNoVar;
   WeightId weight = 0;
@@ -126,7 +125,6 @@ struct CompiledGroup {
   Semantics semantics = Semantics::kLinear;
   uint8_t pad0 = 0;
   uint16_t pad1 = 0;
-  static constexpr bool active = true;
 };
 static_assert(sizeof(CompiledGroup) == 16 && std::is_trivially_copyable_v<CompiledGroup>);
 
@@ -186,25 +184,17 @@ struct CompiledAppendix {
   }
 };
 
-/// Lightweight clause view returned by CompiledGraph::clause(). Every
-/// compiled clause is active by construction (inactive ones are compacted
-/// out), mirroring factor::Clause's interface for the templated kernels.
-struct CompiledClauseView {
-  GroupId group = 0;
-  static constexpr bool active = true;
-};
-
 /// A frozen, structure-of-arrays CSR snapshot of a post-grounding factor
 /// graph — the DimmWitted-style contiguous-array layout the Gibbs hot loop
-/// wants, built once per materialization freeze and consumed by the
-/// compiled-kernel samplers (BasicWorld<CompiledGraph> etc.).
+/// wants, built once per materialization freeze and consumed by every world,
+/// sampler and learner in inference/.
 ///
 /// Thread contract: the structure is frozen after construction — every
 /// accessor below reads immutable bytes and is safe to call concurrently
 /// from any thread with no synchronization (frozen-after-publish). The one
 /// mutable member is the owned weight-value array: SetWeightValue is
-/// single-writer (the learner, between inference runs), exactly the
-/// FactorGraph weight contract.
+/// single-writer (the learner or the variational fit, between inference
+/// runs), exactly the FactorGraph weight contract.
 class CompiledGraph {
  public:
   CompiledGraph() = default;
@@ -278,7 +268,8 @@ class CompiledGraph {
   // ---- weights ----
 
   double WeightValue(WeightId w) const { return weight_values_[w]; }
-  /// Single-writer (learner, between runs); see the class thread contract.
+  /// Single-writer (learner or variational fit, between runs); see the class
+  /// thread contract.
   void SetWeightValue(WeightId w, double value) { weight_values_[w] = value; }
   bool WeightLearnable(WeightId w) const { return weight_learnable_[w] != 0; }
   std::string_view WeightDescription(WeightId w) const {
@@ -302,7 +293,8 @@ class CompiledGraph {
             static_cast<size_t>(group_clause_offsets_[g + 1] - group_clause_offsets_[g])};
   }
 
-  CompiledClauseView clause(ClauseId c) const { return {clause_groups_[c]}; }
+  /// The group owning clause `c` (every compiled clause is active).
+  GroupId ClauseGroup(ClauseId c) const { return clause_groups_[c]; }
   uint32_t OriginalClauseId(ClauseId c) const { return clause_orig_ids_[c]; }
   /// Literals of clause `c`; frozen, any thread.
   std::span<const CompiledLiteral> ClauseLiterals(ClauseId c) const {

@@ -150,22 +150,15 @@ class FactorGraph {
   std::optional<bool> EvidenceValue(VarId var) const { return evidence_[var]; }
 
   /// Structure accessors alias graph storage. Thread contract: graph
-  /// structure is mutated only between inference runs (ApplyDelta on the
-  /// serving thread); during a sampling run the structure is frozen, which
-  /// is what lets Hogwild workers read these references concurrently.
+  /// structure is mutated only between runs that read it (ApplyDelta on the
+  /// serving thread); during sharded grounding or a Compile the structure is
+  /// frozen, which is what lets several threads read these references.
   const Weight& weight(WeightId id) const { return weights_[id]; }
   double WeightValue(WeightId id) const { return weights_[id].value; }
   bool WeightLearnable(WeightId id) const { return weights_[id].learnable; }
   const FactorGroup& group(GroupId id) const { return groups_[id]; }
   const Clause& clause(ClauseId id) const { return clauses_[id]; }
   const std::vector<Weight>& weights() const { return weights_; }
-
-  /// Literals of clause `id` (same frozen-during-runs thread contract as the
-  /// structure accessors above). Mirrors CompiledGraph::ClauseLiterals so the
-  /// templated kernels work against either graph type.
-  const std::vector<Literal>& ClauseLiterals(ClauseId id) const {
-    return clauses_[id].literals;
-  }
 
   /// Groups with this variable as head (frozen during runs, like the rest
   /// of the structure — see the thread contract above).

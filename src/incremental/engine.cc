@@ -636,8 +636,8 @@ UpdateOutcome IncrementalEngine::RunVariational(const EngineOptions& options,
     // Hogwild over the (sparse) inference graph, confined to the affected
     // variables: the component decomposition shards across workers. It keeps
     // the plain kernel because a cached conditional could miss a racing flip.
-    inference::CompiledParallelGibbsSampler sampler(&inference_graph, num_threads);
-    inference::CompiledAtomicWorld world(&inference_graph);
+    inference::ParallelGibbsSampler sampler(&inference_graph, num_threads);
+    inference::AtomicWorld world(&inference_graph);
     for (VarId v = 0; v < inference_graph.NumVariables(); ++v) {
       world.Flip(v, warm_value(v));
     }
@@ -652,8 +652,8 @@ UpdateOutcome IncrementalEngine::RunVariational(const EngineOptions& options,
     }
   } else {
     // Sequential sweeps reuse each conditional until a variable it reads
-    // flips; the chain is bit-identical to CompiledGibbsSampler::SweepVars.
-    inference::CompiledWorld world(&inference_graph);
+    // flips; the chain is bit-identical to GibbsSampler::SweepVars.
+    inference::World world(&inference_graph);
     Rng rng(Rng::MixSeed(options.gibbs.seed, update_seq_, /*substream=*/2));
     for (VarId v = 0; v < inference_graph.NumVariables(); ++v) {
       world.Flip(v, warm_value(v));
@@ -687,7 +687,7 @@ UpdateOutcome IncrementalEngine::RunRerun(const EngineOptions& options) {
   gopts.seed = Rng::MixSeed(gopts.seed, update_seq_);
   // Reuse (or lazily rebuild) the cached CSR kernel instead of recompiling
   // per rerun; rule/structural deltas invalidate it.
-  inference::CompiledReplicatedGibbsSampler sampler(
+  inference::ReplicatedGibbsSampler sampler(
       CompiledKernel(), gopts.num_replicas, gopts.num_threads);
   outcome.marginals = sampler.EstimateMarginals(gopts).marginals;
   for (VarId v = 0; v < graph_->NumVariables(); ++v) {

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <optional>
 
+#include "factor/compiled_graph.h"
 #include "inference/gibbs.h"
 #include "inference/parallel_gibbs.h"
 #include "util/logging.h"
@@ -28,16 +29,17 @@ StatusOr<MHResult> IndependentMH::Run(SampleStore* store, const MHOptions& optio
   Rng rng(options.seed);
 
   // Variables created after materialization need proposal extension by
-  // restricted Gibbs; that path pays for a World per proposal. The common
-  // fast path (no new variables) evaluates the delta's log-density ratio
-  // directly on the stored bits — per proposal cost O(|delta|), never
-  // O(graph), which is the whole point of the sampling approach.
+  // restricted Gibbs on a compiled image of the graph (compiled once per Run,
+  // only when such variables exist); that path rebuilds a world's statistics
+  // per proposal. The common fast path (no new variables) evaluates the
+  // delta's log-density ratio directly on the stored bits — per proposal
+  // cost O(|delta|), never O(graph), which is the whole point of the
+  // sampling approach.
   std::vector<VarId> extension_vars;
   for (VarId v = static_cast<VarId>(store->num_vars()); v < n; ++v) {
     extension_vars.push_back(v);
   }
 
-  inference::GibbsSampler sampler(graph_);
   // Parallel proposal extension (Hogwild sweeps over the new variables).
   // Worth it only when there are extension variables at all; the MH chain
   // proper stays sequential either way.
@@ -45,19 +47,21 @@ StatusOr<MHResult> IndependentMH::Run(SampleStore* store, const MHOptions& optio
                                  ? ThreadPool::DefaultThreads()
                                  : options.num_threads;
   const bool parallel_extension = num_threads > 1 && !extension_vars.empty();
+  std::optional<factor::CompiledGraph> compiled;
   std::optional<inference::World> extension_world;
   std::optional<inference::AtomicWorld> extension_aworld;
   std::optional<inference::ParallelGibbsSampler> psampler;
   std::vector<Rng> extension_rngs;
   if (!extension_vars.empty()) {
+    compiled.emplace(factor::CompiledGraph::Compile(*graph_));
     if (parallel_extension) {
-      psampler.emplace(graph_, num_threads);
-      extension_aworld.emplace(graph_);
+      psampler.emplace(&*compiled, num_threads);
+      extension_aworld.emplace(&*compiled);
       // Extension sweeps are their own chain (replica 1): keyed off the MH
       // seed but decorrelated from any replica-0 sampler sharing it.
       extension_rngs = psampler->MakeRngStreams(options.seed, /*replica=*/1);
     } else {
-      extension_world.emplace(graph_);
+      extension_world.emplace(&*compiled);
     }
   }
 
@@ -90,6 +94,7 @@ StatusOr<MHResult> IndependentMH::Run(SampleStore* store, const MHOptions& optio
       const auto ev = graph_->EvidenceValue(v);
       if (ev.has_value()) extension_world->Flip(v, *ev);
     }
+    const inference::GibbsSampler sampler(&*compiled);
     for (size_t s = 0; s < options.extension_sweeps; ++s) {
       sampler.SweepVars(&*extension_world, &rng, extension_vars);
     }

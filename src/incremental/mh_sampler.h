@@ -6,7 +6,6 @@
 #include "factor/factor_graph.h"
 #include "factor/graph_delta.h"
 #include "incremental/sample_store.h"
-#include "inference/world.h"
 #include "util/random.h"
 #include "util/status.h"
 

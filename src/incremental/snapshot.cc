@@ -2,7 +2,7 @@
 
 #include <utility>
 
-#include "inference/compiled_inference.h"
+#include "factor/compiled_graph.h"
 #include "inference/replicated_gibbs.h"
 #include "util/logging.h"
 #include "util/timer.h"
@@ -25,6 +25,8 @@ StatusOr<std::shared_ptr<MaterializationSnapshot>> BuildMaterializationSnapshot(
     // with the canceller under the engine's handoff mutex.
     return cancel != nullptr && cancel->load(std::memory_order_relaxed);
   };
+  // One compiled image serves the sampling chain and the variational draw.
+  const factor::CompiledGraph image = factor::CompiledGraph::Compile(graph);
 
   if (!options.load_sample_store.empty()) {
     // Overnight-materialization reuse: a persisted store stands in for the
@@ -54,11 +56,13 @@ StatusOr<std::shared_ptr<MaterializationSnapshot>> BuildMaterializationSnapshot(
       return cancelled() || (options.time_budget_seconds > 0 &&
                              timer.Seconds() > options.time_budget_seconds);
     };
-    inference::SampleChainAuto(graph, gopts, options.num_samples,
-                               options.gibbs_thin, [&](const BitVector& bits) {
-                                 snap.store.Add(bits);
-                                 return !gopts.interrupt();
-                               });
+    inference::ReplicatedGibbsSampler sampler(&image, gopts.num_replicas,
+                                              gopts.num_threads);
+    sampler.SampleChain(gopts, options.num_samples, options.gibbs_thin,
+                        [&](const BitVector& bits) {
+                          snap.store.Add(bits);
+                          return !gopts.interrupt();
+                        });
   }
   if (cancelled()) return Status::FailedPrecondition("materialization cancelled");
 
@@ -85,7 +89,7 @@ StatusOr<std::shared_ptr<MaterializationSnapshot>> BuildMaterializationSnapshot(
   // Variational materialization.
   VariationalOptions vopts = options.variational;
   vopts.seed = Rng::MixSeed(options.seed, /*stream=*/101);
-  auto vmat = VariationalMaterialization::Materialize(graph, vopts);
+  auto vmat = VariationalMaterialization::Materialize(graph, image, vopts);
   if (vmat.ok()) {
     snap.variational = std::move(vmat).value();
   } else {

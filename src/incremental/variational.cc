@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
 
 #include "inference/gibbs.h"
 #include "inference/parallel_gibbs.h"
@@ -20,7 +21,8 @@ using factor::VarId;
 using factor::WeightId;
 
 StatusOr<VariationalMaterialization> VariationalMaterialization::Materialize(
-    const FactorGraph& graph, const VariationalOptions& options) {
+    const FactorGraph& graph, const factor::CompiledGraph& image,
+    const VariationalOptions& options) {
   VariationalMaterialization m;
   const size_t n = graph.NumVariables();
 
@@ -29,7 +31,7 @@ StatusOr<VariationalMaterialization> VariationalMaterialization::Materialize(
   gopts.burn_in_sweeps = options.gibbs_burn_in;
   gopts.seed = options.seed;
   gopts.num_threads = options.num_threads;
-  inference::ParallelGibbsSampler sampler(&graph, options.num_threads);
+  inference::ParallelGibbsSampler sampler(&image, options.num_threads);
   std::vector<BitVector> samples =
       sampler.DrawSamples(options.num_samples, options.gibbs_thin, gopts);
   if (samples.empty()) return Status::InvalidArgument("num_samples must be > 0");
@@ -61,32 +63,48 @@ StatusOr<VariationalMaterialization> VariationalMaterialization::Materialize(
     m.edge_stats_.push_back(EdgeStat{a, b, e_ab - mean[a] * mean[b]});
   }
 
-  // 3. Build the sparse pairwise skeleton: unary group per variable, one
-  //    tied symmetric pair of groups per surviving edge (lines 4-7).
-  m.approx_graph_ = std::make_unique<FactorGraph>();
-  FactorGraph& ag = *m.approx_graph_;
-  if (n > 0) ag.AddVariables(n);
-  for (VarId v = 0; v < n; ++v) {
-    const auto ev = graph.EvidenceValue(v);
-    if (ev.has_value()) ag.SetEvidence(v, ev);
-  }
-  std::vector<WeightId> unary(n);
-  for (VarId v = 0; v < n; ++v) {
-    unary[v] = ag.AddWeight(0.0, /*learnable=*/true, StrFormat("vh/%u", v));
-    ag.AddSimpleFactor(v, {}, unary[v]);  // empty clause: bias on sign(v)
-  }
+  // 3. The sparse pairwise skeleton (lines 4-7), spliced onto an empty
+  //    image: weight v and group v are the unary bias of variable v, then
+  //    each surviving edge gets one weight tied across a symmetric pair of
+  //    groups; every group holds one clause.
+  std::vector<std::string> descriptions;  // outlive the Splice below
+  for (VarId v = 0; v < n; ++v) descriptions.push_back(StrFormat("vh/%u", v));
+  std::vector<const EdgeStat*> edges;
   for (const EdgeStat& e : m.edge_stats_) {
     if (std::abs(e.covariance) <= options.lambda) continue;
-    const WeightId w =
-        ag.AddWeight(0.0, /*learnable=*/true, StrFormat("vJ/%u-%u", e.a, e.b));
-    // Symmetric interaction: w * (sign(a) 1{b} + sign(b) 1{a}).
-    ag.AddSimpleFactor(e.a, {Literal{e.b, false}}, w);
-    ag.AddSimpleFactor(e.b, {Literal{e.a, false}}, w);
-    ++m.num_edges_;
+    edges.push_back(&e);
+    descriptions.push_back(StrFormat("vJ/%u-%u", e.a, e.b));
   }
+  m.num_edges_ = edges.size();
+  factor::CompiledAppendix skeleton;
+  skeleton.num_variables = n;
+  for (VarId v = 0; v < n; ++v) {
+    const auto ev = graph.EvidenceValue(v);
+    if (ev.has_value()) skeleton.evidence.emplace_back(v, ev);
+  }
+  for (const std::string& description : descriptions) {
+    skeleton.weights.push_back({0.0, /*learnable=*/true, description});
+  }
+  for (VarId v = 0; v < n; ++v) {
+    skeleton.AddGroup({v, v});
+    skeleton.AddClause({});  // empty clause: bias on sign(v)
+  }
+  for (size_t i = 0; i < edges.size(); ++i) {
+    const auto w = static_cast<WeightId>(n + i);
+    // Symmetric interaction: w * (sign(a) 1{b} + sign(b) 1{a}).
+    skeleton.AddGroup({edges[i]->a, w});
+    skeleton.AddClause({Literal{edges[i]->b, false}});
+    skeleton.AddGroup({edges[i]->b, w});
+    skeleton.AddClause({Literal{edges[i]->a, false}});
+  }
+  factor::CompiledGraph& ag = m.compiled_approx_;
+  ag = factor::CompiledGraph::Splice(factor::CompiledGraph::Compile(FactorGraph()),
+                                     skeleton);
 
   // 4. Fit weights by maximum likelihood against the drawn samples:
-  //    gradient(w) = E_samples[f_w] - E_model[f_w].
+  //    gradient(w) = E_samples[f_w] - E_model[f_w]. The fit writes the
+  //    image's owned weight values, which Splice, Checksum() and
+  //    SaveCompiledGraph read.
   std::vector<double> empirical(ag.NumWeights(), 0.0);
   {
     inference::World sw(&ag);
@@ -115,8 +133,6 @@ StatusOr<VariationalMaterialization> VariationalMaterialization::Materialize(
       lr *= options.fit_decay;
     }
   }
-  // One clause per group, in group order: the image updates splice onto.
-  m.compiled_approx_ = factor::CompiledGraph::Compile(ag);
   return m;
 }
 
@@ -168,16 +184,24 @@ StatusOr<double> SearchLambda(const FactorGraph& graph,
                               const VariationalOptions& base_options, double lambda_min,
                               double kl_threshold,
                               const std::vector<double>& reference_marginals) {
+  // A non-positive start never grows past the loop bound.
+  if (!std::isfinite(lambda_min) || lambda_min <= 0.0) {
+    return Status::InvalidArgument("lambda_min must be positive and finite");
+  }
+  if (reference_marginals.size() < graph.NumVariables()) {
+    return Status::InvalidArgument("reference_marginals is shorter than the graph");
+  }
+  const factor::CompiledGraph image = factor::CompiledGraph::Compile(graph);
   double best = lambda_min;
   for (double lambda = lambda_min; lambda <= 10.0; lambda *= 10.0) {
     VariationalOptions options = base_options;
     options.lambda = lambda;
     DD_ASSIGN_OR_RETURN(VariationalMaterialization m,
-                        VariationalMaterialization::Materialize(graph, options));
+                        VariationalMaterialization::Materialize(graph, image, options));
     inference::GibbsOptions gopts;
     gopts.seed = Rng::MixSeed(options.seed, /*stream=*/17);
     gopts.num_threads = options.num_threads;
-    inference::ParallelGibbsSampler sampler(&m.approx_graph(), options.num_threads);
+    inference::ParallelGibbsSampler sampler(&m.compiled_approx(), options.num_threads);
     const auto marginals = sampler.EstimateMarginals(gopts).marginals;
     // Symmetric KL between Bernoulli marginals, averaged over variables.
     double kl = 0.0;

@@ -2,7 +2,6 @@
 #define DEEPDIVE_INCREMENTAL_VARIATIONAL_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "factor/compiled_graph.h"
@@ -44,8 +43,8 @@ struct VariationalOptions {
 /// sparsity -> speed/quality tradeoff it exposes is preserved.
 ///
 /// Inference: append the update's delta factors to the approximate graph and
-/// run Gibbs on the (much sparser) result. The approximation is compiled once
-/// here; each update splices its delta onto that image
+/// run Gibbs on the (much sparser) result. The approximation is built and fit
+/// as a compiled image; each update splices its delta onto that image
 /// (BuildVariationalInferenceImage).
 class VariationalMaterialization {
  public:
@@ -55,14 +54,16 @@ class VariationalMaterialization {
     double covariance = 0.0;
   };
 
+  /// Materializes `graph`. `image` is CompiledGraph::Compile(graph), which
+  /// the N samples are drawn from; NZ pairs come from `graph`'s neighbors.
   static StatusOr<VariationalMaterialization> Materialize(
-      const factor::FactorGraph& graph, const VariationalOptions& options);
+      const factor::FactorGraph& graph, const factor::CompiledGraph& image,
+      const VariationalOptions& options);
 
-  /// The sparse pairwise approximation (same variable ids as the original).
-  /// Immutable after Materialize: compiled_approx() is frozen from it.
-  const factor::FactorGraph& approx_graph() const { return *approx_graph_; }
-  /// The approximation's CSR image, compiled at the end of Materialize
-  /// (on the background worker when a remat is async). Immutable.
+  /// The sparse pairwise approximation's CSR image (same variable ids as
+  /// the original; one clause per group, in group order), built and fit in
+  /// Materialize (on the background worker when a remat is async).
+  /// Immutable after Materialize.
   const factor::CompiledGraph& compiled_approx() const { return compiled_approx_; }
 
   size_t NumEdges() const { return num_edges_; }
@@ -73,7 +74,6 @@ class VariationalMaterialization {
   const std::vector<EdgeStat>& edge_stats() const { return edge_stats_; }
 
  private:
-  std::unique_ptr<factor::FactorGraph> approx_graph_;
   factor::CompiledGraph compiled_approx_;
   std::vector<EdgeStat> edge_stats_;
   size_t num_edges_ = 0;
@@ -96,6 +96,8 @@ factor::CompiledGraph BuildVariationalInferenceImage(
 /// The λ search protocol of Section 3.2.3: starting from λ = lambda_min,
 /// multiply by 10 until the symmetric KL divergence between original and
 /// approximate marginals exceeds `kl_threshold`; returns the last safe λ.
+/// InvalidArgument when lambda_min is not positive and finite, or when
+/// `reference_marginals` has fewer entries than `graph` has variables.
 StatusOr<double> SearchLambda(const factor::FactorGraph& graph,
                               const VariationalOptions& base_options, double lambda_min,
                               double kl_threshold,

@@ -1,22 +1,14 @@
 #include "inference/compiled_inference.h"
 
+#include "inference/replicated_gibbs.h"
+
 namespace deepdive::inference {
 
 MarginalResult EstimateMarginalsAuto(const factor::FactorGraph& graph,
                                      const GibbsOptions& options) {
   const factor::CompiledGraph compiled = factor::CompiledGraph::Compile(graph);
-  CompiledReplicatedGibbsSampler sampler(&compiled, options.num_replicas,
-                                         options.num_threads);
+  ReplicatedGibbsSampler sampler(&compiled, options.num_replicas, options.num_threads);
   return sampler.EstimateMarginals(options);
-}
-
-void SampleChainAuto(const factor::FactorGraph& graph, const GibbsOptions& options,
-                     size_t count, size_t thin,
-                     const std::function<bool(const BitVector&)>& on_sample) {
-  const factor::CompiledGraph compiled = factor::CompiledGraph::Compile(graph);
-  CompiledReplicatedGibbsSampler sampler(&compiled, options.num_replicas,
-                                         options.num_threads);
-  sampler.SampleChain(options, count, thin, on_sample);
 }
 
 uint64_t CompiledMarginalsFingerprint(const factor::CompiledGraph& graph,
@@ -27,7 +19,7 @@ uint64_t CompiledMarginalsFingerprint(const factor::CompiledGraph& graph,
   gopts.num_threads = threads;
   gopts.num_replicas = replicas;
   gopts.sync_every_sweeps = sync_every;
-  CompiledReplicatedGibbsSampler sampler(&graph, replicas, threads);
+  ReplicatedGibbsSampler sampler(&graph, replicas, threads);
   std::vector<double> marginals = sampler.EstimateMarginals(gopts).marginals;
   for (factor::VarId v = 0; v < graph.NumVariables(); ++v) {
     const auto ev = graph.EvidenceValue(v);

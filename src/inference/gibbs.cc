@@ -9,51 +9,40 @@ namespace deepdive::inference {
 
 using factor::VarId;
 
-template <typename GraphT>
-BasicGibbsSampler<GraphT>::BasicGibbsSampler(const GraphT* graph) : graph_(graph) {}
+GibbsSampler::GibbsSampler(const factor::CompiledGraph* graph) : graph_(graph) {}
 
-template <typename GraphT>
-double BasicGibbsSampler<GraphT>::ConditionalLogOdds(const WorldType& world, VarId v,
-                                                     GibbsScratch* scratch) const {
+double GibbsSampler::ConditionalLogOdds(const World& world, VarId v,
+                                        GibbsScratch* scratch) const {
   return detail::ConditionalLogOddsImpl(*graph_, world, v, scratch);
 }
 
-template <typename GraphT>
-double BasicGibbsSampler<GraphT>::ConditionalLogOdds(const WorldType& world,
-                                                     VarId v) const {
+double GibbsSampler::ConditionalLogOdds(const World& world, VarId v) const {
   GibbsScratch scratch;
   return detail::ConditionalLogOddsImpl(*graph_, world, v, &scratch);
 }
 
-template <typename GraphT>
-size_t BasicGibbsSampler<GraphT>::Sweep(WorldType* world, Rng* rng,
-                                        bool sample_evidence) const {
+size_t GibbsSampler::Sweep(World* world, Rng* rng, bool sample_evidence) const {
   GibbsScratch scratch;
   return detail::SweepRangeImpl(*graph_, world, rng, &scratch, nullptr, 0,
                                 graph_->NumVariables(), sample_evidence);
 }
 
-template <typename GraphT>
-size_t BasicGibbsSampler<GraphT>::SweepVars(WorldType* world, Rng* rng,
-                                            const std::vector<VarId>& vars) const {
+size_t GibbsSampler::SweepVars(World* world, Rng* rng,
+                               const std::vector<VarId>& vars) const {
   GibbsScratch scratch;
   return detail::SweepRangeImpl(*graph_, world, rng, &scratch, &vars, 0, vars.size(),
                                 /*sample_evidence=*/false);
 }
 
-template <typename GraphT>
-MarginalResult BasicGibbsSampler<GraphT>::EstimateMarginals(
-    const GibbsOptions& options) const {
-  WorldType world(graph_);
+MarginalResult GibbsSampler::EstimateMarginals(const GibbsOptions& options) const {
+  World world(graph_);
   Rng rng(options.seed);
   world.InitValues(&rng, options.random_init);
   return EstimateMarginals(options, &world, &rng);
 }
 
-template <typename GraphT>
-MarginalResult BasicGibbsSampler<GraphT>::EstimateMarginals(const GibbsOptions& options,
-                                                            WorldType* world,
-                                                            Rng* rng) const {
+MarginalResult GibbsSampler::EstimateMarginals(const GibbsOptions& options,
+                                               World* world, Rng* rng) const {
   MarginalResult result;
   result.marginals.assign(graph_->NumVariables(), 0.0);
   for (size_t i = 0; i < options.burn_in_sweeps; ++i) {
@@ -77,10 +66,9 @@ MarginalResult BasicGibbsSampler<GraphT>::EstimateMarginals(const GibbsOptions& 
   return result;
 }
 
-template <typename GraphT>
-std::vector<BitVector> BasicGibbsSampler<GraphT>::DrawSamples(
-    size_t count, size_t thin, const GibbsOptions& options) const {
-  WorldType world(graph_);
+std::vector<BitVector> GibbsSampler::DrawSamples(size_t count, size_t thin,
+                                                 const GibbsOptions& options) const {
+  World world(graph_);
   Rng rng(options.seed);
   world.InitValues(&rng, options.random_init);
   for (size_t i = 0; i < options.burn_in_sweeps; ++i) {
@@ -97,10 +85,7 @@ std::vector<BitVector> BasicGibbsSampler<GraphT>::DrawSamples(
   return samples;
 }
 
-template class BasicGibbsSampler<factor::FactorGraph>;
-template class BasicGibbsSampler<factor::CompiledGraph>;
-
-CompiledGibbsChain::CompiledGibbsChain(CompiledWorld world)
+CompiledGibbsChain::CompiledGibbsChain(World world)
     : graph_(&world.graph()), world_(std::move(world)) {
   const size_t n = graph_->NumVariables();
   p1_.assign(n, 0.0);

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "factor/compiled_graph.h"
-#include "factor/factor_graph.h"
 #include "inference/world.h"
 #include "util/bitvector.h"
 #include "util/random.h"
@@ -70,22 +69,19 @@ struct GibbsScratch {
 namespace detail {
 
 /// Core conditional computation, shared by the sequential and parallel
-/// samplers and by both graph representations. `GraphT` is FactorGraph or
-/// CompiledGraph (identical accessor surface; the compiled one's `active`
-/// flags are constexpr-true so the skip branches fold away). `WorldT` must
-/// provide value(v), GroupSat(g) and ClauseUnsat(c); the parallel sampler
-/// instantiates it with an atomic world, whose reads may be stale under
-/// Hogwild sweeps (the races it tolerates by design).
-template <typename GraphT, typename WorldT>
-double ConditionalLogOddsImpl(const GraphT& graph, const WorldT& world,
+/// samplers. `WorldT` is World or AtomicWorld: it must provide value(v),
+/// GroupSat(g) and ClauseUnsat(c); the parallel sampler's atomic world may
+/// return stale reads under Hogwild sweeps (the races it tolerates by
+/// design).
+template <typename WorldT>
+double ConditionalLogOddsImpl(const factor::CompiledGraph& graph, const WorldT& world,
                               factor::VarId v, GibbsScratch* scratch) {
   double log_odds = 0.0;
 
   // Groups where v is the head: W(v=1) - W(v=0) = 2 w g(n); n does not
   // depend on v because clauses may not contain their own head.
   for (factor::GroupId g : graph.HeadGroups(v)) {
-    const auto& group = graph.group(g);
-    if (!group.active) continue;
+    const factor::CompiledGroup& group = graph.group(g);
     log_odds += 2.0 * graph.WeightValue(group.weight) *
                 factor::GCount(group.semantics, world.GroupSat(g));
   }
@@ -95,11 +91,8 @@ double ConditionalLogOddsImpl(const GraphT& graph, const WorldT& world,
   auto& touched = scratch->touched;
   touched.clear();
   const bool cur = world.value(v);
-  for (const auto& ref : graph.BodyRefs(v)) {
-    const auto& clause = graph.clause(ref.clause);  // ref or by-value view
-    if (!clause.active) continue;
-    const auto& group = graph.group(clause.group);
-    if (!group.active) continue;
+  for (const factor::CompiledBodyRef& ref : graph.BodyRefs(v)) {
+    const factor::GroupId clause_group = graph.ClauseGroup(ref.clause);
     // Other literals of the clause satisfied?
     const bool lit_true_now = (cur != static_cast<bool>(ref.negated));
     const int32_t others_unsat = world.ClauseUnsat(ref.clause) - (lit_true_now ? 0 : 1);
@@ -107,17 +100,17 @@ double ConditionalLogOddsImpl(const GraphT& graph, const WorldT& world,
     const int64_t dn = ref.negated ? -1 : +1;
     bool found = false;
     for (auto& [gid, acc] : touched) {
-      if (gid == clause.group) {
+      if (gid == clause_group) {
         acc += dn;
         found = true;
         break;
       }
     }
-    if (!found) touched.emplace_back(clause.group, dn);
+    if (!found) touched.emplace_back(clause_group, dn);
   }
   for (const auto& [gid, dn] : touched) {
     if (dn == 0) continue;
-    const auto& group = graph.group(gid);
+    const factor::CompiledGroup& group = graph.group(gid);
     const int64_t n_now = world.GroupSat(gid);
     const int64_t n1 = cur ? n_now : n_now + dn;
     const int64_t n0 = cur ? n_now - dn : n_now;
@@ -132,11 +125,9 @@ double ConditionalLogOddsImpl(const GraphT& graph, const WorldT& world,
 /// when `vars` is null) into `world`, consuming `rng` once per sampleable
 /// variable. The one sweep loop shared by the sequential sampler and every
 /// Hogwild worker — keeping a single copy is what guarantees the
-/// num_threads == 1 configurations stay bit-identical to GibbsSampler, and
-/// the GraphT parameter is what guarantees the compiled-graph path stays
-/// bit-identical to the mutable one.
-template <typename GraphT, typename WorldT>
-size_t SweepRangeImpl(const GraphT& graph, WorldT* world, Rng* rng,
+/// num_threads == 1 configurations stay bit-identical to GibbsSampler.
+template <typename WorldT>
+size_t SweepRangeImpl(const factor::CompiledGraph& graph, WorldT* world, Rng* rng,
                       GibbsScratch* scratch, const std::vector<factor::VarId>* vars,
                       size_t begin, size_t end, bool sample_evidence) {
   size_t flips = 0;
@@ -158,46 +149,40 @@ size_t SweepRangeImpl(const GraphT& graph, WorldT* world, Rng* rng,
 }  // namespace detail
 
 /// Systematic-scan Gibbs sampler over the grouped factor representation
-/// (Section 2.5). The conditional for one variable costs O(degree): head
-/// groups contribute 2 w g(n); body memberships contribute
-/// w sign(head) (g(n|v=1) - g(n|v=0)) via the maintained clause statistics.
-///
-/// Templated over the graph representation (mutable FactorGraph or the flat
-/// CSR CompiledGraph — see compiled_graph.h); same seed, same graph content
-/// => bit-identical marginals on either.
+/// (Section 2.5), on the flat CSR CompiledGraph (see compiled_graph.h). The
+/// conditional for one variable costs O(degree): head groups contribute
+/// 2 w g(n); body memberships contribute w sign(head) (g(n|v=1) - g(n|v=0))
+/// via the maintained clause statistics.
 ///
 /// The sampler is stateless (all scratch is caller- or call-local), so one
 /// `const` instance can be shared by any number of threads as long as each
 /// thread uses its own World/Rng/GibbsScratch.
-template <typename GraphT>
-class BasicGibbsSampler {
+class GibbsSampler {
  public:
-  using WorldType = BasicWorld<GraphT>;
+  explicit GibbsSampler(const factor::CompiledGraph* graph);
 
-  explicit BasicGibbsSampler(const GraphT* graph);
-
-  /// The frozen-during-runs graph (see FactorGraph's thread contract).
-  const GraphT& graph() const { return *graph_; }
+  /// The frozen graph (see CompiledGraph's thread contract).
+  const factor::CompiledGraph& graph() const { return *graph_; }
 
   /// log [ Pr(v=1 | rest) / Pr(v=0 | rest) ] in `world`. The scratch overload
   /// is allocation-free after warm-up; the convenience overload pays one
   /// small allocation per call.
-  double ConditionalLogOdds(const WorldType& world, factor::VarId v,
+  double ConditionalLogOdds(const World& world, factor::VarId v,
                             GibbsScratch* scratch) const;
-  double ConditionalLogOdds(const WorldType& world, factor::VarId v) const;
+  double ConditionalLogOdds(const World& world, factor::VarId v) const;
 
   /// One systematic sweep over sampleable variables. Returns #flips.
-  size_t Sweep(WorldType* world, Rng* rng, bool sample_evidence = false) const;
+  size_t Sweep(World* world, Rng* rng, bool sample_evidence = false) const;
 
   /// One sweep restricted to the given variables (decomposition groups).
-  size_t SweepVars(WorldType* world, Rng* rng,
+  size_t SweepVars(World* world, Rng* rng,
                    const std::vector<factor::VarId>& vars) const;
 
   /// Runs burn-in + sampling sweeps and averages indicator values.
   MarginalResult EstimateMarginals(const GibbsOptions& options) const;
 
   /// As above, but reuses the caller's world/chain (for warm chains).
-  MarginalResult EstimateMarginals(const GibbsOptions& options, WorldType* world,
+  MarginalResult EstimateMarginals(const GibbsOptions& options, World* world,
                                    Rng* rng) const;
 
   /// Draws `count` packed sample worlds, `thin` sweeps apart, after burn-in.
@@ -206,14 +191,8 @@ class BasicGibbsSampler {
                                      const GibbsOptions& options) const;
 
  private:
-  const GraphT* graph_;
+  const factor::CompiledGraph* graph_;
 };
-
-using GibbsSampler = BasicGibbsSampler<factor::FactorGraph>;
-using CompiledGibbsSampler = BasicGibbsSampler<factor::CompiledGraph>;
-
-extern template class BasicGibbsSampler<factor::FactorGraph>;
-extern template class BasicGibbsSampler<factor::CompiledGraph>;
 
 /// A sequential Gibbs chain over a CompiledGraph that reuses a variable's
 /// conditional until a variable it reads has flipped.
@@ -225,8 +204,8 @@ extern template class BasicGibbsSampler<factor::CompiledGraph>;
 /// visit runs detail::ConditionalLogOddsImpl, a clean one reuses p1, and a
 /// flip marks every variable sharing a group with the flipped one dirty.
 /// Every visit still draws exactly one Bernoulli, so RNG consumption, flips
-/// and the world are bit-identical to CompiledGibbsSampler::SweepVars run from
-/// the same world and Rng.
+/// and the world are bit-identical to GibbsSampler::SweepVars run from the
+/// same world and Rng.
 ///
 /// Two cases keep that exact. A variable occurring more than once in one of
 /// its groups may read its own value (a clause can hold x and !x), so its
@@ -239,20 +218,19 @@ extern template class BasicGibbsSampler<factor::CompiledGraph>;
 /// chain's lifetime, and the world it owns changes only through SweepVars.
 /// That is why the other sweeps keep the plain kernel: Hogwild workers flip
 /// shared variables concurrently (a cached conditional could miss a racing
-/// flip), the learner moves weights every epoch, and the FactorGraph path is
-/// the reference the compiled kernel is tested against.
+/// flip), and the learner moves weights every epoch.
 class CompiledGibbsChain {
  public:
   static constexpr size_t kMaxCachedGroupSize = 64;
 
   /// Takes over `world`, whose graph() the chain sweeps; O(graph) set-up.
-  explicit CompiledGibbsChain(CompiledWorld world);
+  explicit CompiledGibbsChain(World world);
 
   /// The chain's world; single-owner, read on the thread that sweeps.
-  const CompiledWorld& world() const { return world_; }
+  const World& world() const { return world_; }
 
   /// One sweep over `vars`, skipping evidence variables: the sweep of
-  /// CompiledGibbsSampler::SweepVars. Returns #flips.
+  /// GibbsSampler::SweepVars. Returns #flips.
   size_t SweepVars(Rng* rng, const std::vector<factor::VarId>& vars);
 
   /// Sampled visits so far, and how many of them evaluated the conditional.
@@ -265,7 +243,7 @@ class CompiledGibbsChain {
   static constexpr uint8_t kUncached = 2;  // in a group above the size cap
 
   const factor::CompiledGraph* graph_;
-  CompiledWorld world_;
+  World world_;
   GibbsScratch scratch_;
   /// CSR: variable -> variables whose conditional reads it (itself included
   /// when it occurs twice in one group), over groups within the size cap.

@@ -1,34 +1,36 @@
 #include "inference/learner.h"
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
 #include <memory>
 
+#include "factor/compiled_graph.h"
 #include "inference/gibbs.h"
 #include "inference/replicated_gibbs.h"
-#include "util/logging.h"
+#include "inference/world.h"
 #include "util/thread_pool.h"
 
 namespace deepdive::inference {
 
+using factor::CompiledGraph;
 using factor::FactorGraph;
 using factor::VarId;
 using factor::WeightId;
 
-template <typename GraphT>
-BasicLearner<GraphT>::BasicLearner(GraphT* graph) : graph_(graph) {}
+namespace {
 
-template <typename GraphT>
-double BasicLearner<GraphT>::EvidenceLoss() const {
+double CompiledEvidenceLoss(const CompiledGraph& graph) {
   // Clamped world: evidence at labels, query variables at their conditional
   // mode given an all-false start (cheap deterministic proxy; the loss is
   // used for relative learning curves, not as the training objective).
-  BasicWorld<GraphT> world(graph_);
-  BasicGibbsSampler<GraphT> sampler(graph_);
+  World world(&graph);
+  GibbsSampler sampler(&graph);
   GibbsScratch scratch;
   double loss = 0.0;
   size_t count = 0;
-  for (VarId v = 0; v < graph_->NumVariables(); ++v) {
-    const auto ev = graph_->EvidenceValue(v);
+  for (VarId v = 0; v < graph.NumVariables(); ++v) {
+    const auto ev = graph.EvidenceValue(v);
     if (!ev.has_value()) continue;
     const double log_odds = sampler.ConditionalLogOdds(world, v, &scratch);
     // -log P(label | rest)
@@ -40,19 +42,22 @@ double BasicLearner<GraphT>::EvidenceLoss() const {
   return count > 0 ? loss / static_cast<double>(count) : 0.0;
 }
 
-template <typename GraphT>
-LearnStats BasicLearner<GraphT>::RunEpochs(
-    const LearnerOptions& options,
-    const std::function<void(std::vector<double>* grad)>& accumulate_sweep) {
+/// The shared SGD scaffolding (weight reset, per-epoch gradient averaging
+/// + L2 step, learning-rate decay, loss tracking): `accumulate_sweep`
+/// advances every persistent chain one sweep and adds that sweep's
+/// sufficient-statistic differences into the gradient buffer — the only
+/// part that differs between the two-chain and replicated executions.
+LearnStats RunEpochs(CompiledGraph* graph, const LearnerOptions& options,
+                     const std::function<void(std::vector<double>*)>& accumulate_sweep) {
   LearnStats stats;
   if (!options.warmstart) {
-    for (WeightId w = 0; w < graph_->NumWeights(); ++w) {
-      if (graph_->WeightLearnable(w)) graph_->SetWeightValue(w, 0.0);
+    for (WeightId w = 0; w < graph->NumWeights(); ++w) {
+      if (graph->WeightLearnable(w)) graph->SetWeightValue(w, 0.0);
     }
   }
-  stats.initial_loss = EvidenceLoss();
+  stats.initial_loss = CompiledEvidenceLoss(*graph);
 
-  const size_t num_weights = graph_->NumWeights();
+  const size_t num_weights = graph->NumWeights();
   std::vector<double> grad(num_weights, 0.0);
   double lr = options.learning_rate;
   for (size_t epoch = 0; epoch < options.epochs; ++epoch) {
@@ -60,14 +65,14 @@ LearnStats BasicLearner<GraphT>::RunEpochs(
     const size_t sweeps = std::max<size_t>(1, options.sweeps_per_epoch);
     for (size_t s = 0; s < sweeps; ++s) accumulate_sweep(&grad);
     for (WeightId w = 0; w < num_weights; ++w) {
-      if (!graph_->WeightLearnable(w)) continue;
+      if (!graph->WeightLearnable(w)) continue;
       const double g = grad[w] / static_cast<double>(sweeps);
       const double updated =
-          graph_->WeightValue(w) + lr * (g - options.l2 * graph_->WeightValue(w));
-      graph_->SetWeightValue(w, updated);
+          graph->WeightValue(w) + lr * (g - options.l2 * graph->WeightValue(w));
+      graph->SetWeightValue(w, updated);
     }
     lr *= options.decay;
-    stats.epoch_losses.push_back(EvidenceLoss());
+    stats.epoch_losses.push_back(CompiledEvidenceLoss(*graph));
     ++stats.epochs_run;
   }
   stats.final_loss = stats.epoch_losses.empty() ? stats.initial_loss
@@ -75,16 +80,13 @@ LearnStats BasicLearner<GraphT>::RunEpochs(
   return stats;
 }
 
-template <typename GraphT>
-LearnStats BasicLearner<GraphT>::Learn(const LearnerOptions& options) {
-  if (options.num_replicas >= 2) return LearnReplicated(options);
-
-  BasicGibbsSampler<GraphT> sampler(graph_);
+LearnStats LearnTwoChains(CompiledGraph* graph, const LearnerOptions& options) {
+  GibbsSampler sampler(graph);
   Rng rng(options.seed);
 
   // Persistent chains.
-  BasicWorld<GraphT> clamped(graph_);
-  BasicWorld<GraphT> free(graph_);
+  World clamped(graph);
+  World free(graph);
   clamped.InitValues(&rng, /*random_init=*/true);
   free.InitValues(&rng, /*random_init=*/true);
 
@@ -99,7 +101,7 @@ LearnStats BasicLearner<GraphT>::Learn(const LearnerOptions& options) {
   ThreadPool pool(parallel_chains ? 2 : 1);
   Rng free_rng(Rng::MixSeed(options.seed, 1));
 
-  return RunEpochs(options, [&](std::vector<double>* grad) {
+  return RunEpochs(graph, options, [&](std::vector<double>* grad) {
     if (parallel_chains) {
       pool.Submit([&] { sampler.Sweep(&clamped, &rng, /*sample_evidence=*/false); });
       pool.Submit([&] { sampler.Sweep(&free, &free_rng, /*sample_evidence=*/true); });
@@ -108,47 +110,50 @@ LearnStats BasicLearner<GraphT>::Learn(const LearnerOptions& options) {
       sampler.Sweep(&clamped, &rng, /*sample_evidence=*/false);
       sampler.Sweep(&free, &rng, /*sample_evidence=*/true);
     }
-    for (WeightId w = 0; w < graph_->NumWeights(); ++w) {
-      if (!graph_->WeightLearnable(w)) continue;
+    for (WeightId w = 0; w < graph->NumWeights(); ++w) {
+      if (!graph->WeightLearnable(w)) continue;
       (*grad)[w] += clamped.WeightFeature(w) - free.WeightFeature(w);
     }
   });
 }
 
-template <typename GraphT>
-LearnStats BasicLearner<GraphT>::LearnReplicated(const LearnerOptions& options) {
+/// num_replicas >= 2: R clamped + R free persistent chains with private
+/// worlds, swept concurrently through a ReplicatedGibbsSampler; gradients
+/// are replica-averaged every sweep (the shared weight vector is the
+/// consensus model of DimmWitted-style model averaging).
+LearnStats LearnReplicated(CompiledGraph* graph, const LearnerOptions& options) {
   // Chain 2r is clamped replica r, chain 2r + 1 is free replica r. Every
   // chain owns a private world and (seed, chain, worker)-keyed streams; the
   // replicated sampler's pool runs all 2R chains concurrently, each chain's
   // Hogwild shards on its own replica sampler. With one worker per chain
   // every chain is internally sequential, so the whole procedure is
   // deterministic for a fixed seed.
-  using Replicated = BasicReplicatedGibbsSampler<GraphT>;
   const size_t replicas = options.num_replicas;
   const size_t chains = 2 * replicas;
-  Replicated replicated(graph_, chains, options.num_threads);
-  std::vector<std::unique_ptr<BasicAtomicWorld<GraphT>>> worlds;
+  ReplicatedGibbsSampler replicated(graph, chains, options.num_threads);
+  std::vector<std::unique_ptr<AtomicWorld>> worlds;
   std::vector<std::vector<Rng>> rngs;
   worlds.reserve(chains);
   rngs.reserve(chains);
   for (size_t c = 0; c < chains; ++c) {
-    worlds.push_back(std::make_unique<BasicAtomicWorld<GraphT>>(graph_));
+    worlds.push_back(std::make_unique<AtomicWorld>(graph));
     rngs.push_back(replicated.replica(c).MakeRngStreams(options.seed, c));
   }
   replicated.ForEachReplica([&](size_t c) {
-    Rng init_rng(Replicated::AuxSeed(options.seed, c, Replicated::kInitStream));
+    Rng init_rng(ReplicatedGibbsSampler::AuxSeed(options.seed, c,
+                                                 ReplicatedGibbsSampler::kInitStream));
     worlds[c]->InitValues(&init_rng, /*random_init=*/true);
   });
 
-  return RunEpochs(options, [&](std::vector<double>* grad) {
+  return RunEpochs(graph, options, [&](std::vector<double>* grad) {
     replicated.ForEachReplica([&](size_t c) {
       replicated.replica(c).Sweep(worlds[c].get(), &rngs[c],
                                   /*sample_evidence=*/(c & 1) != 0);
     });
     // Replica-averaged gradient: the weight vector is the consensus model,
     // synchronized across replicas at every step.
-    for (WeightId w = 0; w < graph_->NumWeights(); ++w) {
-      if (!graph_->WeightLearnable(w)) continue;
+    for (WeightId w = 0; w < graph->NumWeights(); ++w) {
+      if (!graph->WeightLearnable(w)) continue;
       double clamped_f = 0.0, free_f = 0.0;
       for (size_t r = 0; r < replicas; ++r) {
         clamped_f += worlds[2 * r]->WeightFeature(w);
@@ -159,23 +164,19 @@ LearnStats BasicLearner<GraphT>::LearnReplicated(const LearnerOptions& options) 
   });
 }
 
-template class BasicLearner<factor::FactorGraph>;
-template class BasicLearner<factor::CompiledGraph>;
-
-// ---- Learner façade --------------------------------------------------------
+}  // namespace
 
 Learner::Learner(FactorGraph* graph) : graph_(graph) {}
 
 double Learner::EvidenceLoss() const {
-  return BasicLearner<FactorGraph>(graph_).EvidenceLoss();
+  return CompiledEvidenceLoss(CompiledGraph::Compile(*graph_));
 }
 
 LearnStats Learner::Learn(const LearnerOptions& options) {
-  // Compile once, learn on the flat image, write the weights back. The
-  // compiled kernel preserves iteration and RNG order exactly, so the learned
-  // weights are bit-identical to the mutable path.
-  factor::CompiledGraph compiled = factor::CompiledGraph::Compile(*graph_);
-  LearnStats stats = BasicLearner<factor::CompiledGraph>(&compiled).Learn(options);
+  // Compile once, learn on the flat image, write the weights back.
+  CompiledGraph compiled = CompiledGraph::Compile(*graph_);
+  LearnStats stats = options.num_replicas >= 2 ? LearnReplicated(&compiled, options)
+                                               : LearnTwoChains(&compiled, options);
   for (WeightId w = 0; w < graph_->NumWeights(); ++w) {
     graph_->SetWeightValue(w, compiled.WeightValue(w));
   }

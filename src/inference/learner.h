@@ -2,12 +2,9 @@
 #define DEEPDIVE_INFERENCE_LEARNER_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
-#include "factor/compiled_graph.h"
 #include "factor/factor_graph.h"
-#include "inference/world.h"
 
 namespace deepdive::inference {
 
@@ -46,62 +43,26 @@ struct LearnStats {
   size_t epochs_run = 0;
 };
 
-/// Weight-learning engine templated over the graph representation (mutable
-/// FactorGraph or flat CSR CompiledGraph): stochastic maximum likelihood
-/// (persistent contrastive divergence), the standard Gibbs-based procedure of
-/// Tuffy/DeepDive — maintain a "clamped" chain (evidence fixed to labels) and
-/// a "free" chain (evidence resampled); the gradient of a weight is the
+/// Weight learning over a FactorGraph: stochastic maximum likelihood
+/// (persistent contrastive divergence), the standard Gibbs-based procedure
+/// of Tuffy/DeepDive — maintain a "clamped" chain (evidence fixed to labels)
+/// and a "free" chain (evidence resampled); the gradient of a weight is the
 /// difference of its sufficient statistic sign(head) * g(n_sat) between the
-/// chains. Only weights flagged learnable move. The graph's weight values are
-/// updated in place (single-writer: this learner, between inference runs).
-template <typename GraphT>
-class BasicLearner {
- public:
-  explicit BasicLearner(GraphT* graph);
-
-  LearnStats Learn(const LearnerOptions& options);
-
-  /// Negative pseudo-log-likelihood of the evidence variables under the
-  /// current weights, evaluated on a world with evidence clamped:
-  /// sum over e in E of -log sigma(+/- logodds(e)). The learning curves of
-  /// Figures 16/17 report this.
-  double EvidenceLoss() const;
-
- private:
-  /// The shared SGD scaffolding (weight reset, per-epoch gradient averaging
-  /// + L2 step, learning-rate decay, loss tracking): `accumulate_sweep`
-  /// advances every persistent chain one sweep and adds that sweep's
-  /// sufficient-statistic differences into the gradient buffer — the only
-  /// part that differs between the two-chain and replicated executions.
-  LearnStats RunEpochs(
-      const LearnerOptions& options,
-      const std::function<void(std::vector<double>* grad)>& accumulate_sweep);
-
-  /// num_replicas >= 2: R clamped + R free persistent chains with private
-  /// worlds, swept concurrently through a ReplicatedGibbsSampler; gradients
-  /// are replica-averaged every sweep (the shared weight vector is the
-  /// consensus model of DimmWitted-style model averaging).
-  LearnStats LearnReplicated(const LearnerOptions& options);
-
-  GraphT* graph_;
-};
-
-extern template class BasicLearner<factor::FactorGraph>;
-extern template class BasicLearner<factor::CompiledGraph>;
-
-/// Weight learning over a mutable FactorGraph. Warmstart (keep previous
-/// weights) is the incremental-learning technique evaluated in Figure 16.
-/// The chains run on a one-shot compiled snapshot of the graph (the same
-/// weights as BasicLearner<FactorGraph>, at flat-array sweep speed) and the
-/// learned weights are written back into the mutable graph.
+/// chains. Only weights flagged learnable move. The chains run on a one-shot
+/// compiled image of the graph, and the learned weights are written back
+/// into the graph (single-writer: this learner, between inference runs).
+/// Warmstart (keep previous weights) is the incremental-learning technique
+/// evaluated in Figure 16.
 class Learner {
  public:
   explicit Learner(factor::FactorGraph* graph);
 
   LearnStats Learn(const LearnerOptions& options);
 
-  /// See BasicLearner::EvidenceLoss; always evaluated against the current
-  /// mutable graph weights.
+  /// Negative pseudo-log-likelihood of the evidence variables under the
+  /// graph's current weights, evaluated on a compiled image of it with
+  /// evidence clamped: sum over e in E of -log sigma(+/- logodds(e)). The
+  /// learning curves of Figures 16/17 report this.
   double EvidenceLoss() const;
 
  private:

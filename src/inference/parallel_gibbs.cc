@@ -11,10 +11,9 @@ using factor::GroupId;
 using factor::VarId;
 using factor::WeightId;
 
-// ---- BasicAtomicWorld ------------------------------------------------------
+// ---- AtomicWorld -----------------------------------------------------------
 
-template <typename GraphT>
-BasicAtomicWorld<GraphT>::BasicAtomicWorld(const GraphT* graph)
+AtomicWorld::AtomicWorld(const factor::CompiledGraph* graph)
     : graph_(graph),
       values_(graph->NumVariables()),
       clause_unsat_(graph->NumClauses()),
@@ -22,17 +21,15 @@ BasicAtomicWorld<GraphT>::BasicAtomicWorld(const GraphT* graph)
   InitValues(nullptr, /*random_init=*/false);
 }
 
-template <typename GraphT>
-void BasicAtomicWorld<GraphT>::Flip(VarId v, bool new_value) {
+void AtomicWorld::Flip(VarId v, bool new_value) {
   // ordering: relaxed — Hogwild: callers partition variables so no two
   // threads Flip the same id; concurrent readers tolerate staleness and the
   // statistics RMWs below keep the counters exact without ordering.
   const uint8_t old = values_[v].exchange(new_value ? 1 : 0, std::memory_order_relaxed);
   if ((old != 0) == new_value) return;
   for (const auto& ref : graph_->BodyRefs(v)) {
-    if (!graph_->clause(ref.clause).active) continue;
     const bool lit_true_now = (new_value != static_cast<bool>(ref.negated));
-    const GroupId g = graph_->clause(ref.clause).group;
+    const GroupId g = graph_->ClauseGroup(ref.clause);
     // ordering: relaxed — atomicity (not ordering) is what is needed here:
     // fetch_add/fetch_sub return the previous value, so the 0-crossing that
     // owns the group_sat update is decided exactly once even under
@@ -49,8 +46,7 @@ void BasicAtomicWorld<GraphT>::Flip(VarId v, bool new_value) {
   }
 }
 
-template <typename GraphT>
-void BasicAtomicWorld<GraphT>::InitValues(Rng* rng, bool random_init) {
+void AtomicWorld::InitValues(Rng* rng, bool random_init) {
   for (VarId v = 0; v < values_.size(); ++v) {
     const auto ev = graph_->EvidenceValue(v);
     uint8_t value = 0;
@@ -66,9 +62,8 @@ void BasicAtomicWorld<GraphT>::InitValues(Rng* rng, bool random_init) {
   RecomputeStats();
 }
 
-template <typename GraphT>
-void BasicAtomicWorld<GraphT>::LoadBitsPrefix(const BitVector& bits, bool fill,
-                                              bool apply_evidence, ThreadPool* pool) {
+void AtomicWorld::LoadBitsPrefix(const BitVector& bits, bool fill, bool apply_evidence,
+                                 ThreadPool* pool) {
   DD_CHECK_LE(bits.size(), values_.size());
   for (VarId v = 0; v < values_.size(); ++v) {
     const bool bit = v < bits.size() ? bits.Get(v) : fill;
@@ -86,15 +81,13 @@ void BasicAtomicWorld<GraphT>::LoadBitsPrefix(const BitVector& bits, bool fill,
   RecomputeStats(pool);
 }
 
-template <typename GraphT>
-BitVector BasicAtomicWorld<GraphT>::ToBits() const {
+BitVector AtomicWorld::ToBits() const {
   BitVector bits(values_.size());
   for (VarId v = 0; v < values_.size(); ++v) bits.Set(v, value(v));
   return bits;
 }
 
-template <typename GraphT>
-void BasicAtomicWorld<GraphT>::RecomputeStats(ThreadPool* pool) {
+void AtomicWorld::RecomputeStats(ThreadPool* pool) {
   // Publication contract: the relaxed stores below are read by Hogwild
   // workers (and plain callers) AFTER this function returns, with relaxed
   // loads and no release/acquire pair of their own. The happens-before edge
@@ -112,23 +105,18 @@ void BasicAtomicWorld<GraphT>::RecomputeStats(ThreadPool* pool) {
   // job pins the edge via RecomputeStatsPublishesToHogwildWorkers.
   auto scan = [this](size_t /*shard*/, size_t begin, size_t end) {
     for (ClauseId c = static_cast<ClauseId>(begin); c < end; ++c) {
-      if (!graph_->clause(c).active) {
-        // ordering: relaxed — shards own disjoint clause ranges; the pool's
-        // mutex join publishes every store (see the contract above).
-        clause_unsat_[c].store(0, std::memory_order_relaxed);
-        continue;
-      }
       int32_t unsat = 0;
       for (const auto& lit : graph_->ClauseLiterals(c)) {
         if (value(lit.var) == static_cast<bool>(lit.negated)) ++unsat;
       }
-      // ordering: relaxed — disjoint clause ranges per shard (join publishes).
+      // ordering: relaxed — shards own disjoint clause ranges; the pool's
+      // mutex join publishes every store (see the contract above).
       clause_unsat_[c].store(unsat, std::memory_order_relaxed);
       if (unsat == 0) {
         // ordering: relaxed — group counters are shared across shards, so
         // this one is an RMW for atomicity; no ordering needed (join
         // publishes the final sums).
-        group_sat_[graph_->clause(c).group].fetch_add(1, std::memory_order_relaxed);
+        group_sat_[graph_->ClauseGroup(c)].fetch_add(1, std::memory_order_relaxed);
       }
     }
   };
@@ -143,35 +131,28 @@ void BasicAtomicWorld<GraphT>::RecomputeStats(ThreadPool* pool) {
   }
 }
 
-template <typename GraphT>
-double BasicAtomicWorld<GraphT>::WeightFeature(WeightId weight) const {
+double AtomicWorld::WeightFeature(WeightId weight) const {
   double f = 0.0;
   for (GroupId g : graph_->GroupsForWeight(weight)) {
     const auto& group = graph_->group(g);
-    if (!group.active) continue;
     const double sign = value(group.head) ? 1.0 : -1.0;
     f += sign * factor::GCount(group.semantics, GroupSat(g));
   }
   return f;
 }
 
-template class BasicAtomicWorld<factor::FactorGraph>;
-template class BasicAtomicWorld<factor::CompiledGraph>;
+// ---- ParallelGibbsSampler --------------------------------------------------
 
-// ---- BasicParallelGibbsSampler ---------------------------------------------
-
-template <typename GraphT>
-BasicParallelGibbsSampler<GraphT>::BasicParallelGibbsSampler(const GraphT* graph,
-                                                             size_t num_threads)
+ParallelGibbsSampler::ParallelGibbsSampler(const factor::CompiledGraph* graph,
+                                           size_t num_threads)
     : graph_(graph),
       num_threads_(num_threads == 0 ? ThreadPool::DefaultThreads()
                                     : num_threads),
       pool_(num_threads_),
       scratch_(pool_.shards()) {}
 
-template <typename GraphT>
-std::vector<Rng> BasicParallelGibbsSampler<GraphT>::MakeRngStreams(
-    uint64_t seed, uint64_t replica) const {
+std::vector<Rng> ParallelGibbsSampler::MakeRngStreams(uint64_t seed,
+                                                      uint64_t replica) const {
   std::vector<Rng> rngs;
   rngs.reserve(pool_.shards());
   for (size_t t = 0; t < pool_.shards(); ++t) {
@@ -180,10 +161,8 @@ std::vector<Rng> BasicParallelGibbsSampler<GraphT>::MakeRngStreams(
   return rngs;
 }
 
-template <typename GraphT>
-size_t BasicParallelGibbsSampler<GraphT>::Sweep(WorldType* world,
-                                                std::vector<Rng>* rngs,
-                                                bool sample_evidence) const {
+size_t ParallelGibbsSampler::Sweep(AtomicWorld* world, std::vector<Rng>* rngs,
+                                   bool sample_evidence) const {
   DD_CHECK_GE(rngs->size(), pool_.shards());
   std::vector<size_t> flips(pool_.shards(), 0);
   pool_.ParallelFor(graph_->NumVariables(),
@@ -197,9 +176,8 @@ size_t BasicParallelGibbsSampler<GraphT>::Sweep(WorldType* world,
   return total;
 }
 
-template <typename GraphT>
-size_t BasicParallelGibbsSampler<GraphT>::SweepVars(
-    WorldType* world, std::vector<Rng>* rngs, const std::vector<VarId>& vars) const {
+size_t ParallelGibbsSampler::SweepVars(AtomicWorld* world, std::vector<Rng>* rngs,
+                                       const std::vector<VarId>& vars) const {
   DD_CHECK_GE(rngs->size(), pool_.shards());
   std::vector<size_t> flips(pool_.shards(), 0);
   pool_.ParallelFor(vars.size(), [&](size_t shard, size_t begin, size_t end) {
@@ -212,20 +190,19 @@ size_t BasicParallelGibbsSampler<GraphT>::SweepVars(
   return total;
 }
 
-template <typename GraphT>
-MarginalResult BasicParallelGibbsSampler<GraphT>::EstimateMarginals(
+MarginalResult ParallelGibbsSampler::EstimateMarginals(
     const GibbsOptions& options) const {
   if (num_threads_ <= 1) {
     // Sequential delegation: bit-identical to the sequential sampler for a
     // given seed.
-    return BasicGibbsSampler<GraphT>(graph_).EstimateMarginals(options);
+    return GibbsSampler(graph_).EstimateMarginals(options);
   }
 
   MarginalResult result;
   const size_t n = graph_->NumVariables();
   result.marginals.assign(n, 0.0);
 
-  WorldType world(graph_);
+  AtomicWorld world(graph_);
   Rng init_rng(options.seed);
   world.InitValues(&init_rng, options.random_init);
   std::vector<Rng> rngs = MakeRngStreams(options.seed);
@@ -255,8 +232,7 @@ MarginalResult BasicParallelGibbsSampler<GraphT>::EstimateMarginals(
   return result;
 }
 
-template <typename GraphT>
-std::vector<BitVector> BasicParallelGibbsSampler<GraphT>::DrawSamples(
+std::vector<BitVector> ParallelGibbsSampler::DrawSamples(
     size_t count, size_t thin, const GibbsOptions& options) const {
   std::vector<BitVector> samples;
   samples.reserve(count);
@@ -267,8 +243,7 @@ std::vector<BitVector> BasicParallelGibbsSampler<GraphT>::DrawSamples(
   return samples;
 }
 
-template <typename GraphT>
-void BasicParallelGibbsSampler<GraphT>::SampleChain(
+void ParallelGibbsSampler::SampleChain(
     const GibbsOptions& options, size_t count, size_t thin,
     const std::function<bool(const BitVector&)>& on_sample) const {
   const size_t thin_sweeps = std::max<size_t>(1, thin);
@@ -278,8 +253,8 @@ void BasicParallelGibbsSampler<GraphT>::SampleChain(
   if (num_threads_ <= 1) {
     // Matches the sequential DrawSamples / the engine's historical
     // materialization loop exactly: one Rng drives init, burn-in and thinning.
-    BasicGibbsSampler<GraphT> sequential(graph_);
-    BasicWorld<GraphT> world(graph_);
+    GibbsSampler sequential(graph_);
+    World world(graph_);
     Rng rng(options.seed);
     world.InitValues(&rng, options.random_init);
     for (size_t i = 0; i < options.burn_in_sweeps; ++i) {
@@ -296,7 +271,7 @@ void BasicParallelGibbsSampler<GraphT>::SampleChain(
     return;
   }
 
-  WorldType world(graph_);
+  AtomicWorld world(graph_);
   Rng init_rng(options.seed);
   world.InitValues(&init_rng, options.random_init);
   std::vector<Rng> rngs = MakeRngStreams(options.seed);
@@ -312,8 +287,5 @@ void BasicParallelGibbsSampler<GraphT>::SampleChain(
     if (!on_sample(world.ToBits())) return;
   }
 }
-
-template class BasicParallelGibbsSampler<factor::FactorGraph>;
-template class BasicParallelGibbsSampler<factor::CompiledGraph>;
 
 }  // namespace deepdive::inference

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "factor/compiled_graph.h"
-#include "factor/factor_graph.h"
 #include "inference/gibbs.h"
 #include "inference/world.h"
 #include "util/bitvector.h"
@@ -24,17 +23,14 @@ namespace deepdive::inference {
 /// neighbor's value or a clause statistic a few microseconds stale, which is
 /// the standard DimmWitted/Hogwild trade.
 ///
-/// Templated over the graph representation (mutable FactorGraph or the flat
-/// CSR CompiledGraph). Mirrors the World API the samplers need (value /
-/// GroupSat / ClauseUnsat / Flip), so the templated conditional in gibbs.h
-/// works on either.
-template <typename GraphT>
-class BasicAtomicWorld {
+/// Mirrors the World API the samplers need (value / GroupSat / ClauseUnsat /
+/// Flip), so the conditional in gibbs.h works on either world.
+class AtomicWorld {
  public:
-  explicit BasicAtomicWorld(const GraphT* graph);
+  explicit AtomicWorld(const factor::CompiledGraph* graph);
 
-  /// The frozen-during-runs graph (see FactorGraph's thread contract).
-  const GraphT& graph() const { return *graph_; }
+  /// The frozen graph (see CompiledGraph's thread contract).
+  const factor::CompiledGraph& graph() const { return *graph_; }
   size_t NumVariables() const { return values_.size(); }
 
   // ordering: relaxed — the Hogwild contract (see class comment): reads may
@@ -78,7 +74,7 @@ class BasicAtomicWorld {
   double WeightFeature(factor::WeightId weight) const;
 
  private:
-  const GraphT* graph_;
+  const factor::CompiledGraph* graph_;
   /// Hogwild-exempt state: deliberately NOT annotated with GUARDED_BY and
   /// deliberately relaxed — concurrent same-location access from many
   /// workers without mutual exclusion IS the algorithm (Niu et al.'s
@@ -89,12 +85,6 @@ class BasicAtomicWorld {
   std::vector<std::atomic<int32_t>> clause_unsat_;
   std::vector<std::atomic<int64_t>> group_sat_;
 };
-
-using AtomicWorld = BasicAtomicWorld<factor::FactorGraph>;
-using CompiledAtomicWorld = BasicAtomicWorld<factor::CompiledGraph>;
-
-extern template class BasicAtomicWorld<factor::FactorGraph>;
-extern template class BasicAtomicWorld<factor::CompiledGraph>;
 
 /// Multi-threaded Gibbs sampler (the DimmWitted execution model the paper's
 /// Section 2.5 samplers run on): variables are partitioned into contiguous
@@ -112,15 +102,13 @@ extern template class BasicAtomicWorld<factor::CompiledGraph>;
 /// across calling threads: its methods are const but use the instance's
 /// worker pool and per-shard scratch, so concurrent calls on one instance
 /// race. Create one sampler per calling thread (workers inside are fine).
-template <typename GraphT>
-class BasicParallelGibbsSampler {
+class ParallelGibbsSampler {
  public:
-  using WorldType = BasicAtomicWorld<GraphT>;
+  explicit ParallelGibbsSampler(const factor::CompiledGraph* graph,
+                                size_t num_threads = 1);
 
-  explicit BasicParallelGibbsSampler(const GraphT* graph, size_t num_threads = 1);
-
-  /// The frozen-during-runs graph (see FactorGraph's thread contract).
-  const GraphT& graph() const { return *graph_; }
+  /// The frozen graph (see CompiledGraph's thread contract).
+  const factor::CompiledGraph& graph() const { return *graph_; }
   size_t num_threads() const { return num_threads_; }
 
   /// Burn-in + sampling sweeps, averaging indicator values; honors the
@@ -140,12 +128,12 @@ class BasicParallelGibbsSampler {
 
   /// One Hogwild sweep over all sampleable variables. `rngs` must hold at
   /// least num_threads() streams (see MakeRngStreams). Returns total flips.
-  size_t Sweep(WorldType* world, std::vector<Rng>* rngs,
+  size_t Sweep(AtomicWorld* world, std::vector<Rng>* rngs,
                bool sample_evidence = false) const;
 
   /// One Hogwild sweep restricted to `vars` (decomposition groups /
   /// extension variables), partitioned across workers.
-  size_t SweepVars(WorldType* world, std::vector<Rng>* rngs,
+  size_t SweepVars(AtomicWorld* world, std::vector<Rng>* rngs,
                    const std::vector<factor::VarId>& vars) const;
 
   /// Per-worker decorrelated RNG streams, keyed by (seed, replica, worker).
@@ -161,7 +149,7 @@ class BasicParallelGibbsSampler {
   ThreadPool* pool() const { return &pool_; }
 
  private:
-  const GraphT* graph_;
+  const factor::CompiledGraph* graph_;
   size_t num_threads_;
   mutable ThreadPool pool_;
   // Per-shard conditional scratch, indexed by ParallelFor shard id. Workers
@@ -169,12 +157,6 @@ class BasicParallelGibbsSampler {
   // calling thread's perspective.
   mutable std::vector<GibbsScratch> scratch_;
 };
-
-using ParallelGibbsSampler = BasicParallelGibbsSampler<factor::FactorGraph>;
-using CompiledParallelGibbsSampler = BasicParallelGibbsSampler<factor::CompiledGraph>;
-
-extern template class BasicParallelGibbsSampler<factor::FactorGraph>;
-extern template class BasicParallelGibbsSampler<factor::CompiledGraph>;
 
 }  // namespace deepdive::inference
 

@@ -9,10 +9,8 @@ namespace deepdive::inference {
 
 using factor::VarId;
 
-template <typename GraphT>
-BasicReplicatedGibbsSampler<GraphT>::BasicReplicatedGibbsSampler(const GraphT* graph,
-                                                                 size_t num_replicas,
-                                                                 size_t num_threads)
+ReplicatedGibbsSampler::ReplicatedGibbsSampler(const factor::CompiledGraph* graph,
+                                               size_t num_replicas, size_t num_threads)
     : graph_(graph),
       threads_per_replica_(1),
       replica_pool_(std::max<size_t>(1, num_replicas)) {
@@ -24,14 +22,12 @@ BasicReplicatedGibbsSampler<GraphT>::BasicReplicatedGibbsSampler(const GraphT* g
   for (size_t r = 0; r < replicas; ++r) {
     // The single-replica sampler keeps the whole budget (it IS the
     // shared-world sampler then); R > 1 splits it evenly.
-    replicas_.push_back(std::make_unique<ReplicaSampler>(
+    replicas_.push_back(std::make_unique<ParallelGibbsSampler>(
         graph, replicas == 1 ? total : threads_per_replica_));
   }
 }
 
-template <typename GraphT>
-void BasicReplicatedGibbsSampler<GraphT>::ForEachReplica(
-    const std::function<void(size_t)>& fn) const {
+void ReplicatedGibbsSampler::ForEachReplica(const std::function<void(size_t)>& fn) const {
   if (replicas_.size() == 1) {
     fn(0);
     return;
@@ -42,14 +38,12 @@ void BasicReplicatedGibbsSampler<GraphT>::ForEachReplica(
   replica_pool_.Wait();
 }
 
-template <typename GraphT>
-std::vector<typename BasicReplicatedGibbsSampler<GraphT>::ReplicaChain>
-BasicReplicatedGibbsSampler<GraphT>::InitChains(const GibbsOptions& options,
-                                                bool with_counts) const {
+std::vector<ReplicatedGibbsSampler::ReplicaChain> ReplicatedGibbsSampler::InitChains(
+    const GibbsOptions& options, bool with_counts) const {
   std::vector<ReplicaChain> chains(replicas_.size());
   ForEachReplica([&](size_t r) {
     ReplicaChain& c = chains[r];
-    c.world = std::make_unique<WorldType>(graph_);
+    c.world = std::make_unique<AtomicWorld>(graph_);
     Rng init_rng(AuxSeed(options.seed, r, kInitStream));
     c.world->InitValues(&init_rng, options.random_init);
     c.rngs = replicas_[r]->MakeRngStreams(options.seed, r);
@@ -59,16 +53,14 @@ BasicReplicatedGibbsSampler<GraphT>::InitChains(const GibbsOptions& options,
   return chains;
 }
 
-template <typename GraphT>
-void BasicReplicatedGibbsSampler<GraphT>::RunBlock(std::vector<ReplicaChain>* chains,
-                                                   size_t sweep_start, size_t count,
-                                                   size_t burn_in,
-                                                   const GibbsOptions& options,
-                                                   bool poll_interrupt) const {
+void ReplicatedGibbsSampler::RunBlock(std::vector<ReplicaChain>* chains,
+                                      size_t sweep_start, size_t count, size_t burn_in,
+                                      const GibbsOptions& options,
+                                      bool poll_interrupt) const {
   const size_t n = graph_->NumVariables();
   ForEachReplica([&](size_t r) {
     ReplicaChain& c = (*chains)[r];
-    WorldType* world = c.world.get();
+    AtomicWorld* world = c.world.get();
     for (size_t i = 0; i < count; ++i) {
       if (poll_interrupt && options.interrupt && options.interrupt()) {
         c.interrupted = true;
@@ -93,10 +85,9 @@ void BasicReplicatedGibbsSampler<GraphT>::RunBlock(std::vector<ReplicaChain>* ch
   });
 }
 
-template <typename GraphT>
-void BasicReplicatedGibbsSampler<GraphT>::Synchronize(std::vector<ReplicaChain>* chains,
-                                                      size_t samples_taken,
-                                                      const GibbsOptions& options) const {
+void ReplicatedGibbsSampler::Synchronize(std::vector<ReplicaChain>* chains,
+                                         size_t samples_taken,
+                                         const GibbsOptions& options) const {
   const size_t n = graph_->NumVariables();
   const size_t replicas = replicas_.size();
   // Consensus marginal estimate, reduced in replica order on the calling
@@ -134,8 +125,7 @@ void BasicReplicatedGibbsSampler<GraphT>::Synchronize(std::vector<ReplicaChain>*
   });
 }
 
-template <typename GraphT>
-bool BasicReplicatedGibbsSampler<GraphT>::AnyInterrupted(
+bool ReplicatedGibbsSampler::AnyInterrupted(
     const std::vector<ReplicaChain>& chains) const {
   for (const ReplicaChain& c : chains) {
     if (c.interrupted) return true;
@@ -143,8 +133,7 @@ bool BasicReplicatedGibbsSampler<GraphT>::AnyInterrupted(
   return false;
 }
 
-template <typename GraphT>
-MarginalResult BasicReplicatedGibbsSampler<GraphT>::EstimateMarginals(
+MarginalResult ReplicatedGibbsSampler::EstimateMarginals(
     const GibbsOptions& options) const {
   if (replicas_.size() == 1) {
     // Single replica: exactly the shared-world sampler (and at one thread,
@@ -189,8 +178,7 @@ MarginalResult BasicReplicatedGibbsSampler<GraphT>::EstimateMarginals(
   return result;
 }
 
-template <typename GraphT>
-std::vector<BitVector> BasicReplicatedGibbsSampler<GraphT>::DrawSamples(
+std::vector<BitVector> ReplicatedGibbsSampler::DrawSamples(
     size_t count, size_t thin, const GibbsOptions& options) const {
   std::vector<BitVector> samples;
   samples.reserve(count);
@@ -201,8 +189,7 @@ std::vector<BitVector> BasicReplicatedGibbsSampler<GraphT>::DrawSamples(
   return samples;
 }
 
-template <typename GraphT>
-void BasicReplicatedGibbsSampler<GraphT>::SampleChain(
+void ReplicatedGibbsSampler::SampleChain(
     const GibbsOptions& options, size_t count, size_t thin,
     const std::function<bool(const BitVector&)>& on_sample) const {
   if (replicas_.size() == 1) {
@@ -253,8 +240,5 @@ void BasicReplicatedGibbsSampler<GraphT>::SampleChain(
     }
   }
 }
-
-template class BasicReplicatedGibbsSampler<factor::FactorGraph>;
-template class BasicReplicatedGibbsSampler<factor::CompiledGraph>;
 
 }  // namespace deepdive::inference

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "factor/compiled_graph.h"
-#include "factor/factor_graph.h"
 #include "inference/gibbs.h"
 #include "inference/parallel_gibbs.h"
 #include "util/bitvector.h"
@@ -30,10 +29,6 @@ namespace deepdive::inference {
 /// variable, from a replica-private synchronization stream), plus a final
 /// cross-replica marginal merge at the end of every run.
 ///
-/// Templated over the graph representation (mutable FactorGraph or the flat
-/// CSR CompiledGraph); both instantiations run the identical schedule, so
-/// results are bit-identical across representations for a fixed seed.
-///
 /// Determinism:
 ///  - `num_replicas == 1` delegates every call to an internal
 ///    ParallelGibbsSampler, so results are bit-identical to it (and, at
@@ -46,22 +41,17 @@ namespace deepdive::inference {
 /// Like ParallelGibbsSampler, an instance is not shareable across calling
 /// threads (it owns the replica pool and per-replica samplers); create one
 /// per calling thread.
-template <typename GraphT>
-class BasicReplicatedGibbsSampler {
+class ReplicatedGibbsSampler {
  public:
-  using WorldType = BasicAtomicWorld<GraphT>;
-  using ReplicaSampler = BasicParallelGibbsSampler<GraphT>;
-
   /// `num_threads` is the TOTAL worker budget: each replica runs its Hogwild
   /// sweeps on max(1, num_threads / num_replicas) workers (0 = one worker
   /// per hardware thread before the split). Replicas themselves always run
   /// concurrently — R replicas occupy at least R workers.
-  explicit BasicReplicatedGibbsSampler(const GraphT* graph,
-                                       size_t num_replicas = 1,
-                                       size_t num_threads = 1);
+  explicit ReplicatedGibbsSampler(const factor::CompiledGraph* graph,
+                                  size_t num_replicas = 1, size_t num_threads = 1);
 
-  /// The frozen-during-runs graph (see FactorGraph's thread contract).
-  const GraphT& graph() const { return *graph_; }
+  /// The frozen graph (see CompiledGraph's thread contract).
+  const factor::CompiledGraph& graph() const { return *graph_; }
   size_t num_replicas() const { return replicas_.size(); }
   size_t threads_per_replica() const { return threads_per_replica_; }
 
@@ -69,7 +59,7 @@ class BasicReplicatedGibbsSampler {
   /// callers driving chains manually (the learner) sweep their own worlds
   /// through it, one calling task per replica (its scratch is not shareable
   /// across concurrent calls).
-  const ReplicaSampler& replica(size_t r) const { return *replicas_[r]; }
+  const ParallelGibbsSampler& replica(size_t r) const { return *replicas_[r]; }
 
   /// Runs fn(r) for every replica concurrently on the replica pool and
   /// blocks until all complete. fn must confine itself to replica-r state.
@@ -113,7 +103,7 @@ class BasicReplicatedGibbsSampler {
   /// Replica-private between ForEachReplica barriers; the calling thread
   /// reads it only after a barrier.
   struct ReplicaChain {
-    std::unique_ptr<WorldType> world;
+    std::unique_ptr<AtomicWorld> world;
     std::vector<Rng> rngs;
     Rng sync_rng{0};
     std::vector<uint32_t> counts;  // per-variable indicator sums (marginals)
@@ -144,18 +134,11 @@ class BasicReplicatedGibbsSampler {
 
   bool AnyInterrupted(const std::vector<ReplicaChain>& chains) const;
 
-  const GraphT* graph_;
+  const factor::CompiledGraph* graph_;
   size_t threads_per_replica_;
-  std::vector<std::unique_ptr<ReplicaSampler>> replicas_;
+  std::vector<std::unique_ptr<ParallelGibbsSampler>> replicas_;
   mutable ThreadPool replica_pool_;  // R-wide outer pool (inline when R == 1)
 };
-
-using ReplicatedGibbsSampler = BasicReplicatedGibbsSampler<factor::FactorGraph>;
-using CompiledReplicatedGibbsSampler =
-    BasicReplicatedGibbsSampler<factor::CompiledGraph>;
-
-extern template class BasicReplicatedGibbsSampler<factor::FactorGraph>;
-extern template class BasicReplicatedGibbsSampler<factor::CompiledGraph>;
 
 }  // namespace deepdive::inference
 

@@ -9,32 +9,25 @@ using factor::GroupId;
 using factor::VarId;
 using factor::WeightId;
 
-template <typename GraphT>
-BasicWorld<GraphT>::BasicWorld(const GraphT* graph) : graph_(graph) {
+World::World(const factor::CompiledGraph* graph) : graph_(graph) {
   values_.assign(graph_->NumVariables(), 0);
   InitEvidence();
   RecomputeStats();
 }
 
-template <typename GraphT>
-void BasicWorld<GraphT>::InitEvidence() {
+void World::InitEvidence() {
   for (VarId v = 0; v < values_.size(); ++v) {
     const auto ev = graph_->EvidenceValue(v);
     if (ev.has_value()) values_[v] = *ev ? 1 : 0;
   }
 }
 
-template <typename GraphT>
-void BasicWorld<GraphT>::Flip(VarId v, bool new_value) {
+void World::Flip(VarId v, bool new_value) {
   if (value(v) == new_value) return;
   values_[v] = new_value ? 1 : 0;
   for (const auto& ref : graph_->BodyRefs(v)) {
-    // Statistics are maintained for inactive *groups* too (cheap, and keeps
-    // re-activation trivial), but deactivated clauses are out for good. On
-    // the compiled graph `active` is constexpr-true and this test folds away.
-    if (!graph_->clause(ref.clause).active) continue;
     const bool lit_true_now = (new_value != static_cast<bool>(ref.negated));
-    const GroupId g = graph_->clause(ref.clause).group;
+    const GroupId g = graph_->ClauseGroup(ref.clause);
     if (lit_true_now) {
       if (--clause_unsat_[ref.clause] == 0) ++group_sat_[g];
     } else {
@@ -43,8 +36,7 @@ void BasicWorld<GraphT>::Flip(VarId v, bool new_value) {
   }
 }
 
-template <typename GraphT>
-void BasicWorld<GraphT>::InitValues(Rng* rng, bool random_init) {
+void World::InitValues(Rng* rng, bool random_init) {
   for (VarId v = 0; v < values_.size(); ++v) {
     const auto ev = graph_->EvidenceValue(v);
     if (ev.has_value()) {
@@ -56,17 +48,14 @@ void BasicWorld<GraphT>::InitValues(Rng* rng, bool random_init) {
   RecomputeStats();
 }
 
-template <typename GraphT>
-void BasicWorld<GraphT>::LoadBits(const BitVector& bits) {
+void World::LoadBits(const BitVector& bits) {
   DD_CHECK_EQ(bits.size(), values_.size());
   for (VarId v = 0; v < values_.size(); ++v) values_[v] = bits.Get(v) ? 1 : 0;
   InitEvidence();
   RecomputeStats();
 }
 
-template <typename GraphT>
-void BasicWorld<GraphT>::LoadBitsPrefix(const BitVector& bits, bool fill,
-                                        bool apply_evidence) {
+void World::LoadBitsPrefix(const BitVector& bits, bool fill, bool apply_evidence) {
   DD_CHECK_LE(bits.size(), values_.size());
   for (VarId v = 0; v < values_.size(); ++v) {
     values_[v] = v < bits.size() ? (bits.Get(v) ? 1 : 0) : (fill ? 1 : 0);
@@ -75,71 +64,46 @@ void BasicWorld<GraphT>::LoadBitsPrefix(const BitVector& bits, bool fill,
   RecomputeStats();
 }
 
-template <typename GraphT>
-BitVector BasicWorld<GraphT>::ToBits() const {
+BitVector World::ToBits() const {
   BitVector bits(values_.size());
   for (VarId v = 0; v < values_.size(); ++v) bits.Set(v, values_[v] != 0);
   return bits;
 }
 
-template <typename GraphT>
-void BasicWorld<GraphT>::SyncStructure(bool fill) {
-  const size_t old_vars = values_.size();
-  values_.resize(graph_->NumVariables(), fill ? 1 : 0);
-  for (VarId v = static_cast<VarId>(old_vars); v < values_.size(); ++v) {
-    const auto ev = graph_->EvidenceValue(v);
-    if (ev.has_value()) values_[v] = *ev ? 1 : 0;
-  }
-  // Recompute from scratch: new clauses may reference old variables, so a
-  // purely-appending fast path would still need to scan them; the full pass
-  // is O(graph) and only runs on structural updates.
-  RecomputeStats();
-}
-
-template <typename GraphT>
-void BasicWorld<GraphT>::RecomputeStats() {
+void World::RecomputeStats() {
   clause_unsat_.assign(graph_->NumClauses(), 0);
   group_sat_.assign(graph_->NumGroups(), 0);
   for (ClauseId c = 0; c < graph_->NumClauses(); ++c) {
-    if (!graph_->clause(c).active) continue;
     int32_t unsat = 0;
     for (const auto& lit : graph_->ClauseLiterals(c)) {
       if (value(lit.var) == static_cast<bool>(lit.negated)) ++unsat;
     }
     clause_unsat_[c] = unsat;
-    if (unsat == 0) ++group_sat_[graph_->clause(c).group];
+    if (unsat == 0) ++group_sat_[graph_->ClauseGroup(c)];
   }
 }
 
-template <typename GraphT>
-double BasicWorld<GraphT>::GroupLogWeight(GroupId g) const {
+double World::GroupLogWeight(GroupId g) const {
   const auto& group = graph_->group(g);
-  if (!group.active) return 0.0;
   const double sign = value(group.head) ? 1.0 : -1.0;
   return graph_->WeightValue(group.weight) * sign *
          factor::GCount(group.semantics, group_sat_[g]);
 }
 
-template <typename GraphT>
-double BasicWorld<GraphT>::TotalLogWeight() const {
+double World::TotalLogWeight() const {
   double total = 0.0;
   for (GroupId g = 0; g < graph_->NumGroups(); ++g) total += GroupLogWeight(g);
   return total;
 }
 
-template <typename GraphT>
-double BasicWorld<GraphT>::WeightFeature(WeightId weight) const {
+double World::WeightFeature(WeightId weight) const {
   double f = 0.0;
   for (GroupId g : graph_->GroupsForWeight(weight)) {
     const auto& group = graph_->group(g);
-    if (!group.active) continue;
     const double sign = value(group.head) ? 1.0 : -1.0;
     f += sign * factor::GCount(group.semantics, group_sat_[g]);
   }
   return f;
 }
-
-template class BasicWorld<factor::FactorGraph>;
-template class BasicWorld<factor::CompiledGraph>;
 
 }  // namespace deepdive::inference

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "factor/compiled_graph.h"
-#include "factor/factor_graph.h"
 #include "util/bitvector.h"
 #include "util/random.h"
 
@@ -14,21 +13,15 @@ namespace deepdive::inference {
 /// A possible world plus the per-clause/per-group statistics that make Gibbs
 /// updates O(degree): for every clause the number of unsatisfied literals,
 /// and for every group the number of satisfied clauses (the n of Eq. 1).
-///
-/// Templated over the graph representation: the mutable FactorGraph, or the
-/// frozen flat-array CompiledGraph (whose `active` flags are compile-time
-/// constants, so the inactive-skip branches below fold away entirely).
-///
-/// For the mutable graph, the structure may grow (incremental grounding);
-/// call SyncStructure() afterwards to absorb new variables/clauses/groups.
-template <typename GraphT>
-class BasicWorld {
+/// Worlds live on the frozen CompiledGraph image, whose groups and clauses
+/// are all active (compilation drops the inactive ones).
+class World {
  public:
-  explicit BasicWorld(const GraphT* graph);
+  explicit World(const factor::CompiledGraph* graph);
 
-  /// The frozen-during-runs graph (see FactorGraph's thread contract); the
-  /// World itself is single-owner, not shared across threads.
-  const GraphT& graph() const { return *graph_; }
+  /// The frozen graph (see CompiledGraph's thread contract); the World
+  /// itself is single-owner, not shared across threads.
+  const factor::CompiledGraph& graph() const { return *graph_; }
 
   size_t NumVariables() const { return values_.size(); }
 
@@ -55,18 +48,13 @@ class BasicWorld {
 
   BitVector ToBits() const;
 
-  /// Grows internal arrays to match the graph after it was extended, and
-  /// initializes statistics for the new clauses/groups. New variables take
-  /// their evidence value or `fill`.
-  void SyncStructure(bool fill = false);
-
   int64_t GroupSat(factor::GroupId g) const { return group_sat_[g]; }
   int32_t ClauseUnsat(factor::ClauseId c) const { return clause_unsat_[c]; }
 
   /// W(I): total log-weight over active groups, from maintained statistics.
   double TotalLogWeight() const;
 
-  /// Contribution of a single group from maintained statistics (0 if inactive).
+  /// Contribution of a single group from maintained statistics.
   double GroupLogWeight(factor::GroupId g) const;
 
   /// Sum over groups carrying `weight` of sign(head) * g(n_sat): the
@@ -80,17 +68,11 @@ class BasicWorld {
   /// Forces evidence variables to their labels (no stats update).
   void InitEvidence();
 
-  const GraphT* graph_;
+  const factor::CompiledGraph* graph_;
   std::vector<uint8_t> values_;
   std::vector<int32_t> clause_unsat_;
   std::vector<int64_t> group_sat_;
 };
-
-using World = BasicWorld<factor::FactorGraph>;
-using CompiledWorld = BasicWorld<factor::CompiledGraph>;
-
-extern template class BasicWorld<factor::FactorGraph>;
-extern template class BasicWorld<factor::CompiledGraph>;
 
 }  // namespace deepdive::inference
 

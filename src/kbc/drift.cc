@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "factor/compiled_graph.h"
 #include "inference/gibbs.h"
 #include "inference/world.h"
 #include "util/logging.h"
@@ -93,8 +94,9 @@ void ExtendTraining(DriftModel* model, double train_frac) {
 }
 
 double TestLoss(const DriftModel& model) {
-  inference::World world(&model.graph);
-  inference::GibbsSampler sampler(&model.graph);
+  const factor::CompiledGraph image = factor::CompiledGraph::Compile(model.graph);
+  inference::World world(&image);
+  inference::GibbsSampler sampler(&image);
   inference::GibbsScratch scratch;
   double loss = 0.0;
   size_t count = 0;

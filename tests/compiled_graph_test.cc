@@ -1,7 +1,7 @@
 // CompiledGraph: flat CSR compilation, compaction semantics, binary snapshot
 // round-trips (mmap and buffered), corruption rejection, and — the load-bearing
-// contract — bit-identical inference and learning against the mutable
-// FactorGraph path at num_threads = 1.
+// contract — inference and learning on the compiled kernels bit-identical to
+// golden values recorded from the FactorGraph path at num_threads = 1.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -180,7 +180,7 @@ TEST(CompiledGraphTest, CompactionDropsInactiveAndPreservesOrder) {
   // Relative clause order within and across groups is preserved.
   const auto g1_clauses = compiled.GroupClauses(0);
   ASSERT_EQ(g1_clauses.size(), 1u);
-  EXPECT_EQ(compiled.clause(g1_clauses[0]).group, 0u);
+  EXPECT_EQ(compiled.ClauseGroup(g1_clauses[0]), 0u);
   // Variables and weights are never compacted.
   EXPECT_EQ(compiled.NumVariables(), 3u);
   EXPECT_EQ(compiled.NumWeights(), 1u);
@@ -195,29 +195,85 @@ TEST(CompiledGraphTest, DecompileIsIdempotentAfterCompaction) {
   }
 }
 
+// ---- golden values --------------------------------------------------------
+//
+// Each value below was recorded at num_threads = 1 while every world, sampler
+// and learner also ran on FactorGraph, where it equalled both the FactorGraph
+// output and the compiled output. The kernels now run only on CompiledGraph;
+// these pin them to those results bit for bit. Hashes are factor::Fnv1aHash
+// over an output's doubles, or over its bits as one byte each.
+
+uint64_t HashDoubles(const std::vector<double>& values) {
+  return factor::Fnv1aHash(values.data(), values.size() * sizeof(double));
+}
+
+uint64_t HashBits(const std::vector<BitVector>& samples) {
+  std::vector<uint8_t> bytes;
+  for (const BitVector& sample : samples) {
+    for (size_t i = 0; i < sample.size(); ++i) bytes.push_back(sample.Get(i) ? 1 : 0);
+  }
+  return factor::Fnv1aHash(bytes.data(), bytes.size());
+}
+
 TEST(CompiledGraphTest, SequentialMarginalsBitIdenticalAcrossSeeds) {
+  const struct {
+    uint64_t seed;
+    uint64_t marginals;
+  } kGolden[] = {{1, 0x1ba8ed7d9e597459ULL},  {2, 0xb1f6df650015889eULL},
+                 {5, 0x793f91dbf69e14ccULL},  {9, 0x0ace91e0d27ca436ULL},
+                 {17, 0x07e73b0adf529dc4ULL}, {23, 0xdb32ee3ef1084476ULL}};
   inference::GibbsOptions options;
   options.burn_in_sweeps = 10;
   options.sample_sweeps = 40;
-  for (uint64_t seed : {1u, 2u, 5u, 9u, 17u, 23u}) {
-    const FactorGraph g = MixedGraph(seed);
-    const CompiledGraph compiled = CompiledGraph::Compile(g);
-    options.seed = seed * 31 + 1;
-
-    inference::GibbsSampler mutable_sampler(&g);
-    inference::CompiledGibbsSampler compiled_sampler(&compiled);
-    const auto m1 = mutable_sampler.EstimateMarginals(options);
-    const auto m2 = compiled_sampler.EstimateMarginals(options);
-    ASSERT_EQ(m1.marginals.size(), m2.marginals.size());
-    for (size_t v = 0; v < m1.marginals.size(); ++v) {
-      // Bit-identical, not approximately equal: same iteration order, same
-      // FP accumulation order, same RNG consumption.
-      EXPECT_EQ(m1.marginals[v], m2.marginals[v]) << "seed " << seed << " var " << v;
-    }
+  for (const auto& golden : kGolden) {
+    const CompiledGraph compiled = CompiledGraph::Compile(MixedGraph(golden.seed));
+    options.seed = golden.seed * 31 + 1;
+    const auto result = inference::GibbsSampler(&compiled).EstimateMarginals(options);
+    EXPECT_EQ(HashDoubles(result.marginals), golden.marginals) << "seed " << golden.seed;
   }
 }
 
-TEST(CompiledGraphTest, PriorOnlyGroupsMatchMutablePath) {
+// Pairwise-heavy: every variable sits in the bodies of several groups, so a
+// conditional sums many group terms and their floating-point order shows in
+// its bits (marginals, which only count draws, rarely see it).
+FactorGraph CoupledGraph(uint64_t seed) {
+  constexpr size_t kVars = 40;
+  FactorGraph g;
+  Rng rng(seed);
+  g.AddVariables(kVars);
+  for (VarId v = 0; v < kVars; v += 7) g.SetEvidence(v, rng.Bernoulli(0.5));
+  for (size_t i = 0; i < 4 * kVars; ++i) {
+    const auto head = static_cast<VarId>(rng.UniformInt(kVars));
+    const auto body = static_cast<VarId>((head + 1 + rng.UniformInt(kVars - 1)) % kVars);
+    const WeightId w = g.AddWeight(rng.Uniform(-1.5, 1.5), false);
+    const auto sem = static_cast<Semantics>(rng.UniformInt(3));
+    const GroupId grp = g.AddGroup(static_cast<uint32_t>(i), head, w, sem);
+    g.AddClause(grp, {{body, rng.Bernoulli(0.3)}});
+    if (i % 11 == 0) g.DeactivateGroup(grp);
+  }
+  return g;
+}
+
+// Every variable's conditional log-odds before each of five sweeps.
+TEST(CompiledGraphTest, ConditionalLogOddsMatchGoldenValue) {
+  std::vector<double> log_odds;
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    const CompiledGraph compiled = CompiledGraph::Compile(CoupledGraph(seed));
+    const inference::GibbsSampler sampler(&compiled);
+    inference::World world(&compiled);
+    Rng rng(seed + 1000);
+    world.InitValues(&rng, true);
+    for (int sweep = 0; sweep < 5; ++sweep) {
+      for (VarId v = 0; v < compiled.NumVariables(); ++v) {
+        log_odds.push_back(sampler.ConditionalLogOdds(world, v));
+      }
+      sampler.Sweep(&world, &rng);
+    }
+  }
+  EXPECT_EQ(HashDoubles(log_odds), 0xe951a4ea0fb0bcfbULL);
+}
+
+TEST(CompiledGraphTest, PriorOnlyGroupsMatchGoldenMarginals) {
   // Groups with zero clauses (pure priors) exercise the head-groups loop with
   // an empty group-clause range.
   FactorGraph g;
@@ -231,67 +287,62 @@ TEST(CompiledGraphTest, PriorOnlyGroupsMatchMutablePath) {
   options.burn_in_sweeps = 5;
   options.sample_sweeps = 50;
   options.seed = 77;
-  const auto m1 = inference::GibbsSampler(&g).EstimateMarginals(options);
-  const auto m2 = inference::CompiledGibbsSampler(&compiled).EstimateMarginals(options);
-  for (size_t v = 0; v < m1.marginals.size(); ++v) {
-    EXPECT_EQ(m1.marginals[v], m2.marginals[v]);
-  }
+  const auto result = inference::GibbsSampler(&compiled).EstimateMarginals(options);
+  EXPECT_EQ(HashDoubles(result.marginals), 0x0d680ed90befc1dbULL);
 }
 
+// Parity of the replicated sampler with its FactorGraph instantiation, through
+// the value recorded from it.
 TEST(CompiledGraphTest, ReplicatedSamplerParity) {
-  const FactorGraph g = MixedGraph(13);
-  const CompiledGraph compiled = CompiledGraph::Compile(g);
+  const CompiledGraph compiled = CompiledGraph::Compile(MixedGraph(13));
   inference::GibbsOptions options;
   options.burn_in_sweeps = 8;
   options.sample_sweeps = 24;
   options.sync_every_sweeps = 8;
   options.seed = 5;
-  // Two replicas, one worker each: deterministic on both paths.
-  inference::ReplicatedGibbsSampler s1(&g, 2, 2);
-  inference::CompiledReplicatedGibbsSampler s2(&compiled, 2, 2);
-  const auto m1 = s1.EstimateMarginals(options);
-  const auto m2 = s2.EstimateMarginals(options);
-  ASSERT_EQ(m1.marginals.size(), m2.marginals.size());
-  for (size_t v = 0; v < m1.marginals.size(); ++v) {
-    EXPECT_EQ(m1.marginals[v], m2.marginals[v]) << "var " << v;
-  }
+  // Two replicas, one worker each: deterministic.
+  const auto result =
+      inference::ReplicatedGibbsSampler(&compiled, 2, 2).EstimateMarginals(options);
+  EXPECT_EQ(HashDoubles(result.marginals), 0xb8be7ecf1d6d9394ULL);
 }
 
-// The production whole-graph path (compile, then the compiled replicated
-// sampler) against the mutable-graph sampler it replaced.
+// The production whole-graph path (compile, then the replicated sampler).
 TEST(CompiledGraphTest, EstimateMarginalsAutoRoutesBitIdentically) {
   const FactorGraph g = MixedGraph(21);
   inference::GibbsOptions options;
   options.burn_in_sweeps = 6;
   options.sample_sweeps = 20;
   options.seed = 3;
-  const auto mutable_result =
-      inference::ReplicatedGibbsSampler(&g, options.num_replicas,
-                                        options.num_threads)
-          .EstimateMarginals(options);
-  const auto compiled_result = inference::EstimateMarginalsAuto(g, options);
-  ASSERT_EQ(mutable_result.marginals.size(), compiled_result.marginals.size());
-  for (size_t v = 0; v < mutable_result.marginals.size(); ++v) {
-    EXPECT_EQ(mutable_result.marginals[v], compiled_result.marginals[v]);
+  const auto result = inference::EstimateMarginalsAuto(g, options);
+  EXPECT_EQ(HashDoubles(result.marginals), 0x324ad2d1c7a6471fULL);
+}
+
+// Learned weights and the final EvidenceLoss of the two-chain and the
+// replicated learner.
+TEST(CompiledGraphTest, LearnerMatchesGoldenWeightsAndLoss) {
+  const struct {
+    size_t replicas;
+    uint64_t weights;
+    uint64_t loss;
+  } kGolden[] = {{1, 0x6d5d5abf88980ca0ULL, 0xdd46109c04af10e1ULL},
+                 {2, 0x7b31aba1a3021f2aULL, 0x2b1d8aa786d4070fULL}};
+  for (const auto& golden : kGolden) {
+    FactorGraph g = MixedGraph(6);
+    inference::LearnerOptions options;
+    options.epochs = 8;
+    options.seed = 19;
+    options.num_replicas = golden.replicas;
+    inference::Learner learner(&g);
+    learner.Learn(options);
+    std::vector<double> weights;
+    for (WeightId w = 0; w < g.NumWeights(); ++w) weights.push_back(g.WeightValue(w));
+    EXPECT_EQ(HashDoubles(weights), golden.weights) << "replicas " << golden.replicas;
+    EXPECT_EQ(HashDoubles({learner.EvidenceLoss()}), golden.loss)
+        << "replicas " << golden.replicas;
   }
 }
 
-TEST(CompiledGraphTest, LearnerParityCompiledVsMutable) {
-  FactorGraph g1 = MixedGraph(6);
-  FactorGraph g2 = MixedGraph(6);  // identical construction
-  inference::LearnerOptions options;
-  options.epochs = 8;
-  options.seed = 19;
-  inference::BasicLearner<FactorGraph>(&g1).Learn(options);
-  inference::Learner(&g2).Learn(options);
-  ASSERT_EQ(g1.NumWeights(), g2.NumWeights());
-  for (WeightId w = 0; w < g1.NumWeights(); ++w) {
-    EXPECT_EQ(g1.WeightValue(w), g2.WeightValue(w)) << "weight " << w;
-  }
-}
-
-// The snapshot's sample store against the same chain run on the mutable
-// graph.
+// The snapshot's sample store, drawn from its compiled image.
 TEST(CompiledGraphTest, MaterializationKernelParity) {
   const FactorGraph g = MixedGraph(8);
   incremental::MaterializationOptions options;
@@ -300,68 +351,22 @@ TEST(CompiledGraphTest, MaterializationKernelParity) {
   options.seed = 4;
   auto snapshot = incremental::BuildMaterializationSnapshot(g, options);
   ASSERT_TRUE(snapshot.ok());
-
-  inference::GibbsOptions gopts;
-  gopts.burn_in_sweeps = options.gibbs_burn_in;
-  gopts.seed = options.seed;
-  gopts.num_threads = options.num_threads;
-  gopts.num_replicas = options.num_replicas;
-  gopts.sync_every_sweeps = options.sync_every_sweeps;
-  std::vector<BitVector> expected;
-  inference::ReplicatedGibbsSampler(&g, gopts.num_replicas, gopts.num_threads)
-      .SampleChain(gopts, options.num_samples, options.gibbs_thin,
-                   [&](const BitVector& bits) {
-                     expected.push_back(bits);
-                     return true;
-                   });
   const incremental::SampleStore& store = (*snapshot)->store;
-  ASSERT_EQ(store.size(), expected.size());
-  for (size_t i = 0; i < store.size(); ++i) {
-    EXPECT_EQ(store.sample(i), expected[i]) << "sample " << i;
-  }
+  std::vector<BitVector> samples;
+  for (size_t i = 0; i < store.size(); ++i) samples.push_back(store.sample(i));
+  EXPECT_EQ(samples.size(), options.num_samples);
+  EXPECT_EQ(HashBits(samples), 0x6487a6f19251c78aULL);
 }
 
-// The variational update's sweep (IncrementalEngine::RunVariational), on
-// either graph type: warm start from fixed values, burn-in, then sample
-// sweeps over `vars` summing indicators. `hogwild` selects the engine's
-// parallel branch (AtomicWorld + per-worker streams), run here on one worker
-// so it is deterministic.
+// The variational update's sweep (IncrementalEngine::RunVariational) starts
+// from fixed warm values, burns in, then sums indicators over sample sweeps.
 constexpr size_t kVariationalBurnIn = 7;
 constexpr size_t kVariationalSamples = 23;
 constexpr uint64_t kVariationalSeed = 41;
 
-template <typename GraphT>
-bool WarmValue(const GraphT& graph, VarId v) {
+bool WarmValue(const CompiledGraph& graph, VarId v) {
   const auto ev = graph.EvidenceValue(v);
   return ev.has_value() ? *ev : v % 3 == 0;
-}
-
-template <typename GraphT>
-std::vector<double> VariationalSweepSums(const GraphT& graph,
-                                         const std::vector<VarId>& vars, bool hogwild) {
-  std::vector<double> sums(graph.NumVariables(), 0.0);
-  auto run = [&](auto& sampler, auto& world, auto* rng) {
-    for (size_t i = 0; i < kVariationalBurnIn; ++i) sampler.SweepVars(&world, rng, vars);
-    for (size_t i = 0; i < kVariationalSamples; ++i) {
-      sampler.SweepVars(&world, rng, vars);
-      for (VarId v : vars) sums[v] += world.value(v) ? 1.0 : 0.0;
-    }
-  };
-  if (hogwild) {
-    inference::BasicParallelGibbsSampler<GraphT> sampler(&graph, 1);
-    inference::BasicAtomicWorld<GraphT> world(&graph);
-    for (VarId v = 0; v < graph.NumVariables(); ++v) world.Flip(v, WarmValue(graph, v));
-    std::vector<Rng> rngs = sampler.MakeRngStreams(kVariationalSeed);
-    run(sampler, world, &rngs);
-  } else {
-    inference::BasicGibbsSampler<GraphT> sampler(&graph);
-    inference::BasicWorld<GraphT> world(&graph);
-    for (VarId v = 0; v < graph.NumVariables(); ++v) world.Flip(v, WarmValue(graph, v));
-    world.RecomputeStats();
-    Rng rng(kVariationalSeed);
-    run(sampler, world, &rng);
-  }
-  return sums;
 }
 
 // The variational update's inference graph as a FactorGraph: the builder the
@@ -439,11 +444,10 @@ void ExpectSameImage(const CompiledGraph& actual, const CompiledGraph& expected,
 // The graph shape the variational update path sweeps: the pairwise
 // approximation of a materialized graph plus a delta with new groups (every
 // semantics, multi-clause ratio groups, one added then deactivated), clauses
-// added to an existing group, and an evidence flip. `reference` is the
-// reference builder's graph, `image` the engine's spliced image of the same
-// update, and `vars` the sweep list.
-void MakeVariationalUpdateGraph(uint64_t seed, FactorGraph* reference,
-                                CompiledGraph* image, std::vector<VarId>* vars) {
+// added to an existing group, and an evidence flip. `image` is the engine's
+// spliced image of the update, and `vars` the sweep list.
+void MakeVariationalUpdateGraph(uint64_t seed, CompiledGraph* image,
+                                std::vector<VarId>* vars) {
   FactorGraph g = MixedGraph(seed);
   incremental::VariationalOptions vopts;
   vopts.num_samples = 60;
@@ -451,7 +455,8 @@ void MakeVariationalUpdateGraph(uint64_t seed, FactorGraph* reference,
   vopts.fit_epochs = 30;
   vopts.lambda = 0.02;
   vopts.seed = seed;
-  auto m = incremental::VariationalMaterialization::Materialize(g, vopts);
+  auto m = incremental::VariationalMaterialization::Materialize(
+      g, CompiledGraph::Compile(g), vopts);
   ASSERT_TRUE(m.ok()) << m.status().ToString();
 
   factor::GraphDelta delta;
@@ -486,40 +491,15 @@ void MakeVariationalUpdateGraph(uint64_t seed, FactorGraph* reference,
   g.SetEvidence(flipped, new_value);
   delta.evidence_changes.push_back({flipped, old_value, new_value});
 
-  *reference = ReferenceVariationalGraph(g, m->approx_graph(), delta);
   *image = incremental::BuildVariationalInferenceImage(g, *m, delta);
   vars->clear();
-  for (VarId v = 0; v < reference->NumVariables(); ++v) {
-    if (!reference->IsEvidence(v) && v % 4 != 1) vars->push_back(v);
+  for (VarId v = 0; v < image->NumVariables(); ++v) {
+    if (!image->IsEvidence(v) && v % 4 != 1) vars->push_back(v);
   }
   ASSERT_FALSE(vars->empty()) << "seed " << seed;
 }
 
 constexpr uint64_t kVariationalUpdateSeeds[] = {3, 11, 29};
-
-// The engine's sweeps on the spliced image against the mutable sweeps on the
-// reference builder's graph.
-TEST(CompiledGraphTest, VariationalUpdateSweepParity) {
-  for (uint64_t seed : kVariationalUpdateSeeds) {
-    FactorGraph reference;
-    CompiledGraph image;
-    std::vector<VarId> vars;
-    ASSERT_NO_FATAL_FAILURE(MakeVariationalUpdateGraph(seed, &reference, &image, &vars));
-    ExpectSameImage(image, CompiledGraph::Compile(reference),
-                    "seed " + std::to_string(seed));
-    for (bool hogwild : {false, true}) {
-      const auto expected = VariationalSweepSums(reference, vars, hogwild);
-      const auto actual = VariationalSweepSums(image, vars, hogwild);
-      bool mixed = false;  // parity of frozen chains would prove nothing
-      for (VarId v : vars) {
-        EXPECT_EQ(expected[v], actual[v])
-            << "seed " << seed << " hogwild " << hogwild << " var " << v;
-        mixed |= expected[v] > 0.0 && expected[v] < kVariationalSamples;
-      }
-      EXPECT_TRUE(mixed) << "seed " << seed;
-    }
-  }
-}
 
 // Splice's contract on any compiled base, compacted ones included: the image
 // equals Compile of Decompile(base) extended through the FactorGraph API,
@@ -587,12 +567,13 @@ TEST(CompiledGraphTest, VariationalImageMatchesReferenceBuild) {
     vopts.fit_epochs = 10;
     vopts.lambda = 0.02;
     vopts.seed = seed;
-    auto m = incremental::VariationalMaterialization::Materialize(g, vopts);
+    auto m = incremental::VariationalMaterialization::Materialize(
+        g, CompiledGraph::Compile(g), vopts);
     ASSERT_TRUE(m.ok()) << m.status().ToString();
+    const FactorGraph approx = m->compiled_approx().Decompile();
     GraphDelta cumulative;
     auto expect_matches = [&](const std::string& step) {
-      const FactorGraph reference =
-          ReferenceVariationalGraph(g, m->approx_graph(), cumulative);
+      const FactorGraph reference = ReferenceVariationalGraph(g, approx, cumulative);
       ExpectSameImage(incremental::BuildVariationalInferenceImage(g, *m, cumulative),
                       CompiledGraph::Compile(reference),
                       "seed " + std::to_string(seed) + ", " + step);
@@ -708,17 +689,17 @@ struct ChainStats {
 };
 
 // The engine's sequential variational sweep run twice from the same warm
-// world and seed: through CompiledGibbsSampler::SweepVars and through
+// world and seed: through GibbsSampler::SweepVars and through
 // CompiledGibbsChain. Requires equal worlds after every sweep, equal flip
 // counts and bitwise-equal indicator sums; returns the chain's counts.
 ChainStats ExpectChainMatchesSweepVars(const CompiledGraph& graph,
                                        const std::vector<VarId>& vars,
                                        const std::string& label) {
-  inference::CompiledWorld world(&graph);
+  inference::World world(&graph);
   for (VarId v = 0; v < graph.NumVariables(); ++v) world.Flip(v, WarmValue(graph, v));
   world.RecomputeStats();
   inference::CompiledGibbsChain chain(world);
-  inference::CompiledGibbsSampler sampler(&graph);
+  inference::GibbsSampler sampler(&graph);
   Rng plain_rng(kVariationalSeed);
   Rng chain_rng(kVariationalSeed);
   std::vector<double> plain_sums(graph.NumVariables(), 0.0);
@@ -743,10 +724,9 @@ ChainStats ExpectChainMatchesSweepVars(const CompiledGraph& graph,
 
 TEST(CompiledGraphTest, CachedChainMatchesSweepVarsOnVariationalUpdates) {
   for (uint64_t seed : kVariationalUpdateSeeds) {
-    FactorGraph reference;
     CompiledGraph image;
     std::vector<VarId> vars;
-    ASSERT_NO_FATAL_FAILURE(MakeVariationalUpdateGraph(seed, &reference, &image, &vars));
+    ASSERT_NO_FATAL_FAILURE(MakeVariationalUpdateGraph(seed, &image, &vars));
     ExpectChainMatchesSweepVars(image, vars, "seed " + std::to_string(seed));
   }
 }
@@ -844,8 +824,8 @@ TEST(CompiledGraphIoTest, MmapAndBufferedLoadsAgree) {
   options.burn_in_sweeps = 5;
   options.sample_sweeps = 20;
   options.seed = 2;
-  const auto m1 = inference::CompiledGibbsSampler(&*a).EstimateMarginals(options);
-  const auto m2 = inference::CompiledGibbsSampler(&*b).EstimateMarginals(options);
+  const auto m1 = inference::GibbsSampler(&*a).EstimateMarginals(options);
+  const auto m2 = inference::GibbsSampler(&*b).EstimateMarginals(options);
   for (size_t v = 0; v < m1.marginals.size(); ++v) {
     EXPECT_EQ(m1.marginals[v], m2.marginals[v]);
   }

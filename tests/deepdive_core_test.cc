@@ -220,6 +220,45 @@ TEST(DeepDiveTest, UnknownRelationInUpdateIsError) {
   EXPECT_FALSE(dd->ApplyUpdate(spec).ok());
 }
 
+// An update whose data names an unknown relation is rejected before its rule
+// fragment is merged: no rule, table or group is added, and a later update
+// cannot retract the fragment's rule.
+TEST(DeepDiveTest, RejectedUpdateLeavesFragmentUnmerged) {
+  deepdive::serving_thread.AssertHeld();
+  auto dd = Make(ExecutionMode::kIncremental);
+  const size_t rules = dd->NumRules();
+  const uint64_t fingerprint = dd->RulesFingerprint();
+  const size_t groups = dd->ground().graph.NumGroups();
+
+  UpdateSpec spec;
+  spec.add_rules = R"(
+    relation Extra(m: int).
+    factor BONUS: HasSpouse(m1, m2) :- Person(s, m1), Person(s, m2), m1 != m2
+      weight = 3.0 semantics = logical.
+  )";
+  spec.inserts["Bogus"] = {{Value(1)}};
+  auto rejected = dd->ApplyUpdate(spec);
+  EXPECT_EQ(rejected.status().code(), StatusCode::kNotFound);
+  EXPECT_NE(rejected.status().message().find("'Bogus'"), std::string::npos)
+      << rejected.status().ToString();
+  EXPECT_EQ(dd->NumRules(), rules);
+  EXPECT_EQ(dd->RulesFingerprint(), fingerprint);
+  EXPECT_EQ(dd->ground().graph.NumGroups(), groups);
+  EXPECT_FALSE(dd->db()->HasTable("Extra"));
+
+  UpdateSpec remove;
+  remove.remove_rule_labels = {"BONUS"};
+  EXPECT_EQ(dd->ApplyUpdate(remove).status().code(), StatusCode::kNotFound);
+
+  // The same fragment with data for its own new relation still applies.
+  spec.inserts.erase("Bogus");
+  spec.inserts["Extra"] = {{Value(10)}};
+  auto report = dd->ApplyUpdate(spec);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(dd->NumRules(), rules + 1);
+  EXPECT_EQ(dd->db()->GetTable("Extra")->size(), 1u);
+}
+
 // Incremental grounding cannot read a changed relation through a factor
 // rule's negated atom. Such an update is rejected before view maintenance
 // writes a table or the grounder adds a variable, and the tenant keeps

@@ -2,6 +2,7 @@
 // concept drift.
 #include <gtest/gtest.h>
 
+#include "factor/compiled_graph.h"
 #include "inference/learner.h"
 #include "kbc/drift.h"
 
@@ -75,6 +76,20 @@ TEST(DriftLearningTest, TrainingReducesTestLoss) {
   const double after = TestLoss(model);
   EXPECT_LT(after, before);
   EXPECT_LT(after, 0.6);
+}
+
+// A golden value recorded where TestLoss evaluated the FactorGraph itself;
+// the compiled image it evaluates now must give the same bits.
+TEST(DriftLearningTest, TestLossMatchesGoldenValue) {
+  DriftOptions dopts;
+  dopts.num_docs = 120;
+  dopts.seed = 5;
+  DriftModel model = BuildDriftModel(GenerateDriftStream(dopts), 0.5);
+  for (factor::WeightId w = 0; w < model.graph.NumWeights(); ++w) {
+    model.graph.SetWeightValue(w, 0.1 * (static_cast<double>(w % 7) - 3.0));
+  }
+  const double loss = TestLoss(model);
+  EXPECT_EQ(factor::Fnv1aHash(&loss, sizeof loss), 0x5ee62cbca15b57f3ULL) << loss;
 }
 
 }  // namespace

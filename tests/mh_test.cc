@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "factor/compiled_graph.h"
 #include "factor/factor_graph.h"
 #include "incremental/mh_sampler.h"
 #include "incremental/sample_store.h"
@@ -31,7 +32,8 @@ FactorGraph ChainGraph(uint64_t seed, size_t num_vars) {
 }
 
 SampleStore MaterializeSamples(const FactorGraph& g, size_t count, uint64_t seed) {
-  inference::GibbsSampler sampler(&g);
+  const factor::CompiledGraph compiled = factor::CompiledGraph::Compile(g);
+  inference::GibbsSampler sampler(&compiled);
   inference::GibbsOptions options;
   options.burn_in_sweeps = 200;
   options.seed = seed;
@@ -253,6 +255,40 @@ TEST(IndependentMHTest, AcceptanceDecreasesWithChangeMagnitude) {
     last_rate = result->acceptance_rate;
   }
   EXPECT_LT(last_rate, 0.7);
+}
+
+// Golden values recorded where the proposal extension swept the FactorGraph
+// itself: the compiled extension image (which drops the retracted groups)
+// must reproduce the chain exactly.
+TEST(IndependentMHTest, ExtensionMatchesGoldenValues) {
+  FactorGraph g = ChainGraph(9, 6);
+  SampleStore store = MaterializeSamples(g, 300, 15);
+  const VarId nv = g.AddVariables(3);
+  GraphDelta delta;
+  for (VarId v = nv; v < nv + 3; ++v) delta.new_variables.push_back(v);
+  delta.new_groups.push_back(g.AddSimpleFactor(nv, {}, g.AddWeight(1.2, false)));
+  delta.new_groups.push_back(
+      g.AddSimpleFactor(nv + 1, {{0, false}}, g.AddWeight(0.8, false)));
+  delta.new_groups.push_back(
+      g.AddSimpleFactor(nv + 2, {{nv + 1, true}}, g.AddWeight(-0.6, false)));
+  delta.new_groups.push_back(g.AddSimpleFactor(2, {{4, false}}, g.AddWeight(0.9, false)));
+  const factor::GroupId retracted =
+      g.AddSimpleFactor(nv + 1, {{nv, false}}, g.AddWeight(3.0, false));
+  g.DeactivateGroup(retracted);
+  delta.new_groups.push_back(retracted);
+  g.DeactivateGroup(0);
+  delta.removed_groups.push_back(0);
+
+  IndependentMH mh(&g, &delta);
+  MHOptions options;
+  options.target_steps = 300;
+  auto result = mh.Run(&store, options);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(factor::Fnv1aHash(result->marginals.data(),
+                              result->marginals.size() * sizeof(double)),
+            0x0eec1223bde7b480ULL);
+  EXPECT_EQ(result->accepted, 122u);
+  EXPECT_EQ(result->proposals, 300u);
 }
 
 }  // namespace

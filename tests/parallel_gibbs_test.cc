@@ -5,6 +5,7 @@
 #include <numeric>
 #include <vector>
 
+#include "factor/compiled_graph.h"
 #include "factor/factor_graph.h"
 #include "inference/exact.h"
 #include "inference/gibbs.h"
@@ -16,6 +17,7 @@
 namespace deepdive::inference {
 namespace {
 
+using factor::CompiledGraph;
 using factor::FactorGraph;
 using factor::GroupId;
 using factor::Semantics;
@@ -143,7 +145,8 @@ FactorGraph ChainGraph(size_t n, uint64_t seed) {
 
 TEST(AtomicWorldTest, FlipMaintainsStatsIncrementally) {
   for (uint64_t seed : {1u, 2u, 3u}) {
-    FactorGraph g = RandomGraph(seed, 10, 12, Semantics::kLinear);
+    const CompiledGraph g =
+        CompiledGraph::Compile(RandomGraph(seed, 10, 12, Semantics::kLinear));
     AtomicWorld aw(&g);
     World w(&g);
     Rng rng(seed + 5);
@@ -167,7 +170,8 @@ TEST(AtomicWorldTest, FlipMaintainsStatsIncrementally) {
 }
 
 TEST(AtomicWorldTest, LoadBitsPrefixMatchesWorld) {
-  FactorGraph g = RandomGraph(7, 12, 10, Semantics::kRatio, /*evidence_count=*/3);
+  const CompiledGraph g = CompiledGraph::Compile(
+      RandomGraph(7, 12, 10, Semantics::kRatio, /*evidence_count=*/3));
   BitVector bits(8);
   for (size_t i = 0; i < 8; ++i) bits.Set(i, i % 3 == 0);
 
@@ -184,7 +188,8 @@ TEST(AtomicWorldTest, LoadBitsPrefixMatchesWorld) {
 }
 
 TEST(AtomicWorldTest, WeightFeatureMatchesWorld) {
-  FactorGraph g = RandomGraph(13, 10, 14, Semantics::kLogical);
+  const CompiledGraph g =
+      CompiledGraph::Compile(RandomGraph(13, 10, 14, Semantics::kLogical));
   AtomicWorld aw(&g);
   World w(&g);
   Rng rng(99);
@@ -199,7 +204,8 @@ TEST(AtomicWorldTest, WeightFeatureMatchesWorld) {
 
 TEST(ParallelGibbsTest, SingleThreadMatchesSequentialExactly) {
   for (uint64_t seed : {3u, 17u}) {
-    FactorGraph g = RandomGraph(seed, 9, 11, Semantics::kLinear, 2);
+    const CompiledGraph g =
+        CompiledGraph::Compile(RandomGraph(seed, 9, 11, Semantics::kLinear, 2));
     GibbsOptions options;
     options.burn_in_sweeps = 20;
     options.sample_sweeps = 100;
@@ -218,7 +224,8 @@ TEST(ParallelGibbsTest, SingleThreadMatchesSequentialExactly) {
 }
 
 TEST(ParallelGibbsTest, SingleThreadDrawSamplesMatchesSequential) {
-  FactorGraph g = RandomGraph(11, 6, 6, Semantics::kLinear);
+  const CompiledGraph g =
+      CompiledGraph::Compile(RandomGraph(11, 6, 6, Semantics::kLinear));
   GibbsOptions options;
   options.burn_in_sweeps = 10;
   options.seed = 33;
@@ -231,7 +238,7 @@ TEST(ParallelGibbsTest, SingleThreadDrawSamplesMatchesSequential) {
 }
 
 TEST(ParallelGibbsTest, SampleChainStopsOnCallbackFalse) {
-  FactorGraph g = ChainGraph(20, 5);
+  const CompiledGraph g = CompiledGraph::Compile(ChainGraph(20, 5));
   GibbsOptions options;
   options.burn_in_sweeps = 2;
   for (size_t threads : {1u, 4u}) {
@@ -251,7 +258,7 @@ TEST(ParallelGibbsTest, HogwildStatsStayExactUnderConcurrentSweeps) {
   // After any number of concurrent Hogwild sweeps the atomically-maintained
   // statistics must equal a from-scratch recomputation: lost updates would
   // permanently corrupt the chain.
-  FactorGraph g = ChainGraph(500, 21);
+  const CompiledGraph g = CompiledGraph::Compile(ChainGraph(500, 21));
   ParallelGibbsSampler sampler(&g, 4);
   AtomicWorld world(&g);
   Rng init_rng(7);
@@ -275,7 +282,7 @@ TEST(ParallelGibbsTest, RecomputeStatsPublishesToHogwildWorkers) {
   // this test fails if either edge ever disappears. Repeated
   // LoadBitsPrefix -> Sweep round trips maximize the publish/consume
   // interleavings; the statistics must stay exact throughout.
-  FactorGraph g = ChainGraph(400, 17);
+  const CompiledGraph g = CompiledGraph::Compile(ChainGraph(400, 17));
   ParallelGibbsSampler sampler(&g, 4);
   AtomicWorld world(&g);
   std::vector<Rng> rngs = sampler.MakeRngStreams(23);
@@ -305,7 +312,7 @@ TEST(ParallelGibbsTest, RecomputeStatsPublishesToHogwildWorkers) {
 }
 
 TEST(ParallelGibbsTest, MultiThreadMarginalsCloseToSequential) {
-  FactorGraph g = ChainGraph(200, 41);
+  const CompiledGraph g = CompiledGraph::Compile(ChainGraph(200, 41));
   GibbsOptions options;
   options.burn_in_sweeps = 100;
   options.sample_sweeps = 2000;
@@ -338,7 +345,8 @@ TEST(ParallelGibbsTest, MultiThreadMarginalsConvergeToExact) {
   options.burn_in_sweeps = 300;
   options.sample_sweeps = 6000;
   options.seed = 15;
-  const auto result = ParallelGibbsSampler(&g, 4).EstimateMarginals(options);
+  const CompiledGraph compiled = CompiledGraph::Compile(g);
+  const auto result = ParallelGibbsSampler(&compiled, 4).EstimateMarginals(options);
   for (VarId v = 0; v < g.NumVariables(); ++v) {
     EXPECT_NEAR(result.marginals[v], exact->marginals[v], 0.04) << "var " << v;
   }
@@ -351,14 +359,15 @@ TEST(ParallelGibbsTest, EvidenceNeverResampledAcrossThreads) {
   g.SetEvidence(99, false);
   GibbsOptions options;
   options.sample_sweeps = 50;
-  const auto result = ParallelGibbsSampler(&g, 4).EstimateMarginals(options);
+  const CompiledGraph compiled = CompiledGraph::Compile(g);
+  const auto result = ParallelGibbsSampler(&compiled, 4).EstimateMarginals(options);
   EXPECT_DOUBLE_EQ(result.marginals[0], 0.0);
   EXPECT_DOUBLE_EQ(result.marginals[50], 1.0);
   EXPECT_DOUBLE_EQ(result.marginals[99], 0.0);
 }
 
 TEST(ParallelGibbsTest, SweepVarsOnlyTouchesGivenVars) {
-  FactorGraph g = ChainGraph(60, 9);
+  const CompiledGraph g = CompiledGraph::Compile(ChainGraph(60, 9));
   ParallelGibbsSampler sampler(&g, 4);
   AtomicWorld world(&g);
   Rng init_rng(2);
@@ -379,7 +388,7 @@ TEST(ParallelGibbsTest, SweepVarsOnlyTouchesGivenVars) {
 }
 
 TEST(ParallelGibbsTest, ZeroThreadsMeansHardwareConcurrency) {
-  FactorGraph g = ChainGraph(10, 1);
+  const CompiledGraph g = CompiledGraph::Compile(ChainGraph(10, 1));
   ParallelGibbsSampler sampler(&g, 0);
   EXPECT_GE(sampler.num_threads(), 1u);
 }

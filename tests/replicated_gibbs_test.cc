@@ -10,6 +10,7 @@
 #include <set>
 #include <vector>
 
+#include "factor/compiled_graph.h"
 #include "factor/factor_graph.h"
 #include "inference/exact.h"
 #include "inference/gibbs.h"
@@ -20,6 +21,7 @@
 namespace deepdive::inference {
 namespace {
 
+using factor::CompiledGraph;
 using factor::FactorGraph;
 using factor::Semantics;
 using factor::VarId;
@@ -75,7 +77,8 @@ FactorGraph ChainGraph(size_t n, uint64_t seed) {
 
 TEST(ReplicatedGibbsTest, SingleReplicaMatchesParallelSamplerExactly) {
   for (uint64_t seed : {3u, 17u}) {
-    FactorGraph g = RandomGraph(seed, 9, 11, Semantics::kLinear, 2);
+    const CompiledGraph g =
+        CompiledGraph::Compile(RandomGraph(seed, 9, 11, Semantics::kLinear, 2));
     GibbsOptions options;
     options.burn_in_sweeps = 20;
     options.sample_sweeps = 100;
@@ -103,7 +106,8 @@ TEST(ReplicatedGibbsTest, SingleReplicaMatchesParallelSamplerExactly) {
 }
 
 TEST(ReplicatedGibbsTest, SingleReplicaDrawSamplesMatchesParallelSampler) {
-  FactorGraph g = RandomGraph(11, 6, 6, Semantics::kLinear);
+  const CompiledGraph g =
+      CompiledGraph::Compile(RandomGraph(11, 6, 6, Semantics::kLinear));
   GibbsOptions options;
   options.burn_in_sweeps = 10;
   options.seed = 33;
@@ -118,7 +122,7 @@ TEST(ReplicatedGibbsTest, SingleReplicaDrawSamplesMatchesParallelSampler) {
 // ---- fixed-seed determinism ------------------------------------------------
 
 TEST(ReplicatedGibbsTest, DeterministicAtOneThreadPerReplica) {
-  FactorGraph g = ChainGraph(120, 7);
+  const CompiledGraph g = CompiledGraph::Compile(ChainGraph(120, 7));
   GibbsOptions options;
   options.burn_in_sweeps = 30;
   options.sample_sweeps = 200;
@@ -146,7 +150,7 @@ TEST(ReplicatedGibbsTest, DeterministicAtOneThreadPerReplica) {
 // ---- marginal quality ------------------------------------------------------
 
 TEST(ReplicatedGibbsTest, ReplicaMarginalsCloseToSequential) {
-  FactorGraph g = ChainGraph(200, 41);
+  const CompiledGraph g = CompiledGraph::Compile(ChainGraph(200, 41));
   GibbsOptions options;
   options.burn_in_sweeps = 100;
   options.sample_sweeps = 2000;
@@ -178,7 +182,8 @@ TEST(ReplicatedGibbsTest, ReplicaMarginalsConvergeToExact) {
   options.sample_sweeps = 4000;
   options.sync_every_sweeps = 500;
   options.seed = 15;
-  const auto result = ReplicatedGibbsSampler(&g, 3, 3).EstimateMarginals(options);
+  const CompiledGraph compiled = CompiledGraph::Compile(g);
+  const auto result = ReplicatedGibbsSampler(&compiled, 3, 3).EstimateMarginals(options);
   for (VarId v = 0; v < g.NumVariables(); ++v) {
     EXPECT_NEAR(result.marginals[v], exact->marginals[v], 0.05) << "var " << v;
   }
@@ -189,7 +194,7 @@ TEST(ReplicatedGibbsTest, ReplicaMarginalsConvergeToExact) {
 TEST(ReplicatedGibbsTest, SyncLongerThanRunMatchesDisabledSync) {
   // A cadence beyond the total sweep count must behave exactly like disabled
   // periodic synchronization (final merge only) — bitwise.
-  FactorGraph g = ChainGraph(80, 13);
+  const CompiledGraph g = CompiledGraph::Compile(ChainGraph(80, 13));
   GibbsOptions never;
   never.burn_in_sweeps = 25;
   never.sample_sweeps = 75;
@@ -219,8 +224,9 @@ TEST(ReplicatedGibbsTest, MidBurnInSyncStaysDeterministicAndAccurate) {
   options.sample_sweeps = 4000;
   options.sync_every_sweeps = 10;  // 3 syncs during burn-in alone
   options.seed = 77;
-  const auto a = ReplicatedGibbsSampler(&g, 2, 2).EstimateMarginals(options);
-  const auto b = ReplicatedGibbsSampler(&g, 2, 2).EstimateMarginals(options);
+  const CompiledGraph compiled = CompiledGraph::Compile(g);
+  const auto a = ReplicatedGibbsSampler(&compiled, 2, 2).EstimateMarginals(options);
+  const auto b = ReplicatedGibbsSampler(&compiled, 2, 2).EstimateMarginals(options);
   for (VarId v = 0; v < g.NumVariables(); ++v) {
     EXPECT_DOUBLE_EQ(a.marginals[v], b.marginals[v]) << "var " << v;
     EXPECT_NEAR(a.marginals[v], exact->marginals[v], 0.06) << "var " << v;
@@ -235,7 +241,8 @@ TEST(ReplicatedGibbsTest, EvidenceNeverResampledAcrossReplicas) {
   GibbsOptions options;
   options.sample_sweeps = 50;
   options.sync_every_sweeps = 20;  // consensus re-seeds must respect labels
-  const auto result = ReplicatedGibbsSampler(&g, 2, 2).EstimateMarginals(options);
+  const CompiledGraph compiled = CompiledGraph::Compile(g);
+  const auto result = ReplicatedGibbsSampler(&compiled, 2, 2).EstimateMarginals(options);
   EXPECT_DOUBLE_EQ(result.marginals[0], 0.0);
   EXPECT_DOUBLE_EQ(result.marginals[50], 1.0);
   EXPECT_DOUBLE_EQ(result.marginals[99], 0.0);
@@ -244,7 +251,7 @@ TEST(ReplicatedGibbsTest, EvidenceNeverResampledAcrossReplicas) {
 // ---- SampleChain contract --------------------------------------------------
 
 TEST(ReplicatedGibbsTest, SampleChainStopsOnCallbackFalse) {
-  FactorGraph g = ChainGraph(20, 5);
+  const CompiledGraph g = CompiledGraph::Compile(ChainGraph(20, 5));
   GibbsOptions options;
   options.burn_in_sweeps = 2;
   options.sync_every_sweeps = 3;
@@ -260,7 +267,7 @@ TEST(ReplicatedGibbsTest, SampleChainStopsOnCallbackFalse) {
 }
 
 TEST(ReplicatedGibbsTest, SampleChainHonorsInterrupt) {
-  FactorGraph g = ChainGraph(40, 9);
+  const CompiledGraph g = CompiledGraph::Compile(ChainGraph(40, 9));
   GibbsOptions options;
   options.burn_in_sweeps = 5;
   std::atomic<size_t> emitted{0};
@@ -277,7 +284,7 @@ TEST(ReplicatedGibbsTest, SampleChainHonorsInterrupt) {
 }
 
 TEST(ReplicatedGibbsTest, DrawSamplesDeterministicRoundRobin) {
-  FactorGraph g = ChainGraph(60, 21);
+  const CompiledGraph g = CompiledGraph::Compile(ChainGraph(60, 21));
   GibbsOptions options;
   options.burn_in_sweeps = 10;
   options.sync_every_sweeps = 8;
@@ -294,7 +301,7 @@ TEST(ReplicatedGibbsTest, DrawSamplesDeterministicRoundRobin) {
 // ---- RNG stream keying -----------------------------------------------------
 
 TEST(ReplicatedGibbsTest, StreamsKeyedBySeedReplicaAndWorker) {
-  FactorGraph g = ChainGraph(10, 1);
+  const CompiledGraph g = CompiledGraph::Compile(ChainGraph(10, 1));
   ParallelGibbsSampler sampler(&g, 4);
   // Distinct (replica, worker) pairs — and the replica-private auxiliary
   // streams — must all open decorrelated streams for one base seed.

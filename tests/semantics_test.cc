@@ -6,6 +6,7 @@
 
 #include <cmath>
 
+#include "factor/compiled_graph.h"
 #include "factor/factor_graph.h"
 #include "inference/exact.h"
 #include "inference/gibbs.h"
@@ -97,9 +98,10 @@ FactorGraph VariableVotingGraph(size_t up, size_t down, Semantics semantics) {
 
 /// Sweeps until q's running marginal is within `tol` of 0.5 (the symmetric
 /// instance's exact answer), returning the sweep count (capped).
-size_t SweepsToConverge(FactorGraph* g, double tol, size_t cap, uint64_t seed) {
-  GibbsSampler sampler(g);
-  World world(g);
+size_t SweepsToConverge(const FactorGraph& g, double tol, size_t cap, uint64_t seed) {
+  const factor::CompiledGraph compiled = factor::CompiledGraph::Compile(g);
+  GibbsSampler sampler(&compiled);
+  World world(&compiled);
   Rng rng(seed);
   world.InitValues(&rng, /*random_init=*/false);  // adversarial all-false start
   size_t q_true = 0;
@@ -122,9 +124,9 @@ TEST(VotingConvergenceTest, LogicalAndRatioConvergeFasterThanLinear) {
     FactorGraph lin = VariableVotingGraph(40, 40, Semantics::kLinear);
     FactorGraph log = VariableVotingGraph(40, 40, Semantics::kLogical);
     FactorGraph rat = VariableVotingGraph(40, 40, Semantics::kRatio);
-    linear_total += SweepsToConverge(&lin, 0.05, cap, seed);
-    logical_total += SweepsToConverge(&log, 0.05, cap, seed);
-    ratio_total += SweepsToConverge(&rat, 0.05, cap, seed);
+    linear_total += SweepsToConverge(lin, 0.05, cap, seed);
+    logical_total += SweepsToConverge(log, 0.05, cap, seed);
+    ratio_total += SweepsToConverge(rat, 0.05, cap, seed);
   }
   EXPECT_LT(logical_total, linear_total);
   EXPECT_LT(ratio_total, linear_total);

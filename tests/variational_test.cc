@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <vector>
+
 #include "factor/compiled_graph.h"
 #include "factor/factor_graph.h"
 #include "incremental/variational.h"
@@ -11,6 +15,7 @@
 namespace deepdive::incremental {
 namespace {
 
+using factor::CompiledGraph;
 using factor::FactorGraph;
 using factor::GraphDelta;
 using factor::VarId;
@@ -33,6 +38,11 @@ FactorGraph StrongChain(uint64_t seed, size_t num_vars) {
   return g;
 }
 
+StatusOr<VariationalMaterialization> Materialize(const FactorGraph& g,
+                                                const VariationalOptions& options) {
+  return VariationalMaterialization::Materialize(g, CompiledGraph::Compile(g), options);
+}
+
 VariationalOptions TestOptions(double lambda) {
   VariationalOptions options;
   options.lambda = lambda;
@@ -47,7 +57,7 @@ TEST(VariationalTest, SparsityIncreasesWithLambda) {
   FactorGraph g = StrongChain(1, 12);
   size_t last_edges = 1000;
   for (double lambda : {0.01, 0.3, 0.95}) {
-    auto m = VariationalMaterialization::Materialize(g, TestOptions(lambda));
+    auto m = Materialize(g, TestOptions(lambda));
     ASSERT_TRUE(m.ok()) << m.status().ToString();
     EXPECT_LE(m->NumEdges(), last_edges);
     last_edges = m->NumEdges();
@@ -57,7 +67,7 @@ TEST(VariationalTest, SparsityIncreasesWithLambda) {
 
 TEST(VariationalTest, NzPairsRestrictEdgeCandidates) {
   FactorGraph g = StrongChain(2, 10);
-  auto m = VariationalMaterialization::Materialize(g, TestOptions(0.0));
+  auto m = Materialize(g, TestOptions(0.0));
   ASSERT_TRUE(m.ok());
   // A chain has exactly n-1 co-occurring pairs.
   EXPECT_EQ(m->NumNzPairs(), 9u);
@@ -69,9 +79,9 @@ TEST(VariationalTest, ApproximationMatchesMarginalsAtSmallLambda) {
   auto exact = inference::ExactInference(g);
   ASSERT_TRUE(exact.ok());
 
-  auto m = VariationalMaterialization::Materialize(g, TestOptions(0.05));
+  auto m = Materialize(g, TestOptions(0.05));
   ASSERT_TRUE(m.ok());
-  inference::GibbsSampler sampler(&m->approx_graph());
+  inference::GibbsSampler sampler(&m->compiled_approx());
   inference::GibbsOptions gopts;
   gopts.burn_in_sweeps = 200;
   gopts.sample_sweeps = 3000;
@@ -87,9 +97,9 @@ TEST(VariationalTest, LargerLambdaGivesWorseApproximation) {
   ASSERT_TRUE(exact.ok());
 
   auto kl_for = [&](double lambda) {
-    auto m = VariationalMaterialization::Materialize(g, TestOptions(lambda));
+    auto m = Materialize(g, TestOptions(lambda));
     EXPECT_TRUE(m.ok());
-    inference::GibbsSampler sampler(&m->approx_graph());
+    inference::GibbsSampler sampler(&m->compiled_approx());
     inference::GibbsOptions gopts;
     gopts.burn_in_sweeps = 200;
     gopts.sample_sweeps = 3000;
@@ -104,18 +114,19 @@ TEST(VariationalTest, LargerLambdaGivesWorseApproximation) {
 TEST(VariationalTest, EvidencePreservedInApproxGraph) {
   FactorGraph g = StrongChain(5, 8);
   g.SetEvidence(0, true);
-  auto m = VariationalMaterialization::Materialize(g, TestOptions(0.1));
+  auto m = Materialize(g, TestOptions(0.1));
   ASSERT_TRUE(m.ok());
-  EXPECT_EQ(m->approx_graph().EvidenceValue(0), std::optional<bool>(true));
-  EXPECT_EQ(m->approx_graph().NumVariables(), g.NumVariables());
   EXPECT_EQ(m->compiled_approx().EvidenceValue(0), std::optional<bool>(true));
+  EXPECT_EQ(m->compiled_approx().NumVariables(), g.NumVariables());
+  // The fitted weights are the image's owned values, which Checksum() and
+  // Decompile read.
   EXPECT_EQ(m->compiled_approx().Checksum(),
-            factor::CompiledGraph::Compile(m->approx_graph()).Checksum());
+            CompiledGraph::Compile(m->compiled_approx().Decompile()).Checksum());
 }
 
 TEST(VariationalTest, BuildInferenceGraphAppendsDelta) {
   FactorGraph g = StrongChain(6, 8);
-  auto m = VariationalMaterialization::Materialize(g, TestOptions(0.1));
+  auto m = Materialize(g, TestOptions(0.1));
   ASSERT_TRUE(m.ok());
 
   GraphDelta delta;
@@ -126,8 +137,8 @@ TEST(VariationalTest, BuildInferenceGraphAppendsDelta) {
 
   const factor::CompiledGraph inf = BuildVariationalInferenceImage(g, *m, delta);
   EXPECT_EQ(inf.NumVariables(), g.NumVariables());
-  EXPECT_EQ(inf.NumGroups(), m->approx_graph().NumGroups() + 1);
-  EXPECT_EQ(inf.NumWeights(), m->approx_graph().NumWeights() + 1);
+  EXPECT_EQ(inf.NumGroups(), m->compiled_approx().NumGroups() + 1);
+  EXPECT_EQ(inf.NumWeights(), m->compiled_approx().NumWeights() + 1);
   EXPECT_EQ(inf.EvidenceValue(4), std::optional<bool>(true));
   // The copied group carries the original weight and the delta's clause.
   const factor::GroupId copied_id = static_cast<factor::GroupId>(inf.NumGroups() - 1);
@@ -154,9 +165,65 @@ TEST(VariationalTest, SearchLambdaStopsBeforeQualityCollapse) {
   EXPECT_LE(*lambda, 10.0);
 }
 
+TEST(VariationalTest, SearchLambdaRejectsNonPositiveStart) {
+  // From a start <= 0, lambda *= 10 never passes the loop bound.
+  FactorGraph g = StrongChain(7, 6);
+  const std::vector<double> reference(g.NumVariables(), 0.5);
+  for (double lambda_min : {0.0, -0.1, std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::infinity()}) {
+    auto lambda = SearchLambda(g, TestOptions(0.0), lambda_min, 0.05, reference);
+    EXPECT_EQ(lambda.status().code(), StatusCode::kInvalidArgument) << lambda_min;
+  }
+}
+
+TEST(VariationalTest, SearchLambdaRejectsShortReference) {
+  FactorGraph g = StrongChain(7, 6);
+  const std::vector<double> reference(g.NumVariables() - 1, 0.5);
+  auto lambda = SearchLambda(g, TestOptions(0.0), 0.001, 0.05, reference);
+  EXPECT_EQ(lambda.status().code(), StatusCode::kInvalidArgument);
+}
+
+// Golden values recorded where the approximation was still built and fit as
+// a FactorGraph, then compiled: the compiled-image build and in-place fit
+// must reproduce its checksum and edge count exactly.
+TEST(VariationalTest, ApproximationMatchesGoldenChecksums) {
+  FactorGraph g;
+  Rng rng(31);
+  g.AddVariables(16);
+  for (VarId v = 0; v + 1 < 16; ++v) {
+    g.AddSimpleFactor(v, {{v + 1, false}}, g.AddWeight(rng.Uniform(-0.6, 0.6), false));
+  }
+  for (VarId v = 0; v < 16; ++v) {
+    g.AddSimpleFactor(v, {}, g.AddWeight(rng.Uniform(-0.4, 0.4), false));
+  }
+  for (VarId v = 0; v + 2 < 16; v += 3) {
+    g.AddSimpleFactor(v, {{v + 2, false}}, g.AddWeight(1.1, false));
+  }
+  g.SetEvidence(0, true);
+  g.SetEvidence(15, false);
+  g.DeactivateGroup(3);
+  const struct {
+    double lambda;
+    uint64_t checksum;
+    size_t edges;
+  } kGolden[] = {{0.05, 0x377093d6a5679708ULL, 9}, {0.15, 0x69e296f209f2e12aULL, 6}};
+  for (const auto& golden : kGolden) {
+    VariationalOptions options;
+    options.num_samples = 80;
+    options.gibbs_burn_in = 10;
+    options.fit_epochs = 20;
+    options.lambda = golden.lambda;
+    options.seed = 5;
+    auto m = Materialize(g, options);
+    ASSERT_TRUE(m.ok()) << m.status().ToString();
+    EXPECT_EQ(m->compiled_approx().Checksum(), golden.checksum) << golden.lambda;
+    EXPECT_EQ(m->NumEdges(), golden.edges) << golden.lambda;
+  }
+}
+
 TEST(VariationalTest, EdgeStatsExposeCovariances) {
   FactorGraph g = StrongChain(8, 6);
-  auto m = VariationalMaterialization::Materialize(g, TestOptions(0.0));
+  auto m = Materialize(g, TestOptions(0.0));
   ASSERT_TRUE(m.ok());
   ASSERT_EQ(m->edge_stats().size(), 5u);
   // Strong couplings (|w| = 1.2) produce clearly nonzero spin covariance.

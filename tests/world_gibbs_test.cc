@@ -3,6 +3,7 @@
 #include <cmath>
 #include <type_traits>
 
+#include "factor/compiled_graph.h"
 #include "factor/factor_graph.h"
 #include "inference/exact.h"
 #include "inference/gibbs.h"
@@ -12,6 +13,8 @@
 namespace deepdive::inference {
 namespace {
 
+using factor::ClauseId;
+using factor::CompiledGraph;
 using factor::FactorGraph;
 using factor::GroupId;
 using factor::Semantics;
@@ -49,10 +52,15 @@ FactorGraph RandomGraph(uint64_t seed, size_t num_vars, size_t num_groups,
   return g;
 }
 
+// The world lives on the compacted image: a retracted group and a retracted
+// clause are gone from it, and each compiled group maps back to its source.
 TEST(WorldTest, StatsMatchBruteForceAfterRandomFlips) {
   for (uint64_t seed : {1u, 2u, 3u, 4u}) {
     FactorGraph g = RandomGraph(seed, 8, 10, Semantics::kLinear);
-    World world(&g);
+    g.DeactivateGroup(0);
+    g.DeactivateClause(static_cast<ClauseId>(g.NumClauses() - 1));
+    const CompiledGraph compiled = CompiledGraph::Compile(g);
+    World world(&compiled);
     Rng rng(seed + 100);
     world.InitValues(&rng, true);
     for (int step = 0; step < 50; ++step) {
@@ -60,8 +68,9 @@ TEST(WorldTest, StatsMatchBruteForceAfterRandomFlips) {
       world.Flip(v, rng.Bernoulli(0.5));
       // Brute-force group stats.
       auto value_of = [&](VarId u) { return world.value(u); };
-      for (GroupId grp = 0; grp < g.NumGroups(); ++grp) {
-        ASSERT_EQ(world.GroupSat(grp), g.SatisfiedClauses(grp, value_of))
+      for (GroupId grp = 0; grp < compiled.NumGroups(); ++grp) {
+        ASSERT_EQ(world.GroupSat(grp),
+                  g.SatisfiedClauses(compiled.OriginalGroupId(grp), value_of))
             << "seed " << seed << " step " << step;
       }
       ASSERT_NEAR(world.TotalLogWeight(), g.TotalLogWeight(value_of), 1e-9);
@@ -74,7 +83,8 @@ TEST(WorldTest, EvidenceForcedOnInit) {
   g.AddVariables(3);
   g.SetEvidence(0, true);
   g.SetEvidence(1, false);
-  World world(&g);
+  const CompiledGraph compiled = CompiledGraph::Compile(g);
+  World world(&compiled);
   Rng rng(5);
   world.InitValues(&rng, true);
   EXPECT_TRUE(world.value(0));
@@ -82,12 +92,13 @@ TEST(WorldTest, EvidenceForcedOnInit) {
 }
 
 TEST(WorldTest, BitsRoundTrip) {
-  FactorGraph g = RandomGraph(9, 10, 5, Semantics::kRatio);
-  World world(&g);
+  const CompiledGraph compiled =
+      CompiledGraph::Compile(RandomGraph(9, 10, 5, Semantics::kRatio));
+  World world(&compiled);
   Rng rng(17);
   world.InitValues(&rng, true);
   const BitVector bits = world.ToBits();
-  World other(&g);
+  World other(&compiled);
   other.LoadBits(bits);
   for (VarId v = 0; v < 10; ++v) EXPECT_EQ(world.value(v), other.value(v));
   EXPECT_NEAR(world.TotalLogWeight(), other.TotalLogWeight(), 1e-12);
@@ -96,7 +107,8 @@ TEST(WorldTest, BitsRoundTrip) {
 TEST(WorldTest, LoadBitsPrefixFills) {
   FactorGraph g;
   g.AddVariables(4);
-  World world(&g);
+  const CompiledGraph compiled = CompiledGraph::Compile(g);
+  World world(&compiled);
   BitVector bits(2);
   bits.Set(0, true);
   world.LoadBitsPrefix(bits, /*fill=*/true);
@@ -106,22 +118,6 @@ TEST(WorldTest, LoadBitsPrefixFills) {
   EXPECT_TRUE(world.value(3));
 }
 
-TEST(WorldTest, SyncStructureAbsorbsNewClauses) {
-  FactorGraph g;
-  const VarId a = g.AddVariable();
-  const WeightId w = g.AddWeight(1.0, false);
-  g.AddSimpleFactor(a, {}, w);
-  World world(&g);
-  world.Flip(a, true);
-  // Extend the graph.
-  const VarId b = g.AddVariable();
-  const GroupId grp = g.AddGroup(1, b, w, Semantics::kLinear);
-  g.AddClause(grp, {{a, false}});
-  world.SyncStructure();
-  EXPECT_EQ(world.NumVariables(), 2u);
-  EXPECT_EQ(world.GroupSat(grp), 1);  // a is true
-}
-
 TEST(WorldTest, WeightFeature) {
   FactorGraph g;
   const VarId a = g.AddVariable();
@@ -129,7 +125,8 @@ TEST(WorldTest, WeightFeature) {
   const WeightId w = g.AddWeight(0.0, true);
   g.AddSimpleFactor(a, {}, w, Semantics::kLinear);
   g.AddSimpleFactor(b, {}, w, Semantics::kLinear);
-  World world(&g);
+  const CompiledGraph compiled = CompiledGraph::Compile(g);
+  World world(&compiled);
   world.Flip(a, true);  // b stays false
   EXPECT_DOUBLE_EQ(world.WeightFeature(w), 1.0 - 1.0);
   world.Flip(b, true);
@@ -146,9 +143,10 @@ TEST(GibbsTest, ConditionalLogOddsMatchesExactOnPair) {
   g.AddSimpleFactor(h, {}, w1);
   g.AddSimpleFactor(h, {{b, false}}, w2);
 
-  World world(&g);
+  const CompiledGraph compiled = CompiledGraph::Compile(g);
+  World world(&compiled);
   world.Flip(b, true);
-  GibbsSampler sampler(&g);
+  GibbsSampler sampler(&compiled);
   // W(h=1) - W(h=0) = 2*(0.7 + -0.4) = 0.6.
   EXPECT_NEAR(sampler.ConditionalLogOdds(world, h), 0.6, 1e-12);
   world.Flip(b, false);
@@ -181,7 +179,8 @@ TEST_P(GibbsVsExact, MarginalsConverge) {
   auto exact = ExactInference(g);
   ASSERT_TRUE(exact.ok());
 
-  GibbsSampler sampler(&g);
+  const CompiledGraph compiled = CompiledGraph::Compile(g);
+  GibbsSampler sampler(&compiled);
   GibbsOptions options;
   options.burn_in_sweeps = 300;
   options.sample_sweeps = 6000;
@@ -211,7 +210,8 @@ TEST(GibbsTest, EvidenceNeverResampled) {
   const WeightId w = g.AddWeight(5.0, false);  // strongly pulls a to true
   g.AddSimpleFactor(a, {}, w);
   g.SetEvidence(a, false);
-  GibbsSampler sampler(&g);
+  const CompiledGraph compiled = CompiledGraph::Compile(g);
+  GibbsSampler sampler(&compiled);
   GibbsOptions options;
   options.sample_sweeps = 50;
   const auto result = sampler.EstimateMarginals(options);
@@ -224,7 +224,8 @@ TEST(GibbsTest, SampleEvidenceModeFreesEvidence) {
   const WeightId w = g.AddWeight(5.0, false);
   g.AddSimpleFactor(a, {}, w);
   g.SetEvidence(a, false);
-  GibbsSampler sampler(&g);
+  const CompiledGraph compiled = CompiledGraph::Compile(g);
+  GibbsSampler sampler(&compiled);
   GibbsOptions options;
   options.sample_sweeps = 100;
   options.sample_evidence = true;
@@ -233,8 +234,9 @@ TEST(GibbsTest, SampleEvidenceModeFreesEvidence) {
 }
 
 TEST(GibbsTest, DrawSamplesShapeAndDeterminism) {
-  FactorGraph g = RandomGraph(11, 6, 6, Semantics::kLinear);
-  GibbsSampler sampler(&g);
+  const CompiledGraph compiled =
+      CompiledGraph::Compile(RandomGraph(11, 6, 6, Semantics::kLinear));
+  GibbsSampler sampler(&compiled);
   GibbsOptions options;
   options.burn_in_sweeps = 10;
   options.seed = 33;
