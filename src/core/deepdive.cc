@@ -128,6 +128,7 @@ void DeepDive::PublishView(incremental::UpdateReport* report) {
   for (const dsl::RelationDecl& rel : program_.relations()) {
     if (rel.kind == dsl::RelationKind::kQuery) {
       view->query_relations.push_back(rel.name);
+      view->query_schemas.push_back(rel.schema);
     }
   }
   view->program_version = program_version_;
@@ -159,6 +160,8 @@ incremental::UpdateReport DeepDive::FinishUpdate(
                           : outcome->strategy;
     report.acceptance_rate = outcome->acceptance_rate;
     report.affected_vars = outcome->affected_vars;
+    report.exact_vars = outcome->exact_vars;
+    report.sampled_vars = outcome->sampled_vars;
   }
   report.graph_variables = ground_.graph.NumVariables();
   report.graph_factors = ground_.graph.NumActiveClauses();

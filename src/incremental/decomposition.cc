@@ -134,4 +134,45 @@ std::vector<std::vector<VarId>> ConnectedComponents(const FactorGraph& graph) {
   return out;
 }
 
+std::vector<std::vector<VarId>> ConnectedComponents(const factor::CompiledGraph& graph,
+                                                    const std::vector<VarId>& among) {
+  // The walk above on the image, where every group is active: -2 marks a
+  // variable outside `among`, -1 one not reached yet.
+  std::vector<int> component(graph.NumVariables(), -2);
+  for (VarId v : among) component[v] = -1;
+  std::vector<bool> expanded(graph.NumGroups(), false);
+  int num_components = 0;
+  int current = -1;
+  std::vector<VarId> stack;
+  auto reach = [&](VarId u) {
+    if (component[u] != -1) return;
+    component[u] = current;
+    stack.push_back(u);
+  };
+  auto expand = [&](factor::GroupId gid) {
+    if (expanded[gid]) return;
+    expanded[gid] = true;
+    reach(graph.group(gid).head);
+    for (factor::ClauseId cid : graph.GroupClauses(gid)) {
+      for (const factor::CompiledLiteral& lit : graph.ClauseLiterals(cid)) reach(lit.var);
+    }
+  };
+  for (VarId start : among) {
+    if (component[start] != -1) continue;
+    current = num_components++;
+    reach(start);
+    while (!stack.empty()) {
+      const VarId v = stack.back();
+      stack.pop_back();
+      for (factor::GroupId gid : graph.HeadGroups(v)) expand(gid);
+      for (const factor::CompiledBodyRef& ref : graph.BodyRefs(v)) {
+        expand(graph.ClauseGroup(ref.clause));
+      }
+    }
+  }
+  std::vector<std::vector<VarId>> out(num_components);
+  for (VarId v : among) out[component[v]].push_back(v);
+  return out;
+}
+
 }  // namespace deepdive::incremental

@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "factor/compiled_graph.h"
 #include "factor/factor_graph.h"
 
 namespace deepdive::incremental {
@@ -28,6 +29,13 @@ std::vector<DecompositionGroup> DecomposeWithInactive(
 /// delta; untouched components keep their materialized marginals exactly.
 std::vector<std::vector<factor::VarId>> ConnectedComponents(
     const factor::FactorGraph& graph);
+
+/// Connected components of `graph` restricted to the distinct variables
+/// `among`: a group joins its members (head and clause literals) that are in
+/// `among`, and every other variable, held fixed, cuts. Components are
+/// numbered, and their members listed, in the order of `among`.
+std::vector<std::vector<factor::VarId>> ConnectedComponents(
+    const factor::CompiledGraph& graph, const std::vector<factor::VarId>& among);
 
 }  // namespace deepdive::incremental
 

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "incremental/decomposition.h"
+#include "inference/exact.h"
 #include "inference/parallel_gibbs.h"
 #include "inference/replicated_gibbs.h"
 #include "inference/world.h"
@@ -533,6 +534,8 @@ StatusOr<UpdateOutcome> IncrementalEngine::RunPerGroup(
     for (VarId v : sampling_vars) outcome.marginals[v] = s.marginals[v];
     outcome.acceptance_rate = s.acceptance_rate;
     outcome.fell_back_to_variational = s.fell_back_to_variational;
+    outcome.exact_vars = s.exact_vars;
+    outcome.sampled_vars = s.sampled_vars;
     if (s.fell_back_to_variational) {
       outcome.sampling_vars = 0;
       outcome.variational_vars += sampling_vars.size();
@@ -545,6 +548,8 @@ StatusOr<UpdateOutcome> IncrementalEngine::RunPerGroup(
     } else {
       UpdateOutcome v_outcome = RunVariational(options, variational_vars);
       for (VarId v : variational_vars) outcome.marginals[v] = v_outcome.marginals[v];
+      outcome.exact_vars += v_outcome.exact_vars;
+      outcome.sampled_vars += v_outcome.sampled_vars;
     }
   }
   for (VarId v = 0; v < graph_->NumVariables(); ++v) {
@@ -627,38 +632,65 @@ UpdateOutcome IncrementalEngine::RunVariational(const EngineOptions& options,
     const auto ev = inference_graph.EvidenceValue(v);
     return ev.has_value() ? *ev : (v < marginals_.size() && marginals_[v] > 0.5);
   };
-  std::vector<double> sums(inference_graph.NumVariables(), 0.0);
+  inference::World world(&inference_graph);
+  for (VarId v = 0; v < inference_graph.NumVariables(); ++v) {
+    world.Flip(v, warm_value(v));
+  }
+  world.RecomputeStats();
+  outcome.marginals = snapshot_->materialized_marginals;
+  outcome.marginals.resize(graph_->NumVariables(), 0.5);
+
+  // The chain samples the swept variables with every other variable fixed at
+  // its warm value, so the swept variables split into the image's components
+  // among them, which are independent. Enumerating a component of n
+  // variables takes 2^n conditionals and the chain n per sweep; a component
+  // is enumerated when 2^n <= n * (burn-in + sample sweeps), which with the
+  // default 50 + 200 sweeps is n <= 11. Its marginals are then exact and
+  // draw no random numbers.
   const size_t sample_sweeps = std::max<size_t>(1, options.gibbs.sample_sweeps);
+  const uint64_t sweeps = options.gibbs.burn_in_sweeps + sample_sweeps;
+  std::vector<bool> enumerated(inference_graph.NumVariables(), false);
+  inference::GibbsScratch scratch;
+  for (const std::vector<VarId>& component :
+       ConnectedComponents(inference_graph, sweep_vars)) {
+    const size_t n = component.size();
+    // n < 32 keeps the shift and the product in range.
+    if (n >= 32 || (uint64_t{1} << n) > n * sweeps) continue;
+    inference::EnumerateMarginals(&world, component, &scratch, &outcome.marginals);
+    for (VarId v : component) enumerated[v] = true;
+    outcome.exact_vars += n;
+  }
+  // The rest keep their sweep order.
+  std::erase_if(sweep_vars, [&](VarId v) { return enumerated[v]; });
+  outcome.sampled_vars = sweep_vars.size();
+
+  std::vector<double> sums(inference_graph.NumVariables(), 0.0);
   const size_t num_threads = options.gibbs.num_threads == 0
                                  ? ThreadPool::DefaultThreads()
                                  : options.gibbs.num_threads;
-  if (num_threads > 1) {
-    // Hogwild over the (sparse) inference graph, confined to the affected
+  // A chain is built only when some component is left to sample.
+  if (!sweep_vars.empty() && num_threads > 1) {
+    // Hogwild over the (sparse) inference graph, confined to the sampled
     // variables: the component decomposition shards across workers. It keeps
     // the plain kernel because a cached conditional could miss a racing flip.
     inference::ParallelGibbsSampler sampler(&inference_graph, num_threads);
-    inference::AtomicWorld world(&inference_graph);
+    inference::AtomicWorld atomic_world(&inference_graph);
     for (VarId v = 0; v < inference_graph.NumVariables(); ++v) {
-      world.Flip(v, warm_value(v));
+      atomic_world.Flip(v, warm_value(v));
     }
     std::vector<Rng> rngs = sampler.MakeRngStreams(
         Rng::MixSeed(options.gibbs.seed, update_seq_, /*substream=*/2));
     for (size_t i = 0; i < options.gibbs.burn_in_sweeps; ++i) {
-      sampler.SweepVars(&world, &rngs, sweep_vars);
+      sampler.SweepVars(&atomic_world, &rngs, sweep_vars);
     }
     for (size_t i = 0; i < sample_sweeps; ++i) {
-      sampler.SweepVars(&world, &rngs, sweep_vars);
-      for (VarId v : sweep_vars) sums[v] += world.value(v) ? 1.0 : 0.0;
+      sampler.SweepVars(&atomic_world, &rngs, sweep_vars);
+      for (VarId v : sweep_vars) sums[v] += atomic_world.value(v) ? 1.0 : 0.0;
     }
-  } else {
+  } else if (!sweep_vars.empty()) {
     // Sequential sweeps reuse each conditional until a variable it reads
     // flips; the chain is bit-identical to GibbsSampler::SweepVars.
-    inference::World world(&inference_graph);
     Rng rng(Rng::MixSeed(options.gibbs.seed, update_seq_, /*substream=*/2));
-    for (VarId v = 0; v < inference_graph.NumVariables(); ++v) {
-      world.Flip(v, warm_value(v));
-    }
-    world.RecomputeStats();
     inference::CompiledGibbsChain chain(std::move(world));
     for (size_t i = 0; i < options.gibbs.burn_in_sweeps; ++i) {
       chain.SweepVars(&rng, sweep_vars);
@@ -669,8 +701,6 @@ UpdateOutcome IncrementalEngine::RunVariational(const EngineOptions& options,
     }
   }
 
-  outcome.marginals = snapshot_->materialized_marginals;
-  outcome.marginals.resize(graph_->NumVariables(), 0.5);
   for (VarId v : sweep_vars) {
     outcome.marginals[v] = sums[v] / static_cast<double>(sample_sweeps);
   }

@@ -53,6 +53,11 @@ struct UpdateOutcome {
   double seconds = 0.0;
   double acceptance_rate = -1.0;   // sampling path only
   size_t affected_vars = 0;
+  /// Variational path: the swept (non-evidence affected) variables whose
+  /// marginals came from enumerating their component, and those the Gibbs
+  /// chain sampled. Both 0 on the other strategies.
+  size_t exact_vars = 0;
+  size_t sampled_vars = 0;
   bool fell_back_to_variational = false;
   /// Per-group execution accounting (per_group_strategy mode).
   size_t sampling_vars = 0;

@@ -26,6 +26,39 @@ double ResultView::MarginalOf(const std::string& relation,
   return it->second;
 }
 
+const std::pair<Tuple, double>* ResultView::FindTsv(const std::string& relation,
+                                                    const std::string& tsv) const {
+  const auto* entries = Relation(relation);
+  if (entries == nullptr) return nullptr;
+  const auto scan = [&]() -> const std::pair<Tuple, double>* {
+    for (const auto& entry : *entries) {
+      const auto line = FormatTsvLine(entry.first);
+      if (line.ok() && *line == tsv) return &entry;
+    }
+    return nullptr;
+  };
+  const auto index = static_cast<size_t>(
+      std::find(query_relations.begin(), query_relations.end(), relation) -
+      query_relations.begin());
+  if (index >= query_schemas.size()) return scan();  // no schema to parse with
+  const Schema& schema = query_schemas[index];
+  for (const Column& column : schema.columns()) {
+    if (column.type == ValueType::kDouble) return scan();
+  }
+  // Every rendering of a tuple of this schema parses back to it.
+  auto tuple = ParseTsvLine(schema, tsv);
+  if (!tuple.ok()) return nullptr;
+  for (size_t i = 0; i < tuple->size(); ++i) {
+    if ((*tuple)[i].is_null() && schema.column(i).type == ValueType::kString) return scan();
+  }
+  const auto rendered = FormatTsvLine(*tuple);
+  if (!rendered.ok() || *rendered != tsv) return nullptr;  // e.g. 007 or t
+  const auto it = std::lower_bound(
+      entries->begin(), entries->end(), *tuple,
+      [](const std::pair<Tuple, double>& entry, const Tuple& t) { return entry.first < t; });
+  return it != entries->end() && it->first == *tuple ? &*it : nullptr;
+}
+
 uint64_t ResultView::Fingerprint() const {
   uint64_t h = 14695981039346656037ull;  // FNV-1a offset basis
   const auto mix = [&h](uint64_t bits) {

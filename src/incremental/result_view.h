@@ -12,6 +12,7 @@
 
 #include "incremental/update_report.h"
 #include "incremental/snapshot.h"
+#include "storage/schema.h"
 #include "storage/value.h"
 #include "util/mutex.h"
 #include "util/status.h"
@@ -46,6 +47,9 @@ struct ResultView {
   /// handler) enumerate relations deterministically without touching the
   /// serving-thread-only program() accessor.
   std::vector<std::string> query_relations;
+  /// Their schemas, in the same order and frozen with them, so that a
+  /// connection thread can parse a tuple sent as text (FindTsv).
+  std::vector<Schema> query_schemas;
 
   /// Copy of the report of the update that published this view (label
   /// "initialize" for the view published at the end of Initialize).
@@ -93,6 +97,15 @@ struct ResultView {
   /// view has no index for it.
   const std::vector<std::pair<Tuple, double>>* Relation(
       const std::string& relation) const;
+
+  /// The first entry of `relation` whose tuple FormatTsvLine renders as
+  /// exactly `tsv`, or nullptr. A query relation's tuple is parsed with its
+  /// schema and binary-searched; since rendering is one-to-one on ints,
+  /// bools, strings and NULL, no other tuple can match. Doubles (rendered
+  /// with %g) and a string column's `\N` (NULL renders alike) fall back to
+  /// scanning the rendered entries.
+  const std::pair<Tuple, double>* FindTsv(const std::string& relation,
+                                          const std::string& tsv) const;
 
   /// Recomputes the (epoch, marginals) checksum; equals content_hash on any
   /// correctly published view.

@@ -23,6 +23,11 @@ struct UpdateReport {
   Strategy strategy = Strategy::kRerun;
   double acceptance_rate = -1.0;
   size_t affected_vars = 0;
+  /// Of the affected variables a variational update swept, those answered
+  /// exactly by enumeration and those sampled by the Gibbs chain (in-process
+  /// only; see UpdateOutcome).
+  size_t exact_vars = 0;
+  size_t sampled_vars = 0;
   /// Groundings emitted while applying this update. For a first-class rule
   /// addition this equals the new rule's match count — the witness that the
   /// add evaluated only that rule, not the whole program.

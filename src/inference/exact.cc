@@ -1,7 +1,10 @@
 #include "inference/exact.h"
 
+#include <array>
+#include <bit>
 #include <cmath>
 
+#include "util/logging.h"
 #include "util/string_util.h"
 
 namespace deepdive::inference {
@@ -58,6 +61,54 @@ StatusOr<ExactResult> ExactInference(const factor::FactorGraph& graph,
     }
   }
   return result;
+}
+
+void EnumerateMarginals(World* world, std::span<const VarId> vars,
+                        GibbsScratch* scratch, std::vector<double>* marginals) {
+  const factor::CompiledGraph& graph = world->graph();
+  const size_t n = vars.size();
+  if (n == 0) return;
+  if (n == 1) {
+    const double log_odds = detail::ConditionalLogOddsImpl(graph, *world, vars[0], scratch);
+    (*marginals)[vars[0]] = 1.0 / (1.0 + std::exp(-log_odds));
+    return;
+  }
+  DD_CHECK_LT(n, 64u);
+  // Bit i of `values` is vars[i]'s current value. `ones[i]` and `z` sum
+  // exp(lw - max_lw) over the worlds visited so far with vars[i] = 1 and over
+  // all of them; both are rescaled whenever a world raises max_lw.
+  uint64_t values = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (world->value(vars[i])) values |= uint64_t{1} << i;
+  }
+  std::array<double, 64> ones{};
+  for (uint64_t m = values; m != 0; m &= m - 1) ones[std::countr_zero(m)] = 1.0;
+  double z = 1.0;
+  double lw = 0.0;
+  double max_lw = 0.0;
+  const uint64_t num_worlds = uint64_t{1} << n;
+  for (uint64_t k = 1; k < num_worlds; ++k) {
+    // Gray code k ^ (k >> 1) differs from its predecessor in bit ctz(k).
+    const int i = std::countr_zero(k);
+    const VarId v = vars[i];
+    const bool cur = world->value(v);
+    const double log_odds = detail::ConditionalLogOddsImpl(graph, *world, v, scratch);
+    lw += cur ? -log_odds : log_odds;
+    world->Flip(v, !cur);
+    values ^= uint64_t{1} << i;
+    if (lw > max_lw) {
+      const double scale = std::exp(max_lw - lw);
+      z *= scale;
+      for (size_t j = 0; j < n; ++j) ones[j] *= scale;
+      max_lw = lw;
+    }
+    const double p = std::exp(lw - max_lw);
+    z += p;
+    for (uint64_t m = values; m != 0; m &= m - 1) ones[std::countr_zero(m)] += p;
+  }
+  // The walk ends at Gray code 2^(n-1): only the last variable differs.
+  world->Flip(vars[n - 1], !world->value(vars[n - 1]));
+  for (size_t i = 0; i < n; ++i) (*marginals)[vars[i]] = ones[i] / z;
 }
 
 }  // namespace deepdive::inference

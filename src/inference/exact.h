@@ -1,9 +1,12 @@
 #ifndef DEEPDIVE_INFERENCE_EXACT_H_
 #define DEEPDIVE_INFERENCE_EXACT_H_
 
+#include <span>
 #include <vector>
 
 #include "factor/factor_graph.h"
+#include "inference/gibbs.h"
+#include "inference/world.h"
 #include "util/status.h"
 
 namespace deepdive::inference {
@@ -23,6 +26,18 @@ struct ExactResult {
 /// oracle for the samplers and the "strawman" materialization's ground truth.
 StatusOr<ExactResult> ExactInference(const factor::FactorGraph& graph,
                                      size_t max_free_vars = 24);
+
+/// Exact marginals of `vars` (fewer than 64 distinct variables) with every
+/// other variable held at its value in `world`: writes P(v = 1) to
+/// (*marginals)[v] for each v in `vars`. Walks the 2^n assignments of `vars`
+/// in Gray-code order on the compiled world, so each step flips one variable
+/// and the flipped variable's conditional log-odds (the Gibbs kernel's) is
+/// the step's log-weight change. Log-weights are relative to the start world
+/// and normalised by their running maximum before exp. A single variable
+/// takes one conditional. `world` ends with the values and statistics it
+/// started with. Uses no RNG.
+void EnumerateMarginals(World* world, std::span<const factor::VarId> vars,
+                        GibbsScratch* scratch, std::vector<double>* marginals);
 
 }  // namespace deepdive::inference
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -91,11 +92,21 @@ double ConditionalLogOddsImpl(const factor::CompiledGraph& graph, const WorldT& 
   auto& touched = scratch->touched;
   touched.clear();
   const bool cur = world.value(v);
-  for (const factor::CompiledBodyRef& ref : graph.BodyRefs(v)) {
+  const std::span<const factor::CompiledBodyRef> refs = graph.BodyRefs(v);
+  for (size_t i = 0; i < refs.size(); ++i) {
+    const factor::CompiledBodyRef& ref = refs[i];
+    // v's literals in one clause are adjacent refs (Compile and Splice walk
+    // clauses in order) and count as one: v's unsatisfied literals there.
+    int32_t v_unsat = (cur != static_cast<bool>(ref.negated)) ? 0 : 1;
+    bool both_signs = false;
+    for (; i + 1 < refs.size() && refs[i + 1].clause == ref.clause; ++i) {
+      both_signs |= refs[i + 1].negated != ref.negated;
+      v_unsat += (cur != static_cast<bool>(refs[i + 1].negated)) ? 0 : 1;
+    }
+    if (both_signs) continue;  // holds v and !v: never satisfied
     const factor::GroupId clause_group = graph.ClauseGroup(ref.clause);
     // Other literals of the clause satisfied?
-    const bool lit_true_now = (cur != static_cast<bool>(ref.negated));
-    const int32_t others_unsat = world.ClauseUnsat(ref.clause) - (lit_true_now ? 0 : 1);
+    const int32_t others_unsat = world.ClauseUnsat(ref.clause) - v_unsat;
     if (others_unsat != 0) continue;  // clause state independent of v
     const int64_t dn = ref.negated ? -1 : +1;
     bool found = false;
@@ -207,9 +218,10 @@ class GibbsSampler {
 /// and the world are bit-identical to GibbsSampler::SweepVars run from the
 /// same world and Rng.
 ///
-/// Two cases keep that exact. A variable occurring more than once in one of
-/// its groups may read its own value (a clause can hold x and !x), so its
-/// own flip marks it dirty. Members of a group with more than
+/// Two cases are handled apart. A variable occurring more than once in one
+/// of its groups is on its own list, so its own flip marks it dirty; the
+/// conditional reads no own value (a clause's literals of one variable count
+/// once), so this only costs a recomputation. Members of a group with more than
 /// kMaxCachedGroupSize members are recomputed on every visit and their flips
 /// mark nothing through that group, which bounds construction and marking by
 /// O(literals x kMaxCachedGroupSize) instead of O(sum of group size^2).

@@ -43,7 +43,7 @@ double CompiledEvidenceLoss(const CompiledGraph& graph) {
 }
 
 /// The shared SGD scaffolding (weight reset, per-epoch gradient averaging
-/// + L2 step, learning-rate decay, loss tracking): `accumulate_sweep`
+/// + L2 step, learning-rate decay): `accumulate_sweep`
 /// advances every persistent chain one sweep and adds that sweep's
 /// sufficient-statistic differences into the gradient buffer — the only
 /// part that differs between the two-chain and replicated executions.
@@ -55,7 +55,6 @@ LearnStats RunEpochs(CompiledGraph* graph, const LearnerOptions& options,
       if (graph->WeightLearnable(w)) graph->SetWeightValue(w, 0.0);
     }
   }
-  stats.initial_loss = CompiledEvidenceLoss(*graph);
 
   const size_t num_weights = graph->NumWeights();
   std::vector<double> grad(num_weights, 0.0);
@@ -72,11 +71,8 @@ LearnStats RunEpochs(CompiledGraph* graph, const LearnerOptions& options,
       graph->SetWeightValue(w, updated);
     }
     lr *= options.decay;
-    stats.epoch_losses.push_back(CompiledEvidenceLoss(*graph));
     ++stats.epochs_run;
   }
-  stats.final_loss = stats.epoch_losses.empty() ? stats.initial_loss
-                                                : stats.epoch_losses.back();
   return stats;
 }
 

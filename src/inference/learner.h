@@ -2,7 +2,6 @@
 #define DEEPDIVE_INFERENCE_LEARNER_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "factor/factor_graph.h"
 
@@ -37,9 +36,6 @@ struct LearnerOptions {
 };
 
 struct LearnStats {
-  std::vector<double> epoch_losses;  // pseudo-likelihood loss per epoch
-  double initial_loss = 0.0;
-  double final_loss = 0.0;
   size_t epochs_run = 0;
 };
 
@@ -62,7 +58,9 @@ class Learner {
   /// Negative pseudo-log-likelihood of the evidence variables under the
   /// graph's current weights, evaluated on a compiled image of it with
   /// evidence clamped: sum over e in E of -log sigma(+/- logodds(e)). The
-  /// learning curves of Figures 16/17 report this.
+  /// learning curves of Figures 16/17 report this; Learn does not evaluate
+  /// it. A k-epoch Learn is a prefix of a longer one from the same start and
+  /// seed, so this after k epochs is the longer run's loss at epoch k.
   double EvidenceLoss() const;
 
  private:

@@ -39,6 +39,9 @@ StatusOr<SnapshotComparison> RunSnapshotComparison(const SystemProfile& profile,
                       : 0.0;
     row.strategy = ir.strategy;
     row.acceptance_rate = ir.acceptance_rate;
+    row.affected_vars = ir.affected_vars;
+    row.exact_vars = ir.exact_vars;
+    row.sampled_vars = ir.sampled_vars;
 
     rerun_cum += rr.TotalSeconds();
     inc_cum += ir.TotalSeconds();

@@ -19,6 +19,11 @@ struct SnapshotRow {
   double incremental_f1 = 0.0;
   incremental::Strategy strategy = incremental::Strategy::kSampling;
   double acceptance_rate = -1.0;
+  /// The incremental update's affected variables, and of those it swept
+  /// variationally, the ones enumerated exactly and the ones sampled.
+  size_t affected_vars = 0;
+  size_t exact_vars = 0;
+  size_t sampled_vars = 0;
   /// Cumulative wall clock after this update (Figure 10(a) x-axis).
   double rerun_cumulative = 0.0;
   double incremental_cumulative = 0.0;

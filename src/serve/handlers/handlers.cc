@@ -102,17 +102,11 @@ comm::Response Dispatcher::HandleQuery(const comm::Request& request) const {
         if (marginal >= body.threshold) ++result.entries;
       }
     }
-  } else if (entries != nullptr) {
-    // Tuple lookup by its TSV rendering: connection threads have no schema
-    // (the program is serving-thread-only), so tuples travel as text.
-    for (const auto& [tuple, marginal] : *entries) {
-      auto line = FormatTsvLine(tuple);
-      if (line.ok() && *line == body.tuple_tsv) {
-        result.found = true;
-        result.marginal = marginal;
-        break;
-      }
-    }
+  } else if (const auto* entry = view->FindTsv(body.relation, body.tuple_tsv)) {
+    // Tuples travel as their TSV rendering; the view carries the schemas
+    // that parse it (the program is serving-thread-only).
+    result.found = true;
+    result.marginal = entry->second;
   }
   comm::Response response;
   response.body = result;

@@ -6,6 +6,7 @@
 // concurrency-heavy cases also run under the ThreadSanitizer CI job.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <string>
@@ -15,6 +16,8 @@
 #include "core/deepdive.h"
 #include "incremental/engine.h"
 #include "incremental/result_view.h"
+#include "storage/schema.h"
+#include "storage/text_io.h"
 #include "util/thread_role.h"
 
 namespace deepdive {
@@ -81,6 +84,62 @@ TEST(ResultViewTest, MarginalLookupMatchesIndex) {
   ASSERT_NE(view.Relation("R"), nullptr);
   EXPECT_EQ(view.Relation("R")->size(), 3u);
   EXPECT_EQ(view.Relation("S"), nullptr);
+}
+
+// The entry a scan that renders every tuple would find for `tsv`.
+const std::pair<Tuple, double>* ScanTsv(const ResultView& view,
+                                        const std::string& relation,
+                                        const std::string& tsv) {
+  for (const auto& entry : *view.Relation(relation)) {
+    const auto line = FormatTsvLine(entry.first);
+    if (line.ok() && *line == tsv) return &entry;
+  }
+  return nullptr;
+}
+
+// FindTsv parses and binary-searches, but answers exactly as the scan does:
+// canonical text is found, non-canonical text (007, t, +1, 3.0) and a wrong
+// arity are not, NULL matches \N, and doubles and a string column's \N
+// (the string "\N" and NULL render alike) scan.
+TEST(ResultViewTest, FindTsvMatchesRenderedScan) {
+  deepdive::serving_thread.AssertHeld();
+  ResultView view;
+  view.query_relations = {"R", "S", "D"};
+  view.query_schemas = {Schema({{"a", ValueType::kInt}, {"b", ValueType::kInt}}),
+                        Schema({{"name", ValueType::kString}, {"flag", ValueType::kBool}}),
+                        Schema({{"x", ValueType::kDouble}, {"y", ValueType::kInt}})};
+  view.relations["R"] = {{{Value(1), Value(2)}, 0.1},
+                         {{Value(-7), Value(7)}, 0.2},
+                         {{Value::Null(), Value(2)}, 0.3},
+                         {{Value(int64_t{1} << 40), Value(0)}, 0.4}};
+  view.relations["S"] = {{{Value("007"), Value(true)}, 0.5},
+                         {{Value("a b"), Value(false)}, 0.6},
+                         {{Value("\\N"), Value(true)}, 0.7},
+                         {{Value(""), Value::Null()}, 0.8},
+                         {{Value("tab\tin"), Value(true)}, 0.9}};
+  view.relations["D"] = {{{Value(0.1), Value(1)}, 0.15},
+                         {{Value(3.0), Value(2)}, 0.25},
+                         {{Value(1e-7), Value::Null()}, 0.35}};
+  for (auto& [name, entries] : view.relations) {
+    std::sort(entries.begin(), entries.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+  }
+  const std::vector<std::pair<std::string, std::string>> requests = {
+      {"R", "1\t2"},      {"R", "-7\t7"},     {"R", "\\N\t2"},   {"R", "1099511627776\t0"},
+      {"R", "01\t2"},     {"R", "+1\t2"},     {"R", " 1\t2"},     {"R", "1\t2\t3"},
+      {"R", "1"},         {"R", ""},          {"R", "2\t1"},      {"R", "x\t2"},
+      {"S", "007\ttrue"}, {"S", "007\tt"},    {"S", "007\t1"},    {"S", "a b\tfalse"},
+      {"S", "\\N\ttrue"}, {"S", "\t\\N"},   {"S", "\tfalse"},   {"S", "7\ttrue"},
+      {"S", "tab\tin\ttrue"},                {"D", "0.1\t1"},    {"D", "3\t2"},
+      {"D", "3.0\t2"},    {"D", "1e-07\t\\N"}, {"D", "1e-7\t\\N"}, {"D", "0.10\t1"}};
+  size_t found = 0;
+  for (const auto& [relation, tsv] : requests) {
+    const auto* expected = ScanTsv(view, relation, tsv);
+    EXPECT_EQ(view.FindTsv(relation, tsv), expected) << relation << " '" << tsv << "'";
+    found += expected != nullptr ? 1 : 0;
+  }
+  EXPECT_EQ(found, 11u);
+  EXPECT_EQ(view.FindTsv("T", "1\t2"), nullptr);
 }
 
 // ---------------------------------------------------------------------------

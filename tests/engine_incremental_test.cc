@@ -2,6 +2,7 @@
 
 #include "factor/factor_graph.h"
 #include "incremental/engine.h"
+#include "incremental/variational.h"
 #include "inference/exact.h"
 #include "util/random.h"
 #include "util/thread_role.h"
@@ -14,18 +15,18 @@ using factor::GraphDelta;
 using factor::VarId;
 using factor::WeightId;
 
-FactorGraph TwoComponentGraph(uint64_t seed) {
-  // Two disconnected 4-variable chains.
+FactorGraph TwoComponentGraph(uint64_t seed, size_t chains = 2) {
+  // Disconnected 4-variable chains, two unless `chains` says otherwise.
   FactorGraph g;
   Rng rng(seed);
-  g.AddVariables(8);
-  for (VarId base : {VarId{0}, VarId{4}}) {
+  g.AddVariables(4 * chains);
+  for (VarId base = 0; base < 4 * chains; base += 4) {
     for (VarId i = 0; i < 3; ++i) {
       g.AddSimpleFactor(base + i, {{static_cast<VarId>(base + i + 1), false}},
                         g.AddWeight(rng.Uniform(-0.8, 0.8), false));
     }
   }
-  for (VarId v = 0; v < 8; ++v) {
+  for (VarId v = 0; v < 4 * chains; ++v) {
     g.AddSimpleFactor(v, {}, g.AddWeight(rng.Uniform(-0.3, 0.3), false));
   }
   return g;
@@ -385,6 +386,80 @@ TEST(IncrementalEngineTest, ComponentCacheReuseKeepsBucketsIdentical) {
   for (VarId v = 0; v < g.NumVariables(); ++v) {
     EXPECT_NEAR(third->marginals[v], exact->marginals[v], 0.2) << "var " << v;
   }
+}
+
+// Three chains; the update sets evidence in the first and adds a factor to
+// the second, so the third is not swept, plus a factor headed by the new
+// evidence whose clause alone couples variables 3 and 4. Every swept
+// component is under the cut-off, so each swept variable gets the exact
+// marginal of the spliced image with the unswept variables at their warm
+// values, and the result does not depend on the seed or the thread count.
+TEST(IncrementalEngineTest, VariationalEnumeratesSmallComponentsExactly) {
+  deepdive::serving_thread.AssertHeld();
+  std::vector<double> first_marginals;
+  for (uint64_t seed : {1u, 2u}) {
+    for (size_t threads : {1u, 2u}) {
+      FactorGraph g = TwoComponentGraph(21, /*chains=*/3);
+      IncrementalEngine engine(&g);
+      ASSERT_TRUE(engine.Materialize(TestMaterialization()).ok());
+      const std::vector<double> warm = engine.marginals();
+      GraphDelta delta;
+      g.SetEvidence(0, true);
+      delta.evidence_changes.push_back({0, std::nullopt, true});
+      delta.new_groups.push_back(g.AddSimpleFactor(5, {{6, true}}, g.AddWeight(1.1, false)));
+      delta.new_groups.push_back(
+          g.AddSimpleFactor(0, {{3, false}, {4, false}}, g.AddWeight(0.9, false)));
+      EngineOptions eopts = TestEngine();
+      eopts.forced_strategy = Strategy::kVariational;
+      eopts.gibbs.seed = seed;
+      eopts.gibbs.num_threads = threads;
+      auto outcome = engine.ApplyDelta(delta, eopts);
+      ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+      EXPECT_EQ(outcome->affected_vars, 8u);
+      EXPECT_EQ(outcome->exact_vars, 7u);  // variable 0 is evidence now
+      EXPECT_EQ(outcome->sampled_vars, 0u);
+
+      FactorGraph reference = BuildVariationalInferenceImage(
+          g, *engine.snapshot()->variational, engine.cumulative_delta()).Decompile();
+      for (VarId v = 8; v < 12; ++v) reference.SetEvidence(v, warm[v] > 0.5);
+      auto exact = inference::ExactInference(reference);
+      ASSERT_TRUE(exact.ok());
+      for (VarId v = 1; v < 8; ++v) {
+        EXPECT_NEAR(outcome->marginals[v], exact->marginals[v], 1e-12) << "var " << v;
+      }
+      if (first_marginals.empty()) first_marginals = outcome->marginals;
+      EXPECT_EQ(outcome->marginals, first_marginals) << "seed " << seed << " threads " << threads;
+    }
+  }
+}
+
+// The default budget is 50 + 200 sweeps, so the cut-off 2^n <= 250 n
+// enumerates a component of 11 variables and samples one of 12.
+TEST(IncrementalEngineTest, VariationalCutOffEnumeratesElevenAndSamplesTwelve) {
+  deepdive::serving_thread.AssertHeld();
+  FactorGraph g;
+  g.AddVariables(23);
+  Rng rng(31);
+  for (VarId v = 0; v < 23; ++v) {
+    g.AddSimpleFactor(v, {}, g.AddWeight(rng.Uniform(-0.3, 0.3), false));
+  }
+  IncrementalEngine engine(&g);
+  ASSERT_TRUE(engine.Materialize(TestMaterialization()).ok());
+  // Priors alone give the approximation no pairwise edge; the update chains
+  // variables 0-10 and 11-22.
+  GraphDelta delta;
+  for (VarId v = 0; v + 1 < 23; ++v) {
+    if (v == 10) continue;
+    delta.new_groups.push_back(g.AddSimpleFactor(
+        v, {{static_cast<VarId>(v + 1), false}}, g.AddWeight(rng.Uniform(-0.8, 0.8), false)));
+  }
+  EngineOptions eopts;
+  eopts.forced_strategy = Strategy::kVariational;
+  auto outcome = engine.ApplyDelta(delta, eopts);
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  EXPECT_EQ(outcome->affected_vars, 23u);
+  EXPECT_EQ(outcome->exact_vars, 11u);
+  EXPECT_EQ(outcome->sampled_vars, 12u);
 }
 
 }  // namespace

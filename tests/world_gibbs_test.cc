@@ -2,12 +2,14 @@
 
 #include <cmath>
 #include <type_traits>
+#include <vector>
 
 #include "factor/compiled_graph.h"
 #include "factor/factor_graph.h"
 #include "inference/exact.h"
 #include "inference/gibbs.h"
 #include "inference/world.h"
+#include "util/bitvector.h"
 #include "util/random.h"
 
 namespace deepdive::inference {
@@ -50,6 +52,66 @@ FactorGraph RandomGraph(uint64_t seed, size_t num_vars, size_t num_groups,
     g.SetEvidence(static_cast<VarId>(rng.UniformInt(num_vars)), rng.Bernoulli(0.5));
   }
   return g;
+}
+
+/// Random graph of 2-12 variables for the exact checks: every semantics,
+/// shared weights, priors, multi-clause groups whose clauses may repeat a
+/// variable (x twice, or x and !x), evidence, and retracted clauses and
+/// groups.
+FactorGraph RepeatedLiteralGraph(uint64_t seed) {
+  FactorGraph g;
+  Rng rng(seed);
+  const size_t n = 2 + rng.UniformInt(11);
+  g.AddVariables(n);
+  for (VarId v = 0; v < n; ++v) {
+    if (rng.Bernoulli(0.2)) g.SetEvidence(v, rng.Bernoulli(0.5));
+  }
+  std::vector<WeightId> weights;
+  const size_t groups = 1 + rng.UniformInt(10);
+  for (size_t i = 0; i < groups; ++i) {
+    const VarId head = static_cast<VarId>(rng.UniformInt(n));
+    if (weights.empty() || rng.Bernoulli(0.7)) {
+      weights.push_back(g.AddWeight(rng.Uniform(-2.0, 2.0), false));
+    }
+    const WeightId w = weights[rng.UniformInt(weights.size())];
+    const auto semantics = static_cast<Semantics>(rng.UniformInt(3));
+    const GroupId grp = g.AddGroup(static_cast<uint32_t>(i), head, w, semantics);
+    const size_t clauses = rng.UniformInt(4);
+    for (size_t c = 0; c < clauses; ++c) {
+      std::vector<factor::Literal> lits;
+      const size_t n_lits = rng.UniformInt(4);
+      for (size_t l = 0; l < n_lits; ++l) {
+        const VarId v = static_cast<VarId>(rng.UniformInt(n));
+        if (v != head) lits.push_back({v, rng.Bernoulli(0.4)});
+      }
+      if (!lits.empty() && rng.Bernoulli(0.3)) {
+        const factor::Literal x = lits[rng.UniformInt(lits.size())];
+        lits.insert(lits.begin() + static_cast<ptrdiff_t>(rng.UniformInt(lits.size() + 1)),
+                    {x.var, !x.negated});
+      }
+      const ClauseId cid = g.AddClause(grp, lits);
+      if (rng.Bernoulli(0.1)) g.DeactivateClause(cid);
+    }
+    if (rng.Bernoulli(0.1)) g.DeactivateGroup(grp);
+  }
+  return g;
+}
+
+/// Whether an active clause of `g` holds some x and !x.
+bool HasBothSignsClause(const FactorGraph& g) {
+  for (GroupId grp = 0; grp < g.NumGroups(); ++grp) {
+    if (!g.group(grp).active) continue;
+    for (ClauseId cid : g.group(grp).clauses) {
+      if (!g.clause(cid).active) continue;
+      const auto& lits = g.clause(cid).literals;
+      for (const auto& a : lits) {
+        for (const auto& b : lits) {
+          if (a.var == b.var && a.negated != b.negated) return true;
+        }
+      }
+    }
+  }
+  return false;
 }
 
 // The world lives on the compacted image: a retracted group and a retracted
@@ -160,6 +222,36 @@ TEST(GibbsTest, ConditionalLogOddsMatchesExactOnPair) {
   EXPECT_NEAR(sampler.ConditionalLogOdds(world, b), -0.4, 1e-12);
 }
 
+// The conditional is W(v=1) - W(v=0) in any world, also when a clause holds
+// v twice or both v and !v (never satisfied).
+TEST(GibbsTest, ConditionalMatchesLogWeightDifferenceWithRepeatedLiterals) {
+  size_t graphs_with_both_signs = 0;
+  for (uint64_t seed = 1; seed <= 300; ++seed) {
+    const FactorGraph g = RepeatedLiteralGraph(seed);
+    graphs_with_both_signs += HasBothSignsClause(g) ? 1 : 0;
+    const CompiledGraph compiled = CompiledGraph::Compile(g);
+    World world(&compiled);
+    Rng rng(seed + 1000);
+    std::vector<bool> values(g.NumVariables());
+    for (VarId v = 0; v < g.NumVariables(); ++v) {
+      values[v] = rng.Bernoulli(0.5);
+      world.Flip(v, values[v]);
+    }
+    GibbsSampler sampler(&compiled);
+    for (VarId v = 0; v < g.NumVariables(); ++v) {
+      auto log_weight_with = [&](bool x) {
+        values[v] = x;
+        return g.TotalLogWeight([&](VarId u) { return static_cast<bool>(values[u]); });
+      };
+      const double expected = log_weight_with(true) - log_weight_with(false);
+      values[v] = world.value(v);
+      EXPECT_NEAR(sampler.ConditionalLogOdds(world, v), expected, 1e-9)
+          << "seed " << seed << " var " << v;
+    }
+  }
+  EXPECT_GE(graphs_with_both_signs, 50u);
+}
+
 // gtest names each instance by the raw bytes of its case, so the case spells
 // out its padding: left implicit, those bytes are uninitialized memory and the
 // test names change from run to run.
@@ -245,6 +337,73 @@ TEST(GibbsTest, DrawSamplesShapeAndDeterminism) {
   ASSERT_EQ(s1.size(), 5u);
   EXPECT_EQ(s1[0].size(), 6u);
   for (size_t i = 0; i < 5; ++i) EXPECT_EQ(s1[i], s2[i]);
+}
+
+// The Gray-code walk on the compiled world against the FactorGraph reference:
+// a random subset of the query variables is held at random values (evidence
+// in the reference), and the rest are enumerated from a random start.
+TEST(ExactTest, EnumerationMatchesExactInference) {
+  size_t checked = 0;
+  for (uint64_t seed = 1; seed <= 400; ++seed) {
+    const FactorGraph g = RepeatedLiteralGraph(seed);
+    const CompiledGraph compiled = CompiledGraph::Compile(g);
+    Rng rng(seed + 2000);
+    FactorGraph reference = g;
+    World world(&compiled);
+    std::vector<VarId> vars;
+    for (VarId v = 0; v < g.NumVariables(); ++v) {
+      if (g.IsEvidence(v)) continue;
+      const bool value = rng.Bernoulli(0.5);
+      world.Flip(v, value);
+      if (rng.Bernoulli(0.25)) {
+        reference.SetEvidence(v, value);
+      } else {
+        vars.push_back(v);
+      }
+    }
+    auto exact = ExactInference(reference);
+    ASSERT_TRUE(exact.ok());
+    const BitVector start = world.ToBits();
+    const double start_weight = world.TotalLogWeight();
+    std::vector<double> marginals(g.NumVariables(), -1.0);
+    GibbsScratch scratch;
+    EnumerateMarginals(&world, vars, &scratch, &marginals);
+    for (VarId v : vars) {
+      EXPECT_NEAR(marginals[v], exact->marginals[v], 1e-12) << "seed " << seed << " var " << v;
+      ++checked;
+    }
+    EXPECT_EQ(world.ToBits(), start) << "seed " << seed;
+    EXPECT_EQ(world.TotalLogWeight(), start_weight) << "seed " << seed;
+  }
+  EXPECT_GT(checked, 1000u);
+}
+
+// Strong priors put log-weights near 1800 above the start world, past where
+// exp overflows, so the walk must normalise by the running maximum. Variable
+// 9 has a weak prior and leans on variable 0, so its marginal stays inside
+// (0, 1).
+TEST(ExactTest, EnumerationNormalisesLargeLogWeights) {
+  FactorGraph g;
+  g.AddVariables(10);
+  for (VarId v = 0; v < 9; ++v) {
+    g.AddSimpleFactor(v, {}, g.AddWeight(v % 3 == 0 ? -100.0 : 100.0, false));
+  }
+  g.AddSimpleFactor(9, {}, g.AddWeight(0.5, false));
+  g.AddSimpleFactor(9, {{0, true}}, g.AddWeight(1.0, false));
+  auto exact = ExactInference(g);
+  ASSERT_TRUE(exact.ok());
+  const CompiledGraph compiled = CompiledGraph::Compile(g);
+  World world(&compiled);
+  std::vector<VarId> vars(10);
+  for (VarId v = 0; v < 10; ++v) vars[v] = v;
+  std::vector<double> marginals(10, -1.0);
+  GibbsScratch scratch;
+  EnumerateMarginals(&world, vars, &scratch, &marginals);
+  for (VarId v = 0; v < 10; ++v) {
+    EXPECT_NEAR(marginals[v], exact->marginals[v], 1e-12) << "var " << v;
+  }
+  EXPECT_GT(marginals[9], 0.5);
+  EXPECT_LT(marginals[9], 0.99);
 }
 
 TEST(ExactTest, RejectsTooManyVariables) {
