@@ -69,7 +69,8 @@ struct MaterializationOptions {
 
   /// Overnight-materialization reuse: when set, the sample store is loaded
   /// from / saved to these paths. A loaded store skips the sampling chain
-  /// entirely (its width is validated against the target graph).
+  /// and the exact draws entirely (its width is validated against the
+  /// target graph).
   std::string load_sample_store;
   std::string save_sample_store;
 
@@ -79,14 +80,27 @@ struct MaterializationOptions {
   std::function<void()> on_before_publish;
 };
 
+/// Components of at most this many free variables can have their stored
+/// samples drawn from an exact table instead of the chain (see
+/// BuildMaterializationSnapshot). A table holds 2^n doubles: at most 4,096
+/// (32 KB) for one component, and at most 2^12 / 12 < 342 (2.7 KB) per free
+/// variable over all of them.
+inline constexpr size_t kMaxExactComponentVars = 12;
+
 struct MaterializationStats {
   size_t samples_collected = 0;
+  /// Free (non-evidence) variables in enumerated components, whose
+  /// materialized marginals are exact and whose samples (unless the store
+  /// was loaded) are exact draws; and the other free variables, whose
+  /// samples come from the chain and whose marginals are sample averages.
+  size_t exact_vars = 0;
+  size_t chain_vars = 0;
   size_t sample_bytes = 0;
   size_t variational_edges = 0;
   double seconds = 0.0;
   bool strawman_built = false;
   /// True when the store was loaded from `load_sample_store` instead of
-  /// being drawn by the sampling chain.
+  /// being drawn.
   bool store_loaded = false;
 };
 
@@ -137,6 +151,21 @@ struct MaterializationSnapshot {
 /// cancellation latency is bounded by the longest single phase, not zero. A
 /// cancelled build returns FailedPrecondition and its partial result is
 /// discarded.
+///
+/// The sample store. The free variables split into the connected components
+/// of the compiled graph among them (evidence, at its labels, cuts). A
+/// component of n variables is enumerated when n <= kMaxExactComponentVars
+/// and 2^n <= n * (gibbs_burn_in + num_samples * gibbs_thin), so its walk
+/// costs no more conditionals than the chain would spend on it: its 2^n
+/// worlds are walked once into a probability table, its materialized
+/// marginals are exact, and every stored sample draws its assignment from
+/// the table by inverse CDF, one uniform per component per sample from the
+/// stream Rng::MixSeed(seed, 102). Those draws are independent, exact, and
+/// the same at any num_threads and num_replicas. The chain sweeps only the
+/// remaining components' variables, and does not run when none remain; the
+/// enumerated variables of each sample it emits are overwritten by draws.
+/// When nothing is enumerated the chain sweeps the whole graph and the store
+/// holds exactly its samples.
 StatusOr<std::shared_ptr<MaterializationSnapshot>> BuildMaterializationSnapshot(
     const factor::FactorGraph& graph, const MaterializationOptions& options,
     const std::atomic<bool>* cancel = nullptr);

@@ -64,19 +64,28 @@ StatusOr<ExactResult> ExactInference(const factor::FactorGraph& graph,
 }
 
 void EnumerateMarginals(World* world, std::span<const VarId> vars,
-                        GibbsScratch* scratch, std::vector<double>* marginals) {
+                        GibbsScratch* scratch, std::vector<double>* marginals,
+                        std::span<double> world_probs) {
   const factor::CompiledGraph& graph = world->graph();
   const size_t n = vars.size();
   if (n == 0) return;
+  DD_CHECK_LT(n, 64u);
+  if (!world_probs.empty()) DD_CHECK_EQ(world_probs.size(), uint64_t{1} << n);
   if (n == 1) {
     const double log_odds = detail::ConditionalLogOddsImpl(graph, *world, vars[0], scratch);
-    (*marginals)[vars[0]] = 1.0 / (1.0 + std::exp(-log_odds));
+    const double p = 1.0 / (1.0 + std::exp(-log_odds));
+    (*marginals)[vars[0]] = p;
+    if (!world_probs.empty()) {
+      world_probs[0] = 1.0 - p;
+      world_probs[1] = p;
+    }
     return;
   }
-  DD_CHECK_LT(n, 64u);
   // Bit i of `values` is vars[i]'s current value. `ones[i]` and `z` sum
   // exp(lw - max_lw) over the worlds visited so far with vars[i] = 1 and over
-  // all of them; both are rescaled whenever a world raises max_lw.
+  // all of them; both are rescaled whenever a world raises max_lw. The table,
+  // when asked for, keeps each world's lw until the walk knows the final
+  // max_lw and z.
   uint64_t values = 0;
   for (size_t i = 0; i < n; ++i) {
     if (world->value(vars[i])) values |= uint64_t{1} << i;
@@ -86,6 +95,7 @@ void EnumerateMarginals(World* world, std::span<const VarId> vars,
   double z = 1.0;
   double lw = 0.0;
   double max_lw = 0.0;
+  if (!world_probs.empty()) world_probs[values] = 0.0;
   const uint64_t num_worlds = uint64_t{1} << n;
   for (uint64_t k = 1; k < num_worlds; ++k) {
     // Gray code k ^ (k >> 1) differs from its predecessor in bit ctz(k).
@@ -96,6 +106,7 @@ void EnumerateMarginals(World* world, std::span<const VarId> vars,
     lw += cur ? -log_odds : log_odds;
     world->Flip(v, !cur);
     values ^= uint64_t{1} << i;
+    if (!world_probs.empty()) world_probs[values] = lw;
     if (lw > max_lw) {
       const double scale = std::exp(max_lw - lw);
       z *= scale;
@@ -109,6 +120,7 @@ void EnumerateMarginals(World* world, std::span<const VarId> vars,
   // The walk ends at Gray code 2^(n-1): only the last variable differs.
   world->Flip(vars[n - 1], !world->value(vars[n - 1]));
   for (size_t i = 0; i < n; ++i) (*marginals)[vars[i]] = ones[i] / z;
+  for (double& entry : world_probs) entry = std::exp(entry - max_lw) / z;
 }
 
 }  // namespace deepdive::inference

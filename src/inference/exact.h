@@ -36,8 +36,13 @@ StatusOr<ExactResult> ExactInference(const factor::FactorGraph& graph,
 /// and normalised by their running maximum before exp. A single variable
 /// takes one conditional. `world` ends with the values and statistics it
 /// started with. Uses no RNG.
+///
+/// When `world_probs` is non-empty it must hold 2^n entries, and the same
+/// walk also writes the probability of every assignment of `vars` to it,
+/// indexed by its bit pattern (bit i is vars[i]'s value).
 void EnumerateMarginals(World* world, std::span<const factor::VarId> vars,
-                        GibbsScratch* scratch, std::vector<double>* marginals);
+                        GibbsScratch* scratch, std::vector<double>* marginals,
+                        std::span<double> world_probs = {});
 
 }  // namespace deepdive::inference
 

@@ -42,29 +42,37 @@ double CompiledEvidenceLoss(const CompiledGraph& graph) {
   return count > 0 ? loss / static_cast<double>(count) : 0.0;
 }
 
+/// The gradient step's callback: advances every persistent chain one sweep
+/// and adds that sweep's sufficient-statistic differences for the `trained`
+/// weights into the gradient buffer.
+using AccumulateSweep =
+    std::function<void(const std::vector<WeightId>& trained, std::vector<double>* grad)>;
+
 /// The shared SGD scaffolding (weight reset, per-epoch gradient averaging
-/// + L2 step, learning-rate decay): `accumulate_sweep`
-/// advances every persistent chain one sweep and adds that sweep's
-/// sufficient-statistic differences into the gradient buffer — the only
-/// part that differs between the two-chain and replicated executions.
+/// + L2 step, learning-rate decay): `accumulate_sweep` is the only part that
+/// differs between the two-chain and replicated executions. Only learnable
+/// weights with an active group are trained; one without (all its groups
+/// retracted) has no gradient and is left alone, without L2 decay.
 LearnStats RunEpochs(CompiledGraph* graph, const LearnerOptions& options,
-                     const std::function<void(std::vector<double>*)>& accumulate_sweep) {
+                     const AccumulateSweep& accumulate_sweep) {
   LearnStats stats;
   if (!options.warmstart) {
     for (WeightId w = 0; w < graph->NumWeights(); ++w) {
       if (graph->WeightLearnable(w)) graph->SetWeightValue(w, 0.0);
     }
   }
+  std::vector<WeightId> trained;
+  for (WeightId w = 0; w < graph->NumWeights(); ++w) {
+    if (graph->WeightLearnable(w) && !graph->GroupsForWeight(w).empty()) trained.push_back(w);
+  }
 
-  const size_t num_weights = graph->NumWeights();
-  std::vector<double> grad(num_weights, 0.0);
+  std::vector<double> grad(graph->NumWeights(), 0.0);
   double lr = options.learning_rate;
   for (size_t epoch = 0; epoch < options.epochs; ++epoch) {
     std::fill(grad.begin(), grad.end(), 0.0);
     const size_t sweeps = std::max<size_t>(1, options.sweeps_per_epoch);
-    for (size_t s = 0; s < sweeps; ++s) accumulate_sweep(&grad);
-    for (WeightId w = 0; w < num_weights; ++w) {
-      if (!graph->WeightLearnable(w)) continue;
+    for (size_t s = 0; s < sweeps; ++s) accumulate_sweep(trained, &grad);
+    for (WeightId w : trained) {
       const double g = grad[w] / static_cast<double>(sweeps);
       const double updated =
           graph->WeightValue(w) + lr * (g - options.l2 * graph->WeightValue(w));
@@ -97,7 +105,8 @@ LearnStats LearnTwoChains(CompiledGraph* graph, const LearnerOptions& options) {
   ThreadPool pool(parallel_chains ? 2 : 1);
   Rng free_rng(Rng::MixSeed(options.seed, 1));
 
-  return RunEpochs(graph, options, [&](std::vector<double>* grad) {
+  return RunEpochs(graph, options, [&](const std::vector<WeightId>& trained,
+                                      std::vector<double>* grad) {
     if (parallel_chains) {
       pool.Submit([&] { sampler.Sweep(&clamped, &rng, /*sample_evidence=*/false); });
       pool.Submit([&] { sampler.Sweep(&free, &free_rng, /*sample_evidence=*/true); });
@@ -106,8 +115,7 @@ LearnStats LearnTwoChains(CompiledGraph* graph, const LearnerOptions& options) {
       sampler.Sweep(&clamped, &rng, /*sample_evidence=*/false);
       sampler.Sweep(&free, &rng, /*sample_evidence=*/true);
     }
-    for (WeightId w = 0; w < graph->NumWeights(); ++w) {
-      if (!graph->WeightLearnable(w)) continue;
+    for (WeightId w : trained) {
       (*grad)[w] += clamped.WeightFeature(w) - free.WeightFeature(w);
     }
   });
@@ -141,15 +149,15 @@ LearnStats LearnReplicated(CompiledGraph* graph, const LearnerOptions& options) 
     worlds[c]->InitValues(&init_rng, /*random_init=*/true);
   });
 
-  return RunEpochs(graph, options, [&](std::vector<double>* grad) {
+  return RunEpochs(graph, options, [&](const std::vector<WeightId>& trained,
+                                      std::vector<double>* grad) {
     replicated.ForEachReplica([&](size_t c) {
       replicated.replica(c).Sweep(worlds[c].get(), &rngs[c],
                                   /*sample_evidence=*/(c & 1) != 0);
     });
     // Replica-averaged gradient: the weight vector is the consensus model,
     // synchronized across replicas at every step.
-    for (WeightId w = 0; w < graph->NumWeights(); ++w) {
-      if (!graph->WeightLearnable(w)) continue;
+    for (WeightId w : trained) {
       double clamped_f = 0.0, free_f = 0.0;
       for (size_t r = 0; r < replicas; ++r) {
         clamped_f += worlds[2 * r]->WeightFeature(w);

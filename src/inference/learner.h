@@ -11,6 +11,8 @@ struct LearnerOptions {
   size_t epochs = 60;
   double learning_rate = 0.5;
   double decay = 0.96;        // multiplicative step decay per epoch
+  /// L2 decay of every trained weight: learnable with an active group. A
+  /// weight whose groups were all retracted is not trained and not decayed.
   double l2 = 1e-4;
   /// Sweeps of each chain per gradient estimate. 1 = stochastic (SGD);
   /// larger values average more sweeps per update (gradient-descent style).

@@ -245,29 +245,40 @@ std::vector<BitVector> ParallelGibbsSampler::DrawSamples(
 
 void ParallelGibbsSampler::SampleChain(
     const GibbsOptions& options, size_t count, size_t thin,
-    const std::function<bool(const BitVector&)>& on_sample) const {
+    const std::function<bool(const BitVector&)>& on_sample,
+    const std::vector<VarId>* vars) const {
   const size_t thin_sweeps = std::max<size_t>(1, thin);
   const auto interrupted = [&options] {
     return options.interrupt && options.interrupt();
   };
-  if (num_threads_ <= 1) {
-    // Matches the sequential DrawSamples / the engine's historical
-    // materialization loop exactly: one Rng drives init, burn-in and thinning.
-    GibbsSampler sequential(graph_);
-    World world(graph_);
-    Rng rng(options.seed);
-    world.InitValues(&rng, options.random_init);
+  // Burn-in, then `count` samples `thin` sweeps apart, on either world.
+  const auto run = [&](const auto& world, const auto& sweep) {
     for (size_t i = 0; i < options.burn_in_sweeps; ++i) {
       if (interrupted()) return;
-      sequential.Sweep(&world, &rng, options.sample_evidence);
+      sweep();
     }
     for (size_t s = 0; s < count; ++s) {
       for (size_t t = 0; t < thin_sweeps; ++t) {
         if (interrupted()) return;
-        sequential.Sweep(&world, &rng, options.sample_evidence);
+        sweep();
       }
       if (!on_sample(world.ToBits())) return;
     }
+  };
+  if (num_threads_ <= 1) {
+    // Matches the sequential DrawSamples exactly: one Rng drives init,
+    // burn-in and thinning.
+    GibbsSampler sequential(graph_);
+    World world(graph_);
+    Rng rng(options.seed);
+    world.InitValues(&rng, options.random_init);
+    run(world, [&] {
+      if (vars != nullptr) {
+        sequential.SweepVars(&world, &rng, *vars);
+      } else {
+        sequential.Sweep(&world, &rng, options.sample_evidence);
+      }
+    });
     return;
   }
 
@@ -275,17 +286,13 @@ void ParallelGibbsSampler::SampleChain(
   Rng init_rng(options.seed);
   world.InitValues(&init_rng, options.random_init);
   std::vector<Rng> rngs = MakeRngStreams(options.seed);
-  for (size_t i = 0; i < options.burn_in_sweeps; ++i) {
-    if (interrupted()) return;
-    Sweep(&world, &rngs, options.sample_evidence);
-  }
-  for (size_t s = 0; s < count; ++s) {
-    for (size_t t = 0; t < thin_sweeps; ++t) {
-      if (interrupted()) return;
+  run(world, [&] {
+    if (vars != nullptr) {
+      SweepVars(&world, &rngs, *vars);
+    } else {
       Sweep(&world, &rngs, options.sample_evidence);
     }
-    if (!on_sample(world.ToBits())) return;
-  }
+  });
 }
 
 }  // namespace deepdive::inference

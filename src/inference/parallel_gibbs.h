@@ -122,9 +122,12 @@ class ParallelGibbsSampler {
   /// Materialization loop: after burn-in, emits up to `count` samples `thin`
   /// sweeps apart to `on_sample`; stops early when the callback returns
   /// false (time budgets). Sequentially identical to the single-threaded
-  /// draw loop when num_threads == 1.
+  /// draw loop when num_threads == 1. When `vars` is given, every sweep is
+  /// SweepVars over it and the other variables keep their initial values;
+  /// null sweeps the whole graph.
   void SampleChain(const GibbsOptions& options, size_t count, size_t thin,
-                   const std::function<bool(const BitVector&)>& on_sample) const;
+                   const std::function<bool(const BitVector&)>& on_sample,
+                   const std::vector<factor::VarId>* vars = nullptr) const;
 
   /// One Hogwild sweep over all sampleable variables. `rngs` must hold at
   /// least num_threads() streams (see MakeRngStreams). Returns total flips.

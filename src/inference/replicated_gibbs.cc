@@ -56,7 +56,8 @@ std::vector<ReplicatedGibbsSampler::ReplicaChain> ReplicatedGibbsSampler::InitCh
 void ReplicatedGibbsSampler::RunBlock(std::vector<ReplicaChain>* chains,
                                       size_t sweep_start, size_t count, size_t burn_in,
                                       const GibbsOptions& options,
-                                      bool poll_interrupt) const {
+                                      bool poll_interrupt,
+                                      const std::vector<VarId>* vars) const {
   const size_t n = graph_->NumVariables();
   ForEachReplica([&](size_t r) {
     ReplicaChain& c = (*chains)[r];
@@ -66,7 +67,9 @@ void ReplicatedGibbsSampler::RunBlock(std::vector<ReplicaChain>* chains,
         c.interrupted = true;
         return;
       }
-      c.flips += replicas_[r]->Sweep(world, &c.rngs, options.sample_evidence);
+      c.flips += vars != nullptr
+                     ? replicas_[r]->SweepVars(world, &c.rngs, *vars)
+                     : replicas_[r]->Sweep(world, &c.rngs, options.sample_evidence);
       if (c.counts.empty() || sweep_start + i < burn_in) continue;
       uint32_t* counts = c.counts.data();
       if (threads_per_replica_ > 1) {
@@ -191,9 +194,10 @@ std::vector<BitVector> ReplicatedGibbsSampler::DrawSamples(
 
 void ReplicatedGibbsSampler::SampleChain(
     const GibbsOptions& options, size_t count, size_t thin,
-    const std::function<bool(const BitVector&)>& on_sample) const {
+    const std::function<bool(const BitVector&)>& on_sample,
+    const std::vector<VarId>* vars) const {
   if (replicas_.size() == 1) {
-    replicas_[0]->SampleChain(options, count, thin, on_sample);
+    replicas_[0]->SampleChain(options, count, thin, on_sample, vars);
     return;
   }
 
@@ -207,7 +211,7 @@ void ReplicatedGibbsSampler::SampleChain(
     size_t block = options.burn_in_sweeps - done;
     if (sync > 0) block = std::min(block, sync - (done - last_sync));
     RunBlock(&chains, done, block, /*burn_in=*/0, options,
-             /*poll_interrupt=*/true);
+             /*poll_interrupt=*/true, vars);
     if (AnyInterrupted(chains)) return;
     done += block;
     if (sync > 0 && done - last_sync >= sync) {
@@ -227,7 +231,7 @@ void ReplicatedGibbsSampler::SampleChain(
   size_t emitted = 0;
   while (emitted < count) {
     RunBlock(&chains, done, thin_sweeps, /*burn_in=*/0, options,
-             /*poll_interrupt=*/true);
+             /*poll_interrupt=*/true, vars);
     if (AnyInterrupted(chains)) return;
     done += thin_sweeps;
     for (size_t r = 0; r < chains.size() && emitted < count; ++r) {

@@ -83,9 +83,11 @@ class ReplicatedGibbsSampler {
   /// Materialization loop over the replica chains; semantics of the emitted
   /// stream as DrawSamples. Honors options.interrupt between sweeps (polled
   /// from replica workers — the hook must be thread-safe) and stops early
-  /// when `on_sample` returns false.
+  /// when `on_sample` returns false. When `vars` is given, every chain sweeps
+  /// only those variables (see ParallelGibbsSampler::SampleChain).
   void SampleChain(const GibbsOptions& options, size_t count, size_t thin,
-                   const std::function<bool(const BitVector&)>& on_sample) const;
+                   const std::function<bool(const BitVector&)>& on_sample,
+                   const std::vector<factor::VarId>* vars = nullptr) const;
 
   /// Seed for a replica/chain-private auxiliary stream (world init, consensus
   /// re-seeding), decorrelated from every (seed, replica, worker) sweep
@@ -117,13 +119,15 @@ class ReplicatedGibbsSampler {
   std::vector<ReplicaChain> InitChains(const GibbsOptions& options,
                                        bool with_counts) const;
 
-  /// Advances every replica by `count` sweeps concurrently. Sweeps whose
-  /// global index reaches `burn_in` accumulate indicator counts (when the
-  /// chains carry accumulators). `poll_interrupt` makes replica workers poll
+  /// Advances every replica by `count` sweeps concurrently, over `vars` when
+  /// given and the whole graph otherwise. Sweeps whose global index reaches
+  /// `burn_in` accumulate indicator counts (when the chains carry
+  /// accumulators). `poll_interrupt` makes replica workers poll
   /// options.interrupt between sweeps (SampleChain semantics).
   void RunBlock(std::vector<ReplicaChain>* chains, size_t sweep_start,
                 size_t count, size_t burn_in, const GibbsOptions& options,
-                bool poll_interrupt) const;
+                bool poll_interrupt,
+                const std::vector<factor::VarId>* vars = nullptr) const;
 
   /// Model averaging: computes the consensus per-variable marginal estimate
   /// (from accumulated counts when `samples_taken > 0`, else from the

@@ -21,13 +21,10 @@ class BitVector {
     return (words_[i >> 6] >> (i & 63)) & 1u;
   }
 
+  /// Branch-free: sampled bits are unpredictable.
   void Set(size_t i, bool value) {
     const uint64_t mask = uint64_t{1} << (i & 63);
-    if (value) {
-      words_[i >> 6] |= mask;
-    } else {
-      words_[i >> 6] &= ~mask;
-    }
+    words_[i >> 6] = (words_[i >> 6] & ~mask) | (-static_cast<uint64_t>(value) & mask);
   }
 
   /// Resizes, preserving existing bits; new bits are `value`.

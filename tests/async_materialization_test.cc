@@ -21,21 +21,28 @@ using factor::FactorGraph;
 using factor::GraphDelta;
 using factor::VarId;
 
-FactorGraph TwoComponentGraph(uint64_t seed) {
-  // Two disconnected 4-variable chains (same workload as the engine suite).
+FactorGraph TwoComponentGraph(uint64_t seed, size_t chains = 2, size_t length = 4) {
+  // Disconnected chains, two of 4 variables unless `chains` and `length` say
+  // otherwise (same workload as the engine suite).
   FactorGraph g;
   Rng rng(seed);
-  g.AddVariables(8);
-  for (VarId base : {VarId{0}, VarId{4}}) {
-    for (VarId i = 0; i < 3; ++i) {
+  g.AddVariables(length * chains);
+  for (VarId base = 0; base < length * chains; base += length) {
+    for (VarId i = 0; i + 1 < length; ++i) {
       g.AddSimpleFactor(base + i, {{static_cast<VarId>(base + i + 1), false}},
                         g.AddWeight(rng.Uniform(-0.8, 0.8), false));
     }
   }
-  for (VarId v = 0; v < 8; ++v) {
+  for (VarId v = 0; v < length * chains; ++v) {
     g.AddSimpleFactor(v, {}, g.AddWeight(rng.Uniform(-0.3, 0.3), false));
   }
   return g;
+}
+
+FactorGraph LongChainGraph(uint64_t seed) {
+  // One chain above the exact-draw cut-off, so its samples need the Gibbs
+  // chain and its burn-in.
+  return TwoComponentGraph(seed, 1, kMaxExactComponentVars + 4);
 }
 
 MaterializationOptions TestMaterialization() {
@@ -390,7 +397,7 @@ TEST(AsyncMaterializationTest, BudgetStarvedBuildDoesNotClobberSavedStore) {
   // A build whose time budget expires during burn-in collects zero samples;
   // it must not truncate a previously saved good store.
   const std::string path = ::testing::TempDir() + "/starved_save_store.bin";
-  FactorGraph g = TwoComponentGraph(34);
+  FactorGraph g = LongChainGraph(34);
   {
     IncrementalEngine engine(&g);
     MaterializationOptions good = TestMaterialization();
@@ -452,8 +459,9 @@ TEST(AsyncMaterializationTest, SwapUnderConcurrentUpdatesWithReplicatedBuild) {
   deepdive::serving_thread.AssertHeld();
   // The no-gates race again, with the background build running the
   // replicated sampler (its replica pool + per-replica Hogwild pools) while
-  // the serving thread applies updates. Primarily a TSan target.
-  FactorGraph g = TwoComponentGraph(35);
+  // the serving thread applies updates. Primarily a TSan target. The graph's
+  // one component is above the exact-draw cut-off, so the chain runs.
+  FactorGraph g = LongChainGraph(35);
   IncrementalEngine engine(&g);
   MaterializationOptions mopts = TestMaterialization();
   mopts.num_replicas = 2;

@@ -15,21 +15,28 @@ using factor::GraphDelta;
 using factor::VarId;
 using factor::WeightId;
 
-FactorGraph TwoComponentGraph(uint64_t seed, size_t chains = 2) {
-  // Disconnected 4-variable chains, two unless `chains` says otherwise.
+FactorGraph TwoComponentGraph(uint64_t seed, size_t chains = 2, size_t length = 4) {
+  // Disconnected chains, two of 4 variables unless `chains` and `length` say
+  // otherwise.
   FactorGraph g;
   Rng rng(seed);
-  g.AddVariables(4 * chains);
-  for (VarId base = 0; base < 4 * chains; base += 4) {
-    for (VarId i = 0; i < 3; ++i) {
+  g.AddVariables(length * chains);
+  for (VarId base = 0; base < length * chains; base += length) {
+    for (VarId i = 0; i + 1 < length; ++i) {
       g.AddSimpleFactor(base + i, {{static_cast<VarId>(base + i + 1), false}},
                         g.AddWeight(rng.Uniform(-0.8, 0.8), false));
     }
   }
-  for (VarId v = 0; v < 4 * chains; ++v) {
+  for (VarId v = 0; v < length * chains; ++v) {
     g.AddSimpleFactor(v, {}, g.AddWeight(rng.Uniform(-0.3, 0.3), false));
   }
   return g;
+}
+
+FactorGraph LongChainGraph(uint64_t seed) {
+  // One chain above the exact-draw cut-off, so its samples need the Gibbs
+  // chain and its burn-in.
+  return TwoComponentGraph(seed, 1, kMaxExactComponentVars + 4);
 }
 
 MaterializationOptions TestMaterialization() {
@@ -295,7 +302,7 @@ TEST(IncrementalEngineTest, TimeBudgetEnforcedDuringBurnIn) {
   // Regression: the budget used to be checked only between sample callbacks,
   // so a long burn-in could blow it before the first sample landed. A
   // burn-in this size takes minutes unchecked — the budget must cut it off.
-  FactorGraph g = TwoComponentGraph(10);
+  FactorGraph g = LongChainGraph(10);
   IncrementalEngine engine(&g);
   MaterializationOptions mopts = TestMaterialization();
   mopts.gibbs_burn_in = 2000000000;
@@ -304,6 +311,29 @@ TEST(IncrementalEngineTest, TimeBudgetEnforcedDuringBurnIn) {
   ASSERT_TRUE(engine.Materialize(mopts).ok());
   EXPECT_EQ(engine.snapshot()->stats.samples_collected, 0u);
   EXPECT_LT(engine.snapshot()->stats.seconds, 5.0);
+}
+
+TEST(IncrementalEngineTest, TimeBudgetStopsExactDraws) {
+  deepdive::serving_thread.AssertHeld();
+  // Every component is drawn exactly (no chain, no burn-in); the budget is
+  // polled between samples, and the enumerated marginals stay exact.
+  FactorGraph g = TwoComponentGraph(10);
+  IncrementalEngine engine(&g);
+  MaterializationOptions mopts = TestMaterialization();
+  mopts.num_samples = 1000000000;
+  mopts.time_budget_seconds = 0.02;
+  ASSERT_TRUE(engine.Materialize(mopts).ok());
+  const auto snapshot = engine.snapshot();
+  EXPECT_EQ(snapshot->stats.exact_vars, g.NumVariables());
+  EXPECT_EQ(snapshot->stats.chain_vars, 0u);
+  EXPECT_GT(snapshot->stats.samples_collected, 0u);
+  EXPECT_LT(snapshot->stats.samples_collected, 1000000000u);
+  EXPECT_LT(snapshot->stats.seconds, 5.0);
+  auto exact = inference::ExactInference(g);
+  ASSERT_TRUE(exact.ok());
+  for (VarId v = 0; v < g.NumVariables(); ++v) {
+    EXPECT_NEAR(snapshot->materialized_marginals[v], exact->marginals[v], 1e-12);
+  }
 }
 
 TEST(IncrementalEngineTest, ComponentCacheTracksNewVariables) {
