@@ -430,7 +430,8 @@ StatusOr<incremental::UpdateReport> DeepDive::RetractRule(
       inc_engine_->update_seq() == ticket->engine_seq_after) {
     // Weights the rule appended stay in the (append-only) graph but their
     // groups are deactivated; every pre-existing weight reverts exactly. The
-    // delta records the reverts for an engine that cannot simply rewind.
+    // delta records the reverts, which cancel the add's learning in the
+    // engine's cumulative delta.
     for (WeightId w = 0; w < ticket->num_weights_before; ++w) {
       const double learned = ground_.graph.WeightValue(w);
       const double before = ticket->weights_before[w];

@@ -15,6 +15,12 @@ namespace deepdive::factor {
 /// shared — new groups/variables are already appended and removed groups
 /// deactivated; this record says *what* changed so strategies can evaluate
 /// the log-density ratio touching only the delta.
+///
+/// Merged over a window (the engine's cumulative delta), it is a net diff
+/// against the window's start: each changed weight and each changed
+/// evidence variable has one entry, sorted by id, holding its value at the
+/// start and its current value; a group or clause added and then removed
+/// within the window leaves no trace.
 struct GraphDelta {
   std::vector<VarId> new_variables;
   std::vector<GroupId> new_groups;
@@ -61,35 +67,28 @@ struct GraphDelta {
 
   bool evidence_changed() const { return !evidence_changes.empty(); }
 
+  /// Folds a later delta into this one. Group lists append, and a group or
+  /// clause the later delta removes cancels its addition here. Weight and
+  /// evidence changes merge by id: an entry keeps its first `old_value` and
+  /// takes the last `new_value`, and is dropped once the two are equal.
+  /// `other`'s changes may come in any id order, an id repeated in the order
+  /// the changes happened.
   void Merge(const GraphDelta& other);
-
-  /// Entry counts of every list. Merging a delta that neither removes nor
-  /// modifies a group only appends, so Truncate(extent()) taken before such
-  /// merges undoes them, entry for entry.
-  struct Extent {
-    size_t new_variables = 0;
-    size_t new_groups = 0;
-    size_t removed_groups = 0;
-    size_t modified_groups = 0;
-    size_t weight_changes = 0;
-    size_t evidence_changes = 0;
-  };
-  Extent extent() const {
-    return {new_variables.size(),  new_groups.size(),
-            removed_groups.size(), modified_groups.size(),
-            weight_changes.size(), evidence_changes.size()};
-  }
-  void Truncate(const Extent& extent);
 };
 
-/// log Pr(Δ)[I] - log Pr(0)[I] up to the (constant) partition functions:
-/// the sum of delta-group weights, removed-group weights (negated), and
-/// weight-change effects, evaluated on the world `value_of`. Touches only
-/// factors in the delta — this is what makes the sampling approach's
+/// log Pr(Δ)[I] - log Pr(0)[I] up to the (constant) partition functions,
+/// for a world `value_of` of Pr(0)'s support, where `delta` is a net diff
+/// against Pr(0) (see GraphDelta) and `graph` is in its Pr(Δ) state. Each
+/// group the delta touches contributes
+///     sign(head) * (w_now * g(n_Δ) * [g in Pr(Δ)] - w_0 * g(n_0) * [g in Pr(0)]),
+/// where w_0 is its weight's `old_value` when the weight has an entry and
+/// n_0 counts its clauses as Pr(0) had them. Touches only factors in the
+/// delta and allocates nothing, which is what makes the sampling approach's
 /// Metropolis-Hastings acceptance test cheap (Section 3.2.2).
 ///
-/// If the world violates a *new* evidence assignment, returns -infinity
-/// (the world has zero probability under Pr(Δ)).
+/// Returns -infinity when the world violates a label the delta sets (the
+/// world has zero probability under Pr(Δ)); a cleared label constrains
+/// nothing.
 double DeltaLogDensityRatio(const FactorGraph& graph, const GraphDelta& delta,
                             const std::function<bool(VarId)>& value_of);
 

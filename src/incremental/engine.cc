@@ -20,6 +20,19 @@ using factor::GraphDelta;
 using factor::GroupId;
 using factor::VarId;
 
+namespace {
+
+/// Drops the entries of weights at or past `num_weights`, which Pr(0) did
+/// not have: the groups on them are all new groups, and the net diff keeps
+/// one entry per weight Pr(0) had.
+void DropNewWeights(GraphDelta* delta, size_t num_weights) {
+  std::erase_if(delta->weight_changes, [num_weights](const GraphDelta::WeightChange& c) {
+    return c.weight >= num_weights;
+  });
+}
+
+}  // namespace
+
 IncrementalEngine::IncrementalEngine(factor::FactorGraph* graph)
     : graph_(graph), snapshot_(std::make_shared<MaterializationSnapshot>()) {
   // The constructing thread is the serving thread: it owns every
@@ -173,6 +186,7 @@ void IncrementalEngine::InstallSnapshot(
   // Rebase: deltas that arrived while the build ran are not covered by the
   // new snapshot and must survive the swap; everything older is absorbed.
   cumulative_ = std::move(since_build_);
+  DropNewWeights(&cumulative_, snapshot_->num_weights);
   since_build_ = GraphDelta{};
   updates_since_snapshot_ = since_build_updates_;
   since_build_updates_ = 0;
@@ -255,12 +269,7 @@ std::vector<bool> IncrementalEngine::TouchedVars(const GraphDelta& delta) const 
   for (GroupId g : delta.new_groups) touch_group(g);
   for (GroupId g : delta.removed_groups) touch_group(g);
   for (const GraphDelta::GroupMod& mod : delta.modified_groups) touch_group(mod.group);
-  // A cumulative delta repeats a weight once per update that moved it; its
-  // groups need walking once.
-  std::vector<bool> weight_seen(graph_->NumWeights(), false);
   for (const GraphDelta::WeightChange& wc : delta.weight_changes) {
-    if (weight_seen[wc.weight]) continue;
-    weight_seen[wc.weight] = true;
     for (GroupId g : graph_->GroupsForWeight(wc.weight)) touch_group(g);
   }
   for (const GraphDelta::EvidenceChange& ec : delta.evidence_changes) {
@@ -304,14 +313,16 @@ std::vector<VarId> IncrementalEngine::AffectedVars(const GraphDelta& delta,
   return out;
 }
 
-StatusOr<UpdateOutcome> IncrementalEngine::ApplyDelta(const GraphDelta& delta,
-                                                      const EngineOptions& options) {
+StatusOr<UpdateOutcome> IncrementalEngine::ApplyDelta(
+    const GraphDelta& delta, const EngineOptions& options,
+    const std::vector<double>* restore_marginals) {
   Timer timer;
   // Swap in a finished background snapshot before serving; while a build is
   // still running we serve from the previous snapshot and record the delta
   // for the post-swap rebase.
   const bool mid_build = MaybeInstallPending();
   cumulative_.Merge(delta);
+  DropNewWeights(&cumulative_, snapshot_->num_weights);
   if (mid_build) {
     since_build_.Merge(delta);
     ++since_build_updates_;
@@ -324,7 +335,7 @@ StatusOr<UpdateOutcome> IncrementalEngine::ApplyDelta(const GraphDelta& delta,
   if (!delta.empty()) compiled_kernel_.reset();
   marginals_.resize(graph_->NumVariables(), 0.5);
 
-  StatusOr<UpdateOutcome> result = ExecuteUpdate(delta, options);
+  StatusOr<UpdateOutcome> result = ExecuteUpdate(delta, options, restore_marginals);
   if (!result.ok()) return result;
   result->snapshot_generation = snapshot_->generation;
   result->served_during_remat = mid_build;
@@ -343,16 +354,7 @@ StatusOr<UpdateOutcome> IncrementalEngine::AddRule(const GraphDelta& delta,
   // see the new program so a pre-rule build is discarded, not installed.
   ++rule_set_version_;
   compiled_kernel_.reset();
-  // A rule's groups are all new, so merging its delta only appends to the
-  // cumulative delta: an exact-restore retraction can rewind to here.
-  DD_CHECK(delta.removed_groups.empty() && delta.modified_groups.empty());
-  const uint64_t generation = generation_;
-  const GraphDelta::Extent extent = cumulative_.extent();
-  StatusOr<UpdateOutcome> outcome = ApplyDelta(delta, options);
-  if (outcome.ok()) {
-    rule_add_mark_ = RuleAddMark{update_seq_, generation, extent};
-  }
-  return outcome;
+  return ApplyDelta(delta, options);
 }
 
 StatusOr<UpdateOutcome> IncrementalEngine::RetractRule(
@@ -360,44 +362,7 @@ StatusOr<UpdateOutcome> IncrementalEngine::RetractRule(
     const std::vector<double>* restore_marginals) {
   ++rule_set_version_;
   compiled_kernel_.reset();
-  if (restore_marginals == nullptr) return ApplyDelta(delta, options);
-  // Exact restore: same entry bookkeeping as ApplyDelta, but the caller
-  // proved (rule journal: no update intervened since the matching AddRule)
-  // that the pre-add marginals are the exact posterior of the restored
-  // graph, so inference is skipped and they are adopted verbatim.
-  Timer timer;
-  const bool mid_build = MaybeInstallPending();
-  // The restored state is the one before the matching AddRule. While no
-  // update or snapshot install has followed that add, the cumulative delta
-  // goes back to where it stood then, dropping the add's entries (the weight
-  // changes its learning merged included) rather than logging their undoing.
-  if (rule_add_mark_.has_value() &&
-      rule_add_mark_->update_seq == update_seq_ &&
-      rule_add_mark_->generation == generation_) {
-    cumulative_.Truncate(rule_add_mark_->extent);
-  } else {
-    cumulative_.Merge(delta);
-  }
-  if (mid_build) {
-    since_build_.Merge(delta);
-    ++since_build_updates_;
-  }
-  ++update_seq_;
-  ++updates_since_snapshot_;
-  if (delta.structure_changed()) components_valid_ = false;
-  UpdateOutcome outcome;
-  outcome.marginals = *restore_marginals;
-  outcome.marginals.resize(graph_->NumVariables(), 0.5);
-  outcome.strategy = Strategy::kSampling;
-  outcome.reason = "rule retracted; exact restore from journal";
-  outcome.acceptance_rate = 1.0;
-  outcome.affected_vars = 0;
-  outcome.snapshot_generation = snapshot_->generation;
-  outcome.served_during_remat = mid_build;
-  marginals_ = outcome.marginals;
-  MaybeScheduleRemat(outcome);
-  outcome.seconds = timer.Seconds();
-  return outcome;
+  return ApplyDelta(delta, options, restore_marginals);
 }
 
 const factor::CompiledGraph* IncrementalEngine::CompiledKernel() {
@@ -409,18 +374,27 @@ const factor::CompiledGraph* IncrementalEngine::CompiledKernel() {
 }
 
 StatusOr<UpdateOutcome> IncrementalEngine::ExecuteUpdate(
-    const GraphDelta& delta, const EngineOptions& options) {
-  if (cumulative_.empty() && snapshot_->generation > 0 &&
-      (!options.forced_strategy.has_value() ||
-       *options.forced_strategy == Strategy::kSampling)) {
-    // Analysis-only workload (rule A1): the distribution equals the
-    // materialized one, so its marginals are the exact answer — the 100%-
-    // acceptance case where the sampling approach needs no computation.
+    const GraphDelta& delta, const EngineOptions& options,
+    const std::vector<double>* restore_marginals) {
+  // An exact restore: the caller proved (rule journal: no update intervened
+  // since the matching AddRule) that the pre-add marginals are the exact
+  // posterior of the restored graph, so they are adopted verbatim. Or an
+  // analysis-only workload (rule A1): the distribution equals the
+  // materialized one, so its marginals are the exact answer — the 100%-
+  // acceptance case where the sampling approach needs no computation.
+  const bool unchanged = cumulative_.empty() && snapshot_->generation > 0 &&
+                         (!options.forced_strategy.has_value() ||
+                          *options.forced_strategy == Strategy::kSampling);
+  if (restore_marginals != nullptr || unchanged) {
     UpdateOutcome outcome;
-    outcome.marginals = snapshot_->materialized_marginals;
+    outcome.marginals = restore_marginals != nullptr
+                            ? *restore_marginals
+                            : snapshot_->materialized_marginals;
     outcome.marginals.resize(graph_->NumVariables(), 0.5);
     outcome.strategy = Strategy::kSampling;
-    outcome.reason = "no change; materialized marginals";
+    outcome.reason = restore_marginals != nullptr
+                         ? "rule retracted; exact restore from journal"
+                         : "no change; materialized marginals";
     outcome.acceptance_rate = 1.0;
     return outcome;
   }
@@ -443,8 +417,8 @@ StatusOr<UpdateOutcome> IncrementalEngine::ExecuteUpdate(
   }
 
   UpdateOutcome outcome;
-  if (!options.forced_strategy.has_value() && options.per_group_strategy &&
-      options.decomposition_enabled && decision.strategy != Strategy::kRerun) {
+  if (!options.forced_strategy.has_value() && options.decomposition_enabled &&
+      decision.strategy != Strategy::kRerun) {
     DD_ASSIGN_OR_RETURN(outcome, RunPerGroup(options, affected));
     outcome.affected_vars = affected.size();
     return outcome;
@@ -457,15 +431,6 @@ StatusOr<UpdateOutcome> IncrementalEngine::ExecuteUpdate(
     case Strategy::kVariational:
       outcome = RunVariational(options, affected);
       break;
-    case Strategy::kStrawman: {
-      if (!snapshot_->strawman.has_value()) {
-        return Status::FailedPrecondition("strawman was not materialized");
-      }
-      auto marginals = snapshot_->strawman->InferUpdated(*graph_, cumulative_);
-      if (!marginals.ok()) return marginals.status();
-      outcome.marginals = std::move(marginals).value();
-      break;
-    }
     case Strategy::kRerun:
       outcome = RunRerun(options);
       break;

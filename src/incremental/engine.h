@@ -14,7 +14,6 @@
 #include "incremental/optimizer.h"
 #include "incremental/sample_store.h"
 #include "incremental/snapshot.h"
-#include "incremental/strawman.h"
 #include "incremental/variational.h"
 #include "inference/gibbs.h"
 #include "util/mutex.h"
@@ -31,13 +30,6 @@ struct EngineOptions {
   /// Confine re-inference to graph components touched by the delta
   /// (Appendix B.1). Disable to reproduce the NoDecomposition lesion.
   bool decomposition_enabled = true;
-  /// Choose the strategy *per affected component* from what the delta does
-  /// there (Section 3.3 / Figure 11: "different materialization strategies
-  /// for different groups of variables"): components whose local delta
-  /// modifies evidence go to the variational approach, the rest ride the
-  /// sampling chain. Disable to classify once per update (the
-  /// NoWorkloadInfo-adjacent behavior).
-  bool per_group_strategy = true;
   size_t mh_target_steps = 1000;
   /// Gibbs budget for the (warm-started, component-confined) variational path.
   inference::GibbsOptions gibbs;
@@ -59,7 +51,7 @@ struct UpdateOutcome {
   size_t exact_vars = 0;
   size_t sampled_vars = 0;
   bool fell_back_to_variational = false;
-  /// Per-group execution accounting (per_group_strategy mode).
+  /// Per-group execution accounting (see ExecuteUpdate).
   size_t sampling_vars = 0;
   size_t variational_vars = 0;
   /// Generation of the snapshot this update was served from.
@@ -72,10 +64,23 @@ struct UpdateOutcome {
 /// Orchestrates incremental inference (Section 3.3): materializes *both* the
 /// sampling and the variational approaches up front, then, per update,
 /// classifies the delta with the rule-based optimizer and executes the
-/// chosen strategy, confined to the affected graph components. Successive
-/// updates accumulate into one delta against the materialized distribution,
-/// so the sampling approach's acceptance rate decays naturally as the
-/// distribution drifts — exactly the dynamics the optimizer arbitrates.
+/// chosen strategy per affected graph component ("different materialization
+/// strategies for different groups of variables"): components whose delta
+/// changes evidence or adds fixed-weight structure go variational, the rest
+/// ride the sampling chain. Successive updates accumulate into one delta
+/// against the materialized distribution, so the sampling approach's
+/// acceptance rate decays naturally as the distribution drifts — exactly
+/// the dynamics the optimizer arbitrates.
+///
+/// The cumulative delta is a net diff against Pr(0) (see GraphDelta): the
+/// groups added since and still active, the Pr(0) groups removed, each
+/// modified group's net clause changes, one entry per Pr(0) weight whose
+/// value differs now (its Pr(0) and current values), and one per variable
+/// whose label differs. Entries for weights Pr(0) did not have are dropped:
+/// every group on such a weight is a new group, scored at its current value.
+/// Its size is bounded by what differs, however many updates moved it, and
+/// an update that undoes another leaves no entry: an exact-restore
+/// RetractRule merges like any update and needs no rewind.
 ///
 /// Materialization lifecycle: all approximation state lives in an immutable-
 /// build MaterializationSnapshot. Materialize builds one inline;
@@ -140,9 +145,12 @@ class IncrementalEngine {
   }
 
   /// Applies one update's delta (already applied to the graph structure) and
-  /// refreshes marginals.
-  StatusOr<UpdateOutcome> ApplyDelta(const factor::GraphDelta& delta,
-                                     const EngineOptions& options)
+  /// refreshes marginals. `restore_marginals`, when non-null, are adopted as
+  /// the update's marginals instead of running inference (RetractRule's
+  /// exact restore).
+  StatusOr<UpdateOutcome> ApplyDelta(
+      const factor::GraphDelta& delta, const EngineOptions& options,
+      const std::vector<double>* restore_marginals = nullptr)
       REQUIRES(serving_thread);
 
   /// First-class *rule* deltas (online program evolution). The caller has
@@ -155,8 +163,7 @@ class IncrementalEngine {
   /// a blocking wait on a background materialization: a build in flight
   /// keeps running, and its result is discarded at install time because its
   /// rule_set_version no longer matches (see
-  /// MaterializationSnapshot::rule_set_version). An add's delta only adds:
-  /// it removes and modifies no group.
+  /// MaterializationSnapshot::rule_set_version).
   StatusOr<UpdateOutcome> AddRule(const factor::GraphDelta& delta,
                                   const EngineOptions& options)
       REQUIRES(serving_thread);
@@ -165,10 +172,11 @@ class IncrementalEngine {
   /// caller proved (via its rule journal) that no update intervened since
   /// the matching AddRule, so the pre-add marginals are the exact posterior
   /// of the restored graph and are adopted verbatim — the bit-identical
-  /// round-trip guarantee. The cumulative delta then returns, entry for
-  /// entry, to its contents before that AddRule, unless a snapshot install
-  /// came between the two; then `delta` is merged, so it must also undo the
-  /// weights the caller restored.
+  /// round-trip guarantee. `delta` must then also undo the weights the caller
+  /// restored. It merges like any other update, and needs no rewind: the
+  /// removals cancel the add's groups, and the weight reverts bring each net
+  /// entry back to its pre-add value, so unless the add minted variables the
+  /// cumulative delta equals its contents before that AddRule.
   StatusOr<UpdateOutcome> RetractRule(
       const factor::GraphDelta& delta, const EngineOptions& options,
       const std::vector<double>* restore_marginals = nullptr)
@@ -224,7 +232,8 @@ class IncrementalEngine {
   /// the entry bookkeeping). Factored out so ApplyDelta can evaluate remat
   /// triggers on every successful path.
   StatusOr<UpdateOutcome> ExecuteUpdate(const factor::GraphDelta& delta,
-                                        const EngineOptions& options)
+                                        const EngineOptions& options,
+                                        const std::vector<double>* restore_marginals)
       REQUIRES(serving_thread);
 
   StatusOr<UpdateOutcome> RunSampling(const EngineOptions& options,
@@ -244,7 +253,7 @@ class IncrementalEngine {
 
   /// Installs a finished snapshot as the serving one and rebases the
   /// cumulative delta onto it (cumulative := deltas since the build's graph
-  /// copy). Serving thread only.
+  /// copy, less the weights the snapshot did not have). Serving thread only.
   void InstallSnapshot(std::shared_ptr<MaterializationSnapshot> snapshot)
       REQUIRES(serving_thread);
 
@@ -283,19 +292,11 @@ class IncrementalEngine {
   /// Null = invalidated; reset by any delta that mutates the graph.
   std::unique_ptr<const factor::CompiledGraph> compiled_kernel_
       GUARDED_BY(serving_thread);
-  /// The cumulative delta's extent before the last AddRule, with the update
-  /// sequence that add ended at and the snapshot generation it started from.
-  /// An exact-restore RetractRule rewinds to it while both still hold.
-  struct RuleAddMark {
-    uint64_t update_seq = 0;
-    uint64_t generation = 0;
-    factor::GraphDelta::Extent extent;
-  };
-  std::optional<RuleAddMark> rule_add_mark_ GUARDED_BY(serving_thread);
   /// Updates served from the current snapshot (remat trigger input).
   uint64_t updates_since_snapshot_ GUARDED_BY(serving_thread) = 0;
   /// Deltas merged while the current background build runs; becomes the new
-  /// cumulative delta at swap time.
+  /// cumulative delta at swap time. Its weight entries are filtered then,
+  /// against the new snapshot's weight count.
   factor::GraphDelta since_build_ GUARDED_BY(serving_thread);
   uint64_t since_build_updates_ GUARDED_BY(serving_thread) = 0;
   /// Options of the last materialization request; drives self-scheduled

@@ -8,8 +8,6 @@ const char* StrategyName(Strategy strategy) {
       return "sampling";
     case Strategy::kVariational:
       return "variational";
-    case Strategy::kStrawman:
-      return "strawman";
     case Strategy::kRerun:
       return "rerun";
   }

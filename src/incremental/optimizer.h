@@ -10,7 +10,6 @@ namespace deepdive::incremental {
 enum class Strategy {
   kSampling,
   kVariational,
-  kStrawman,   // only viable on tiny graphs; never auto-chosen
   kRerun,      // full Gibbs from scratch (the baseline executor)
 };
 

@@ -77,6 +77,7 @@ StatusOr<std::shared_ptr<MaterializationSnapshot>> BuildMaterializationSnapshot(
   auto snapshot = std::make_shared<MaterializationSnapshot>();
   MaterializationSnapshot& snap = *snapshot;
   snap.graph_width = graph.NumVariables();
+  snap.num_weights = graph.NumWeights();
   snap.materialized_marginals.assign(graph.NumVariables(), 0.5);
 
   const auto cancelled = [cancel] {
@@ -209,15 +210,6 @@ StatusOr<std::shared_ptr<MaterializationSnapshot>> BuildMaterializationSnapshot(
                     << vmat.status().ToString();
   }
   if (cancelled()) return Status::FailedPrecondition("materialization cancelled");
-
-  // Optional strawman (tiny graphs only).
-  if (options.materialize_strawman) {
-    auto sm = StrawmanMaterialization::Materialize(graph);
-    if (sm.ok()) {
-      snap.strawman = std::move(sm).value();
-      snap.stats.strawman_built = true;
-    }
-  }
 
   if (!options.save_sample_store.empty() && !snap.stats.store_loaded) {
     // (A loaded store is skipped outright: rewriting byte-identical content

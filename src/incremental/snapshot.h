@@ -11,7 +11,6 @@
 
 #include "factor/factor_graph.h"
 #include "incremental/sample_store.h"
-#include "incremental/strawman.h"
 #include "incremental/variational.h"
 #include "util/status.h"
 
@@ -25,8 +24,6 @@ struct MaterializationOptions {
   size_t gibbs_burn_in = 50;
   size_t gibbs_thin = 1;
   VariationalOptions variational;
-  /// Also build the strawman (only succeeds on tiny graphs).
-  bool materialize_strawman = false;
   /// Best-effort time budget in seconds (0 = none): sample collection stops
   /// early when exceeded — enforced during burn-in too, so a long burn-in
   /// cannot blow the budget before the first sample lands. Mirrors
@@ -98,7 +95,6 @@ struct MaterializationStats {
   size_t sample_bytes = 0;
   size_t variational_edges = 0;
   double seconds = 0.0;
-  bool strawman_built = false;
   /// True when the store was loaded from `load_sample_store` instead of
   /// being drawn.
   bool store_loaded = false;
@@ -106,10 +102,9 @@ struct MaterializationStats {
 
 /// Everything the incremental engine serves updates from, built in one piece
 /// against a fixed graph state (Pr(0)): the sampling approach's proposal
-/// store, the variational approximation, the optional strawman, and the
-/// materialized marginals. Built either inline (Materialize) or on a
-/// background worker against a private graph copy (MaterializeAsync), then
-/// swapped in atomically.
+/// store, the variational approximation, and the materialized marginals.
+/// Built either inline (Materialize) or on a background worker against a
+/// private graph copy (MaterializeAsync), then swapped in atomically.
 ///
 /// Lifetime & sharing: snapshots are reference-counted because published
 /// ResultViews pin them — a view's `materialized_marginals` aliases this
@@ -117,19 +112,20 @@ struct MaterializationStats {
 /// readable from any thread) until the last reader drops its view, even
 /// after the serving thread has swapped in a successor. Post-install, the
 /// build-time fields (`materialized_marginals`, `stats`, `variational`,
-/// `strawman`, `graph_width`, `generation`) are immutable; only `store`
+/// `graph_width`, `num_weights`, `generation`) are immutable; only `store`
 /// keeps mutating — its cursor advances as MH consumes proposals — and it
 /// is serving-thread territory that pinned readers must not touch.
 struct MaterializationSnapshot {
   SampleStore store;
   std::optional<VariationalMaterialization> variational;
-  std::optional<StrawmanMaterialization> strawman;
   /// Marginals under Pr(0). Variables untouched by the cumulative delta
   /// keep exactly these values (their distribution has not changed).
   std::vector<double> materialized_marginals;
   MaterializationStats stats;
-  /// NumVariables of the graph state this snapshot materializes.
+  /// NumVariables and NumWeights of the graph state this snapshot
+  /// materializes.
   size_t graph_width = 0;
+  size_t num_weights = 0;
   /// Install counter stamped by the engine (1 = first materialization).
   uint64_t generation = 0;
   /// Rule-set version of the program this snapshot was built against,
@@ -146,11 +142,10 @@ struct MaterializationSnapshot {
 /// respect to engine state, so the same (graph, options) pair yields
 /// bit-identical snapshots whether built inline or on a background worker
 /// (at num_threads == 1). `cancel`, when set, is polled between chain sweeps
-/// and between build phases — the variational fit and strawman enumeration
-/// run to completion once started (they are short relative to the chain), so
-/// cancellation latency is bounded by the longest single phase, not zero. A
-/// cancelled build returns FailedPrecondition and its partial result is
-/// discarded.
+/// and between build phases — the variational fit runs to completion once
+/// started (it is short relative to the chain), so cancellation latency is
+/// bounded by the longest single phase, not zero. A cancelled build returns
+/// FailedPrecondition and its partial result is discarded.
 ///
 /// The sample store. The free variables split into the connected components
 /// of the compiled graph among them (evidence, at its labels, cuts). A

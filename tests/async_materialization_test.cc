@@ -460,7 +460,9 @@ TEST(AsyncMaterializationTest, SwapUnderConcurrentUpdatesWithReplicatedBuild) {
   // The no-gates race again, with the background build running the
   // replicated sampler (its replica pool + per-replica Hogwild pools) while
   // the serving thread applies updates. Primarily a TSan target. The graph's
-  // one component is above the exact-draw cut-off, so the chain runs.
+  // one component is above the exact-draw cut-off, so the chain runs. The
+  // build's publish waits for the loop's updates (its chain does not), so
+  // no update is served from the new store and it ends full.
   FactorGraph g = LongChainGraph(35);
   IncrementalEngine engine(&g);
   MaterializationOptions mopts = TestMaterialization();
@@ -469,8 +471,11 @@ TEST(AsyncMaterializationTest, SwapUnderConcurrentUpdatesWithReplicatedBuild) {
   mopts.sync_every_sweeps = 30;
   ASSERT_TRUE(engine.Materialize(mopts).ok());
 
+  std::promise<void> updates_done;
+  std::shared_future<void> done = updates_done.get_future().share();
   MaterializationOptions remat = mopts;
   remat.async = true;
+  remat.on_before_publish = [done] { done.wait(); };
   ASSERT_TRUE(engine.MaterializeAsync(remat).ok());
 
   double w = 0.2;
@@ -486,6 +491,7 @@ TEST(AsyncMaterializationTest, SwapUnderConcurrentUpdatesWithReplicatedBuild) {
     }
     w = -w;
   }
+  updates_done.set_value();
 
   ASSERT_TRUE(engine.WaitForMaterialization().ok());
   EXPECT_EQ(engine.snapshot()->generation, 2u);

@@ -207,9 +207,9 @@ TEST(IncrementalEngineTest, DecompositionDisabledTouchesEverything) {
   EXPECT_EQ(outcome->affected_vars, 8u);
 }
 
-// Incremental learning appends one change per moved weight per update, so the
-// cumulative delta repeats a weight once per update. The affected set must
-// stay the weight's component, as it is for a single change.
+// Incremental learning reports one change per moved weight per update. The
+// cumulative delta nets them into one entry per weight, from its Pr(0) value
+// to its current one, and the affected set stays the weight's component.
 TEST(IncrementalEngineTest, RepeatedWeightChangesKeepAffectedSet) {
   deepdive::serving_thread.AssertHeld();
   FactorGraph g = TwoComponentGraph(9);
@@ -224,11 +224,40 @@ TEST(IncrementalEngineTest, RepeatedWeightChangesKeepAffectedSet) {
     delta.weight_changes.push_back({w, old_value, g.WeightValue(w)});
     auto outcome = engine.ApplyDelta(delta, TestEngine());
     ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-    ASSERT_EQ(engine.cumulative_delta().weight_changes.size(), k);
+    ASSERT_EQ(engine.cumulative_delta().weight_changes.size(), 1u);
     EXPECT_EQ(outcome->affected_vars, 4u) << "update " << k;
     for (VarId v = 4; v < 8; ++v) {
       EXPECT_EQ(outcome->marginals[v], materialized[v]) << "update " << k << " var " << v;
     }
+  }
+}
+
+// The cumulative delta keeps entries only for weights Pr(0) had. A weight
+// created since is scored through its groups, which are all new.
+TEST(IncrementalEngineTest, CumulativeDeltaDropsWeightsPr0DidNotHave) {
+  deepdive::serving_thread.AssertHeld();
+  FactorGraph g = TwoComponentGraph(13);
+  IncrementalEngine engine(&g);
+  ASSERT_TRUE(engine.Materialize(TestMaterialization()).ok());
+  GraphDelta delta;
+  const WeightId fresh = g.AddWeight(0.1, /*learnable=*/true);
+  delta.new_groups.push_back(g.AddSimpleFactor(5, {{6, false}}, fresh));
+  g.SetWeightValue(fresh, 0.6);
+  delta.weight_changes.push_back({fresh, 0.1, 0.6});
+  const WeightId moved = g.group(0).weight;
+  const double pr0_value = g.WeightValue(moved);
+  g.SetWeightValue(moved, pr0_value + 0.3);
+  delta.weight_changes.push_back({moved, pr0_value, pr0_value + 0.3});
+
+  auto outcome = engine.ApplyDelta(delta, TestEngine());
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  EXPECT_EQ(engine.cumulative_delta().weight_changes,
+            (std::vector<GraphDelta::WeightChange>{{moved, pr0_value, pr0_value + 0.3}}));
+  EXPECT_EQ(outcome->affected_vars, 8u);
+  auto exact = inference::ExactInference(g);
+  ASSERT_TRUE(exact.ok());
+  for (VarId v = 0; v < g.NumVariables(); ++v) {
+    EXPECT_NEAR(outcome->marginals[v], exact->marginals[v], 0.12) << "var " << v;
   }
 }
 
@@ -247,9 +276,7 @@ TEST(IncrementalEngineTest, PerGroupStrategySplitsComponents) {
   delta.new_groups.push_back(
       g.AddSimpleFactor(5, {{6, false}}, g.AddWeight(0.7, /*learnable=*/true)));
 
-  EngineOptions eopts = TestEngine();
-  eopts.per_group_strategy = true;
-  auto outcome = engine.ApplyDelta(delta, eopts);
+  auto outcome = engine.ApplyDelta(delta, TestEngine());
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   EXPECT_EQ(outcome->variational_vars, 4u);  // the evidence component
   EXPECT_EQ(outcome->sampling_vars, 4u);     // the feature component
@@ -276,8 +303,9 @@ TEST(IncrementalEngineTest, PerGroupDisabledFallsBackToGlobalChoice) {
   GraphDelta delta;
   g.SetEvidence(0, false);
   delta.evidence_changes.push_back({0, std::nullopt, false});
+  // Without decomposition the update is classified once, as a whole.
   EngineOptions eopts = TestEngine();
-  eopts.per_group_strategy = false;
+  eopts.decomposition_enabled = false;
   auto outcome = engine.ApplyDelta(delta, eopts);
   ASSERT_TRUE(outcome.ok());
   // Global classification: evidence modified -> variational for everything.

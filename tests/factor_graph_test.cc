@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
+#include <optional>
 #include <vector>
 
 #include "factor/compiled_graph.h"
@@ -11,6 +13,7 @@
 #include "factor/graph_delta.h"
 #include "factor/graph_io.h"
 #include "factor/semantics.h"
+#include "util/random.h"
 
 namespace deepdive::factor {
 namespace {
@@ -254,6 +257,11 @@ TEST(GraphDeltaTest, DeltaLogDensityRatioNewGroup) {
   auto all_false = [](VarId) { return false; };
   EXPECT_DOUBLE_EQ(DeltaLogDensityRatio(g, delta, all_true), 1.5);
   EXPECT_DOUBLE_EQ(DeltaLogDensityRatio(g, delta, all_false), -1.5);
+  // The weight moved 0.5 -> 1.5 since Pr(0): the new group is still scored
+  // once, at the current value.
+  delta.weight_changes.push_back({w, 0.5, 1.5});
+  EXPECT_DOUBLE_EQ(DeltaLogDensityRatio(g, delta, all_true), 1.5);
+  EXPECT_DOUBLE_EQ(DeltaLogDensityRatio(g, delta, all_false), -1.5);
 }
 
 TEST(GraphDeltaTest, DeltaLogDensityRatioEvidenceConflict) {
@@ -289,6 +297,13 @@ TEST(GraphDeltaTest, DeltaLogDensityRatioModifiedGroup) {
   // World: h=true, b=true. New n = 1, old n = 1. Ratio = 0.
   values[1] = true;
   EXPECT_DOUBLE_EQ(DeltaLogDensityRatio(g, delta, value_of), 0.0);
+
+  // The weight moved 1.0 -> 2.0 since Pr(0), so Pr(0)'s term takes 1.0:
+  // h=true, b=true gives 2*1 - 1*1, and h=true, b=false gives 2*0 - 1*1.
+  delta.weight_changes.push_back({w, 1.0, 2.0});
+  EXPECT_DOUBLE_EQ(DeltaLogDensityRatio(g, delta, value_of), 1.0);
+  values[1] = false;
+  EXPECT_DOUBLE_EQ(DeltaLogDensityRatio(g, delta, value_of), -1.0);
 }
 
 TEST(GraphDeltaTest, DeltaLogDensityRatioWeightChange) {
@@ -300,6 +315,243 @@ TEST(GraphDeltaTest, DeltaLogDensityRatioWeightChange) {
   delta.weight_changes.push_back({w, 0.5, 2.0});
   auto all_true = [](VarId) { return true; };
   EXPECT_DOUBLE_EQ(DeltaLogDensityRatio(g, delta, all_true), 1.5);
+  // A removed group on the moved weight leaves Pr(0) at Pr(0)'s value:
+  // 1.5 - 0.5.
+  const GroupId removed = g.AddSimpleFactor(g.AddVariable(), {}, w);
+  g.DeactivateGroup(removed);
+  delta.removed_groups.push_back(removed);
+  EXPECT_DOUBLE_EQ(DeltaLogDensityRatio(g, delta, all_true), 1.0);
+}
+
+TEST(GraphDeltaTest, MergeKeepsOneEntryPerChangedWeight) {
+  GraphDelta delta;
+  GraphDelta first;
+  first.weight_changes = {{7, 0.0, 1.0}, {2, 0.5, 0.6}};
+  delta.Merge(first);
+  EXPECT_EQ(delta.weight_changes,
+            (std::vector<GraphDelta::WeightChange>{{2, 0.5, 0.6}, {7, 0.0, 1.0}}));
+  // Any id order, an id repeated in the order of its changes; weight 2
+  // moves back to its Pr(0) value and leaves no entry.
+  GraphDelta second;
+  second.weight_changes = {{7, 1.0, 2.0}, {4, 1.0, 1.5}, {2, 0.6, 0.5}, {4, 1.5, 3.0}};
+  delta.Merge(second);
+  EXPECT_EQ(delta.weight_changes,
+            (std::vector<GraphDelta::WeightChange>{{4, 1.0, 3.0}, {7, 0.0, 2.0}}));
+}
+
+TEST(GraphDeltaTest, LabelAddedThenRemovedConstrainsNothing) {
+  FactorGraph g;
+  const VarId a = g.AddVariable();
+  g.AddSimpleFactor(a, {}, g.AddWeight(0.7, false));
+  GraphDelta delta;
+  GraphDelta labelled;
+  labelled.evidence_changes.push_back({a, std::nullopt, true});
+  delta.Merge(labelled);
+  GraphDelta cleared;
+  cleared.evidence_changes.push_back({a, true, std::nullopt});
+  delta.Merge(cleared);
+  EXPECT_TRUE(delta.evidence_changes.empty());
+  EXPECT_DOUBLE_EQ(DeltaLogDensityRatio(g, delta, [](VarId) { return true; }), 0.0);
+  EXPECT_DOUBLE_EQ(DeltaLogDensityRatio(g, delta, [](VarId) { return false; }), 0.0);
+}
+
+TEST(GraphDeltaTest, LabelFlippedTwiceConstrainsOnlyItsFinalValue) {
+  FactorGraph g;
+  const VarId a = g.AddVariable();
+  GraphDelta delta;
+  GraphDelta labelled;
+  labelled.evidence_changes.push_back({a, std::nullopt, true});
+  delta.Merge(labelled);
+  // Both flips in one update: the later one wins.
+  GraphDelta flips;
+  flips.evidence_changes.push_back({a, true, false});
+  flips.evidence_changes.push_back({a, false, true});
+  delta.Merge(flips);
+  ASSERT_EQ(delta.evidence_changes.size(), 1u);
+  EXPECT_EQ(delta.evidence_changes[0],
+            (GraphDelta::EvidenceChange{a, std::nullopt, true}));
+  EXPECT_DOUBLE_EQ(DeltaLogDensityRatio(g, delta, [](VarId) { return true; }), 0.0);
+  EXPECT_TRUE(std::isinf(DeltaLogDensityRatio(g, delta, [](VarId) { return false; })));
+}
+
+// Property, over random small graphs and op sequences merged update by
+// update: for any two worlds of Pr(0)'s support that satisfy the final
+// labels, the net ratio differs by what TotalLogWeight under the updated
+// graph minus under a kept copy of Pr(0) says, and every other such world
+// gets -infinity. The ops add groups on old and new learnable weights, move
+// weights (some back to their Pr(0) values), remove groups, add and remove
+// clauses, set, flip and clear labels, and retract groups added by an
+// earlier update. The entries stay one per changed weight and variable,
+// sorted, holding the Pr(0) and current values, and dropping the weights
+// Pr(0) did not have (as the engine does) changes no ratio.
+TEST(GraphDeltaTest, NetRatioMatchesTotalLogWeightOnRandomOps) {
+  constexpr Semantics kSemantics[] = {Semantics::kLinear, Semantics::kRatio,
+                                      Semantics::kLogical};
+  for (uint64_t seed = 1; seed <= 300; ++seed) {
+    Rng rng(seed);
+    FactorGraph g;
+    const size_t n = 3 + rng.UniformInt(4);
+    g.AddVariables(n);
+    const auto random_var = [&] { return static_cast<VarId>(rng.UniformInt(n)); };
+    const auto add_clause = [&](GroupId grp) {
+      std::vector<Literal> literals;
+      for (uint64_t k = rng.UniformInt(3); k > 0; --k) {
+        const VarId v = random_var();
+        if (v != g.group(grp).head) literals.push_back({v, rng.Bernoulli(0.3)});
+      }
+      return g.AddClause(grp, std::move(literals));
+    };
+    std::vector<WeightId> weights;
+    const auto add_group = [&](WeightId w) {
+      const GroupId grp = g.AddGroup(0, random_var(), w, kSemantics[rng.UniformInt(3)]);
+      for (uint64_t c = 1 + rng.UniformInt(2); c > 0; --c) add_clause(grp);
+      return grp;
+    };
+    for (int i = 0; i < 3; ++i) weights.push_back(g.AddWeight(rng.Uniform(-1.0, 1.0), true));
+    for (int i = 0; i < 4; ++i) add_group(weights[rng.UniformInt(weights.size())]);
+    if (rng.Bernoulli(0.5)) g.SetEvidence(random_var(), rng.Bernoulli(0.5));
+    const FactorGraph pr0 = g;
+
+    const auto random_active_group = [&]() -> std::optional<GroupId> {
+      std::vector<GroupId> active;
+      for (GroupId grp = 0; grp < g.NumGroups(); ++grp) {
+        if (g.group(grp).active) active.push_back(grp);
+      }
+      if (active.empty()) return std::nullopt;
+      return active[rng.UniformInt(active.size())];
+    };
+    GraphDelta cumulative;
+    std::optional<GroupId> to_retract;
+    for (int update = 0; update < 5; ++update) {
+      GraphDelta merged_update;
+      for (uint64_t op = 1 + rng.UniformInt(3); op > 0; --op) {
+        GraphDelta d;
+        switch (rng.UniformInt(8)) {
+          case 0:
+            d.new_groups.push_back(add_group(weights[rng.UniformInt(weights.size())]));
+            break;
+          case 1:
+            weights.push_back(g.AddWeight(rng.Uniform(-1.0, 1.0), true));
+            d.new_groups.push_back(add_group(weights.back()));
+            break;
+          case 2: {
+            const WeightId w = weights[rng.UniformInt(weights.size())];
+            const double old_value = g.WeightValue(w);
+            const double new_value = w < pr0.NumWeights() && rng.Bernoulli(0.25)
+                                         ? pr0.WeightValue(w)
+                                         : rng.Uniform(-2.0, 2.0);
+            g.SetWeightValue(w, new_value);
+            d.weight_changes.push_back({w, old_value, new_value});
+            break;
+          }
+          case 3:
+            if (const auto grp = random_active_group()) {
+              g.DeactivateGroup(*grp);
+              d.removed_groups.push_back(*grp);
+            }
+            break;
+          case 4:
+            if (const auto grp = random_active_group()) {
+              d.modified_groups.push_back({*grp, {add_clause(*grp)}, {}});
+            }
+            break;
+          case 5:
+            if (const auto grp = random_active_group()) {
+              for (ClauseId cid : g.group(*grp).clauses) {
+                if (!g.clause(cid).active) continue;
+                g.DeactivateClause(cid);
+                d.modified_groups.push_back({*grp, {}, {cid}});
+                break;
+              }
+            }
+            break;
+          case 6: {
+            const VarId v = random_var();
+            const std::optional<bool> old_value = g.EvidenceValue(v);
+            // Set or flip, or clear a label the draw would repeat.
+            std::optional<bool> new_value = rng.Bernoulli(0.5);
+            if (new_value == old_value) new_value = std::nullopt;
+            g.SetEvidence(v, new_value);
+            d.evidence_changes.push_back({v, old_value, new_value});
+            break;
+          }
+          case 7:
+            if (to_retract.has_value() && g.group(*to_retract).active) {
+              g.DeactivateGroup(*to_retract);
+              d.removed_groups.push_back(*to_retract);
+              to_retract.reset();
+            } else {
+              to_retract = add_group(weights[rng.UniformInt(weights.size())]);
+              d.new_groups.push_back(*to_retract);
+            }
+            break;
+        }
+        merged_update.Merge(d);
+      }
+      cumulative.Merge(merged_update);
+    }
+
+    size_t moved = 0;
+    for (WeightId w = 0; w < g.NumWeights(); ++w) {
+      if (w < pr0.NumWeights() && g.WeightValue(w) != pr0.WeightValue(w)) ++moved;
+    }
+    size_t pr0_entries = 0;
+    for (size_t i = 0; i < cumulative.weight_changes.size(); ++i) {
+      const GraphDelta::WeightChange& c = cumulative.weight_changes[i];
+      if (i > 0) {
+        ASSERT_LT(cumulative.weight_changes[i - 1].weight, c.weight);
+      }
+      EXPECT_NE(c.old_value, c.new_value);
+      EXPECT_EQ(c.new_value, g.WeightValue(c.weight));
+      if (c.weight < pr0.NumWeights()) {
+        EXPECT_EQ(c.old_value, pr0.WeightValue(c.weight));
+        ++pr0_entries;
+      }
+    }
+    EXPECT_EQ(pr0_entries, moved) << "seed " << seed;
+    size_t relabelled = 0;
+    for (VarId v = 0; v < n; ++v) {
+      if (g.EvidenceValue(v) != pr0.EvidenceValue(v)) ++relabelled;
+    }
+    EXPECT_EQ(cumulative.evidence_changes.size(), relabelled) << "seed " << seed;
+    for (size_t i = 0; i < cumulative.evidence_changes.size(); ++i) {
+      const GraphDelta::EvidenceChange& c = cumulative.evidence_changes[i];
+      if (i > 0) {
+        ASSERT_LT(cumulative.evidence_changes[i - 1].var, c.var);
+      }
+      EXPECT_EQ(c.old_value, pr0.EvidenceValue(c.var));
+      EXPECT_EQ(c.new_value, g.EvidenceValue(c.var));
+    }
+
+    GraphDelta filtered = cumulative;
+    std::erase_if(filtered.weight_changes, [&](const GraphDelta::WeightChange& c) {
+      return c.weight >= pr0.NumWeights();
+    });
+    std::optional<double> offset0;
+    for (uint32_t world = 0; world < (uint32_t{1} << n); ++world) {
+      const auto value_of = [world](VarId v) { return ((world >> v) & 1) != 0; };
+      const auto satisfies = [&](const FactorGraph& graph) {
+        for (VarId v = 0; v < n; ++v) {
+          const std::optional<bool> ev = graph.EvidenceValue(v);
+          if (ev.has_value() && *ev != value_of(v)) return false;
+        }
+        return true;
+      };
+      if (!satisfies(pr0)) continue;  // no stored sample is this world
+      for (const GraphDelta* delta : {&cumulative, &filtered}) {
+        const double ratio = DeltaLogDensityRatio(g, *delta, value_of);
+        if (!satisfies(g)) {
+          EXPECT_EQ(ratio, -std::numeric_limits<double>::infinity())
+              << "seed " << seed << " world " << world;
+          continue;
+        }
+        const double offset =
+            ratio - (g.TotalLogWeight(value_of) - pr0.TotalLogWeight(value_of));
+        if (!offset0.has_value()) offset0 = offset;
+        EXPECT_NEAR(offset, *offset0, 1e-9) << "seed " << seed << " world " << world;
+      }
+    }
+  }
 }
 
 TEST(GraphIoTest, RoundTrip) {

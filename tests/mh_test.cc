@@ -125,6 +125,35 @@ TEST(IndependentMHTest, NewEvidenceForcesLabelsAndLowersAcceptance) {
   EXPECT_DOUBLE_EQ(result->marginals[7], 0.0);
 }
 
+// Unary groups on four variables, tied to a learnable weight Pr(0) already
+// used, which learning moves 0.2 -> 1.0 in the same update. The ratio once
+// added the move to each new group on top of its current value, and MH
+// overshot their marginals by up to 0.074.
+TEST(IndependentMHTest, NewGroupsOnMovedTiedWeightMatchExact) {
+  FactorGraph g = ChainGraph(23, 8);
+  const WeightId tied = g.AddWeight(0.2, /*learnable=*/true);
+  g.AddSimpleFactor(0, {}, tied);
+  SampleStore store = MaterializeSamples(g, 40000, 29);
+
+  GraphDelta delta;
+  for (const VarId v : {2, 3, 5, 6}) {
+    delta.new_groups.push_back(g.AddSimpleFactor(v, {}, tied));
+  }
+  delta.weight_changes.push_back({tied, 0.2, 1.0});
+  g.SetWeightValue(tied, 1.0);
+
+  IndependentMH mh(&g, &delta);
+  MHOptions options;
+  options.target_steps = 40000;
+  auto result = mh.Run(&store, options);
+  ASSERT_TRUE(result.ok());
+  auto exact = inference::ExactInference(g);
+  ASSERT_TRUE(exact.ok());
+  for (VarId v = 0; v < g.NumVariables(); ++v) {
+    EXPECT_NEAR(result->marginals[v], exact->marginals[v], 0.02) << "var " << v;
+  }
+}
+
 TEST(IndependentMHTest, ExhaustionReported) {
   FactorGraph g = ChainGraph(7, 6);
   SampleStore store = MaterializeSamples(g, 50, 13);

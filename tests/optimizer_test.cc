@@ -114,7 +114,6 @@ TEST(OptimizerTest, BothDisabledFallsBackToRerun) {
 TEST(OptimizerTest, StrategyNames) {
   EXPECT_STREQ(StrategyName(Strategy::kSampling), "sampling");
   EXPECT_STREQ(StrategyName(Strategy::kVariational), "variational");
-  EXPECT_STREQ(StrategyName(Strategy::kStrawman), "strawman");
   EXPECT_STREQ(StrategyName(Strategy::kRerun), "rerun");
 }
 

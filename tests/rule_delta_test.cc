@@ -183,33 +183,41 @@ constexpr char kReversedRule[] = R"(
   factor FR: HasSpouse(m1, m2) :- Feature(m2, m1, f) weight = w(f).
 )";
 
-/// Regression: an exact restore rewinds the engine's cumulative delta to its
+/// Regression: an exact restore returns the engine's cumulative delta to its
 /// contents before the matching AddRule. It used to keep the weight changes
 /// the add's learning merged, so the next MH-served update weighed changes
-/// that no longer existed.
+/// that no longer existed. The cumulative delta holds only weights Pr(0) had,
+/// so FW is materialized, and an update moves its weights before FR is
+/// added; FR's learning moves them again, and the retraction's reverts must
+/// bring each entry back.
 TEST(RuleDeltaTest, ExactRestoreRewindsCumulativeDelta) {
   deepdive::serving_thread.AssertHeld();
   auto dd = Make(FastTestConfig(), LabelRows());
   ASSERT_TRUE(dd->AddRule(kLearnedRule).ok());
-  const incremental::IncrementalEngine& engine = *dd->incremental_engine();
-  const factor::GraphDelta before = engine.cumulative_delta();
+  incremental::IncrementalEngine* engine = dd->incremental_engine();
+  ASSERT_TRUE(engine->Materialize(FastTestConfig().materialization).ok());
+  UpdateSpec feature;
+  feature.label = "feature";
+  feature.inserts["Feature"] = {{Value(11), Value(10), Value("wife")}};
+  ASSERT_TRUE(dd->ApplyUpdate(feature).ok());
+  const factor::GraphDelta before = engine->cumulative_delta();
   ASSERT_FALSE(before.weight_changes.empty());
 
   ASSERT_TRUE(dd->AddRule(kReversedRule).ok());
-  ASSERT_GT(engine.cumulative_delta().weight_changes.size(),
-            before.weight_changes.size());
+  ASSERT_NE(engine->cumulative_delta().weight_changes, before.weight_changes);
   auto retract = dd->RetractRule("FR");
   ASSERT_TRUE(retract.ok()) << retract.status().ToString();
   ASSERT_DOUBLE_EQ(retract->acceptance_rate, 1.0);  // the journal restore
 
-  const factor::GraphDelta& after = engine.cumulative_delta();
+  const factor::GraphDelta& after = engine->cumulative_delta();
   EXPECT_EQ(after.weight_changes.size(), before.weight_changes.size());
   EXPECT_TRUE(after == before);
 }
 
-/// A snapshot installed between the add and the retraction leaves nothing to
-/// rewind to, so the retraction's delta is merged; it must then carry the
-/// reverts of the weights the add learned, from learned value to original.
+/// A snapshot installed between the add and the retraction makes the add's
+/// learned weights Pr(0) values, so the retraction's delta must carry their
+/// reverts, and the cumulative delta holds each, from learned value to
+/// original.
 TEST(RuleDeltaTest, ExactRestoreAfterInstallLogsWeightReverts) {
   deepdive::serving_thread.AssertHeld();
   auto dd = Make(FastTestConfig(), LabelRows());

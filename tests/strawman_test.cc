@@ -99,6 +99,57 @@ TEST(StrawmanTest, IncrementalEvidenceUpdateMatchesExact) {
   }
 }
 
+// Exact after each of three changes on moved learnable weights, merged into
+// one cumulative delta: a tied weight gains a group and learning moves it,
+// a group on a second weight is removed as that weight moves, and a group
+// on the second weight trades clauses as it moves again.
+TEST(StrawmanTest, LearnedWeightMovesMatchExact) {
+  FactorGraph g = SmallGraph(19, 8);
+  const WeightId tied = g.AddWeight(0.5, /*learnable=*/true);
+  g.AddSimpleFactor(0, {}, tied);
+  const WeightId shared = g.AddWeight(1.0, /*learnable=*/true);
+  const factor::GroupId removed = g.AddSimpleFactor(3, {{4, false}}, shared);
+  const factor::GroupId modified = g.AddGroup(0, 6, shared, Semantics::kRatio);
+  g.AddClause(modified, {{7, false}});
+  const factor::ClauseId dropped = g.AddClause(modified, {{5, true}});
+  auto strawman = StrawmanMaterialization::Materialize(g);
+  ASSERT_TRUE(strawman.ok());
+
+  GraphDelta cumulative;
+  const auto merge_and_check = [&](const GraphDelta& update) {
+    cumulative.Merge(update);
+    auto updated = strawman->InferUpdated(g, cumulative);
+    ASSERT_TRUE(updated.ok()) << updated.status().ToString();
+    auto exact = inference::ExactInference(g);
+    ASSERT_TRUE(exact.ok());
+    for (VarId v = 0; v < g.NumVariables(); ++v) {
+      EXPECT_NEAR((*updated)[v], exact->marginals[v], 1e-9) << "var " << v;
+    }
+  };
+  const auto move = [&](WeightId w, double value, GraphDelta* update) {
+    update->weight_changes.push_back({w, g.WeightValue(w), value});
+    g.SetWeightValue(w, value);
+  };
+
+  GraphDelta learned;
+  learned.new_groups.push_back(g.AddSimpleFactor(2, {}, tied));
+  move(tied, 2.0, &learned);
+  merge_and_check(learned);
+
+  GraphDelta removal;
+  g.DeactivateGroup(removed);
+  removal.removed_groups.push_back(removed);
+  move(shared, 3.0, &removal);
+  merge_and_check(removal);
+
+  GraphDelta modification;
+  const factor::ClauseId added = g.AddClause(modified, {{1, false}});
+  g.DeactivateClause(dropped);
+  modification.modified_groups.push_back({modified, {added}, {dropped}});
+  move(shared, -1.5, &modification);
+  merge_and_check(modification);
+}
+
 TEST(StrawmanTest, RejectsNewVariables) {
   FactorGraph g = SmallGraph(13, 6);
   auto strawman = StrawmanMaterialization::Materialize(g);
