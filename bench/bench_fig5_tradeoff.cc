@@ -16,6 +16,7 @@
 #include "incremental/strawman.h"
 #include "incremental/variational.h"
 #include "inference/gibbs.h"
+#include "inference/parallel_gibbs.h"
 #include "util/timer.h"
 
 namespace deepdive::bench {
@@ -35,12 +36,15 @@ constexpr size_t kMaterializationSamples = 100;  // SM
 constexpr size_t kInferenceSamples = 100;        // SI
 
 SampleStore DrawStore(const factor::CompiledGraph& g, size_t count, uint64_t seed) {
-  inference::GibbsSampler sampler(&g);
   inference::GibbsOptions options;
   options.burn_in_sweeps = 20;
   options.seed = seed;
   SampleStore store;
-  store.AddAll(sampler.DrawSamples(count, 1, options));
+  inference::ParallelGibbsSampler(&g, 1).SampleChain(options, count, 1,
+                                                     [&](const BitVector& bits) {
+                                                       store.Add(bits);
+                                                       return true;
+                                                     });
   return store;
 }
 

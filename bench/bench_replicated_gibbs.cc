@@ -41,11 +41,11 @@ void Run() {
   GibbsOptions options;
   options.burn_in_sweeps = kBurn;
   options.sample_sweeps = kSamples;
-  options.sync_every_sweeps = 20;
   options.seed = 11;
+  constexpr size_t kSyncEvery = 20;
 
   // Sequential reference for the quality column.
-  ReplicatedGibbsSampler reference(&g, 1, 1);
+  ReplicatedGibbsSampler reference(&g);
   const MarginalResult ref = reference.EstimateMarginals(options);
 
   const double total_sweeps = static_cast<double>(kBurn + kSamples);
@@ -54,7 +54,8 @@ void Run() {
   std::printf("%-10s %-10s %-12s %-14s %-10s\n", "replicas", "threads",
               "seconds", "sweeps/s", "mad");
   for (size_t replicas : {1u, 2u, 4u, 8u}) {
-    ReplicatedGibbsSampler sampler(&g, replicas, replicas);
+    ReplicatedGibbsSampler sampler(
+        &g, {.num_threads = replicas, .num_replicas = replicas, .sync_every_sweeps = kSyncEvery});
     Timer timer;
     const MarginalResult result = sampler.EstimateMarginals(options);
     const double secs = timer.Seconds();
@@ -69,7 +70,8 @@ void Run() {
   std::printf("%-10s %-14s %-12s %-14s %-10s\n", "replicas", "thr/replica",
               "seconds", "sweeps/s", "mad");
   for (size_t replicas : {1u, 2u, 4u, 8u}) {
-    ReplicatedGibbsSampler sampler(&g, replicas, 8);
+    ReplicatedGibbsSampler sampler(
+        &g, {.num_threads = 8, .num_replicas = replicas, .sync_every_sweeps = kSyncEvery});
     Timer timer;
     const MarginalResult result = sampler.EstimateMarginals(options);
     const double secs = timer.Seconds();

@@ -3,10 +3,10 @@
 
 #include <cstdint>
 
-#include "grounding/grounding_options.h"
 #include "incremental/engine.h"
 #include "inference/gibbs.h"
 #include "inference/learner.h"
+#include "inference/parallelism.h"
 
 namespace deepdive::core {
 
@@ -20,8 +20,11 @@ const char* ExecutionModeName(ExecutionMode mode);
 struct DeepDiveConfig {
   ExecutionMode mode = ExecutionMode::kIncremental;
 
-  /// Sharded grounding pipeline (bit-identical output at any thread count).
-  grounding::GroundingOptions grounding;
+  /// Workers and model replicas of every stage: grounding (its thread count;
+  /// bit-identical output at any), learning, initial inference,
+  /// materialization and the engine's updates. The option structs below
+  /// carry only each stage's schedule.
+  inference::Parallelism parallelism;
 
   inference::GibbsOptions gibbs;
   inference::LearnerOptions learner;

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "factor/compiled_graph.h"
+#include "grounding/grounding_options.h"
 #include "inference/compiled_inference.h"
 #include "inference/gibbs.h"
 #include "inference/learner.h"
@@ -25,6 +26,14 @@ namespace {
 /// miner's add-trial-retract loop; a few more absorb interactive sessions
 /// that stack several adds before retracting the latest.
 constexpr size_t kMaxRuleJournal = 8;
+
+/// The grounder reads only the thread count; its shard threshold keeps its
+/// default.
+grounding::GroundingOptions GroundingOptionsFor(const inference::Parallelism& parallelism) {
+  grounding::GroundingOptions options;
+  options.num_threads = parallelism.num_threads;
+  return options;
+}
 }  // namespace
 
 DeepDive::DeepDive(dsl::Program program, DeepDiveConfig config)
@@ -60,13 +69,13 @@ Status DeepDive::Initialize() {
   views_ = std::make_unique<engine::ViewMaintainer>(&program_, &db_);
   DD_RETURN_IF_ERROR(views_->Initialize());
 
-  grounder_ = std::make_unique<grounding::IncrementalGrounder>(&program_, &db_, &ground_,
-                                                               config_.grounding);
+  grounder_ = std::make_unique<grounding::IncrementalGrounder>(
+      &program_, &db_, &ground_, GroundingOptionsFor(config_.parallelism));
   DD_RETURN_IF_ERROR(grounder_->Initialize());
   DD_RETURN_IF_ERROR(grounder_->GroundAll().status());
 
   if (HasEvidence()) {
-    inference::Learner learner(&ground_.graph);
+    inference::Learner learner(&ground_.graph, config_.parallelism);
     inference::LearnerOptions lopts = config_.learner;
     lopts.warmstart = false;
     lopts.seed = config_.seed;
@@ -75,14 +84,16 @@ Status DeepDive::Initialize() {
 
   inference::GibbsOptions gopts = config_.gibbs;
   gopts.seed = Rng::MixSeed(config_.seed, /*stream=*/1);
-  marginals_ = inference::EstimateMarginalsAuto(ground_.graph, gopts).marginals;
+  marginals_ =
+      inference::EstimateMarginalsAuto(ground_.graph, gopts, config_.parallelism).marginals;
   for (VarId v = 0; v < ground_.graph.NumVariables(); ++v) {
     const auto ev = ground_.graph.EvidenceValue(v);
     if (ev.has_value()) marginals_[v] = *ev ? 1.0 : 0.0;
   }
 
   if (config_.mode == ExecutionMode::kIncremental) {
-    inc_engine_ = std::make_unique<incremental::IncrementalEngine>(&ground_.graph);
+    inc_engine_ = std::make_unique<incremental::IncrementalEngine>(&ground_.graph,
+                                                                   config_.parallelism);
     incremental::MaterializationOptions mopts = config_.materialization;
     mopts.seed = Rng::MixSeed(config_.seed, /*stream=*/2);
     if (mopts.async) {
@@ -459,15 +470,15 @@ Status DeepDive::RunFullPipeline(incremental::UpdateReport* report,
   // Re-ground from scratch: fresh graph, fresh grounder (Rerun baseline).
   Timer ground_timer;
   ground_ = grounding::GroundGraph{};
-  grounder_ = std::make_unique<grounding::IncrementalGrounder>(&program_, &db_, &ground_,
-                                                               config_.grounding);
+  grounder_ = std::make_unique<grounding::IncrementalGrounder>(
+      &program_, &db_, &ground_, GroundingOptionsFor(config_.parallelism));
   DD_RETURN_IF_ERROR(grounder_->Initialize());
   DD_RETURN_IF_ERROR(grounder_->GroundAll().status());
   report->grounding_seconds += ground_timer.Seconds();
 
   Timer learn_timer;
   if (HasEvidence()) {
-    inference::Learner learner(&ground_.graph);
+    inference::Learner learner(&ground_.graph, config_.parallelism);
     inference::LearnerOptions lopts = config_.learner;
     lopts.warmstart = !cold_learning;
     lopts.seed = Rng::MixSeed(config_.seed, /*stream=*/3, updates_applied_);
@@ -478,7 +489,8 @@ Status DeepDive::RunFullPipeline(incremental::UpdateReport* report,
   Timer infer_timer;
   inference::GibbsOptions gopts = config_.gibbs;
   gopts.seed = Rng::MixSeed(config_.seed, /*stream=*/4, updates_applied_ + 1);
-  marginals_ = inference::EstimateMarginalsAuto(ground_.graph, gopts).marginals;
+  marginals_ =
+      inference::EstimateMarginalsAuto(ground_.graph, gopts, config_.parallelism).marginals;
   for (VarId v = 0; v < ground_.graph.NumVariables(); ++v) {
     const auto ev = ground_.graph.EvidenceValue(v);
     if (ev.has_value()) marginals_[v] = *ev ? 1.0 : 0.0;
@@ -493,7 +505,7 @@ void DeepDive::LearnIncremental(GraphDelta* delta) {
   for (WeightId w = 0; w < ground_.graph.NumWeights(); ++w) {
     before[w] = ground_.graph.WeightValue(w);
   }
-  inference::Learner learner(&ground_.graph);
+  inference::Learner learner(&ground_.graph, config_.parallelism);
   inference::LearnerOptions lopts = config_.learner;
   lopts.warmstart = true;
   lopts.epochs = config_.incremental_learning_epochs;

@@ -33,8 +33,11 @@ void DropNewWeights(GraphDelta* delta, size_t num_weights) {
 
 }  // namespace
 
-IncrementalEngine::IncrementalEngine(factor::FactorGraph* graph)
-    : graph_(graph), snapshot_(std::make_shared<MaterializationSnapshot>()) {
+IncrementalEngine::IncrementalEngine(factor::FactorGraph* graph,
+                                     const inference::Parallelism& parallelism)
+    : graph_(graph),
+      parallelism_(parallelism),
+      snapshot_(std::make_shared<MaterializationSnapshot>()) {
   // The constructing thread is the serving thread: it owns every
   // serving_thread-guarded member it is about to initialize, and the role
   // stays bound to it for the engine's lifetime (trusted root; see
@@ -58,7 +61,7 @@ Status IncrementalEngine::Materialize(const MaterializationOptions& options) {
   mat_options_ = options;
   mat_options_valid_ = true;
   DD_ASSIGN_OR_RETURN(std::shared_ptr<MaterializationSnapshot> snap,
-                      BuildMaterializationSnapshot(*graph_, options));
+                      BuildMaterializationSnapshot(*graph_, options, parallelism_));
   snap->rule_set_version = rule_set_version_;
   InstallSnapshot(std::move(snap));
   return Status::OK();
@@ -93,8 +96,10 @@ Status IncrementalEngine::MaterializeAsync(const MaterializationOptions& options
   // rule-set version so the install points can recognize (and discard) a
   // build obsoleted by a rule delta that landed while the chain ran.
   const uint64_t rule_version = rule_set_version_;
-  background_->Submit([this, graph_copy, rule_version, opts = std::move(opts)] {
-    auto built = BuildMaterializationSnapshot(*graph_copy, opts, &cancel_build_);
+  background_->Submit([this, graph_copy, rule_version, opts = std::move(opts),
+                       parallelism = parallelism_] {
+    auto built =
+        BuildMaterializationSnapshot(*graph_copy, opts, parallelism, &cancel_build_);
     if (built.ok()) (*built)->rule_set_version = rule_version;
     if (opts.on_before_publish) opts.on_before_publish();
     MutexLock lock(mu_);
@@ -542,7 +547,7 @@ StatusOr<UpdateOutcome> IncrementalEngine::RunSampling(
   mh_options.target_accepted = options.mh_target_steps;
   mh_options.seed = Rng::MixSeed(options.gibbs.seed, update_seq_, /*substream=*/1);
   mh_options.track_vars = &affected;  // untouched components keep Pr(0) marginals
-  mh_options.num_threads = options.gibbs.num_threads;  // proposal extension only
+  mh_options.num_threads = parallelism_.num_threads;
   DD_ASSIGN_OR_RETURN(MHResult result, mh.Run(&snapshot_->store, mh_options));
   outcome.acceptance_rate = result.acceptance_rate;
 
@@ -630,9 +635,8 @@ UpdateOutcome IncrementalEngine::RunVariational(const EngineOptions& options,
   outcome.sampled_vars = sweep_vars.size();
 
   std::vector<double> sums(inference_graph.NumVariables(), 0.0);
-  const size_t num_threads = options.gibbs.num_threads == 0
-                                 ? ThreadPool::DefaultThreads()
-                                 : options.gibbs.num_threads;
+  const size_t num_threads = parallelism_.num_threads == 0 ? ThreadPool::DefaultThreads()
+                                                          : parallelism_.num_threads;
   // A chain is built only when some component is left to sample.
   if (!sweep_vars.empty() && num_threads > 1) {
     // Hogwild over the (sparse) inference graph, confined to the sampled
@@ -682,8 +686,7 @@ UpdateOutcome IncrementalEngine::RunRerun(const EngineOptions& options) {
   gopts.seed = Rng::MixSeed(gopts.seed, update_seq_);
   // Reuse (or lazily rebuild) the cached CSR kernel instead of recompiling
   // per rerun; rule/structural deltas invalidate it.
-  inference::ReplicatedGibbsSampler sampler(
-      CompiledKernel(), gopts.num_replicas, gopts.num_threads);
+  inference::ReplicatedGibbsSampler sampler(CompiledKernel(), parallelism_);
   outcome.marginals = sampler.EstimateMarginals(gopts).marginals;
   for (VarId v = 0; v < graph_->NumVariables(); ++v) {
     const auto ev = graph_->EvidenceValue(v);

@@ -16,6 +16,7 @@
 #include "incremental/snapshot.h"
 #include "incremental/variational.h"
 #include "inference/gibbs.h"
+#include "inference/parallelism.h"
 #include "util/mutex.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
@@ -103,9 +104,16 @@ struct UpdateOutcome {
 /// background build runs concurrently with them and touches only
 /// `mu_`-guarded handoff state. The engine publishes nothing itself: other
 /// threads read its results through the ResultViews DeepDive publishes.
+///
+/// Parallelism, fixed at construction, reaches every stage the engine runs:
+/// the snapshot build (the sampling chain and the variational fit), MH's
+/// tracked-marginal accumulation, the variational write (Hogwild above one
+/// thread, the caching sequential chain otherwise) and the rerun's
+/// replicated chain.
 class IncrementalEngine {
  public:
-  explicit IncrementalEngine(factor::FactorGraph* graph);
+  explicit IncrementalEngine(factor::FactorGraph* graph,
+                             const inference::Parallelism& parallelism = {});
   ~IncrementalEngine();
 
   IncrementalEngine(const IncrementalEngine&) = delete;
@@ -274,6 +282,8 @@ class IncrementalEngine {
   void MaybeScheduleRemat(const UpdateOutcome& outcome) REQUIRES(serving_thread);
 
   factor::FactorGraph* graph_;
+  /// Immutable after construction; the background build reads a copy.
+  const inference::Parallelism parallelism_;
 
   /// Serving state, GUARDED_BY the serving-thread role capability (compile-
   /// enforced under Clang). `snapshot_` is never null — a default empty

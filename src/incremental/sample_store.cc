@@ -16,10 +16,6 @@ void SampleStore::Add(BitVector sample) {
   samples_.push_back(std::move(sample));
 }
 
-void SampleStore::AddAll(std::vector<BitVector> samples) {
-  for (BitVector& s : samples) Add(std::move(s));
-}
-
 size_t SampleStore::ByteSize() const {
   size_t total = 0;
   for (const BitVector& s : samples_) total += s.ByteSize();

@@ -20,7 +20,6 @@ class SampleStore {
   SampleStore() = default;
 
   void Add(BitVector sample);
-  void AddAll(std::vector<BitVector> samples);
 
   size_t size() const { return samples_.size(); }
   bool empty() const { return samples_.empty(); }

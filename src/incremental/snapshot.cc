@@ -72,7 +72,7 @@ struct ExactComponents {
 
 StatusOr<std::shared_ptr<MaterializationSnapshot>> BuildMaterializationSnapshot(
     const factor::FactorGraph& graph, const MaterializationOptions& options,
-    const std::atomic<bool>* cancel) {
+    const inference::Parallelism& parallelism, const std::atomic<bool>* cancel) {
   Timer timer;
   auto snapshot = std::make_shared<MaterializationSnapshot>();
   MaterializationSnapshot& snap = *snapshot;
@@ -142,9 +142,6 @@ StatusOr<std::shared_ptr<MaterializationSnapshot>> BuildMaterializationSnapshot(
     inference::GibbsOptions gopts;
     gopts.burn_in_sweeps = options.gibbs_burn_in;
     gopts.seed = options.seed;
-    gopts.num_threads = options.num_threads;
-    gopts.num_replicas = options.num_replicas;
-    gopts.sync_every_sweeps = options.sync_every_sweeps;
     gopts.interrupt = [&] {
       return cancelled() || (options.time_budget_seconds > 0 &&
                              timer.Seconds() > options.time_budget_seconds);
@@ -155,13 +152,8 @@ StatusOr<std::shared_ptr<MaterializationSnapshot>> BuildMaterializationSnapshot(
       snap.store.Add(std::move(sample));
     };
     if (exact.vars.empty() || !chain_vars.empty()) {
-      // The chain runs through the replicated sampler — num_replicas == 1
-      // and num_threads == 1 keep the sequential chain; more threads Hogwild
-      // the sweeps, more replicas draw round-robin from private-world chains
-      // with periodic consensus averaging. With nothing enumerated it sweeps
-      // the whole graph.
-      inference::ReplicatedGibbsSampler sampler(&image, gopts.num_replicas,
-                                                gopts.num_threads);
+      // With nothing enumerated the chain sweeps the whole graph.
+      inference::ReplicatedGibbsSampler sampler(&image, parallelism);
       sampler.SampleChain(
           gopts, options.num_samples, options.gibbs_thin,
           [&](const BitVector& bits) {
@@ -202,7 +194,8 @@ StatusOr<std::shared_ptr<MaterializationSnapshot>> BuildMaterializationSnapshot(
   // Variational materialization.
   VariationalOptions vopts = options.variational;
   vopts.seed = Rng::MixSeed(options.seed, /*stream=*/101);
-  auto vmat = VariationalMaterialization::Materialize(graph, image, vopts);
+  auto vmat =
+      VariationalMaterialization::Materialize(graph, image, vopts, parallelism.num_threads);
   if (vmat.ok()) {
     snap.variational = std::move(vmat).value();
   } else {

@@ -12,6 +12,7 @@
 #include "factor/factor_graph.h"
 #include "incremental/sample_store.h"
 #include "incremental/variational.h"
+#include "inference/parallelism.h"
 #include "util/status.h"
 
 namespace deepdive::incremental {
@@ -31,20 +32,6 @@ struct MaterializationOptions {
   /// policy (Section 3.3 / Appendix B.2).
   double time_budget_seconds = 0.0;
   uint64_t seed = 31;
-  /// Worker threads for the sampling materialization's Gibbs chain
-  /// (Hogwild; see ParallelGibbsSampler). 1 = sequential/deterministic.
-  /// The variational materialization has its own `variational.num_threads`.
-  /// With num_replicas > 1 this is the total budget split across replicas.
-  size_t num_threads = 1;
-  /// Model replicas for the sampling chain (ReplicatedGibbsSampler): each
-  /// replica owns a private world and samples are drawn round-robin across
-  /// the replica chains. 1 = single chain, bit-identical to the historical
-  /// materialization. Deterministic for any replica count at one thread per
-  /// replica.
-  size_t num_replicas = 1;
-  /// Replica synchronization cadence (consensus model averaging) in sweeps;
-  /// 0 disables periodic synchronization. See GibbsOptions.
-  size_t sync_every_sweeps = 50;
 
   // ---- async materialization / rematerialization policy (Section 3.3's
   // "materialize during idle time"): the build runs on a background worker
@@ -139,13 +126,19 @@ struct MaterializationSnapshot {
 
 /// Builds a complete snapshot of `graph`'s current distribution, returned
 /// already reference-counted (see the sharing contract above). Pure with
-/// respect to engine state, so the same (graph, options) pair yields
+/// respect to engine state, so the same (graph, options, parallelism) yields
 /// bit-identical snapshots whether built inline or on a background worker
-/// (at num_threads == 1). `cancel`, when set, is polled between chain sweeps
-/// and between build phases — the variational fit runs to completion once
-/// started (it is short relative to the chain), so cancellation latency is
-/// bounded by the longest single phase, not zero. A cancelled build returns
-/// FailedPrecondition and its partial result is discarded.
+/// (at one thread per replica). The sampling chain runs through the
+/// replicated sampler with `parallelism`: one thread and one replica keep
+/// the sequential chain, more threads Hogwild its sweeps, and more replicas
+/// draw round-robin from private-world chains with periodic consensus
+/// averaging. The variational fit draws its samples on
+/// `parallelism.num_threads` workers. `cancel`, when set, is polled between
+/// chain sweeps and between build phases — the variational fit runs to
+/// completion once started (it is short relative to the chain), so
+/// cancellation latency is bounded by the longest single phase, not zero. A
+/// cancelled build returns FailedPrecondition and its partial result is
+/// discarded.
 ///
 /// The sample store. The free variables split into the connected components
 /// of the compiled graph among them (evidence, at its labels, cuts). A
@@ -156,13 +149,14 @@ struct MaterializationSnapshot {
 /// marginals are exact, and every stored sample draws its assignment from
 /// the table by inverse CDF, one uniform per component per sample from the
 /// stream Rng::MixSeed(seed, 102). Those draws are independent, exact, and
-/// the same at any num_threads and num_replicas. The chain sweeps only the
+/// the same at any parallelism. The chain sweeps only the
 /// remaining components' variables, and does not run when none remain; the
 /// enumerated variables of each sample it emits are overwritten by draws.
 /// When nothing is enumerated the chain sweeps the whole graph and the store
 /// holds exactly its samples.
 StatusOr<std::shared_ptr<MaterializationSnapshot>> BuildMaterializationSnapshot(
     const factor::FactorGraph& graph, const MaterializationOptions& options,
+    const inference::Parallelism& parallelism = {},
     const std::atomic<bool>* cancel = nullptr);
 
 }  // namespace deepdive::incremental

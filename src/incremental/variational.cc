@@ -22,19 +22,23 @@ using factor::WeightId;
 
 StatusOr<VariationalMaterialization> VariationalMaterialization::Materialize(
     const FactorGraph& graph, const factor::CompiledGraph& image,
-    const VariationalOptions& options) {
+    const VariationalOptions& options, size_t num_threads) {
   VariationalMaterialization m;
   const size_t n = graph.NumVariables();
 
   // 1. Draw N samples from the original graph (Algorithm 1, line 1).
+  if (options.num_samples == 0) return Status::InvalidArgument("num_samples must be > 0");
   inference::GibbsOptions gopts;
   gopts.burn_in_sweeps = options.gibbs_burn_in;
   gopts.seed = options.seed;
-  gopts.num_threads = options.num_threads;
-  inference::ParallelGibbsSampler sampler(&image, options.num_threads);
-  std::vector<BitVector> samples =
-      sampler.DrawSamples(options.num_samples, options.gibbs_thin, gopts);
-  if (samples.empty()) return Status::InvalidArgument("num_samples must be > 0");
+  std::vector<BitVector> samples;
+  samples.reserve(options.num_samples);
+  inference::ParallelGibbsSampler(&image, num_threads)
+      .SampleChain(gopts, options.num_samples, options.gibbs_thin,
+                   [&](const BitVector& bits) {
+                     samples.push_back(bits);
+                     return true;
+                   });
 
   // 2. NZ pairs: variables co-occurring in some factor (line 2), and spin
   //    means/covariances over the samples (line 3).
@@ -183,7 +187,8 @@ factor::CompiledGraph BuildVariationalInferenceImage(
 StatusOr<double> SearchLambda(const FactorGraph& graph,
                               const VariationalOptions& base_options, double lambda_min,
                               double kl_threshold,
-                              const std::vector<double>& reference_marginals) {
+                              const std::vector<double>& reference_marginals,
+                              size_t num_threads) {
   // A non-positive start never grows past the loop bound.
   if (!std::isfinite(lambda_min) || lambda_min <= 0.0) {
     return Status::InvalidArgument("lambda_min must be positive and finite");
@@ -196,12 +201,12 @@ StatusOr<double> SearchLambda(const FactorGraph& graph,
   for (double lambda = lambda_min; lambda <= 10.0; lambda *= 10.0) {
     VariationalOptions options = base_options;
     options.lambda = lambda;
-    DD_ASSIGN_OR_RETURN(VariationalMaterialization m,
-                        VariationalMaterialization::Materialize(graph, image, options));
+    DD_ASSIGN_OR_RETURN(
+        VariationalMaterialization m,
+        VariationalMaterialization::Materialize(graph, image, options, num_threads));
     inference::GibbsOptions gopts;
     gopts.seed = Rng::MixSeed(options.seed, /*stream=*/17);
-    gopts.num_threads = options.num_threads;
-    inference::ParallelGibbsSampler sampler(&m.compiled_approx(), options.num_threads);
+    inference::ParallelGibbsSampler sampler(&m.compiled_approx(), num_threads);
     const auto marginals = sampler.EstimateMarginals(gopts).marginals;
     // Symmetric KL between Bernoulli marginals, averaged over variables.
     double kl = 0.0;

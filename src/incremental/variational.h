@@ -25,9 +25,6 @@ struct VariationalOptions {
   double fit_learning_rate = 0.25;
   double fit_decay = 0.96;
   uint64_t seed = 23;
-  /// Worker threads for the covariance-estimation sample draw and the λ
-  /// search's approximate-graph inference. 1 = sequential (deterministic).
-  size_t num_threads = 1;
 };
 
 /// The variational approach (Section 3.2.3 / Algorithm 1): replace the
@@ -55,10 +52,11 @@ class VariationalMaterialization {
   };
 
   /// Materializes `graph`. `image` is CompiledGraph::Compile(graph), which
-  /// the N samples are drawn from; NZ pairs come from `graph`'s neighbors.
+  /// the N samples are drawn from on `num_threads` workers (1 = sequential
+  /// and deterministic); NZ pairs come from `graph`'s neighbors.
   static StatusOr<VariationalMaterialization> Materialize(
       const factor::FactorGraph& graph, const factor::CompiledGraph& image,
-      const VariationalOptions& options);
+      const VariationalOptions& options, size_t num_threads = 1);
 
   /// The sparse pairwise approximation's CSR image (same variable ids as
   /// the original; one clause per group, in group order), built and fit in
@@ -96,12 +94,14 @@ factor::CompiledGraph BuildVariationalInferenceImage(
 /// The λ search protocol of Section 3.2.3: starting from λ = lambda_min,
 /// multiply by 10 until the symmetric KL divergence between original and
 /// approximate marginals exceeds `kl_threshold`; returns the last safe λ.
-/// InvalidArgument when lambda_min is not positive and finite, or when
-/// `reference_marginals` has fewer entries than `graph` has variables.
+/// Sampling runs on `num_threads` workers. InvalidArgument when lambda_min is
+/// not positive and finite, or when `reference_marginals` has fewer entries
+/// than `graph` has variables.
 StatusOr<double> SearchLambda(const factor::FactorGraph& graph,
                               const VariationalOptions& base_options, double lambda_min,
                               double kl_threshold,
-                              const std::vector<double>& reference_marginals);
+                              const std::vector<double>& reference_marginals,
+                              size_t num_threads = 1);
 
 }  // namespace deepdive::incremental
 

@@ -5,21 +5,18 @@
 namespace deepdive::inference {
 
 MarginalResult EstimateMarginalsAuto(const factor::FactorGraph& graph,
-                                     const GibbsOptions& options) {
+                                     const GibbsOptions& options,
+                                     const Parallelism& parallelism) {
   const factor::CompiledGraph compiled = factor::CompiledGraph::Compile(graph);
-  ReplicatedGibbsSampler sampler(&compiled, options.num_replicas, options.num_threads);
+  ReplicatedGibbsSampler sampler(&compiled, parallelism);
   return sampler.EstimateMarginals(options);
 }
 
 uint64_t CompiledMarginalsFingerprint(const factor::CompiledGraph& graph,
-                                      uint64_t seed, size_t threads,
-                                      size_t replicas, size_t sync_every) {
+                                      uint64_t seed, const Parallelism& parallelism) {
   GibbsOptions gopts;
   gopts.seed = Rng::MixSeed(seed, /*stream=*/1);
-  gopts.num_threads = threads;
-  gopts.num_replicas = replicas;
-  gopts.sync_every_sweeps = sync_every;
-  ReplicatedGibbsSampler sampler(&graph, replicas, threads);
+  ReplicatedGibbsSampler sampler(&graph, parallelism);
   std::vector<double> marginals = sampler.EstimateMarginals(gopts).marginals;
   for (factor::VarId v = 0; v < graph.NumVariables(); ++v) {
     const auto ev = graph.EvidenceValue(v);

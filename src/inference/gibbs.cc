@@ -66,25 +66,6 @@ MarginalResult GibbsSampler::EstimateMarginals(const GibbsOptions& options,
   return result;
 }
 
-std::vector<BitVector> GibbsSampler::DrawSamples(size_t count, size_t thin,
-                                                 const GibbsOptions& options) const {
-  World world(graph_);
-  Rng rng(options.seed);
-  world.InitValues(&rng, options.random_init);
-  for (size_t i = 0; i < options.burn_in_sweeps; ++i) {
-    Sweep(&world, &rng, options.sample_evidence);
-  }
-  std::vector<BitVector> samples;
-  samples.reserve(count);
-  for (size_t s = 0; s < count; ++s) {
-    for (size_t t = 0; t < std::max<size_t>(1, thin); ++t) {
-      Sweep(&world, &rng, options.sample_evidence);
-    }
-    samples.push_back(world.ToBits());
-  }
-  return samples;
-}
-
 CompiledGibbsChain::CompiledGibbsChain(World world)
     : graph_(&world.graph()), world_(std::move(world)) {
   const size_t n = graph_->NumVariables();

@@ -23,29 +23,11 @@ struct GibbsOptions {
   /// When true, evidence variables are resampled like query variables
   /// (the "free" chain of weight learning).
   bool sample_evidence = false;
-  /// Worker threads for the parallel sampler (ParallelGibbsSampler).
-  /// 1 = sequential (bit-identical to GibbsSampler); 0 = one per hardware
-  /// thread. The sequential GibbsSampler ignores this field. With
-  /// num_replicas > 1 this is the TOTAL budget, split across replicas.
-  size_t num_threads = 1;
-  /// Model replicas for the replicated sampler (ReplicatedGibbsSampler):
-  /// each replica owns a private world (the DimmWitted per-socket execution
-  /// model) and runs its own Hogwild sweeps; marginal estimates are averaged
-  /// across replicas. 1 = single shared world, bit-identical to
-  /// ParallelGibbsSampler. Only the replicated sampler reads this field.
-  size_t num_replicas = 1;
-  /// With num_replicas > 1: replicas synchronize every this many sweeps —
-  /// marginal estimates are averaged and every replica's world is re-seeded
-  /// from the consensus. 0 disables periodic synchronization (replicas stay
-  /// independent until the final cross-replica merge). In SampleChain the
-  /// cadence rounds up to the next emission boundary so a synchronization
-  /// never lands between advancing a chain and emitting its sample.
-  size_t sync_every_sweeps = 50;
   /// Cooperative cancellation / budget hook, polled between sweeps of
   /// ParallelGibbsSampler::SampleChain — including burn-in, so a time budget
   /// can stop a chain that would otherwise blow it before the first sample.
   /// Returning true abandons the chain. Never consumes RNG state, so a hook
-  /// that never fires leaves results bit-identical. With num_replicas > 1
+  /// that never fires leaves results bit-identical. With several replicas
   /// the hook is polled concurrently from replica workers, so it must be
   /// thread-safe (the engine's hooks read an atomic flag and a monotonic
   /// timer, which is).
@@ -195,11 +177,6 @@ class GibbsSampler {
   /// As above, but reuses the caller's world/chain (for warm chains).
   MarginalResult EstimateMarginals(const GibbsOptions& options, World* world,
                                    Rng* rng) const;
-
-  /// Draws `count` packed sample worlds, `thin` sweeps apart, after burn-in.
-  /// This is the materialization primitive of the sampling approach.
-  std::vector<BitVector> DrawSamples(size_t count, size_t thin,
-                                     const GibbsOptions& options) const;
 
  private:
   const factor::CompiledGraph* graph_;

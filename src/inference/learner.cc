@@ -84,7 +84,8 @@ LearnStats RunEpochs(CompiledGraph* graph, const LearnerOptions& options,
   return stats;
 }
 
-LearnStats LearnTwoChains(CompiledGraph* graph, const LearnerOptions& options) {
+LearnStats LearnTwoChains(CompiledGraph* graph, const LearnerOptions& options,
+                          size_t num_threads) {
   GibbsSampler sampler(graph);
   Rng rng(options.seed);
 
@@ -98,10 +99,8 @@ LearnStats LearnTwoChains(CompiledGraph* graph, const LearnerOptions& options) {
   // >= 2 each epoch's sweeps run concurrently (the sampler is stateless and
   // shared; each chain owns its world and RNG stream). The pool's Wait()
   // inside Submit/Wait pairs orders the sweeps before WeightFeature reads.
-  const size_t num_threads = options.num_threads == 0
-                                 ? ThreadPool::DefaultThreads()
-                                 : options.num_threads;
-  const bool parallel_chains = num_threads >= 2;
+  const bool parallel_chains =
+      (num_threads == 0 ? ThreadPool::DefaultThreads() : num_threads) >= 2;
   ThreadPool pool(parallel_chains ? 2 : 1);
   Rng free_rng(Rng::MixSeed(options.seed, 1));
 
@@ -125,16 +124,18 @@ LearnStats LearnTwoChains(CompiledGraph* graph, const LearnerOptions& options) {
 /// worlds, swept concurrently through a ReplicatedGibbsSampler; gradients
 /// are replica-averaged every sweep (the shared weight vector is the
 /// consensus model of DimmWitted-style model averaging).
-LearnStats LearnReplicated(CompiledGraph* graph, const LearnerOptions& options) {
+LearnStats LearnReplicated(CompiledGraph* graph, const LearnerOptions& options,
+                           const Parallelism& parallelism) {
   // Chain 2r is clamped replica r, chain 2r + 1 is free replica r. Every
   // chain owns a private world and (seed, chain, worker)-keyed streams; the
   // replicated sampler's pool runs all 2R chains concurrently, each chain's
   // Hogwild shards on its own replica sampler. With one worker per chain
   // every chain is internally sequential, so the whole procedure is
   // deterministic for a fixed seed.
-  const size_t replicas = options.num_replicas;
+  const size_t replicas = parallelism.num_replicas;
   const size_t chains = 2 * replicas;
-  ReplicatedGibbsSampler replicated(graph, chains, options.num_threads);
+  ReplicatedGibbsSampler replicated(
+      graph, {.num_threads = parallelism.num_threads, .num_replicas = chains});
   std::vector<std::unique_ptr<AtomicWorld>> worlds;
   std::vector<std::vector<Rng>> rngs;
   worlds.reserve(chains);
@@ -170,7 +171,8 @@ LearnStats LearnReplicated(CompiledGraph* graph, const LearnerOptions& options) 
 
 }  // namespace
 
-Learner::Learner(FactorGraph* graph) : graph_(graph) {}
+Learner::Learner(FactorGraph* graph, const Parallelism& parallelism)
+    : graph_(graph), parallelism_(parallelism) {}
 
 double Learner::EvidenceLoss() const {
   return CompiledEvidenceLoss(CompiledGraph::Compile(*graph_));
@@ -179,8 +181,9 @@ double Learner::EvidenceLoss() const {
 LearnStats Learner::Learn(const LearnerOptions& options) {
   // Compile once, learn on the flat image, write the weights back.
   CompiledGraph compiled = CompiledGraph::Compile(*graph_);
-  LearnStats stats = options.num_replicas >= 2 ? LearnReplicated(&compiled, options)
-                                               : LearnTwoChains(&compiled, options);
+  LearnStats stats = parallelism_.num_replicas >= 2
+                         ? LearnReplicated(&compiled, options, parallelism_)
+                         : LearnTwoChains(&compiled, options, parallelism_.num_threads);
   for (WeightId w = 0; w < graph_->NumWeights(); ++w) {
     graph_->SetWeightValue(w, compiled.WeightValue(w));
   }

@@ -4,6 +4,7 @@
 #include <cstdint>
 
 #include "factor/factor_graph.h"
+#include "inference/parallelism.h"
 
 namespace deepdive::inference {
 
@@ -21,20 +22,6 @@ struct LearnerOptions {
   /// When false, learnable weights are reset to zero first.
   bool warmstart = true;
   uint64_t seed = 7;
-  /// >= 2 runs the clamped and free chains concurrently on a thread pool
-  /// (each chain owns a decorrelated RNG stream). 1 keeps the historical
-  /// single-threaded interleaving, bit-identical for a given seed. With
-  /// num_replicas > 1 this is the total budget split across all chains.
-  size_t num_threads = 1;
-  /// Model replicas per chain (ReplicatedGibbsSampler execution model):
-  /// >= 2 maintains R clamped and R free persistent chains with private
-  /// worlds and (seed, chain, worker)-keyed RNG streams; each sweep's
-  /// gradient is the replica-averaged difference of sufficient statistics —
-  /// the weight vector itself is the consensus model, synchronized every
-  /// sweep. Deterministic for a fixed seed whenever each chain runs on one
-  /// worker (num_threads <= 2 * num_replicas). 1 keeps the historical
-  /// two-chain path bit-identical.
-  size_t num_replicas = 1;
 };
 
 struct LearnStats {
@@ -51,9 +38,19 @@ struct LearnStats {
 /// into the graph (single-writer: this learner, between inference runs).
 /// Warmstart (keep previous weights) is the incremental-learning technique
 /// evaluated in Figure 16.
+///
+/// Parallelism: with one replica, num_threads >= 2 runs the clamped and free
+/// chains concurrently on a thread pool (each chain owns a decorrelated RNG
+/// stream); 1 keeps the single-threaded interleaving, bit-identical for a
+/// given seed. num_replicas >= 2 maintains R clamped and R free persistent
+/// chains with private worlds and (seed, chain, worker)-keyed RNG streams;
+/// each sweep's gradient is the replica-averaged difference of sufficient
+/// statistics — the weight vector itself is the consensus model,
+/// synchronized every sweep. That is deterministic for a fixed seed whenever
+/// each chain runs on one worker (num_threads <= 2 * num_replicas).
 class Learner {
  public:
-  explicit Learner(factor::FactorGraph* graph);
+  explicit Learner(factor::FactorGraph* graph, const Parallelism& parallelism = {});
 
   LearnStats Learn(const LearnerOptions& options);
 
@@ -67,6 +64,7 @@ class Learner {
 
  private:
   factor::FactorGraph* graph_;
+  Parallelism parallelism_;
 };
 
 }  // namespace deepdive::inference

@@ -232,17 +232,6 @@ MarginalResult ParallelGibbsSampler::EstimateMarginals(
   return result;
 }
 
-std::vector<BitVector> ParallelGibbsSampler::DrawSamples(
-    size_t count, size_t thin, const GibbsOptions& options) const {
-  std::vector<BitVector> samples;
-  samples.reserve(count);
-  SampleChain(options, count, thin, [&](const BitVector& bits) {
-    samples.push_back(bits);
-    return true;
-  });
-  return samples;
-}
-
 void ParallelGibbsSampler::SampleChain(
     const GibbsOptions& options, size_t count, size_t thin,
     const std::function<bool(const BitVector&)>& on_sample,
@@ -266,8 +255,7 @@ void ParallelGibbsSampler::SampleChain(
     }
   };
   if (num_threads_ <= 1) {
-    // Matches the sequential DrawSamples exactly: one Rng drives init,
-    // burn-in and thinning.
+    // One Rng drives init, burn-in and thinning.
     GibbsSampler sequential(graph_);
     World world(graph_);
     Rng rng(options.seed);

@@ -115,16 +115,12 @@ class ParallelGibbsSampler {
   /// options' budget exactly like GibbsSampler::EstimateMarginals.
   MarginalResult EstimateMarginals(const GibbsOptions& options) const;
 
-  /// Draws `count` packed sample worlds, `thin` sweeps apart, after burn-in.
-  std::vector<BitVector> DrawSamples(size_t count, size_t thin,
-                                     const GibbsOptions& options) const;
-
   /// Materialization loop: after burn-in, emits up to `count` samples `thin`
   /// sweeps apart to `on_sample`; stops early when the callback returns
-  /// false (time budgets). Sequentially identical to the single-threaded
-  /// draw loop when num_threads == 1. When `vars` is given, every sweep is
-  /// SweepVars over it and the other variables keep their initial values;
-  /// null sweeps the whole graph.
+  /// false (time budgets). At num_threads == 1 one Rng drives the
+  /// initialization, burn-in and thinning of a sequential chain. When `vars`
+  /// is given, every sweep is SweepVars over it and the other variables keep
+  /// their initial values; null sweeps the whole graph.
   void SampleChain(const GibbsOptions& options, size_t count, size_t thin,
                    const std::function<bool(const BitVector&)>& on_sample,
                    const std::vector<factor::VarId>* vars = nullptr) const;

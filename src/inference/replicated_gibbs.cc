@@ -10,13 +10,14 @@ namespace deepdive::inference {
 using factor::VarId;
 
 ReplicatedGibbsSampler::ReplicatedGibbsSampler(const factor::CompiledGraph* graph,
-                                               size_t num_replicas, size_t num_threads)
+                                               const Parallelism& parallelism)
     : graph_(graph),
       threads_per_replica_(1),
-      replica_pool_(std::max<size_t>(1, num_replicas)) {
-  const size_t replicas = std::max<size_t>(1, num_replicas);
-  const size_t total =
-      num_threads == 0 ? ThreadPool::DefaultThreads() : num_threads;
+      sync_every_sweeps_(parallelism.sync_every_sweeps),
+      replica_pool_(std::max<size_t>(1, parallelism.num_replicas)) {
+  const size_t replicas = std::max<size_t>(1, parallelism.num_replicas);
+  const size_t total = parallelism.num_threads == 0 ? ThreadPool::DefaultThreads()
+                                                    : parallelism.num_threads;
   threads_per_replica_ = std::max<size_t>(1, total / replicas);
   replicas_.reserve(replicas);
   for (size_t r = 0; r < replicas; ++r) {
@@ -147,7 +148,7 @@ MarginalResult ReplicatedGibbsSampler::EstimateMarginals(
   const size_t n = graph_->NumVariables();
   const size_t burn = options.burn_in_sweeps;
   const size_t total = burn + options.sample_sweeps;
-  const size_t sync = options.sync_every_sweeps;
+  const size_t sync = sync_every_sweeps_;
   std::vector<ReplicaChain> chains = InitChains(options, /*with_counts=*/true);
 
   size_t done = 0;
@@ -181,17 +182,6 @@ MarginalResult ReplicatedGibbsSampler::EstimateMarginals(
   return result;
 }
 
-std::vector<BitVector> ReplicatedGibbsSampler::DrawSamples(
-    size_t count, size_t thin, const GibbsOptions& options) const {
-  std::vector<BitVector> samples;
-  samples.reserve(count);
-  SampleChain(options, count, thin, [&](const BitVector& bits) {
-    samples.push_back(bits);
-    return true;
-  });
-  return samples;
-}
-
 void ReplicatedGibbsSampler::SampleChain(
     const GibbsOptions& options, size_t count, size_t thin,
     const std::function<bool(const BitVector&)>& on_sample,
@@ -202,7 +192,7 @@ void ReplicatedGibbsSampler::SampleChain(
   }
 
   const size_t thin_sweeps = std::max<size_t>(1, thin);
-  const size_t sync = options.sync_every_sweeps;
+  const size_t sync = sync_every_sweeps_;
   std::vector<ReplicaChain> chains = InitChains(options, /*with_counts=*/false);
 
   // Burn-in, split at synchronization boundaries.

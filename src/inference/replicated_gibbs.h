@@ -9,6 +9,7 @@
 #include "factor/compiled_graph.h"
 #include "inference/gibbs.h"
 #include "inference/parallel_gibbs.h"
+#include "inference/parallelism.h"
 #include "util/bitvector.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
@@ -23,7 +24,7 @@ namespace deepdive::inference {
 /// cross-socket cache-line ping-pong that caps the shared-world sampler at
 /// memory bandwidth disappears; the cost is R independent chains that must
 /// be reconciled. Reconciliation is periodic model averaging: every
-/// `GibbsOptions::sync_every_sweeps` sweeps the per-variable marginal
+/// `Parallelism::sync_every_sweeps` sweeps the per-variable marginal
 /// estimates are averaged across replicas and each replica's world is
 /// re-seeded from that consensus (an independent Bernoulli draw per
 /// variable, from a replica-private synchronization stream), plus a final
@@ -43,12 +44,15 @@ namespace deepdive::inference {
 /// per calling thread.
 class ReplicatedGibbsSampler {
  public:
-  /// `num_threads` is the TOTAL worker budget: each replica runs its Hogwild
-  /// sweeps on max(1, num_threads / num_replicas) workers (0 = one worker
-  /// per hardware thread before the split). Replicas themselves always run
-  /// concurrently — R replicas occupy at least R workers.
+  /// `parallelism.num_threads` is the TOTAL worker budget: each replica runs
+  /// its Hogwild sweeps on max(1, num_threads / num_replicas) workers (0 =
+  /// one worker per hardware thread before the split). Replicas themselves
+  /// always run concurrently — R replicas occupy at least R workers. In
+  /// SampleChain the synchronization cadence rounds up to the next emission
+  /// boundary, so a synchronization never lands between advancing a chain
+  /// and emitting its sample.
   explicit ReplicatedGibbsSampler(const factor::CompiledGraph* graph,
-                                  size_t num_replicas = 1, size_t num_threads = 1);
+                                  const Parallelism& parallelism = {});
 
   /// The frozen graph (see CompiledGraph's thread contract).
   const factor::CompiledGraph& graph() const { return *graph_; }
@@ -71,20 +75,16 @@ class ReplicatedGibbsSampler {
   /// replicas respectively.
   MarginalResult EstimateMarginals(const GibbsOptions& options) const;
 
-  /// Draws `count` packed sample worlds after burn-in, emitted round-robin
-  /// across the replica chains (sample s comes from replica s % R): every
-  /// advancement block runs `thin` sweeps on all replicas concurrently and
-  /// harvests one sample per replica, so each chain's consecutive samples
-  /// are `thin` sweeps apart and `count` samples cost ceil(count / R)
-  /// blocks. Synchronizations land on block boundaries only.
-  std::vector<BitVector> DrawSamples(size_t count, size_t thin,
-                                     const GibbsOptions& options) const;
-
-  /// Materialization loop over the replica chains; semantics of the emitted
-  /// stream as DrawSamples. Honors options.interrupt between sweeps (polled
-  /// from replica workers — the hook must be thread-safe) and stops early
-  /// when `on_sample` returns false. When `vars` is given, every chain sweeps
-  /// only those variables (see ParallelGibbsSampler::SampleChain).
+  /// Materialization loop over the replica chains: after burn-in, emits up
+  /// to `count` samples round-robin across the replica chains (sample s comes
+  /// from replica s % R). Every advancement block runs `thin` sweeps on all
+  /// replicas concurrently and harvests one sample per replica, so each
+  /// chain's consecutive samples are `thin` sweeps apart and `count` samples
+  /// cost ceil(count / R) blocks; synchronizations land on block boundaries
+  /// only. Honors options.interrupt between sweeps (polled from replica
+  /// workers — the hook must be thread-safe) and stops early when
+  /// `on_sample` returns false. When `vars` is given, every chain sweeps only
+  /// those variables (see ParallelGibbsSampler::SampleChain).
   void SampleChain(const GibbsOptions& options, size_t count, size_t thin,
                    const std::function<bool(const BitVector&)>& on_sample,
                    const std::vector<factor::VarId>* vars = nullptr) const;
@@ -140,6 +140,7 @@ class ReplicatedGibbsSampler {
 
   const factor::CompiledGraph* graph_;
   size_t threads_per_replica_;
+  size_t sync_every_sweeps_;
   std::vector<std::unique_ptr<ParallelGibbsSampler>> replicas_;
   mutable ThreadPool replica_pool_;  // R-wide outer pool (inline when R == 1)
 };

@@ -46,6 +46,12 @@ StatusOr<std::vector<Tuple>> ParseRows(const core::DeepDive& dd,
 
 }  // namespace
 
+inference::Parallelism ParallelismOf(const comm::TenantConfig& config) {
+  return {.num_threads = config.threads,
+          .num_replicas = config.replicas,
+          .sync_every_sweeps = config.sync_every};
+}
+
 TenantInstance::TenantInstance(std::string name, std::string program_source,
                                comm::TenantConfig config,
                                std::vector<comm::DataPayload> data)
@@ -307,24 +313,7 @@ StatusOr<std::shared_ptr<core::DeepDive>> TenantInstance::BuildEngine() {
                                    : core::ExecutionMode::kIncremental;
   config.seed = config_.seed;
   config.learner.epochs = config_.epochs;
-  // Parallel grounding and inference everywhere a chain or rule evaluation
-  // runs (0 = hardware threads) — the same wiring as deepdive_cli run, so a
-  // tenant and the in-process CLI produce identical results for identical
-  // settings.
-  config.grounding.num_threads = config_.threads;
-  config.gibbs.num_threads = config_.threads;
-  config.learner.num_threads = config_.threads;
-  config.materialization.num_threads = config_.threads;
-  config.materialization.variational.num_threads = config_.threads;
-  config.engine.gibbs.num_threads = config_.threads;
-  config.engine.rerun_gibbs.num_threads = config_.threads;
-  config.gibbs.num_replicas = config_.replicas;
-  config.gibbs.sync_every_sweeps = config_.sync_every;
-  config.learner.num_replicas = config_.replicas;
-  config.materialization.num_replicas = config_.replicas;
-  config.materialization.sync_every_sweeps = config_.sync_every;
-  config.engine.rerun_gibbs.num_replicas = config_.replicas;
-  config.engine.rerun_gibbs.sync_every_sweeps = config_.sync_every;
+  config.parallelism = ParallelismOf(config_);
   config.materialization.async = config_.async_materialize;
   config.materialization.save_sample_store = config_.save_materialization;
   config.materialization.load_sample_store = config_.load_materialization;
@@ -392,8 +381,7 @@ StatusOr<comm::SaveGraphResult> TenantInstance::ExecuteSaveGraph(
   result.checksum = compiled.Checksum();
   result.image_bytes = compiled.image_bytes();
   result.fingerprint = inference::CompiledMarginalsFingerprint(
-      compiled, config_.seed, config_.threads, config_.replicas,
-      config_.sync_every);
+      compiled, config_.seed, ParallelismOf(config_));
   return result;
 }
 

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/deepdive.h"
+#include "inference/parallelism.h"
 #include "mining/miner.h"
 #include "serve/comm/messages.h"
 #include "util/bounded_queue.h"
@@ -19,6 +20,10 @@
 #include "util/thread_pool.h"
 
 namespace deepdive::serve::service {
+
+/// The parallelism a tenant's DeepDive runs every stage with, from the wire's
+/// threads, replicas and sync_every.
+inference::Parallelism ParallelismOf(const comm::TenantConfig& config);
 
 /// One hosted KB instance: a DeepDive engine owned by a dedicated writer
 /// thread, fed by a bounded update queue with admission control.

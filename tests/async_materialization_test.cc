@@ -140,12 +140,13 @@ TEST(AsyncMaterializationTest, AsyncSnapshotBitIdenticalToSync) {
 /// the materialization options so the replicated-sampler configuration runs
 /// the identical scenario (its chains are deterministic at one thread per
 /// replica, which this bit-exactness drill depends on).
-void RunMidBuildDriftSwapScenario(const MaterializationOptions& base_mopts)
+void RunMidBuildDriftSwapScenario(const MaterializationOptions& base_mopts,
+                                  const inference::Parallelism& parallelism = {})
     REQUIRES(serving_thread) {
   FactorGraph g = TwoComponentGraph(23);
   FactorGraph g_control = TwoComponentGraph(23);
-  IncrementalEngine engine(&g);
-  IncrementalEngine control(&g_control);
+  IncrementalEngine engine(&g, parallelism);
+  IncrementalEngine control(&g_control, parallelism);
 
   MaterializationOptions mopts = base_mopts;
   ASSERT_TRUE(engine.Materialize(mopts).ok());
@@ -163,7 +164,7 @@ void RunMidBuildDriftSwapScenario(const MaterializationOptions& base_mopts)
   // The reference for the post-swap snapshot: the same pre-update graph
   // state, materialized synchronously with the same options.
   FactorGraph g_reference = TwoComponentGraph(23);
-  IncrementalEngine reference(&g_reference);
+  IncrementalEngine reference(&g_reference, parallelism);
   MaterializationOptions remat_sync = remat;
   remat_sync.async = false;
   remat_sync.on_before_publish = nullptr;
@@ -222,10 +223,8 @@ TEST(AsyncMaterializationTest, UpdatesMidBuildDriftSwapWithReplicatedSampler) {
   // The identical drift/swap drill with a 2-replica materialization chain —
   // including consensus synchronizations during burn-in (cadence 40 against
   // a 100-sweep burn-in) and round-robin sample emission.
-  MaterializationOptions mopts = TestMaterialization();
-  mopts.num_replicas = 2;
-  mopts.sync_every_sweeps = 40;
-  RunMidBuildDriftSwapScenario(mopts);
+  RunMidBuildDriftSwapScenario(TestMaterialization(),
+                               {.num_replicas = 2, .sync_every_sweeps = 40});
 }
 
 TEST(AsyncMaterializationTest, ReplicatedSnapshotBitIdenticalAcrossSyncAndAsync) {
@@ -235,12 +234,11 @@ TEST(AsyncMaterializationTest, ReplicatedSnapshotBitIdenticalAcrossSyncAndAsync)
   // would.
   FactorGraph g_async = TwoComponentGraph(22);
   FactorGraph g_sync = TwoComponentGraph(22);
-  IncrementalEngine async_engine(&g_async);
-  IncrementalEngine sync_engine(&g_sync);
+  const inference::Parallelism replicated{.num_replicas = 3, .sync_every_sweeps = 25};
+  IncrementalEngine async_engine(&g_async, replicated);
+  IncrementalEngine sync_engine(&g_sync, replicated);
 
   MaterializationOptions mopts = TestMaterialization();
-  mopts.num_replicas = 3;
-  mopts.sync_every_sweeps = 25;
   ASSERT_TRUE(sync_engine.Materialize(mopts).ok());
 
   mopts.async = true;
@@ -464,11 +462,10 @@ TEST(AsyncMaterializationTest, SwapUnderConcurrentUpdatesWithReplicatedBuild) {
   // build's publish waits for the loop's updates (its chain does not), so
   // no update is served from the new store and it ends full.
   FactorGraph g = LongChainGraph(35);
-  IncrementalEngine engine(&g);
+  // 2 Hogwild workers per replica.
+  IncrementalEngine engine(
+      &g, {.num_threads = 4, .num_replicas = 2, .sync_every_sweeps = 30});
   MaterializationOptions mopts = TestMaterialization();
-  mopts.num_replicas = 2;
-  mopts.num_threads = 4;  // 2 Hogwild workers per replica
-  mopts.sync_every_sweeps = 30;
   ASSERT_TRUE(engine.Materialize(mopts).ok());
 
   std::promise<void> updates_done;

@@ -298,11 +298,12 @@ TEST(CompiledGraphTest, ReplicatedSamplerParity) {
   inference::GibbsOptions options;
   options.burn_in_sweeps = 8;
   options.sample_sweeps = 24;
-  options.sync_every_sweeps = 8;
   options.seed = 5;
   // Two replicas, one worker each: deterministic.
   const auto result =
-      inference::ReplicatedGibbsSampler(&compiled, 2, 2).EstimateMarginals(options);
+      inference::ReplicatedGibbsSampler(
+          &compiled, {.num_threads = 2, .num_replicas = 2, .sync_every_sweeps = 8})
+          .EstimateMarginals(options);
   EXPECT_EQ(HashDoubles(result.marginals), 0xb8be7ecf1d6d9394ULL);
 }
 
@@ -331,8 +332,7 @@ TEST(CompiledGraphTest, LearnerMatchesGoldenWeightsAndLoss) {
     inference::LearnerOptions options;
     options.epochs = 8;
     options.seed = 19;
-    options.num_replicas = golden.replicas;
-    inference::Learner learner(&g);
+    inference::Learner learner(&g, {.num_replicas = golden.replicas});
     learner.Learn(options);
     std::vector<double> weights;
     for (WeightId w = 0; w < g.NumWeights(); ++w) weights.push_back(g.WeightValue(w));

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "core/deepdive.h"
+#include "factor/compiled_graph.h"
 #include "kbc/metrics.h"
 #include "util/thread_role.h"
 
@@ -358,6 +359,102 @@ TEST(DeepDiveTest, MaterializationStatsPopulated) {
   EXPECT_GT(dd->Query()->materialization.samples_collected, 0u);
   auto rerun = Make(ExecutionMode::kRerun);
   EXPECT_EQ(rerun->Query()->materialization.samples_collected, 0u);
+}
+
+// The one parallelism setting reaches every stage: Initialize (grounding,
+// learning, whole-graph inference, materialization with a chain component),
+// a labelled data update (learning plus a variational write), AddRule and an
+// exact-restore RetractRule, and, on a second instance, the engine's rerun.
+// Each hash covers the final view's marginals and the weights. They were
+// recorded with the per-stage thread, replica and sync fields the serving
+// tier used to set one by one; at one worker per replica every run is
+// deterministic.
+constexpr char kChainProgram[] = R"(
+  relation Node(x: int).
+  relation Edge(a: int, b: int).
+  relation Feat(x: int, f: string).
+  query relation Q(x: int).
+  evidence QEv(x: int, l: bool) for Q.
+  rule CAND: Q(x) :- Node(x).
+  factor LINK: Q(a) :- Q(b), Edge(a, b) weight = 0.6.
+  factor FE: Q(x) :- Feat(x, f) weight = w(f) semantics = ratio.
+)";
+
+std::unique_ptr<DeepDive> MakeChainKb(const DeepDiveConfig& config)
+    REQUIRES(serving_thread) {
+  auto dd = DeepDive::Create(kChainProgram, config);
+  EXPECT_TRUE(dd.ok()) << dd.status().ToString();
+  std::vector<Tuple> nodes, edges, feats, labels;
+  // A chain of 20 unlabelled nodes: one component too large to enumerate.
+  for (int x = 1; x <= 20; ++x) {
+    nodes.push_back({Value(x)});
+    if (x > 1) edges.push_back({Value(x), Value(x - 1)});
+    feats.push_back({Value(x), Value(x % 2 == 0 ? "even" : "odd")});
+  }
+  // Labelled singletons sharing the chain's features.
+  for (int x = 31; x <= 38; ++x) {
+    nodes.push_back({Value(x)});
+    feats.push_back({Value(x), Value(x % 2 == 0 ? "even" : "odd")});
+    labels.push_back({Value(x), Value(x % 2 == 0)});
+  }
+  EXPECT_TRUE(dd.value()->LoadRows("Node", nodes).ok());
+  EXPECT_TRUE(dd.value()->LoadRows("Edge", edges).ok());
+  EXPECT_TRUE(dd.value()->LoadRows("Feat", feats).ok());
+  EXPECT_TRUE(dd.value()->LoadRows("QEv", labels).ok());
+  EXPECT_TRUE(dd.value()->Initialize().ok());
+  return std::move(dd).value();
+}
+
+UpdateSpec LabelUpdate() {
+  UpdateSpec spec;
+  spec.label = "labels";
+  spec.inserts["QEv"] = {{Value(3), Value(false)}, {Value(39), Value(true)}};
+  spec.inserts["Node"] = {{Value(39)}};
+  spec.inserts["Feat"] = {{Value(39), Value("odd")}};
+  return spec;
+}
+
+uint64_t MarginalsAndWeightsHash(DeepDive* dd) REQUIRES(serving_thread) {
+  std::vector<double> values = dd->Query()->marginals;
+  const factor::FactorGraph& g = dd->ground().graph;
+  for (factor::WeightId w = 0; w < g.NumWeights(); ++w) values.push_back(g.WeightValue(w));
+  return factor::Fnv1aHash(values.data(), values.size() * sizeof(double));
+}
+
+TEST(DeepDiveTest, ParallelismReachesEveryStage) {
+  deepdive::serving_thread.AssertHeld();
+  const struct {
+    inference::Parallelism parallelism;
+    uint64_t incremental;
+    uint64_t rerun;
+  } kGolden[] = {
+      {{.num_threads = 1, .num_replicas = 1, .sync_every_sweeps = 50},
+       0x1a589e8a77018229ULL, 0x43ce2a53ed6f3bd9ULL},
+      {{.num_threads = 1, .num_replicas = 2, .sync_every_sweeps = 25},
+       0xe9a09c3713aa17f4ULL, 0x510e71540b71edeaULL},
+  };
+  for (const auto& golden : kGolden) {
+    SCOPED_TRACE("replicas " + std::to_string(golden.parallelism.num_replicas));
+    DeepDiveConfig config = FastTestConfig();
+    config.parallelism = golden.parallelism;
+    auto dd = MakeChainKb(config);
+    EXPECT_GT(dd->Query()->materialization.chain_vars, 0u);
+    auto update = dd->ApplyUpdate(LabelUpdate());
+    ASSERT_TRUE(update.ok()) << update.status().ToString();
+    EXPECT_EQ(update->strategy, incremental::Strategy::kVariational);
+    ASSERT_TRUE(dd->AddRule("factor FE2: Q(a) :- Edge(a, b), Feat(b, f) weight = w(f).").ok());
+    auto retract = dd->RetractRule("FE2");
+    ASSERT_TRUE(retract.ok()) << retract.status().ToString();
+    EXPECT_DOUBLE_EQ(retract->acceptance_rate, 1.0);  // exact restore
+    EXPECT_EQ(MarginalsAndWeightsHash(dd.get()), golden.incremental);
+
+    config.engine.forced_strategy = incremental::Strategy::kRerun;
+    auto rerun = MakeChainKb(config);
+    auto rerun_update = rerun->ApplyUpdate(LabelUpdate());
+    ASSERT_TRUE(rerun_update.ok()) << rerun_update.status().ToString();
+    EXPECT_EQ(rerun_update->strategy, incremental::Strategy::kRerun);
+    EXPECT_EQ(MarginalsAndWeightsHash(rerun.get()), golden.rerun);
+  }
 }
 
 }  // namespace

@@ -451,14 +451,17 @@ TEST(IncrementalEngineTest, ComponentCacheReuseKeepsBucketsIdentical) {
 // evidence whose clause alone couples variables 3 and 4. Every swept
 // component is under the cut-off, so each swept variable gets the exact
 // marginal of the spliced image with the unswept variables at their warm
-// values, and the result does not depend on the seed or the thread count.
+// values, at any thread count. The thread count also reaches the
+// materialization's variational fit, whose Hogwild draws make the image
+// itself vary from run to run above one thread; at one thread the image is
+// fixed and the result does not depend on the seed.
 TEST(IncrementalEngineTest, VariationalEnumeratesSmallComponentsExactly) {
   deepdive::serving_thread.AssertHeld();
   std::vector<double> first_marginals;
-  for (uint64_t seed : {1u, 2u}) {
-    for (size_t threads : {1u, 2u}) {
+  for (size_t threads : {1u, 2u}) {
+    for (uint64_t seed : {1u, 2u}) {
       FactorGraph g = TwoComponentGraph(21, /*chains=*/3);
-      IncrementalEngine engine(&g);
+      IncrementalEngine engine(&g, {.num_threads = threads});
       ASSERT_TRUE(engine.Materialize(TestMaterialization()).ok());
       const std::vector<double> warm = engine.marginals();
       GraphDelta delta;
@@ -470,7 +473,6 @@ TEST(IncrementalEngineTest, VariationalEnumeratesSmallComponentsExactly) {
       EngineOptions eopts = TestEngine();
       eopts.forced_strategy = Strategy::kVariational;
       eopts.gibbs.seed = seed;
-      eopts.gibbs.num_threads = threads;
       auto outcome = engine.ApplyDelta(delta, eopts);
       ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
       EXPECT_EQ(outcome->affected_vars, 8u);
@@ -485,8 +487,9 @@ TEST(IncrementalEngineTest, VariationalEnumeratesSmallComponentsExactly) {
       for (VarId v = 1; v < 8; ++v) {
         EXPECT_NEAR(outcome->marginals[v], exact->marginals[v], 1e-12) << "var " << v;
       }
+      if (threads > 1) continue;
       if (first_marginals.empty()) first_marginals = outcome->marginals;
-      EXPECT_EQ(outcome->marginals, first_marginals) << "seed " << seed << " threads " << threads;
+      EXPECT_EQ(outcome->marginals, first_marginals) << "seed " << seed;
     }
   }
 }

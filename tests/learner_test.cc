@@ -44,9 +44,9 @@ PlantedModel BuildPlanted(size_t objects, uint64_t seed) {
 /// EvidenceLoss after `epochs` epochs of `options` on a fresh planted model:
 /// the loss a longer run from the same start and seed reaches at that epoch.
 double LossAfterEpochs(size_t objects, uint64_t model_seed, LearnerOptions options,
-                       size_t epochs) {
+                       size_t epochs, const Parallelism& parallelism = {}) {
   PlantedModel m = BuildPlanted(objects, model_seed);
-  Learner learner(&m.graph);
+  Learner learner(&m.graph, parallelism);
   options.epochs = epochs;
   learner.Learn(options);
   return learner.EvidenceLoss();
@@ -145,14 +145,12 @@ TEST(LearnerTest, ReplicatedChainsRecoverPlantedSigns) {
   // The replicated learner (R clamped + R free chains, replica-averaged
   // gradients) must learn the planted model like the two-chain path does.
   PlantedModel m = BuildPlanted(60, 31);
-  Learner learner(&m.graph);
+  Learner learner(&m.graph, {.num_threads = 6, .num_replicas = 3});
   LearnerOptions options;
   options.epochs = 80;
   options.learning_rate = 0.2;
   options.seed = 5;
   options.warmstart = false;
-  options.num_replicas = 3;
-  options.num_threads = 6;
   const double initial_loss = learner.EvidenceLoss();
   learner.Learn(options);
   EXPECT_GT(m.graph.WeightValue(m.w_pos), 0.5);
@@ -170,18 +168,17 @@ TEST(LearnerTest, ReplicatedLearnerDeterministicAtOneWorkerPerChain) {
   options.epochs = 30;
   options.warmstart = false;
   options.seed = 41;
-  options.num_replicas = 2;
-  options.num_threads = 4;
-  const LearnStats sa = Learner(&a.graph).Learn(options);
-  const LearnStats sb = Learner(&b.graph).Learn(options);
+  const Parallelism parallelism{.num_threads = 4, .num_replicas = 2};
+  const LearnStats sa = Learner(&a.graph, parallelism).Learn(options);
+  const LearnStats sb = Learner(&b.graph, parallelism).Learn(options);
   ASSERT_EQ(a.graph.NumWeights(), b.graph.NumWeights());
   for (WeightId w = 0; w < a.graph.NumWeights(); ++w) {
     EXPECT_DOUBLE_EQ(a.graph.WeightValue(w), b.graph.WeightValue(w)) << "w " << w;
   }
   ASSERT_EQ(sa.epochs_run, sb.epochs_run);
   for (size_t e = 1; e <= sa.epochs_run; ++e) {
-    EXPECT_DOUBLE_EQ(LossAfterEpochs(40, 37, options, e),
-                     LossAfterEpochs(40, 37, options, e))
+    EXPECT_DOUBLE_EQ(LossAfterEpochs(40, 37, options, e, parallelism),
+                     LossAfterEpochs(40, 37, options, e, parallelism))
         << "epoch " << e;
   }
 }

@@ -6,6 +6,7 @@
 #include "incremental/sample_store.h"
 #include "inference/exact.h"
 #include "inference/gibbs.h"
+#include "inference/parallel_gibbs.h"
 #include "util/random.h"
 
 namespace deepdive::incremental {
@@ -33,12 +34,15 @@ FactorGraph ChainGraph(uint64_t seed, size_t num_vars) {
 
 SampleStore MaterializeSamples(const FactorGraph& g, size_t count, uint64_t seed) {
   const factor::CompiledGraph compiled = factor::CompiledGraph::Compile(g);
-  inference::GibbsSampler sampler(&compiled);
   inference::GibbsOptions options;
   options.burn_in_sweeps = 200;
   options.seed = seed;
   SampleStore store;
-  store.AddAll(sampler.DrawSamples(count, 3, options));
+  inference::ParallelGibbsSampler(&compiled, 1)
+      .SampleChain(options, count, 3, [&](const BitVector& bits) {
+        store.Add(bits);
+        return true;
+      });
   return store;
 }
 

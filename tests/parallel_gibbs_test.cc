@@ -229,8 +229,23 @@ TEST(ParallelGibbsTest, SingleThreadDrawSamplesMatchesSequential) {
   GibbsOptions options;
   options.burn_in_sweeps = 10;
   options.seed = 33;
-  const auto sequential = GibbsSampler(&g).DrawSamples(5, 2, options);
-  const auto parallel = ParallelGibbsSampler(&g, 1).DrawSamples(5, 2, options);
+  // The sequential sampler's sweep loop: one Rng drives init, burn-in and
+  // thinning.
+  const GibbsSampler sampler(&g);
+  World world(&g);
+  Rng rng(options.seed);
+  world.InitValues(&rng, options.random_init);
+  for (size_t i = 0; i < options.burn_in_sweeps; ++i) sampler.Sweep(&world, &rng);
+  std::vector<BitVector> sequential;
+  for (size_t s = 0; s < 5; ++s) {
+    for (size_t t = 0; t < 2; ++t) sampler.Sweep(&world, &rng);
+    sequential.push_back(world.ToBits());
+  }
+  std::vector<BitVector> parallel;
+  ParallelGibbsSampler(&g, 1).SampleChain(options, 5, 2, [&](const BitVector& bits) {
+    parallel.push_back(bits);
+    return true;
+  });
   ASSERT_EQ(parallel.size(), sequential.size());
   for (size_t i = 0; i < sequential.size(); ++i) {
     EXPECT_EQ(parallel[i], sequential[i]) << "sample " << i;

@@ -73,6 +73,24 @@ FactorGraph ChainGraph(size_t n, uint64_t seed) {
   return g;
 }
 
+/// Collects every sample SampleChain emits.
+template <typename Sampler>
+std::vector<BitVector> DrawSamples(const Sampler& sampler, size_t count, size_t thin,
+                                   const GibbsOptions& options) {
+  std::vector<BitVector> samples;
+  sampler.SampleChain(options, count, thin, [&](const BitVector& bits) {
+    samples.push_back(bits);
+    return true;
+  });
+  return samples;
+}
+
+Parallelism Replicas(size_t replicas, size_t sync_every_sweeps = 50) {
+  return {.num_threads = replicas,
+          .num_replicas = replicas,
+          .sync_every_sweeps = sync_every_sweeps};
+}
+
 // ---- single-replica bit-equivalence ----------------------------------------
 
 TEST(ReplicatedGibbsTest, SingleReplicaMatchesParallelSamplerExactly) {
@@ -85,8 +103,7 @@ TEST(ReplicatedGibbsTest, SingleReplicaMatchesParallelSamplerExactly) {
     options.seed = seed * 31 + 1;
 
     const auto parallel = ParallelGibbsSampler(&g, 1).EstimateMarginals(options);
-    const auto replicated =
-        ReplicatedGibbsSampler(&g, 1, 1).EstimateMarginals(options);
+    const auto replicated = ReplicatedGibbsSampler(&g).EstimateMarginals(options);
 
     ASSERT_EQ(replicated.marginals.size(), parallel.marginals.size());
     for (size_t v = 0; v < parallel.marginals.size(); ++v) {
@@ -111,8 +128,8 @@ TEST(ReplicatedGibbsTest, SingleReplicaDrawSamplesMatchesParallelSampler) {
   GibbsOptions options;
   options.burn_in_sweeps = 10;
   options.seed = 33;
-  const auto parallel = ParallelGibbsSampler(&g, 1).DrawSamples(5, 2, options);
-  const auto replicated = ReplicatedGibbsSampler(&g, 1, 1).DrawSamples(5, 2, options);
+  const auto parallel = DrawSamples(ParallelGibbsSampler(&g, 1), 5, 2, options);
+  const auto replicated = DrawSamples(ReplicatedGibbsSampler(&g), 5, 2, options);
   ASSERT_EQ(replicated.size(), parallel.size());
   for (size_t i = 0; i < parallel.size(); ++i) {
     EXPECT_EQ(replicated[i], parallel[i]) << "sample " << i;
@@ -126,11 +143,10 @@ TEST(ReplicatedGibbsTest, DeterministicAtOneThreadPerReplica) {
   GibbsOptions options;
   options.burn_in_sweeps = 30;
   options.sample_sweeps = 200;
-  options.sync_every_sweeps = 40;
   options.seed = 91;
 
-  ReplicatedGibbsSampler a(&g, 3, 3);
-  ReplicatedGibbsSampler b(&g, 3, 3);
+  ReplicatedGibbsSampler a(&g, Replicas(3, 40));
+  ReplicatedGibbsSampler b(&g, Replicas(3, 40));
   const auto ra = a.EstimateMarginals(options);
   const auto rb = b.EstimateMarginals(options);
   ASSERT_EQ(ra.marginals.size(), rb.marginals.size());
@@ -139,8 +155,8 @@ TEST(ReplicatedGibbsTest, DeterministicAtOneThreadPerReplica) {
   }
   EXPECT_EQ(ra.flips, rb.flips);
 
-  const auto sa = a.DrawSamples(7, 2, options);
-  const auto sb = b.DrawSamples(7, 2, options);
+  const auto sa = DrawSamples(a, 7, 2, options);
+  const auto sb = DrawSamples(b, 7, 2, options);
   ASSERT_EQ(sa.size(), sb.size());
   for (size_t i = 0; i < sa.size(); ++i) {
     EXPECT_EQ(sa[i], sb[i]) << "sample " << i;
@@ -154,12 +170,11 @@ TEST(ReplicatedGibbsTest, ReplicaMarginalsCloseToSequential) {
   GibbsOptions options;
   options.burn_in_sweeps = 100;
   options.sample_sweeps = 2000;
-  options.sync_every_sweeps = 200;
   options.seed = 5;
 
   const auto sequential = GibbsSampler(&g).EstimateMarginals(options);
   const auto replicated =
-      ReplicatedGibbsSampler(&g, 4, 4).EstimateMarginals(options);
+      ReplicatedGibbsSampler(&g, Replicas(4, 200)).EstimateMarginals(options);
 
   ASSERT_EQ(replicated.marginals.size(), sequential.marginals.size());
   double max_diff = 0.0, sum_diff = 0.0;
@@ -180,10 +195,10 @@ TEST(ReplicatedGibbsTest, ReplicaMarginalsConvergeToExact) {
   GibbsOptions options;
   options.burn_in_sweeps = 300;
   options.sample_sweeps = 4000;
-  options.sync_every_sweeps = 500;
   options.seed = 15;
   const CompiledGraph compiled = CompiledGraph::Compile(g);
-  const auto result = ReplicatedGibbsSampler(&compiled, 3, 3).EstimateMarginals(options);
+  const auto result =
+      ReplicatedGibbsSampler(&compiled, Replicas(3, 500)).EstimateMarginals(options);
   for (VarId v = 0; v < g.NumVariables(); ++v) {
     EXPECT_NEAR(result.marginals[v], exact->marginals[v], 0.05) << "var " << v;
   }
@@ -195,16 +210,14 @@ TEST(ReplicatedGibbsTest, SyncLongerThanRunMatchesDisabledSync) {
   // A cadence beyond the total sweep count must behave exactly like disabled
   // periodic synchronization (final merge only) — bitwise.
   const CompiledGraph g = CompiledGraph::Compile(ChainGraph(80, 13));
-  GibbsOptions never;
-  never.burn_in_sweeps = 25;
-  never.sample_sweeps = 75;
-  never.seed = 44;
-  never.sync_every_sweeps = 0;
-  GibbsOptions huge = never;
-  huge.sync_every_sweeps = 1000000000;
+  GibbsOptions options;
+  options.burn_in_sweeps = 25;
+  options.sample_sweeps = 75;
+  options.seed = 44;
 
-  const auto a = ReplicatedGibbsSampler(&g, 2, 2).EstimateMarginals(never);
-  const auto b = ReplicatedGibbsSampler(&g, 2, 2).EstimateMarginals(huge);
+  const auto a = ReplicatedGibbsSampler(&g, Replicas(2, 0)).EstimateMarginals(options);
+  const auto b =
+      ReplicatedGibbsSampler(&g, Replicas(2, 1000000000)).EstimateMarginals(options);
   ASSERT_EQ(a.marginals.size(), b.marginals.size());
   for (size_t v = 0; v < a.marginals.size(); ++v) {
     EXPECT_DOUBLE_EQ(a.marginals[v], b.marginals[v]) << "var " << v;
@@ -222,11 +235,11 @@ TEST(ReplicatedGibbsTest, MidBurnInSyncStaysDeterministicAndAccurate) {
   GibbsOptions options;
   options.burn_in_sweeps = 30;
   options.sample_sweeps = 4000;
-  options.sync_every_sweeps = 10;  // 3 syncs during burn-in alone
   options.seed = 77;
   const CompiledGraph compiled = CompiledGraph::Compile(g);
-  const auto a = ReplicatedGibbsSampler(&compiled, 2, 2).EstimateMarginals(options);
-  const auto b = ReplicatedGibbsSampler(&compiled, 2, 2).EstimateMarginals(options);
+  // Every 10 sweeps: 3 syncs during burn-in alone.
+  const auto a = ReplicatedGibbsSampler(&compiled, Replicas(2, 10)).EstimateMarginals(options);
+  const auto b = ReplicatedGibbsSampler(&compiled, Replicas(2, 10)).EstimateMarginals(options);
   for (VarId v = 0; v < g.NumVariables(); ++v) {
     EXPECT_DOUBLE_EQ(a.marginals[v], b.marginals[v]) << "var " << v;
     EXPECT_NEAR(a.marginals[v], exact->marginals[v], 0.06) << "var " << v;
@@ -240,9 +253,10 @@ TEST(ReplicatedGibbsTest, EvidenceNeverResampledAcrossReplicas) {
   g.SetEvidence(99, false);
   GibbsOptions options;
   options.sample_sweeps = 50;
-  options.sync_every_sweeps = 20;  // consensus re-seeds must respect labels
   const CompiledGraph compiled = CompiledGraph::Compile(g);
-  const auto result = ReplicatedGibbsSampler(&compiled, 2, 2).EstimateMarginals(options);
+  // Consensus re-seeds every 20 sweeps must respect labels.
+  const auto result =
+      ReplicatedGibbsSampler(&compiled, Replicas(2, 20)).EstimateMarginals(options);
   EXPECT_DOUBLE_EQ(result.marginals[0], 0.0);
   EXPECT_DOUBLE_EQ(result.marginals[50], 1.0);
   EXPECT_DOUBLE_EQ(result.marginals[99], 0.0);
@@ -254,9 +268,8 @@ TEST(ReplicatedGibbsTest, SampleChainStopsOnCallbackFalse) {
   const CompiledGraph g = CompiledGraph::Compile(ChainGraph(20, 5));
   GibbsOptions options;
   options.burn_in_sweeps = 2;
-  options.sync_every_sweeps = 3;
   for (size_t replicas : {1u, 3u}) {
-    ReplicatedGibbsSampler sampler(&g, replicas, replicas);
+    ReplicatedGibbsSampler sampler(&g, Replicas(replicas, 3));
     size_t emitted = 0;
     sampler.SampleChain(options, /*count=*/50, /*thin=*/1, [&](const BitVector&) {
       ++emitted;
@@ -272,7 +285,7 @@ TEST(ReplicatedGibbsTest, SampleChainHonorsInterrupt) {
   options.burn_in_sweeps = 5;
   std::atomic<size_t> emitted{0};
   options.interrupt = [&emitted] { return emitted.load() >= 2; };
-  ReplicatedGibbsSampler sampler(&g, 2, 2);
+  ReplicatedGibbsSampler sampler(&g, Replicas(2));
   sampler.SampleChain(options, /*count=*/100, /*thin=*/1, [&](const BitVector&) {
     emitted.fetch_add(1);
     return true;
@@ -287,12 +300,11 @@ TEST(ReplicatedGibbsTest, DrawSamplesDeterministicRoundRobin) {
   const CompiledGraph g = CompiledGraph::Compile(ChainGraph(60, 21));
   GibbsOptions options;
   options.burn_in_sweeps = 10;
-  options.sync_every_sweeps = 8;
   options.seed = 12;
-  ReplicatedGibbsSampler a(&g, 2, 2);
-  ReplicatedGibbsSampler b(&g, 2, 2);
-  const auto sa = a.DrawSamples(6, 3, options);
-  const auto sb = b.DrawSamples(6, 3, options);
+  ReplicatedGibbsSampler a(&g, Replicas(2, 8));
+  ReplicatedGibbsSampler b(&g, Replicas(2, 8));
+  const auto sa = DrawSamples(a, 6, 3, options);
+  const auto sb = DrawSamples(b, 6, 3, options);
   ASSERT_EQ(sa.size(), 6u);
   ASSERT_EQ(sa.size(), sb.size());
   for (size_t i = 0; i < sa.size(); ++i) EXPECT_EQ(sa[i], sb[i]) << i;

@@ -136,8 +136,7 @@ TEST(RuleDeltaTest, AddRetractRoundTripsBitIdentical) {
   for (const size_t threads : {size_t{1}, size_t{4}}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     DeepDiveConfig config = FastTestConfig();
-    config.gibbs.num_threads = threads;
-    config.materialization.num_threads = threads;
+    config.parallelism.num_threads = threads;
     auto dd = Make(config);
 
     const std::vector<double> marginals_before = dd->Query()->marginals;

@@ -100,8 +100,9 @@ uint64_t HashStore(const SampleStore& store) {
 }
 
 std::shared_ptr<MaterializationSnapshot> Build(const FactorGraph& g,
-                                               const MaterializationOptions& options) {
-  auto snapshot = BuildMaterializationSnapshot(g, options);
+                                               const MaterializationOptions& options,
+                                               const inference::Parallelism& parallelism = {}) {
+  auto snapshot = BuildMaterializationSnapshot(g, options, parallelism);
   EXPECT_TRUE(snapshot.ok()) << snapshot.status().ToString();
   return snapshot.ok() ? *snapshot : nullptr;
 }
@@ -215,9 +216,7 @@ TEST(ExactStoreTest, DrawsIgnoreThreadsAndReplicas) {
   EXPECT_EQ(reference->stats.chain_vars, 0u);
   for (const auto [threads, replicas] :
        {std::pair<size_t, size_t>{2, 1}, {1, 2}, {2, 2}, {4, 2}}) {
-    options.num_threads = threads;
-    options.num_replicas = replicas;
-    const auto snap = Build(g, options);
+    const auto snap = Build(g, options, {.num_threads = threads, .num_replicas = replicas});
     ASSERT_NE(snap, nullptr);
     EXPECT_EQ(Samples(snap->store), Samples(reference->store))
         << threads << " threads, " << replicas << " replicas";

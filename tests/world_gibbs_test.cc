@@ -8,6 +8,7 @@
 #include "factor/factor_graph.h"
 #include "inference/exact.h"
 #include "inference/gibbs.h"
+#include "inference/parallel_gibbs.h"
 #include "inference/world.h"
 #include "util/bitvector.h"
 #include "util/random.h"
@@ -328,12 +329,20 @@ TEST(GibbsTest, SampleEvidenceModeFreesEvidence) {
 TEST(GibbsTest, DrawSamplesShapeAndDeterminism) {
   const CompiledGraph compiled =
       CompiledGraph::Compile(RandomGraph(11, 6, 6, Semantics::kLinear));
-  GibbsSampler sampler(&compiled);
+  const ParallelGibbsSampler sampler(&compiled, 1);
   GibbsOptions options;
   options.burn_in_sweeps = 10;
   options.seed = 33;
-  const auto s1 = sampler.DrawSamples(5, 2, options);
-  const auto s2 = sampler.DrawSamples(5, 2, options);
+  auto draw = [&] {
+    std::vector<BitVector> samples;
+    sampler.SampleChain(options, 5, 2, [&](const BitVector& bits) {
+      samples.push_back(bits);
+      return true;
+    });
+    return samples;
+  };
+  const auto s1 = draw();
+  const auto s2 = draw();
   ASSERT_EQ(s1.size(), 5u);
   EXPECT_EQ(s1[0].size(), 6u);
   for (size_t i = 0; i < 5; ++i) EXPECT_EQ(s1[i], s2[i]);

@@ -331,8 +331,10 @@ Status RunLoadGraph(const LoadGraphArgs& args) {
                graph.image_bytes(), args.use_mmap ? ", mmap" : "");
   PrintIdentityLines(graph.Checksum(),
                      inference::CompiledMarginalsFingerprint(
-                         graph, args.seed, args.threads, args.replicas,
-                         args.sync_every));
+                         graph, args.seed,
+                         {.num_threads = args.threads,
+                          .num_replicas = args.replicas,
+                          .sync_every_sweeps = args.sync_every}));
   return Status::OK();
 }
 
