@@ -5,7 +5,7 @@
 
 #include "factor/compiled_graph.h"
 #include "inference/gibbs.h"
-#include "inference/parallel_gibbs.h"
+#include "inference/world.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
 
@@ -13,6 +13,15 @@ namespace deepdive::incremental {
 
 using factor::GraphDelta;
 using factor::VarId;
+
+namespace {
+
+/// log(1 + e^x) without overflow.
+double LogOnePlusExp(double x) {
+  return x > 0.0 ? x + std::log1p(std::exp(-x)) : std::log1p(std::exp(x));
+}
+
+}  // namespace
 
 IndependentMH::IndependentMH(const factor::FactorGraph* graph, const GraphDelta* delta)
     : graph_(graph), delta_(delta) {}
@@ -28,77 +37,53 @@ StatusOr<MHResult> IndependentMH::Run(SampleStore* store, const MHOptions& optio
 
   Rng rng(options.seed);
 
-  // Variables created after materialization need proposal extension by
-  // restricted Gibbs on a compiled image of the graph (compiled once per Run,
-  // only when such variables exist); that path rebuilds a world's statistics
-  // per proposal. The common fast path (no new variables) evaluates the
-  // delta's log-density ratio directly on the stored bits — per proposal
-  // cost O(|delta|), never O(graph), which is the whole point of the
-  // sampling approach.
+  // Variables created after materialization are extended by one sweep on a
+  // compiled image of the graph (compiled once per Run, only when such
+  // variables exist); that path rebuilds a world's statistics per proposal.
+  // The common fast path (no new variables) evaluates the delta's
+  // log-density ratio directly on the stored bits — per proposal cost
+  // O(|delta|), never O(graph), which is the whole point of the sampling
+  // approach.
   std::vector<VarId> extension_vars;
   for (VarId v = static_cast<VarId>(store->num_vars()); v < n; ++v) {
     extension_vars.push_back(v);
   }
-
-  // Parallel proposal extension (Hogwild sweeps over the new variables).
-  // Worth it only when there are extension variables at all; the MH chain
-  // proper stays sequential either way.
-  const size_t num_threads = options.num_threads == 0
-                                 ? ThreadPool::DefaultThreads()
-                                 : options.num_threads;
-  const bool parallel_extension = num_threads > 1 && !extension_vars.empty();
   std::optional<factor::CompiledGraph> compiled;
   std::optional<inference::World> extension_world;
-  std::optional<inference::AtomicWorld> extension_aworld;
-  std::optional<inference::ParallelGibbsSampler> psampler;
-  std::vector<Rng> extension_rngs;
+  inference::GibbsScratch scratch;
   if (!extension_vars.empty()) {
     compiled.emplace(factor::CompiledGraph::Compile(*graph_));
-    if (parallel_extension) {
-      psampler.emplace(&*compiled, num_threads);
-      extension_aworld.emplace(&*compiled);
-      // Extension sweeps are their own chain (replica 1): keyed off the MH
-      // seed but decorrelated from any replica-0 sampler sharing it.
-      extension_rngs = psampler->MakeRngStreams(options.seed, /*replica=*/1);
-    } else {
-      extension_world.emplace(&*compiled);
-    }
+    extension_world.emplace(&*compiled);
   }
 
-  // The proposal world as a full-width bit vector.
+  // Loads a proposal as a full-width bit vector and returns the log
+  // probability of its extension draws (0 without new variables).
   BitVector proposal_bits(n);
   auto load_proposal = [&](const BitVector& raw) {
     if (extension_vars.empty()) {
       proposal_bits = raw;
-      return;
+      return 0.0;
     }
     // Raw sample bits verbatim; evidence added after materialization is
     // handled by the acceptance test, not coerced into the proposal. New
     // *evidence* variables take their labels (they have no Pr(0)
-    // coordinate); other new variables get extension sweeps.
-    if (parallel_extension) {
-      extension_aworld->LoadBitsPrefix(raw, /*fill=*/false, /*apply_evidence=*/false,
-                                       psampler->pool());
-      for (VarId v : extension_vars) {
-        const auto ev = graph_->EvidenceValue(v);
-        if (ev.has_value()) extension_aworld->Flip(v, *ev);
-      }
-      for (size_t s = 0; s < options.extension_sweeps; ++s) {
-        psampler->SweepVars(&*extension_aworld, &extension_rngs, extension_vars);
-      }
-      proposal_bits = extension_aworld->ToBits();
-      return;
-    }
+    // coordinate); the others are drawn from their conditionals in turn.
     extension_world->LoadBitsPrefix(raw, /*fill=*/false, /*apply_evidence=*/false);
     for (VarId v : extension_vars) {
-      const auto ev = graph_->EvidenceValue(v);
+      const auto ev = compiled->EvidenceValue(v);
       if (ev.has_value()) extension_world->Flip(v, *ev);
     }
     const inference::GibbsSampler sampler(&*compiled);
-    for (size_t s = 0; s < options.extension_sweeps; ++s) {
-      sampler.SweepVars(&*extension_world, &rng, extension_vars);
+    double log_q = 0.0;
+    for (VarId v : extension_vars) {
+      if (compiled->IsEvidence(v)) continue;
+      const double log_odds = sampler.ConditionalLogOdds(*extension_world, v, &scratch);
+      const bool value = rng.Bernoulli(1.0 / (1.0 + std::exp(-log_odds)));
+      log_q -= LogOnePlusExp(value ? -log_odds : log_odds);
+      if (value != extension_world->value(v)) extension_world->Flip(v, value);
     }
     proposal_bits = extension_world->ToBits();
+    return log_q;
   };
 
   BitVector current(n);
@@ -107,7 +92,7 @@ StatusOr<MHResult> IndependentMH::Run(SampleStore* store, const MHOptions& optio
 
   const BitVector* first = store->NextProposal();
   DD_CHECK(first != nullptr);
-  load_proposal(*first);
+  double current_log_q = load_proposal(*first);
   current = proposal_bits;
   double current_ratio = factor::DeltaLogDensityRatio(*graph_, *delta_, current_of);
   ++result.proposals;
@@ -126,16 +111,10 @@ StatusOr<MHResult> IndependentMH::Run(SampleStore* store, const MHOptions& optio
   const std::vector<VarId>* tracked = options.track_vars;
   const size_t tracked_count = tracked != nullptr ? tracked->size() : n;
   constexpr size_t kParallelTrackThreshold = 2048;
-  std::optional<ThreadPool> accum_pool;
-  ThreadPool* accum = nullptr;
-  if (num_threads > 1 && tracked_count >= kParallelTrackThreshold) {
-    if (psampler.has_value()) {
-      accum = psampler->pool();
-    } else {
-      accum_pool.emplace(num_threads);
-      accum = &*accum_pool;
-    }
-  }
+  const size_t num_threads = options.num_threads == 0 ? ThreadPool::DefaultThreads()
+                                                     : options.num_threads;
+  std::optional<ThreadPool> accum;
+  if (num_threads > 1 && tracked_count >= kParallelTrackThreshold) accum.emplace(num_threads);
   size_t run_length = 0;
   double* marginals = result.marginals.data();
   auto flush_run = [&]() {
@@ -154,7 +133,7 @@ StatusOr<MHResult> IndependentMH::Run(SampleStore* store, const MHOptions& optio
         }
       }
     };
-    if (accum != nullptr) {
+    if (accum.has_value()) {
       accum->ParallelFor(tracked_count,
                          [&](size_t /*shard*/, size_t begin, size_t end) {
                            add_range(begin, end);
@@ -175,7 +154,7 @@ StatusOr<MHResult> IndependentMH::Run(SampleStore* store, const MHOptions& optio
       break;
     }
     ++result.proposals;
-    load_proposal(*raw);
+    const double proposed_log_q = load_proposal(*raw);
     const double proposed_ratio =
         factor::DeltaLogDensityRatio(*graph_, *delta_, proposal_of);
     bool accept;
@@ -184,7 +163,10 @@ StatusOr<MHResult> IndependentMH::Run(SampleStore* store, const MHOptions& optio
       // evidence): escape to any supported proposal.
       accept = !(std::isinf(proposed_ratio) && proposed_ratio < 0.0);
     } else {
-      const double log_alpha = proposed_ratio - current_ratio;
+      // Importance weights r - log q: the extension draws are divided out
+      // like Pr(0) is.
+      const double log_alpha =
+          (proposed_ratio - proposed_log_q) - (current_ratio - current_log_q);
       accept = log_alpha >= 0.0 || rng.Uniform() < std::exp(log_alpha);
     }
     if (accept) {
@@ -192,6 +174,7 @@ StatusOr<MHResult> IndependentMH::Run(SampleStore* store, const MHOptions& optio
       flush_run();  // batch out the departing state before replacing it
       current = proposal_bits;
       current_ratio = proposed_ratio;
+      current_log_q = proposed_log_q;
     }
     ++steps;
     ++run_length;  // the (possibly new) current state is counted this step

@@ -19,9 +19,6 @@ struct MHOptions {
   /// Figure 5's sampling column).
   size_t target_accepted = 0;
   uint64_t seed = 11;
-  /// Gibbs sweeps used to extend a proposal onto variables that did not
-  /// exist when the samples were materialized.
-  size_t extension_sweeps = 2;
   /// If set, marginals are accumulated only for these variables (the
   /// decomposition optimization: untouched components keep materialized
   /// marginals, so the chain need not track them). Entries must be unique
@@ -31,10 +28,9 @@ struct MHOptions {
   /// are accumulated as a sharded data-parallel reduction on `num_threads`
   /// workers, bit-identical to the sequential accumulation.
   const std::vector<factor::VarId>* track_vars = nullptr;
-  /// Worker threads for the proposal-extension Gibbs sweeps and the
-  /// tracked-marginal accumulation (the two data-parallel stages: the MH
-  /// chain itself is inherently sequential). 1 = sequential, bit-identical
-  /// to the historical behavior.
+  /// Worker threads for the tracked-marginal accumulation (the MH chain
+  /// itself is inherently sequential). 1 = sequential; 0 = one per hardware
+  /// thread.
   size_t num_threads = 1;
 };
 
@@ -54,13 +50,21 @@ struct MHResult {
 /// differ only by the delta, the acceptance test
 ///     a = min(1, exp(r(I') - r(I))),   r = log Pr(Δ)/Pr(0)
 /// touches only ΔV/ΔF — no factor of the original graph is fetched.
+///
+/// Variables minted after Pr(0) have no stored coordinate. Each proposal is
+/// extended onto them by one sequential Gibbs sweep in id order, starting
+/// from false, so the extension's own proposal probability
+///     log q = Σ log Pr(drawn value | values at its draw)
+/// is known (new evidence variables take their labels and add 0), and the
+/// test becomes a = min(1, exp((r(I') - log q(I')) - (r(I) - log q(I)))).
+/// Only a single sweep from a fixed start has such a closed-form q.
 class IndependentMH {
  public:
   IndependentMH(const factor::FactorGraph* graph, const factor::GraphDelta* delta);
 
   /// Consumes proposals from `store` (advancing its cursor). Marginals are
   /// averaged over the chain. Variables beyond the stored sample width are
-  /// extended by restricted Gibbs sweeps.
+  /// extended by one Gibbs sweep (see above).
   StatusOr<MHResult> Run(SampleStore* store, const MHOptions& options);
 
  private:

@@ -130,19 +130,18 @@ class ParallelGibbsSampler {
   size_t Sweep(AtomicWorld* world, std::vector<Rng>* rngs,
                bool sample_evidence = false) const;
 
-  /// One Hogwild sweep restricted to `vars` (decomposition groups /
-  /// extension variables), partitioned across workers.
+  /// One Hogwild sweep restricted to `vars` (decomposition groups),
+  /// partitioned across workers.
   size_t SweepVars(AtomicWorld* world, std::vector<Rng>* rngs,
                    const std::vector<factor::VarId>& vars) const;
 
   /// Per-worker decorrelated RNG streams, keyed by (seed, replica, worker).
   /// `replica` identifies the chain this sampler drives among siblings that
-  /// share a base seed: the model replicas of ReplicatedGibbsSampler, the
-  /// replicated learner's clamped/free chains, and the MH proposal-extension
-  /// streams (replica 1, decorrelated from any replica-0 chain on the same
-  /// seed). Keying by the pool shard index alone handed all such same-seed
-  /// samplers identical streams and therefore correlated chains. Callers
-  /// that run a single chain per seed keep the default replica 0.
+  /// share a base seed: the model replicas of ReplicatedGibbsSampler and the
+  /// replicated learner's clamped/free chains. Keying by the pool shard index
+  /// alone handed all such same-seed samplers identical streams and therefore
+  /// correlated chains. Callers that run a single chain per seed keep the
+  /// default replica 0.
   std::vector<Rng> MakeRngStreams(uint64_t seed, uint64_t replica = 0) const;
 
   ThreadPool* pool() const { return &pool_; }
