@@ -18,6 +18,7 @@
 #include "serve/comm/messages.h"
 #include "serve/comm/wire.h"
 #include "serve/handlers/handlers.h"
+#include "serve/service/flags.h"
 #include "serve/service/registry.h"
 #include "serve/service/tenant.h"
 #include "serve/srv/server.h"

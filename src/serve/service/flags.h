@@ -1,0 +1,34 @@
+#ifndef DEEPDIVE_SERVE_SERVICE_FLAGS_H_
+#define DEEPDIVE_SERVE_SERVICE_FLAGS_H_
+
+#include <cstdint>
+#include <string>
+
+#include "serve/comm/messages.h"
+#include "util/status.h"
+
+namespace deepdive::serve::service {
+
+/// Parses a decimal count in [min, max]. An empty value, a sign, leading
+/// whitespace, trailing characters, and anything above max (values past
+/// 2^64 included) are InvalidArgument, naming `flag`.
+StatusOr<uint64_t> ParseCount(const std::string& flag, const std::string& value,
+                              uint64_t min, uint64_t max);
+
+/// The one parser of a tenant's engine settings, shared by deepdive_cli
+/// (run, load-graph, client create-tenant) and deepdive_serve. When
+/// argv[*i] is --seed N, --epochs N (1 to 10^6), --mode incremental|rerun,
+/// --threads N (0 to 4096; 0 = hardware threads), --replicas R (1 to 256),
+/// --sync-every N (0 to 10^9) or --async-materialize, it stores the value in
+/// `config`, leaves *i on the flag's last argument and returns true. Any
+/// other argument returns false and consumes nothing. A missing or malformed
+/// value is InvalidArgument.
+StatusOr<bool> ConsumeEngineFlag(int argc, const char* const* argv, int* i,
+                                 comm::TenantConfig* config);
+
+/// Reads a whole file named on the command line (a program, TSV rows).
+StatusOr<std::string> ReadFile(const std::string& path);
+
+}  // namespace deepdive::serve::service
+
+#endif  // DEEPDIVE_SERVE_SERVICE_FLAGS_H_

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "serve/comm/messages.h"
+#include "serve/service/flags.h"
 #include "serve/service/registry.h"
 #include "serve/service/tenant.h"
 #include "util/bounded_queue.h"
@@ -320,6 +321,70 @@ TEST(TenantRegistryTest, CreateFindAndDuplicateRejection) {
   EXPECT_EQ(registry.Names(), (std::vector<std::string>{"kb", "kb2"}));
   registry.StopAll();
   EXPECT_EQ(registry.Find("kb")->deepdive(), nullptr);
+}
+
+// ---- engine flags ----------------------------------------------------------
+
+/// Runs ConsumeEngineFlag over `args` (argv[0] is the program name) and
+/// returns the config, or the first error.
+StatusOr<comm::TenantConfig> ParseEngineFlags(std::vector<const char*> args) {
+  args.insert(args.begin(), "tool");
+  comm::TenantConfig config;
+  const int argc = static_cast<int>(args.size());
+  for (int i = 1; i < argc; ++i) {
+    DD_ASSIGN_OR_RETURN(const bool consumed, ConsumeEngineFlag(argc, args.data(), &i, &config));
+    if (!consumed) return Status::NotFound(std::string("not an engine flag: ") + args[i]);
+  }
+  return config;
+}
+
+TEST(EngineFlagsTest, EachFlagLandsInItsField) {
+  auto config = ParseEngineFlags({"--seed", "18446744073709551615", "--epochs", "7",
+                                  "--mode", "rerun", "--threads", "0", "--replicas", "3",
+                                  "--sync-every", "25", "--async-materialize"});
+  ASSERT_TRUE(config.ok()) << config.status().ToString();
+  EXPECT_EQ(config->seed, 18446744073709551615ULL);
+  EXPECT_EQ(config->epochs, 7u);
+  EXPECT_TRUE(config->rerun_mode);
+  EXPECT_EQ(config->threads, 0u);
+  EXPECT_EQ(config->replicas, 3u);
+  EXPECT_EQ(config->sync_every, 25u);
+  EXPECT_TRUE(config->async_materialize);
+
+  auto incremental = ParseEngineFlags({"--mode", "rerun", "--mode", "incremental"});
+  ASSERT_TRUE(incremental.ok());
+  EXPECT_FALSE(incremental->rerun_mode);
+  // The parallelism a tenant runs with is the wire's three values.
+  const inference::Parallelism parallelism = ParallelismOf(*config);
+  EXPECT_EQ(parallelism.num_threads, 0u);
+  EXPECT_EQ(parallelism.num_replicas, 3u);
+  EXPECT_EQ(parallelism.sync_every_sweeps, 25u);
+}
+
+TEST(EngineFlagsTest, MalformedValuesAreRejected) {
+  const std::vector<std::vector<const char*>> bad = {
+      {"--seed", "abc"},       {"--seed", "-1"},          {"--seed", "18446744073709551616"},
+      {"--seed", " 5"},        {"--seed", ""},            {"--epochs", "0"},
+      {"--epochs", "abc"},     {"--epochs", "4294967297"}, {"--epochs", "5x"},
+      {"--threads", "4097"},   {"--threads", "-2"},       {"--replicas", "0"},
+      {"--replicas", "257"},   {"--sync-every", "1000000001"}, {"--mode", "fast"},
+      {"--seed"},              {"--threads"},
+  };
+  for (const auto& args : bad) {
+    const auto config = ParseEngineFlags(args);
+    EXPECT_EQ(config.status().code(), StatusCode::kInvalidArgument)
+        << args[0] << " " << (args.size() > 1 ? args[1] : "(no value)");
+  }
+}
+
+TEST(EngineFlagsTest, OtherFlagsAreNotConsumed) {
+  const char* args[] = {"tool", "--tenant", "kb"};
+  comm::TenantConfig config;
+  int i = 1;
+  auto consumed = ConsumeEngineFlag(3, args, &i, &config);
+  ASSERT_TRUE(consumed.ok());
+  EXPECT_FALSE(*consumed);
+  EXPECT_EQ(i, 1);
 }
 
 }  // namespace

@@ -25,9 +25,17 @@
 //   deepdive_cli client 127.0.0.1:4750 add-rule --tenant kb --rule 'factor ...'
 //   deepdive_cli client 127.0.0.1:4750 retract-rule --tenant kb --label r1
 //   deepdive_cli client 127.0.0.1:4750 mine --tenant kb --max-promotions 2
+//   deepdive_cli client 127.0.0.1:4750 create-tenant --tenant kb2 \
+//       --program spouse.ddl --data Person=persons.tsv --threads 2
 //   deepdive_cli client 127.0.0.1:4750 shutdown
 // A shed update (queue at its admission watermark) exits with code 3 and
 // prints the server's retry-after hint.
+//
+// The engine flags (--mode, --seed, --epochs, --threads, --replicas,
+// --sync-every, --async-materialize) are parsed by one function shared with
+// deepdive_serve (serve/service/flags.h), and every malformed value is
+// rejected. `run` and `client create-tenant` take all of them; `load-graph`
+// reads --seed and the parallelism (--threads, --replicas, --sync-every).
 //
 // Options (run):
 //   --data REL=FILE.tsv     load base rows (repeatable)
@@ -40,13 +48,15 @@
 //   --threshold P           only output facts with marginal >= P (default 0)
 //   --seed N                RNG seed (default 42)
 //   --epochs N              learning epochs (default 60)
-//   --threads N             worker threads for grounding and Gibbs
-//                           inference/learning (default 1 = sequential;
-//                           0 = hardware threads)
-//   --replicas R            Gibbs model replicas (NUMA-style replicated
-//                           sampling with periodic model averaging; the
-//                           thread budget is split across replicas).
-//                           Default 1 = single shared world
+//   --threads N             worker threads of every stage: grounding,
+//                           learning, inference, materialization and
+//                           updates (default 1 = sequential; 0 = hardware
+//                           threads)
+//   --replicas R            model replicas of the learner and the Gibbs
+//                           chains (NUMA-style replicated sampling with
+//                           periodic model averaging; the thread budget is
+//                           split across replicas). Default 1 = single
+//                           shared world
 //   --sync-every N          replica synchronization cadence in sweeps
 //                           (consensus averaging + re-seed); 0 disables
 //                           periodic synchronization (default 50)
@@ -77,9 +87,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -105,27 +113,18 @@ struct Args {
     std::vector<std::pair<std::string, std::string>> data;
   };
   std::vector<Update> updates;
-  core::ExecutionMode mode = core::ExecutionMode::kIncremental;
+  /// The tenant's settings: the engine flags and the materialization paths.
+  serve::comm::TenantConfig config;
   double threshold = 0.0;
-  uint64_t seed = 42;
-  size_t epochs = 60;
-  size_t threads = 1;
-  size_t replicas = 1;
-  size_t sync_every = 50;
-  bool async_materialize = false;
-  std::string save_materialization;
-  std::string load_materialization;
   std::string save_graph;
   size_t serve_queries = 0;
 };
 
 /// `deepdive_cli load-graph` — cold-start service from a compiled snapshot.
+/// Of the engine flags it reads the seed and the parallelism.
 struct LoadGraphArgs {
   std::string snapshot_path;
-  uint64_t seed = 42;
-  size_t threads = 1;
-  size_t replicas = 1;
-  size_t sync_every = 50;
+  serve::comm::TenantConfig config;
   bool use_mmap = true;
   bool validate = true;
 };
@@ -154,7 +153,8 @@ void Usage() {
                "   or: deepdive_cli client ADDRESS VERB [--tenant NAME]\n"
                "       (verbs: status, query, update, export, create-tenant,\n"
                "        list-tenants, save-graph, shutdown, add-rule,\n"
-               "        retract-rule, mine)\n");
+               "        retract-rule, mine; create-tenant takes run's\n"
+               "        engine flags)\n");
 }
 
 StatusOr<std::pair<std::string, std::string>> SplitAssignment(const std::string& arg) {
@@ -163,21 +163,9 @@ StatusOr<std::pair<std::string, std::string>> SplitAssignment(const std::string&
   return std::make_pair(arg.substr(0, eq), arg.substr(eq + 1));
 }
 
-/// Parses a bounded numeric flag value. strtoull silently wraps negatives to
-/// huge values and accepts trailing garbage; every count-valued flag shares
-/// this validation so they cannot drift.
-StatusOr<size_t> ParseCount(const std::string& flag, const std::string& v,
-                            size_t min, size_t max) {
-  char* end = nullptr;
-  const size_t value = std::strtoull(v.c_str(), &end, 10);
-  if (end == v.c_str() || *end != '\0' || v[0] == '-' || value < min ||
-      value > max) {
-    return Status::InvalidArgument(flag + " expects a number in [" +
-                                   std::to_string(min) + ", " +
-                                   std::to_string(max) + "], got '" + v + "'");
-  }
-  return value;
-}
+using serve::service::ConsumeEngineFlag;
+using serve::service::ParseCount;
+using serve::service::ReadFile;
 
 StatusOr<Args> ParseArgs(int argc, char** argv) {
   Args args;
@@ -188,6 +176,9 @@ StatusOr<Args> ParseArgs(int argc, char** argv) {
   // --update-data attaches to the most recent --update; before any --update
   // it is an error.
   for (int i = 3; i < argc; ++i) {
+    DD_ASSIGN_OR_RETURN(const bool engine_flag,
+                        ConsumeEngineFlag(argc, argv, &i, &args.config));
+    if (engine_flag) continue;
     const std::string flag = argv[i];
     auto next = [&]() -> StatusOr<std::string> {
       if (i + 1 >= argc) return Status::InvalidArgument(flag + " needs a value");
@@ -217,42 +208,15 @@ StatusOr<Args> ParseArgs(int argc, char** argv) {
         return Status::InvalidArgument("--update-data must follow an --update");
       }
       args.updates.back().data.push_back(kv);
-    } else if (flag == "--mode") {
-      DD_ASSIGN_OR_RETURN(std::string v, next());
-      if (v == "incremental") {
-        args.mode = core::ExecutionMode::kIncremental;
-      } else if (v == "rerun") {
-        args.mode = core::ExecutionMode::kRerun;
-      } else {
-        return Status::InvalidArgument("unknown mode '" + v + "'");
-      }
     } else if (flag == "--threshold") {
       DD_ASSIGN_OR_RETURN(std::string v, next());
       args.threshold = std::strtod(v.c_str(), nullptr);
-    } else if (flag == "--seed") {
-      DD_ASSIGN_OR_RETURN(std::string v, next());
-      args.seed = std::strtoull(v.c_str(), nullptr, 10);
-    } else if (flag == "--epochs") {
-      DD_ASSIGN_OR_RETURN(std::string v, next());
-      args.epochs = std::strtoull(v.c_str(), nullptr, 10);
-    } else if (flag == "--async-materialize") {
-      args.async_materialize = true;
     } else if (flag == "--save-materialization") {
-      DD_ASSIGN_OR_RETURN(args.save_materialization, next());
+      DD_ASSIGN_OR_RETURN(args.config.save_materialization, next());
     } else if (flag == "--load-materialization") {
-      DD_ASSIGN_OR_RETURN(args.load_materialization, next());
+      DD_ASSIGN_OR_RETURN(args.config.load_materialization, next());
     } else if (flag == "--save-graph") {
       DD_ASSIGN_OR_RETURN(args.save_graph, next());
-    } else if (flag == "--threads") {
-      DD_ASSIGN_OR_RETURN(std::string v, next());
-      DD_ASSIGN_OR_RETURN(args.threads, ParseCount(flag, v, 0, 4096));
-    } else if (flag == "--replicas") {
-      DD_ASSIGN_OR_RETURN(std::string v, next());
-      DD_ASSIGN_OR_RETURN(args.replicas, ParseCount(flag, v, 1, 256));
-    } else if (flag == "--sync-every") {
-      DD_ASSIGN_OR_RETURN(std::string v, next());
-      DD_ASSIGN_OR_RETURN(args.sync_every,
-                          ParseCount(flag, v, 0, 1000000000));
     } else if (flag == "--serve-queries") {
       DD_ASSIGN_OR_RETURN(std::string v, next());
       DD_ASSIGN_OR_RETURN(args.serve_queries, ParseCount(flag, v, 1, 1024));
@@ -260,9 +224,9 @@ StatusOr<Args> ParseArgs(int argc, char** argv) {
       return Status::InvalidArgument("unknown flag '" + flag + "'");
     }
   }
-  if (args.mode == core::ExecutionMode::kRerun &&
-      (args.async_materialize || !args.save_materialization.empty() ||
-       !args.load_materialization.empty())) {
+  if (args.config.rerun_mode &&
+      (args.config.async_materialize || !args.config.save_materialization.empty() ||
+       !args.config.load_materialization.empty())) {
     return Status::InvalidArgument(
         "--async-materialize/--save-materialization/--load-materialization "
         "require --mode incremental (rerun has no materialization)");
@@ -277,24 +241,11 @@ StatusOr<LoadGraphArgs> ParseLoadGraphArgs(int argc, char** argv) {
   }
   args.snapshot_path = argv[2];
   for (int i = 3; i < argc; ++i) {
+    DD_ASSIGN_OR_RETURN(const bool engine_flag,
+                        ConsumeEngineFlag(argc, argv, &i, &args.config));
+    if (engine_flag) continue;
     const std::string flag = argv[i];
-    auto next = [&]() -> StatusOr<std::string> {
-      if (i + 1 >= argc) return Status::InvalidArgument(flag + " needs a value");
-      return std::string(argv[++i]);
-    };
-    if (flag == "--seed") {
-      DD_ASSIGN_OR_RETURN(std::string v, next());
-      args.seed = std::strtoull(v.c_str(), nullptr, 10);
-    } else if (flag == "--threads") {
-      DD_ASSIGN_OR_RETURN(std::string v, next());
-      DD_ASSIGN_OR_RETURN(args.threads, ParseCount(flag, v, 0, 4096));
-    } else if (flag == "--replicas") {
-      DD_ASSIGN_OR_RETURN(std::string v, next());
-      DD_ASSIGN_OR_RETURN(args.replicas, ParseCount(flag, v, 1, 256));
-    } else if (flag == "--sync-every") {
-      DD_ASSIGN_OR_RETURN(std::string v, next());
-      DD_ASSIGN_OR_RETURN(args.sync_every, ParseCount(flag, v, 0, 1000000000));
-    } else if (flag == "--no-mmap") {
+    if (flag == "--no-mmap") {
       args.use_mmap = false;
     } else if (flag == "--no-validate") {
       args.validate = false;
@@ -331,19 +282,9 @@ Status RunLoadGraph(const LoadGraphArgs& args) {
                graph.image_bytes(), args.use_mmap ? ", mmap" : "");
   PrintIdentityLines(graph.Checksum(),
                      inference::CompiledMarginalsFingerprint(
-                         graph, args.seed,
-                         {.num_threads = args.threads,
-                          .num_replicas = args.replicas,
-                          .sync_every_sweeps = args.sync_every}));
+                         graph, args.config.seed,
+                         serve::service::ParallelismOf(args.config)));
   return Status::OK();
-}
-
-StatusOr<std::string> ReadFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::NotFound("cannot open '" + path + "'");
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
 }
 
 StatusOr<serve::comm::DataPayload> ReadPayload(const std::string& relation,
@@ -528,15 +469,7 @@ Status Run(const Args& args) {
   serve::comm::CreateTenantRequest create;
   create.name = kDefaultTenant;
   create.program = std::move(source);
-  create.config.rerun_mode = args.mode == core::ExecutionMode::kRerun;
-  create.config.seed = args.seed;
-  create.config.epochs = static_cast<uint32_t>(args.epochs);
-  create.config.threads = static_cast<uint32_t>(args.threads);
-  create.config.replicas = static_cast<uint32_t>(args.replicas);
-  create.config.sync_every = static_cast<uint32_t>(args.sync_every);
-  create.config.async_materialize = args.async_materialize;
-  create.config.save_materialization = args.save_materialization;
-  create.config.load_materialization = args.load_materialization;
+  create.config = args.config;
   for (const auto& [relation, file] : args.data) {
     DD_ASSIGN_OR_RETURN(serve::comm::DataPayload payload,
                         ReadPayload(relation, file));
@@ -609,7 +542,7 @@ Status Run(const Args& args) {
   // draining on SIGTERM.
   DD_ASSIGN_OR_RETURN(serve::service::TenantInstance::DrainReport drained,
                       tenant->Drain());
-  if (args.async_materialize) {
+  if (args.config.async_materialize) {
     std::fprintf(stderr,
                  "materialization snapshot generation %llu: %zu samples\n",
                  static_cast<unsigned long long>(drained.snapshot_generation),
@@ -671,6 +604,8 @@ StatusOr<ClientArgs> ParseClientArgs(int argc, char** argv) {
   serve::comm::MineRequest mine;
 
   for (int i = 4; i < argc; ++i) {
+    DD_ASSIGN_OR_RETURN(const bool engine_flag, ConsumeEngineFlag(argc, argv, &i, &config));
+    if (engine_flag) continue;
     const std::string flag = argv[i];
     auto next = [&]() -> StatusOr<std::string> {
       if (i + 1 >= argc) return Status::InvalidArgument(flag + " needs a value");
@@ -703,22 +638,6 @@ StatusOr<ClientArgs> ParseClientArgs(int argc, char** argv) {
       DD_ASSIGN_OR_RETURN(std::string v, next());
       DD_ASSIGN_OR_RETURN(auto kv, SplitAssignment(v));
       args.outputs.push_back(kv);
-    } else if (flag == "--seed") {
-      DD_ASSIGN_OR_RETURN(std::string v, next());
-      config.seed = std::strtoull(v.c_str(), nullptr, 10);
-    } else if (flag == "--epochs") {
-      DD_ASSIGN_OR_RETURN(std::string v, next());
-      DD_ASSIGN_OR_RETURN(size_t n, ParseCount(flag, v, 1, 1000000));
-      config.epochs = static_cast<uint32_t>(n);
-    } else if (flag == "--mode") {
-      DD_ASSIGN_OR_RETURN(std::string v, next());
-      if (v == "incremental") {
-        config.rerun_mode = false;
-      } else if (v == "rerun") {
-        config.rerun_mode = true;
-      } else {
-        return Status::InvalidArgument("unknown mode '" + v + "'");
-      }
     } else if (flag == "--rule") {
       DD_ASSIGN_OR_RETURN(rule_text, next());
     } else if (flag == "--max-promotions") {

@@ -38,10 +38,8 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -77,29 +75,15 @@ void Usage() {
                "NAME=PROGRAM.ddl [--data NAME:REL=FILE.tsv] [options]\n");
 }
 
-StatusOr<std::string> ReadFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::NotFound("cannot open '" + path + "'");
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
-
-StatusOr<size_t> ParseCount(const std::string& flag, const std::string& value,
-                            size_t min, size_t max) {
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(value.c_str(), &end, 10);
-  if (end == value.c_str() || *end != '\0' || parsed < min || parsed > max) {
-    return Status::InvalidArgument(flag + " expects an integer in [" +
-                                   std::to_string(min) + ", " +
-                                   std::to_string(max) + "]");
-  }
-  return static_cast<size_t>(parsed);
-}
+using service::ParseCount;
+using service::ReadFile;
 
 StatusOr<ServeArgs> ParseArgs(int argc, char** argv) {
   ServeArgs args;
   for (int i = 1; i < argc; ++i) {
+    DD_ASSIGN_OR_RETURN(const bool engine_flag,
+                        service::ConsumeEngineFlag(argc, argv, &i, &args.config));
+    if (engine_flag) continue;
     const std::string flag = argv[i];
     auto next = [&]() -> StatusOr<std::string> {
       if (i + 1 >= argc) return Status::InvalidArgument(flag + " needs a value");
@@ -141,36 +125,6 @@ StatusOr<ServeArgs> ParseArgs(int argc, char** argv) {
       }
       spec->data.emplace_back(v.substr(colon + 1, eq - colon - 1),
                               v.substr(eq + 1));
-    } else if (flag == "--mode") {
-      DD_ASSIGN_OR_RETURN(std::string v, next());
-      if (v == "incremental") {
-        args.config.rerun_mode = false;
-      } else if (v == "rerun") {
-        args.config.rerun_mode = true;
-      } else {
-        return Status::InvalidArgument("unknown mode '" + v + "'");
-      }
-    } else if (flag == "--seed") {
-      DD_ASSIGN_OR_RETURN(std::string v, next());
-      args.config.seed = std::strtoull(v.c_str(), nullptr, 10);
-    } else if (flag == "--epochs") {
-      DD_ASSIGN_OR_RETURN(std::string v, next());
-      DD_ASSIGN_OR_RETURN(size_t n, ParseCount(flag, v, 1, 1000000));
-      args.config.epochs = static_cast<uint32_t>(n);
-    } else if (flag == "--threads") {
-      DD_ASSIGN_OR_RETURN(std::string v, next());
-      DD_ASSIGN_OR_RETURN(size_t n, ParseCount(flag, v, 0, 4096));
-      args.config.threads = static_cast<uint32_t>(n);
-    } else if (flag == "--replicas") {
-      DD_ASSIGN_OR_RETURN(std::string v, next());
-      DD_ASSIGN_OR_RETURN(size_t n, ParseCount(flag, v, 1, 256));
-      args.config.replicas = static_cast<uint32_t>(n);
-    } else if (flag == "--sync-every") {
-      DD_ASSIGN_OR_RETURN(std::string v, next());
-      DD_ASSIGN_OR_RETURN(size_t n, ParseCount(flag, v, 0, 1000000000));
-      args.config.sync_every = static_cast<uint32_t>(n);
-    } else if (flag == "--async-materialize") {
-      args.config.async_materialize = true;
     } else if (flag == "--queue-capacity") {
       DD_ASSIGN_OR_RETURN(std::string v, next());
       DD_ASSIGN_OR_RETURN(size_t n, ParseCount(flag, v, 1, 1000000));
