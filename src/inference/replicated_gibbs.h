@@ -47,10 +47,7 @@ class ReplicatedGibbsSampler {
   /// `parallelism.num_threads` is the TOTAL worker budget: each replica runs
   /// its Hogwild sweeps on max(1, num_threads / num_replicas) workers (0 =
   /// one worker per hardware thread before the split). Replicas themselves
-  /// always run concurrently — R replicas occupy at least R workers. In
-  /// SampleChain the synchronization cadence rounds up to the next emission
-  /// boundary, so a synchronization never lands between advancing a chain
-  /// and emitting its sample.
+  /// always run concurrently — R replicas occupy at least R workers.
   explicit ReplicatedGibbsSampler(const factor::CompiledGraph* graph,
                                   const Parallelism& parallelism = {});
 

@@ -25,8 +25,7 @@
 //   deepdive_cli client 127.0.0.1:4750 add-rule --tenant kb --rule 'factor ...'
 //   deepdive_cli client 127.0.0.1:4750 retract-rule --tenant kb --label r1
 //   deepdive_cli client 127.0.0.1:4750 mine --tenant kb --max-promotions 2
-//   deepdive_cli client 127.0.0.1:4750 create-tenant --tenant kb2 \
-//       --program spouse.ddl --data Person=persons.tsv --threads 2
+//   deepdive_cli client 127.0.0.1:4750 create-tenant --tenant kb2 --program p.ddl --threads 2
 //   deepdive_cli client 127.0.0.1:4750 shutdown
 // A shed update (queue at its admission watermark) exits with code 3 and
 // prints the server's retry-after hint.
@@ -35,7 +34,7 @@
 // --sync-every, --async-materialize) are parsed by one function shared with
 // deepdive_serve (serve/service/flags.h), and every malformed value is
 // rejected. `run` and `client create-tenant` take all of them; `load-graph`
-// reads --seed and the parallelism (--threads, --replicas, --sync-every).
+// takes --seed and the parallelism (--threads, --replicas, --sync-every).
 //
 // Options (run):
 //   --data REL=FILE.tsv     load base rows (repeatable)
@@ -121,7 +120,7 @@ struct Args {
 };
 
 /// `deepdive_cli load-graph` — cold-start service from a compiled snapshot.
-/// Of the engine flags it reads the seed and the parallelism.
+/// Of the engine flags it takes the seed and the parallelism.
 struct LoadGraphArgs {
   std::string snapshot_path;
   serve::comm::TenantConfig config;
@@ -241,10 +240,14 @@ StatusOr<LoadGraphArgs> ParseLoadGraphArgs(int argc, char** argv) {
   }
   args.snapshot_path = argv[2];
   for (int i = 3; i < argc; ++i) {
+    const std::string flag = argv[i];
+    // The fingerprint reads only the seed and the parallelism.
+    if (flag == "--epochs" || flag == "--mode" || flag == "--async-materialize") {
+      return Status::InvalidArgument(flag + " does not apply to load-graph");
+    }
     DD_ASSIGN_OR_RETURN(const bool engine_flag,
                         ConsumeEngineFlag(argc, argv, &i, &args.config));
     if (engine_flag) continue;
-    const std::string flag = argv[i];
     if (flag == "--no-mmap") {
       args.use_mmap = false;
     } else if (flag == "--no-validate") {
