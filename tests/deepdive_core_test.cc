@@ -363,9 +363,10 @@ TEST(DeepDiveTest, MaterializationStatsPopulated) {
 
 // The one parallelism setting reaches every stage: Initialize (grounding,
 // learning, whole-graph inference, materialization with a chain component),
-// a labelled data update (learning plus a variational write), AddRule and an
-// exact-restore RetractRule, and, on a second instance, the engine's rerun.
-// Each hash covers the final view's marginals and the weights. They were
+// a labelled data update (learning plus a variational write), AddRule and
+// an exact-restore RetractRule, and, on a second instance, the engine's
+// rerun. Each hash covers the marginals and the snapshot's Pr(0) marginals
+// of every view the instance published, then its final weights. They were
 // recorded with the per-stage thread, replica and sync fields the serving
 // tier used to set one by one; at one worker per replica every run is
 // deterministic.
@@ -391,11 +392,12 @@ std::unique_ptr<DeepDive> MakeChainKb(const DeepDiveConfig& config)
     if (x > 1) edges.push_back({Value(x), Value(x - 1)});
     feats.push_back({Value(x), Value(x % 2 == 0 ? "even" : "odd")});
   }
-  // Labelled singletons sharing the chain's features.
-  for (int x = 31; x <= 38; ++x) {
+  // Singletons sharing the chain's features, labelled up to 38 so that
+  // neither feature decides the label.
+  for (int x = 31; x <= 40; ++x) {
     nodes.push_back({Value(x)});
     feats.push_back({Value(x), Value(x % 2 == 0 ? "even" : "odd")});
-    labels.push_back({Value(x), Value(x % 2 == 0)});
+    if (x <= 38) labels.push_back({Value(x), Value(x % 4 == 0 || x % 4 == 3)});
   }
   EXPECT_TRUE(dd.value()->LoadRows("Node", nodes).ok());
   EXPECT_TRUE(dd.value()->LoadRows("Edge", edges).ok());
@@ -408,17 +410,24 @@ std::unique_ptr<DeepDive> MakeChainKb(const DeepDiveConfig& config)
 UpdateSpec LabelUpdate() {
   UpdateSpec spec;
   spec.label = "labels";
-  spec.inserts["QEv"] = {{Value(3), Value(false)}, {Value(39), Value(true)}};
-  spec.inserts["Node"] = {{Value(39)}};
-  spec.inserts["Feat"] = {{Value(39), Value("odd")}};
+  spec.inserts["QEv"] = {{Value(39), Value(true)}};
   return spec;
 }
 
-uint64_t MarginalsAndWeightsHash(DeepDive* dd) REQUIRES(serving_thread) {
-  std::vector<double> values = dd->Query()->marginals;
+/// Appends a view's marginals and the Pr(0) marginals of the snapshot it
+/// was served from.
+void AppendView(DeepDive* dd, std::vector<double>* trace) REQUIRES(serving_thread) {
+  const auto view = dd->Query();
+  trace->insert(trace->end(), view->marginals.begin(), view->marginals.end());
+  const std::vector<double>& pr0 = *view->materialized_marginals;
+  trace->insert(trace->end(), pr0.begin(), pr0.end());
+}
+
+uint64_t TraceAndWeightsHash(DeepDive* dd, std::vector<double> trace)
+    REQUIRES(serving_thread) {
   const factor::FactorGraph& g = dd->ground().graph;
-  for (factor::WeightId w = 0; w < g.NumWeights(); ++w) values.push_back(g.WeightValue(w));
-  return factor::Fnv1aHash(values.data(), values.size() * sizeof(double));
+  for (factor::WeightId w = 0; w < g.NumWeights(); ++w) trace.push_back(g.WeightValue(w));
+  return factor::Fnv1aHash(trace.data(), trace.size() * sizeof(double));
 }
 
 TEST(DeepDiveTest, ParallelismReachesEveryStage) {
@@ -429,9 +438,9 @@ TEST(DeepDiveTest, ParallelismReachesEveryStage) {
     uint64_t rerun;
   } kGolden[] = {
       {{.num_threads = 1, .num_replicas = 1, .sync_every_sweeps = 50},
-       0x1a589e8a77018229ULL, 0x43ce2a53ed6f3bd9ULL},
+       0xc6383ce60c836b70ULL, 0x9a8cf7c09d108047ULL},
       {{.num_threads = 1, .num_replicas = 2, .sync_every_sweeps = 25},
-       0xe9a09c3713aa17f4ULL, 0x510e71540b71edeaULL},
+       0xfb8a6bfcd561ceb0ULL, 0xc49d538a5f5b4600ULL},
   };
   for (const auto& golden : kGolden) {
     SCOPED_TRACE("replicas " + std::to_string(golden.parallelism.num_replicas));
@@ -439,21 +448,30 @@ TEST(DeepDiveTest, ParallelismReachesEveryStage) {
     config.parallelism = golden.parallelism;
     auto dd = MakeChainKb(config);
     EXPECT_GT(dd->Query()->materialization.chain_vars, 0u);
+    std::vector<double> trace;
+    AppendView(dd.get(), &trace);
     auto update = dd->ApplyUpdate(LabelUpdate());
     ASSERT_TRUE(update.ok()) << update.status().ToString();
     EXPECT_EQ(update->strategy, incremental::Strategy::kVariational);
-    ASSERT_TRUE(dd->AddRule("factor FE2: Q(a) :- Edge(a, b), Feat(b, f) weight = w(f).").ok());
+    AppendView(dd.get(), &trace);
+    auto add = dd->AddRule("factor FE2: Q(a) :- Edge(a, b), Feat(b, f) weight = w(f).");
+    ASSERT_TRUE(add.ok()) << add.status().ToString();
+    AppendView(dd.get(), &trace);
     auto retract = dd->RetractRule("FE2");
     ASSERT_TRUE(retract.ok()) << retract.status().ToString();
     EXPECT_DOUBLE_EQ(retract->acceptance_rate, 1.0);  // exact restore
-    EXPECT_EQ(MarginalsAndWeightsHash(dd.get()), golden.incremental);
+    AppendView(dd.get(), &trace);
+    EXPECT_EQ(TraceAndWeightsHash(dd.get(), trace), golden.incremental);
 
     config.engine.forced_strategy = incremental::Strategy::kRerun;
     auto rerun = MakeChainKb(config);
+    std::vector<double> rerun_trace;
+    AppendView(rerun.get(), &rerun_trace);
     auto rerun_update = rerun->ApplyUpdate(LabelUpdate());
     ASSERT_TRUE(rerun_update.ok()) << rerun_update.status().ToString();
     EXPECT_EQ(rerun_update->strategy, incremental::Strategy::kRerun);
-    EXPECT_EQ(MarginalsAndWeightsHash(rerun.get()), golden.rerun);
+    AppendView(rerun.get(), &rerun_trace);
+    EXPECT_EQ(TraceAndWeightsHash(rerun.get(), rerun_trace), golden.rerun);
   }
 }
 
