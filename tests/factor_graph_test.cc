@@ -380,13 +380,17 @@ TEST(GraphDeltaTest, LabelFlippedTwiceConstrainsOnlyItsFinalValue) {
 // graph minus under a kept copy of Pr(0) says, and every other such world
 // gets -infinity. The ops add groups on old and new learnable weights, move
 // weights (some back to their Pr(0) values), remove groups, add and remove
-// clauses, set, flip and clear labels, and retract groups added by an
-// earlier update. The entries stay one per changed weight and variable,
-// sorted, holding the Pr(0) and current values, and dropping the weights
-// Pr(0) did not have (as the engine does) changes no ratio.
+// clauses, set, flip and clear labels, retract groups added by an earlier
+// update, and set weights to exactly 0, whose terms add nothing. The entries
+// stay one per changed weight and variable, sorted, holding the Pr(0) and
+// current values, and dropping the weights Pr(0) did not have (as the
+// engine does) changes no ratio. A hash over every ratio the test computes,
+// recorded with the ratio walked through a value_of callback, pins them bit
+// for bit.
 TEST(GraphDeltaTest, NetRatioMatchesTotalLogWeightOnRandomOps) {
   constexpr Semantics kSemantics[] = {Semantics::kLinear, Semantics::kRatio,
                                       Semantics::kLogical};
+  std::vector<double> ratios;
   for (uint64_t seed = 1; seed <= 300; ++seed) {
     Rng rng(seed);
     FactorGraph g;
@@ -426,7 +430,7 @@ TEST(GraphDeltaTest, NetRatioMatchesTotalLogWeightOnRandomOps) {
       GraphDelta merged_update;
       for (uint64_t op = 1 + rng.UniformInt(3); op > 0; --op) {
         GraphDelta d;
-        switch (rng.UniformInt(8)) {
+        switch (rng.UniformInt(9)) {
           case 0:
             d.new_groups.push_back(add_group(weights[rng.UniformInt(weights.size())]));
             break;
@@ -485,6 +489,12 @@ TEST(GraphDeltaTest, NetRatioMatchesTotalLogWeightOnRandomOps) {
               d.new_groups.push_back(*to_retract);
             }
             break;
+          case 8: {
+            const WeightId w = weights[rng.UniformInt(weights.size())];
+            d.weight_changes.push_back({w, g.WeightValue(w), 0.0});
+            g.SetWeightValue(w, 0.0);
+            break;
+          }
         }
         merged_update.Merge(d);
       }
@@ -540,6 +550,7 @@ TEST(GraphDeltaTest, NetRatioMatchesTotalLogWeightOnRandomOps) {
       if (!satisfies(pr0)) continue;  // no stored sample is this world
       for (const GraphDelta* delta : {&cumulative, &filtered}) {
         const double ratio = DeltaLogDensityRatio(g, *delta, value_of);
+        ratios.push_back(ratio);
         if (!satisfies(g)) {
           EXPECT_EQ(ratio, -std::numeric_limits<double>::infinity())
               << "seed " << seed << " world " << world;
@@ -552,6 +563,9 @@ TEST(GraphDeltaTest, NetRatioMatchesTotalLogWeightOnRandomOps) {
       }
     }
   }
+  EXPECT_EQ(ratios.size(), 12032u);
+  EXPECT_EQ(Fnv1aHash(ratios.data(), ratios.size() * sizeof(double)),
+            0x6640ba5dcccc5112ULL);
 }
 
 TEST(GraphIoTest, RoundTrip) {

@@ -351,5 +351,62 @@ TEST(IndependentMHTest, ExtensionMatchesGoldenValues) {
   EXPECT_EQ(result->proposals, 300u);
 }
 
+// Golden values of a tracked run over a delta holding every kind of ratio
+// term: a moved Pr(0) weight (and one moved back, which leaves no entry),
+// new groups on zero and nonzero weights, a removed group, a modified group
+// with an added and a removed clause, and a label set after Pr(0). Recorded
+// with the acceptance ratio walked through a value_of callback and the
+// marginals accumulated as double adds.
+TEST(IndependentMHTest, TrackedRunOverEveryTermKindMatchesGoldenValues) {
+  FactorGraph g = ChainGraph(31, 12);
+  const WeightId moved = g.AddWeight(0.4, /*learnable=*/true);
+  const WeightId moved_back = g.AddWeight(-0.3, /*learnable=*/true);
+  g.AddSimpleFactor(1, {{4, false}}, moved);
+  g.AddSimpleFactor(6, {}, moved);
+  g.AddSimpleFactor(8, {{2, true}}, moved_back);
+  const factor::GroupId modified =
+      g.AddGroup(0, 10, g.AddWeight(0.7, false), factor::Semantics::kRatio);
+  g.AddClause(modified, {{3, false}});
+  const factor::ClauseId dropped = g.AddClause(modified, {{5, false}, {7, true}});
+  SampleStore store = MaterializeSamples(g, 2000, 37);
+
+  GraphDelta first;
+  g.SetWeightValue(moved, 1.1);
+  first.weight_changes.push_back({moved, 0.4, 1.1});
+  g.SetWeightValue(moved_back, 0.5);
+  first.weight_changes.push_back({moved_back, -0.3, 0.5});
+  first.new_groups.push_back(g.AddSimpleFactor(3, {}, moved));
+  first.new_groups.push_back(
+      g.AddSimpleFactor(2, {{9, false}}, g.AddWeight(0.0, /*learnable=*/true)));
+  first.new_groups.push_back(g.AddSimpleFactor(11, {{0, true}}, g.AddWeight(0.6, false)));
+  g.DeactivateGroup(0);
+  first.removed_groups.push_back(0);
+  const factor::ClauseId added = g.AddClause(modified, {{9, false}});
+  g.DeactivateClause(dropped);
+  first.modified_groups.push_back({modified, {added}, {dropped}});
+  GraphDelta second;
+  g.SetWeightValue(moved_back, -0.3);
+  second.weight_changes.push_back({moved_back, 0.5, -0.3});
+  g.SetEvidence(4, true);
+  second.evidence_changes.push_back({4, std::nullopt, true});
+  GraphDelta delta;
+  delta.Merge(first);
+  delta.Merge(second);
+  ASSERT_EQ(delta.weight_changes.size(), 1u);
+
+  const std::vector<VarId> tracked = {1, 2, 3, 4, 5, 8, 9, 10, 11};
+  IndependentMH mh(&g, &delta);
+  MHOptions options;
+  options.target_steps = 2000;
+  options.track_vars = &tracked;
+  auto result = mh.Run(&store, options);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(factor::Fnv1aHash(result->marginals.data(),
+                              result->marginals.size() * sizeof(double)),
+            0x3f5ebae30faad4cfULL);
+  EXPECT_EQ(result->accepted, 588u);
+  EXPECT_EQ(result->proposals, 2000u);
+}
+
 }  // namespace
 }  // namespace deepdive::incremental
