@@ -146,11 +146,11 @@ void BM_DeltaLogRatio(benchmark::State& state) {
     delta.new_groups.push_back(
         g.AddSimpleFactor(a, {{b, false}}, g.AddWeight(0.5, false)));
   }
-  std::vector<uint8_t> values(g.NumVariables(), 0);
-  for (auto& v : values) v = rng.Bernoulli(0.5);
-  auto value_of = [&](factor::VarId v) { return values[v] != 0; };
+  BitVector world(g.NumVariables());
+  for (size_t v = 0; v < world.size(); ++v) world.Set(v, rng.Bernoulli(0.5));
+  const factor::DeltaRatio ratio(g, delta);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(factor::DeltaLogDensityRatio(g, delta, value_of));
+    benchmark::DoNotOptimize(ratio(world));
   }
 }
 BENCHMARK(BM_DeltaLogRatio);

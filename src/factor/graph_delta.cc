@@ -52,7 +52,7 @@ void GraphDelta::Merge(const GraphDelta& other) {
     new_set.insert(new_groups.begin(), new_groups.end());
   }
   // Coalesce clause-set modifications so each group appears at most once.
-  // Two separate GroupMods for one group would make DeltaLogDensityRatio
+  // Two separate GroupMods for one group would make DeltaRatio
   // reconstruct two *independent* Pr(0) counts from n_new, which is wrong
   // for non-linear semantics; and a clause added in one window and removed
   // in a later one never existed in Pr(0), so the pair cancels. Mods on
@@ -116,12 +116,9 @@ void GraphDelta::Merge(const GraphDelta& other) {
   MergeNet(&evidence_changes, other.evidence_changes, &EvidenceChange::var);
 }
 
-double DeltaLogDensityRatio(const FactorGraph& graph, const GraphDelta& delta,
-                            const std::function<bool(VarId)>& value_of) {
+DeltaRatio::DeltaRatio(const FactorGraph& graph, const GraphDelta& delta) {
   for (const GraphDelta::EvidenceChange& ec : delta.evidence_changes) {
-    if (ec.new_value.has_value() && value_of(ec.var) != *ec.new_value) {
-      return -std::numeric_limits<double>::infinity();
-    }
+    if (ec.new_value.has_value()) labels_.push_back({ec.var, *ec.new_value});
   }
   // w_0: the weight's Pr(0) value, found by binary search in the sorted
   // entries; a weight without an entry has not moved.
@@ -132,12 +129,25 @@ double DeltaLogDensityRatio(const FactorGraph& graph, const GraphDelta& delta,
     return it != delta.weight_changes.end() && it->weight == w ? it->old_value
                                                                : graph.WeightValue(w);
   };
-  const auto sign = [&](const FactorGroup& g) { return value_of(g.head) ? 1.0 : -1.0; };
-  // sign(head) * g(n) over the group's active clauses: n_Δ for a group of
-  // Pr(Δ), and n_0 for a removed group whose clauses did not change.
-  const auto feature = [&](GroupId gid) {
+  clause_starts_.push_back(0);
+  const auto add_clause = [&](ClauseId cid) {
+    const std::vector<Literal>& literals = graph.clause(cid).literals;
+    literals_.insert(literals_.end(), literals.begin(), literals.end());
+    clause_starts_.push_back(literals_.size());
+  };
+  // Opens a term on the group's active clauses, the ones SatisfiedClauses
+  // counts; false for a zero coefficient, which gets no term.
+  const auto add_term = [&](GroupId gid, double coef) {
+    if (coef == 0.0) return false;
     const FactorGroup& g = graph.group(gid);
-    return sign(g) * GCount(g.semantics, graph.SatisfiedClauses(gid, value_of));
+    Term term{g.head, g.semantics, coef};
+    term.active_begin = clause_starts_.size() - 1;
+    for (ClauseId cid : g.clauses) {
+      if (graph.clause(cid).active) add_clause(cid);
+    }
+    term.added_begin = term.removed_begin = term.removed_end = clause_starts_.size() - 1;
+    terms_.push_back(term);
+    return true;
   };
 
   // Each change is scored once, and the terms add up to each touched
@@ -145,36 +155,67 @@ double DeltaLogDensityRatio(const FactorGraph& graph, const GraphDelta& delta,
   // a moved weight adds (w_now - w_0) * feature for every active group on
   // it, so a new group adds w_0 * feature and a removed one subtracts it;
   // a modified group replaces g(n_Δ) by g(n_0) in its w_0 term.
-  double ratio = 0.0;
   for (const GraphDelta::WeightChange& wc : delta.weight_changes) {
     const double dw = graph.WeightValue(wc.weight) - wc.old_value;
     for (GroupId gid : graph.GroupsForWeight(wc.weight)) {
-      if (graph.group(gid).active) ratio += dw * feature(gid);
+      if (graph.group(gid).active) add_term(gid, dw);
     }
   }
   for (GroupId gid : delta.new_groups) {
     // A new group deactivated since is in neither distribution.
     const FactorGroup& g = graph.group(gid);
-    if (g.active) ratio += weight0(g.weight) * feature(gid);
+    if (g.active) add_term(gid, weight0(g.weight));
   }
+  removed_begin_ = terms_.size();
   for (GroupId gid : delta.removed_groups) {
-    ratio -= weight0(graph.group(gid).weight) * feature(gid);
+    add_term(gid, weight0(graph.group(gid).weight));
   }
-  const auto clause_satisfied = [&](ClauseId cid) {
-    for (const Literal& lit : graph.clause(cid).literals) {
-      if (value_of(lit.var) == lit.negated) return false;
-    }
-    return true;
-  };
+  modified_begin_ = terms_.size();
   for (const GraphDelta::GroupMod& mod : delta.modified_groups) {
+    if (!add_term(mod.group, weight0(graph.group(mod.group).weight))) continue;
+    for (ClauseId cid : mod.added) add_clause(cid);
+    terms_.back().removed_begin = clause_starts_.size() - 1;
+    for (ClauseId cid : mod.removed) add_clause(cid);
+    terms_.back().removed_end = clause_starts_.size() - 1;
+  }
+}
+
+int64_t DeltaRatio::SatisfiedClauses(size_t begin, size_t end,
+                                     const BitVector& world) const {
+  int64_t n = 0;
+  for (size_t c = begin; c < end; ++c) {
+    bool satisfied = true;
+    for (size_t l = clause_starts_[c]; l < clause_starts_[c + 1]; ++l) {
+      satisfied &= world.Get(literals_[l].var) != literals_[l].negated;
+    }
+    n += satisfied ? 1 : 0;
+  }
+  return n;
+}
+
+double DeltaRatio::operator()(const BitVector& world) const {
+  for (const Label& label : labels_) {
+    if (world.Get(label.var) != label.value) {
+      return -std::numeric_limits<double>::infinity();
+    }
+  }
+  // sign(head), exactly ±1, without a branch on an unpredictable bit.
+  const auto sign = [&](const Term& t) { return 2.0 * world.Get(t.head) - 1.0; };
+  const auto feature = [&](const Term& t) {
+    const int64_t n = SatisfiedClauses(t.active_begin, t.added_begin, world);
+    return sign(t) * GCount(t.semantics, n);
+  };
+  double ratio = 0.0;
+  size_t i = 0;
+  for (; i < removed_begin_; ++i) ratio += terms_[i].coef * feature(terms_[i]);
+  for (; i < modified_begin_; ++i) ratio -= terms_[i].coef * feature(terms_[i]);
+  for (; i < terms_.size(); ++i) {
     // n_0 removes the added clauses from n and restores the removed ones.
-    const FactorGroup& g = graph.group(mod.group);
-    const int64_t n = graph.SatisfiedClauses(mod.group, value_of);
-    int64_t n0 = n;
-    for (ClauseId cid : mod.added) n0 -= clause_satisfied(cid) ? 1 : 0;
-    for (ClauseId cid : mod.removed) n0 += clause_satisfied(cid) ? 1 : 0;
-    ratio += weight0(g.weight) * sign(g) *
-             (GCount(g.semantics, n) - GCount(g.semantics, n0));
+    const Term& t = terms_[i];
+    const int64_t n = SatisfiedClauses(t.active_begin, t.added_begin, world);
+    const int64_t n0 = n - SatisfiedClauses(t.added_begin, t.removed_begin, world) +
+                       SatisfiedClauses(t.removed_begin, t.removed_end, world);
+    ratio += t.coef * sign(t) * (GCount(t.semantics, n) - GCount(t.semantics, n0));
   }
   return ratio;
 }

@@ -547,7 +547,6 @@ StatusOr<UpdateOutcome> IncrementalEngine::RunSampling(
   mh_options.target_accepted = options.mh_target_steps;
   mh_options.seed = Rng::MixSeed(options.gibbs.seed, update_seq_, /*substream=*/1);
   mh_options.track_vars = &affected;  // untouched components keep Pr(0) marginals
-  mh_options.num_threads = parallelism_.num_threads;
   DD_ASSIGN_OR_RETURN(MHResult result, mh.Run(&snapshot_->store, mh_options));
   outcome.acceptance_rate = result.acceptance_rate;
 

@@ -105,11 +105,11 @@ struct UpdateOutcome {
 /// `mu_`-guarded handoff state. The engine publishes nothing itself: other
 /// threads read its results through the ResultViews DeepDive publishes.
 ///
-/// Parallelism, fixed at construction, reaches every stage the engine runs:
-/// the snapshot build (the sampling chain and the variational fit), MH's
-/// tracked-marginal accumulation, the variational write (Hogwild above one
-/// thread, the caching sequential chain otherwise) and the rerun's
-/// replicated chain.
+/// Parallelism, fixed at construction, reaches every stage the engine runs
+/// but MH, whose chain and accumulation are sequential: the snapshot build
+/// (the sampling chain and the variational fit), the variational write
+/// (Hogwild above one thread, the caching sequential chain otherwise) and
+/// the rerun's replicated chain.
 class IncrementalEngine {
  public:
   explicit IncrementalEngine(factor::FactorGraph* graph,

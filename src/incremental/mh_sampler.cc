@@ -1,13 +1,14 @@
 #include "incremental/mh_sampler.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <optional>
 
 #include "factor/compiled_graph.h"
 #include "inference/gibbs.h"
 #include "inference/world.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
 
 namespace deepdive::incremental {
 
@@ -41,9 +42,9 @@ StatusOr<MHResult> IndependentMH::Run(SampleStore* store, const MHOptions& optio
   // compiled image of the graph (compiled once per Run, only when such
   // variables exist); that path rebuilds a world's statistics per proposal.
   // The common fast path (no new variables) evaluates the delta's
-  // log-density ratio directly on the stored bits — per proposal cost
-  // O(|delta|), never O(graph), which is the whole point of the sampling
-  // approach.
+  // log-density ratio directly on the stored bits — per proposal cost the
+  // delta's nonzero terms, never O(graph), which is the whole point of the
+  // sampling approach.
   std::vector<VarId> extension_vars;
   for (VarId v = static_cast<VarId>(store->num_vars()); v < n; ++v) {
     extension_vars.push_back(v);
@@ -56,14 +57,12 @@ StatusOr<MHResult> IndependentMH::Run(SampleStore* store, const MHOptions& optio
     extension_world.emplace(&*compiled);
   }
 
-  // Loads a proposal as a full-width bit vector and returns the log
+  // Returns the proposal as a full-width world and sets *log_q to the log
   // probability of its extension draws (0 without new variables).
-  BitVector proposal_bits(n);
-  auto load_proposal = [&](const BitVector& raw) {
-    if (extension_vars.empty()) {
-      proposal_bits = raw;
-      return 0.0;
-    }
+  BitVector proposal_bits;
+  auto load_proposal = [&](const BitVector& raw, double* log_q) -> const BitVector& {
+    *log_q = 0.0;
+    if (extension_vars.empty()) return raw;
     // Raw sample bits verbatim; evidence added after materialization is
     // handled by the acceptance test, not coerced into the proposal. New
     // *evidence* variables take their labels (they have no Pr(0)
@@ -74,78 +73,54 @@ StatusOr<MHResult> IndependentMH::Run(SampleStore* store, const MHOptions& optio
       if (ev.has_value()) extension_world->Flip(v, *ev);
     }
     const inference::GibbsSampler sampler(&*compiled);
-    double log_q = 0.0;
     for (VarId v : extension_vars) {
       if (compiled->IsEvidence(v)) continue;
       const double log_odds = sampler.ConditionalLogOdds(*extension_world, v, &scratch);
       const bool value = rng.Bernoulli(1.0 / (1.0 + std::exp(-log_odds)));
-      log_q -= LogOnePlusExp(value ? -log_odds : log_odds);
+      *log_q -= LogOnePlusExp(value ? -log_odds : log_odds);
       if (value != extension_world->value(v)) extension_world->Flip(v, value);
     }
     proposal_bits = extension_world->ToBits();
-    return log_q;
+    return proposal_bits;
   };
 
-  BitVector current(n);
-  auto current_of = [&](VarId v) { return current.Get(v); };
-  auto proposal_of = [&](VarId v) { return proposal_bits.Get(v); };
+  // The delta's ratio, compiled once for the whole chain.
+  const factor::DeltaRatio delta_ratio(*graph_, *delta_);
 
   const BitVector* first = store->NextProposal();
   DD_CHECK(first != nullptr);
-  double current_log_q = load_proposal(*first);
-  current = proposal_bits;
-  double current_ratio = factor::DeltaLogDensityRatio(*graph_, *delta_, current_of);
+  double current_log_q = 0.0;
+  BitVector current = load_proposal(*first, &current_log_q);
+  double current_ratio = delta_ratio(current);
   ++result.proposals;
   ++result.accepted;  // the chain starts at the first proposal
 
   // ---- marginal accumulation ----
-  // The chain sits in each accepted state for a run of consecutive steps, so
-  // per-step adds are deferred until the state changes and applied as one
-  // batched pass (marginals[v] += run * I[v]). The run counts are integers
-  // well below 2^53, so the batched double adds are bit-identical to the
-  // historical step-by-step loop. When the tracked set is large — the
-  // ROADMAP's data-parallel reduction — the pass shards over it on a pool:
-  // tracked ids are unique (component expansions), so shard slices write
-  // disjoint entries of the marginal vector and each worker effectively owns
-  // a private accumulation buffer (its slice), reduced for free in place.
+  // The chain sits in each accepted state for a run of consecutive steps.
+  // When it leaves a state, the run's length is added to an integer count
+  // for each tracked variable set in that state, found by walking the set
+  // bits of (state & tracked mask) a word at a time. Every count is a sum of
+  // integer run lengths below 2^53, which a double holds exactly, so
+  // converting the counts once at the end equals adding each step's
+  // indicator in double.
   const std::vector<VarId>* tracked = options.track_vars;
-  const size_t tracked_count = tracked != nullptr ? tracked->size() : n;
-  constexpr size_t kParallelTrackThreshold = 2048;
-  const size_t num_threads = options.num_threads == 0 ? ThreadPool::DefaultThreads()
-                                                     : options.num_threads;
-  std::optional<ThreadPool> accum;
-  if (num_threads > 1 && tracked_count >= kParallelTrackThreshold) accum.emplace(num_threads);
-  size_t run_length = 0;
-  double* marginals = result.marginals.data();
+  BitVector tracked_mask(n, /*value=*/tracked == nullptr);
+  if (tracked != nullptr) {
+    for (VarId v : *tracked) tracked_mask.Set(v, true);
+  }
+  std::vector<uint64_t> counts(n, 0);
+  size_t run_length = 1;  // the initial state is counted once
   auto flush_run = [&]() {
-    if (run_length == 0) return;
-    const double run = static_cast<double>(run_length);
-    run_length = 0;
-    auto add_range = [&](size_t begin, size_t end) {
-      if (tracked != nullptr) {
-        for (size_t i = begin; i < end; ++i) {
-          const VarId v = (*tracked)[i];
-          if (current.Get(v)) marginals[v] += run;
-        }
-      } else {
-        for (size_t v = begin; v < end; ++v) {
-          if (current.Get(static_cast<VarId>(v))) marginals[v] += run;
-        }
+    for (size_t w = 0; w < tracked_mask.num_words(); ++w) {
+      for (uint64_t bits = current.word(w) & tracked_mask.word(w); bits != 0;
+           bits &= bits - 1) {
+        counts[w * 64 + static_cast<size_t>(std::countr_zero(bits))] += run_length;
       }
-    };
-    if (accum.has_value()) {
-      accum->ParallelFor(tracked_count,
-                         [&](size_t /*shard*/, size_t begin, size_t end) {
-                           add_range(begin, end);
-                         });
-    } else {
-      add_range(0, tracked_count);
     }
+    run_length = 0;
   };
 
   size_t steps = 1;
-  run_length = 1;  // the initial state is counted once
-
   while (steps < options.target_steps &&
          (options.target_accepted == 0 || result.accepted < options.target_accepted)) {
     const BitVector* raw = store->NextProposal();
@@ -154,9 +129,9 @@ StatusOr<MHResult> IndependentMH::Run(SampleStore* store, const MHOptions& optio
       break;
     }
     ++result.proposals;
-    const double proposed_log_q = load_proposal(*raw);
-    const double proposed_ratio =
-        factor::DeltaLogDensityRatio(*graph_, *delta_, proposal_of);
+    double proposed_log_q = 0.0;
+    const BitVector& proposal = load_proposal(*raw, &proposed_log_q);
+    const double proposed_ratio = delta_ratio(proposal);
     bool accept;
     if (std::isinf(current_ratio) && current_ratio < 0.0) {
       // Current state has zero probability under Pr(Δ) (e.g. it violates new
@@ -171,8 +146,8 @@ StatusOr<MHResult> IndependentMH::Run(SampleStore* store, const MHOptions& optio
     }
     if (accept) {
       ++result.accepted;
-      flush_run();  // batch out the departing state before replacing it
-      current = proposal_bits;
+      flush_run();  // count out the departing state before replacing it
+      current = proposal;
       current_ratio = proposed_ratio;
       current_log_q = proposed_log_q;
     }
@@ -182,25 +157,20 @@ StatusOr<MHResult> IndependentMH::Run(SampleStore* store, const MHOptions& optio
   flush_run();
 
   // Only tracked variables carry chain averages; with a tracked set the
-  // untracked entries stay exactly 0 and are neither divided nor overwritten
-  // with evidence labels as if they were estimates — the caller replaces
-  // only the tracked subset and keeps its own values for the rest.
+  // untracked entries stay exactly 0 and are not overwritten with evidence
+  // labels as if they were estimates — the caller replaces only the tracked
+  // subset and keeps its own values for the rest. Evidence variables report
+  // their labels exactly.
   const double steps_d = static_cast<double>(steps);
+  auto estimate = [&](VarId v) {
+    const auto ev = graph_->EvidenceValue(v);
+    result.marginals[v] =
+        ev.has_value() ? (*ev ? 1.0 : 0.0) : static_cast<double>(counts[v]) / steps_d;
+  };
   if (tracked != nullptr) {
-    for (VarId v : *tracked) {
-      result.marginals[v] /= steps_d;
-      const auto ev = graph_->EvidenceValue(v);
-      if (ev.has_value()) result.marginals[v] = *ev ? 1.0 : 0.0;
-    }
+    for (VarId v : *tracked) estimate(v);
   } else {
-    for (VarId v = 0; v < n; ++v) {
-      result.marginals[v] /= steps_d;
-    }
-    // Evidence variables report their labels exactly.
-    for (VarId v = 0; v < n; ++v) {
-      const auto ev = graph_->EvidenceValue(v);
-      if (ev.has_value()) result.marginals[v] = *ev ? 1.0 : 0.0;
-    }
+    for (VarId v = 0; v < n; ++v) estimate(v);
   }
   result.acceptance_rate =
       result.proposals > 0

@@ -24,14 +24,10 @@ struct MHOptions {
   /// marginals, so the chain need not track them). Entries must be unique
   /// (the engine passes component expansions, which are). All untracked
   /// variables — evidence included — report exactly 0: the caller keeps its
-  /// own values for everything outside the tracked set. Large tracked sets
-  /// are accumulated as a sharded data-parallel reduction on `num_threads`
-  /// workers, bit-identical to the sequential accumulation.
+  /// own values for everything outside the tracked set. The chain is
+  /// sequential, and so is its accumulation: leaving a state adds the steps
+  /// spent in it to an integer count per tracked variable the state sets.
   const std::vector<factor::VarId>* track_vars = nullptr;
-  /// Worker threads for the tracked-marginal accumulation (the MH chain
-  /// itself is inherently sequential). 1 = sequential; 0 = one per hardware
-  /// thread.
-  size_t num_threads = 1;
 };
 
 struct MHResult {
@@ -49,7 +45,10 @@ struct MHResult {
 /// Pr(0) (realized by replaying stored samples). Because proposal and target
 /// differ only by the delta, the acceptance test
 ///     a = min(1, exp(r(I') - r(I))),   r = log Pr(Δ)/Pr(0)
-/// touches only ΔV/ΔF — no factor of the original graph is fetched.
+/// touches only ΔV/ΔF — no factor of the original graph is fetched. Each
+/// Run compiles r once (factor::DeltaRatio), so a proposal costs the labels
+/// the delta sets plus its nonzero-coefficient terms; an update that only
+/// adds groups on weights still at 0 costs the labels alone.
 ///
 /// Variables minted after Pr(0) have no stored coordinate. Each proposal is
 /// extended onto them by one sequential Gibbs sweep in id order, starting

@@ -2,6 +2,8 @@
 
 #include <cstdint>
 #include <fstream>
+#include <limits>
+#include <string>
 
 #include "util/logging.h"
 
@@ -33,11 +35,15 @@ void SampleStore::Clear() {
 }
 
 Status SampleStore::Save(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::Internal("cannot open '" + path + "' for writing");
   const uint64_t magic = kStoreMagic;
   const uint64_t count = samples_.size();
   const uint64_t width = num_vars();
+  if (width == 0 && count > 0) {
+    return Status::InvalidArgument("a store of " + std::to_string(count) +
+                                   " zero-width samples cannot be loaded; not saving it");
+  }
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  if (!out) return Status::Internal("cannot open '" + path + "' for writing");
   out.write(reinterpret_cast<const char*>(&magic), sizeof(magic));
   out.write(reinterpret_cast<const char*>(&count), sizeof(count));
   out.write(reinterpret_cast<const char*>(&width), sizeof(width));
@@ -70,6 +76,26 @@ StatusOr<SampleStore> SampleStore::Load(const std::string& path,
         "sample store '" + path + "' holds " + std::to_string(width) +
         "-variable samples but the target graph has " +
         std::to_string(expected_width) + " variables");
+  }
+  // The header is checked against the file before anything is allocated:
+  // the rest of the file must be exactly `count` samples of ceil(width / 8)
+  // bytes each, and a zero-width sample, which takes no bytes, is refused.
+  if (width == 0 && count > 0) {
+    return Status::InvalidArgument("sample store '" + path + "' claims " +
+                                   std::to_string(count) + " zero-width samples");
+  }
+  const uint64_t sample_bytes = width / 8 + (width % 8 != 0 ? 1 : 0);
+  const std::streampos body_start = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::streamoff body_bytes = in.tellg() - body_start;
+  in.seekg(body_start);
+  if (!in || (sample_bytes != 0 &&
+              count > std::numeric_limits<uint64_t>::max() / sample_bytes) ||
+      count * sample_bytes != static_cast<uint64_t>(body_bytes)) {
+    return Status::InvalidArgument(
+        "sample store '" + path + "' claims " + std::to_string(count) + " samples of " +
+        std::to_string(width) + " variables but holds " + std::to_string(body_bytes) +
+        " bytes of samples");
   }
   SampleStore store;
   for (uint64_t s = 0; s < count; ++s) {

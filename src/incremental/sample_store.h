@@ -47,7 +47,10 @@ class SampleStore {
   /// reused by later sessions. The cursor is not persisted (a loaded store
   /// starts fresh). When `expected_width` is nonzero, Load rejects a store
   /// whose sample width differs — a store materialized for one graph must
-  /// not be replayed as MH proposals against a differently-shaped one.
+  /// not be replayed as MH proposals against a differently-shaped one. Load
+  /// also rejects, before allocating, a header whose sample count and width
+  /// do not match the bytes that follow it, and any zero-width samples,
+  /// which Save refuses to write (InvalidArgument).
   Status Save(const std::string& path) const;
   static StatusOr<SampleStore> Load(const std::string& path,
                                     size_t expected_width = 0);

@@ -66,14 +66,15 @@ StatusOr<std::vector<double>> StrawmanMaterialization::InferUpdated(
   const size_t k = free_vars_.size();
   const uint64_t num_worlds = uint64_t{1} << k;
 
-  std::vector<uint8_t> values = evidence_values_;
-  auto value_of = [&](VarId v) { return values[v] != 0; };
+  BitVector values(evidence_values_.size());
+  for (VarId v = 0; v < values.size(); ++v) values.Set(v, evidence_values_[v] != 0);
+  const factor::DeltaRatio ratio(graph, delta);
 
   std::vector<double> new_log(num_worlds);
   double max_log = -1e300;
   for (uint64_t world = 0; world < num_worlds; ++world) {
-    for (size_t i = 0; i < k; ++i) values[free_vars_[i]] = (world >> i) & 1;
-    const double r = factor::DeltaLogDensityRatio(graph, delta, value_of);
+    for (size_t i = 0; i < k; ++i) values.Set(free_vars_[i], (world >> i) & 1);
+    const double r = ratio(values);
     new_log[world] = log_weights_[world] + r;
     if (new_log[world] > max_log) max_log = new_log[world];
   }

@@ -1,10 +1,12 @@
 #ifndef DEEPDIVE_INFERENCE_GIBBS_H_
 #define DEEPDIVE_INFERENCE_GIBBS_H_
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <functional>
 #include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -105,8 +107,14 @@ double ConditionalLogOddsImpl(const factor::CompiledGraph& graph, const WorldT& 
     if (dn == 0) continue;
     const factor::CompiledGroup& group = graph.group(gid);
     const int64_t n_now = world.GroupSat(gid);
-    const int64_t n1 = cur ? n_now : n_now + dn;
-    const int64_t n0 = cur ? n_now - dn : n_now;
+    int64_t n1 = cur ? n_now : n_now + dn;
+    int64_t n0 = cur ? n_now - dn : n_now;
+    if constexpr (!std::is_same_v<WorldT, World>) {
+      // A stale group count may lag the clause counts it was read beside,
+      // which would put a count below 0; g(n) is defined from 0.
+      n1 = std::max<int64_t>(n1, 0);
+      n0 = std::max<int64_t>(n0, 0);
+    }
     const double sign = world.value(group.head) ? 1.0 : -1.0;
     log_odds += graph.WeightValue(group.weight) * sign *
                 (factor::GCount(group.semantics, n1) - factor::GCount(group.semantics, n0));

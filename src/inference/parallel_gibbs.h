@@ -1,6 +1,7 @@
 #ifndef DEEPDIVE_INFERENCE_PARALLEL_GIBBS_H_
 #define DEEPDIVE_INFERENCE_PARALLEL_GIBBS_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -40,8 +41,11 @@ class AtomicWorld {
   bool value(factor::VarId v) const {
     return values_[v].load(std::memory_order_relaxed) != 0;
   }
+  // ordering: relaxed, as above. Never below 0: a group's count moves after
+  // the clause count that caused it, so a clause satisfied and unsatisfied
+  // again on two threads can take it to -1 until the first one catches up.
   int64_t GroupSat(factor::GroupId g) const {
-    return group_sat_[g].load(std::memory_order_relaxed);
+    return std::max<int64_t>(group_sat_[g].load(std::memory_order_relaxed), 0);
   }
   int32_t ClauseUnsat(factor::ClauseId c) const {
     return clause_unsat_[c].load(std::memory_order_relaxed);

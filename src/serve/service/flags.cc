@@ -24,6 +24,19 @@ StatusOr<uint64_t> ParseCount(const std::string& flag, const std::string& value,
   return static_cast<uint64_t>(parsed);
 }
 
+StatusOr<double> ParseProbability(const std::string& flag, const std::string& value) {
+  // strtod skips leading whitespace and stops at the first character it
+  // cannot use; the whole value must parse, and nan fails both bounds.
+  char* end = nullptr;
+  const double parsed = std::strtod(value.c_str(), &end);
+  if (value.empty() || std::isspace(static_cast<unsigned char>(value[0])) ||
+      *end != '\0' || !(parsed >= 0.0 && parsed <= 1.0)) {
+    return Status::InvalidArgument(flag + " expects a probability in [0, 1], got '" +
+                                   value + "'");
+  }
+  return parsed;
+}
+
 StatusOr<bool> ConsumeEngineFlag(int argc, const char* const* argv, int* i,
                                  comm::TenantConfig* config) {
   const std::string flag = argv[*i];

@@ -15,6 +15,11 @@ namespace deepdive::serve::service {
 StatusOr<uint64_t> ParseCount(const std::string& flag, const std::string& value,
                               uint64_t min, uint64_t max);
 
+/// Parses a probability: the whole value must be a finite decimal in
+/// [0, 1]. An empty value, trailing characters, nan, infinities and values
+/// outside the range are InvalidArgument, naming `flag`.
+StatusOr<double> ParseProbability(const std::string& flag, const std::string& value);
+
 /// The one parser of a tenant's engine settings, shared by deepdive_cli
 /// (run, load-graph, client create-tenant) and deepdive_serve. When
 /// argv[*i] is --seed N, --epochs N (1 to 10^6), --mode incremental|rerun,

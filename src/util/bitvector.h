@@ -36,6 +36,11 @@ class BitVector {
   /// Number of positions where this and `other` differ. Sizes must match.
   size_t HammingDistance(const BitVector& other) const;
 
+  /// The packed storage: bit i is bit i % 64 of word i / 64, and the bits
+  /// past size() are 0.
+  size_t num_words() const { return words_.size(); }
+  uint64_t word(size_t w) const { return words_[w]; }
+
   bool operator==(const BitVector& other) const {
     return size_ == other.size_ && words_ == other.words_;
   }

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <initializer_list>
 #include <limits>
 #include <optional>
 #include <vector>
@@ -246,6 +247,14 @@ TEST(GraphDeltaTest, MergeCancelsLargeRemovalSetPreservingOrder) {
   EXPECT_EQ(delta.removed_groups, expected_removed);
 }
 
+// A world with variable v set to values[v].
+BitVector World(std::initializer_list<bool> values) {
+  BitVector world(values.size());
+  size_t v = 0;
+  for (const bool value : values) world.Set(v++, value);
+  return world;
+}
+
 TEST(GraphDeltaTest, DeltaLogDensityRatioNewGroup) {
   FactorGraph g;
   const VarId a = g.AddVariable();
@@ -253,15 +262,13 @@ TEST(GraphDeltaTest, DeltaLogDensityRatioNewGroup) {
   const GroupId grp = g.AddSimpleFactor(a, {}, w);
   GraphDelta delta;
   delta.new_groups.push_back(grp);
-  auto all_true = [](VarId) { return true; };
-  auto all_false = [](VarId) { return false; };
-  EXPECT_DOUBLE_EQ(DeltaLogDensityRatio(g, delta, all_true), 1.5);
-  EXPECT_DOUBLE_EQ(DeltaLogDensityRatio(g, delta, all_false), -1.5);
+  EXPECT_DOUBLE_EQ(DeltaRatio(g, delta)(World({true})), 1.5);
+  EXPECT_DOUBLE_EQ(DeltaRatio(g, delta)(World({false})), -1.5);
   // The weight moved 0.5 -> 1.5 since Pr(0): the new group is still scored
   // once, at the current value.
   delta.weight_changes.push_back({w, 0.5, 1.5});
-  EXPECT_DOUBLE_EQ(DeltaLogDensityRatio(g, delta, all_true), 1.5);
-  EXPECT_DOUBLE_EQ(DeltaLogDensityRatio(g, delta, all_false), -1.5);
+  EXPECT_DOUBLE_EQ(DeltaRatio(g, delta)(World({true})), 1.5);
+  EXPECT_DOUBLE_EQ(DeltaRatio(g, delta)(World({false})), -1.5);
 }
 
 TEST(GraphDeltaTest, DeltaLogDensityRatioEvidenceConflict) {
@@ -270,10 +277,9 @@ TEST(GraphDeltaTest, DeltaLogDensityRatioEvidenceConflict) {
   g.SetEvidence(a, true);
   GraphDelta delta;
   delta.evidence_changes.push_back({a, std::nullopt, true});
-  auto violates = [](VarId) { return false; };
-  EXPECT_TRUE(std::isinf(DeltaLogDensityRatio(g, delta, violates)));
-  auto satisfies = [](VarId) { return true; };
-  EXPECT_DOUBLE_EQ(DeltaLogDensityRatio(g, delta, satisfies), 0.0);
+  const DeltaRatio ratio(g, delta);
+  EXPECT_TRUE(std::isinf(ratio(World({false}))));
+  EXPECT_DOUBLE_EQ(ratio(World({true})), 0.0);
 }
 
 TEST(GraphDeltaTest, DeltaLogDensityRatioModifiedGroup) {
@@ -290,20 +296,17 @@ TEST(GraphDeltaTest, DeltaLogDensityRatioModifiedGroup) {
   delta.modified_groups.push_back({grp, {c_new}, {c_old}});
 
   // World: h=true, b=false. New n = 0, old n = 1. Ratio = 2*(0 - 1) = -2.
-  std::vector<bool> values = {true, false};
-  auto value_of = [&](VarId v) { return values[v]; };
-  EXPECT_DOUBLE_EQ(DeltaLogDensityRatio(g, delta, value_of), -2.0);
+  EXPECT_DOUBLE_EQ(DeltaRatio(g, delta)(World({true, false})), -2.0);
 
   // World: h=true, b=true. New n = 1, old n = 1. Ratio = 0.
-  values[1] = true;
-  EXPECT_DOUBLE_EQ(DeltaLogDensityRatio(g, delta, value_of), 0.0);
+  EXPECT_DOUBLE_EQ(DeltaRatio(g, delta)(World({true, true})), 0.0);
 
   // The weight moved 1.0 -> 2.0 since Pr(0), so Pr(0)'s term takes 1.0:
   // h=true, b=true gives 2*1 - 1*1, and h=true, b=false gives 2*0 - 1*1.
   delta.weight_changes.push_back({w, 1.0, 2.0});
-  EXPECT_DOUBLE_EQ(DeltaLogDensityRatio(g, delta, value_of), 1.0);
-  values[1] = false;
-  EXPECT_DOUBLE_EQ(DeltaLogDensityRatio(g, delta, value_of), -1.0);
+  const DeltaRatio moved(g, delta);
+  EXPECT_DOUBLE_EQ(moved(World({true, true})), 1.0);
+  EXPECT_DOUBLE_EQ(moved(World({true, false})), -1.0);
 }
 
 TEST(GraphDeltaTest, DeltaLogDensityRatioWeightChange) {
@@ -313,14 +316,44 @@ TEST(GraphDeltaTest, DeltaLogDensityRatioWeightChange) {
   g.AddSimpleFactor(a, {}, w);
   GraphDelta delta;
   delta.weight_changes.push_back({w, 0.5, 2.0});
-  auto all_true = [](VarId) { return true; };
-  EXPECT_DOUBLE_EQ(DeltaLogDensityRatio(g, delta, all_true), 1.5);
+  EXPECT_DOUBLE_EQ(DeltaRatio(g, delta)(World({true})), 1.5);
   // A removed group on the moved weight leaves Pr(0) at Pr(0)'s value:
   // 1.5 - 0.5.
   const GroupId removed = g.AddSimpleFactor(g.AddVariable(), {}, w);
   g.DeactivateGroup(removed);
   delta.removed_groups.push_back(removed);
-  EXPECT_DOUBLE_EQ(DeltaLogDensityRatio(g, delta, all_true), 1.0);
+  EXPECT_DOUBLE_EQ(DeltaRatio(g, delta)(World({true, true})), 1.0);
+}
+
+// Every contribution whose coefficient is exactly 0 (groups added, removed
+// or modified on a weight at 0, as new tied weights are) is left out, and
+// the ratio stays +0, never -0, whatever the world.
+TEST(GraphDeltaTest, ZeroCoefficientContributionsCompileToNoTerm) {
+  FactorGraph g;
+  const VarId a = g.AddVariable();
+  const VarId b = g.AddVariable();
+  const WeightId zero = g.GetOrCreateTiedWeight("FE/zero");
+  const GroupId modified = g.AddSimpleFactor(b, {}, zero);
+  const GroupId removed = g.AddSimpleFactor(a, {}, zero);
+  g.DeactivateGroup(removed);
+  GraphDelta delta;
+  delta.new_groups.push_back(g.AddSimpleFactor(a, {{b, true}}, zero));
+  delta.removed_groups.push_back(removed);
+  delta.modified_groups.push_back({modified, {g.AddClause(modified, {{a, false}})}, {}});
+  const DeltaRatio ratio(g, delta);
+  EXPECT_EQ(ratio.num_terms(), 0u);
+  for (const bool va : {false, true}) {
+    for (const bool vb : {false, true}) {
+      const double r = ratio(World({va, vb}));
+      EXPECT_EQ(r, 0.0);
+      EXPECT_FALSE(std::signbit(r));
+    }
+  }
+  // A nonzero weight brings back exactly the new group's term.
+  delta.new_groups.push_back(g.AddSimpleFactor(b, {}, g.AddWeight(0.5, false)));
+  const DeltaRatio one(g, delta);
+  EXPECT_EQ(one.num_terms(), 1u);
+  EXPECT_DOUBLE_EQ(one(World({false, true})), 0.5);
 }
 
 TEST(GraphDeltaTest, MergeKeepsOneEntryPerChangedWeight) {
@@ -351,8 +384,9 @@ TEST(GraphDeltaTest, LabelAddedThenRemovedConstrainsNothing) {
   cleared.evidence_changes.push_back({a, true, std::nullopt});
   delta.Merge(cleared);
   EXPECT_TRUE(delta.evidence_changes.empty());
-  EXPECT_DOUBLE_EQ(DeltaLogDensityRatio(g, delta, [](VarId) { return true; }), 0.0);
-  EXPECT_DOUBLE_EQ(DeltaLogDensityRatio(g, delta, [](VarId) { return false; }), 0.0);
+  const DeltaRatio ratio(g, delta);
+  EXPECT_DOUBLE_EQ(ratio(World({true})), 0.0);
+  EXPECT_DOUBLE_EQ(ratio(World({false})), 0.0);
 }
 
 TEST(GraphDeltaTest, LabelFlippedTwiceConstrainsOnlyItsFinalValue) {
@@ -370,8 +404,9 @@ TEST(GraphDeltaTest, LabelFlippedTwiceConstrainsOnlyItsFinalValue) {
   ASSERT_EQ(delta.evidence_changes.size(), 1u);
   EXPECT_EQ(delta.evidence_changes[0],
             (GraphDelta::EvidenceChange{a, std::nullopt, true}));
-  EXPECT_DOUBLE_EQ(DeltaLogDensityRatio(g, delta, [](VarId) { return true; }), 0.0);
-  EXPECT_TRUE(std::isinf(DeltaLogDensityRatio(g, delta, [](VarId) { return false; })));
+  const DeltaRatio ratio(g, delta);
+  EXPECT_DOUBLE_EQ(ratio(World({true})), 0.0);
+  EXPECT_TRUE(std::isinf(ratio(World({false}))));
 }
 
 // Property, over random small graphs and op sequences merged update by
@@ -386,7 +421,7 @@ TEST(GraphDeltaTest, LabelFlippedTwiceConstrainsOnlyItsFinalValue) {
 // current values, and dropping the weights Pr(0) did not have (as the
 // engine does) changes no ratio. A hash over every ratio the test computes,
 // recorded with the ratio walked through a value_of callback, pins them bit
-// for bit.
+// for bit; TotalLogWeight stays the independent reference.
 TEST(GraphDeltaTest, NetRatioMatchesTotalLogWeightOnRandomOps) {
   constexpr Semantics kSemantics[] = {Semantics::kLinear, Semantics::kRatio,
                                       Semantics::kLogical};
@@ -537,9 +572,13 @@ TEST(GraphDeltaTest, NetRatioMatchesTotalLogWeightOnRandomOps) {
     std::erase_if(filtered.weight_changes, [&](const GraphDelta::WeightChange& c) {
       return c.weight >= pr0.NumWeights();
     });
+    const DeltaRatio cumulative_ratio(g, cumulative);
+    const DeltaRatio filtered_ratio(g, filtered);
     std::optional<double> offset0;
     for (uint32_t world = 0; world < (uint32_t{1} << n); ++world) {
       const auto value_of = [world](VarId v) { return ((world >> v) & 1) != 0; };
+      BitVector bits(n);
+      for (VarId v = 0; v < n; ++v) bits.Set(v, value_of(v));
       const auto satisfies = [&](const FactorGraph& graph) {
         for (VarId v = 0; v < n; ++v) {
           const std::optional<bool> ev = graph.EvidenceValue(v);
@@ -548,8 +587,8 @@ TEST(GraphDeltaTest, NetRatioMatchesTotalLogWeightOnRandomOps) {
         return true;
       };
       if (!satisfies(pr0)) continue;  // no stored sample is this world
-      for (const GraphDelta* delta : {&cumulative, &filtered}) {
-        const double ratio = DeltaLogDensityRatio(g, *delta, value_of);
+      for (const DeltaRatio* delta_ratio : {&cumulative_ratio, &filtered_ratio}) {
+        const double ratio = (*delta_ratio)(bits);
         ratios.push_back(ratio);
         if (!satisfies(g)) {
           EXPECT_EQ(ratio, -std::numeric_limits<double>::infinity())

@@ -227,42 +227,6 @@ TEST(IndependentMHTest, EmptyStoreIsExhaustedImmediately) {
   EXPECT_EQ(result->accepted, 0u);
 }
 
-TEST(IndependentMHTest, ParallelTrackedAccumulationBitIdentical) {
-  // The tracked-marginal accumulation is a data-parallel reduction over the
-  // tracked set (per-thread shard slices + batched run-length adds); it must
-  // be bit-identical to the sequential per-step loop at any thread count.
-  // 3000 tracked variables clears the parallelization threshold.
-  const size_t n = 3000;
-  FactorGraph g = ChainGraph(19, n);
-  std::vector<VarId> tracked(n);
-  for (size_t v = 0; v < n; ++v) tracked[v] = static_cast<VarId>(v);
-
-  GraphDelta delta;
-  delta.new_groups.push_back(
-      g.AddSimpleFactor(5, {{9, false}}, g.AddWeight(0.9, false)));
-
-  std::vector<double> reference;
-  for (size_t threads : {1u, 4u}) {
-    SampleStore store = MaterializeSamples(g, 60, 23);
-    IndependentMH mh(&g, &delta);
-    MHOptions options;
-    options.target_steps = 60;
-    options.track_vars = &tracked;
-    options.num_threads = threads;
-    auto result = mh.Run(&store, options);
-    ASSERT_TRUE(result.ok());
-    if (reference.empty()) {
-      reference = result->marginals;
-    } else {
-      ASSERT_EQ(result->marginals.size(), reference.size());
-      for (size_t v = 0; v < n; ++v) {
-        ASSERT_EQ(result->marginals[v], reference[v])
-            << "threads=" << threads << " var " << v;
-      }
-    }
-  }
-}
-
 TEST(IndependentMHTest, UntrackedVariablesReportZeroNotLabels) {
   // With a tracked set, untracked variables — evidence included — must stay
   // exactly 0 (the caller keeps its own values for them); tracked evidence

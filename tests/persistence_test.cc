@@ -3,7 +3,9 @@
 // process restart bit-for-bit.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <utility>
 
 #include "factor/compiled_graph.h"
 #include "factor/factor_graph.h"
@@ -138,6 +140,43 @@ TEST(SampleStorePersistenceTest, LoadValidatesExpectedWidth) {
   EXPECT_TRUE(incremental::SampleStore::Load(path).ok());  // 0 = unchecked
   const auto mismatched = incremental::SampleStore::Load(path, 64);
   EXPECT_EQ(mismatched.status().code(), StatusCode::kInvalidArgument);
+  std::remove(path.c_str());
+}
+
+// A header is checked against the bytes that follow it before anything is
+// allocated: one sample of 2^62 variables once threw std::bad_alloc, and
+// 10^11 zero-width samples were still loading after 10 s.
+TEST(SampleStorePersistenceTest, RejectsHeadersTheFileCannotHold) {
+  const std::string path = ::testing::TempDir() + "/store_bad_header.bin";
+  incremental::SampleStore store;
+  store.Add(BitVector(16, true));
+  ASSERT_TRUE(store.Save(path).ok());
+  const auto rewrite_header = [&](uint64_t count, uint64_t width) {
+    FILE* f = fopen(path.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(fseek(f, sizeof(uint64_t), SEEK_SET), 0);
+    ASSERT_EQ(fwrite(&count, sizeof(count), 1, f), 1u);
+    ASSERT_EQ(fwrite(&width, sizeof(width), 1, f), 1u);
+    fclose(f);
+  };
+  for (const auto& [count, width] :
+       {std::pair<uint64_t, uint64_t>{1, uint64_t{1} << 62}, {100000000000, 0},
+        {2, 16}, {1, 8}, {uint64_t{1} << 61, 16}}) {
+    rewrite_header(count, width);
+    EXPECT_EQ(incremental::SampleStore::Load(path).status().code(),
+              StatusCode::kInvalidArgument)
+        << count << " samples of width " << width;
+  }
+  rewrite_header(1, 16);
+  EXPECT_TRUE(incremental::SampleStore::Load(path).ok());
+  std::remove(path.c_str());
+}
+
+TEST(SampleStorePersistenceTest, ZeroWidthSamplesAreNotSaved) {
+  const std::string path = ::testing::TempDir() + "/store_zero_width.bin";
+  incremental::SampleStore store;
+  store.Add(BitVector(0));
+  EXPECT_EQ(store.Save(path).code(), StatusCode::kInvalidArgument);
   std::remove(path.c_str());
 }
 

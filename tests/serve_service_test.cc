@@ -377,6 +377,20 @@ TEST(EngineFlagsTest, MalformedValuesAreRejected) {
   }
 }
 
+TEST(EngineFlagsTest, ProbabilitiesMustBeWholeFiniteValuesInTheUnitInterval) {
+  for (const char* bad : {"abc", "0.5x", "", "nan", "-0.1", "1.5", "inf", " 0.5"}) {
+    const auto p = ParseProbability("--threshold", bad);
+    EXPECT_EQ(p.status().code(), StatusCode::kInvalidArgument) << "'" << bad << "'";
+    EXPECT_NE(p.status().ToString().find("--threshold"), std::string::npos) << bad;
+  }
+  for (const auto& [text, value] :
+       {std::pair<const char*, double>{"0", 0.0}, {"0.5", 0.5}, {"1", 1.0}}) {
+    const auto p = ParseProbability("--min-confidence", text);
+    ASSERT_TRUE(p.ok()) << text << ": " << p.status().ToString();
+    EXPECT_EQ(*p, value);
+  }
+}
+
 TEST(EngineFlagsTest, OtherFlagsAreNotConsumed) {
   const char* args[] = {"tool", "--tenant", "kb"};
   comm::TenantConfig config;

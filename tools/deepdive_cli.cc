@@ -164,6 +164,7 @@ StatusOr<std::pair<std::string, std::string>> SplitAssignment(const std::string&
 
 using serve::service::ConsumeEngineFlag;
 using serve::service::ParseCount;
+using serve::service::ParseProbability;
 using serve::service::ReadFile;
 
 StatusOr<Args> ParseArgs(int argc, char** argv) {
@@ -209,7 +210,7 @@ StatusOr<Args> ParseArgs(int argc, char** argv) {
       args.updates.back().data.push_back(kv);
     } else if (flag == "--threshold") {
       DD_ASSIGN_OR_RETURN(std::string v, next());
-      args.threshold = std::strtod(v.c_str(), nullptr);
+      DD_ASSIGN_OR_RETURN(args.threshold, ParseProbability(flag, v));
     } else if (flag == "--save-materialization") {
       DD_ASSIGN_OR_RETURN(args.config.save_materialization, next());
     } else if (flag == "--load-materialization") {
@@ -631,7 +632,7 @@ StatusOr<ClientArgs> ParseClientArgs(int argc, char** argv) {
       DD_ASSIGN_OR_RETURN(tuple, next());
     } else if (flag == "--threshold") {
       DD_ASSIGN_OR_RETURN(std::string v, next());
-      threshold = std::strtod(v.c_str(), nullptr);
+      DD_ASSIGN_OR_RETURN(threshold, ParseProbability(flag, v));
     } else if (flag == "--data") {
       DD_ASSIGN_OR_RETURN(std::string v, next());
       DD_ASSIGN_OR_RETURN(auto kv, SplitAssignment(v));
@@ -653,7 +654,7 @@ StatusOr<ClientArgs> ParseClientArgs(int argc, char** argv) {
       mine.min_support = static_cast<int64_t>(n);
     } else if (flag == "--min-confidence") {
       DD_ASSIGN_OR_RETURN(std::string v, next());
-      mine.min_confidence = std::strtod(v.c_str(), nullptr);
+      DD_ASSIGN_OR_RETURN(mine.min_confidence, ParseProbability(flag, v));
     } else if (flag == "--max-body-atoms") {
       DD_ASSIGN_OR_RETURN(std::string v, next());
       DD_ASSIGN_OR_RETURN(size_t n, ParseCount(flag, v, 1, 2));
