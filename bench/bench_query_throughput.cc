@@ -69,7 +69,7 @@ std::unique_ptr<core::DeepDive> BuildServing() REQUIRES(serving_thread) {
 uint64_t RunReaders(const core::DeepDive& dd, size_t readers) {
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> total{0};
-  // lint:allow(raw-thread) the reader threads ARE the benchmark: plain
+  // analysis:allow(raw-thread): the reader threads ARE the benchmark: plain
   // threads pinning views at full tilt, deliberately not ThreadPool tasks.
   std::vector<std::thread> threads;
   threads.reserve(readers);

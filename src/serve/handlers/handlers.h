@@ -16,8 +16,8 @@ namespace deepdive::serve::handlers {
 
 /// The handlers tier: a dispatch table mapping each wire verb onto its typed
 /// handler. Handlers speak only the comm::* request/result structs and the
-/// service tier's tenant API — never the engine directly (enforced by the
-/// layering rule in tools/concurrency_lint.py: nothing under serve/handlers
+/// service tier's tenant API — never the engine directly (enforced by
+/// tools/static_analysis's layering DAG: nothing under serve/handlers
 /// or serve/comm includes incremental/engine.h). Both transports share this
 /// class: deepdive_serve's connection workers and deepdive_cli's in-process
 /// run path dispatch the exact same Request values, so the daemon and the

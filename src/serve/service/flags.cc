@@ -8,6 +8,25 @@
 #include <sstream>
 
 namespace deepdive::serve::service {
+namespace {
+
+// The engine settings' bounds, shared by the flag parser and the wire check.
+// Every pool starts its workers eagerly, so threads and replicas bound the
+// threads one tenant may start; epochs bound the initial learn.
+constexpr uint64_t kMinEpochs = 1;
+constexpr uint64_t kMaxEpochs = 1000000;
+constexpr uint64_t kMaxThreads = 4096;
+constexpr uint64_t kMinReplicas = 1;
+constexpr uint64_t kMaxReplicas = 256;
+constexpr uint64_t kMaxSyncEvery = 1000000000;
+
+Status CheckRange(const std::string& setting, uint64_t value, uint64_t min, uint64_t max) {
+  if (value >= min && value <= max) return Status::OK();
+  return Status::InvalidArgument(setting + " must be in [" + std::to_string(min) + ", " +
+                                 std::to_string(max) + "], got " + std::to_string(value));
+}
+
+}  // namespace
 
 StatusOr<uint64_t> ParseCount(const std::string& flag, const std::string& value,
                               uint64_t min, uint64_t max) {
@@ -51,16 +70,16 @@ StatusOr<bool> ConsumeEngineFlag(int argc, const char* const* argv, int* i,
   if (flag == "--seed") {
     DD_ASSIGN_OR_RETURN(config->seed, count(0, std::numeric_limits<uint64_t>::max()));
   } else if (flag == "--epochs") {
-    DD_ASSIGN_OR_RETURN(const uint64_t n, count(1, 1000000));
+    DD_ASSIGN_OR_RETURN(const uint64_t n, count(kMinEpochs, kMaxEpochs));
     config->epochs = static_cast<uint32_t>(n);
   } else if (flag == "--threads") {
-    DD_ASSIGN_OR_RETURN(const uint64_t n, count(0, 4096));
+    DD_ASSIGN_OR_RETURN(const uint64_t n, count(0, kMaxThreads));
     config->threads = static_cast<uint32_t>(n);
   } else if (flag == "--replicas") {
-    DD_ASSIGN_OR_RETURN(const uint64_t n, count(1, 256));
+    DD_ASSIGN_OR_RETURN(const uint64_t n, count(kMinReplicas, kMaxReplicas));
     config->replicas = static_cast<uint32_t>(n);
   } else if (flag == "--sync-every") {
-    DD_ASSIGN_OR_RETURN(const uint64_t n, count(0, 1000000000));
+    DD_ASSIGN_OR_RETURN(const uint64_t n, count(0, kMaxSyncEvery));
     config->sync_every = static_cast<uint32_t>(n);
   } else if (flag == "--mode") {
     DD_ASSIGN_OR_RETURN(const std::string v, value());
@@ -74,6 +93,13 @@ StatusOr<bool> ConsumeEngineFlag(int argc, const char* const* argv, int* i,
     return false;
   }
   return true;
+}
+
+Status ValidateTenantConfig(const comm::TenantConfig& config) {
+  DD_RETURN_IF_ERROR(CheckRange("epochs", config.epochs, kMinEpochs, kMaxEpochs));
+  DD_RETURN_IF_ERROR(CheckRange("threads", config.threads, 0, kMaxThreads));
+  DD_RETURN_IF_ERROR(CheckRange("replicas", config.replicas, kMinReplicas, kMaxReplicas));
+  return CheckRange("sync_every", config.sync_every, 0, kMaxSyncEvery);
 }
 
 StatusOr<std::string> ReadFile(const std::string& path) {

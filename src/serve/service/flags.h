@@ -31,6 +31,13 @@ StatusOr<double> ParseProbability(const std::string& flag, const std::string& va
 StatusOr<bool> ConsumeEngineFlag(int argc, const char* const* argv, int* i,
                                  comm::TenantConfig* config);
 
+/// Checks a tenant's engine settings against the bounds ConsumeEngineFlag
+/// enforces: epochs 1 to 10^6, threads 0 to 4096, replicas 1 to 256 and
+/// sync-every 0 to 10^9. A create_tenant from the wire skips the flag
+/// parser, so the registry calls this before any tenant thread starts. An
+/// out-of-range value is InvalidArgument, naming the setting.
+Status ValidateTenantConfig(const comm::TenantConfig& config);
+
 /// Reads a whole file named on the command line (a program, TSV rows).
 StatusOr<std::string> ReadFile(const std::string& path);
 

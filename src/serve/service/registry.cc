@@ -1,9 +1,12 @@
 #include "serve/service/registry.h"
 
+#include "serve/service/flags.h"
+
 namespace deepdive::serve::service {
 
 StatusOr<TenantInstance*> TenantRegistry::CreateTenant(
     const comm::CreateTenantRequest& request) {
+  DD_RETURN_IF_ERROR(ValidateTenantConfig(request.config));
   if (request.name.empty()) {
     return Status::InvalidArgument("tenant name must not be empty");
   }

@@ -30,7 +30,8 @@ class TenantRegistry {
 
   /// Registers and starts a tenant. Returns immediately after spawning its
   /// writer thread (engine construction is asynchronous — rendezvous with
-  /// WaitReady/InitInfo); fails on empty or duplicate names.
+  /// WaitReady/InitInfo); fails on empty or duplicate names and, before any
+  /// thread starts, on engine settings outside ValidateTenantConfig's bounds.
   StatusOr<TenantInstance*> CreateTenant(const comm::CreateTenantRequest& request)
       EXCLUDES(mu_);
 

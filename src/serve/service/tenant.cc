@@ -13,14 +13,14 @@
 namespace deepdive::serve::service {
 namespace {
 
-/// Parses one relation's TSV payload against the tenant's schema — the
+/// Parses one relation's TSV payload against `program`'s schema — the
 /// writer-thread half of the data path (rows travel as raw text precisely so
 /// that nothing outside the serving thread needs the program).
-StatusOr<std::vector<Tuple>> ParseRows(const core::DeepDive& dd,
+StatusOr<std::vector<Tuple>> ParseRows(const dsl::Program& program,
                                        const std::string& relation,
                                        const std::string& tsv)
     REQUIRES(serving_thread) {
-  const dsl::RelationDecl* decl = dd.program().FindRelation(relation);
+  const dsl::RelationDecl* decl = program.FindRelation(relation);
   if (decl == nullptr) {
     return Status::NotFound("unknown relation '" + relation + "'");
   }
@@ -321,7 +321,7 @@ StatusOr<std::shared_ptr<core::DeepDive>> TenantInstance::BuildEngine() {
                       core::DeepDive::Create(program_source_, config));
   for (const comm::DataPayload& payload : base_data_) {
     DD_ASSIGN_OR_RETURN(std::vector<Tuple> rows,
-                        ParseRows(*dd, payload.relation, payload.tsv));
+                        ParseRows(dd->program(), payload.relation, payload.tsv));
     DD_RETURN_IF_ERROR(dd->LoadRows(payload.relation, rows));
     std::fprintf(stderr, "tenant %s: loaded %zu rows into %s\n", name_.c_str(),
                  rows.size(), payload.relation.c_str());
@@ -345,20 +345,34 @@ StatusOr<comm::UpdateResult> TenantInstance::ExecuteUpdate(
     spec.label = request.label;
   }
   spec.add_rules = request.rules;
+  // Parse every payload before anything is applied, so a malformed row
+  // leaves the program as it was. A relation the program lacks takes its
+  // schema from the update's own rules.
+  dsl::Program fragment;
+  bool rules_first = false;
   for (const comm::DataPayload& payload : request.inserts) {
-    // Fragment relations must exist before parsing their data, so apply a
-    // rules-only spec first if the data targets a fragment relation.
-    if (dd->program().FindRelation(payload.relation) == nullptr &&
-        !spec.add_rules.empty()) {
-      core::UpdateSpec rules_only;
-      rules_only.label = spec.label + "/rules";
-      rules_only.add_rules = spec.add_rules;
-      DD_RETURN_IF_ERROR(dd->ApplyUpdate(rules_only).status());
-      spec.add_rules.clear();
+    const dsl::Program* schema = &dd->program();
+    if (schema->FindRelation(payload.relation) == nullptr &&
+        !request.rules.empty()) {
+      if (!rules_first) {
+        DD_ASSIGN_OR_RETURN(fragment,
+                            dsl::AnalyzeFragment(dd->program(), request.rules));
+        rules_first = true;
+      }
+      schema = &fragment;
     }
     DD_ASSIGN_OR_RETURN(std::vector<Tuple> rows,
-                        ParseRows(*dd, payload.relation, payload.tsv));
+                        ParseRows(*schema, payload.relation, payload.tsv));
     spec.inserts[payload.relation] = std::move(rows);
+  }
+  if (rules_first) {
+    // Fragment relations must exist before their data lands, so the rules
+    // commit first, as a step of their own.
+    core::UpdateSpec rules_only;
+    rules_only.label = spec.label + "/rules";
+    rules_only.add_rules = spec.add_rules;
+    DD_RETURN_IF_ERROR(dd->ApplyUpdate(rules_only).status());
+    spec.add_rules.clear();
   }
   DD_ASSIGN_OR_RETURN(incremental::UpdateReport report, dd->ApplyUpdate(spec));
   comm::UpdateResult result;

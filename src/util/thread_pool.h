@@ -65,8 +65,8 @@ class ThreadPool {
  private:
   void WorkerLoop();
 
-  /// Worker threads. The one sanctioned home of raw std::thread in src/ (see
-  /// tools/concurrency_lint.py): everything else shards through a pool.
+  /// Worker threads. The one sanctioned home of raw std::thread in src/ (the
+  /// analyzer's raw-thread rule): everything else shards through a pool.
   /// Written only by the constructor and joined by the destructor; size() is
   /// safe from any thread because the vector is never resized in between.
   std::vector<std::thread> workers_;

@@ -1,7 +1,7 @@
-// Negative fixture for the determinism checker: ctest runs the analyzer on
-// this file alone and requires it to FAIL (WILL_FAIL) — proving the gate
-// still bites. Not compiled; excluded from the normal full-tree scan (the
-// gate scans src/ only).
+// Negative fixture for the determinism checker: its --self-test runs the
+// checker on this file alone and requires exactly the finding at line 14 —
+// proving the gate still bites. Not compiled; excluded from the normal
+// full-tree scan (the gate scans src/ only).
 #include <unordered_map>
 
 namespace deepdive::grounding {

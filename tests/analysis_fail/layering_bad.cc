@@ -1,7 +1,7 @@
-// Negative fixture for the layering-DAG checker: run with
-// --assume-module serve/comm, this file reaches the engine's writer surface
-// from the codec tier — an edge absent from MODULE_DAG. ctest marks the run
-// WILL_FAIL. Not compiled.
+// Negative fixture for the layering-DAG checker: its --self-test reads this
+// file as a serve/comm member, so both includes reach the engine's writer
+// surface from the codec tier — edges absent from MODULE_DAG. The self-test
+// requires exactly those two findings. Not compiled.
 #include "core/deepdive.h"
 #include "incremental/engine.h"
 

@@ -1,7 +1,7 @@
 // Negative fixture for the lock-order checker: two functions acquire the
 // same pair of mutexes in opposite orders — the classic AB/BA deadlock.
-// ctest runs the analyzer on this file alone and requires failure
-// (WILL_FAIL). Not compiled.
+// The checker's --self-test runs it on this file alone and requires
+// exactly that cycle. Not compiled.
 
 namespace deepdive {
 

@@ -1,7 +1,7 @@
-// Negative fixture for the untrusted-input checker (run with --scope-all):
-// a decoded length reaches an allocation and a loop bound with no bounds
-// check and no sticky-error conjunct. ctest requires the analyzer to fail
-// here (WILL_FAIL). Not compiled.
+// Negative fixture for the untrusted-input checker (read as --scope-all
+// does): a decoded length reaches an allocation and a loop bound with no
+// bounds check and no sticky-error conjunct. The checker's --self-test
+// requires exactly those three findings. Not compiled.
 
 namespace deepdive::comm {
 

@@ -400,8 +400,8 @@ TEST(ConcurrentQueryTest, ReadersSeeConsistentViewsWhileUpdatesStream) {
   std::atomic<bool> stop{false};
   std::atomic<bool> violation{false};
   std::atomic<uint64_t> total_queries{0};
-  // lint:allow(raw-thread) reader threads are the subject under test — they
-  // must be plain threads hammering Query(), not ThreadPool tasks.
+  // analysis:allow(raw-thread): reader threads are the subject under
+  // test — they must be plain threads hammering Query(), not ThreadPool tasks.
   std::vector<std::thread> readers;
   readers.reserve(kReaders);
   for (size_t t = 0; t < kReaders; ++t) {

@@ -269,6 +269,38 @@ TEST(TenantInstanceTest, BadBaseDataFailsInitialization) {
   bad.Stop();
 }
 
+TEST(TenantInstanceTest, RejectedUpdateLeavesTheProgramUnchanged) {
+  auto spouse = MakeSpouseTenant();
+  ASSERT_TRUE(spouse->WaitReady().ok());
+  const comm::TenantStatus before = spouse->GetStatus();
+
+  // The update's rules declare the relation its row targets, and the row is
+  // malformed: nothing may commit, the rules included.
+  comm::UpdateRequest bad;
+  bad.rules = R"(
+relation Feature(a: int, b: int, f: string).
+factor FEAT: HasSpouse(a, b) :- Feature(a, b, f) weight = w(f).
+)";
+  bad.inserts.push_back({"Feature", "1\tnot_an_int\tx\n"});
+  comm::UpdateRequest good = bad;
+  good.inserts[0].tsv = "10\t11\twife\n";
+  const auto rejected = spouse->SubmitUpdate(std::move(bad));
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  const comm::TenantStatus after = spouse->GetStatus();
+  EXPECT_EQ(after.epoch, before.epoch);
+  EXPECT_EQ(after.program_version, before.program_version);
+  EXPECT_EQ(after.rule_count, before.rule_count);
+  EXPECT_EQ(after.updates_applied, before.updates_applied);
+
+  // A well-formed row commits the rules, then the data: two epochs.
+  const auto applied = spouse->SubmitUpdate(std::move(good));
+  ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+  EXPECT_EQ(applied->epoch, before.epoch + 2);
+  EXPECT_EQ(spouse->GetStatus().rule_count, before.rule_count + 1);
+  spouse->Stop();
+}
+
 TEST(TenantInstanceTest, DrainReportsMaterializationState) {
   comm::TenantConfig config = FastConfig();
   config.async_materialize = true;
@@ -323,6 +355,28 @@ TEST(TenantRegistryTest, CreateFindAndDuplicateRejection) {
   EXPECT_EQ(registry.Find("kb")->deepdive(), nullptr);
 }
 
+TEST(TenantRegistryTest, OutOfRangeEngineSettingsAreRejectedBeforeAnyThreadStarts) {
+  // A wire client skips the flag parser; none of these values may start a
+  // tenant. (Threads and replicas past their bounds would start thousands of
+  // workers, so only the validator below sees those.)
+  std::vector<comm::TenantConfig> bad(4, FastConfig());
+  bad[0].epochs = 0;
+  bad[1].epochs = 1000001;
+  bad[2].replicas = 0;
+  bad[3].sync_every = 1000000001;
+  TenantRegistry registry;
+  for (size_t i = 0; i < bad.size(); ++i) {
+    comm::CreateTenantRequest create;
+    create.name = "kb" + std::to_string(i);
+    create.program = kSpouseProgram;
+    create.config = bad[i];
+    EXPECT_EQ(registry.CreateTenant(create).status().code(),
+              StatusCode::kInvalidArgument)
+        << create.name;
+  }
+  EXPECT_TRUE(registry.Names().empty());
+}
+
 // ---- engine flags ----------------------------------------------------------
 
 /// Runs ConsumeEngineFlag over `args` (argv[0] is the program name) and
@@ -374,6 +428,24 @@ TEST(EngineFlagsTest, MalformedValuesAreRejected) {
     const auto config = ParseEngineFlags(args);
     EXPECT_EQ(config.status().code(), StatusCode::kInvalidArgument)
         << args[0] << " " << (args.size() > 1 ? args[1] : "(no value)");
+  }
+}
+
+TEST(EngineFlagsTest, TenantConfigsMustStayWithinTheFlagBounds) {
+  comm::TenantConfig edges = FastConfig();
+  edges.epochs = 1000000;
+  edges.threads = 4096;
+  edges.replicas = 256;
+  edges.sync_every = 1000000000;
+  EXPECT_TRUE(ValidateTenantConfig(edges).ok());
+  EXPECT_TRUE(ValidateTenantConfig(comm::TenantConfig{}).ok());
+
+  std::vector<comm::TenantConfig> bad(2, FastConfig());
+  bad[0].threads = 4097;
+  bad[1].replicas = 257;
+  for (const comm::TenantConfig& config : bad) {
+    const Status status = ValidateTenantConfig(config);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
   }
 }
 

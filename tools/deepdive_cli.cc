@@ -80,8 +80,8 @@
 //                           query counts are reported at the end
 //
 // Example:
-//   deepdive_cli run spouse.ddl --data Person=persons.tsv \
-//       --data HasSpouseLabel=labels.tsv --output HasSpouse=out.tsv \
+//   deepdive_cli run spouse.ddl --data Person=persons.tsv
+//       --data HasSpouseLabel=labels.tsv --output HasSpouse=out.tsv
 //       --update fe1.ddl --update-data PhraseFeature=phrases.tsv
 #include <atomic>
 #include <cstdio>
@@ -441,9 +441,9 @@ class QueryServer {
   /// Shared ownership: the pin keeps the engine alive even if the tenant
   /// stops underneath us.
   std::shared_ptr<const core::DeepDive> dd_;
-  // lint:allow(raw-thread) the reader pool exists to exercise the lock-free
-  // query surface from plain threads; ThreadPool's task queue would
-  // serialize exactly the contention this smoke test is after.
+  // analysis:allow(raw-thread): the reader pool exists to exercise the
+  // lock-free query surface from plain threads; ThreadPool's task queue
+  // would serialize exactly the contention this smoke test is after.
   std::vector<std::thread> readers_;
   std::unique_ptr<ReaderStats[]> counts_;
   size_t num_readers_;

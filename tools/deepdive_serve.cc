@@ -1,6 +1,6 @@
 // deepdive_serve — the multi-tenant serving daemon.
 //
-//   deepdive_serve --listen HOST:PORT [options] \
+//   deepdive_serve --listen HOST:PORT [options]
 //       --tenant NAME=PROGRAM.ddl [--data NAME:REL=FILE.tsv ...] ...
 //
 // Hosts N independent KB instances (tenants) behind one framed TCP/Unix

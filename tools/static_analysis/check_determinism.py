@@ -35,7 +35,7 @@ The RNG rule applies to all of src/. Waive with
 import os
 import re
 
-from sa_common import Finding, allow_waiver
+from sa_common import Finding, allow_waiver, replay_fixture
 
 # Entry points of the grounding emission/merge paths and of marginal /
 # checksum computation. Matched as qualified-name suffixes against the
@@ -609,7 +609,9 @@ def _self_test_source(name, content):
 
 
 def self_test():
-    failures = []
+    failures = replay_fixture(
+        "tests/analysis_fail/determinism_bad.cc",
+        [(14, "determinism-unordered")], run)
     for name, content, expected in SELF_TEST_CASES:
         found = sorted({f.rule for f in run(".", [_self_test_source(name, content)])})
         if sorted(expected) != found:

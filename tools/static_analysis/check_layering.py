@@ -11,10 +11,7 @@ MODULE_DAG maps each module to the modules its files may directly include.
 The table is deliberately *direct* (no transitive closure): serve/handlers
 may include serve/service, and serve/service may include core, but a
 serve/handlers file including core/deepdive.h is still a violation — the
-engine's writer surface is the service tier's private capability. This
-subsumes (and extends to every header, not two hard-coded ones) the two
-serve-tier rules that used to live inline in tools/concurrency_lint.py,
-which now imports this table.
+engine's writer surface is the service tier's private capability.
 
 Three failure classes:
   layering        an include edge absent from MODULE_DAG
@@ -28,7 +25,8 @@ Waiver: `// analysis:allow(layering): <rationale>` on/above the include.
 import os
 import re
 
-from sa_common import Finding, allow_waiver, project_includes
+from sa_common import (Finding, allow_waiver, project_includes,
+                       replay_fixture)
 
 # Module -> modules whose headers its files may #include (besides its own).
 # Order within the lists is cosmetic; the DAG property is validated.
@@ -91,9 +89,9 @@ def module_of_include(include_path):
 
 
 def edge_allowed(from_module, include_path):
-    """Shared with tools/concurrency_lint.py: may a file in `from_module`
-    include `include_path`? Unknown modules are allowed here — the full
-    checker reports them as layering-dag problems instead."""
+    """May a file in `from_module` include `include_path`? Unknown modules
+    are allowed here — check_file reports them as layering-dag problems
+    instead."""
     to_module = module_of_include(include_path)
     if to_module is None or from_module is None:
         return True
@@ -173,9 +171,9 @@ def _find_file_cycle(graph):
 
 
 def check_file(rel, lines, assume_module=None):
-    """Per-file edge validation (also the entry point concurrency_lint and
-    the self-test fixtures use). `assume_module` overrides path-derived
-    module resolution so fixture files can impersonate a tier."""
+    """Per-file edge validation. `assume_module` overrides path-derived
+    module resolution so self-test cases and the fixture can impersonate a
+    tier."""
     module, is_sink = module_of(rel)
     if assume_module is not None:
         module, is_sink = assume_module, False
@@ -234,6 +232,8 @@ SELF_TEST_CASES = [
      '#include "core/deepdive.h"\nvoid h() {}\n', "layering"),
     ("comm_includes_inference.cc", "serve/comm",
      '#include "inference/result_view.h"\nvoid h() {}\n', "layering"),
+    ("comm_includes_result_view.cc", "serve/comm",
+     '#include "incremental/result_view.h"\nvoid h() {}\n', "layering"),
     ("inference_includes_core.cc", "inference",
      '#include "core/deepdive.h"\nvoid f() {}\n', "layering"),
     ("util_includes_factor.cc", "util",
@@ -266,7 +266,10 @@ SELF_TEST_CASES = [
 
 
 def self_test():
-    failures = []
+    # The fixture sits in tests/, a sink, so it replays as a serve/comm file.
+    failures = replay_fixture(
+        "tests/analysis_fail/layering_bad.cc", [(5, RULE), (6, RULE)],
+        lambda root, sources: run(root, sources, assume_module="serve/comm"))
     for name, mod, content, expected in SELF_TEST_CASES:
         rel = ("tests/" + name) if mod is None else ("src/x/" + name)
         found = [f.rule for f in

@@ -26,7 +26,7 @@ never blocking) and is excluded. Waive a reported edge with
 
 import re
 
-from sa_common import Finding, allow_waiver
+from sa_common import Finding, allow_waiver, replay_fixture
 
 RULE = "lock-order"
 
@@ -410,7 +410,8 @@ class Waived {
 
 def self_test():
     import sa_common
-    failures = []
+    failures = replay_fixture(
+        "tests/analysis_fail/lock_order_bad.cc", [(12, RULE)], run)
     for name, content, expect_cycle in SELF_TEST_CASES:
         rel = "src/selftest/" + name
         stripped = sa_common.strip_comments(content)

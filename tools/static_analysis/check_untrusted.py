@@ -31,7 +31,7 @@ absence fails.
 
 import re
 
-from sa_common import Finding, allow_waiver
+from sa_common import Finding, allow_waiver, replay_fixture
 
 RULE = "untrusted-input"
 
@@ -282,7 +282,11 @@ struct D {
 
 def self_test():
     import sa_common
-    failures = []
+    # The fixture is outside SCOPE, so it replays as --scope-all reads it.
+    failures = replay_fixture(
+        "tests/analysis_fail/untrusted_bad.cc",
+        [(12, RULE), (13, RULE), (17, RULE)],
+        lambda root, sources: run(root, sources, scope_all=True))
     for name, profile, content, expect in SELF_TEST_CASES:
         rel = "src/selftest/" + name
         stripped = sa_common.strip_comments(content)

@@ -4,8 +4,8 @@ Two front ends feed the same downstream checkers:
 
   libclang      When python `clang.cindex` is importable and a libclang
                 shared object can be located, function extents come from real
-                AST cursors (see sa_clang.py). Opt-in via --libclang or
-                STATIC_ANALYSIS_LIBCLANG=1; never required.
+                AST cursors (see sa_clang.py). Used whenever it imports;
+                --no-libclang turns it off. Never required.
 
   token/AST-lite  The canonical, dependency-free path (what CI and ctest
                 gate on): comments and string literals are blanked with
@@ -26,6 +26,10 @@ import re
 from dataclasses import dataclass, field
 
 SOURCE_EXTS = (".h", ".cc", ".cpp")
+
+# tools/static_analysis/sa_common.py -> the repository root is two up.
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
 
 # Unified suppression syntax, checked by every analyzer:
 #   // analysis:allow(<rule>): <non-empty rationale>
@@ -322,32 +326,42 @@ def load_source(root, rel, use_libclang=False):
     return sf
 
 
-def collect_sources(root, dirs=("src",), exts=SOURCE_EXTS, files=None,
-                    use_libclang=False):
-    """Loaded SourceFile records for the tree (or an explicit file list)."""
-    if files:
-        rels = sorted(files)
-    else:
-        rels = []
-        for d in dirs:
-            base = os.path.join(root, d)
-            if not os.path.isdir(base):
-                continue
-            for dirpath, _, names in os.walk(base):
-                for name in sorted(names):
-                    if name.endswith(exts):
-                        rels.append(os.path.relpath(
-                            os.path.join(dirpath, name), root))
-        rels = sorted(rels)
+def list_files(root, dirs=("src",), exts=SOURCE_EXTS):
+    """Sorted repo-relative paths of the files under `dirs` ending in `exts`."""
+    rels = []
+    for d in dirs:
+        for dirpath, _, names in os.walk(os.path.join(root, d)):
+            rels += [os.path.relpath(os.path.join(dirpath, name), root)
+                     for name in names if name.endswith(exts)]
+    return sorted(rels)
+
+
+def collect_sources(root, files=None, use_libclang=False):
+    """Loaded SourceFile records for src/ (or an explicit file list)."""
+    rels = sorted(files) if files else list_files(root)
     return [load_source(root, rel, use_libclang=use_libclang)
             for rel in rels]
 
 
-def allow_waiver(lines, line_no, rule):
+def replay_fixture(rel, expected, run):
+    """Self-test failures unless `run(root, sources)` over the repository's
+    fixture `rel` reports exactly the (line, rule) pairs in `expected`. A
+    missing or emptied fixture fails, and so does one that crashes `run`."""
+    try:
+        sources = collect_sources(REPO_ROOT, files=[rel])
+        found = sorted((f.line, f.rule) for f in run(REPO_ROOT, sources))
+    except Exception as e:  # any crash must fail the self-test, not abort it
+        return [f"{rel}: {type(e).__name__}: {e}"]
+    if found != sorted(expected):
+        return [f"{rel}: expected {sorted(expected)}, got {found}"]
+    return []
+
+
+def allow_waiver(lines, line_no, rule, window=ALLOW_WINDOW):
     """True if an `analysis:allow(rule): rationale` waiver covers 1-based
-    line_no. An allow with an empty rationale never matches (the checkers
-    report it separately via `bad_waivers`)."""
-    lo = max(0, line_no - 1 - ALLOW_WINDOW)
+    line_no: on it or within `window` lines above. An allow with an empty
+    rationale never matches (the driver reports it via `bad_waivers`)."""
+    lo = max(0, line_no - 1 - window)
     for raw in lines[lo:line_no]:
         m = ALLOW_RE.search(raw)
         if m and m.group(1) == rule and m.group(2).strip():
@@ -359,13 +373,13 @@ def allow_waiver(lines, line_no, rule):
 KNOWN_RULES = (
     "determinism-unordered", "determinism-fp", "determinism-rng",
     "layering", "layering-cycle", "layering-dag",
-    "lock-order", "untrusted-input",
+    "lock-order", "untrusted-input", "raw-thread", "ref-accessor",
 )
 
 
-def bad_waivers(sources, known_rules=None):
+def bad_waivers(sources):
     """Findings for malformed waivers: empty rationale or unknown rule."""
-    known = set(known_rules or KNOWN_RULES)
+    known = set(KNOWN_RULES)
     out = []
     for sf in sources:
         for i, raw in enumerate(sf.lines):
