@@ -70,6 +70,10 @@ def main(argv=None):
         return 1 if failures else 0
 
     root = os.path.abspath(args.root)
+    missing = [f for f in args.files or ()
+               if not os.path.isfile(os.path.join(root, f))]
+    if missing:  # a usage error, not a finding
+        ap.error(f"no such file under {root}: {', '.join(missing)}")
     sources = sa_common.collect_sources(
         root, files=args.files, use_libclang=not args.no_libclang)
     # Waiver hygiene covers every file a selected checker reads.
