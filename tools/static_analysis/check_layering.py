@@ -25,7 +25,7 @@ Waiver: `// analysis:allow(layering): <rationale>` on/above the include.
 import os
 import re
 
-from sa_common import (Finding, allow_waiver, project_includes,
+from sa_common import (REPO_ROOT, Finding, allow_waiver, project_includes,
                        replay_fixture)
 
 # Module -> modules whose headers its files may #include (besides its own).
@@ -65,6 +65,9 @@ MODULE_DAG = {
 SINK_DIRS = ("tools", "bench", "tests", "examples")
 
 RULE = "layering"
+
+# The negative fixture's root, under which its path is a serve/comm file.
+FIXTURE_ROOT = os.path.join(REPO_ROOT, "tests", "analysis_fail", "layering")
 
 
 def module_of(rel_path):
@@ -172,8 +175,7 @@ def _find_file_cycle(graph):
 
 def check_file(rel, lines, assume_module=None):
     """Per-file edge validation. `assume_module` overrides path-derived
-    module resolution so self-test cases and the fixture can impersonate a
-    tier."""
+    module resolution so self-test cases can impersonate a tier."""
     module, is_sink = module_of(rel)
     if assume_module is not None:
         module, is_sink = assume_module, False
@@ -202,11 +204,11 @@ def check_file(rel, lines, assume_module=None):
     return findings
 
 
-def run(root, sources, assume_module=None):
+def run(root, sources):
     findings = list(validate_dag())
     include_graph = {}
     for sf in sources:
-        findings += check_file(sf.path, sf.lines, assume_module=assume_module)
+        findings += check_file(sf.path, sf.lines)
         edges = set()
         for _, inc in project_includes(sf.lines):
             target = "src/" + inc
@@ -266,10 +268,10 @@ SELF_TEST_CASES = [
 
 
 def self_test():
-    # The fixture sits in tests/, a sink, so it replays as a serve/comm file.
+    # Under its own root the fixture's path makes it a serve/comm file.
     failures = replay_fixture(
-        "tests/analysis_fail/layering_bad.cc", [(5, RULE), (6, RULE)],
-        lambda root, sources: run(root, sources, assume_module="serve/comm"))
+        "src/serve/comm/layering_bad.cc", [(5, RULE), (6, RULE)], run,
+        root=FIXTURE_ROOT)
     for name, mod, content, expected in SELF_TEST_CASES:
         rel = ("tests/" + name) if mod is None else ("src/x/" + name)
         found = [f.rule for f in

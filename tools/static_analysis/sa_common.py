@@ -343,17 +343,19 @@ def collect_sources(root, files=None, use_libclang=False):
             for rel in rels]
 
 
-def replay_fixture(rel, expected, run):
-    """Self-test failures unless `run(root, sources)` over the repository's
-    fixture `rel` reports exactly the (line, rule) pairs in `expected`. A
-    missing or emptied fixture fails, and so does one that crashes `run`."""
+def replay_fixture(rel, expected, run, root=REPO_ROOT):
+    """Self-test failures unless `run(root, sources)` over the fixture `rel`
+    (relative to `root`) reports exactly the (line, rule) pairs in
+    `expected`. A missing or emptied fixture fails, and so does one that
+    crashes `run`."""
+    shown = os.path.relpath(os.path.join(root, rel), REPO_ROOT)
     try:
-        sources = collect_sources(REPO_ROOT, files=[rel])
-        found = sorted((f.line, f.rule) for f in run(REPO_ROOT, sources))
+        sources = collect_sources(root, files=[rel])
+        found = sorted((f.line, f.rule) for f in run(root, sources))
     except Exception as e:  # any crash must fail the self-test, not abort it
-        return [f"{rel}: {type(e).__name__}: {e}"]
+        return [f"{shown}: {type(e).__name__}: {e}"]
     if found != sorted(expected):
-        return [f"{rel}: expected {sorted(expected)}, got {found}"]
+        return [f"{shown}: expected {sorted(expected)}, got {found}"]
     return []
 
 
