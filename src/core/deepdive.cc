@@ -34,6 +34,18 @@ grounding::GroundingOptions GroundingOptionsFor(const inference::Parallelism& pa
   options.num_threads = parallelism.num_threads;
   return options;
 }
+
+template <typename Rule>
+size_t CountLabel(const std::vector<Rule>& rules, const std::string& label) {
+  return std::count_if(rules.begin(), rules.end(),
+                       [&](const Rule& rule) { return rule.label == label; });
+}
+
+/// True when `label` names a deductive or a factor rule of `program`.
+bool NamesRule(const dsl::Program& program, const std::string& label) {
+  return CountLabel(program.deductive_rules(), label) +
+             CountLabel(program.factor_rules(), label) > 0;
+}
 }  // namespace
 
 DeepDive::DeepDive(dsl::Program program, DeepDiveConfig config)
@@ -202,142 +214,12 @@ uint64_t DeepDive::RulesFingerprint() const {
 StatusOr<incremental::UpdateReport> DeepDive::ApplyUpdate(
     const UpdateSpec& update) {
   DD_CHECK(initialized_) << "call Initialize first";
-  incremental::UpdateReport report;
-  report.label = update.label;
-
-  // ---- shared prologue: program fragment + relational changes ----
-  Timer ground_timer;
-
-  dsl::Program fragment;
-  const bool has_fragment = !update.add_rules.empty();
-  if (has_fragment) {
-    DD_ASSIGN_OR_RETURN(fragment, dsl::AnalyzeFragment(program_, update.add_rules));
-  }
-  // Every changed relation must exist or be declared by the fragment; check
-  // before any table is created or the program merged.
-  auto known = [&](const std::string& relation) {
-    if (db_.HasTable(relation)) return true;
-    for (const dsl::RelationDecl& rel : fragment.relations()) {
-      if (rel.name == relation) return true;
-    }
-    return false;
-  };
-  for (const auto& [relation, rows] : update.inserts) {
-    if (!known(relation)) {
-      return Status::NotFound("insert into unknown relation '" + relation + "'");
-    }
-  }
-  for (const auto& [relation, rows] : update.deletes) {
-    if (!known(relation)) {
-      return Status::NotFound("delete from unknown relation '" + relation + "'");
-    }
-  }
-  if (has_fragment) {
-    // New relations need tables before any data lands in them.
-    for (const dsl::RelationDecl& rel : fragment.relations()) {
-      if (!db_.HasTable(rel.name)) {
-        DD_RETURN_IF_ERROR(db_.CreateTable(rel.name, rel.schema).status());
-      }
-    }
-    DD_RETURN_IF_ERROR(program_.Merge(fragment));
-    // The view layer must know about fragment-declared relations before any
-    // data lands in them.
-    DD_RETURN_IF_ERROR(views_->RefreshRelations());
-  }
-
-  engine::RelationDeltas external;
-  for (const auto& [relation, rows] : update.inserts) {
-    for (const Tuple& row : rows) external[relation].Add(row, +1);
-  }
-  for (const auto& [relation, rows] : update.deletes) {
-    for (const Tuple& row : rows) external[relation].Add(row, -1);
-  }
-
-  GraphDelta delta;
-  const uint64_t groundings_before = grounder_->groundings_emitted();
-  const uint64_t rows_before = views_->rows_visited() + grounder_->rows_visited();
-  if (!external.empty()) {
-    // Neither layer's delta rules may read a changing relation through a
-    // negated atom; reject such an update before any table, derivation
-    // count, variable or group changes.
-    DD_ASSIGN_OR_RETURN(const std::set<std::string> changing,
-                        views_->ChangingRelations(external));
-    DD_RETURN_IF_ERROR(grounder_->CheckDeltaEvaluable(changing));
-    DD_ASSIGN_OR_RETURN(engine::RelationDeltas set_deltas, views_->ApplyUpdate(external));
-    if (delta_listener_) delta_listener_(set_deltas);
-    DD_ASSIGN_OR_RETURN(GraphDelta d, grounder_->ApplyRelationDeltas(set_deltas));
-    delta.Merge(d);
-  }
-  if (has_fragment) {
-    for (const dsl::DeductiveRule& rule : fragment.deductive_rules()) {
-      DD_ASSIGN_OR_RETURN(engine::RelationDeltas set_deltas, views_->AddRule(rule));
-      if (delta_listener_) delta_listener_(set_deltas);
-      DD_ASSIGN_OR_RETURN(GraphDelta d, grounder_->ApplyRelationDeltas(set_deltas));
-      delta.Merge(d);
-    }
-    for (const dsl::FactorRule& rule : fragment.factor_rules()) {
-      DD_ASSIGN_OR_RETURN(GraphDelta d, grounder_->AddFactorRule(rule));
-      delta.Merge(d);
-    }
-    if (!fragment.deductive_rules().empty() || !fragment.factor_rules().empty()) {
-      ++program_version_;
-    }
-  }
-  for (const std::string& label : update.remove_rule_labels) {
-    // A label may name a deductive rule, a factor rule, or both.
-    auto removed_views = views_->RemoveRule(label);
-    if (removed_views.ok()) {
-      if (delta_listener_) delta_listener_(removed_views.value());
-      DD_ASSIGN_OR_RETURN(GraphDelta d,
-                          grounder_->ApplyRelationDeltas(removed_views.value()));
-      delta.Merge(d);
-    }
-    auto removed_factors = grounder_->RemoveFactorRule(label);
-    if (removed_factors.ok()) delta.Merge(removed_factors.value());
-    if (!removed_views.ok() && !removed_factors.ok()) {
-      return Status::NotFound("no rule labeled '" + label + "'");
-    }
-    program_.RemoveRulesByLabel(label);
-    ++program_version_;
-  }
-  report.grounding_seconds = ground_timer.Seconds();
-  report.grounding_work = grounder_->groundings_emitted() - groundings_before;
-  report.grounding_rows_visited =
-      views_->rows_visited() + grounder_->rows_visited() - rows_before;
-
-  if (config_.mode == ExecutionMode::kRerun) {
-    DD_RETURN_IF_ERROR(RunFullPipeline(&report, /*cold_learning=*/true));
-    return FinishUpdate(std::move(report), nullptr);
-  }
-  // ---- incremental learning ----
-  Timer learn_timer;
-  if (!update.analysis_only && !update.skip_learning && HasEvidence() &&
-      !delta.empty()) {
-    LearnIncremental(&delta);
-  }
-  report.learning_seconds = learn_timer.Seconds();
-
-  // ---- incremental inference ----
-  Timer infer_timer;
-  DD_ASSIGN_OR_RETURN(incremental::UpdateOutcome outcome,
-                      inc_engine_->ApplyDelta(delta, config_.engine));
-  report.inference_seconds = infer_timer.Seconds();
-  return FinishUpdate(std::move(report), &outcome);
+  return Apply(update, nullptr);
 }
 
 StatusOr<incremental::UpdateReport> DeepDive::AddRule(
     const std::string& rule_source, bool learn) {
   DD_CHECK(initialized_) << "call Initialize first";
-  if (config_.mode == ExecutionMode::kRerun) {
-    // Rerun mode has no incremental machinery; the rule rides the full
-    // pipeline (this is also the baseline the rule-delta bench compares
-    // against).
-    UpdateSpec spec;
-    spec.label = "add_rule";
-    spec.add_rules = rule_source;
-    spec.skip_learning = !learn;
-    return ApplyUpdate(spec);
-  }
   DD_ASSIGN_OR_RETURN(dsl::Program fragment,
                       dsl::AnalyzeFragment(program_, rule_source));
   if (!fragment.deductive_rules().empty()) {
@@ -356,76 +238,43 @@ StatusOr<incremental::UpdateReport> DeepDive::AddRule(
           "'); declare them through ApplyUpdate first");
     }
   }
-  const dsl::FactorRule rule = fragment.factor_rules().front();
-  if (rule.label.empty()) {
+  const std::string& label = fragment.factor_rules().front().label;
+  if (label.empty()) {
     return Status::InvalidArgument("AddRule requires a labeled rule");
   }
-  for (const dsl::FactorRule& existing : program_.factor_rules()) {
-    if (existing.label == rule.label) {
-      return Status::AlreadyExists("a factor rule labeled '" + rule.label +
-                                   "' already exists");
-    }
-  }
+
+  UpdateSpec spec;
+  spec.label = "add_rule:" + label;
+  spec.add_rules = rule_source;
+  spec.skip_learning = !learn;
+  // Rerun mode keeps no journal: its retraction re-runs the pipeline.
+  if (inc_engine_ == nullptr) return Apply(spec, nullptr);
 
   // Journal the pre-add state first: if no update intervenes, RetractRule
   // restores weights and marginals from here bit-for-bit.
   RuleTicket ticket;
-  ticket.label = rule.label;
+  ticket.label = label;
   ticket.marginals_before = marginals_;
-  ticket.num_weights_before = ground_.graph.NumWeights();
-  ticket.weights_before.resize(ticket.num_weights_before);
-  for (WeightId w = 0; w < ticket.num_weights_before; ++w) {
+  ticket.weights_before.resize(ground_.graph.NumWeights());
+  for (WeightId w = 0; w < ticket.weights_before.size(); ++w) {
     ticket.weights_before[w] = ground_.graph.WeightValue(w);
   }
-
-  incremental::UpdateReport report;
-  report.label = "add_rule:" + rule.label;
-  Timer ground_timer;
-  DD_RETURN_IF_ERROR(program_.Merge(fragment));
-  const uint64_t rows_before = grounder_->rows_visited();
-  DD_ASSIGN_OR_RETURN(GraphDelta delta, grounder_->AddFactorRule(rule));
-  report.grounding_seconds = ground_timer.Seconds();
-  // Work done = the new rule's bindings, nothing else: the proportionality
-  // witness that this was not a re-ground.
-  report.grounding_work = grounder_->last_rule_groundings();
-  report.grounding_rows_visited = grounder_->rows_visited() - rows_before;
-
-  Timer learn_timer;
-  if (learn && HasEvidence() && !delta.empty()) LearnIncremental(&delta);
-  report.learning_seconds = learn_timer.Seconds();
-
-  Timer infer_timer;
-  DD_ASSIGN_OR_RETURN(incremental::UpdateOutcome outcome,
-                      inc_engine_->AddRule(delta, config_.engine));
-  report.inference_seconds = infer_timer.Seconds();
-  ++program_version_;
-
+  DD_ASSIGN_OR_RETURN(incremental::UpdateReport report, Apply(spec, nullptr));
   ticket.engine_seq_after = inc_engine_->update_seq();
   rule_journal_.push_back(std::move(ticket));
   if (rule_journal_.size() > kMaxRuleJournal) {
     rule_journal_.erase(rule_journal_.begin());
   }
-  return FinishUpdate(std::move(report), &outcome);
+  return report;
 }
 
 StatusOr<incremental::UpdateReport> DeepDive::RetractRule(
     const std::string& label) {
   DD_CHECK(initialized_) << "call Initialize first";
-  if (config_.mode == ExecutionMode::kRerun) {
-    UpdateSpec spec;
-    spec.label = "retract_rule";
-    spec.remove_rule_labels.push_back(label);
-    return ApplyUpdate(spec);
-  }
-  incremental::UpdateReport report;
-  report.label = "retract_rule:" + label;
-  Timer ground_timer;
-  // First-class retraction covers factor rules (the AddRule counterpart);
-  // deductive-rule removal changes view contents and stays on ApplyUpdate.
-  DD_ASSIGN_OR_RETURN(GraphDelta delta, grounder_->RemoveFactorRule(label));
-  program_.RemoveRulesByLabel(label);
-  report.grounding_seconds = ground_timer.Seconds();
-
+  UpdateSpec spec;
+  spec.label = "retract_rule:" + label;
+  spec.remove_rule_labels.push_back(label);
+  spec.skip_learning = true;
   // Exact restore applies when the journal holds this label's add and the
   // engine has not moved since: the pre-add state is then the precise
   // posterior of the restored graph.
@@ -436,32 +285,158 @@ StatusOr<incremental::UpdateReport> DeepDive::RetractRule(
       break;
     }
   }
-  const std::vector<double>* restore = nullptr;
-  if (ticket != rule_journal_.end() &&
-      inc_engine_->update_seq() == ticket->engine_seq_after) {
+  const bool exact = ticket != rule_journal_.end() &&
+                     inc_engine_->update_seq() == ticket->engine_seq_after;
+  DD_ASSIGN_OR_RETURN(incremental::UpdateReport report,
+                      Apply(spec, exact ? &*ticket : nullptr));
+  if (ticket != rule_journal_.end()) rule_journal_.erase(ticket);
+  return report;
+}
+
+StatusOr<incremental::UpdateReport> DeepDive::Apply(const UpdateSpec& update,
+                                                    const RuleTicket* restore) {
+  incremental::UpdateReport report;
+  report.label = update.label;
+  Timer ground_timer;
+
+  dsl::Program fragment;
+  if (!update.add_rules.empty()) {
+    DD_ASSIGN_OR_RETURN(fragment, dsl::AnalyzeFragment(program_, update.add_rules));
+  }
+  // Every changed relation must exist or be declared by the fragment, and
+  // every removal must name a rule of the program or the fragment, once;
+  // check before any table is created or the program merged.
+  auto known = [&](const std::string& relation) {
+    return db_.HasTable(relation) || fragment.FindRelation(relation) != nullptr;
+  };
+  for (const auto& [relation, rows] : update.inserts) {
+    if (!known(relation)) {
+      return Status::NotFound("insert into unknown relation '" + relation + "'");
+    }
+  }
+  for (const auto& [relation, rows] : update.deletes) {
+    if (!known(relation)) {
+      return Status::NotFound("delete from unknown relation '" + relation + "'");
+    }
+  }
+  std::set<std::string> removing;
+  for (const std::string& label : update.remove_rule_labels) {
+    if (!(NamesRule(program_, label) || NamesRule(fragment, label)) ||
+        !removing.insert(label).second) {
+      return Status::NotFound("no rule labeled '" + label + "'");
+    }
+  }
+  const bool adds_rules =
+      !fragment.deductive_rules().empty() || !fragment.factor_rules().empty();
+
+  if (!update.add_rules.empty()) {
+    // New relations need tables, and the view layer must know them, before
+    // any data lands in them.
+    bool new_relations = false;
+    for (const dsl::RelationDecl& rel : fragment.relations()) {
+      if (!db_.HasTable(rel.name)) {
+        DD_RETURN_IF_ERROR(db_.CreateTable(rel.name, rel.schema).status());
+        new_relations = true;
+      }
+    }
+    DD_RETURN_IF_ERROR(program_.Merge(fragment));
+    if (new_relations) DD_RETURN_IF_ERROR(views_->RefreshRelations());
+  }
+
+  GraphDelta delta;
+  const uint64_t groundings_before = grounder_->groundings_emitted();
+  const uint64_t rows_before = views_->rows_visited() + grounder_->rows_visited();
+  // Grounds one batch of view maintenance's set-level deltas into `delta`.
+  auto ground_views = [&](const engine::RelationDeltas& set_deltas) -> Status {
+    if (delta_listener_) delta_listener_(set_deltas);
+    DD_ASSIGN_OR_RETURN(GraphDelta d, grounder_->ApplyRelationDeltas(set_deltas));
+    delta.Merge(d);
+    return Status::OK();
+  };
+  engine::RelationDeltas external;
+  for (const auto& [relation, rows] : update.inserts) {
+    for (const Tuple& row : rows) external[relation].Add(row, +1);
+  }
+  for (const auto& [relation, rows] : update.deletes) {
+    for (const Tuple& row : rows) external[relation].Add(row, -1);
+  }
+  if (!external.empty()) {
+    // Neither layer's delta rules may read a changing relation through a
+    // negated atom; reject such an update before any table, derivation
+    // count, variable or group changes.
+    DD_ASSIGN_OR_RETURN(const std::set<std::string> changing,
+                        views_->ChangingRelations(external));
+    DD_RETURN_IF_ERROR(grounder_->CheckDeltaEvaluable(changing));
+    DD_ASSIGN_OR_RETURN(engine::RelationDeltas set_deltas, views_->ApplyUpdate(external));
+    DD_RETURN_IF_ERROR(ground_views(set_deltas));
+  }
+  for (const dsl::DeductiveRule& rule : fragment.deductive_rules()) {
+    DD_ASSIGN_OR_RETURN(engine::RelationDeltas set_deltas, views_->AddRule(rule));
+    DD_RETURN_IF_ERROR(ground_views(set_deltas));
+  }
+  for (const dsl::FactorRule& rule : fragment.factor_rules()) {
+    DD_ASSIGN_OR_RETURN(GraphDelta d, grounder_->AddFactorRule(rule));
+    delta.Merge(d);
+  }
+  if (adds_rules) ++program_version_;
+  for (const std::string& label : update.remove_rule_labels) {
+    // A label may name deductive rules, a factor rule, or both; every rule
+    // it names leaves the views, the graph and the program. The views drop
+    // one rule per call, each against tables the previous call settled.
+    for (size_t n = CountLabel(program_.deductive_rules(), label); n > 0; --n) {
+      DD_ASSIGN_OR_RETURN(engine::RelationDeltas set_deltas, views_->RemoveRule(label));
+      DD_RETURN_IF_ERROR(ground_views(set_deltas));
+    }
+    if (CountLabel(program_.factor_rules(), label) > 0) {
+      DD_ASSIGN_OR_RETURN(GraphDelta d, grounder_->RemoveFactorRule(label));
+      delta.Merge(d);
+    }
+    program_.RemoveRulesByLabel(label);
+    ++program_version_;
+  }
+  report.grounding_seconds = ground_timer.Seconds();
+  report.grounding_work = grounder_->groundings_emitted() - groundings_before;
+  report.grounding_rows_visited =
+      views_->rows_visited() + grounder_->rows_visited() - rows_before;
+
+  if (config_.mode == ExecutionMode::kRerun) {
+    DD_RETURN_IF_ERROR(RunFullPipeline(&report, /*cold_learning=*/true));
+    return FinishUpdate(std::move(report), nullptr);
+  }
+  if (restore != nullptr) {
     // Weights the rule appended stay in the (append-only) graph but their
     // groups are deactivated; every pre-existing weight reverts exactly. The
     // delta records the reverts, which cancel the add's learning in the
     // engine's cumulative delta.
-    for (WeightId w = 0; w < ticket->num_weights_before; ++w) {
+    GraphDelta reverts;
+    for (WeightId w = 0; w < restore->weights_before.size(); ++w) {
       const double learned = ground_.graph.WeightValue(w);
-      const double before = ticket->weights_before[w];
+      const double before = restore->weights_before[w];
       if (learned != before) {
-        delta.weight_changes.push_back(
-            GraphDelta::WeightChange{w, learned, before});
+        reverts.weight_changes.push_back(GraphDelta::WeightChange{w, learned, before});
       }
       ground_.graph.SetWeightValue(w, before);
     }
-    restore = &ticket->marginals_before;
+    delta.Merge(reverts);
   }
+  // ---- incremental learning ----
+  Timer learn_timer;
+  if (restore == nullptr && !update.analysis_only && !update.skip_learning &&
+      HasEvidence() && !delta.empty()) {
+    LearnIncremental(&delta);
+  }
+  report.learning_seconds = learn_timer.Seconds();
 
+  // ---- incremental inference ----
   Timer infer_timer;
+  // Before ApplyDelta, which may install a finished background build: a
+  // build of the old program must already be stale.
+  if (adds_rules || !update.remove_rule_labels.empty()) inc_engine_->RuleSetChanged();
   DD_ASSIGN_OR_RETURN(
       incremental::UpdateOutcome outcome,
-      inc_engine_->RetractRule(delta, config_.engine, restore));
+      inc_engine_->ApplyDelta(delta, config_.engine,
+                              restore != nullptr ? &restore->marginals_before : nullptr));
   report.inference_seconds = infer_timer.Seconds();
-  ++program_version_;
-  if (ticket != rule_journal_.end()) rule_journal_.erase(ticket);
   return FinishUpdate(std::move(report), &outcome);
 }
 

@@ -93,30 +93,32 @@ class DeepDive {
 
   /// Applies one update and refreshes marginals. In Rerun mode this
   /// re-grounds / re-learns / re-infers from scratch. The returned report
-  /// carries the epoch of the ResultView the update published.
+  /// carries the epoch of the ResultView the update published. A rejected
+  /// update (unknown relation, a removal label that names no rule, a rule
+  /// the analyzer refuses) changes nothing.
   StatusOr<incremental::UpdateReport> ApplyUpdate(const UpdateSpec& update)
       REQUIRES(serving_thread);
 
   /// First-class rule addition (online program evolution): `rule_source` is
-  /// a DSL fragment containing exactly one *factor* rule with a non-empty,
-  /// unused label, over already-declared relations. The rule is grounded
-  /// alone via the incremental grounder (work proportional to its matches —
-  /// see the report's grounding_work; never a re-ground), optionally
-  /// learned, then handed to the engine's AddRule path, which bumps the
-  /// rule-set version, invalidates the compiled kernel, and publishes a new
-  /// epoch. Deductive rules / new relations / data still travel through
-  /// ApplyUpdate. `learn = false` (the miner's trial mode) leaves every
-  /// existing weight untouched so a retraction restores exactly.
-  /// In Rerun mode this delegates to ApplyUpdate (full re-ground baseline).
+  /// a DSL fragment containing exactly one *factor* rule with a non-empty
+  /// label no factor rule uses, over already-declared relations. It is
+  /// ApplyUpdate of that fragment, labeled "add_rule:<label>": the rule is
+  /// grounded alone (work proportional to its matches — see the report's
+  /// grounding_work; never a re-ground), optionally learned, and the engine
+  /// sees a rule change. Deductive rules / new relations / data still travel
+  /// through ApplyUpdate. `learn = false` (the miner's trial mode) leaves
+  /// every existing weight untouched so a retraction restores exactly. In
+  /// incremental mode the pre-add state is journaled for RetractRule.
   StatusOr<incremental::UpdateReport> AddRule(const std::string& rule_source,
                                               bool learn = true)
       REQUIRES(serving_thread);
 
-  /// First-class rule retraction: deactivates the labeled factor rule's
-  /// groups as a GraphDelta. When no update intervened since the matching
-  /// AddRule (rule journal), pre-add weights and marginals are restored
-  /// bit-for-bit; otherwise the engine re-infers incrementally from the
-  /// retraction delta.
+  /// First-class rule retraction: ApplyUpdate removing `label`, without
+  /// learning, labeled "retract_rule:<label>". Every rule the label names,
+  /// deductive or factor, leaves the views, the graph and the program. When
+  /// no update intervened since the matching AddRule (rule journal), pre-add
+  /// weights and marginals are restored bit-for-bit; otherwise the engine
+  /// re-infers incrementally from the retraction delta.
   StatusOr<incremental::UpdateReport> RetractRule(const std::string& label)
       REQUIRES(serving_thread);
 
@@ -132,7 +134,7 @@ class DeepDive {
   uint64_t RulesFingerprint() const REQUIRES(serving_thread);
 
   /// Observer for set-level relation deltas, invoked on the serving thread
-  /// after each batch of view maintenance inside ApplyUpdate (base and
+  /// after each batch of view maintenance inside an update (base and
   /// derived relations alike). This is how layers above core (the rule
   /// miner's co-occurrence collector) maintain statistics incrementally
   /// instead of rescanning the database.
@@ -155,9 +157,9 @@ class DeepDive {
   /// blocks the writer. The view answers MarginalOf/Relation lookups for
   /// the epoch it was published at, forever (snapshot isolation) — call
   /// again to observe newer epochs. Never null; before Initialize it is the
-  /// empty epoch-0 view. Views are published by Initialize, ApplyUpdate,
-  /// AddRule and RetractRule only: a snapshot the engine installs in
-  /// between (WaitForMaterialization) shows in the next view.
+  /// empty epoch-0 view. Views are published by Initialize and by each
+  /// update (ApplyUpdate, AddRule, RetractRule) only: a snapshot the engine
+  /// installs in between (WaitForMaterialization) shows in the next view.
   std::shared_ptr<const incremental::ResultView> Query() const {
     return publisher_.Current();
   }
@@ -189,8 +191,17 @@ class DeepDive {
     uint64_t engine_seq_after = 0;
     std::vector<double> marginals_before;
     std::vector<double> weights_before;
-    size_t num_weights_before = 0;
   };
+
+  /// The one write path. Checks the spec (fragment analysis, known
+  /// relations, removal labels naming rules) before its first change, then
+  /// grounds the fragment, the rows and the removals; reverts `restore`'s
+  /// weights when a journal ticket is given, else learns unless the spec
+  /// skips it; tells the engine when the rules changed; runs ApplyDelta
+  /// (adopting `restore`'s marginals when given); and publishes the view.
+  StatusOr<incremental::UpdateReport> Apply(const UpdateSpec& update,
+                                            const RuleTicket* restore)
+      REQUIRES(serving_thread);
 
   Status RunFullPipeline(incremental::UpdateReport* report, bool cold_learning)
       REQUIRES(serving_thread);
@@ -202,10 +213,10 @@ class DeepDive {
   /// only.
   void PublishView(incremental::UpdateReport* report) REQUIRES(serving_thread);
 
-  /// The end every successful ApplyUpdate/AddRule/RetractRule shares: adopts
-  /// the engine's `outcome` (null in Rerun mode, where RunFullPipeline set
-  /// the marginals and strategy) into marginals_ and `report`, stamps the
-  /// graph sizes, publishes the view and counts the update.
+  /// The end of every successful Apply: adopts the engine's `outcome` (null
+  /// in Rerun mode, where RunFullPipeline set the marginals and strategy)
+  /// into marginals_ and `report`, stamps the graph sizes, publishes the view
+  /// and counts the update.
   incremental::UpdateReport FinishUpdate(
       incremental::UpdateReport report,
       const incremental::UpdateOutcome* outcome) REQUIRES(serving_thread);
@@ -231,13 +242,13 @@ class DeepDive {
   /// Working marginal buffer of the serving thread; every publication
   /// freezes a copy into an immutable ResultView.
   std::vector<double> marginals_ GUARDED_BY(serving_thread);
-  /// Successful updates (ApplyUpdate/AddRule/RetractRule) so far; keys the
-  /// per-update learning and rerun seeds.
+  /// Successful updates (every Apply) so far; keys the per-update learning
+  /// and rerun seeds.
   uint64_t updates_applied_ GUARDED_BY(serving_thread) = 0;
   bool initialized_ GUARDED_BY(serving_thread) = false;
 
-  /// Bumped on every rule change (AddRule / RetractRule / ApplyUpdate
-  /// fragments and removals); published into views as program_version.
+  /// Bumped once per update whose fragment carries rules and once per
+  /// removed label; published into views as program_version.
   uint64_t program_version_ GUARDED_BY(serving_thread) = 0;
   /// Recent AddRule tickets, newest last (bounded; see kMaxRuleJournal).
   std::vector<RuleTicket> rule_journal_ GUARDED_BY(serving_thread);

@@ -148,6 +148,16 @@ StatusOr<Program> AnalyzeFragment(const Program& base, std::string_view source) 
   }
   combined.deductive_rules = fragment.deductive_rules;
   combined.factor_rules = fragment.factor_rules;
+  // A factor rule is retracted by its label, so the label must stay unique
+  // across the merged program (repeats within the fragment fail below).
+  for (const FactorRule& rule : fragment.factor_rules) {
+    for (const FactorRule& existing : base.factor_rules()) {
+      if (!rule.label.empty() && existing.label == rule.label) {
+        return Status::AlreadyExists("a factor rule labeled '" + rule.label +
+                                     "' already exists");
+      }
+    }
+  }
   return AnalyzeProgram(combined);
 }
 
@@ -208,8 +218,13 @@ StatusOr<Program> AnalyzeProgram(const ProgramAst& ast) {
     program.deductive_rules_.push_back(rule);
   }
 
-  // Factor rules.
+  // Factor rules; a non-empty label names one of them.
+  std::set<std::string> factor_labels;
   for (const FactorRule& rule : ast.factor_rules) {
+    if (!rule.label.empty() && !factor_labels.insert(rule.label).second) {
+      return Status::AlreadyExists("factor rule label '" + rule.label +
+                                   "' used twice");
+    }
     DD_RETURN_IF_ERROR(
         CheckRuleCommon(program.relations_, rule.head, rule.body, rule.conditions,
                         rule.label));

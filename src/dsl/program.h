@@ -66,7 +66,9 @@ class Program {
 
 /// Validates an AST: declared predicates, head/condition/weight variable
 /// safety, consistent variable typing, negation bound by positive atoms,
-/// evidence schemas = target schema + trailing bool label column.
+/// evidence schemas = target schema + trailing bool label column, and
+/// factor-rule labels that do not repeat (AlreadyExists). Unlabeled rules
+/// and a label shared by a deductive and a factor rule are fine.
 StatusOr<Program> AnalyzeProgram(const ProgramAst& ast);
 
 /// Convenience: parse + analyze.
@@ -76,6 +78,8 @@ StatusOr<Program> CompileProgram(std::string_view source);
 /// the context of an existing program. The returned Program contains the
 /// base relations plus the fragment's declarations, but ONLY the fragment's
 /// rules — suitable for Program::Merge and for incremental rule addition.
+/// A fragment factor rule may not reuse a factor-rule label of `base`
+/// (AlreadyExists).
 StatusOr<Program> AnalyzeFragment(const Program& base, std::string_view source);
 
 }  // namespace deepdive::dsl

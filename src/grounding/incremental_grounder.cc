@@ -560,9 +560,7 @@ StatusOr<GraphDelta> IncrementalGrounder::AddFactorRule(const dsl::FactorRule& r
   GraphDelta delta;
   mod_index_.clear();
   fresh_groups_.clear();
-  const uint64_t before = groundings_emitted_;
   GroundRuleFull(rules_.back(), &delta);
-  last_rule_groundings_ = groundings_emitted_ - before;
   return delta;
 }
 

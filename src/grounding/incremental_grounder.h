@@ -76,11 +76,6 @@ class IncrementalGrounder {
   /// sequential and the sharded path funnel through the same emission tail,
   /// so the counter is exact at any thread count.
   uint64_t groundings_emitted() const { return groundings_emitted_; }
-  /// Groundings emitted by the most recent AddFactorRule call. This is the
-  /// "grounding work proportional to the rule's matches" witness: adding a
-  /// rule evaluates only that rule, so the count equals the new rule's
-  /// bindings — a full re-ground would be NumFactorRules() times larger.
-  uint64_t last_rule_groundings() const { return last_rule_groundings_; }
   /// Cumulative count of table rows and delta entries the rule-body joins
   /// enumerated, across all rules and updates (shards summed). The witness
   /// that delta grounding costs work in proportion to the update.
@@ -174,7 +169,6 @@ class IncrementalGrounder {
   uint32_t next_rule_id_ = 0;
   bool initialized_ = false;
   uint64_t groundings_emitted_ = 0;
-  uint64_t last_rule_groundings_ = 0;
   uint64_t rows_visited_ = 0;
 };
 

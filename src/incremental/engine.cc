@@ -58,6 +58,7 @@ IncrementalEngine::~IncrementalEngine() {
 
 Status IncrementalEngine::Materialize(const MaterializationOptions& options) {
   AbortInFlightBuild();
+  rebuild_after_discard_ = false;
   mat_options_ = options;
   mat_options_valid_ = true;
   DD_ASSIGN_OR_RETURN(std::shared_ptr<MaterializationSnapshot> snap,
@@ -76,6 +77,7 @@ Status IncrementalEngine::MaterializeAsync(const MaterializationOptions& options
     build_in_flight_ = true;
     pending_status_ = Status::OK();
   }
+  rebuild_after_discard_ = false;
   MaterializationOptions opts = options;  // survives self-scheduled remats
   mat_options_ = opts;
   mat_options_valid_ = true;
@@ -142,9 +144,8 @@ Status IncrementalEngine::WaitForMaterialization() {
   }
   if (ready != nullptr && DiscardIfStale(&ready)) {
     // The finished build predates a rule delta: installing it would
-    // resurrect retracted factors. The remat triggers re-arm on the next
-    // update (the in-flight slot is clear), which rebuilds at the current
-    // rule-set version.
+    // resurrect retracted factors. The next update rebuilds at the current
+    // rule-set version (MaybeScheduleRemat).
     return status;
   }
   if (ready != nullptr) InstallSnapshot(std::move(ready));
@@ -158,6 +159,7 @@ bool IncrementalEngine::DiscardIfStale(
                << (*ready)->rule_set_version << " (current "
                << rule_set_version_ << ")";
   ready->reset();
+  rebuild_after_discard_ = true;
   return true;
 }
 
@@ -225,9 +227,14 @@ void IncrementalEngine::MaybeScheduleRemat(const UpdateOutcome& outcome) {
     MutexLock lock(mu_);
     if (build_in_flight_ || pending_ != nullptr || !pending_status_.ok()) return;
   }
+  // A discarded build is rebuilt here, not where it was discarded: this
+  // update's delta is merged by now, so the copy the rebuild takes holds
+  // its groups exactly once, none of them left in since_build_ as well.
   const char* trigger = nullptr;
-  if (mat_options_.remat_on_exhaustion && !snapshot_->store.empty() &&
-      snapshot_->store.exhausted()) {
+  if (rebuild_after_discard_) {
+    trigger = "build discarded after a rule change";
+  } else if (mat_options_.remat_on_exhaustion && !snapshot_->store.empty() &&
+             snapshot_->store.exhausted()) {
     trigger = "sample store exhausted";
   } else if (mat_options_.remat_acceptance_floor > 0.0 &&
              outcome.acceptance_rate >= 0.0 &&
@@ -352,22 +359,9 @@ StatusOr<UpdateOutcome> IncrementalEngine::ApplyDelta(
   return result;
 }
 
-StatusOr<UpdateOutcome> IncrementalEngine::AddRule(const GraphDelta& delta,
-                                                   const EngineOptions& options) {
-  // Bump the program version *before* the entry bookkeeping: ApplyDelta may
-  // install a finished background build, and the version check must already
-  // see the new program so a pre-rule build is discarded, not installed.
+void IncrementalEngine::RuleSetChanged() {
   ++rule_set_version_;
   compiled_kernel_.reset();
-  return ApplyDelta(delta, options);
-}
-
-StatusOr<UpdateOutcome> IncrementalEngine::RetractRule(
-    const GraphDelta& delta, const EngineOptions& options,
-    const std::vector<double>* restore_marginals) {
-  ++rule_set_version_;
-  compiled_kernel_.reset();
-  return ApplyDelta(delta, options, restore_marginals);
 }
 
 const factor::CompiledGraph* IncrementalEngine::CompiledKernel() {
@@ -382,7 +376,7 @@ StatusOr<UpdateOutcome> IncrementalEngine::ExecuteUpdate(
     const GraphDelta& delta, const EngineOptions& options,
     const std::vector<double>* restore_marginals) {
   // An exact restore: the caller proved (rule journal: no update intervened
-  // since the matching AddRule) that the pre-add marginals are the exact
+  // since the matching rule add) that the pre-add marginals are the exact
   // posterior of the restored graph, so they are adopted verbatim. Or an
   // analysis-only workload (rule A1): the distribution equals the
   // materialized one, so its marginals are the exact answer — the 100%-

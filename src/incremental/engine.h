@@ -81,7 +81,7 @@ struct UpdateOutcome {
 /// every group on such a weight is a new group, scored at its current value.
 /// Its size is bounded by what differs, however many updates moved it, and
 /// an update that undoes another leaves no entry: an exact-restore
-/// RetractRule merges like any update and needs no rewind.
+/// retraction merges like any update and needs no rewind.
 ///
 /// Materialization lifecycle: all approximation state lives in an immutable-
 /// build MaterializationSnapshot. Materialize builds one inline;
@@ -93,7 +93,8 @@ struct UpdateOutcome {
 /// arrived mid-build survive the swap (they are not covered by the new
 /// snapshot), everything older is absorbed by it. When remat triggers are
 /// configured (store exhausted, acceptance floor, update count), the engine
-/// schedules its own background rebuilds after serving an update.
+/// schedules its own background rebuilds after serving an update, and it
+/// always rebuilds after discarding a build that a rule change made stale.
 ///
 /// Threading contract: Materialize / MaterializeAsync / ApplyDelta /
 /// WaitForMaterialization and the accessors must be called from one serving
@@ -153,52 +154,39 @@ class IncrementalEngine {
   }
 
   /// Applies one update's delta (already applied to the graph structure) and
-  /// refreshes marginals. `restore_marginals`, when non-null, are adopted as
-  /// the update's marginals instead of running inference (RetractRule's
-  /// exact restore).
+  /// refreshes marginals — the engine's one write entry. `restore_marginals`,
+  /// when non-null, short-circuits inference: the caller proved (via its
+  /// rule journal) that no update intervened since the matching rule add, so
+  /// the pre-add marginals are the exact posterior of the restored graph and
+  /// are adopted verbatim — the bit-identical round-trip guarantee. `delta`
+  /// must then also undo the weights the caller restored. It merges like any
+  /// other update, and needs no rewind: the removals cancel the add's
+  /// groups, and the weight reverts bring each net entry back to its pre-add
+  /// value, so unless the add minted variables the cumulative delta equals
+  /// its contents before the add.
   StatusOr<UpdateOutcome> ApplyDelta(
       const factor::GraphDelta& delta, const EngineOptions& options,
       const std::vector<double>* restore_marginals = nullptr)
       REQUIRES(serving_thread);
 
-  /// First-class *rule* deltas (online program evolution). The caller has
-  /// already grounded only the new rule into the graph (via the incremental
-  /// grounder's AddFactorRule path) and hands the resulting GraphDelta here;
-  /// retraction hands the delta of the rule's deactivated factor groups.
-  /// Both entry points bump the rule-set version, drop the cached compiled
-  /// kernel (lazily recompiled at next use) and the components cache, then
-  /// run the normal incremental update path — never a re-ground, and never
-  /// a blocking wait on a background materialization: a build in flight
-  /// keeps running, and its result is discarded at install time because its
-  /// rule_set_version no longer matches (see
-  /// MaterializationSnapshot::rule_set_version).
-  StatusOr<UpdateOutcome> AddRule(const factor::GraphDelta& delta,
-                                  const EngineOptions& options)
-      REQUIRES(serving_thread);
+  /// Online program evolution: call once before the ApplyDelta of an update
+  /// that adds or removes a rule, whatever verb carried it. Bumps the
+  /// rule-set version and drops the cached compiled kernel (lazily
+  /// recompiled at next use). It never blocks on a background build: a build
+  /// in flight keeps running, its result is discarded at install time
+  /// because its rule_set_version no longer matches (see
+  /// MaterializationSnapshot::rule_set_version), and the next update
+  /// schedules a rebuild at the current version.
+  void RuleSetChanged() REQUIRES(serving_thread);
 
-  /// `restore_marginals`, when non-null, short-circuits inference: the
-  /// caller proved (via its rule journal) that no update intervened since
-  /// the matching AddRule, so the pre-add marginals are the exact posterior
-  /// of the restored graph and are adopted verbatim — the bit-identical
-  /// round-trip guarantee. `delta` must then also undo the weights the caller
-  /// restored. It merges like any other update, and needs no rewind: the
-  /// removals cancel the add's groups, and the weight reverts bring each net
-  /// entry back to its pre-add value, so unless the add minted variables the
-  /// cumulative delta equals its contents before that AddRule.
-  StatusOr<UpdateOutcome> RetractRule(
-      const factor::GraphDelta& delta, const EngineOptions& options,
-      const std::vector<double>* restore_marginals = nullptr)
-      REQUIRES(serving_thread);
-
-  /// Program version counter: one tick per AddRule/RetractRule. Snapshots
-  /// record the version they were built against; installs require a match.
+  /// Program version counter: one tick per RuleSetChanged. Snapshots record
+  /// the version they were built against; installs require a match.
   uint64_t rule_set_version() const REQUIRES(serving_thread) {
     return rule_set_version_;
   }
 
-  /// Update sequence number (one tick per ApplyDelta/AddRule/RetractRule).
-  /// Callers journal it to detect whether updates intervened between an add
-  /// and its retraction.
+  /// Update sequence number (one tick per ApplyDelta). Callers journal it to
+  /// detect whether updates intervened between an add and its retraction.
   uint64_t update_seq() const REQUIRES(serving_thread) { return update_seq_; }
 
   /// The cached flat CSR kernel of the current graph, compiling it on first
@@ -271,14 +259,15 @@ class IncrementalEngine {
 
   /// Drops `*ready` (returning true) when its rule_set_version no longer
   /// matches the engine's — the build predates a rule delta and must never
-  /// be installed.
+  /// be installed — and arms the rebuild at the current version.
   bool DiscardIfStale(std::shared_ptr<MaterializationSnapshot>* ready)
       REQUIRES(serving_thread);
 
   /// Cancels an in-flight background build and discards its result.
   void AbortInFlightBuild() REQUIRES(serving_thread);
 
-  /// Fires a background rebuild when a remat trigger matches `outcome`.
+  /// Fires a background rebuild after a discarded build or when a remat
+  /// trigger matches `outcome`.
   void MaybeScheduleRemat(const UpdateOutcome& outcome) REQUIRES(serving_thread);
 
   factor::FactorGraph* graph_;
@@ -295,9 +284,12 @@ class IncrementalEngine {
   factor::GraphDelta cumulative_ GUARDED_BY(serving_thread);
   uint64_t update_seq_ GUARDED_BY(serving_thread) = 0;
   uint64_t generation_ GUARDED_BY(serving_thread) = 0;
-  /// Bumped by AddRule/RetractRule; stamped into scheduled snapshot builds
-  /// and checked at install time (stale-program builds are discarded).
+  /// Bumped by RuleSetChanged; stamped into scheduled snapshot builds and
+  /// checked at install time (stale-program builds are discarded).
   uint64_t rule_set_version_ GUARDED_BY(serving_thread) = 0;
+  /// Set when a finished build is discarded as stale; the next update then
+  /// schedules a rebuild of the current program (MaybeScheduleRemat).
+  bool rebuild_after_discard_ GUARDED_BY(serving_thread) = false;
   /// Lazily compiled CSR kernel of the current graph (see CompiledKernel()).
   /// Null = invalidated; reset by any delta that mutates the graph.
   std::unique_ptr<const factor::CompiledGraph> compiled_kernel_

@@ -1,6 +1,7 @@
 #include "serve/service/tenant.h"
 
 #include <cstdio>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -344,36 +345,26 @@ StatusOr<comm::UpdateResult> TenantInstance::ExecuteUpdate(
   } else {
     spec.label = request.label;
   }
-  spec.add_rules = request.rules;
   // Parse every payload before anything is applied, so a malformed row
   // leaves the program as it was. A relation the program lacks takes its
-  // schema from the update's own rules.
-  dsl::Program fragment;
-  bool rules_first = false;
+  // schema from the update's own rules; one ApplyUpdate then applies the
+  // rules and the rows together.
+  std::optional<dsl::Program> fragment;
   for (const comm::DataPayload& payload : request.inserts) {
     const dsl::Program* schema = &dd->program();
     if (schema->FindRelation(payload.relation) == nullptr &&
         !request.rules.empty()) {
-      if (!rules_first) {
+      if (!fragment.has_value()) {
         DD_ASSIGN_OR_RETURN(fragment,
                             dsl::AnalyzeFragment(dd->program(), request.rules));
-        rules_first = true;
       }
-      schema = &fragment;
+      schema = &*fragment;
     }
     DD_ASSIGN_OR_RETURN(std::vector<Tuple> rows,
                         ParseRows(*schema, payload.relation, payload.tsv));
     spec.inserts[payload.relation] = std::move(rows);
   }
-  if (rules_first) {
-    // Fragment relations must exist before their data lands, so the rules
-    // commit first, as a step of their own.
-    core::UpdateSpec rules_only;
-    rules_only.label = spec.label + "/rules";
-    rules_only.add_rules = spec.add_rules;
-    DD_RETURN_IF_ERROR(dd->ApplyUpdate(rules_only).status());
-    spec.add_rules.clear();
-  }
+  spec.add_rules = std::move(request.rules);
   DD_ASSIGN_OR_RETURN(incremental::UpdateReport report, dd->ApplyUpdate(spec));
   comm::UpdateResult result;
   result.epoch = report.epoch;

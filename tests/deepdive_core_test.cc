@@ -311,6 +311,112 @@ TEST(DeepDiveTest, UnknownRemoveLabelIsError) {
   EXPECT_FALSE(dd->ApplyUpdate(spec).ok());
 }
 
+size_t ActiveGroups(const factor::FactorGraph& graph) {
+  size_t active = 0;
+  for (factor::GroupId g = 0; g < graph.NumGroups(); ++g) active += graph.group(g).active;
+  return active;
+}
+
+// A factor rule is retracted by its label, so no update may add a second
+// factor rule under a label already in use: such an update is rejected
+// before it changes anything, and one retraction takes the rule out whole.
+TEST(DeepDiveTest, RepeatedFactorLabelIsRejected) {
+  deepdive::serving_thread.AssertHeld();
+  auto dd = Make(ExecutionMode::kIncremental);
+  const factor::FactorGraph& graph = dd->ground().graph;
+  UpdateSpec spec;
+  spec.add_rules = R"(
+    factor FEAT: HasSpouse(m1, m2) :- Person(s, m1), Person(s, m2), m1 != m2
+      weight = 0.5 semantics = logical.
+  )";
+  ASSERT_TRUE(dd->ApplyUpdate(spec).ok());
+  const size_t rules = dd->NumRules();
+  const size_t groups = graph.NumGroups();
+  const size_t active = ActiveGroups(graph);
+  const uint64_t version = dd->program_version();
+  const uint64_t fingerprint = dd->RulesFingerprint();
+  const uint64_t epoch = dd->Query()->epoch;
+  ASSERT_EQ(rules, 3u);
+
+  EXPECT_EQ(dd->ApplyUpdate(spec).status().code(), StatusCode::kAlreadyExists);
+  EXPECT_EQ(dd->AddRule(spec.add_rules).status().code(), StatusCode::kAlreadyExists);
+  EXPECT_EQ(dd->NumRules(), rules);
+  EXPECT_EQ(graph.NumGroups(), groups);
+  EXPECT_EQ(dd->program_version(), version);
+  EXPECT_EQ(dd->RulesFingerprint(), fingerprint);
+  EXPECT_EQ(dd->Query()->epoch, epoch);
+
+  ASSERT_TRUE(dd->RetractRule("FEAT").ok());
+  EXPECT_EQ(dd->NumRules(), rules - 1);
+  EXPECT_EQ(ActiveGroups(graph), active - 4);
+  EXPECT_EQ(dd->RetractRule("FEAT").status().code(), StatusCode::kNotFound);
+}
+
+// A removal label that names no rule, or that repeats, rejects the update
+// before its rows land: tables, graph, program and epoch stay as they were.
+TEST(DeepDiveTest, RejectedRemovalLeavesTheUpdateUnapplied) {
+  deepdive::serving_thread.AssertHeld();
+  auto created = DeepDive::Create(kProgram, FastTestConfig());
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  DeepDive* dd = created->get();
+  ASSERT_TRUE(dd->LoadRows("Person", {{Value(1), Value(10)}, {Value(1), Value(11)}}).ok());
+  ASSERT_TRUE(dd->Initialize().ok());
+  const factor::FactorGraph& graph = dd->ground().graph;
+  ASSERT_EQ(graph.NumVariables(), 2u);
+  const size_t rules = dd->NumRules();
+  const uint64_t version = dd->program_version();
+  const uint64_t epoch = dd->Query()->epoch;
+
+  UpdateSpec spec;
+  spec.inserts["Person"] = {{Value(2), Value(20)}, {Value(2), Value(21)}};
+  for (const std::vector<std::string>& labels :
+       {std::vector<std::string>{"NOPE"}, std::vector<std::string>{"PRIOR", "PRIOR"}}) {
+    spec.remove_rule_labels = labels;
+    EXPECT_EQ(dd->ApplyUpdate(spec).status().code(), StatusCode::kNotFound)
+        << labels.size();
+    EXPECT_EQ(dd->db()->GetTable("Person")->size(), 2u);
+    EXPECT_EQ(dd->db()->GetTable("HasSpouse")->size(), 2u);
+    EXPECT_EQ(graph.NumVariables(), 2u);
+    EXPECT_EQ(dd->NumRules(), rules);
+    EXPECT_EQ(dd->program_version(), version);
+    EXPECT_EQ(dd->Query()->epoch, epoch);
+  }
+
+  spec.remove_rule_labels.clear();
+  ASSERT_TRUE(dd->ApplyUpdate(spec).ok());
+  EXPECT_EQ(graph.NumVariables(), 4u);
+}
+
+// A label deductive rules and a factor rule share names them all:
+// RetractRule takes every deductive rule's derivations out of the views too,
+// so later rows of their bodies derive nothing.
+TEST(DeepDiveTest, RetractRuleRemovesEveryRuleWithItsLabel) {
+  deepdive::serving_thread.AssertHeld();
+  auto dd = Make(ExecutionMode::kIncremental);
+  const Table* person = dd->db()->GetTable("Person");
+  UpdateSpec spec;
+  spec.add_rules = R"(
+    relation Extra(s: int, m: int).
+    rule BOTH: Person(s, m) :- Extra(s, m).
+    rule BOTH: Person(m, s) :- Extra(s, m).
+    factor BOTH: HasSpouse(m1, m2) :- Extra(s, m1), Extra(s, m2), m1 != m2
+      weight = 0.5 semantics = logical.
+  )";
+  spec.inserts["Extra"] = {{Value(3), Value(30)}, {Value(3), Value(31)}};
+  ASSERT_TRUE(dd->ApplyUpdate(spec).ok());
+  ASSERT_EQ(person->size(), 8u);
+
+  auto retract = dd->RetractRule("BOTH");
+  ASSERT_TRUE(retract.ok()) << retract.status().ToString();
+  EXPECT_EQ(person->size(), 4u);
+  EXPECT_EQ(dd->NumRules(), 2u);
+
+  UpdateSpec more;
+  more.inserts["Extra"] = {{Value(4), Value(40)}, {Value(4), Value(41)}};
+  ASSERT_TRUE(dd->ApplyUpdate(more).ok());
+  EXPECT_EQ(person->size(), 4u);
+}
+
 TEST(DeepDiveTest, RerunModeProducesSimilarMarginals) {
   deepdive::serving_thread.AssertHeld();
   auto inc = Make(ExecutionMode::kIncremental);

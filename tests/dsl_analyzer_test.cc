@@ -172,6 +172,30 @@ TEST(AnalyzerTest, FragmentIdenticalRedeclarationIsFine) {
   EXPECT_TRUE(fragment.ok()) << fragment.status().ToString();
 }
 
+TEST(AnalyzerTest, FactorRuleLabelsAreUnique) {
+  constexpr char kFeat[] =
+      "factor FEAT: HasSpouse(m1, m2) :- Person(s, m1), Person(s, m2) weight = 1.\n";
+  // Within a program.
+  auto twice = CompileProgram(std::string(kBase) + kFeat + kFeat);
+  EXPECT_EQ(twice.status().code(), StatusCode::kAlreadyExists);
+  auto base = CompileProgram(std::string(kBase) + kFeat);
+  ASSERT_TRUE(base.ok()) << base.status().ToString();
+  // A fragment reusing a label of the base program, or repeating one.
+  EXPECT_EQ(AnalyzeFragment(*base, kFeat).status().code(), StatusCode::kAlreadyExists);
+  const std::string other =
+      "factor OTHER: HasSpouse(m1, m2) :- Person(s, m1), Person(s, m2) weight = 1.\n";
+  EXPECT_EQ(AnalyzeFragment(*base, other + other).status().code(),
+            StatusCode::kAlreadyExists);
+  EXPECT_TRUE(AnalyzeFragment(*base, other).ok());
+  // Unlabeled factor rules, and a deductive rule sharing a factor label.
+  const std::string unlabeled =
+      "factor HasSpouse(m1, m2) :- Person(s, m1), Person(s, m2) weight = 1.\n";
+  EXPECT_TRUE(AnalyzeFragment(*base, unlabeled + unlabeled).ok());
+  EXPECT_TRUE(
+      AnalyzeFragment(*base, "rule FEAT: HasSpouse(m, m2) :- Person(s, m), Person(s, m2).")
+          .ok());
+}
+
 TEST(AnalyzerTest, RemoveRulesByLabel) {
   auto program = CompileProgram(std::string(kBase) + R"(
     rule C: HasSpouse(m1, m2) :- Person(s, m1), Person(s, m2).

@@ -3,7 +3,7 @@
 // state bit-for-bit from the rule journal at any thread count, program
 // identity (version/count/fingerprint) is published into result views, and a
 // materialization build scheduled before a rule delta is discarded instead of
-// resurrecting retracted factors.
+// resurrecting retracted factors, then rebuilt at the current program.
 #include <gtest/gtest.h>
 
 #include <future>
@@ -66,7 +66,6 @@ TEST(RuleDeltaTest, AddRuleGroundsOnlyTheNewRule) {
   // a prior over each, so proportional work == 2 proves no re-ground.
   EXPECT_EQ(report->grounding_work, 2u);
   EXPECT_EQ(dd->grounder()->groundings_emitted() - emitted_before, 2u);
-  EXPECT_EQ(dd->grounder()->last_rule_groundings(), 2u);
   EXPECT_EQ(report->label, "add_rule:FE1");
   EXPECT_GT(report->epoch, 0u);
 }
@@ -301,7 +300,8 @@ TEST(RuleDeltaTest, RematInFlightAcrossRetractionIsDiscarded) {
   add.new_groups.push_back(g.AddSimpleFactor(
       0, {{factor::VarId{3}, false}}, g.AddWeight(1.5, false)));
   incremental::EngineOptions eopts;
-  ASSERT_TRUE(engine.AddRule(add, eopts).ok());
+  engine.RuleSetChanged();
+  ASSERT_TRUE(engine.ApplyDelta(add, eopts).ok());
   const uint64_t version_with_rule = engine.rule_set_version();
 
   std::promise<void> release;
@@ -317,7 +317,8 @@ TEST(RuleDeltaTest, RematInFlightAcrossRetractionIsDiscarded) {
   factor::GraphDelta retract;
   retract.removed_groups = add.new_groups;
   g.DeactivateGroup(add.new_groups.front());
-  ASSERT_TRUE(engine.RetractRule(retract, eopts, nullptr).ok());
+  engine.RuleSetChanged();
+  ASSERT_TRUE(engine.ApplyDelta(retract, eopts).ok());
   EXPECT_GT(engine.rule_set_version(), version_with_rule);
 
   release.set_value();
@@ -327,6 +328,71 @@ TEST(RuleDeltaTest, RematInFlightAcrossRetractionIsDiscarded) {
   // would also trip the engine's rule_set_version consistency check).
   EXPECT_EQ(engine.snapshot()->generation, 1u);
   EXPECT_FALSE(engine.MaterializationInFlight());
+}
+
+// Any update that removes a rule is a rule change, whichever verb carries
+// it: a build scheduled before it must not install either.
+TEST(RuleDeltaTest, UpdateRemovingARuleDiscardsTheBuildInFlight) {
+  deepdive::serving_thread.AssertHeld();
+  auto dd = Make(FastTestConfig());
+  ASSERT_TRUE(dd->AddRule(kFeatureRule).ok());
+  incremental::IncrementalEngine* engine = dd->incremental_engine();
+  ASSERT_EQ(engine->snapshot()->generation, 1u);
+
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  incremental::MaterializationOptions mopts = FastTestConfig().materialization;
+  mopts.async = true;
+  mopts.on_before_publish = [released] { released.wait(); };
+  ASSERT_TRUE(engine->MaterializeAsync(mopts).ok());
+  const uint64_t version = engine->rule_set_version();
+
+  UpdateSpec remove;
+  remove.label = "remove";
+  remove.remove_rule_labels = {"FE1"};
+  ASSERT_TRUE(dd->ApplyUpdate(remove).ok());
+  EXPECT_EQ(engine->rule_set_version(), version + 1);
+
+  release.set_value();
+  ASSERT_TRUE(engine->WaitForMaterialization().ok());
+  EXPECT_EQ(engine->snapshot()->generation, 1u);
+}
+
+// An async tenant whose initial build a rule change made stale rebuilds at
+// the current program on its next update, instead of serving every later
+// update from the empty generation-0 snapshot by rerun.
+TEST(RuleDeltaTest, DiscardedInitialBuildIsRebuilt) {
+  deepdive::serving_thread.AssertHeld();
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  DeepDiveConfig config = FastTestConfig();
+  config.materialization.async = true;
+  config.materialization.on_before_publish = [released] { released.wait(); };
+  auto dd = Make(config);
+  incremental::IncrementalEngine* engine = dd->incremental_engine();
+  ASSERT_TRUE(engine->MaterializationInFlight());
+
+  ASSERT_TRUE(dd->AddRule(kFeatureRule).ok());
+  release.set_value();
+  ASSERT_TRUE(engine->WaitForMaterialization().ok());
+  EXPECT_EQ(engine->snapshot()->generation, 0u);
+  EXPECT_FALSE(engine->MaterializationInFlight());
+
+  UpdateSpec grow;
+  grow.label = "grow";
+  grow.inserts["Person"] = {{Value(3), Value(30)}, {Value(3), Value(31)}};
+  ASSERT_TRUE(dd->ApplyUpdate(grow).ok());
+  EXPECT_TRUE(engine->MaterializationInFlight());
+  ASSERT_TRUE(engine->WaitForMaterialization().ok());
+  EXPECT_EQ(engine->snapshot()->generation, 1u);
+  EXPECT_EQ(engine->snapshot()->rule_set_version, engine->rule_set_version());
+
+  UpdateSpec more;
+  more.label = "more";
+  more.inserts["Person"] = {{Value(4), Value(40)}, {Value(4), Value(41)}};
+  auto report = dd->ApplyUpdate(more);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_NE(report->strategy, incremental::Strategy::kRerun);
 }
 
 }  // namespace

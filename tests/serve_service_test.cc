@@ -6,11 +6,14 @@
 // shutdown. The saturation drill also runs under the TSan CI job.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/deepdive.h"
+#include "factor/compiled_graph.h"
 #include "serve/comm/messages.h"
 #include "serve/service/flags.h"
 #include "serve/service/registry.h"
@@ -293,11 +296,79 @@ factor FEAT: HasSpouse(a, b) :- Feature(a, b, f) weight = w(f).
   EXPECT_EQ(after.rule_count, before.rule_count);
   EXPECT_EQ(after.updates_applied, before.updates_applied);
 
-  // A well-formed row commits the rules, then the data: two epochs.
+  // A well-formed row applies the rules and the data as one update: one
+  // epoch.
   const auto applied = spouse->SubmitUpdate(std::move(good));
   ASSERT_TRUE(applied.ok()) << applied.status().ToString();
-  EXPECT_EQ(applied->epoch, before.epoch + 2);
+  EXPECT_EQ(applied->epoch, before.epoch + 1);
   EXPECT_EQ(spouse->GetStatus().rule_count, before.rule_count + 1);
+  spouse->Stop();
+}
+
+// A wire update carrying rules and the rows of the relation they declare is
+// one ApplyUpdate: one epoch, and the graph of an in-process DeepDive given
+// the same update.
+TEST(TenantInstanceTest, UpdateWithRulesAndRowsIsOneApplyUpdate) {
+  auto spouse = MakeSpouseTenant();
+  ASSERT_TRUE(spouse->WaitReady().ok());
+  const uint64_t epoch = spouse->GetStatus().epoch;
+  comm::UpdateRequest request;
+  request.rules = R"(
+relation Feature(a: int, b: int, f: string).
+factor FEAT: HasSpouse(a, b) :- Feature(a, b, f) weight = w(f).
+)";
+  request.inserts.push_back({"Feature", "10\t11\twife\n"});
+  core::UpdateSpec spec;
+  spec.add_rules = request.rules;
+  spec.inserts["Feature"] = {{Value(10), Value(11), Value("wife")}};
+  const auto applied = spouse->SubmitUpdate(std::move(request));
+  ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+  EXPECT_EQ(applied->epoch, epoch + 1);
+  const std::string path = ::testing::TempDir() + "one_update_graph.bin";
+  const auto saved = spouse->SaveGraph(path);
+  ASSERT_TRUE(saved.ok()) << saved.status().ToString();
+  spouse->Stop();
+  std::remove(path.c_str());
+
+  // The tenant's engine settings (TenantInstance::BuildEngine) and rows.
+  deepdive::serving_thread.AssertHeld();
+  core::DeepDiveConfig config;
+  config.seed = FastConfig().seed;
+  config.learner.epochs = FastConfig().epochs;
+  config.parallelism = {.num_threads = 1, .num_replicas = 1, .sync_every_sweeps = 50};
+  auto dd = core::DeepDive::Create(kSpouseProgram, config);
+  ASSERT_TRUE(dd.ok()) << dd.status().ToString();
+  ASSERT_TRUE((*dd)->LoadRows("Person", {{Value(1), Value(10)}, {Value(1), Value(11)}}).ok());
+  ASSERT_TRUE((*dd)->LoadRows("HasSpouseLabel", {{Value(10), Value(11), Value(true)}}).ok());
+  ASSERT_TRUE((*dd)->Initialize().ok());
+  const auto report = (*dd)->ApplyUpdate(spec);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->epoch, applied->epoch);
+  EXPECT_EQ(saved->checksum,
+            factor::CompiledGraph::Compile((*dd)->ground().graph).Checksum());
+}
+
+// A wire update may not add a factor rule under a label already in use; the
+// rejection leaves the tenant as it was.
+TEST(TenantInstanceTest, RepeatedFactorLabelIsRejected) {
+  auto spouse = MakeSpouseTenant();
+  ASSERT_TRUE(spouse->WaitReady().ok());
+  comm::UpdateRequest request;
+  request.rules = R"(
+factor FEAT: HasSpouse(m1, m2) :- Person(s, m1), Person(s, m2), m1 != m2
+  weight = 0.5 semantics = logical.
+)";
+  ASSERT_TRUE(spouse->SubmitUpdate(request).ok());
+  const comm::TenantStatus before = spouse->GetStatus();
+  const auto rejected = spouse->SubmitUpdate(request);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kAlreadyExists);
+  const comm::TenantStatus after = spouse->GetStatus();
+  EXPECT_EQ(after.epoch, before.epoch);
+  EXPECT_EQ(after.program_version, before.program_version);
+  EXPECT_EQ(after.rule_count, before.rule_count);
+  EXPECT_EQ(after.rules_fingerprint, before.rules_fingerprint);
+  EXPECT_EQ(after.updates_applied, before.updates_applied);
   spouse->Stop();
 }
 
