@@ -46,7 +46,7 @@ std::unique_ptr<core::DeepDive> BuildServing() REQUIRES(serving_thread) {
   config.engine.rerun_gibbs.sample_sweeps = 50;
   auto dd = core::DeepDive::Create(program, config);
   DD_CHECK(dd.ok()) << dd.status().ToString();
-  std::vector<Tuple> persons, phrases, labels;
+  std::vector<Tuple> persons, phrases;
   for (size_t s = 1; s <= kSentences; ++s) {
     const auto sent = static_cast<int64_t>(s);
     persons.push_back({Value(sent), Value(sent * 10)});
@@ -54,8 +54,8 @@ std::unique_ptr<core::DeepDive> BuildServing() REQUIRES(serving_thread) {
     phrases.push_back({Value(sent * 10), Value(sent * 10 + 1),
                        Value(s % 2 ? "and his wife" : "met with")});
   }
-  labels.push_back({Value(10), Value(11), Value(true)});
-  labels.push_back({Value(20), Value(21), Value(false)});
+  const std::vector<Tuple> labels = {{Value(10), Value(11), Value(true)},
+                                     {Value(20), Value(21), Value(false)}};
   DD_CHECK((*dd)->LoadRows("Person", persons).ok());
   DD_CHECK((*dd)->LoadRows("Phrase", phrases).ok());
   DD_CHECK((*dd)->LoadRows("HasSpouseLabel", labels).ok());

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <set>
 #include <string>
 
@@ -22,9 +23,8 @@ using factor::VarId;
 using factor::WeightId;
 
 namespace {
-/// AddRule tickets kept for exact-restore retraction. One is enough for the
-/// miner's add-trial-retract loop; a few more absorb interactive sessions
-/// that stack several adds before retracting the latest.
+/// Rule-journal tickets kept for exact-restore removal. Only the newest can
+/// still restore (see ApplyUpdate); the bound caps the older ones.
 constexpr size_t kMaxRuleJournal = 8;
 
 /// The grounder reads only the thread count; its shard threshold keeps its
@@ -45,6 +45,22 @@ size_t CountLabel(const std::vector<Rule>& rules, const std::string& label) {
 bool NamesRule(const dsl::Program& program, const std::string& label) {
   return CountLabel(program.deductive_rules(), label) +
              CountLabel(program.factor_rules(), label) > 0;
+}
+
+/// The first relation `fragment` declares that `program` lacks, or null.
+const dsl::RelationDecl* NewRelation(const dsl::Program& program,
+                                     const dsl::Program& fragment) {
+  for (const dsl::RelationDecl& rel : fragment.relations()) {
+    if (program.FindRelation(rel.name) == nullptr) return &rel;
+  }
+  return nullptr;
+}
+
+/// Every weight's value, by WeightId.
+std::vector<double> WeightValues(const factor::FactorGraph& graph) {
+  std::vector<double> values(graph.NumWeights());
+  for (WeightId w = 0; w < values.size(); ++w) values[w] = graph.WeightValue(w);
+  return values;
 }
 }  // namespace
 
@@ -211,15 +227,8 @@ uint64_t DeepDive::RulesFingerprint() const {
   return factor::Fnv1aHash(text.data(), text.size());
 }
 
-StatusOr<incremental::UpdateReport> DeepDive::ApplyUpdate(
-    const UpdateSpec& update) {
-  DD_CHECK(initialized_) << "call Initialize first";
-  return Apply(update, nullptr);
-}
-
 StatusOr<incremental::UpdateReport> DeepDive::AddRule(
     const std::string& rule_source, bool learn) {
-  DD_CHECK(initialized_) << "call Initialize first";
   DD_ASSIGN_OR_RETURN(dsl::Program fragment,
                       dsl::AnalyzeFragment(program_, rule_source));
   if (!fragment.deductive_rules().empty()) {
@@ -231,70 +240,34 @@ StatusOr<incremental::UpdateReport> DeepDive::AddRule(
     return Status::InvalidArgument(
         "AddRule takes exactly one factor rule per call");
   }
-  for (const dsl::RelationDecl& rel : fragment.relations()) {
-    if (program_.FindRelation(rel.name) == nullptr) {
-      return Status::InvalidArgument(
-          "AddRule cannot declare new relations ('" + rel.name +
-          "'); declare them through ApplyUpdate first");
-    }
+  if (const dsl::RelationDecl* rel = NewRelation(program_, fragment)) {
+    return Status::InvalidArgument(
+        "AddRule cannot declare new relations ('" + rel->name +
+        "'); declare them through ApplyUpdate first");
   }
   const std::string& label = fragment.factor_rules().front().label;
   if (label.empty()) {
     return Status::InvalidArgument("AddRule requires a labeled rule");
   }
-
   UpdateSpec spec;
   spec.label = "add_rule:" + label;
   spec.add_rules = rule_source;
   spec.skip_learning = !learn;
-  // Rerun mode keeps no journal: its retraction re-runs the pipeline.
-  if (inc_engine_ == nullptr) return Apply(spec, nullptr);
-
-  // Journal the pre-add state first: if no update intervenes, RetractRule
-  // restores weights and marginals from here bit-for-bit.
-  RuleTicket ticket;
-  ticket.label = label;
-  ticket.marginals_before = marginals_;
-  ticket.weights_before.resize(ground_.graph.NumWeights());
-  for (WeightId w = 0; w < ticket.weights_before.size(); ++w) {
-    ticket.weights_before[w] = ground_.graph.WeightValue(w);
-  }
-  DD_ASSIGN_OR_RETURN(incremental::UpdateReport report, Apply(spec, nullptr));
-  ticket.engine_seq_after = inc_engine_->update_seq();
-  rule_journal_.push_back(std::move(ticket));
-  if (rule_journal_.size() > kMaxRuleJournal) {
-    rule_journal_.erase(rule_journal_.begin());
-  }
-  return report;
+  return ApplyUpdate(spec);
 }
 
 StatusOr<incremental::UpdateReport> DeepDive::RetractRule(
     const std::string& label) {
-  DD_CHECK(initialized_) << "call Initialize first";
   UpdateSpec spec;
   spec.label = "retract_rule:" + label;
   spec.remove_rule_labels.push_back(label);
   spec.skip_learning = true;
-  // Exact restore applies when the journal holds this label's add and the
-  // engine has not moved since: the pre-add state is then the precise
-  // posterior of the restored graph.
-  auto ticket = rule_journal_.end();
-  for (auto it = rule_journal_.rbegin(); it != rule_journal_.rend(); ++it) {
-    if (it->label == label) {
-      ticket = std::prev(it.base());
-      break;
-    }
-  }
-  const bool exact = ticket != rule_journal_.end() &&
-                     inc_engine_->update_seq() == ticket->engine_seq_after;
-  DD_ASSIGN_OR_RETURN(incremental::UpdateReport report,
-                      Apply(spec, exact ? &*ticket : nullptr));
-  if (ticket != rule_journal_.end()) rule_journal_.erase(ticket);
-  return report;
+  return ApplyUpdate(spec);
 }
 
-StatusOr<incremental::UpdateReport> DeepDive::Apply(const UpdateSpec& update,
-                                                    const RuleTicket* restore) {
+StatusOr<incremental::UpdateReport> DeepDive::ApplyUpdate(
+    const UpdateSpec& update) {
+  DD_CHECK(initialized_) << "call Initialize first";
   incremental::UpdateReport report;
   report.label = update.label;
   Timer ground_timer;
@@ -328,6 +301,59 @@ StatusOr<incremental::UpdateReport> DeepDive::Apply(const UpdateSpec& update,
   }
   const bool adds_rules =
       !fragment.deductive_rules().empty() || !fragment.factor_rules().empty();
+  engine::RelationDeltas external;
+  for (const auto& [relation, rows] : update.inserts) {
+    for (const Tuple& row : rows) external[relation].Add(row, +1);
+  }
+  for (const auto& [relation, rows] : update.deletes) {
+    for (const Tuple& row : rows) external[relation].Add(row, -1);
+  }
+  for (const auto& [relation, changes] : external) {
+    if (db_.HasTable(relation)) continue;
+    // A relation this update declares holds no rows the update may delete.
+    Status absent = Status::OK();
+    changes.ForEach([&](const Tuple& tuple, int64_t count) {
+      if (count < 0 && absent.ok()) {
+        absent = Status::InvalidArgument("delete of absent tuple " + TupleToString(tuple) +
+                                         " from " + relation);
+      }
+    });
+    DD_RETURN_IF_ERROR(absent);
+  }
+  if (!external.empty()) {
+    // Neither layer's delta rules may read a changing relation through a
+    // negated atom. Both checks read only the rules the program already
+    // has, so they run before the fragment merges: a rejected update changes
+    // no rule, table, derivation count, variable or group.
+    DD_ASSIGN_OR_RETURN(const std::set<std::string> changing,
+                        views_->ChangingRelations(external));
+    DD_RETURN_IF_ERROR(grounder_->CheckDeltaEvaluable(changing));
+  }
+
+  // The rule journal (incremental mode only). An update whose only change is
+  // one labeled factor rule over declared relations records the marginals and
+  // weights before it. An update whose only change removes that label, while
+  // the engine is still at the update that recorded them, restores them: they
+  // are then the exact posterior of the graph the removal leaves.
+  std::optional<RuleTicket> ticket;
+  const RuleTicket* restore = nullptr;
+  if (inc_engine_ != nullptr && external.empty()) {
+    if (!update.analysis_only && update.remove_rule_labels.empty() &&
+        fragment.deductive_rules().empty() && fragment.factor_rules().size() == 1 &&
+        !fragment.factor_rules().front().label.empty() &&
+        NewRelation(program_, fragment) == nullptr) {
+      ticket = RuleTicket{fragment.factor_rules().front().label, 0, marginals_,
+                          WeightValues(ground_.graph)};
+    }
+    // Every successful update advances the engine's update_seq, so only the
+    // newest ticket can still be at it.
+    if (update.add_rules.empty() && update.remove_rule_labels.size() == 1 &&
+        !rule_journal_.empty() &&
+        rule_journal_.back().label == update.remove_rule_labels.front() &&
+        rule_journal_.back().engine_seq_after == inc_engine_->update_seq()) {
+      restore = &rule_journal_.back();
+    }
+  }
 
   if (!update.add_rules.empty()) {
     // New relations need tables, and the view layer must know them, before
@@ -353,20 +379,7 @@ StatusOr<incremental::UpdateReport> DeepDive::Apply(const UpdateSpec& update,
     delta.Merge(d);
     return Status::OK();
   };
-  engine::RelationDeltas external;
-  for (const auto& [relation, rows] : update.inserts) {
-    for (const Tuple& row : rows) external[relation].Add(row, +1);
-  }
-  for (const auto& [relation, rows] : update.deletes) {
-    for (const Tuple& row : rows) external[relation].Add(row, -1);
-  }
   if (!external.empty()) {
-    // Neither layer's delta rules may read a changing relation through a
-    // negated atom; reject such an update before any table, derivation
-    // count, variable or group changes.
-    DD_ASSIGN_OR_RETURN(const std::set<std::string> changing,
-                        views_->ChangingRelations(external));
-    DD_RETURN_IF_ERROR(grounder_->CheckDeltaEvaluable(changing));
     DD_ASSIGN_OR_RETURN(engine::RelationDeltas set_deltas, views_->ApplyUpdate(external));
     DD_RETURN_IF_ERROR(ground_views(set_deltas));
   }
@@ -437,6 +450,17 @@ StatusOr<incremental::UpdateReport> DeepDive::Apply(const UpdateSpec& update,
       inc_engine_->ApplyDelta(delta, config_.engine,
                               restore != nullptr ? &restore->marginals_before : nullptr));
   report.inference_seconds = infer_timer.Seconds();
+  for (const std::string& label : update.remove_rule_labels) {
+    std::erase_if(rule_journal_,
+                  [&](const RuleTicket& entry) { return entry.label == label; });
+  }
+  if (ticket.has_value()) {
+    ticket->engine_seq_after = inc_engine_->update_seq();
+    rule_journal_.push_back(std::move(*ticket));
+    if (rule_journal_.size() > kMaxRuleJournal) {
+      rule_journal_.erase(rule_journal_.begin());
+    }
+  }
   return FinishUpdate(std::move(report), &outcome);
 }
 
@@ -476,10 +500,7 @@ Status DeepDive::RunFullPipeline(incremental::UpdateReport* report,
 }
 
 void DeepDive::LearnIncremental(GraphDelta* delta) {
-  std::vector<double> before(ground_.graph.NumWeights());
-  for (WeightId w = 0; w < ground_.graph.NumWeights(); ++w) {
-    before[w] = ground_.graph.WeightValue(w);
-  }
+  const std::vector<double> before = WeightValues(ground_.graph);
   inference::Learner learner(&ground_.graph, config_.parallelism);
   inference::LearnerOptions lopts = config_.learner;
   lopts.warmstart = true;

@@ -91,24 +91,29 @@ class DeepDive {
   /// materializes both incremental-inference approaches.
   Status Initialize() REQUIRES(serving_thread);
 
-  /// Applies one update and refreshes marginals. In Rerun mode this
-  /// re-grounds / re-learns / re-infers from scratch. The returned report
-  /// carries the epoch of the ResultView the update published. A rejected
-  /// update (unknown relation, a removal label that names no rule, a rule
-  /// the analyzer refuses) changes nothing.
+  /// The one write path: applies one update and refreshes marginals. Every
+  /// check (fragment analysis, known relations, removal labels naming rules,
+  /// rows incremental grounding can absorb) runs before the first change, so
+  /// a rejected update changes nothing. The returned report carries the
+  /// epoch of the ResultView the update published. In Rerun mode this
+  /// re-grounds / re-learns / re-infers from scratch. In incremental mode it
+  /// keeps the rule journal: an update whose only change is one labeled
+  /// factor rule over declared relations records the marginals and weights
+  /// before it, and an update whose only change removes that label, with no
+  /// update in between, restores them bit-for-bit instead of re-inferring.
   StatusOr<incremental::UpdateReport> ApplyUpdate(const UpdateSpec& update)
       REQUIRES(serving_thread);
 
   /// First-class rule addition (online program evolution): `rule_source` is
   /// a DSL fragment containing exactly one *factor* rule with a non-empty
-  /// label no factor rule uses, over already-declared relations. It is
-  /// ApplyUpdate of that fragment, labeled "add_rule:<label>": the rule is
-  /// grounded alone (work proportional to its matches — see the report's
-  /// grounding_work; never a re-ground), optionally learned, and the engine
-  /// sees a rule change. Deductive rules / new relations / data still travel
-  /// through ApplyUpdate. `learn = false` (the miner's trial mode) leaves
-  /// every existing weight untouched so a retraction restores exactly. In
-  /// incremental mode the pre-add state is journaled for RetractRule.
+  /// label no factor rule uses, over already-declared relations. It checks
+  /// that, then is ApplyUpdate of that fragment, labeled "add_rule:<label>":
+  /// the rule is grounded alone (work proportional to its matches — see the
+  /// report's grounding_work; never a re-ground), optionally learned, and
+  /// the engine sees a rule change; in incremental mode the rule journal
+  /// records the state before it. Deductive rules / new relations / data
+  /// still travel through ApplyUpdate. `learn = false` (the miner's trial
+  /// mode) leaves every existing weight untouched.
   StatusOr<incremental::UpdateReport> AddRule(const std::string& rule_source,
                                               bool learn = true)
       REQUIRES(serving_thread);
@@ -116,9 +121,9 @@ class DeepDive {
   /// First-class rule retraction: ApplyUpdate removing `label`, without
   /// learning, labeled "retract_rule:<label>". Every rule the label names,
   /// deductive or factor, leaves the views, the graph and the program. When
-  /// no update intervened since the matching AddRule (rule journal), pre-add
-  /// weights and marginals are restored bit-for-bit; otherwise the engine
-  /// re-infers incrementally from the retraction delta.
+  /// no update intervened since the update that added the rule, the rule
+  /// journal restores the weights and marginals before it bit-for-bit;
+  /// otherwise the engine re-infers incrementally from the retraction delta.
   StatusOr<incremental::UpdateReport> RetractRule(const std::string& label)
       REQUIRES(serving_thread);
 
@@ -182,26 +187,17 @@ class DeepDive {
  private:
   DeepDive(dsl::Program program, DeepDiveConfig config);
 
-  /// Exact-restore journal entry recorded by AddRule: everything needed to
-  /// make RetractRule a bit-identical undo when no update intervened.
+  /// Rule-journal entry recorded by an update that adds one labeled factor
+  /// rule: everything needed to make that rule's removal a bit-identical
+  /// undo when no update intervened.
   struct RuleTicket {
     std::string label;
-    /// Engine update_seq right after the add; a retraction restores exactly
+    /// Engine update_seq right after the add; a removal restores exactly
     /// only while the engine is still at this sequence number.
     uint64_t engine_seq_after = 0;
     std::vector<double> marginals_before;
     std::vector<double> weights_before;
   };
-
-  /// The one write path. Checks the spec (fragment analysis, known
-  /// relations, removal labels naming rules) before its first change, then
-  /// grounds the fragment, the rows and the removals; reverts `restore`'s
-  /// weights when a journal ticket is given, else learns unless the spec
-  /// skips it; tells the engine when the rules changed; runs ApplyDelta
-  /// (adopting `restore`'s marginals when given); and publishes the view.
-  StatusOr<incremental::UpdateReport> Apply(const UpdateSpec& update,
-                                            const RuleTicket* restore)
-      REQUIRES(serving_thread);
 
   Status RunFullPipeline(incremental::UpdateReport* report, bool cold_learning)
       REQUIRES(serving_thread);
@@ -213,10 +209,10 @@ class DeepDive {
   /// only.
   void PublishView(incremental::UpdateReport* report) REQUIRES(serving_thread);
 
-  /// The end of every successful Apply: adopts the engine's `outcome` (null
-  /// in Rerun mode, where RunFullPipeline set the marginals and strategy)
-  /// into marginals_ and `report`, stamps the graph sizes, publishes the view
-  /// and counts the update.
+  /// The end of every successful ApplyUpdate: adopts the engine's `outcome`
+  /// (null in Rerun mode, where RunFullPipeline set the marginals and
+  /// strategy) into marginals_ and `report`, stamps the graph sizes,
+  /// publishes the view and counts the update.
   incremental::UpdateReport FinishUpdate(
       incremental::UpdateReport report,
       const incremental::UpdateOutcome* outcome) REQUIRES(serving_thread);
@@ -242,15 +238,16 @@ class DeepDive {
   /// Working marginal buffer of the serving thread; every publication
   /// freezes a copy into an immutable ResultView.
   std::vector<double> marginals_ GUARDED_BY(serving_thread);
-  /// Successful updates (every Apply) so far; keys the per-update learning
-  /// and rerun seeds.
+  /// Successful updates so far; keys the per-update learning and rerun
+  /// seeds.
   uint64_t updates_applied_ GUARDED_BY(serving_thread) = 0;
   bool initialized_ GUARDED_BY(serving_thread) = false;
 
   /// Bumped once per update whose fragment carries rules and once per
   /// removed label; published into views as program_version.
   uint64_t program_version_ GUARDED_BY(serving_thread) = 0;
-  /// Recent AddRule tickets, newest last (bounded; see kMaxRuleJournal).
+  /// The rule journal: recent tickets, newest last (bounded; see
+  /// kMaxRuleJournal).
   std::vector<RuleTicket> rule_journal_ GUARDED_BY(serving_thread);
   RelationDeltaListener delta_listener_ GUARDED_BY(serving_thread);
 

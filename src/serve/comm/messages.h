@@ -10,9 +10,9 @@
 
 namespace deepdive::serve::comm {
 
-/// The serving stack's verb set. One verb per request; the dispatch table in
-/// serve/handlers maps each onto its typed handler. Values are wire-stable:
-/// never renumber, only append.
+/// The serving stack's verb set. One verb per request body type;
+/// serve/handlers' Dispatch visits each body onto its typed handler. Values
+/// are wire-stable: never renumber, only append.
 enum class Verb : uint8_t {
   kQuery = 1,         // pin a result view, look up a relation/tuple
   kApplyUpdate = 2,   // enqueue one update on the tenant's writer thread

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "serve/service/registry.h"
@@ -37,54 +39,87 @@ std::string RenderRelationTsv(const incremental::ResultView& view,
   return tsv;
 }
 
+/// The required field of a writer verb's body: update and mine have none.
+template <typename WriterBody>
+Status CheckRequiredField(const WriterBody& /*body*/) {
+  return Status::OK();
+}
+Status CheckRequiredField(const comm::SaveGraphRequest& body) {
+  return body.path.empty() ? Status::InvalidArgument("save_graph needs a path")
+                           : Status::OK();
+}
+Status CheckRequiredField(const comm::AddRuleRequest& body) {
+  return body.rule.empty()
+             ? Status::InvalidArgument("add_rule needs a rule fragment")
+             : Status::OK();
+}
+Status CheckRequiredField(const comm::RetractRuleRequest& body) {
+  return body.label.empty()
+             ? Status::InvalidArgument("retract_rule needs a label")
+             : Status::OK();
+}
+
 }  // namespace
 
 Dispatcher::Dispatcher(service::TenantRegistry* registry)
-    : registry_(registry) {
-  table_[comm::Verb::kQuery] = &Dispatcher::HandleQuery;
-  table_[comm::Verb::kApplyUpdate] = &Dispatcher::HandleUpdate;
-  table_[comm::Verb::kExport] = &Dispatcher::HandleExport;
-  table_[comm::Verb::kStatus] = &Dispatcher::HandleStatus;
-  table_[comm::Verb::kCreateTenant] = &Dispatcher::HandleCreateTenant;
-  table_[comm::Verb::kListTenants] = &Dispatcher::HandleListTenants;
-  table_[comm::Verb::kSaveGraph] = &Dispatcher::HandleSaveGraph;
-  table_[comm::Verb::kShutdown] = &Dispatcher::HandleShutdown;
-  table_[comm::Verb::kAddRule] = &Dispatcher::HandleAddRule;
-  table_[comm::Verb::kRetractRule] = &Dispatcher::HandleRetractRule;
-  table_[comm::Verb::kMine] = &Dispatcher::HandleMine;
+    : registry_(registry) {}
+
+StatusOr<service::TenantInstance*> Dispatcher::ReadyTenant(
+    const std::string& tenant) const {
+  service::TenantInstance* instance = registry_->Find(tenant);
+  if (instance == nullptr) {
+    return Status::NotFound("unknown tenant '" + tenant + "'");
+  }
+  DD_RETURN_IF_ERROR(instance->WaitReady());
+  return instance;
+}
+
+template <typename WriterBody>
+comm::Response Dispatcher::Handle(const std::string& tenant,
+                                  const WriterBody& body) const {
+  if (Status missing = CheckRequiredField(body); !missing.ok()) {
+    return comm::Response::Error(missing);
+  }
+  // No readiness wait: the writer thread runs queued jobs once the tenant is
+  // ready, and rejects them if its initialization failed.
+  service::TenantInstance* instance = registry_->Find(tenant);
+  if (instance == nullptr) {
+    return comm::Response::Error(
+        Status::NotFound("unknown tenant '" + tenant + "'"));
+  }
+  auto result = instance->Submit(body);
+  if (!result.ok()) {
+    comm::Response response = comm::Response::Error(result.status());
+    if (result.status().code() == StatusCode::kUnavailable) {
+      // The admission controller shed this update: tell the client when to
+      // come back instead of letting it hammer the queue.
+      response.retry_after_ms = instance->config().retry_after_ms;
+    }
+    return response;
+  }
+  comm::Response response;
+  response.body = std::move(result).value();
+  return response;
 }
 
 comm::Response Dispatcher::Dispatch(const comm::Request& request) const {
-  const auto it = table_.find(request.verb());
-  if (it == table_.end()) {
-    return comm::Response::Error(Status::Unimplemented(
-        std::string("no handler for verb ") + comm::VerbName(request.verb())));
-  }
-  return (this->*(it->second))(request);
+  return std::visit(
+      [&](const auto& body) { return Handle(request.tenant, body); },
+      request.body);
 }
 
-StatusOr<service::TenantInstance*> Dispatcher::ReadyTenant(
-    const comm::Request& request) const {
-  service::TenantInstance* tenant = registry_->Find(request.tenant);
-  if (tenant == nullptr) {
-    return Status::NotFound("unknown tenant '" + request.tenant + "'");
-  }
-  DD_RETURN_IF_ERROR(tenant->WaitReady());
-  return tenant;
-}
-
-comm::Response Dispatcher::HandleQuery(const comm::Request& request) const {
-  const auto& body = std::get<comm::QueryRequest>(request.body);
+comm::Response Dispatcher::Handle(const std::string& tenant,
+                                  const comm::QueryRequest& body) const {
   if (body.relation.empty()) {
     return comm::Response::Error(
         Status::InvalidArgument("query needs a relation"));
   }
-  auto tenant = ReadyTenant(request);
-  if (!tenant.ok()) return comm::Response::Error(tenant.status());
-  const std::shared_ptr<const core::DeepDive> dd = (*tenant)->deepdive();
+  auto instance = ReadyTenant(tenant);
+  if (!instance.ok()) return comm::Response::Error(instance.status());
+  const std::shared_ptr<const core::DeepDive> dd = (*instance)->deepdive();
   if (dd == nullptr) {
-    return comm::Response::Error(Status::FailedPrecondition(
-        "tenant '" + request.tenant + "' is stopped"));
+    return comm::Response::Error(
+        Status::FailedPrecondition("tenant '" + tenant + "' is stopped"));
   }
   // One lock-free pin answers the whole request; the writer thread keeps
   // publishing newer epochs underneath without blocking us.
@@ -113,35 +148,14 @@ comm::Response Dispatcher::HandleQuery(const comm::Request& request) const {
   return response;
 }
 
-comm::Response Dispatcher::HandleUpdate(const comm::Request& request) const {
-  service::TenantInstance* tenant = registry_->Find(request.tenant);
-  if (tenant == nullptr) {
-    return comm::Response::Error(
-        Status::NotFound("unknown tenant '" + request.tenant + "'"));
-  }
-  auto result = tenant->SubmitUpdate(std::get<comm::UpdateRequest>(request.body));
-  if (!result.ok()) {
-    comm::Response response = comm::Response::Error(result.status());
-    if (result.status().code() == StatusCode::kUnavailable) {
-      // The admission controller shed this update: tell the client when to
-      // come back instead of letting it hammer the queue.
-      response.retry_after_ms = tenant->config().retry_after_ms;
-    }
-    return response;
-  }
-  comm::Response response;
-  response.body = std::move(result).value();
-  return response;
-}
-
-comm::Response Dispatcher::HandleExport(const comm::Request& request) const {
-  const auto& body = std::get<comm::ExportRequest>(request.body);
-  auto tenant = ReadyTenant(request);
-  if (!tenant.ok()) return comm::Response::Error(tenant.status());
-  const std::shared_ptr<const core::DeepDive> dd = (*tenant)->deepdive();
+comm::Response Dispatcher::Handle(const std::string& tenant,
+                                  const comm::ExportRequest& body) const {
+  auto instance = ReadyTenant(tenant);
+  if (!instance.ok()) return comm::Response::Error(instance.status());
+  const std::shared_ptr<const core::DeepDive> dd = (*instance)->deepdive();
   if (dd == nullptr) {
-    return comm::Response::Error(Status::FailedPrecondition(
-        "tenant '" + request.tenant + "' is stopped"));
+    return comm::Response::Error(
+        Status::FailedPrecondition("tenant '" + tenant + "' is stopped"));
   }
   // Every chunk comes from this one pinned view: the export is a consistent
   // snapshot even while updates keep publishing.
@@ -165,28 +179,28 @@ comm::Response Dispatcher::HandleExport(const comm::Request& request) const {
   return response;
 }
 
-comm::Response Dispatcher::HandleStatus(const comm::Request& request) const {
+comm::Response Dispatcher::Handle(const std::string& tenant,
+                                  const comm::StatusRequest& /*body*/) const {
   comm::StatusResult result;
-  if (request.tenant.empty()) {
-    for (service::TenantInstance* tenant : registry_->All()) {
-      result.tenants.push_back(tenant->GetStatus());
+  if (tenant.empty()) {
+    for (service::TenantInstance* instance : registry_->All()) {
+      result.tenants.push_back(instance->GetStatus());
     }
   } else {
-    service::TenantInstance* tenant = registry_->Find(request.tenant);
-    if (tenant == nullptr) {
+    service::TenantInstance* instance = registry_->Find(tenant);
+    if (instance == nullptr) {
       return comm::Response::Error(
-          Status::NotFound("unknown tenant '" + request.tenant + "'"));
+          Status::NotFound("unknown tenant '" + tenant + "'"));
     }
-    result.tenants.push_back(tenant->GetStatus());
+    result.tenants.push_back(instance->GetStatus());
   }
   comm::Response response;
   response.body = std::move(result);
   return response;
 }
 
-comm::Response Dispatcher::HandleCreateTenant(
-    const comm::Request& request) const {
-  const auto& body = std::get<comm::CreateTenantRequest>(request.body);
+comm::Response Dispatcher::Handle(const std::string& /*tenant*/,
+                                  const comm::CreateTenantRequest& body) const {
   auto created = registry_->CreateTenant(body);
   if (!created.ok()) return comm::Response::Error(created.status());
   // Rendezvous with the new writer thread: the response carries the first
@@ -199,7 +213,9 @@ comm::Response Dispatcher::HandleCreateTenant(
   return response;
 }
 
-comm::Response Dispatcher::HandleListTenants(const comm::Request&) const {
+comm::Response Dispatcher::Handle(
+    const std::string& /*tenant*/,
+    const comm::ListTenantsRequest& /*body*/) const {
   comm::ListTenantsResult result;
   result.names = registry_->Names();
   comm::Response response;
@@ -207,64 +223,8 @@ comm::Response Dispatcher::HandleListTenants(const comm::Request&) const {
   return response;
 }
 
-comm::Response Dispatcher::HandleSaveGraph(const comm::Request& request) const {
-  const auto& body = std::get<comm::SaveGraphRequest>(request.body);
-  if (body.path.empty()) {
-    return comm::Response::Error(
-        Status::InvalidArgument("save_graph needs a path"));
-  }
-  auto tenant = ReadyTenant(request);
-  if (!tenant.ok()) return comm::Response::Error(tenant.status());
-  auto saved = (*tenant)->SaveGraph(body.path);
-  if (!saved.ok()) return comm::Response::Error(saved.status());
-  comm::Response response;
-  response.body = std::move(saved).value();
-  return response;
-}
-
-comm::Response Dispatcher::HandleAddRule(const comm::Request& request) const {
-  const auto& body = std::get<comm::AddRuleRequest>(request.body);
-  if (body.rule.empty()) {
-    return comm::Response::Error(
-        Status::InvalidArgument("add_rule needs a rule fragment"));
-  }
-  auto tenant = ReadyTenant(request);
-  if (!tenant.ok()) return comm::Response::Error(tenant.status());
-  auto result = (*tenant)->SubmitAddRule(body);
-  if (!result.ok()) return comm::Response::Error(result.status());
-  comm::Response response;
-  response.body = std::move(result).value();
-  return response;
-}
-
-comm::Response Dispatcher::HandleRetractRule(
-    const comm::Request& request) const {
-  const auto& body = std::get<comm::RetractRuleRequest>(request.body);
-  if (body.label.empty()) {
-    return comm::Response::Error(
-        Status::InvalidArgument("retract_rule needs a label"));
-  }
-  auto tenant = ReadyTenant(request);
-  if (!tenant.ok()) return comm::Response::Error(tenant.status());
-  auto result = (*tenant)->SubmitRetractRule(body);
-  if (!result.ok()) return comm::Response::Error(result.status());
-  comm::Response response;
-  response.body = std::move(result).value();
-  return response;
-}
-
-comm::Response Dispatcher::HandleMine(const comm::Request& request) const {
-  const auto& body = std::get<comm::MineRequest>(request.body);
-  auto tenant = ReadyTenant(request);
-  if (!tenant.ok()) return comm::Response::Error(tenant.status());
-  auto result = (*tenant)->SubmitMine(body);
-  if (!result.ok()) return comm::Response::Error(result.status());
-  comm::Response response;
-  response.body = std::move(result).value();
-  return response;
-}
-
-comm::Response Dispatcher::HandleShutdown(const comm::Request&) const {
+comm::Response Dispatcher::Handle(const std::string& /*tenant*/,
+                                  const comm::ShutdownRequest& /*body*/) const {
   if (shutdown_callback_) shutdown_callback_();
   comm::Response response;
   response.message = "draining";

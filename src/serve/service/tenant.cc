@@ -89,84 +89,18 @@ std::shared_ptr<const core::DeepDive> TenantInstance::deepdive() const {
   return engine_;
 }
 
-StatusOr<comm::UpdateResult> TenantInstance::SubmitUpdate(
-    comm::UpdateRequest request) {
-  Job job;
-  job.kind = Job::Kind::kUpdate;
-  job.update = std::move(request);
-  std::future<StatusOr<comm::UpdateResult>> done = job.update_done.get_future();
-  if (!queue_.TryPush(std::move(job))) {
-    if (queue_.closed()) {
-      return Status::FailedPrecondition("tenant '" + name_ + "' is stopped");
-    }
-    // ordering: relaxed — monotone shed counter, reported by GetStatus; the
-    // rejection itself travels by return value.
-    updates_shed_.fetch_add(1, std::memory_order_relaxed);
-    return Status::Unavailable("update queue for tenant '" + name_ +
-                               "' is at its admission watermark; retry later");
+Status TenantInstance::Enqueue(std::unique_ptr<Job> job, bool sheds) {
+  if (sheds ? queue_.TryPush(std::move(job)) : queue_.Push(std::move(job))) {
+    return Status::OK();
   }
-  return done.get();
-}
-
-StatusOr<comm::SaveGraphResult> TenantInstance::SaveGraph(
-    const std::string& path) {
-  Job job;
-  job.kind = Job::Kind::kSaveGraph;
-  job.save_path = path;
-  std::future<StatusOr<comm::SaveGraphResult>> done =
-      job.save_done.get_future();
-  if (!queue_.Push(std::move(job))) {
+  if (queue_.closed()) {
     return Status::FailedPrecondition("tenant '" + name_ + "' is stopped");
   }
-  return done.get();
-}
-
-StatusOr<comm::AddRuleResult> TenantInstance::SubmitAddRule(
-    comm::AddRuleRequest request) {
-  Job job;
-  job.kind = Job::Kind::kAddRule;
-  job.add_rule = std::move(request);
-  std::future<StatusOr<comm::AddRuleResult>> done =
-      job.add_rule_done.get_future();
-  if (!queue_.Push(std::move(job))) {
-    return Status::FailedPrecondition("tenant '" + name_ + "' is stopped");
-  }
-  return done.get();
-}
-
-StatusOr<comm::RetractRuleResult> TenantInstance::SubmitRetractRule(
-    comm::RetractRuleRequest request) {
-  Job job;
-  job.kind = Job::Kind::kRetractRule;
-  job.retract_rule = std::move(request);
-  std::future<StatusOr<comm::RetractRuleResult>> done =
-      job.retract_rule_done.get_future();
-  if (!queue_.Push(std::move(job))) {
-    return Status::FailedPrecondition("tenant '" + name_ + "' is stopped");
-  }
-  return done.get();
-}
-
-StatusOr<comm::MineResult> TenantInstance::SubmitMine(
-    comm::MineRequest request) {
-  Job job;
-  job.kind = Job::Kind::kMine;
-  job.mine = request;
-  std::future<StatusOr<comm::MineResult>> done = job.mine_done.get_future();
-  if (!queue_.Push(std::move(job))) {
-    return Status::FailedPrecondition("tenant '" + name_ + "' is stopped");
-  }
-  return done.get();
-}
-
-StatusOr<TenantInstance::DrainReport> TenantInstance::Drain() {
-  Job job;
-  job.kind = Job::Kind::kDrain;
-  std::future<StatusOr<DrainReport>> done = job.drain_done.get_future();
-  if (!queue_.Push(std::move(job))) {
-    return Status::FailedPrecondition("tenant '" + name_ + "' is stopped");
-  }
-  return done.get();
+  // ordering: relaxed — monotone shed counter, reported by GetStatus; the
+  // rejection itself travels by return value.
+  updates_shed_.fetch_add(1, std::memory_order_relaxed);
+  return Status::Unavailable("update queue for tenant '" + name_ +
+                             "' is at its admission watermark; retry later");
 }
 
 comm::TenantStatus TenantInstance::GetStatus() const {
@@ -227,10 +161,11 @@ void TenantInstance::ServeLoop() {
     ready_cv_.NotifyAll();
     // Keep consuming so queued/incoming jobs fail fast instead of hanging,
     // until the registry closes the queue.
-    while (std::optional<Job> job = queue_.Pop()) {
-      RejectJob(&*job, Status::FailedPrecondition(
-                           "tenant '" + name_ + "' failed to initialize: " +
-                           built.status().message()));
+    const Status rejection = Status::FailedPrecondition(
+        "tenant '" + name_ + "' failed to initialize: " +
+        built.status().message());
+    while (std::optional<std::unique_ptr<Job>> job = queue_.Pop()) {
+      (*job)->Reject(rejection);
     }
     return;
   }
@@ -248,41 +183,8 @@ void TenantInstance::ServeLoop() {
   }
   ready_cv_.NotifyAll();
 
-  while (std::optional<Job> job = queue_.Pop()) {
-    switch (job->kind) {
-      case Job::Kind::kUpdate: {
-        std::function<void()> hook;
-        {
-          MutexLock lock(mu_);
-          hook = pre_update_hook_;
-        }
-        if (hook) hook();
-        auto result = ExecuteUpdate(dd.get(), std::move(job->update));
-        if (result.ok()) {
-          // ordering: relaxed — monotone counter read by GetStatus; the
-          // waiting submitter is synchronized by the promise below.
-          updates_applied_.fetch_add(1, std::memory_order_relaxed);
-        }
-        job->update_done.set_value(std::move(result));
-        break;
-      }
-      case Job::Kind::kSaveGraph:
-        job->save_done.set_value(ExecuteSaveGraph(dd.get(), job->save_path));
-        break;
-      case Job::Kind::kDrain:
-        job->drain_done.set_value(ExecuteDrain(dd.get()));
-        break;
-      case Job::Kind::kAddRule:
-        job->add_rule_done.set_value(ExecuteAddRule(dd.get(), job->add_rule));
-        break;
-      case Job::Kind::kRetractRule:
-        job->retract_rule_done.set_value(
-            ExecuteRetractRule(dd.get(), job->retract_rule));
-        break;
-      case Job::Kind::kMine:
-        job->mine_done.set_value(ExecuteMine(dd.get(), job->mine));
-        break;
-    }
+  while (std::optional<std::unique_ptr<Job>> job = queue_.Pop()) {
+    (*job)->Run(this, dd.get());
   }
 
   // The miner unregisters its relation-delta listener on destruction, so it
@@ -332,8 +234,14 @@ StatusOr<std::shared_ptr<core::DeepDive>> TenantInstance::BuildEngine() {
   return std::shared_ptr<core::DeepDive>(std::move(dd));
 }
 
-StatusOr<comm::UpdateResult> TenantInstance::ExecuteUpdate(
-    core::DeepDive* dd, comm::UpdateRequest request) {
+StatusOr<comm::UpdateResult> TenantInstance::Execute(
+    core::DeepDive* dd, const comm::UpdateRequest& request) {
+  std::function<void()> hook;
+  {
+    MutexLock lock(mu_);
+    hook = pre_update_hook_;
+  }
+  if (hook) hook();
   core::UpdateSpec spec;
   if (request.label.empty()) {
     // ordering: relaxed — the writer thread is the only incrementer, so the
@@ -364,8 +272,11 @@ StatusOr<comm::UpdateResult> TenantInstance::ExecuteUpdate(
                         ParseRows(*schema, payload.relation, payload.tsv));
     spec.inserts[payload.relation] = std::move(rows);
   }
-  spec.add_rules = std::move(request.rules);
+  spec.add_rules = request.rules;
   DD_ASSIGN_OR_RETURN(incremental::UpdateReport report, dd->ApplyUpdate(spec));
+  // ordering: relaxed — monotone counter read by GetStatus; the waiting
+  // submitter is synchronized by its job's promise.
+  updates_applied_.fetch_add(1, std::memory_order_relaxed);
   comm::UpdateResult result;
   result.epoch = report.epoch;
   result.label = report.label;
@@ -377,11 +288,11 @@ StatusOr<comm::UpdateResult> TenantInstance::ExecuteUpdate(
   return result;
 }
 
-StatusOr<comm::SaveGraphResult> TenantInstance::ExecuteSaveGraph(
-    core::DeepDive* dd, const std::string& path) {
+StatusOr<comm::SaveGraphResult> TenantInstance::Execute(
+    core::DeepDive* dd, const comm::SaveGraphRequest& request) {
   const factor::CompiledGraph compiled =
       factor::CompiledGraph::Compile(dd->ground().graph);
-  DD_RETURN_IF_ERROR(factor::SaveCompiledGraph(compiled, path));
+  DD_RETURN_IF_ERROR(factor::SaveCompiledGraph(compiled, request.path));
   comm::SaveGraphResult result;
   result.checksum = compiled.Checksum();
   result.image_bytes = compiled.image_bytes();
@@ -390,8 +301,8 @@ StatusOr<comm::SaveGraphResult> TenantInstance::ExecuteSaveGraph(
   return result;
 }
 
-StatusOr<TenantInstance::DrainReport> TenantInstance::ExecuteDrain(
-    core::DeepDive* dd) {
+StatusOr<TenantInstance::DrainReport> TenantInstance::Execute(
+    core::DeepDive* dd, const DrainRequest& /*request*/) {
   DrainReport report;
   if (auto* engine = dd->incremental_engine(); engine != nullptr) {
     DD_RETURN_IF_ERROR(engine->WaitForMaterialization());
@@ -404,9 +315,10 @@ StatusOr<TenantInstance::DrainReport> TenantInstance::ExecuteDrain(
   return report;
 }
 
-StatusOr<comm::AddRuleResult> TenantInstance::ExecuteAddRule(
-    core::DeepDive* dd, const comm::AddRuleRequest& r) {
-  DD_ASSIGN_OR_RETURN(incremental::UpdateReport report, dd->AddRule(r.rule));
+StatusOr<comm::AddRuleResult> TenantInstance::Execute(
+    core::DeepDive* dd, const comm::AddRuleRequest& request) {
+  DD_ASSIGN_OR_RETURN(incremental::UpdateReport report,
+                      dd->AddRule(request.rule));
   comm::AddRuleResult result;
   result.epoch = report.epoch;
   result.label = report.label;
@@ -421,10 +333,10 @@ StatusOr<comm::AddRuleResult> TenantInstance::ExecuteAddRule(
   return result;
 }
 
-StatusOr<comm::RetractRuleResult> TenantInstance::ExecuteRetractRule(
-    core::DeepDive* dd, const comm::RetractRuleRequest& r) {
+StatusOr<comm::RetractRuleResult> TenantInstance::Execute(
+    core::DeepDive* dd, const comm::RetractRuleRequest& request) {
   DD_ASSIGN_OR_RETURN(incremental::UpdateReport report,
-                      dd->RetractRule(r.label));
+                      dd->RetractRule(request.label));
   comm::RetractRuleResult result;
   result.epoch = report.epoch;
   result.strategy = incremental::StrategyName(report.strategy);
@@ -435,7 +347,7 @@ StatusOr<comm::RetractRuleResult> TenantInstance::ExecuteRetractRule(
   return result;
 }
 
-StatusOr<comm::MineResult> TenantInstance::ExecuteMine(
+StatusOr<comm::MineResult> TenantInstance::Execute(
     core::DeepDive* dd, const comm::MineRequest& r) {
   const bool thresholds_changed =
       miner_ != nullptr && (miner_request_.min_support != r.min_support ||
@@ -460,29 +372,6 @@ StatusOr<comm::MineResult> TenantInstance::ExecuteMine(
   result.rule_count = dd->NumRules();
   result.rules_fingerprint = dd->RulesFingerprint();
   return result;
-}
-
-void TenantInstance::RejectJob(Job* job, const Status& status) {
-  switch (job->kind) {
-    case Job::Kind::kUpdate:
-      job->update_done.set_value(status);
-      break;
-    case Job::Kind::kSaveGraph:
-      job->save_done.set_value(status);
-      break;
-    case Job::Kind::kDrain:
-      job->drain_done.set_value(status);
-      break;
-    case Job::Kind::kAddRule:
-      job->add_rule_done.set_value(status);
-      break;
-    case Job::Kind::kRetractRule:
-      job->retract_rule_done.set_value(status);
-      break;
-    case Job::Kind::kMine:
-      job->mine_done.set_value(status);
-      break;
-  }
 }
 
 }  // namespace deepdive::serve::service

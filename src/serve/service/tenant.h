@@ -7,6 +7,8 @@
 #include <future>
 #include <memory>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/deepdive.h"
@@ -35,11 +37,12 @@ inference::Parallelism ParallelismOf(const comm::TenantConfig& config);
 ///     ONLY thread that ever touches the DeepDive's REQUIRES(serving_thread)
 ///     surface — creation, LoadRows, Initialize, ApplyUpdate, snapshot
 ///     compilation, materialization drain, and destruction all happen there.
-///   - SubmitUpdate / SaveGraph / Drain run on arbitrary connection threads:
-///     they enqueue a job carrying a promise and block on its future. The
-///     queue sheds at its watermark (Status::Unavailable — the caller turns
-///     that into a retry-after response); admin jobs use the blocking Push
-///     and are never shed.
+///   - Submit runs on arbitrary connection threads: it enqueues one job,
+///     the request with a promise, and blocks on its future. The writer runs
+///     every job through the request's Execute overload. An update sheds at
+///     the queue's watermark (Status::Unavailable — the caller turns that
+///     into a retry-after response); every other request uses the blocking
+///     Push and is never shed.
 ///   - Query/WaitReady/GetStatus are the read plane: they touch only the
 ///     capability-free surfaces (Query(), WaitForView(), config()) through a
 ///     shared_ptr published once the tenant is ready, so readers are safe
@@ -79,40 +82,29 @@ class TenantInstance {
   /// alive across a concurrent Stop, so pinned views never dangle.
   std::shared_ptr<const core::DeepDive> deepdive() const EXCLUDES(mu_);
 
-  /// Enqueues one update for the writer thread and blocks until it has been
-  /// applied (or rejected). Sheds with Status::Unavailable once the queue
-  /// depth reaches the config watermark — the admission-control contract;
-  /// callers attach config().retry_after_ms. FailedPrecondition after Stop.
-  StatusOr<comm::UpdateResult> SubmitUpdate(comm::UpdateRequest request);
+  /// A service-tier request, not a wire verb: waits until the writer has
+  /// drained background materialization and surfaces any async build failure
+  /// (the in-process CLI's pre-export barrier).
+  struct DrainRequest {};
 
-  /// Compiles + saves the current graph snapshot on the writer thread and
-  /// returns its identity (checksum, size, marginals fingerprint). Admin
-  /// job: blocks for queue space instead of shedding.
-  StatusOr<comm::SaveGraphResult> SaveGraph(const std::string& path);
-
-  /// Program evolution on the writer thread. Rule deltas are rare relative
-  /// to data updates, so like admin jobs they block for queue space instead
-  /// of shedding.
-  StatusOr<comm::AddRuleResult> SubmitAddRule(comm::AddRuleRequest request);
-  StatusOr<comm::RetractRuleResult> SubmitRetractRule(
-      comm::RetractRuleRequest request);
-  /// One rule-mining pass (candidate generation + engine trials). The miner
-  /// and its co-occurrence statistics are created lazily on the writer
-  /// thread at the first mine and kept incremental afterwards; a request
-  /// with different thresholds rebuilds it.
-  StatusOr<comm::MineResult> SubmitMine(comm::MineRequest request);
-
-  /// Outcome of a Drain(): where the materialization pipeline ended up
-  /// (both zero in rerun mode, which has no materialization).
+  /// What a DrainRequest reports: where the materialization pipeline ended
+  /// up (both zero in rerun mode, which has no materialization).
   struct DrainReport {
     uint64_t snapshot_generation = 0;
     size_t samples_collected = 0;
   };
 
-  /// Waits until the writer has drained background materialization, and
-  /// surfaces any async build failure (the in-process CLI's pre-export
-  /// barrier). Admin job, never shed.
-  StatusOr<DrainReport> Drain();
+  /// The one write entry. Enqueues `request` (a comm::UpdateRequest,
+  /// SaveGraphRequest, AddRuleRequest, RetractRuleRequest or MineRequest, or
+  /// a DrainRequest) for the writer thread, blocks until it has run there,
+  /// and returns what its Execute overload returned. Only an update sheds:
+  /// once the queue depth reaches the config watermark it returns
+  /// Status::Unavailable at once (the admission-control contract; callers
+  /// attach config().retry_after_ms). Every other request blocks for queue
+  /// space. FailedPrecondition after Stop, and for every request to a tenant
+  /// whose initialization failed.
+  template <typename Request>
+  auto Submit(Request request);
 
   /// Serving statistics snapshot; callable from any thread at any phase.
   comm::TenantStatus GetStatus() const EXCLUDES(mu_);
@@ -122,63 +114,84 @@ class TenantInstance {
   /// call from the owning (registry) thread only.
   void Stop();
 
-  /// Test hook: runs on the writer thread at the start of every update job
-  /// (before ApplyUpdate). Lets saturation tests stall the consumer
+  /// Test hook: runs on the writer thread at the start of every update
+  /// request (before ApplyUpdate). Lets saturation tests stall the consumer
   /// deterministically. Set before submitting updates.
   void SetPreUpdateHookForTest(std::function<void()> hook) EXCLUDES(mu_);
 
  private:
   enum class Phase { kStarting, kReady, kFailed, kStopped };
 
+  /// One queued request. The writer thread Runs it, or the loop of a tenant
+  /// whose initialization failed Rejects it; either fulfils the submitter's
+  /// promise once.
   struct Job {
-    enum class Kind { kUpdate, kSaveGraph, kDrain, kAddRule, kRetractRule, kMine };
-    Kind kind = Kind::kUpdate;
-    comm::UpdateRequest update;
-    std::string save_path;
-    comm::AddRuleRequest add_rule;
-    comm::RetractRuleRequest retract_rule;
-    comm::MineRequest mine;
-    std::promise<StatusOr<comm::UpdateResult>> update_done;
-    std::promise<StatusOr<comm::SaveGraphResult>> save_done;
-    std::promise<StatusOr<DrainReport>> drain_done;
-    std::promise<StatusOr<comm::AddRuleResult>> add_rule_done;
-    std::promise<StatusOr<comm::RetractRuleResult>> retract_rule_done;
-    std::promise<StatusOr<comm::MineResult>> mine_done;
+    Job() = default;
+    Job(const Job&) = delete;
+    Job& operator=(const Job&) = delete;
+    virtual ~Job() = default;
+    virtual void Run(TenantInstance* tenant, core::DeepDive* dd)
+        REQUIRES(serving_thread) = 0;
+    virtual void Reject(const Status& status) = 0;
   };
 
   /// The writer thread's whole life: build + init the engine, publish
-  /// readiness, consume jobs until the queue closes, drain, unpublish.
+  /// readiness, run jobs until the queue closes, drain, unpublish.
   void ServeLoop();
 
   StatusOr<std::shared_ptr<core::DeepDive>> BuildEngine()
       REQUIRES(serving_thread);
-  StatusOr<comm::UpdateResult> ExecuteUpdate(core::DeepDive* dd,
-                                             comm::UpdateRequest request)
+
+  /// Each request's work on the writer thread. The update overload also
+  /// runs the pre-update test hook and counts updates_applied.
+  StatusOr<comm::UpdateResult> Execute(core::DeepDive* dd,
+                                       const comm::UpdateRequest& request)
       REQUIRES(serving_thread);
-  StatusOr<comm::SaveGraphResult> ExecuteSaveGraph(core::DeepDive* dd,
-                                                   const std::string& path)
+  StatusOr<comm::SaveGraphResult> Execute(
+      core::DeepDive* dd, const comm::SaveGraphRequest& request)
       REQUIRES(serving_thread);
-  StatusOr<DrainReport> ExecuteDrain(core::DeepDive* dd)
+  StatusOr<comm::AddRuleResult> Execute(core::DeepDive* dd,
+                                        const comm::AddRuleRequest& request)
       REQUIRES(serving_thread);
-  StatusOr<comm::AddRuleResult> ExecuteAddRule(core::DeepDive* dd,
-                                               const comm::AddRuleRequest& r)
+  StatusOr<comm::RetractRuleResult> Execute(
+      core::DeepDive* dd, const comm::RetractRuleRequest& request)
       REQUIRES(serving_thread);
-  StatusOr<comm::RetractRuleResult> ExecuteRetractRule(
-      core::DeepDive* dd, const comm::RetractRuleRequest& r)
+  StatusOr<comm::MineResult> Execute(core::DeepDive* dd,
+                                     const comm::MineRequest& request)
       REQUIRES(serving_thread);
-  StatusOr<comm::MineResult> ExecuteMine(core::DeepDive* dd,
-                                         const comm::MineRequest& r)
+  StatusOr<DrainReport> Execute(core::DeepDive* dd, const DrainRequest& request)
       REQUIRES(serving_thread);
-  /// Fulfils a job's promise with `status` (used to reject queued jobs when
-  /// the tenant failed to initialize or is stopping).
-  static void RejectJob(Job* job, const Status& status);
+
+  /// A request and the promise of its Execute overload's result.
+  template <typename Request>
+  struct RequestJob final : Job {
+    using Result = decltype(std::declval<TenantInstance&>().Execute(
+        std::declval<core::DeepDive*>(), std::declval<const Request&>()));
+
+    explicit RequestJob(Request r) : request(std::move(r)) {}
+    void Run(TenantInstance* tenant, core::DeepDive* dd) override
+        REQUIRES(serving_thread) {
+      done.set_value(tenant->Execute(dd, request));
+    }
+    void Reject(const Status& status) override {
+      done.set_value(Result(status));
+    }
+
+    Request request;
+    std::promise<Result> done;
+  };
+
+  /// Queues `job`: TryPush when it `sheds` (counting the shed), else the
+  /// blocking Push. OK once queued; Unavailable on a shed; FailedPrecondition
+  /// once the queue is closed.
+  Status Enqueue(std::unique_ptr<Job> job, bool sheds);
 
   const std::string name_;
   const std::string program_source_;
   const comm::TenantConfig config_;
   std::vector<comm::DataPayload> base_data_;  // consumed by BuildEngine
 
-  BoundedQueue<Job> queue_;
+  BoundedQueue<std::unique_ptr<Job>> queue_;
 
   mutable Mutex mu_;
   mutable CondVar ready_cv_;
@@ -190,9 +203,10 @@ class TenantInstance {
   std::shared_ptr<core::DeepDive> engine_ GUARDED_BY(mu_);
   std::function<void()> pre_update_hook_ GUARDED_BY(mu_);
 
-  /// Writer-thread-only rule miner, created lazily by the first kMine job
-  /// and destroyed by ServeLoop before the engine is unpublished (its
-  /// destructor unregisters the engine's relation-delta listener).
+  /// Writer-thread-only rule miner, created lazily by the first mine request
+  /// (and rebuilt by one with different thresholds), then kept incremental;
+  /// destroyed by ServeLoop before the engine is unpublished (its destructor
+  /// unregisters the engine's relation-delta listener).
   std::unique_ptr<mining::RuleMiner> miner_ GUARDED_BY(serving_thread);
   comm::MineRequest miner_request_ GUARDED_BY(serving_thread);
 
@@ -204,6 +218,17 @@ class TenantInstance {
   /// the tenant's serving thread. Reset (joined) by Stop().
   std::unique_ptr<ThreadPool> writer_;
 };
+
+template <typename Request>
+auto TenantInstance::Submit(Request request) {
+  using Result = typename RequestJob<Request>::Result;
+  auto job = std::make_unique<RequestJob<Request>>(std::move(request));
+  std::future<Result> done = job->done.get_future();
+  const Status queued =
+      Enqueue(std::move(job), std::is_same_v<Request, comm::UpdateRequest>);
+  if (!queued.ok()) return Result(queued);
+  return done.get();
+}
 
 }  // namespace deepdive::serve::service
 

@@ -303,6 +303,51 @@ TEST(DeepDiveTest, UpdateNegatedFactorRuleCannotAbsorbChangesNothing) {
   EXPECT_EQ((*dd)->db()->GetTable("Q")->size(), 3u);
 }
 
+// An update's rows are checked before its fragment merges. An update that
+// brings a rule and a relation, and whose rows are rejected, leaves no rule,
+// fingerprint change or table behind, so the same fragment applies later.
+TEST(DeepDiveTest, UpdateRejectedForItsRowsLeavesItsFragmentUnmerged) {
+  deepdive::serving_thread.AssertHeld();
+  auto dd = DeepDive::Create(R"(
+    relation A(x: int).
+    relation B(x: int).
+    query relation Q(x: int).
+    rule CAND: Q(x) :- A(x).
+    factor F: Q(x) :- A(x), !B(x) weight = 1.0.
+  )", FastTestConfig());
+  ASSERT_TRUE(dd.ok()) << dd.status().ToString();
+  ASSERT_TRUE((*dd)->LoadRows("A", {{Value(1)}, {Value(2)}}).ok());
+  ASSERT_TRUE((*dd)->Initialize().ok());
+  const size_t rules = (*dd)->NumRules();
+  const uint64_t fingerprint = (*dd)->RulesFingerprint();
+  const uint64_t version = (*dd)->program_version();
+  ASSERT_EQ(rules, 2u);
+
+  UpdateSpec negated;  // a row the negated atom of F reads
+  negated.inserts["B"] = {{Value(1)}};
+  UpdateSpec absent;  // a row deleted from the relation the update declares
+  absent.deletes["C"] = {{Value(1)}};
+  for (UpdateSpec* spec : {&negated, &absent}) {
+    spec->add_rules = R"(
+      relation C(x: int).
+      factor G: Q(x) :- A(x), C(x) weight = 0.5.
+    )";
+  }
+  EXPECT_EQ((*dd)->ApplyUpdate(negated).status().code(), StatusCode::kUnimplemented);
+  EXPECT_EQ((*dd)->ApplyUpdate(absent).status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ((*dd)->NumRules(), rules);
+  EXPECT_EQ((*dd)->RulesFingerprint(), fingerprint);
+  EXPECT_EQ((*dd)->program_version(), version);
+  EXPECT_FALSE((*dd)->db()->HasTable("C"));
+
+  negated.inserts.clear();
+  negated.inserts["C"] = {{Value(1)}};
+  auto report = (*dd)->ApplyUpdate(negated);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ((*dd)->NumRules(), rules + 1);
+  EXPECT_EQ((*dd)->db()->GetTable("C")->size(), 1u);
+}
+
 TEST(DeepDiveTest, UnknownRemoveLabelIsError) {
   deepdive::serving_thread.AssertHeld();
   auto dd = Make(ExecutionMode::kIncremental);

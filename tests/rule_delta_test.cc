@@ -244,6 +244,60 @@ TEST(RuleDeltaTest, ExactRestoreAfterInstallLogsWeightReverts) {
   }
 }
 
+std::vector<double> WeightValues(const factor::FactorGraph& graph) {
+  std::vector<double> values(graph.NumWeights());
+  for (size_t w = 0; w < values.size(); ++w) values[w] = graph.WeightValue(w);
+  return values;
+}
+
+/// The rule journal lives in the apply step, so an add and the removal right
+/// after it restore exactly whichever verb carries each: AddRule or an
+/// ApplyUpdate whose only change is the rule, then RetractRule or an
+/// ApplyUpdate whose only change removes its label. With an update in
+/// between, the removal re-infers.
+TEST(RuleDeltaTest, AddThenRemoveRestoresExactlyWhicheverVerbCarriesThem) {
+  deepdive::serving_thread.AssertHeld();
+  UpdateSpec add;
+  add.label = "add FW";
+  add.add_rules = kLearnedRule;
+  UpdateSpec remove;
+  remove.label = "remove FW";
+  remove.remove_rule_labels = {"FW"};
+  for (const bool add_by_update : {false, true}) {
+    for (const bool remove_by_update : {false, true}) {
+      SCOPED_TRACE(std::string(add_by_update ? "ApplyUpdate" : "AddRule") + " then " +
+                   (remove_by_update ? "ApplyUpdate" : "RetractRule"));
+      auto dd = Make(FastTestConfig(), LabelRows());
+      const std::vector<double> marginals_before = dd->Query()->marginals;
+      const std::vector<double> weights_before = WeightValues(dd->ground().graph);
+
+      auto added = add_by_update ? dd->ApplyUpdate(add) : dd->AddRule(kLearnedRule);
+      ASSERT_TRUE(added.ok()) << added.status().ToString();
+      ASSERT_NE(dd->Query()->marginals, marginals_before);
+      auto removed = remove_by_update ? dd->ApplyUpdate(remove) : dd->RetractRule("FW");
+      ASSERT_TRUE(removed.ok()) << removed.status().ToString();
+      EXPECT_DOUBLE_EQ(removed->acceptance_rate, 1.0);
+      EXPECT_EQ(removed->affected_vars, 0u);
+      EXPECT_EQ(dd->Query()->marginals, marginals_before);
+      const std::vector<double> weights_after = WeightValues(dd->ground().graph);
+      ASSERT_GE(weights_after.size(), weights_before.size());
+      for (size_t w = 0; w < weights_before.size(); ++w) {
+        EXPECT_EQ(weights_after[w], weights_before[w]) << "weight " << w;
+      }
+
+      // An update between the add and the removal makes the journal stale.
+      ASSERT_TRUE((add_by_update ? dd->ApplyUpdate(add) : dd->AddRule(kLearnedRule)).ok());
+      UpdateSpec person;
+      person.label = "person";
+      person.inserts["Person"] = {{Value(3), Value(30)}, {Value(3), Value(31)}};
+      ASSERT_TRUE(dd->ApplyUpdate(person).ok());
+      auto reinferred = remove_by_update ? dd->ApplyUpdate(remove) : dd->RetractRule("FW");
+      ASSERT_TRUE(reinferred.ok()) << reinferred.status().ToString();
+      EXPECT_GT(reinferred->affected_vars, 0u);
+    }
+  }
+}
+
 TEST(RuleDeltaTest, RerunModeRoutesRuleDeltasThroughFullPipeline) {
   deepdive::serving_thread.AssertHeld();
   DeepDiveConfig config = FastTestConfig();

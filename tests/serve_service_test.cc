@@ -15,6 +15,7 @@
 #include "core/deepdive.h"
 #include "factor/compiled_graph.h"
 #include "serve/comm/messages.h"
+#include "serve/handlers/handlers.h"
 #include "serve/service/flags.h"
 #include "serve/service/registry.h"
 #include "serve/service/tenant.h"
@@ -89,7 +90,7 @@ TEST(TenantIsolationTest, TwoProgramsServeIndependently) {
   const uint64_t vote_hash_before = vote->deepdive()->Query()->content_hash;
   comm::UpdateRequest grow;
   grow.inserts.push_back({"Person", "2\t20\n2\t21\n"});
-  auto applied = spouse->SubmitUpdate(std::move(grow));
+  auto applied = spouse->Submit(std::move(grow));
   ASSERT_TRUE(applied.ok()) << applied.status().ToString();
   EXPECT_EQ(applied->epoch, 2u);
   EXPECT_EQ(spouse->deepdive()->Query()->epoch, 2u);
@@ -116,14 +117,14 @@ TEST(TenantIsolationTest, InterleavedUpdatesKeepPerTenantEpochsMonotone) {
                        std::to_string(50 + round) + "\n" +
                        std::to_string(round + 5) + "\t" +
                        std::to_string(60 + round) + "\n"});
-    auto spouse_applied = spouse->SubmitUpdate(std::move(grow_spouse));
+    auto spouse_applied = spouse->Submit(std::move(grow_spouse));
     ASSERT_TRUE(spouse_applied.ok()) << spouse_applied.status().ToString();
     EXPECT_EQ(spouse_applied->epoch, round + 2);
 
     comm::UpdateRequest grow_vote;
     grow_vote.inserts.push_back(
         {"Endorses", "3\t" + std::to_string(200 + round) + "\n"});
-    auto vote_applied = vote->SubmitUpdate(std::move(grow_vote));
+    auto vote_applied = vote->Submit(std::move(grow_vote));
     ASSERT_TRUE(vote_applied.ok()) << vote_applied.status().ToString();
     EXPECT_EQ(vote_applied->epoch, round + 2);
 
@@ -171,14 +172,14 @@ TEST(TenantIsolationTest, QueueSaturationShedsWithoutAffectingOtherTenant) {
   ThreadPool submitters(3, /*inline_when_single=*/false);
   // U1 is popped by the writer, which then stalls inside the hook...
   submitters.Submit([&spouse, &make_update] {
-    auto result = spouse->SubmitUpdate(make_update(1));
+    auto result = spouse->Submit(make_update(1));
     EXPECT_TRUE(result.ok()) << result.status().ToString();
   });
   ASSERT_TRUE(entered.Pop().has_value());  // ...confirmed: queue is empty.
   // U2/U3 fill the queue up to the shed watermark (depth 2).
   for (int i = 2; i <= 3; ++i) {
     submitters.Submit([&spouse, &make_update, i] {
-      auto result = spouse->SubmitUpdate(make_update(i));
+      auto result = spouse->Submit(make_update(i));
       EXPECT_TRUE(result.ok()) << result.status().ToString();
     });
   }
@@ -189,7 +190,7 @@ TEST(TenantIsolationTest, QueueSaturationShedsWithoutAffectingOtherTenant) {
   }
 
   // U4 must shed: structured Unavailable, counted, and non-blocking.
-  auto shed = spouse->SubmitUpdate(make_update(4));
+  auto shed = spouse->Submit(make_update(4));
   ASSERT_FALSE(shed.ok());
   EXPECT_EQ(shed.status().code(), StatusCode::kUnavailable);
   EXPECT_EQ(spouse->GetStatus().updates_shed, 1u);
@@ -200,7 +201,7 @@ TEST(TenantIsolationTest, QueueSaturationShedsWithoutAffectingOtherTenant) {
   EXPECT_EQ(vote->deepdive()->Query()->epoch, 1u);
   comm::UpdateRequest vote_update;
   vote_update.inserts.push_back({"Endorses", "4\t300\n"});
-  auto vote_applied = vote->SubmitUpdate(std::move(vote_update));
+  auto vote_applied = vote->Submit(std::move(vote_update));
   ASSERT_TRUE(vote_applied.ok()) << vote_applied.status().ToString();
   EXPECT_EQ(vote_applied->epoch, 2u);
 
@@ -220,6 +221,27 @@ TEST(TenantIsolationTest, QueueSaturationShedsWithoutAffectingOtherTenant) {
 // ---------------------------------------------------------------------------
 // Lifecycle.
 
+/// Submits one request of every type, each valid for a running spouse
+/// tenant, and expects each to fail with `code`.
+void ExpectEveryRequestRejected(TenantInstance* tenant, StatusCode code) {
+  comm::UpdateRequest update;
+  update.inserts.push_back({"Person", "7\t70\n7\t71\n"});
+  EXPECT_EQ(tenant->Submit(update).status().code(), code);
+  EXPECT_EQ(tenant->Submit(comm::SaveGraphRequest{::testing::TempDir() + "never.bin"})
+                .status()
+                .code(),
+            code);
+  EXPECT_EQ(tenant->Submit(comm::AddRuleRequest{"factor EXTRA: HasSpouse(m1, m2) :- "
+                                                "Person(s, m1), Person(s, m2), m1 != m2 "
+                                                "weight = 0.5 semantics = logical."})
+                .status()
+                .code(),
+            code);
+  EXPECT_EQ(tenant->Submit(comm::RetractRuleRequest{"PRIOR"}).status().code(), code);
+  EXPECT_EQ(tenant->Submit(comm::MineRequest{}).status().code(), code);
+  EXPECT_EQ(tenant->Submit(TenantInstance::DrainRequest{}).status().code(), code);
+}
+
 TEST(TenantInstanceTest, StopRejectsSubsequentWorkButKeepsPinsAlive) {
   auto spouse = MakeSpouseTenant();
   ASSERT_TRUE(spouse->WaitReady().ok());
@@ -232,11 +254,8 @@ TEST(TenantInstanceTest, StopRejectsSubsequentWorkButKeepsPinsAlive) {
   EXPECT_EQ(spouse->deepdive(), nullptr);
   EXPECT_FALSE(spouse->GetStatus().ready);
 
-  auto rejected = spouse->SubmitUpdate(comm::UpdateRequest{});
-  ASSERT_FALSE(rejected.ok());
-  EXPECT_EQ(rejected.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_FALSE(spouse->SaveGraph("/tmp/never.bin").ok());
-  EXPECT_FALSE(spouse->Drain().ok());
+  ExpectEveryRequestRejected(spouse.get(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(spouse->GetStatus().updates_shed, 0u);
 
   // ...and the pin outlives Stop(): the view stays fully readable.
   EXPECT_EQ(pinned->epoch, pinned_epoch);
@@ -253,10 +272,10 @@ TEST(TenantInstanceTest, FailedProgramReportsAndRejectsFast) {
   EXPECT_EQ(broken.deepdive(), nullptr);
   EXPECT_FALSE(broken.InitInfo().ok());
 
-  // Jobs against a failed tenant fail fast instead of hanging.
-  auto rejected = broken.SubmitUpdate(comm::UpdateRequest{});
-  ASSERT_FALSE(rejected.ok());
-  EXPECT_EQ(rejected.status().code(), StatusCode::kFailedPrecondition);
+  // Jobs against a failed tenant fail fast instead of hanging, whatever
+  // their type.
+  ExpectEveryRequestRejected(&broken, StatusCode::kFailedPrecondition);
+  EXPECT_EQ(broken.GetStatus().updates_applied, 0u);
   broken.Stop();
 }
 
@@ -287,7 +306,7 @@ factor FEAT: HasSpouse(a, b) :- Feature(a, b, f) weight = w(f).
   bad.inserts.push_back({"Feature", "1\tnot_an_int\tx\n"});
   comm::UpdateRequest good = bad;
   good.inserts[0].tsv = "10\t11\twife\n";
-  const auto rejected = spouse->SubmitUpdate(std::move(bad));
+  const auto rejected = spouse->Submit(std::move(bad));
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
   const comm::TenantStatus after = spouse->GetStatus();
@@ -298,7 +317,7 @@ factor FEAT: HasSpouse(a, b) :- Feature(a, b, f) weight = w(f).
 
   // A well-formed row applies the rules and the data as one update: one
   // epoch.
-  const auto applied = spouse->SubmitUpdate(std::move(good));
+  const auto applied = spouse->Submit(std::move(good));
   ASSERT_TRUE(applied.ok()) << applied.status().ToString();
   EXPECT_EQ(applied->epoch, before.epoch + 1);
   EXPECT_EQ(spouse->GetStatus().rule_count, before.rule_count + 1);
@@ -321,11 +340,11 @@ factor FEAT: HasSpouse(a, b) :- Feature(a, b, f) weight = w(f).
   core::UpdateSpec spec;
   spec.add_rules = request.rules;
   spec.inserts["Feature"] = {{Value(10), Value(11), Value("wife")}};
-  const auto applied = spouse->SubmitUpdate(std::move(request));
+  const auto applied = spouse->Submit(std::move(request));
   ASSERT_TRUE(applied.ok()) << applied.status().ToString();
   EXPECT_EQ(applied->epoch, epoch + 1);
   const std::string path = ::testing::TempDir() + "one_update_graph.bin";
-  const auto saved = spouse->SaveGraph(path);
+  const auto saved = spouse->Submit(comm::SaveGraphRequest{path});
   ASSERT_TRUE(saved.ok()) << saved.status().ToString();
   spouse->Stop();
   std::remove(path.c_str());
@@ -358,9 +377,9 @@ TEST(TenantInstanceTest, RepeatedFactorLabelIsRejected) {
 factor FEAT: HasSpouse(m1, m2) :- Person(s, m1), Person(s, m2), m1 != m2
   weight = 0.5 semantics = logical.
 )";
-  ASSERT_TRUE(spouse->SubmitUpdate(request).ok());
+  ASSERT_TRUE(spouse->Submit(request).ok());
   const comm::TenantStatus before = spouse->GetStatus();
-  const auto rejected = spouse->SubmitUpdate(request);
+  const auto rejected = spouse->Submit(request);
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kAlreadyExists);
   const comm::TenantStatus after = spouse->GetStatus();
@@ -380,18 +399,108 @@ TEST(TenantInstanceTest, DrainReportsMaterializationState) {
   // No update has run, so the initial background build is installed inside
   // this drain, after the last published view: the report must come from
   // the engine's snapshot, not from Query().
-  auto first = spouse->Drain();
+  auto first = spouse->Submit(TenantInstance::DrainRequest{});
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   EXPECT_EQ(first->snapshot_generation, 1u);
   EXPECT_GT(first->samples_collected, 0u);
 
   comm::UpdateRequest grow;
   grow.inserts.push_back({"Person", "3\t30\n3\t31\n"});
-  ASSERT_TRUE(spouse->SubmitUpdate(std::move(grow)).ok());
-  auto drained = spouse->Drain();
+  ASSERT_TRUE(spouse->Submit(std::move(grow)).ok());
+  auto drained = spouse->Submit(TenantInstance::DrainRequest{});
   ASSERT_TRUE(drained.ok()) << drained.status().ToString();
   EXPECT_GT(drained->samples_collected, 0u);
   spouse->Stop();
+}
+
+// ---------------------------------------------------------------------------
+// Writer verbs through the handler tier.
+
+/// One request of each writer verb for `tenant`, each valid for a running
+/// spouse tenant and independent of the others' order.
+std::vector<comm::Request> WriterRequests(const std::string& tenant) {
+  comm::UpdateRequest update;
+  update.inserts.push_back({"Person", "7\t70\n7\t71\n"});
+  std::vector<comm::Request> requests(5);
+  requests[0].body = update;
+  requests[1].body = comm::SaveGraphRequest{::testing::TempDir() + "writer_verbs.bin"};
+  requests[2].body = comm::AddRuleRequest{
+      "factor EXTRA: HasSpouse(m1, m2) :- Person(s, m1), Person(s, m2), m1 != m2 "
+      "weight = 0.5 semantics = logical."};
+  requests[3].body = comm::RetractRuleRequest{"PRIOR"};
+  requests[4].body = comm::MineRequest{};
+  for (comm::Request& request : requests) request.tenant = tenant;
+  return requests;
+}
+
+TEST(WriterVerbTest, FailedTenantAnswersEveryWriterVerbWithOneCode) {
+  TenantRegistry registry;
+  handlers::Dispatcher dispatcher(&registry);
+  comm::Request create;
+  create.body = comm::CreateTenantRequest{"broken", "this is not a deepdive program",
+                                          FastConfig(), {}};
+  ASSERT_FALSE(dispatcher.Dispatch(create).ok());
+  ASSERT_TRUE(registry.Find("broken")->GetStatus().failed);
+
+  for (const comm::Request& request : WriterRequests("broken")) {
+    const comm::Response response = dispatcher.Dispatch(request);
+    EXPECT_EQ(response.code, StatusCode::kFailedPrecondition)
+        << comm::VerbName(request.verb()) << ": " << response.message;
+    EXPECT_EQ(response.retry_after_ms, 0u) << comm::VerbName(request.verb());
+  }
+  registry.StopAll();
+}
+
+TEST(WriterVerbTest, OnlyAnUpdateShedsWithRetryAfter) {
+  comm::TenantConfig saturable = FastConfig();
+  saturable.queue_capacity = 6;
+  saturable.shed_watermark = 1;
+  saturable.retry_after_ms = 77;
+  TenantRegistry registry;
+  handlers::Dispatcher dispatcher(&registry);
+  comm::Request create;
+  create.body = comm::CreateTenantRequest{
+      "spouse", kSpouseProgram, saturable,
+      {{"Person", "1\t10\n1\t11\n"}, {"HasSpouseLabel", "10\t11\ttrue\n"}}};
+  ASSERT_TRUE(dispatcher.Dispatch(create).ok());
+  TenantInstance* spouse = registry.Find("spouse");
+
+  // The writer stalls at the top of each update, as in the saturation drill.
+  BoundedQueue<int> entered(8);
+  BoundedQueue<int> release(8);
+  spouse->SetPreUpdateHookForTest([&entered, &release] {
+    entered.Push(0);
+    release.Pop();
+  });
+  const std::vector<comm::Request> requests = WriterRequests("spouse");
+  ThreadPool submitters(6, /*inline_when_single=*/false);
+  auto dispatch_ok = [&dispatcher](const comm::Request& request) {
+    const comm::Response response = dispatcher.Dispatch(request);
+    EXPECT_TRUE(response.ok()) << comm::VerbName(request.verb()) << ": " << response.message;
+    EXPECT_EQ(response.retry_after_ms, 0u) << comm::VerbName(request.verb());
+  };
+  // U1 stalls in the writer; U2 fills the queue to the watermark.
+  submitters.Submit([&] { dispatch_ok(requests[0]); });
+  ASSERT_TRUE(entered.Pop().has_value());
+  submitters.Submit([&] { dispatch_ok(requests[0]); });
+  while (spouse->GetStatus().queue_depth < 1) std::this_thread::yield();
+
+  const comm::Response shed = dispatcher.Dispatch(requests[0]);
+  EXPECT_EQ(shed.code, StatusCode::kUnavailable);
+  EXPECT_EQ(shed.retry_after_ms, 77u);
+
+  // Every other writer verb queues past the watermark instead of shedding.
+  for (size_t i = 1; i < requests.size(); ++i) {
+    submitters.Submit([&, i] { dispatch_ok(requests[i]); });
+  }
+  while (spouse->GetStatus().queue_depth < requests.size()) std::this_thread::yield();
+  for (int i = 0; i < 2; ++i) release.Push(0);
+  submitters.Wait();
+  EXPECT_EQ(spouse->GetStatus().updates_applied, 2u);
+  EXPECT_EQ(spouse->GetStatus().updates_shed, 1u);
+  spouse->SetPreUpdateHookForTest(nullptr);
+  registry.StopAll();
+  std::remove((::testing::TempDir() + "writer_verbs.bin").c_str());
 }
 
 // ---------------------------------------------------------------------------

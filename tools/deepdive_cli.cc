@@ -544,8 +544,9 @@ Status Run(const Args& args) {
   // readers keep racing this drain (and its snapshot install) on purpose.
   // Service-tier call: the embedding host owns the tenant, like the daemon
   // draining on SIGTERM.
-  DD_ASSIGN_OR_RETURN(serve::service::TenantInstance::DrainReport drained,
-                      tenant->Drain());
+  DD_ASSIGN_OR_RETURN(
+      serve::service::TenantInstance::DrainReport drained,
+      tenant->Submit(serve::service::TenantInstance::DrainRequest{}));
   if (args.config.async_materialize) {
     std::fprintf(stderr,
                  "materialization snapshot generation %llu: %zu samples\n",
