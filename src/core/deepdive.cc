@@ -23,10 +23,6 @@ using factor::VarId;
 using factor::WeightId;
 
 namespace {
-/// Rule-journal tickets kept for exact-restore removal. Only the newest can
-/// still restore (see ApplyUpdate); the bound caps the older ones.
-constexpr size_t kMaxRuleJournal = 8;
-
 /// The grounder reads only the thread count; its shard threshold keeps its
 /// default.
 grounding::GroundingOptions GroundingOptionsFor(const inference::Parallelism& parallelism) {
@@ -194,9 +190,7 @@ incremental::UpdateReport DeepDive::FinishUpdate(
     incremental::UpdateReport report, const incremental::UpdateOutcome* outcome) {
   if (outcome != nullptr) {
     marginals_ = outcome->marginals;
-    report.strategy = outcome->fell_back_to_variational
-                          ? incremental::Strategy::kVariational
-                          : outcome->strategy;
+    report.strategy = outcome->strategy;
     report.acceptance_rate = outcome->acceptance_rate;
     report.affected_vars = outcome->affected_vars;
     report.exact_vars = outcome->exact_vars;
@@ -345,13 +339,11 @@ StatusOr<incremental::UpdateReport> DeepDive::ApplyUpdate(
       ticket = RuleTicket{fragment.factor_rules().front().label, 0, marginals_,
                           WeightValues(ground_.graph)};
     }
-    // Every successful update advances the engine's update_seq, so only the
-    // newest ticket can still be at it.
     if (update.add_rules.empty() && update.remove_rule_labels.size() == 1 &&
-        !rule_journal_.empty() &&
-        rule_journal_.back().label == update.remove_rule_labels.front() &&
-        rule_journal_.back().engine_seq_after == inc_engine_->update_seq()) {
-      restore = &rule_journal_.back();
+        rule_journal_.has_value() &&
+        rule_journal_->label == update.remove_rule_labels.front() &&
+        rule_journal_->engine_seq_after == inc_engine_->update_seq()) {
+      restore = &*rule_journal_;
     }
   }
 
@@ -450,17 +442,11 @@ StatusOr<incremental::UpdateReport> DeepDive::ApplyUpdate(
       inc_engine_->ApplyDelta(delta, config_.engine,
                               restore != nullptr ? &restore->marginals_before : nullptr));
   report.inference_seconds = infer_timer.Seconds();
-  for (const std::string& label : update.remove_rule_labels) {
-    std::erase_if(rule_journal_,
-                  [&](const RuleTicket& entry) { return entry.label == label; });
-  }
-  if (ticket.has_value()) {
-    ticket->engine_seq_after = inc_engine_->update_seq();
-    rule_journal_.push_back(std::move(*ticket));
-    if (rule_journal_.size() > kMaxRuleJournal) {
-      rule_journal_.erase(rule_journal_.begin());
-    }
-  }
+  // Every successful update advances the engine's update_seq, so a ticket
+  // can restore only until the next one: this update's ticket, if any,
+  // replaces the journal's.
+  if (ticket.has_value()) ticket->engine_seq_after = inc_engine_->update_seq();
+  rule_journal_ = std::move(ticket);
   return FinishUpdate(std::move(report), &outcome);
 }
 

@@ -246,9 +246,9 @@ class DeepDive {
   /// Bumped once per update whose fragment carries rules and once per
   /// removed label; published into views as program_version.
   uint64_t program_version_ GUARDED_BY(serving_thread) = 0;
-  /// The rule journal: recent tickets, newest last (bounded; see
-  /// kMaxRuleJournal).
-  std::vector<RuleTicket> rule_journal_ GUARDED_BY(serving_thread);
+  /// The rule journal: the ticket of the last successful incremental update,
+  /// if it recorded one.
+  std::optional<RuleTicket> rule_journal_ GUARDED_BY(serving_thread);
   RelationDeltaListener delta_listener_ GUARDED_BY(serving_thread);
 
   /// RCU publication slot for Query().

@@ -2,17 +2,15 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 #include <utility>
 
 #include "incremental/decomposition.h"
 #include "inference/exact.h"
-#include "inference/parallel_gibbs.h"
 #include "inference/replicated_gibbs.h"
 #include "inference/world.h"
 #include "util/thread_pool.h"
 #include "util/logging.h"
-#include "util/string_util.h"
-#include "util/timer.h"
 
 namespace deepdive::incremental {
 
@@ -29,6 +27,40 @@ void DropNewWeights(GraphDelta* delta, size_t num_weights) {
   std::erase_if(delta->weight_changes, [num_weights](const GraphDelta::WeightChange& c) {
     return c.weight >= num_weights;
   });
+}
+
+/// Per-variable marks of a delta: kTouched on every variable it references,
+/// kPrefersVariational on those the classifier's rule 2 reads.
+enum VarMark : uint8_t { kTouched = 1, kPrefersVariational = 2 };
+
+std::vector<uint8_t> MarkVars(const factor::FactorGraph& graph, const GraphDelta& delta) {
+  std::vector<uint8_t> marks(graph.NumVariables(), 0);
+  auto mark_group = [&](GroupId g, uint8_t mark) {
+    const factor::FactorGroup& group = graph.group(g);
+    marks[group.head] |= mark;
+    for (factor::ClauseId cid : group.clauses) {
+      for (const factor::Literal& lit : graph.clause(cid).literals) marks[lit.var] |= mark;
+    }
+  };
+  // A new or removed group on a fixed weight (an inference rule's, say) comes
+  // with many correlated factors, which collapse MH's acceptance; a new
+  // feature's group is on a learnable weight and stays with sampling.
+  auto structural = [&](GroupId g) -> uint8_t {
+    return graph.weight(graph.group(g).weight).learnable ? kTouched
+                                                         : kTouched | kPrefersVariational;
+  };
+  for (GroupId g : delta.new_groups) mark_group(g, structural(g));
+  for (GroupId g : delta.removed_groups) mark_group(g, structural(g));
+  for (const GraphDelta::GroupMod& mod : delta.modified_groups) mark_group(mod.group, kTouched);
+  for (const GraphDelta::WeightChange& wc : delta.weight_changes) {
+    for (GroupId g : graph.GroupsForWeight(wc.weight)) mark_group(g, kTouched);
+  }
+  // New labels collapse MH's acceptance too.
+  for (const GraphDelta::EvidenceChange& ec : delta.evidence_changes) {
+    marks[ec.var] |= kTouched | kPrefersVariational;
+  }
+  for (VarId v : delta.new_variables) marks[v] |= kTouched;
+  return marks;
 }
 
 }  // namespace
@@ -267,30 +299,6 @@ void IncrementalEngine::MaybeScheduleRemat(const UpdateOutcome& outcome) {
   }
 }
 
-std::vector<bool> IncrementalEngine::TouchedVars(const GraphDelta& delta) const {
-  std::vector<bool> touched(graph_->NumVariables(), false);
-  auto touch_group = [&](GroupId g) {
-    const factor::FactorGroup& group = graph_->group(g);
-    touched[group.head] = true;
-    for (factor::ClauseId cid : group.clauses) {
-      for (const factor::Literal& lit : graph_->clause(cid).literals) {
-        touched[lit.var] = true;
-      }
-    }
-  };
-  for (GroupId g : delta.new_groups) touch_group(g);
-  for (GroupId g : delta.removed_groups) touch_group(g);
-  for (const GraphDelta::GroupMod& mod : delta.modified_groups) touch_group(mod.group);
-  for (const GraphDelta::WeightChange& wc : delta.weight_changes) {
-    for (GroupId g : graph_->GroupsForWeight(wc.weight)) touch_group(g);
-  }
-  for (const GraphDelta::EvidenceChange& ec : delta.evidence_changes) {
-    touched[ec.var] = true;
-  }
-  for (VarId v : delta.new_variables) touched[v] = true;
-  return touched;
-}
-
 const std::vector<std::vector<VarId>>& IncrementalEngine::Components() {
   if (!components_valid_ || components_width_ != graph_->NumVariables()) {
     components_cache_ = ConnectedComponents(*graph_);
@@ -300,35 +308,9 @@ const std::vector<std::vector<VarId>>& IncrementalEngine::Components() {
   return components_cache_;
 }
 
-std::vector<VarId> IncrementalEngine::AffectedVars(const GraphDelta& delta,
-                                                   bool decomposition_enabled) {
-  std::vector<VarId> out;
-  if (!decomposition_enabled) {
-    out.resize(graph_->NumVariables());
-    for (VarId v = 0; v < graph_->NumVariables(); ++v) out[v] = v;
-    return out;
-  }
-  const std::vector<bool> touched = TouchedVars(delta);
-  // Expand to full components: a delta factor shifts the distribution of
-  // everything connected to it; disconnected components are untouched.
-  for (const auto& comp : Components()) {
-    bool hit = false;
-    for (VarId v : comp) {
-      if (touched[v]) {
-        hit = true;
-        break;
-      }
-    }
-    if (hit) out.insert(out.end(), comp.begin(), comp.end());
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 StatusOr<UpdateOutcome> IncrementalEngine::ApplyDelta(
     const GraphDelta& delta, const EngineOptions& options,
     const std::vector<double>* restore_marginals) {
-  Timer timer;
   // Swap in a finished background snapshot before serving; while a build is
   // still running we serve from the previous snapshot and record the delta
   // for the post-swap rebase.
@@ -347,15 +329,12 @@ StatusOr<UpdateOutcome> IncrementalEngine::ApplyDelta(
   if (!delta.empty()) compiled_kernel_.reset();
   marginals_.resize(graph_->NumVariables(), 0.5);
 
-  StatusOr<UpdateOutcome> result = ExecuteUpdate(delta, options, restore_marginals);
+  StatusOr<UpdateOutcome> result = ExecuteUpdate(options, restore_marginals);
   if (!result.ok()) return result;
   result->snapshot_generation = snapshot_->generation;
   result->served_during_remat = mid_build;
   marginals_ = result->marginals;
-  // Scheduling a remat copies the graph on this thread; stamp the latency
-  // after it so the update's reported cost includes that stall.
   MaybeScheduleRemat(*result);
-  result->seconds = timer.Seconds();
   return result;
 }
 
@@ -373,165 +352,101 @@ const factor::CompiledGraph* IncrementalEngine::CompiledKernel() {
 }
 
 StatusOr<UpdateOutcome> IncrementalEngine::ExecuteUpdate(
-    const GraphDelta& delta, const EngineOptions& options,
-    const std::vector<double>* restore_marginals) {
+    const EngineOptions& options, const std::vector<double>* restore_marginals) {
+  UpdateOutcome outcome;
   // An exact restore: the caller proved (rule journal: no update intervened
   // since the matching rule add) that the pre-add marginals are the exact
   // posterior of the restored graph, so they are adopted verbatim. Or an
   // analysis-only workload (rule A1): the distribution equals the
   // materialized one, so its marginals are the exact answer — the 100%-
   // acceptance case where the sampling approach needs no computation.
+  const std::optional<Strategy>& forced = options.forced_strategy;
   const bool unchanged = cumulative_.empty() && snapshot_->generation > 0 &&
-                         (!options.forced_strategy.has_value() ||
-                          *options.forced_strategy == Strategy::kSampling);
+                         (!forced.has_value() || *forced == Strategy::kSampling);
   if (restore_marginals != nullptr || unchanged) {
-    UpdateOutcome outcome;
     outcome.marginals = restore_marginals != nullptr
                             ? *restore_marginals
                             : snapshot_->materialized_marginals;
     outcome.marginals.resize(graph_->NumVariables(), 0.5);
-    outcome.strategy = Strategy::kSampling;
-    outcome.reason = restore_marginals != nullptr
-                         ? "rule retracted; exact restore from journal"
-                         : "no change; materialized marginals";
     outcome.acceptance_rate = 1.0;
     return outcome;
   }
 
-  const std::vector<VarId> affected =
-      AffectedVars(cumulative_, options.decomposition_enabled);
-
-  OptimizerDecision decision;
-  if (options.forced_strategy.has_value()) {
-    decision.strategy = *options.forced_strategy;
-    decision.reason = "forced";
-  } else {
-    RuleBasedOptimizer optimizer(options.optimizer);
-    decision = optimizer.Choose(*graph_, delta, !snapshot_->store.exhausted());
-    if (decision.strategy == Strategy::kVariational &&
-        !snapshot_->variational.has_value()) {
-      decision.strategy = Strategy::kRerun;
-      decision.reason += " (no variational materialization)";
+  // The classifier (see the declaration for its rules): the first rule that
+  // matches picks a touched component's strategy, and the component joins
+  // that strategy's bucket in component order.
+  const bool has_fit = snapshot_->variational.has_value();
+  const bool variational_on = has_fit && options.optimizer.variational_enabled;
+  const std::vector<uint8_t> marks = MarkVars(*graph_, cumulative_);
+  bool rerun = snapshot_->generation == 0 || forced == Strategy::kRerun;
+  std::vector<VarId> sampling_vars, variational_vars;
+  auto classify = [&](const std::vector<VarId>& component) {
+    outcome.affected_vars += component.size();
+    Strategy strategy = Strategy::kRerun;
+    if (forced.has_value()) {
+      if (*forced != Strategy::kVariational || has_fit) strategy = *forced;
+    } else if (variational_on &&
+               std::any_of(component.begin(), component.end(),
+                           [&](VarId v) { return marks[v] & kPrefersVariational; })) {
+      strategy = Strategy::kVariational;
+    } else if (options.optimizer.sampling_enabled) {
+      strategy = Strategy::kSampling;
+    } else if (variational_on) {
+      strategy = Strategy::kVariational;
     }
-  }
-
-  UpdateOutcome outcome;
-  if (!options.forced_strategy.has_value() && options.decomposition_enabled &&
-      decision.strategy != Strategy::kRerun) {
-    DD_ASSIGN_OR_RETURN(outcome, RunPerGroup(options, affected));
-    outcome.affected_vars = affected.size();
-    return outcome;
-  }
-  switch (decision.strategy) {
-    case Strategy::kSampling: {
-      DD_ASSIGN_OR_RETURN(outcome, RunSampling(options, affected));
-      break;
-    }
-    case Strategy::kVariational:
-      outcome = RunVariational(options, affected);
-      break;
-    case Strategy::kRerun:
-      outcome = RunRerun(options);
-      break;
-  }
-  outcome.strategy = decision.strategy;
-  if (outcome.reason.empty()) outcome.reason = decision.reason;
-  outcome.affected_vars = affected.size();
-  return outcome;
-}
-
-StatusOr<UpdateOutcome> IncrementalEngine::RunPerGroup(
-    const EngineOptions& options, const std::vector<VarId>& affected) {
-  // Classify each affected component by what the cumulative delta does to
-  // it: evidence-modified components go variational (rule 2), the rest ride
-  // the sampling chain (rules 1/3) while samples last.
-  std::vector<bool> is_affected(graph_->NumVariables(), false);
-  for (VarId v : affected) is_affected[v] = true;
-  // Per-variable classification signals: evidence modified (rule 2) and
-  // fixed-weight structural changes such as inference rules, whose many
-  // correlated factors collapse MH acceptance (see RuleBasedOptimizer).
-  std::vector<bool> wants_variational(graph_->NumVariables(), false);
-  for (const GraphDelta::EvidenceChange& ec : cumulative_.evidence_changes) {
-    wants_variational[ec.var] = true;
-  }
-  auto mark_group = [&](GroupId gid) {
-    const factor::FactorGroup& group = graph_->group(gid);
-    if (graph_->weight(group.weight).learnable) return;  // new feature: sampling
-    wants_variational[group.head] = true;
-    for (factor::ClauseId cid : group.clauses) {
-      for (const factor::Literal& lit : graph_->clause(cid).literals) {
-        wants_variational[lit.var] = true;
+    if (strategy == Strategy::kRerun) rerun = true;
+    std::vector<VarId>& bucket =
+        strategy == Strategy::kVariational ? variational_vars : sampling_vars;
+    if (!rerun) bucket.insert(bucket.end(), component.begin(), component.end());
+  };
+  if (options.decomposition_enabled) {
+    // A delta factor shifts the distribution of everything connected to it;
+    // disconnected components are untouched.
+    for (const std::vector<VarId>& component : Components()) {
+      if (std::any_of(component.begin(), component.end(),
+                      [&](VarId v) { return marks[v] & kTouched; })) {
+        classify(component);
       }
     }
-  };
-  for (GroupId gid : cumulative_.new_groups) mark_group(gid);
-  for (GroupId gid : cumulative_.removed_groups) mark_group(gid);
+  } else {
+    std::vector<VarId> all(graph_->NumVariables());
+    std::iota(all.begin(), all.end(), VarId{0});
+    classify(all);
+  }
 
-  std::vector<VarId> sampling_vars, variational_vars;
-  for (const auto& component : Components()) {
-    bool touched = false, variational = false;
-    for (VarId v : component) {
-      touched |= is_affected[v];
-      variational |= wants_variational[v];
+  if (rerun) {
+    outcome.marginals = RunRerun(options);
+    outcome.strategy = Strategy::kRerun;
+  } else {
+    // Untouched components keep their materialized marginals (exact, since
+    // the cumulative delta does not reach them).
+    outcome.marginals = snapshot_->materialized_marginals;
+    outcome.marginals.resize(graph_->NumVariables(), 0.5);
+    outcome.sampling_vars = sampling_vars.size();
+    outcome.variational_vars = variational_vars.size();
+    Strategy answered = Strategy::kSampling;
+    if (!sampling_vars.empty()) {
+      DD_ASSIGN_OR_RETURN(answered, RunSampling(options, sampling_vars, &outcome));
+      if (answered == Strategy::kVariational) outcome.variational_vars += sampling_vars.size();
+      if (answered != Strategy::kSampling) outcome.sampling_vars = 0;
     }
-    if (!touched) continue;
-    auto& bucket = (variational && snapshot_->variational.has_value() &&
-                    options.optimizer.variational_enabled)
-                       ? variational_vars
-                       : sampling_vars;
-    bucket.insert(bucket.end(), component.begin(), component.end());
-  }
-  if (!options.optimizer.sampling_enabled) {
-    variational_vars.insert(variational_vars.end(), sampling_vars.begin(),
-                            sampling_vars.end());
-    sampling_vars.clear();
-  }
-
-  UpdateOutcome outcome;
-  outcome.marginals = snapshot_->materialized_marginals;
-  outcome.marginals.resize(graph_->NumVariables(), 0.5);
-  outcome.sampling_vars = sampling_vars.size();
-  outcome.variational_vars = variational_vars.size();
-
-  if (!sampling_vars.empty()) {
-    DD_ASSIGN_OR_RETURN(UpdateOutcome s, RunSampling(options, sampling_vars));
-    for (VarId v : sampling_vars) outcome.marginals[v] = s.marginals[v];
-    outcome.acceptance_rate = s.acceptance_rate;
-    outcome.fell_back_to_variational = s.fell_back_to_variational;
-    outcome.exact_vars = s.exact_vars;
-    outcome.sampled_vars = s.sampled_vars;
-    if (s.fell_back_to_variational) {
-      outcome.sampling_vars = 0;
-      outcome.variational_vars += sampling_vars.size();
-    }
-  }
-  if (!variational_vars.empty()) {
-    if (!snapshot_->variational.has_value()) {
-      UpdateOutcome r = RunRerun(options);
-      for (VarId v : variational_vars) outcome.marginals[v] = r.marginals[v];
-    } else {
-      UpdateOutcome v_outcome = RunVariational(options, variational_vars);
-      for (VarId v : variational_vars) outcome.marginals[v] = v_outcome.marginals[v];
-      outcome.exact_vars += v_outcome.exact_vars;
-      outcome.sampled_vars += v_outcome.sampled_vars;
+    if (!variational_vars.empty()) RunVariational(options, variational_vars, &outcome);
+    if (answered == Strategy::kRerun) {
+      outcome.strategy = Strategy::kRerun;
+    } else if (outcome.variational_vars > outcome.sampling_vars) {
+      outcome.strategy = Strategy::kVariational;
     }
   }
   for (VarId v = 0; v < graph_->NumVariables(); ++v) {
     const auto ev = graph_->EvidenceValue(v);
     if (ev.has_value()) outcome.marginals[v] = *ev ? 1.0 : 0.0;
   }
-  outcome.strategy = outcome.variational_vars > outcome.sampling_vars
-                         ? Strategy::kVariational
-                         : Strategy::kSampling;
-  outcome.reason =
-      StrFormat("per-group: %zu vars sampling, %zu vars variational",
-                outcome.sampling_vars, outcome.variational_vars);
   return outcome;
 }
 
-StatusOr<UpdateOutcome> IncrementalEngine::RunSampling(
-    const EngineOptions& options, const std::vector<VarId>& affected) {
-  UpdateOutcome outcome;
+StatusOr<Strategy> IncrementalEngine::RunSampling(const EngineOptions& options,
+                                                  const std::vector<VarId>& vars,
+                                                  UpdateOutcome* outcome) {
   IndependentMH mh(graph_, &cumulative_);
   MHOptions mh_options;
   // The paper's cost model: the chain consumes proposals until it has
@@ -540,46 +455,31 @@ StatusOr<UpdateOutcome> IncrementalEngine::RunSampling(
   mh_options.target_steps = std::numeric_limits<size_t>::max();  // store-bounded
   mh_options.target_accepted = options.mh_target_steps;
   mh_options.seed = Rng::MixSeed(options.gibbs.seed, update_seq_, /*substream=*/1);
-  mh_options.track_vars = &affected;  // untouched components keep Pr(0) marginals
+  mh_options.track_vars = &vars;  // untouched components keep Pr(0) marginals
   DD_ASSIGN_OR_RETURN(MHResult result, mh.Run(&snapshot_->store, mh_options));
-  outcome.acceptance_rate = result.acceptance_rate;
+  outcome->acceptance_rate = result.acceptance_rate;
 
   const bool too_few_steps =
       result.exhausted &&
       result.accepted < std::max<size_t>(2, options.mh_target_steps / 2);
-  if (too_few_steps) {
-    // Optimizer rule 4 at execution time: the store ran dry before the chain
-    // gathered enough accepted moves.
-    if (snapshot_->variational.has_value() && options.optimizer.variational_enabled) {
-      outcome = RunVariational(options, affected);
-      outcome.fell_back_to_variational = true;
-      outcome.acceptance_rate = result.acceptance_rate;
-      outcome.reason = "samples exhausted; fell back to variational";
-    } else {
-      outcome = RunRerun(options);
-      outcome.acceptance_rate = result.acceptance_rate;
-      outcome.reason = "samples exhausted; no variational; rerunning";
-    }
-    return outcome;
+  if (!too_few_steps) {
+    for (VarId v : vars) outcome->marginals[v] = result.marginals[v];
+    return Strategy::kSampling;
   }
-
-  // Refresh only affected variables; untouched components keep their
-  // materialized marginals (exact, since the cumulative delta does not
-  // reach them).
-  outcome.marginals = snapshot_->materialized_marginals;
-  outcome.marginals.resize(graph_->NumVariables(), 0.5);
-  for (VarId v : affected) outcome.marginals[v] = result.marginals[v];
-  for (VarId v = 0; v < graph_->NumVariables(); ++v) {
-    const auto ev = graph_->EvidenceValue(v);
-    if (ev.has_value()) outcome.marginals[v] = *ev ? 1.0 : 0.0;
+  // Optimizer rule 4 at execution time: the store ran dry before the chain
+  // gathered enough accepted moves.
+  if (snapshot_->variational.has_value() && options.optimizer.variational_enabled) {
+    RunVariational(options, vars, outcome);
+    return Strategy::kVariational;
   }
-  return outcome;
+  const std::vector<double> rerun = RunRerun(options);
+  for (VarId v : vars) outcome->marginals[v] = rerun[v];
+  return Strategy::kRerun;
 }
 
-UpdateOutcome IncrementalEngine::RunVariational(const EngineOptions& options,
-                                                const std::vector<VarId>& affected) {
-  UpdateOutcome outcome;
-  DD_CHECK(snapshot_->variational.has_value());
+void IncrementalEngine::RunVariational(const EngineOptions& options,
+                                       const std::vector<VarId>& vars,
+                                       UpdateOutcome* outcome) {
   // The sweeps run on the approximation's compiled image with the cumulative
   // delta spliced on; its rows keep the order a compile of the whole
   // approximation-plus-delta graph gives, and so its FP and RNG order.
@@ -587,21 +487,16 @@ UpdateOutcome IncrementalEngine::RunVariational(const EngineOptions& options,
       *graph_, *snapshot_->variational, cumulative_);
 
   std::vector<VarId> sweep_vars;
-  for (VarId v : affected) {
+  for (VarId v : vars) {
     if (!inference_graph.IsEvidence(v)) sweep_vars.push_back(v);
   }
   // Warm start from the current marginal estimates.
-  auto warm_value = [&](VarId v) {
-    const auto ev = inference_graph.EvidenceValue(v);
-    return ev.has_value() ? *ev : (v < marginals_.size() && marginals_[v] > 0.5);
-  };
   inference::World world(&inference_graph);
   for (VarId v = 0; v < inference_graph.NumVariables(); ++v) {
-    world.Flip(v, warm_value(v));
+    const auto ev = inference_graph.EvidenceValue(v);
+    world.Flip(v, ev.has_value() ? *ev : (v < marginals_.size() && marginals_[v] > 0.5));
   }
   world.RecomputeStats();
-  outcome.marginals = snapshot_->materialized_marginals;
-  outcome.marginals.resize(graph_->NumVariables(), 0.5);
 
   // The chain samples the swept variables with every other variable fixed at
   // its warm value, so the swept variables split into the image's components
@@ -619,74 +514,40 @@ UpdateOutcome IncrementalEngine::RunVariational(const EngineOptions& options,
     const size_t n = component.size();
     // n < 32 keeps the shift and the product in range.
     if (n >= 32 || (uint64_t{1} << n) > n * sweeps) continue;
-    inference::EnumerateMarginals(&world, component, &scratch, &outcome.marginals);
+    inference::EnumerateMarginals(&world, component, &scratch, &outcome->marginals);
     for (VarId v : component) enumerated[v] = true;
-    outcome.exact_vars += n;
+    outcome->exact_vars += n;
   }
   // The rest keep their sweep order.
   std::erase_if(sweep_vars, [&](VarId v) { return enumerated[v]; });
-  outcome.sampled_vars = sweep_vars.size();
-
-  std::vector<double> sums(inference_graph.NumVariables(), 0.0);
-  const size_t num_threads = parallelism_.num_threads == 0 ? ThreadPool::DefaultThreads()
-                                                          : parallelism_.num_threads;
+  outcome->sampled_vars += sweep_vars.size();
   // A chain is built only when some component is left to sample.
-  if (!sweep_vars.empty() && num_threads > 1) {
-    // Hogwild over the (sparse) inference graph, confined to the sampled
-    // variables: the component decomposition shards across workers. It keeps
-    // the plain kernel because a cached conditional could miss a racing flip.
-    inference::ParallelGibbsSampler sampler(&inference_graph, num_threads);
-    inference::AtomicWorld atomic_world(&inference_graph);
-    for (VarId v = 0; v < inference_graph.NumVariables(); ++v) {
-      atomic_world.Flip(v, warm_value(v));
-    }
-    std::vector<Rng> rngs = sampler.MakeRngStreams(
-        Rng::MixSeed(options.gibbs.seed, update_seq_, /*substream=*/2));
-    for (size_t i = 0; i < options.gibbs.burn_in_sweeps; ++i) {
-      sampler.SweepVars(&atomic_world, &rngs, sweep_vars);
-    }
-    for (size_t i = 0; i < sample_sweeps; ++i) {
-      sampler.SweepVars(&atomic_world, &rngs, sweep_vars);
-      for (VarId v : sweep_vars) sums[v] += atomic_world.value(v) ? 1.0 : 0.0;
-    }
-  } else if (!sweep_vars.empty()) {
-    // Sequential sweeps reuse each conditional until a variable it reads
-    // flips; the chain is bit-identical to GibbsSampler::SweepVars.
-    Rng rng(Rng::MixSeed(options.gibbs.seed, update_seq_, /*substream=*/2));
-    inference::CompiledGibbsChain chain(std::move(world));
-    for (size_t i = 0; i < options.gibbs.burn_in_sweeps; ++i) {
-      chain.SweepVars(&rng, sweep_vars);
-    }
-    for (size_t i = 0; i < sample_sweeps; ++i) {
-      chain.SweepVars(&rng, sweep_vars);
-      for (VarId v : sweep_vars) sums[v] += chain.world().value(v) ? 1.0 : 0.0;
-    }
-  }
+  if (sweep_vars.empty()) return;
 
+  // Sequential sweeps reuse each conditional until a variable it reads
+  // flips; the chain is bit-identical to GibbsSampler::SweepVars.
+  std::vector<double> sums(inference_graph.NumVariables(), 0.0);
+  Rng rng(Rng::MixSeed(options.gibbs.seed, update_seq_, /*substream=*/2));
+  inference::CompiledGibbsChain chain(std::move(world));
+  for (size_t i = 0; i < options.gibbs.burn_in_sweeps; ++i) {
+    chain.SweepVars(&rng, sweep_vars);
+  }
+  for (size_t i = 0; i < sample_sweeps; ++i) {
+    chain.SweepVars(&rng, sweep_vars);
+    for (VarId v : sweep_vars) sums[v] += chain.world().value(v) ? 1.0 : 0.0;
+  }
   for (VarId v : sweep_vars) {
-    outcome.marginals[v] = sums[v] / static_cast<double>(sample_sweeps);
+    outcome->marginals[v] = sums[v] / static_cast<double>(sample_sweeps);
   }
-  for (VarId v = 0; v < graph_->NumVariables(); ++v) {
-    const auto ev = graph_->EvidenceValue(v);
-    if (ev.has_value()) outcome.marginals[v] = *ev ? 1.0 : 0.0;
-  }
-  return outcome;
 }
 
-UpdateOutcome IncrementalEngine::RunRerun(const EngineOptions& options) {
-  UpdateOutcome outcome;
+std::vector<double> IncrementalEngine::RunRerun(const EngineOptions& options) {
   inference::GibbsOptions gopts = options.rerun_gibbs;
   gopts.seed = Rng::MixSeed(gopts.seed, update_seq_);
   // Reuse (or lazily rebuild) the cached CSR kernel instead of recompiling
   // per rerun; rule/structural deltas invalidate it.
   inference::ReplicatedGibbsSampler sampler(CompiledKernel(), parallelism_);
-  outcome.marginals = sampler.EstimateMarginals(gopts).marginals;
-  for (VarId v = 0; v < graph_->NumVariables(); ++v) {
-    const auto ev = graph_->EvidenceValue(v);
-    if (ev.has_value()) outcome.marginals[v] = *ev ? 1.0 : 0.0;
-  }
-  outcome.reason = "rerun";
-  return outcome;
+  return sampler.EstimateMarginals(gopts).marginals;
 }
 
 }  // namespace deepdive::incremental

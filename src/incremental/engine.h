@@ -4,7 +4,6 @@
 #include <atomic>
 #include <memory>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "factor/compiled_graph.h"
@@ -27,6 +26,8 @@ namespace deepdive::incremental {
 
 struct EngineOptions {
   OptimizerConfig optimizer;
+  /// Overrides the classifier for every touched component (see
+  /// IncrementalEngine::ExecuteUpdate).
   std::optional<Strategy> forced_strategy;
   /// Confine re-inference to graph components touched by the delta
   /// (Appendix B.1). Disable to reproduce the NoDecomposition lesion.
@@ -41,9 +42,10 @@ struct EngineOptions {
 
 struct UpdateOutcome {
   std::vector<double> marginals;   // full vector, all variables
+  /// Rerun when any part of the write reran (MH's dry-store fallback
+  /// included); otherwise whichever of sampling and variational answered
+  /// more variables (see ExecuteUpdate).
   Strategy strategy = Strategy::kSampling;
-  std::string reason;
-  double seconds = 0.0;
   double acceptance_rate = -1.0;   // sampling path only
   size_t affected_vars = 0;
   /// Variational path: the swept (non-evidence affected) variables whose
@@ -51,8 +53,9 @@ struct UpdateOutcome {
   /// chain sampled. Both 0 on the other strategies.
   size_t exact_vars = 0;
   size_t sampled_vars = 0;
-  bool fell_back_to_variational = false;
-  /// Per-group execution accounting (see ExecuteUpdate).
+  /// Per-component execution accounting (see ExecuteUpdate): the variables
+  /// MH answered, and those the variational path answered, MH's fallback
+  /// to it included.
   size_t sampling_vars = 0;
   size_t variational_vars = 0;
   /// Generation of the snapshot this update was served from.
@@ -64,14 +67,15 @@ struct UpdateOutcome {
 
 /// Orchestrates incremental inference (Section 3.3): materializes *both* the
 /// sampling and the variational approaches up front, then, per update,
-/// classifies the delta with the rule-based optimizer and executes the
-/// chosen strategy per affected graph component ("different materialization
-/// strategies for different groups of variables"): components whose delta
-/// changes evidence or adds fixed-weight structure go variational, the rest
-/// ride the sampling chain. Successive updates accumulate into one delta
-/// against the materialized distribution, so the sampling approach's
-/// acceptance rate decays naturally as the distribution drifts — exactly
-/// the dynamics the optimizer arbitrates.
+/// classifies each graph component the cumulative delta touches with the
+/// rule-based optimizer and runs each component's strategy ("different
+/// materialization strategies for different groups of variables",
+/// Appendix B.1): components where a label changed or fixed-weight
+/// structure was added or removed since Pr(0) go variational, the rest ride
+/// the sampling chain (see ExecuteUpdate). Successive updates accumulate
+/// into one delta against the materialized distribution, so the sampling
+/// approach's acceptance rate decays naturally as the distribution drifts —
+/// exactly the dynamics the optimizer arbitrates.
 ///
 /// The cumulative delta is a net diff against Pr(0) (see GraphDelta): the
 /// groups added since and still active, the Pr(0) groups removed, each
@@ -106,11 +110,11 @@ struct UpdateOutcome {
 /// `mu_`-guarded handoff state. The engine publishes nothing itself: other
 /// threads read its results through the ResultViews DeepDive publishes.
 ///
-/// Parallelism, fixed at construction, reaches every stage the engine runs
-/// but MH, whose chain and accumulation are sequential: the snapshot build
-/// (the sampling chain and the variational fit), the variational write
-/// (Hogwild above one thread, the caching sequential chain otherwise) and
-/// the rerun's replicated chain.
+/// Parallelism, fixed at construction, reaches the snapshot build (the
+/// sampling chain and the variational fit) and the rerun's replicated chain.
+/// The writes' MH chain and the variational write's caching chain are
+/// sequential, so given the snapshot their marginals do not depend on the
+/// thread count.
 class IncrementalEngine {
  public:
   explicit IncrementalEngine(factor::FactorGraph* graph,
@@ -207,45 +211,43 @@ class IncrementalEngine {
   }
 
  private:
-  /// Variables directly referenced by a delta.
-  std::vector<bool> TouchedVars(const factor::GraphDelta& delta) const
-      REQUIRES(serving_thread);
-
-  /// Expands touched variables to whole connected components (or all
-  /// variables when decomposition is disabled).
-  std::vector<factor::VarId> AffectedVars(const factor::GraphDelta& delta,
-                                          bool decomposition_enabled)
-      REQUIRES(serving_thread);
-
   /// Connected components of the current graph, cached across updates and
   /// invalidated by structural deltas (new variables/groups/clauses) — one
-  /// computation per ApplyDelta at most, shared by AffectedVars and
-  /// RunPerGroup.
+  /// computation per ApplyDelta at most.
   const std::vector<std::vector<factor::VarId>>& Components()
       REQUIRES(serving_thread);
 
-  /// Strategy selection + execution for one update (everything downstream of
-  /// the entry bookkeeping). Factored out so ApplyDelta can evaluate remat
-  /// triggers on every successful path.
-  StatusOr<UpdateOutcome> ExecuteUpdate(const factor::GraphDelta& delta,
-                                        const EngineOptions& options,
+  /// The one place a write's strategy is picked (everything downstream of the
+  /// entry bookkeeping). Each component the cumulative delta touches (the
+  /// whole graph, as one component, with decomposition off) takes the first
+  /// strategy whose rule matches:
+  ///   1. `forced_strategy`, when set (a forced variational with no fit
+  ///      reruns);
+  ///   2. variational, when a label changed in it or a fixed-weight group in
+  ///      it is new or removed since Pr(0), and a fit exists and is enabled;
+  ///   3. sampling, when enabled (MH falls back at run time when the store
+  ///      runs dry: rule 4, see RunSampling);
+  ///   4. variational, when a fit exists and is enabled;
+  ///   5. rerun.
+  /// The whole write reruns, once, before the first snapshot installs, when
+  /// the forced strategy is rerun, or when any component classifies as
+  /// rerun. Factored out so ApplyDelta can evaluate remat triggers on every
+  /// successful path.
+  StatusOr<UpdateOutcome> ExecuteUpdate(const EngineOptions& options,
                                         const std::vector<double>* restore_marginals)
       REQUIRES(serving_thread);
 
-  StatusOr<UpdateOutcome> RunSampling(const EngineOptions& options,
-                                      const std::vector<factor::VarId>& affected)
-      REQUIRES(serving_thread);
-  UpdateOutcome RunVariational(const EngineOptions& options,
-                               const std::vector<factor::VarId>& affected)
-      REQUIRES(serving_thread);
-  UpdateOutcome RunRerun(const EngineOptions& options) REQUIRES(serving_thread);
-
-  /// Splits the affected variables into per-component strategy buckets from
-  /// the cumulative delta (Section 3.3 applied per group) and executes each
-  /// bucket with its strategy.
-  StatusOr<UpdateOutcome> RunPerGroup(const EngineOptions& options,
-                                      const std::vector<factor::VarId>& affected)
-      REQUIRES(serving_thread);
+  /// Both answer `vars` into `outcome->marginals` and add to its counters;
+  /// the caller clamps evidence. When the store runs dry before MH gathers
+  /// enough accepted moves, RunSampling answers by the variational path or,
+  /// without one, a rerun; it returns the strategy that answered.
+  StatusOr<Strategy> RunSampling(const EngineOptions& options,
+                                 const std::vector<factor::VarId>& vars,
+                                 UpdateOutcome* outcome) REQUIRES(serving_thread);
+  void RunVariational(const EngineOptions& options, const std::vector<factor::VarId>& vars,
+                      UpdateOutcome* outcome) REQUIRES(serving_thread);
+  /// Whole-graph marginals from a cold chain.
+  std::vector<double> RunRerun(const EngineOptions& options) REQUIRES(serving_thread);
 
   /// Installs a finished snapshot as the serving one and rebases the
   /// cumulative delta onto it (cumulative := deltas since the build's graph

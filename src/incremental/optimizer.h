@@ -1,10 +1,6 @@
 #ifndef DEEPDIVE_INCREMENTAL_OPTIMIZER_H_
 #define DEEPDIVE_INCREMENTAL_OPTIMIZER_H_
 
-#include <string>
-
-#include "factor/graph_delta.h"
-
 namespace deepdive::incremental {
 
 enum class Strategy {
@@ -15,38 +11,13 @@ enum class Strategy {
 
 const char* StrategyName(Strategy strategy);
 
-struct OptimizerDecision {
-  Strategy strategy = Strategy::kSampling;
-  std::string reason;
-};
-
-/// Flags for the lesion studies of Section 4.3 (Figure 11).
+/// Flags for the lesion studies of Section 4.3 (Figure 11). The rule-based
+/// optimizer of Section 3.3 that reads them is IncrementalEngine's per-write
+/// classifier (see IncrementalEngine::ExecuteUpdate): it assigns each
+/// component the cumulative delta touches to sampling, variational or rerun.
 struct OptimizerConfig {
   bool sampling_enabled = true;
   bool variational_enabled = true;
-};
-
-/// The rule-based materialization optimizer of Section 3.3:
-///   1. update does not change the structure of the graph -> sampling;
-///   2. update modifies the evidence                      -> variational;
-///   3. update introduces new features (new learnable tied weights /
-///      feature groups)                                   -> sampling;
-///   4. out of samples                                    -> variational.
-/// Disabled strategies fall through to the other one; if both are disabled
-/// the decision is kRerun.
-class RuleBasedOptimizer {
- public:
-  explicit RuleBasedOptimizer(OptimizerConfig config = {}) : config_(config) {}
-
-  OptimizerDecision Choose(const factor::FactorGraph& graph,
-                           const factor::GraphDelta& delta,
-                           bool samples_available) const;
-
- private:
-  OptimizerDecision Pick(Strategy preferred, std::string reason,
-                         bool samples_available) const;
-
-  OptimizerConfig config_;
 };
 
 }  // namespace deepdive::incremental

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "factor/compiled_graph.h"
 #include "factor/factor_graph.h"
 #include "incremental/engine.h"
 #include "incremental/variational.h"
@@ -150,8 +151,7 @@ TEST(IncrementalEngineTest, FallsBackToVariationalWhenSamplesExhausted) {
   eopts.mh_target_steps = 2000;
   auto outcome = engine.ApplyDelta(delta, eopts);
   ASSERT_TRUE(outcome.ok());
-  EXPECT_TRUE(outcome->fell_back_to_variational ||
-              outcome->strategy == Strategy::kVariational);
+  EXPECT_EQ(outcome->strategy, Strategy::kVariational);
 }
 
 TEST(IncrementalEngineTest, ForcedStrategyIsRespected) {
@@ -280,8 +280,11 @@ TEST(IncrementalEngineTest, PerGroupStrategySplitsComponents) {
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   EXPECT_EQ(outcome->variational_vars, 4u);  // the evidence component
   EXPECT_EQ(outcome->sampling_vars, 4u);     // the feature component
-  EXPECT_NE(outcome->reason.find("per-group"), std::string::npos);
   EXPECT_DOUBLE_EQ(outcome->marginals[1], 1.0);
+  // Pins each bucket's variable order and seed stream bit for bit.
+  EXPECT_EQ(factor::Fnv1aHash(outcome->marginals.data(),
+                              outcome->marginals.size() * sizeof(double)),
+            0xf965627864378eb2ULL);
 
   auto exact = inference::ExactInference(g);
   ASSERT_TRUE(exact.ok());
@@ -521,6 +524,155 @@ TEST(IncrementalEngineTest, VariationalCutOffEnumeratesElevenAndSamplesTwelve) {
   EXPECT_EQ(outcome->affected_vars, 23u);
   EXPECT_EQ(outcome->exact_vars, 11u);
   EXPECT_EQ(outcome->sampled_vars, 12u);
+}
+
+// ---------------------------------------------------------------------------
+// The rule-based optimizer of Section 3.3 is ExecuteUpdate's classifier. Each
+// row below is one write on TwoComponentGraph through ApplyDelta and the
+// strategy the write must report. Every row registers as its own test,
+// OptimizerTest.<name>, so a failure names its row.
+
+enum class Write {
+  kNone,            // an empty delta
+  kWeight,          // a weight moves
+  kFeature,         // a new group on a learnable weight
+  kLabel,           // a label changes
+  kRule,            // a new group on a fixed weight
+  kStrongFeatures,  // a strong learnable prior on each variable of a chain
+  kStrongRules,     // the same on fixed weights
+};
+
+struct ClassifierCase {
+  const char* name;
+  Write write;
+  Strategy expected;
+  bool materialize = true;  // false: the write comes before any snapshot
+  size_t num_samples = 8000;
+  OptimizerConfig optimizer = {};
+  std::optional<Strategy> forced = {};
+};
+
+constexpr OptimizerConfig kSamplingOff{.sampling_enabled = false};
+constexpr OptimizerConfig kVariationalOff{.variational_enabled = false};
+constexpr OptimizerConfig kBothOff{.sampling_enabled = false, .variational_enabled = false};
+
+const ClassifierCase kClassifierCases[] = {
+    {.name = "Rule1StructureUnchangedPicksSampling",
+     .write = Write::kWeight,
+     .expected = Strategy::kSampling},
+    {.name = "Rule3NewFeaturesPicksSampling",
+     .write = Write::kFeature,
+     .expected = Strategy::kSampling},
+    {.name = "Rule2EvidencePicksVariational",
+     .write = Write::kLabel,
+     .expected = Strategy::kVariational},
+    {.name = "FixedWeightStructuralChangeGoesVariational",
+     .write = Write::kRule,
+     .expected = Strategy::kVariational},
+    // A 20-sample store runs dry: the variational path answers (rule 4).
+    {.name = "Rule4OutOfSamplesPicksVariational",
+     .write = Write::kStrongFeatures,
+     .expected = Strategy::kVariational,
+     .num_samples = 20},
+    {.name = "LesionSamplingDisabled",
+     .write = Write::kFeature,
+     .expected = Strategy::kVariational,
+     .optimizer = kSamplingOff},
+    {.name = "LesionVariationalDisabled",
+     .write = Write::kLabel,
+     .expected = Strategy::kSampling,
+     .optimizer = kVariationalOff},
+    // ... and with no variational path, a rerun answers a dry store.
+    {.name = "LesionVariationalDisabledRerunsWhenSamplesRunOut",
+     .write = Write::kStrongRules,
+     .expected = Strategy::kRerun,
+     .num_samples = 20,
+     .optimizer = kVariationalOff},
+    {.name = "BothDisabledFallsBackToRerun",
+     .write = Write::kFeature,
+     .expected = Strategy::kRerun,
+     .optimizer = kBothOff},
+    {.name = "NoSnapshotReruns",
+     .write = Write::kFeature,
+     .expected = Strategy::kRerun,
+     .materialize = false},
+    {.name = "ForcedRerunOnEmptyDeltaReruns",
+     .write = Write::kNone,
+     .expected = Strategy::kRerun,
+     .forced = Strategy::kRerun},
+    {.name = "ForcedVariationalWithoutFitReruns",
+     .write = Write::kFeature,
+     .expected = Strategy::kRerun,
+     .materialize = false,
+     .forced = Strategy::kVariational},
+};
+
+class ClassifierCaseTest : public testing::Test {
+ public:
+  explicit ClassifierCaseTest(const ClassifierCase& c) : case_(c) {}
+
+  void TestBody() override {
+    deepdive::serving_thread.AssertHeld();
+    FactorGraph g = TwoComponentGraph(3);
+    IncrementalEngine engine(&g);
+    if (case_.materialize) {
+      MaterializationOptions mopts = TestMaterialization();
+      mopts.num_samples = case_.num_samples;
+      ASSERT_TRUE(engine.Materialize(mopts).ok());
+    }
+    GraphDelta delta;
+    switch (case_.write) {
+      case Write::kNone:
+        break;
+      case Write::kWeight: {
+        const WeightId w = g.group(0).weight;
+        const double old_value = g.WeightValue(w);
+        g.SetWeightValue(w, old_value + 0.3);
+        delta.weight_changes.push_back({w, old_value, old_value + 0.3});
+        break;
+      }
+      case Write::kFeature:
+      case Write::kRule:
+        delta.new_groups.push_back(g.AddSimpleFactor(
+            1, {{2, false}}, g.AddWeight(0.9, case_.write == Write::kFeature)));
+        break;
+      case Write::kLabel:
+        g.SetEvidence(0, true);
+        delta.evidence_changes.push_back({0, std::nullopt, true});
+        break;
+      case Write::kStrongFeatures:
+      case Write::kStrongRules:
+        for (VarId v = 0; v < 4; ++v) {
+          delta.new_groups.push_back(g.AddSimpleFactor(
+              v, {}, g.AddWeight(3.0, case_.write == Write::kStrongFeatures)));
+        }
+        break;
+    }
+    EngineOptions eopts = TestEngine();
+    eopts.optimizer = case_.optimizer;
+    eopts.forced_strategy = case_.forced;
+    auto outcome = engine.ApplyDelta(delta, eopts);
+    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+    EXPECT_EQ(outcome->strategy, case_.expected)
+        << "reported " << StrategyName(outcome->strategy);
+  }
+
+ private:
+  const ClassifierCase case_;
+};
+
+[[maybe_unused]] const bool kClassifierCasesRegistered = [] {
+  for (const ClassifierCase& c : kClassifierCases) {
+    testing::RegisterTest("OptimizerTest", c.name, nullptr, nullptr, __FILE__, __LINE__,
+                          [c]() -> testing::Test* { return new ClassifierCaseTest(c); });
+  }
+  return true;
+}();
+
+TEST(OptimizerTest, StrategyNames) {
+  EXPECT_STREQ(StrategyName(Strategy::kSampling), "sampling");
+  EXPECT_STREQ(StrategyName(Strategy::kVariational), "variational");
+  EXPECT_STREQ(StrategyName(Strategy::kRerun), "rerun");
 }
 
 }  // namespace

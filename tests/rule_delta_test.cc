@@ -298,6 +298,37 @@ TEST(RuleDeltaTest, AddThenRemoveRestoresExactlyWhicheverVerbCarriesThem) {
   }
 }
 
+/// The journal keeps the last update's ticket only. After adding FW and then
+/// FR, removing FR restores exactly; FW's ticket went with FR's add, so
+/// removing FW afterwards re-infers. The snapshot installed after FW's add
+/// makes FW's groups Pr(0) groups, so its removal leaves a delta to answer.
+TEST(RuleDeltaTest, NestedAddsRestoreOnlyTheNewestRule) {
+  deepdive::serving_thread.AssertHeld();
+  auto dd = Make(FastTestConfig(), LabelRows());
+  ASSERT_TRUE(dd->AddRule(kLearnedRule).ok());
+  ASSERT_TRUE(
+      dd->incremental_engine()->Materialize(FastTestConfig().materialization).ok());
+  const std::vector<double> marginals_before = dd->Query()->marginals;
+  const std::vector<double> weights_before = WeightValues(dd->ground().graph);
+
+  ASSERT_TRUE(dd->AddRule(kReversedRule).ok());
+  ASSERT_NE(WeightValues(dd->ground().graph), weights_before);
+  auto remove_fr = dd->RetractRule("FR");
+  ASSERT_TRUE(remove_fr.ok()) << remove_fr.status().ToString();
+  EXPECT_DOUBLE_EQ(remove_fr->acceptance_rate, 1.0);
+  EXPECT_EQ(remove_fr->affected_vars, 0u);
+  EXPECT_EQ(dd->Query()->marginals, marginals_before);
+  const std::vector<double> weights_after = WeightValues(dd->ground().graph);
+  ASSERT_GE(weights_after.size(), weights_before.size());
+  for (size_t w = 0; w < weights_before.size(); ++w) {
+    EXPECT_EQ(weights_after[w], weights_before[w]) << "weight " << w;
+  }
+
+  auto remove_fw = dd->RetractRule("FW");
+  ASSERT_TRUE(remove_fw.ok()) << remove_fw.status().ToString();
+  EXPECT_GT(remove_fw->affected_vars, 0u);
+}
+
 TEST(RuleDeltaTest, RerunModeRoutesRuleDeltasThroughFullPipeline) {
   deepdive::serving_thread.AssertHeld();
   DeepDiveConfig config = FastTestConfig();
